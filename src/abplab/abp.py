@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import CurvatureParams, calH, calS
-from .contact import ContactSet, compute_contact_set, refine_contact_points
+from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField
 from .geometry import GeodesicBallGrid, ModelSpace
 from .report import CheckReport, check_le
@@ -131,7 +131,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
               rel_tol: float = 1e-6) -> CheckReport:
     """Certify nu[E] <= contact-set integral of the comparison bound.
 
-    set_stride = 1 runs the exhaustive node scan over all of E and bases the
+    set_stride = 1 runs the exact node scan over all of E and bases the
     verdict on the node-set quadrature.  set_stride > 1 subsamples the scan
     (containment diagnostics only); set_stride = 0 skips it.  In both latter
     cases the verdict comes from the transport quadrature, which requires the

@@ -24,7 +24,7 @@ factor, which is the one the glued coefficients actually support; the smaller
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -26,7 +26,7 @@ from .geometry import build_polar_grid
 from .harnack import (HarnackInstance, growth_check, harnack_check_full,
                       harnack_check_sub, harnack_check_sup)
 from .hfun import expansion_fit, hfun_closed_form, hfun_numeric
-from .measure import BallFamily, doubling_check, lp_distribution_check, vitali_cover, vitali_verify
+from .measure import doubling_check
 from .pde import DirichletProblem, solve_poisson
 from .pucci import e_theta, e_theta_bounds, pucci, pucci_contact_bound
 from .report import check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng, write_atomic
@@ -103,9 +103,7 @@ def cmd_abp(args):
     else:
         u = random_bump_field(grid, seeded_rng(args.seed, "abp-cli"),
                               hess_bound=0.5 * args.a)
-    stride = 0 if args.resolution > 128 else 1
-    rep = abp_check(AbpInstance(m, params, grid, E, u, args.a),
-                    set_stride=stride, n_rings=n_rings)
+    rep = abp_check(AbpInstance(m, params, grid, E, u, args.a), n_rings=n_rings)
     return [rep], {}
 
 

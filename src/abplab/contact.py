@@ -10,7 +10,9 @@ is covered by at least one contact node.  The a/2 normalization matches the
 paraboloid form -(a/2) rho^2 + c, which is the convention every downstream
 gradient/Hessian identity relies on.
 
-Exhaustive grid minimization is exact at node resolution; a vectorized
+The grid minimization is exact at node resolution: a table of distances per
+vertex ring and lower bounds over angular blocks of nodes skip only nodes
+that provably lie above the infimum plus the tie tolerance.  A vectorized
 Riemannian Newton refinement upgrades contact locations to sub-cell accuracy
 whenever the field carries closed-form derivatives.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +38,8 @@ __all__ = [
     "refine_contact_points",
     "dist_sq_half_grad_hess",
 ]
+
+_BLOCK = 8   # angular nodes per block of the pruned scan
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,27 @@ def _pairwise_dist_sq(m: ModelSpace, Y, X):
 def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
                         E: np.ndarray, Omega: Optional[GeodesicBallGrid] = None,
                         tie_tol: float = 1e-12, chunk: int = 128) -> ContactSet:
-    """Exhaustive contact-set computation over the grid closure.
+    """Exact contact-set computation over the grid closure, by pruned scan.
+
+    Every model is isotropic about the grid centre, so rho^2 from vertex
+    (ring iv, angle jv) to node (i, j) is T_iv[i, (j - jv) mod n_theta], with
+    T_iv the distances from node (iv, 0): one table per vertex ring replaces
+    every transcendental call of the scan.  The angles are split into blocks
+    of _BLOCK nodes.  For each block of vertices on one ring, a node block
+    is bounded below by min u over it plus the least (a/2) T_iv over the
+    angle differences the two blocks can have.  Only node blocks whose bound
+    is at most the exact minimum over the best-bounded block, at its worst
+    vertex, plus tie_tol are evaluated.  Rounding is monotone, so every
+    skipped node lies more than tie_tol above the infimum: minimisers and
+    ties are exactly those of a scan of all nodes with the tabulated
+    distances.
 
     Parameters
     ----------
     E : array of flat node indices (the vertex set, a subset of the grid).
     Omega : defaults to the grid carried by u.
     tie_tol : minimizers within tie_tol of the infimum are all retained.
+    chunk : most vertices evaluated together.
     """
     grid = Omega if Omega is not None else u.grid
     E = np.asarray(E, dtype=np.int64)
@@ -115,33 +133,83 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
         raise ValueError("empty vertex set E")
     if not a > 0:
         raise ValueError("opening a must be > 0")
-    X = grid.flat_points()
     uf = u.values.reshape(-1)
-    Ypts = X[E]
+    if np.any(np.isnan(uf)):
+        raise ValueError("u has NaN values")
+    X = grid.flat_points()
     if m.kind == "sphere":
-        dE = float(np.max(m.distance(grid.center, Ypts)))
+        dE = float(np.max(m.distance(grid.center, X[E])))
         if 2.0 * grid.radius + 2.0 * dE >= 0.5 * math.pi / math.sqrt(m.k):
             raise ValueError("sphere domain too large: diam(Omega) + diam(E) "
                              "must stay below pi/(2 sqrt k)")
+    n_r, n_t = grid.n_r, grid.n_theta
+    B = _BLOCK
+    n_b = -(-n_t // B)
+    padded = np.full((n_r, n_b * B), np.inf)
+    padded[:, :n_t] = uf.reshape(n_r, n_t)
+    u_block = padded.reshape(n_r, n_b, B).min(axis=2)
+    # the angle differences j - jv between a vertex block and the node block
+    # d blocks away, d = 1 - n_b .. n_b - 1
+    window = (np.arange(1 - n_b, n_b)[:, None] * B + np.arange(1 - B, B)[None, :]) % n_t
+    shift = np.arange(n_b)[None, :] - np.arange(n_b)[:, None] + n_b - 1   # [bv, b] -> d
+    block_start = (np.arange(n_r)[:, None] * n_t + np.arange(n_b)[None, :] * B).ravel()
+    block_len = np.tile(np.minimum(B, n_t - np.arange(n_b) * B), n_r)
+    # position of node (i, j) in the doubled table, at vertex angle 0
+    column = (np.arange(n_r)[:, None] * (2 * n_t) + np.arange(n_t)[None, :] + n_t).ravel()
+
+    ring, ang = np.divmod(E, n_t)
+    order = np.lexsort((ang, ring))
+    ring_starts = np.flatnonzero(np.diff(ring[order], prepend=-1))
     n_y = len(E)
     contact = np.empty(n_y, np.int64)
     minval = np.empty(n_y)
-    ties = []
-    for lo in range(0, n_y, chunk):
-        Y = Ypts[lo:lo + chunk]
-        F = uf[None, :] + 0.5 * a * _pairwise_dist_sq(m, Y, X)
-        amin = np.argmin(F, axis=1)
-        rows = np.arange(len(Y))
-        best = F[rows, amin]
-        contact[lo:lo + chunk] = amin
-        minval[lo:lo + chunk] = best
-        near = F <= (best + tie_tol)[:, None]
-        counts = near.sum(axis=1)
-        for r in np.flatnonzero(counts > 1):
-            for xi in np.flatnonzero(near[r]):
-                if xi != amin[r]:
-                    ties.append((int(E[lo + r]), int(xi)))
+    tie_rows, tie_nodes = [], []
+    for s, e in zip(ring_starts, np.append(ring_starts[1:], n_y)):
+        iv = int(ring[order[s]])
+        T = (0.5 * a) * _pairwise_dist_sq(m, X[iv * n_t][None, :], X).reshape(n_r, n_t)
+        T_wrap = np.concatenate([T, T], axis=1).reshape(-1)
+        T_window = T[:, window].min(axis=2)
+        for lo in range(s, e, chunk):
+            rows = order[lo:min(lo + chunk, e)]
+            jv = ang[rows]
+            vb, first, count = np.unique(jv // B, return_index=True, return_counts=True)
+            lower = (u_block[None, :, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
+                     ).reshape(len(vb), -1)
+            # upper bound per vertex block: the exact minimum over its
+            # best-bounded node block (a short block repeats its last node),
+            # at the worst vertex of the block
+            top = np.repeat(np.argmin(lower, axis=1), count)
+            nodes = block_start[top][:, None] + np.minimum(np.arange(B)[None, :],
+                                                           block_len[top][:, None] - 1)
+            F = uf[nodes] + T_wrap[column[nodes] - jv[:, None]]
+            ub = np.maximum.reduceat(F.min(axis=1), first) + tie_tol
+            for g in range(len(vb)):
+                keep = lower[g] <= ub[g]
+                nodes = _ranges(block_start[keep], block_len[keep])
+                r = slice(first[g], first[g] + count[g])
+                F = uf[nodes][None, :] + T_wrap[column[nodes][None, :] - jv[r, None]]
+                amin = np.argmin(F, axis=1)
+                fmin = F[np.arange(len(F)), amin]
+                contact[rows[r]] = nodes[amin]
+                minval[rows[r]] = fmin
+                near = F <= (fmin + tie_tol)[:, None]
+                if np.count_nonzero(near) > len(F):
+                    near[np.arange(len(F)), amin] = False
+                    v, k = np.nonzero(near)
+                    tie_rows.append(rows[r][v])
+                    tie_nodes.append(nodes[k])
+    ties = []   # in the order of E, nodes ascending per vertex
+    if tie_rows:
+        tie_rows = np.concatenate(tie_rows)
+        tie_nodes = np.concatenate(tie_nodes)
+        by_vertex = np.argsort(tie_rows, kind="stable")
+        ties = [(int(E[p]), int(x)) for p, x in zip(tie_rows[by_vertex], tie_nodes[by_vertex])]
     return ContactSet(m, grid, float(a), E, contact, minval, ties)
+
+
+def _ranges(start, length):
+    """Concatenated arange(start[k], start[k] + length[k]) over k."""
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(int(length.sum()))
 
 
 def gradient_contact_residual(m: ModelSpace, u: ScalarField, pair: ContactPair) -> float:
@@ -219,7 +287,18 @@ def check_contact_location(m: ModelSpace, u: ScalarField, a: float,
     l < t forces A(a, B_{r/6}(y0)/B_r(x0), u) into B_{5r/6}(x0) intersected
     with {u <= l + a r^2/36}.  Premise violations are reported, not raised.
     """
-    grid = u.grid
+    return _contact_location(m, u, a, x0, r, y0, l, t)
+
+
+def _location_vertices(grid: GeodesicBallGrid, y0, r: float) -> np.ndarray:
+    """The vertex set B_{r/6}(y0) as flat node indices."""
+    return np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
+
+
+def _contact_location(m, u, a, x0, r, y0, l, t, cs: Optional[ContactSet] = None):
+    """The location report of check_contact_location, read from cs when the
+    caller has already scanned the vertex set _location_vertices(u.grid, y0, r)
+    with opening a; otherwise the scan runs here, after the premises pass."""
     anchor = "contact-location"
     pre = _location_premises(m, u, x0, r, y0, l, t)
     if pre is not None:
@@ -228,10 +307,10 @@ def check_contact_location(m: ModelSpace, u: ScalarField, a: float,
         rep.diagnostics["violated_premise"] = pre
         return rep
     # vertices must include y0's node so the touching bound below is exact
-    E = np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
-    cs = compute_contact_set(m, u, a, E)
+    if cs is None:
+        cs = compute_contact_set(m, u, a, _location_vertices(u.grid, y0, r))
     nodes = cs.node_indices
-    pts = grid.flat_points()[nodes]
+    pts = u.grid.flat_points()[nodes]
     d_x0 = m.distance(np.asarray(x0, float), pts)
     uvals = u.values.reshape(-1)[nodes]
     # discrete minimization over nodes reproduces the touching inequality

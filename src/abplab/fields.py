@@ -98,15 +98,6 @@ def hess_form(m: ModelSpace, H, X, Y):
     return np.einsum("...i,...ij,...j->...", X, H, Y)
 
 
-def hess_frame_components(m: ModelSpace, H, e1, e2):
-    """(h11, h12, h22) of the Hessian in an orthonormal tangent frame."""
-    return (
-        hess_form(m, H, e1, e1),
-        hess_form(m, H, e1, e2),
-        hess_form(m, H, e2, e2),
-    )
-
-
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
     m = grid.model
     d = m.embedding_dim

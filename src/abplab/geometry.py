@@ -423,9 +423,6 @@ class GeodesicBallGrid:
     def mean(self, values) -> float:
         return self.integrate(values) / float(self.weights.sum())
 
-    def node_distance_to_center(self) -> np.ndarray:
-        return np.broadcast_to(self.rho[:, None], self.shape)
-
     def mask_within(self, center, r) -> np.ndarray:
         """Boolean node mask of the sub-ball B_r(center)."""
         d = self.model.distance(self.points, np.asarray(center, float))

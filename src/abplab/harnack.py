@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .barrier import BarrierSpec, barrier_field, barrier_h
-from .constants import ConstantsLedger, CurvatureParams, calH, calS
-from .contact import check_contact_location, compute_contact_set
+from .barrier import BarrierSpec, barrier_field
+from .constants import ConstantsLedger, CurvatureParams
+from .contact import _contact_location, _location_vertices, compute_contact_set
 from .fields import ScalarField
 from .geometry import GeodesicBallGrid, ModelSpace
 from .pde import apply_weighted_laplacian
@@ -261,12 +261,11 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     y0 = grid.flat_points()[y0_flat]
     l = float(w_field.values.reshape(-1)[y0_flat])
     t_level = 18.0**ledger.alpha - (4.0 / 3.0) ** ledger.alpha
-    loc = check_contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level)
+    cs = compute_contact_set(m, w_field, 1.0 / r**2, _location_vertices(grid, y0, r))
+    loc = _contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
     rep.diagnostics["location_check_pass"] = bool(loc.passed)
     rep.diagnostics.update({f"location_{k}": v for k, v in loc.diagnostics.items()})
 
-    E = np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
-    cs = compute_contact_set(m, w_field, 1.0 / r**2, E)
     nodes = cs.node_indices
     mask = np.zeros(grid.shape, bool)
     mask.reshape(-1)[nodes] = True

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .constants import CurvatureParams, _log_doubling
 from .fields import ScalarField
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import ModelSpace
 from .report import CheckReport, check_le
 
 __all__ = ["BallFamily", "doubling_check", "integral_I", "lp_distribution_check",

@@ -111,6 +111,15 @@ class TestCliOutputs:
         header = (out / "contact_pairs.csv").read_text().split("\n")[0]
         assert header == "y_coords,x_coords,min_value,residual"
 
+    def test_abp_check_node_quadrature_at_192(self, tmp_path):
+        # the verdict rests on the contact-node quadrature at every resolution
+        out = tmp_path / "abp"
+        assert main(["abp-check", "--model", "euclidean", "--u", "random", "--seed", "3",
+                     "--resolution", "192", "--out", str(out)]) == 0
+        rep = json.loads((out / "abp_check_report.json").read_text())["reports"][0]
+        assert rep["diagnostics"]["verdict_basis"] == "node_quadrature"
+        assert rep["diagnostics"]["set_stride"] == 1
+
     def test_hfun_series_file(self, tmp_path):
         out = tmp_path / "h"
         assert main(["hfun", "--model", "sphere", "--k", "1", "--fit",

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from abplab.contact import (check_contact_location, compute_contact_set,
-                            dist_sq_half_grad_hess, gradient_contact_residual,
-                            refine_contact_points)
+from abplab.contact import (_pairwise_dist_sq, check_contact_location,
+                            compute_contact_set, dist_sq_half_grad_hess,
+                            gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, bump_field, constant_field,
-                           quadratic_field, sum_fields)
+                           quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, sphere
 from conftest import ALL_MODELS
 
@@ -59,6 +59,14 @@ class TestComputeContactSet:
         u = constant_field(g, 0.0)
         with pytest.raises(ValueError, match="empty"):
             compute_contact_set(euclidean(), u, 1.0, np.array([], dtype=np.int64))
+
+    def test_nan_field_rejected(self):
+        # a NaN would void the block lower bounds the scan prunes with
+        g = _grid(euclidean(), n=16)
+        vals = np.zeros(g.shape)
+        vals[3, 5] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            compute_contact_set(euclidean(), ScalarField(g, vals), 1.0, _disc_indices(g, 0.5))
 
     def test_sphere_domain_size_guard(self):
         m = sphere(1.0)
@@ -146,6 +154,95 @@ class TestComputeContactSet:
         assert keys == sorted(keys)
         p = pairs[0]
         assert p.c == p.min_value
+
+
+def _brute_force(m, u, a, E, tie_tol=1e-12):
+    """Oracle: u + (a/2) rho^2 at every node, argmin and every node within
+    tie_tol of the minimum."""
+    X = u.grid.flat_points()
+    F = u.values.reshape(-1)[None, :] + 0.5 * a * _pairwise_dist_sq(m, X[E], X)
+    contact = np.argmin(F, axis=1)
+    best = F[np.arange(len(E)), contact]
+    ties = [(int(y), int(x)) for k, y in enumerate(E)
+            for x in np.flatnonzero(F[k] <= best[k] + tie_tol) if x != contact[k]]
+    return contact, best, ties
+
+
+def _assert_matches_brute_force(m, u, a, E, **kwargs):
+    cs = compute_contact_set(m, u, a, E, **kwargs)
+    contact, best, ties = _brute_force(m, u, a, E)
+    assert np.array_equal(cs.vertex_indices, E)
+    assert np.array_equal(cs.contact_of, contact)
+    assert cs.ties == ties
+    extra = np.array([x for _, x in ties], dtype=np.int64)
+    assert np.array_equal(cs.node_indices, np.unique(np.concatenate([contact, extra])))
+    assert np.max(np.abs(cs.min_values - best)) <= 1e-14
+    return cs
+
+
+class TestPrunedScanMatchesBruteForce:
+    """The pruned scan against an exhaustive scan of every node."""
+
+    @staticmethod
+    def _setup(m, rng, n_r=48, n_theta=48):
+        r = min(0.8, 0.2 * m.domain_radius_limit)
+        g = build_polar_grid(m, m.origin(), r, n_r, n_theta)
+        return g, random_bump_field(g, rng, hess_bound=0.5)
+
+    def test_disc_vertex_set(self, model, rng):
+        g, u = self._setup(model, rng)
+        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.45 * g.radius))
+
+    def test_off_centre_vertex_set(self, model, rng):
+        # the growth check's vertex set: B_{r/6}(y0) around an off-centre node
+        g, u = self._setup(model, rng)
+        y0 = g.points[g.n_r // 3, g.n_theta // 5]
+        E = np.flatnonzero(g.mask_within(y0, g.radius / 6.0).ravel())
+        _assert_matches_brute_force(model, u, 1.0 / g.radius**2, E)
+
+    def test_strided_vertex_set(self, model, rng):
+        g, u = self._setup(model, rng)
+        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.6 * g.radius)[::7])
+
+    def test_ragged_last_block(self, model, rng):
+        g, u = self._setup(model, rng, n_r=24, n_theta=50)
+        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.5 * g.radius))
+
+    def test_small_chunks(self, model, rng):
+        g, u = self._setup(model, rng, n_r=24, n_theta=40)
+        _assert_matches_brute_force(model, u, 2.0, _disc_indices(g, 0.4 * g.radius), chunk=3)
+
+    def test_planted_exact_ties(self, model):
+        # u = c - (a/2) rho^2(., y) on four nodes in different rings and
+        # angular blocks makes all four minimisers for y, zero elsewhere
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        a = 1.0
+        yi = 7 * g.n_theta + 3
+        planted = np.array([2 * g.n_theta + 30, 7 * g.n_theta + 3, 15 * g.n_theta + 12,
+                            30 * g.n_theta + 39])
+        X = g.flat_points()
+        vals = np.zeros(g.n_r * g.n_theta)
+        vals[planted] = -5.0 - 0.5 * a * _pairwise_dist_sq(model, X[[yi]], X[planted])[0]
+        u = ScalarField(g, vals.reshape(g.shape))
+        E = np.array([yi, yi + 1, 20 * g.n_theta + 17])
+        cs = _assert_matches_brute_force(model, u, a, E)
+        assert set(planted) <= {int(cs.contact_of[0])} | {x for y, x in cs.ties if y == yi}
+
+    def test_ties_within_tolerance(self, model):
+        # a node on the vertex's own ray, 5e-13 above the minimum at the
+        # vertex: its block's lower bound is its exact value, so only the
+        # tie_tol slack in the pruning keeps it
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        a = 1.0
+        yi = 6 * g.n_theta + 9
+        near = 25 * g.n_theta + 9
+        X = g.flat_points()
+        vals = np.zeros(g.n_r * g.n_theta)
+        vals[yi] = -5.0
+        vals[near] = -5.0 + 5e-13 - 0.5 * a * _pairwise_dist_sq(model, X[[yi]], X[[near]])[0, 0]
+        u = ScalarField(g, vals.reshape(g.shape))
+        cs = _assert_matches_brute_force(model, u, a, np.array([yi]))
+        assert cs.ties == [(yi, near)]
 
 
 class TestGradientResidual:
