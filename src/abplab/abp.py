@@ -31,7 +31,7 @@ from .constants import CurvatureParams, calH, calS
 from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField
 from .geometry import GeodesicBallGrid, ModelSpace
-from .report import CheckReport, check_le
+from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["AbpInstance", "d_bound", "abp_check", "transport_rhs", "disc_vertex_indices"]
 
@@ -141,11 +141,8 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     K, N, r = inst.params.K, inst.params.N, grid.radius
     gap = inst.ricci_hypothesis_gap()
     if gap > 1e-12:
-        rep = check_le("measure-estimate", "measure-estimate", 1.0, 0.0)
-        rep.passed = False
-        rep.diagnostics["violated_premise"] = "Ric_{N,nu} >= -K g on the ball"
-        rep.diagnostics["ricci_gap"] = gap
-        return rep
+        return _premise_failure("measure-estimate", "Ric_{N,nu} >= -K g on the ball",
+                                ricci_gap=gap)
     wf = grid.flat_weights()
     lhs = float(np.sum(wf[inst.E]))
     n_r, n_t = grid.shape
@@ -158,7 +155,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
         cs = compute_contact_set(m, u, a, inst.E[::set_stride], grid)
         nodes = cs.node_indices
         if np.any(nodes // n_t >= n_r - 1):
-            return _premise_failure("contact set contained in the open ball")
+            return _premise_failure("measure-estimate", "contact set contained in the open ball")
         lap_nodes = u.laplacian_nu(pts[nodes]) if u.has_derivatives else \
             _grid_laplacian_nodes(inst, nodes)
         G_nodes, _ = _integrand(K, N, r, a, lap_nodes, diag)
@@ -172,7 +169,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
         tr = transport_rhs(inst, n_rings)
         max_reach = float(np.max(m.distance(grid.center, tr["contact_points"])))
         if max_reach >= r - 0.5 * grid.drho:
-            return _premise_failure("contact set contained in the open ball")
+            return _premise_failure("measure-estimate", "contact set contained in the open ball")
         diag["rhs_transport"] = tr["rhs_transport"]
         diag["equality_gap"] = abs(lhs - tr["rhs_transport"]) / max(lhs, 1e-300)
         diag["min_pointwise_density"] = tr["min_pointwise_density"]
@@ -190,13 +187,6 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
                        abs_tol=rel_tol * lhs, **diag)
     else:
         raise ValueError("subsampled scans need the transport side for a verdict")
-    return rep
-
-
-def _premise_failure(name: str) -> CheckReport:
-    rep = check_le("measure-estimate", "measure-estimate", 1.0, 0.0)
-    rep.passed = False
-    rep.diagnostics["violated_premise"] = name
     return rep
 
 

@@ -21,7 +21,7 @@ from .abp import AbpInstance, abp_check, disc_vertex_indices
 from .barrier import BarrierSpec, check_ricci_comparison, junction_residuals, verify_barrier
 from .constants import CurvatureParams, build_ledger, verify_ledger
 from .contact import compute_contact_set, gradient_contact_residual
-from .fields import constant_field, quadratic_field, random_bump_field, sum_fields
+from .fields import ScalarField, constant_field, quadratic_field, random_bump_field, sum_fields
 from .geometry import build_polar_grid
 from .harnack import (HarnackInstance, growth_check, harnack_check_full,
                       harnack_check_sub, harnack_check_sup)
@@ -30,13 +30,6 @@ from .measure import doubling_check
 from .pde import DirichletProblem, solve_poisson
 from .pucci import e_theta, e_theta_bounds, pucci, pucci_contact_bound
 from .report import check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng, write_atomic
-
-_CONFIG_KEYS = {
-    "experiment", "model", "k", "lambda", "K", "N", "R", "r", "a", "b", "d",
-    "resolution", "seed", "samples", "format", "out", "which", "p", "alpha",
-    "u", "theta", "fit", "dmax",
-}
-
 
 def build_model(args) -> geometry.ModelSpace:
     name = args.model
@@ -51,10 +44,8 @@ def build_model(args) -> geometry.ModelSpace:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _parse_n(text) -> float:
-    if isinstance(text, (int, float)):
-        return float(text)
-    if str(text).lower() in ("inf", "infinity"):
+def _parse_n(text: str) -> float:
+    if text.lower() in ("inf", "infinity"):
         return math.inf
     return float(text)
 
@@ -148,7 +139,6 @@ def cmd_harnack(args):
         bnd = 1.0 + 0.3 * np.cos(grid.theta) + 0.1 * np.sin(2.0 * grid.theta)
         fvals = -np.abs(rng.normal(size=grid.shape))
         u, _ = solve_poisson(DirichletProblem(grid, fvals, bnd))
-        from .fields import ScalarField
         f = ScalarField(grid, fvals)
         inst = HarnackInstance(m, params, grid, u, f, boundary=bnd)
         if which == "sup":
@@ -254,7 +244,7 @@ def cmd_pucci(args):
 def cmd_all(args):
     reports = []
     extras = {}
-    ns = _clone(args)
+    ns = argparse.Namespace(**vars(args))
     for name, fn in (("constants", cmd_constants), ("pucci", cmd_pucci)):
         r, _ = fn(ns)
         reports.extend(r)
@@ -276,11 +266,6 @@ def cmd_all(args):
     r, _ = cmd_hfun(ns)
     reports.extend(r)
     return reports, extras
-
-
-def _clone(args):
-    ns = argparse.Namespace(**vars(args))
-    return ns
 
 
 def _random_center(m, rng, spread):
@@ -343,43 +328,50 @@ _HANDLERS = {
 }
 
 
-def _apply_config(args, parser):
-    if not args.config:
-        return args
+def _with_config(parser, argv):
+    """argv with the JSON config's keys spliced in as flags after the subcommand.
+
+    The parser then does the types and the choices, and the user's own flags,
+    which come later, win.  A config "experiment" stands in for a missing
+    subcommand.
+    """
+    pre = argparse.ArgumentParser(prog="abplab", add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if not known.config:
+        return argv
     try:
-        with open(args.config) as fh:
+        with open(known.config) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ValueError(f"unreadable config: {e}")
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    bad = sorted(k for k, v in cfg.items() if not isinstance(v, (str, int, float)))
+    if bad:
+        raise ValueError(f"config values must be strings, numbers or booleans: {bad}")
+    experiment = cfg.pop("experiment", None)
+    if rest and rest[0] in _HANDLERS:
+        experiment, rest = rest[0], rest[1:]
+    if experiment is None:
+        raise ValueError("no experiment selected")
+    # true switches a flag such as --fit on; false leaves it off
+    tokens = {k: f"--{k}" if v is True else f"--{k}={v}" for k, v in cfg.items() if v is not False}
+    head = [str(experiment), *tokens.values()]
+    _, extra = parser.parse_known_args(head)
+    unknown = sorted(k for k, t in tokens.items() if t in extra)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    argv_flags = {a.lstrip("-").split("=")[0] for a in sys.argv[1:] if a.startswith("--")}
-    for key, val in cfg.items():
-        dest = {"lambda": "lam"}.get(key, key)
-        if key not in argv_flags and hasattr(args, dest):
-            setattr(args, dest, val)
-    if "experiment" in cfg and args.experiment is None:
-        args.experiment = cfg["experiment"]
-    args.K = float(args.K)
-    args.R = float(args.R)
-    args.resolution = int(args.resolution)
-    return args
+        raise ValueError(f"unknown config keys: {unknown}")
+    return head + rest
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else argv))
         if args.experiment is None:
             raise ValueError("no experiment selected")
-        handler = _HANDLERS.get(args.experiment)
-        if handler is None:
-            raise ValueError(f"unknown experiment {args.experiment!r}")
-        reports, extra = handler(args)
+        reports, extra = _HANDLERS[args.experiment](args)
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

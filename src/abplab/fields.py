@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import _MINK, GeodesicBallGrid, ModelSpace
 
 __all__ = [
     "ScalarField",
@@ -78,9 +78,6 @@ class ScalarField:
         """Max |closed form - node samples|; raises if no closed form."""
         v = self.value(self.grid.points)
         return float(np.max(np.abs(v - self.values)))
-
-
-_MINK = np.diag([1.0, 1.0, -1.0])
 
 
 def hess_form(m: ModelSpace, H, X, Y):

@@ -22,12 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .barrier import BarrierSpec, barrier_field
-from .constants import ConstantsLedger, CurvatureParams
+from .constants import ConstantsLedger, CurvatureParams, _log_doubling
 from .contact import _contact_location, _location_vertices, compute_contact_set
-from .fields import ScalarField
+from .fields import ScalarField, sum_fields
 from .geometry import GeodesicBallGrid, ModelSpace
+from .measure import integral_I, log_lp_average
 from .pde import apply_weighted_laplacian
-from .report import CheckReport, check_le
+from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["HarnackInstance", "log_lp_average", "harnack_check_sup",
            "harnack_check_sub", "harnack_check_full", "growth_check"]
@@ -46,31 +47,6 @@ class HarnackInstance:
     @property
     def R(self) -> float:
         return 0.5 * self.grid.radius
-
-
-def log_lp_average(values, weights, p: float) -> float:
-    """log of (sum w v^p / sum w)^(1/p) for v >= 0, stable across all p.
-
-    Below |p| = 1e-8 the geometric-mean expansion is exact to double
-    precision; any mass on {v = 0} then sends the average to 0 (-inf here).
-    """
-    v = np.asarray(values, float).reshape(-1)
-    w = np.asarray(weights, float).reshape(-1)
-    if np.any(v < 0):
-        raise ValueError("nonnegative values required")
-    W = float(np.sum(w))
-    pos = v > 0
-    if not np.any(pos):
-        return -math.inf
-    logs = np.log(v[pos])
-    wp = w[pos]
-    if abs(p) < 1e-8:
-        if float(np.sum(wp)) < W * (1.0 - 1e-15):
-            return -math.inf
-        return float(np.sum(wp * logs)) / W
-    mx = float(np.max(logs))
-    s = float(np.sum(wp * np.exp(p * (logs - mx))))
-    return mx + (math.log(s) - math.log(W)) / p
 
 
 def _f_term_log(inst: HarnackInstance, ledger: ConstantsLedger) -> float:
@@ -109,26 +85,21 @@ def _ricci_premise(model: ModelSpace, params: CurvatureParams, radius: float):
     return max(0.0, -kp) - params.K
 
 
-def _premise_report(name: str, which: str) -> CheckReport:
-    rep = check_le(name, name, 1.0, 0.0)
-    rep.passed = False
-    rep.diagnostics["violated_premise"] = which
-    rep.diagnostics["sharpness"] = "non-sharp"
-    return rep
-
-
 def harnack_check_sup(inst: HarnackInstance, ledger: ConstantsLedger,
                       op_tol: float = 1e-6) -> CheckReport:
     """Supersolution bound: (avg_{B_{R/2}} u^{p0})^{1/p0} against
     C0 (inf u + f-term), with C0 = exp(2/p0); compared in logs."""
     g, R = inst.grid, inst.R
     if _ricci_premise(inst.model, inst.params, g.radius) > 1e-12:
-        return _premise_report("harnack-sup", "Ric_{N,nu} >= -K g on B_2R")
+        return _premise_failure("harnack-sup", "Ric_{N,nu} >= -K g on B_2R",
+                                sharpness="non-sharp")
     if np.min(inst.u.values) < -1e-12:
-        return _premise_report("harnack-sup", "u >= 0 on B_2R")
+        return _premise_failure("harnack-sup", "u >= 0 on B_2R",
+                                sharpness="non-sharp")
     gap, tol = _nodewise_gap(inst, "le", op_tol)
     if gap > tol:
-        return _premise_report("harnack-sup", "Delta_nu u <= f nodewise")
+        return _premise_failure("harnack-sup", "Delta_nu u <= f nodewise",
+                                sharpness="non-sharp")
     half = g.mask_within(g.center, 0.5 * R)
     log_lhs = log_lp_average(inst.u.values[half], g.weights[half], ledger.p0)
     inf_u = float(np.min(inst.u.values[half]))
@@ -149,14 +120,15 @@ def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float,
     the interpolation constant the pipeline does not provide.
     """
     if p < ledger.p0:
-        rep = _premise_report("harnack-sub", "p >= p0")
-        rep.diagnostics["unsupported_p"] = p
-        return rep
+        return _premise_failure("harnack-sub", "p >= p0", sharpness="non-sharp",
+                                unsupported_p=p)
     if _ricci_premise(inst.model, inst.params, inst.grid.radius) > 1e-12:
-        return _premise_report("harnack-sub", "Ric_{N,nu} >= -K g on B_2R")
+        return _premise_failure("harnack-sub", "Ric_{N,nu} >= -K g on B_2R",
+                                sharpness="non-sharp")
     gap, tol = _nodewise_gap(inst, "ge", op_tol)
     if gap > tol:
-        return _premise_report("harnack-sub", "Delta_nu u >= f nodewise")
+        return _premise_failure("harnack-sub", "Delta_nu u >= f nodewise",
+                                sharpness="non-sharp")
     g, R = inst.grid, inst.R
     half = g.mask_within(g.center, 0.5 * R)
     ball_R = g.mask_within(g.center, R)
@@ -174,12 +146,15 @@ def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger,
                        op_tol: float = 1e-6) -> CheckReport:
     """Two-sided bound for nonnegative solutions: sup <= C2 (inf + f-term)."""
     if _ricci_premise(inst.model, inst.params, inst.grid.radius) > 1e-12:
-        return _premise_report("harnack-full", "Ric_{N,nu} >= -K g on B_2R")
+        return _premise_failure("harnack-full", "Ric_{N,nu} >= -K g on B_2R",
+                                sharpness="non-sharp")
     if np.min(inst.u.values) < -1e-12:
-        return _premise_report("harnack-full", "u >= 0 on B_2R")
+        return _premise_failure("harnack-full", "u >= 0 on B_2R",
+                                sharpness="non-sharp")
     gap, tol = _nodewise_gap(inst, "eq", op_tol)
     if gap > tol:
-        return _premise_report("harnack-full", "Delta_nu u = f nodewise")
+        return _premise_failure("harnack-full", "Delta_nu u = f nodewise",
+                                sharpness="non-sharp")
     g, R = inst.grid, inst.R
     half = g.mask_within(g.center, 0.5 * R)
     sup_u = float(np.max(inst.u.values[half]))
@@ -223,24 +198,28 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     grid = u.grid
     anchor = "local-growth"
     if _ricci_premise(m, params, grid.radius) > 1e-12:
-        return _growth_premise("Ric_{N,nu} >= -K g on the working ball")
+        return _premise_failure("growth-bound", "Ric_{N,nu} >= -K g on the working ball", anchor,
+                                sharpness="non-sharp")
     if np.min(u.values) < -1e-12:
-        return _growth_premise("u >= 0 on B_r")
+        return _premise_failure("growth-bound", "u >= 0 on B_r", anchor,
+                                sharpness="non-sharp")
     half = grid.mask_within(x0, 0.5 * r)
     if float(np.min(u.values[half])) > 1.0 + 1e-12:
-        return _growth_premise("inf_{B_{r/2}} u <= 1")
+        return _premise_failure("growth-bound", "inf_{B_{r/2}} u <= 1", anchor,
+                                sharpness="non-sharp")
     lap = u.laplacian_nu(grid.points) if u.has_derivatives else \
         apply_weighted_laplacian(grid, u.values, None)
     ok = np.isfinite(lap)
     scale = max(1.0, float(np.max(np.abs(f.values))))
     if float(np.max(lap[ok] - f.values[ok])) > op_tol * scale:
-        return _growth_premise("Delta_nu u <= f on B_r")
+        return _premise_failure("growth-bound", "Delta_nu u <= f on B_r", anchor,
+                                sharpness="non-sharp")
     fi = f_big if f_big is not None else f
-    from .measure import integral_I
     big_radius = fi.grid.radius
     I1 = integral_I(m, params, fi, big_radius, 1.0)
     if I1 > ledger.delta0 * (1.0 + 1e-12):
-        return _growth_premise("I_{K,N}(f, B_2R, 1) <= delta0")
+        return _premise_failure("growth-bound", "I_{K,N}(f, B_2R, 1) <= delta0", anchor,
+                                sharpness="non-sharp")
 
     K, N = params.K, params.N
     w_nodes = grid.flat_weights()
@@ -254,7 +233,6 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     # proof pipeline: barrier, contact set, location, measure bound
     spec = BarrierSpec(ledger.alpha, m, np.asarray(x0, float), r)
     psi = barrier_field(grid, spec)
-    from .fields import sum_fields
     w_field = sum_fields([u, psi]) if u.has_derivatives else \
         ScalarField(grid, u.values + psi.values)
     y0_flat = _masked_argmin(w_field.values, half)
@@ -272,7 +250,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     a_mass = float(np.sum(grid.weights[mask & a18]))
     bound = (18.0**3 * ledger.alpha**2 * 18.0**ledger.alpha
              * math.cosh(params.omega * r)) ** (-N) \
-        * math.exp(-4.0 * _ld(K, N, 2 * r))
+        * math.exp(-4.0 * _log_doubling(K, N, 2 * r))
     rep.diagnostics["contact_mass_ratio"] = a_mass / total
     rep.diagnostics["contact_mass_bound"] = bound
     rep.diagnostics["mu"] = ledger.mu
@@ -283,19 +261,6 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
                    and (len(sub) == 0 or float(np.max(sub)) <= ledger.big_m))
     rep.diagnostics["pipeline_pass"] = bool(pipeline_ok)
     rep.passed = rep.passed and pipeline_ok
-    return rep
-
-
-def _ld(K, N, r):
-    from .constants import _log_doubling
-    return _log_doubling(K, N, r)
-
-
-def _growth_premise(which: str) -> CheckReport:
-    rep = check_le("growth-bound", "local-growth", 1.0, 0.0)
-    rep.passed = False
-    rep.diagnostics["violated_premise"] = which
-    rep.diagnostics["sharpness"] = "non-sharp"
     return rep
 
 

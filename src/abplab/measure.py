@@ -12,8 +12,8 @@ from .fields import ScalarField
 from .geometry import ModelSpace
 from .report import CheckReport, check_le
 
-__all__ = ["BallFamily", "doubling_check", "integral_I", "lp_distribution_check",
-           "vitali_cover", "vitali_verify"]
+__all__ = ["BallFamily", "doubling_check", "integral_I", "log_lp_average",
+           "lp_distribution_check", "vitali_cover", "vitali_verify"]
 
 
 @dataclass
@@ -80,21 +80,32 @@ def integral_I(m: ModelSpace, params: CurvatureParams, f: ScalarField,
     p = params.N * q
     if math.isinf(p):
         raise ValueError("integral_I needs finite N")
-    avg = _power_mean(v, w, p)
-    return ball_radius**2 * avg
+    return ball_radius**2 * math.exp(log_lp_average(v, w, p))
 
 
-def _power_mean(v, w, p):
-    """(sum w v^p / sum w)^(1/p), evaluated through logs for robustness."""
-    v = np.asarray(v, float)
-    if np.all(v == 0.0):
-        return 0.0
-    logs = np.full_like(v, -np.inf)
+def log_lp_average(values, weights, p: float) -> float:
+    """log of (sum w v^p / sum w)^(1/p) for v >= 0, stable across all p.
+
+    Below |p| = 1e-8 the geometric-mean expansion is exact to double
+    precision; any mass on {v = 0} then sends the average to 0 (-inf here).
+    """
+    v = np.asarray(values, float).reshape(-1)
+    w = np.asarray(weights, float).reshape(-1)
+    if np.any(v < 0):
+        raise ValueError("nonnegative values required")
+    W = float(np.sum(w))
     pos = v > 0
-    logs[pos] = np.log(v[pos])
-    mlog = float(np.max(logs))
-    s = float(np.sum(w * np.exp(p * (logs - mlog))))
-    return math.exp(mlog + (math.log(s) - math.log(float(np.sum(w)))) / p)
+    if not np.any(pos):
+        return -math.inf
+    logs = np.log(v[pos])
+    wp = w[pos]
+    if abs(p) < 1e-8:
+        if float(np.sum(wp)) < W * (1.0 - 1e-15):
+            return -math.inf
+        return float(np.sum(wp * logs)) / W
+    mx = float(np.max(logs))
+    s = float(np.sum(wp * np.exp(p * (logs - mx))))
+    return mx + (math.log(s) - math.log(W)) / p
 
 
 def lp_distribution_check(f_values, weights, C: float, p: float,

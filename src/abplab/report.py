@@ -71,6 +71,11 @@ def check_eq(name, anchor, lhs, rhs, rel_tol=0.0, abs_tol=0.0, **diag) -> CheckR
     return r
 
 
+def _premise_failure(name: str, which: str, anchor: str = "", **diag) -> CheckReport:
+    """A failed report for an instance that violates the premise `which`."""
+    return check_le(name, anchor or name, 1.0, 0.0, violated_premise=which, **diag)
+
+
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()

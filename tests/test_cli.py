@@ -85,6 +85,37 @@ class TestCliExitCodes:
         cfg.write_text(json.dumps({"K": 1.0, "N": 2, "R": 1.0}))
         assert main(["--config", str(cfg), "constants"]) == 0
 
+    @staticmethod
+    def _pucci_samples(tmp_path, config, argv):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "out": str(out)}))
+        assert main(["--config", str(cfg), *argv]) == 0
+        rep = json.loads((out / "pucci_report.json").read_text())["reports"][0]
+        return rep["diagnostics"]["samples"]
+
+    def test_explicit_flag_beats_config(self, tmp_path):
+        assert self._pucci_samples(tmp_path, {"samples": 5}, ["pucci", "--samples", "7"]) == 7
+
+    def test_config_selects_experiment(self, tmp_path):
+        assert self._pucci_samples(tmp_path, {"experiment": "pucci", "samples": 5}, []) == 5
+
+    def test_config_string_value_is_typed(self, tmp_path):
+        assert self._pucci_samples(tmp_path, {"samples": "5"}, ["pucci"]) == 5
+
+    def test_config_bad_value_exits_two(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"samples": "five"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "pucci"])
+        assert exc.value.code == 2
+
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["--config", str(cfg), "constants"]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCliOutputs:
     def test_report_files_written(self, tmp_path):

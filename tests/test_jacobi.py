@@ -6,7 +6,7 @@ import pytest
 from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.jacobi import (JacobiState, curvature_matrix, dn_functional,
+from abplab.jacobi import (JacobiState, _rk4_linear, curvature_matrix, dn_functional,
                            first_nonpositive_time, hessian_frame_components,
                            integrate_jacobi, solve_jacobi_pair,
                            verify_comparison, verify_ode_structure)
@@ -153,9 +153,14 @@ class TestComparison:
             assert rep.passed, rep.diagnostics
 
 
+FOUR_R = pytest.mark.parametrize(
+    "R", [np.zeros((2, 2)), 0.49 * np.eye(2), -np.eye(2), np.diag([0.3, -0.5])],
+    ids=["flat", "positive", "negative", "mixed"])
+
+
 class TestOdeStructure:
     def test_flat_slope_matrix(self):
-        J10, J01 = solve_jacobi_pair(lambda t: np.zeros((2, 2)), 256)
+        J10, J01 = solve_jacobi_pair(np.zeros((2, 2)), 256)
         times = np.linspace(0, 1, 257)
         keep = times >= 0.2
         S = np.linalg.solve(J01[keep], J10[keep])
@@ -163,24 +168,40 @@ class TestOdeStructure:
 
     def test_trig_and_hyperbolic_closed_forms(self):
         s = 0.7
-        J10, J01 = solve_jacobi_pair(lambda t: s * s * np.eye(2), 256)
+        J10, J01 = solve_jacobi_pair(s * s * np.eye(2), 256)
         t = np.linspace(0, 1, 257)[128]
         S = np.linalg.solve(J01[128], J10[128])
         assert np.allclose(S, s / math.tan(s * t) * np.eye(2), atol=1e-9)
-        J10, J01 = solve_jacobi_pair(lambda t: -np.eye(2), 256)
+        J10, J01 = solve_jacobi_pair(-np.eye(2), 256)
         S = np.linalg.solve(J01[128], J10[128])
         assert np.allclose(S, 1.0 / math.tanh(t) * np.eye(2), atol=1e-9)
 
-    @pytest.mark.parametrize("R", [np.zeros((2, 2)), 0.49 * np.eye(2),
-                                   -np.eye(2), np.diag([0.3, -0.5])],
-                             ids=["flat", "positive", "negative", "mixed"])
+    @FOUR_R
     def test_structure_and_equivalence(self, R, rng):
-        rep = verify_ode_structure(lambda t, R=R: R, rng=rng, n_random=24)
+        rep = verify_ode_structure(R, rng=rng, n_random=24)
         assert rep.passed, rep.diagnostics
 
     def test_conjugate_point_reported(self):
         with pytest.raises(ValueError, match="singular"):
-            verify_ode_structure(lambda t: (math.pi ** 2) * np.eye(2))
+            verify_ode_structure((math.pi ** 2) * np.eye(2))
+
+    @FOUR_R
+    def test_propagator_matches_stepwise_rk4(self, R, rng):
+        # reference: the classical four-stage RK4 step for J'' = -R J
+        n = 256
+        h = 1.0 / n
+        Z0 = np.hstack([np.eye(4), rng.normal(size=(4, 3))])
+        j, jd = Z0[:2], Z0[2:]
+        ref = [Z0]
+        for _ in range(n):
+            k1j, k1d = jd, -R @ j
+            k2j, k2d = jd + 0.5 * h * k1d, -R @ (j + 0.5 * h * k1j)
+            k3j, k3d = jd + 0.5 * h * k2d, -R @ (j + 0.5 * h * k2j)
+            k4j, k4d = jd + h * k3d, -R @ (j + h * k3j)
+            j = j + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+            jd = jd + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+            ref.append(np.vstack([j, jd]))
+        assert np.max(np.abs(_rk4_linear(R, Z0, n) - np.array(ref))) < 1e-12
 
 
 class TestContactPositivity:
