@@ -45,11 +45,6 @@ class AbpInstance:
     u: ScalarField
     a: float
 
-    def ricci_hypothesis_gap(self) -> float:
-        """K_required - K_assumed; must be <= 0 for the hypothesis to hold."""
-        kp = self.model.ricci_lower_bound(self.params.N, self.grid.radius)
-        return max(0.0, -kp) - self.params.K
-
 
 def d_bound(K: float, N, r: float, a: float, lap_nu_u) -> np.ndarray:
     """The comparison bound evaluated at given weighted-Laplacian values.
@@ -139,7 +134,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     """
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     K, N, r = inst.params.K, inst.params.N, grid.radius
-    gap = inst.ricci_hypothesis_gap()
+    gap = inst.params.ricci_gap(m, r)
     if gap > 1e-12:
         return _premise_failure("measure-estimate", "Ric_{N,nu} >= -K g on the ball",
                                 ricci_gap=gap)

@@ -65,6 +65,11 @@ class CurvatureParams:
         if not (self.R > 0):
             raise ValueError("R must be > 0")
 
+    def ricci_gap(self, model, radius: float) -> float:
+        """K_required - K on the ball of the given radius at the model's
+        origin; positive means Ric_{N,nu} >= -K g fails there."""
+        return max(0.0, -model.ricci_lower_bound(self.N, radius)) - self.K
+
     @property
     def omega(self) -> float:
         if math.isinf(self.N):

@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, hess_form
+from .fields import ScalarField, _frame_components, _radial_derivatives
 from .geometry import GeodesicBallGrid, ModelSpace
-from .report import CheckReport, check_le
+from .report import CheckReport, _premise_failure, check_le
 
 __all__ = [
     "ContactPair",
@@ -36,10 +36,12 @@ __all__ = [
     "gradient_contact_residual",
     "check_contact_location",
     "refine_contact_points",
-    "dist_sq_half_grad_hess",
 ]
 
-_BLOCK = 8   # angular nodes per block of the pruned scan
+_BLOCK = 8            # angular nodes per block of the pruned scan
+_TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
+_NEWTON_ITERS = 12    # most Newton steps of the refinement
+_NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
 
 
 @dataclass(frozen=True)
@@ -90,21 +92,9 @@ class ContactSet:
         return len(self.contact_of) == len(self.vertex_indices)
 
 
-def _pairwise_dist_sq(m: ModelSpace, Y, X):
-    """rho^2 between each y in Y (rows) and each x in X, vectorized."""
-    if m.is_flat_chart:
-        q = np.einsum("ij,ij->i", X, X)
-        return q[None, :] - 2.0 * (Y @ X.T) + np.einsum("ij,ij->i", Y, Y)[:, None]
-    if m.kind == "sphere":
-        c = np.clip(m.k * (Y @ X.T), -1.0, 1.0)
-        return (np.arccos(c) / math.sqrt(m.k)) ** 2
-    c = np.maximum(-m.k * (Y @ (X @ np.diag([1.0, 1.0, -1.0])).T), 1.0)
-    return (np.arccosh(c) / math.sqrt(m.k)) ** 2
-
-
 def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
                         E: np.ndarray, Omega: Optional[GeodesicBallGrid] = None,
-                        tie_tol: float = 1e-12, chunk: int = 128) -> ContactSet:
+                        chunk: int = 128) -> ContactSet:
     """Exact contact-set computation over the grid closure, by pruned scan.
 
     Every model is isotropic about the grid centre, so rho^2 from vertex
@@ -115,16 +105,15 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     is bounded below by min u over it plus the least (a/2) T_iv over the
     angle differences the two blocks can have.  Only node blocks whose bound
     is at most the exact minimum over the best-bounded block, at its worst
-    vertex, plus tie_tol are evaluated.  Rounding is monotone, so every
-    skipped node lies more than tie_tol above the infimum: minimisers and
-    ties are exactly those of a scan of all nodes with the tabulated
-    distances.
+    vertex, plus _TIE_TOL are evaluated.  Rounding is monotone, so every
+    skipped node lies more than _TIE_TOL above the infimum: minimisers and
+    ties (all nodes within _TIE_TOL of the infimum) are exactly those of a
+    scan of all nodes with the tabulated distances.
 
     Parameters
     ----------
     E : array of flat node indices (the vertex set, a subset of the grid).
     Omega : defaults to the grid carried by u.
-    tie_tol : minimizers within tie_tol of the infimum are all retained.
     chunk : most vertices evaluated together.
     """
     grid = Omega if Omega is not None else u.grid
@@ -166,7 +155,7 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     tie_rows, tie_nodes = [], []
     for s, e in zip(ring_starts, np.append(ring_starts[1:], n_y)):
         iv = int(ring[order[s]])
-        T = (0.5 * a) * _pairwise_dist_sq(m, X[iv * n_t][None, :], X).reshape(n_r, n_t)
+        T = (0.5 * a) * m.distance(X[iv * n_t], X).reshape(n_r, n_t) ** 2
         T_wrap = np.concatenate([T, T], axis=1).reshape(-1)
         T_window = T[:, window].min(axis=2)
         for lo in range(s, e, chunk):
@@ -182,7 +171,7 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
             nodes = block_start[top][:, None] + np.minimum(np.arange(B)[None, :],
                                                            block_len[top][:, None] - 1)
             F = uf[nodes] + T_wrap[column[nodes] - jv[:, None]]
-            ub = np.maximum.reduceat(F.min(axis=1), first) + tie_tol
+            ub = np.maximum.reduceat(F.min(axis=1), first) + _TIE_TOL
             for g in range(len(vb)):
                 keep = lower[g] <= ub[g]
                 nodes = _ranges(block_start[keep], block_len[keep])
@@ -192,7 +181,7 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
                 fmin = F[np.arange(len(F)), amin]
                 contact[rows[r]] = nodes[amin]
                 minval[rows[r]] = fmin
-                near = F <= (fmin + tie_tol)[:, None]
+                near = F <= (fmin + _TIE_TOL)[:, None]
                 if np.count_nonzero(near) > len(F):
                     near[np.arange(len(F)), amin] = False
                     v, k = np.nonzero(near)
@@ -221,30 +210,8 @@ def gradient_contact_residual(m: ModelSpace, u: ScalarField, pair: ContactPair) 
     return float(m.tangent_norm(x, g))
 
 
-def dist_sq_half_grad_hess(m: ModelSpace, x, y):
-    """Gradient and Hessian of rho^2(., y)/2 at x (closed forms per model)."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    v = m.log(x, y)
-    rho = m.tangent_norm(x, v)
-    grad = -v
-    small = rho < 1e-12
-    safe = np.where(small, 1.0, rho)
-    er = np.where(small[..., None], 0.0, -v / safe[..., None])
-    et = m.rotate90(x, er)
-    ht = m.dist_hessian_transverse(rho)
-    H = (np.einsum("...i,...j->...ij", er, er)
-         + ht[..., None, None] * np.einsum("...i,...j->...ij", et, et))
-    if np.any(small):
-        e1, e2 = m.tangent_frame(x)
-        proj = np.einsum("...i,...j->...ij", e1, e1) + np.einsum("...i,...j->...ij", e2, e2)
-        H = np.where(small[..., None, None], proj, H)
-    return grad, H
-
-
 def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
-                          Y: np.ndarray, X0: np.ndarray,
-                          iters: int = 12, tol: float = 1e-12) -> np.ndarray:
+                          Y: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Riemannian Newton descent of F_y from X0, vectorized over vertices.
 
     Requires closed-form derivatives of u.  Steps are clamped to half the
@@ -254,16 +221,16 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
         raise ValueError("refinement needs closed-form derivatives")
     X = np.array(X0, float)
     cap = 0.5 * u.grid.radius
-    for _ in range(iters):
-        gd, Hd = dist_sq_half_grad_hess(m, X, Y)
+    for _ in range(_NEWTON_ITERS):
+        # rho_y^2 / 2 is the radial function with f' = rho, f'' = 1
+        gd, Hd = _radial_derivatives(m, Y, X, lambda r: r, np.ones_like)
         g = u.grad(X) + a * gd
         H = u.hess(X) + a * Hd
         e1, e2 = m.tangent_frame(X)
         g1 = m.tangent_inner(X, g, e1)
         g2 = m.tangent_inner(X, g, e2)
-        h11 = hess_form(m, H, e1, e1)
-        h12 = hess_form(m, H, e1, e2)
-        h22 = hess_form(m, H, e2, e2)
+        h = _frame_components(m, H, e1, e2)
+        h11, h12, h22 = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
         det = h11 * h22 - h12 * h12
         ok = np.abs(det) > 1e-14
         dets = np.where(ok, det, 1.0)
@@ -274,7 +241,7 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
         scale = np.where(ln > cap, cap / np.where(ln > cap, ln, 1.0), 1.0)
         step = step * (scale * ok)[..., None]
         X = m.exp(X, step)
-        if float(np.max(np.abs(np.stack([g1, g2])))) < tol:
+        if float(np.max(np.abs(np.stack([g1, g2])))) < _NEWTON_TOL:
             break
     return X
 
@@ -299,13 +266,9 @@ def _contact_location(m, u, a, x0, r, y0, l, t, cs: Optional[ContactSet] = None)
     """The location report of check_contact_location, read from cs when the
     caller has already scanned the vertex set _location_vertices(u.grid, y0, r)
     with opening a; otherwise the scan runs here, after the premises pass."""
-    anchor = "contact-location"
     pre = _location_premises(m, u, x0, r, y0, l, t)
     if pre is not None:
-        rep = check_le("contact-location", anchor, 1.0, 0.0)
-        rep.passed = False
-        rep.diagnostics["violated_premise"] = pre
-        return rep
+        return _premise_failure("contact-location", pre)
     # vertices must include y0's node so the touching bound below is exact
     if cs is None:
         cs = compute_contact_set(m, u, a, _location_vertices(u.grid, y0, r))
@@ -319,13 +282,12 @@ def _contact_location(m, u, a, x0, r, y0, l, t, cs: Optional[ContactSet] = None)
     level = l + a * r * r / 36.0
     worst_d = float(np.max(d_x0))
     worst_u = float(np.max(uvals))
-    rep = check_le("contact-location", anchor,
-                   max(worst_d - 5.0 * r / 6.0, worst_u - level - grid_tol), 0.0,
-                   max_distance=worst_d, ball_bound=5.0 * r / 6.0,
-                   max_value=worst_u, level_bound=level, grid_tol=grid_tol,
-                   tight_level=l + a * r * r / 72.0,
-                   n_contact_nodes=int(len(nodes)))
-    return rep
+    return check_le("contact-location", "contact-location",
+                    max(worst_d - 5.0 * r / 6.0, worst_u - level - grid_tol), 0.0,
+                    max_distance=worst_d, ball_bound=5.0 * r / 6.0,
+                    max_value=worst_u, level_bound=level, grid_tol=grid_tol,
+                    tight_level=l + a * r * r / 72.0,
+                    n_contact_nodes=int(len(nodes)))
 
 
 def _location_premises(m, u, x0, r, y0, l, t):
@@ -336,7 +298,7 @@ def _location_premises(m, u, x0, r, y0, l, t):
         return "l < t"
     if m.distance(np.asarray(x0, float), np.asarray(y0, float)) > r / 2.0 + 1e-12:
         return "y0 in closed B_{r/2}(x0)"
-    uy0 = float(u.value(y0)) if u.has_closed_form else None
+    uy0 = float(u.value(y0)) if u.has_derivatives else None
     if uy0 is not None and abs(uy0 - l) > 1e-9 * max(1.0, abs(l)):
         return "u(y0) = l"
     annulus = ~grid.mask_within(x0, 5.0 * r / 6.0)

@@ -26,6 +26,12 @@ __all__ = [
     "random_bump_field",
 ]
 
+# random_bump_field: number of bumps, range of their rates beta, and the
+# share of the grid radius their centres are drawn from
+_N_BUMPS = 4
+_BETA_RANGE = (2.0, 8.0)
+_CENTER_FRAC = 0.6
+
 
 @dataclass
 class ScalarField:
@@ -34,10 +40,6 @@ class ScalarField:
     value_fn: Optional[Callable] = None
     grad_fn: Optional[Callable] = None
     hess_fn: Optional[Callable] = None
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.value_fn is not None
 
     @property
     def has_derivatives(self) -> bool:
@@ -59,13 +61,11 @@ class ScalarField:
         return self.hess_fn(np.asarray(p, float))
 
     def laplacian(self, p):
-        """Metric Laplacian: trace of the tangential Hessian."""
+        """Metric Laplacian: the trace tr(H G) of the Hessian against the
+        metric G, the Minkowski diagonal on the hyperboloid and I elsewhere."""
         m = self.grid.model
-        H = self.hess(p)
-        if m.kind == "hyperbolic":
-            e1, e2 = m.tangent_frame(np.asarray(p, float))
-            return hess_form(m, H, e1, e1) + hess_form(m, H, e2, e2)
-        return np.trace(H, axis1=-2, axis2=-1)
+        g = np.diag(_MINK) if m.kind == "hyperbolic" else np.ones(m.embedding_dim)
+        return np.einsum("...ii,i->...", self.hess(p), g)
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
@@ -93,6 +93,49 @@ def hess_form(m: ModelSpace, H, X, Y):
         X = X @ _MINK
         Y = Y @ _MINK
     return np.einsum("...i,...ij,...j->...", X, H, Y)
+
+
+def _frame_components(m: ModelSpace, H, e1, e2):
+    """Symmetric 2x2 components [[h11, h12], [h12, h22]] of embedding Hessians
+    H in the frames (e1, e2), h_ab = hess_form(m, H, e_a, e_b); vectorized
+    over the leading axes of H, e1 and e2."""
+    l1, l2 = (e1 @ _MINK, e2 @ _MINK) if m.kind == "hyperbolic" else (e1, e2)
+    h11, h12, h22 = (np.einsum("...i,...ij,...j->...", x, H, y)
+                     for x, y in ((l1, l1), (l1, l2), (l2, l2)))
+    return np.stack([h11, h12, h12, h22], -1).reshape(np.shape(h11) + (2, 2))
+
+
+def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None):
+    """Gradient of f(rho), rho = rho(center, .), at the points p, and with d2f
+    also its Hessian:
+
+        grad = f' e_r,   Hess = f'' e_r@e_r + f' (psi'/psi) e_t@e_t,
+
+    e_r pointing away from the centre and e_t = rotate90(e_r).  Within 1e-8
+    of the centre the Hessian is its limit f''(0) times the tangent
+    projector, so f must be even at 0 (f'(0) = 0).  df and d2f map rho to
+    f' and f''; center broadcasts against p.
+    """
+    p = np.asarray(p, float)
+    v = m.log(p, center)   # points from p toward the centre, norm rho
+    rho = m.tangent_norm(p, v)
+    at_center = rho < 1e-12
+    er = np.where(at_center[..., None], 0.0, -v / np.where(at_center, 1.0, rho)[..., None])
+    d1 = df(rho)
+    grad = d1[..., None] * er
+    if d2f is None:
+        return grad
+    d2 = d2f(rho)
+    small = rho < 1e-8
+    if np.any(small):
+        # any orthonormal (e_r, e_t) spans the projector there
+        er = np.where(small[..., None], m.tangent_frame(p)[0], er)
+    et = m.rotate90(p, er)
+    safe = np.where(small, 1.0, rho)
+    kt = np.where(small, d2, d1 * m.dpsi(safe) / m.psi(safe))
+    H = (d2[..., None, None] * np.einsum("...i,...j->...ij", er, er)
+         + kt[..., None, None] * np.einsum("...i,...j->...ij", et, et))
+    return grad, H
 
 
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
@@ -126,41 +169,13 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
         return f(m.distance(center, p))
 
     def grad(p):
-        p = np.asarray(p, float)
-        rho = m.distance(center, p)
-        er, _ = _radial_frame(m, center, p, rho)
-        return df(rho)[..., None] * er
+        return _radial_derivatives(m, center, p, df)
 
     def hess(p):
-        p = np.asarray(p, float)
-        rho = m.distance(center, p)
-        er, et = _radial_frame(m, center, p, rho)
-        small = rho < 1e-8
-        safe = np.where(small, 1.0, rho)
-        kt = np.where(small, d2f(rho), df(rho) * m.dpsi(safe) / m.psi(safe))
-        rr = np.einsum("...i,...j->...ij", er, er)
-        tt = np.einsum("...i,...j->...ij", et, et)
-        H = d2f(rho)[..., None, None] * rr + kt[..., None, None] * tt
-        if np.any(small):
-            # isotropic limit f''(0) * (tangent projector) at the field center
-            a1, a2 = m.tangent_frame(p)
-            proj = np.einsum("...i,...j->...ij", a1, a1) + np.einsum("...i,...j->...ij", a2, a2)
-            H = np.where(small[..., None, None], d2f(rho)[..., None, None] * proj, H)
-        return H
+        return _radial_derivatives(m, center, p, df, d2f)[1]
 
     vals = f(m.distance(center, grid.points))
     return ScalarField(grid, vals, val, grad, hess)
-
-
-def _radial_frame(m: ModelSpace, center, p, rho):
-    """(e_r, e_t) at p for the distance function from `center`; zero at p == center."""
-    v = m.log(p, center)  # points from p toward the center, norm rho
-    small = rho < 1e-12
-    safe = np.where(small, 1.0, rho)
-    er = -v / safe[..., None]
-    er = np.where(small[..., None], 0.0, er)
-    et = m.rotate90(p, er)
-    return er, et
 
 
 def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
@@ -223,33 +238,26 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def random_bump_field(grid: GeodesicBallGrid, rng, n_bumps=4, hess_bound=1.0,
-                      beta_range=(2.0, 8.0), center_frac=0.6) -> ScalarField:
-    """Seeded random sum of radial bumps with total Hessian norm <= hess_bound.
+def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarField:
+    """Seeded random sum of _N_BUMPS radial bumps with total Hessian norm <= hess_bound.
 
-    Centers are drawn inside center_frac of the grid ball, so every distance
+    Centers are drawn inside _CENTER_FRAC of the grid ball, so every distance
     function involved stays smooth on the working domain.
     """
     m = grid.model
     e1, e2 = grid.frame
     parts = []
     bound = 0.0
-    for _ in range(n_bumps):
-        beta = rng.uniform(*beta_range)
+    for _ in range(_N_BUMPS):
+        beta = rng.uniform(*_BETA_RANGE)
         amp = rng.uniform(-1.0, 1.0)
-        r0 = center_frac * grid.radius * np.sqrt(rng.uniform(0.0, 1.0))
+        r0 = _CENTER_FRAC * grid.radius * np.sqrt(rng.uniform(0.0, 1.0))
         th0 = rng.uniform(0.0, 2.0 * np.pi)
         c = m.exp(grid.center, r0 * (np.cos(th0) * e1 + np.sin(th0) * e2))
         parts.append((amp, beta, c))
         # |f''| <= 2 beta |amp| and transverse factor is bounded by the same scale
-        bound += 2.0 * beta * abs(amp) * max(1.0, _transverse_sup(m, 2.0 * grid.radius))
+        bound += 2.0 * beta * abs(amp) * max(1.0, float(m.dist_hessian_transverse(2.0 * grid.radius)))
     scale = hess_bound / bound if bound > 0 else 1.0
     fields = [bump_field(grid, c, scale * amp, beta) for amp, beta, c in parts]
     return sum_fields(fields)
 
-
-def _transverse_sup(m: ModelSpace, r):
-    """Upper bound of the transverse Hessian factor of distance on [0, r]."""
-    if m.kind == "hyperbolic":
-        return float(m.dist_hessian_transverse(r))
-    return 1.0

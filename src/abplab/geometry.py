@@ -420,9 +420,6 @@ class GeodesicBallGrid:
         """Quadrature of a node-sampled function against nu."""
         return float(np.sum(self.weights * np.asarray(values)))
 
-    def mean(self, values) -> float:
-        return self.integrate(values) / float(self.weights.sum())
-
     def mask_within(self, center, r) -> np.ndarray:
         """Boolean node mask of the sub-ball B_r(center)."""
         d = self.model.distance(self.points, np.asarray(center, float))

@@ -79,18 +79,12 @@ def _nodewise_gap(inst: HarnackInstance, sense: str, tol: float = 1e-6):
     return float(np.max(np.abs(d))), tol * scale
 
 
-def _ricci_premise(model: ModelSpace, params: CurvatureParams, radius: float):
-    """K_required - K_assumed on the working ball; positive means violated."""
-    kp = model.ricci_lower_bound(params.N, radius)
-    return max(0.0, -kp) - params.K
-
-
 def harnack_check_sup(inst: HarnackInstance, ledger: ConstantsLedger,
                       op_tol: float = 1e-6) -> CheckReport:
     """Supersolution bound: (avg_{B_{R/2}} u^{p0})^{1/p0} against
     C0 (inf u + f-term), with C0 = exp(2/p0); compared in logs."""
     g, R = inst.grid, inst.R
-    if _ricci_premise(inst.model, inst.params, g.radius) > 1e-12:
+    if inst.params.ricci_gap(inst.model, g.radius) > 1e-12:
         return _premise_failure("harnack-sup", "Ric_{N,nu} >= -K g on B_2R",
                                 sharpness="non-sharp")
     if np.min(inst.u.values) < -1e-12:
@@ -122,7 +116,7 @@ def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float,
     if p < ledger.p0:
         return _premise_failure("harnack-sub", "p >= p0", sharpness="non-sharp",
                                 unsupported_p=p)
-    if _ricci_premise(inst.model, inst.params, inst.grid.radius) > 1e-12:
+    if inst.params.ricci_gap(inst.model, inst.grid.radius) > 1e-12:
         return _premise_failure("harnack-sub", "Ric_{N,nu} >= -K g on B_2R",
                                 sharpness="non-sharp")
     gap, tol = _nodewise_gap(inst, "ge", op_tol)
@@ -145,7 +139,7 @@ def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float,
 def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger,
                        op_tol: float = 1e-6) -> CheckReport:
     """Two-sided bound for nonnegative solutions: sup <= C2 (inf + f-term)."""
-    if _ricci_premise(inst.model, inst.params, inst.grid.radius) > 1e-12:
+    if inst.params.ricci_gap(inst.model, inst.grid.radius) > 1e-12:
         return _premise_failure("harnack-full", "Ric_{N,nu} >= -K g on B_2R",
                                 sharpness="non-sharp")
     if np.min(inst.u.values) < -1e-12:
@@ -197,7 +191,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     """
     grid = u.grid
     anchor = "local-growth"
-    if _ricci_premise(m, params, grid.radius) > 1e-12:
+    if params.ricci_gap(m, grid.radius) > 1e-12:
         return _premise_failure("growth-bound", "Ric_{N,nu} >= -K g on the working ball", anchor,
                                 sharpness="non-sharp")
     if np.min(u.values) < -1e-12:

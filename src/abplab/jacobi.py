@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import hess_form
 from .geometry import ModelSpace
 from .report import CheckReport, check_le
 
@@ -36,7 +35,6 @@ __all__ = [
     "JacobiState",
     "curvature_matrix",
     "integrate_jacobi",
-    "hessian_frame_components",
     "dn_functional",
     "verify_comparison",
     "verify_ode_structure",
@@ -70,16 +68,6 @@ def curvature_matrix(m: ModelSpace, v_norm_sq: float) -> np.ndarray:
     """Constant R in the frame (velocity direction, normal)."""
     sec = m.sectional()
     return np.diag([0.0, sec * v_norm_sq])
-
-
-def hessian_frame_components(m: ModelSpace, H, base, frame) -> np.ndarray:
-    """2x2 symmetric components of an embedding Hessian in the given frame."""
-    e1, e2 = frame
-    out = np.array([
-        [hess_form(m, H, e1, e1), hess_form(m, H, e1, e2)],
-        [hess_form(m, H, e2, e1), hess_form(m, H, e2, e2)],
-    ])
-    return 0.5 * (out + out.T)
 
 
 def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
@@ -133,10 +121,11 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
 
 
 def dn_functional(state: JacobiState, N) -> np.ndarray:
-    """D_N(t) samples, truncated at the first nonpositive determinant.
+    """D_N(t) samples, NaN from the first nonpositive determinant on.
 
-    Raises with the crossing time when det J dips nonpositive before t = 1,
-    reporting only the valid prefix is the caller's job via the mask below.
+    Raises ValueError only when the determinant is nonpositive at t = 0; a
+    later crossing ends the valid prefix, and first_nonpositive_time reports
+    its time.
     """
     det = state.det() * state.weight_ratio
     bad = np.flatnonzero(det <= 0.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import calH
 from .geometry import ModelSpace
-from .report import CheckReport, check_le
+from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["PucciParams", "pucci", "e_theta", "e_theta_bounds",
            "pucci_contact_bound", "extremal_form_gap"]
@@ -100,11 +100,8 @@ def pucci_contact_bound(u_hessian, dist_hessian, a: float, theta: float) -> Chec
     H = np.asarray(dist_hessian, float)
     lam_min = float(np.min(np.linalg.eigvalsh(S + a * H)))
     if lam_min < -1e-12:
-        rep = check_le("pucci-contact", "extremal-trace-chain", 1.0, 0.0)
-        rep.passed = False
-        rep.diagnostics["violated_premise"] = "u_hessian + a dist_hessian >= 0"
-        rep.diagnostics["min_eig"] = lam_min
-        return rep
+        return _premise_failure("pucci-contact", "u_hessian + a dist_hessian >= 0",
+                                "extremal-trace-chain", min_eig=lam_min)
     mm, _ = pucci(S, theta)
     _, hp = pucci(H, theta)
     lhs = float(np.trace(S))

@@ -110,6 +110,20 @@ class TestCliExitCodes:
             main(["--config", str(cfg), "pucci"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("which", ["sup", "sub", "full"])
+    def test_poisson_failure_is_a_named_failure(self, which, tmp_path, monkeypatch, capsys):
+        def solve_poisson(prob):
+            raise RuntimeError("poisson solve did not reach tolerance: residual 1.000e+00")
+
+        monkeypatch.setattr("abplab.cli.solve_poisson", solve_poisson)
+        out = tmp_path / "out"
+        code = main(["harnack-check", "--which", which, "--out", str(out)])
+        assert code == 1
+        assert f"[FAIL] harnack-{which}" in capsys.readouterr().out
+        rep = json.loads((out / "harnack_check_report.json").read_text())["reports"][0]
+        assert not rep["pass"]
+        assert rep["diagnostics"]["numerical_failure"].startswith("poisson solve did not reach")
+
     def test_non_object_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from abplab.contact import (_pairwise_dist_sq, check_contact_location,
-                            compute_contact_set, dist_sq_half_grad_hess,
+from abplab.contact import (check_contact_location, compute_contact_set,
                             gradient_contact_residual, refine_contact_points)
-from abplab.fields import (ScalarField, bump_field, constant_field,
-                           quadratic_field, random_bump_field, sum_fields)
+from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
+                           hess_form, quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, sphere
 from conftest import ALL_MODELS
 
@@ -160,7 +159,8 @@ def _brute_force(m, u, a, E, tie_tol=1e-12):
     """Oracle: u + (a/2) rho^2 at every node, argmin and every node within
     tie_tol of the minimum."""
     X = u.grid.flat_points()
-    F = u.values.reshape(-1)[None, :] + 0.5 * a * _pairwise_dist_sq(m, X[E], X)
+    rho = np.array([m.distance(X[y], X) for y in E])
+    F = u.values.reshape(-1)[None, :] + 0.5 * a * rho ** 2
     contact = np.argmin(F, axis=1)
     best = F[np.arange(len(E)), contact]
     ties = [(int(y), int(x)) for k, y in enumerate(E)
@@ -222,7 +222,7 @@ class TestPrunedScanMatchesBruteForce:
                             30 * g.n_theta + 39])
         X = g.flat_points()
         vals = np.zeros(g.n_r * g.n_theta)
-        vals[planted] = -5.0 - 0.5 * a * _pairwise_dist_sq(model, X[[yi]], X[planted])[0]
+        vals[planted] = -5.0 - 0.5 * a * model.distance(X[yi], X[planted]) ** 2
         u = ScalarField(g, vals.reshape(g.shape))
         E = np.array([yi, yi + 1, 20 * g.n_theta + 17])
         cs = _assert_matches_brute_force(model, u, a, E)
@@ -239,7 +239,7 @@ class TestPrunedScanMatchesBruteForce:
         X = g.flat_points()
         vals = np.zeros(g.n_r * g.n_theta)
         vals[yi] = -5.0
-        vals[near] = -5.0 + 5e-13 - 0.5 * a * _pairwise_dist_sq(model, X[[yi]], X[[near]])[0, 0]
+        vals[near] = -5.0 + 5e-13 - 0.5 * a * model.distance(X[yi], X[near]) ** 2
         u = ScalarField(g, vals.reshape(g.shape))
         cs = _assert_matches_brute_force(model, u, a, np.array([yi]))
         assert cs.ties == [(yi, near)]
@@ -331,11 +331,11 @@ class TestDistanceHessian:
             e1, e2 = m.tangent_frame(o)
             y = m.exp(o, 0.4 * e1)
             x = m.exp(o, 0.25 * e2)
-            gd, H = dist_sq_half_grad_hess(m, x, y)
+            # rho_y^2 / 2 through the shared radial routine: f' = rho, f'' = 1
+            gd, H = _radial_derivatives(m, y, x, lambda r: r, np.ones_like)
             f = lambda p: 0.5 * m.distance(p, y) ** 2
             h = 1e-5
             a1, a2 = m.tangent_frame(x)
-            from abplab.fields import hess_form
             for e in (a1, a2):
                 fd = (f(m.exp(x, h * e)) - f(m.exp(x, -h * e))) / (2 * h)
                 assert fd == pytest.approx(float(m.tangent_inner(x, gd, e)), abs=1e-8)

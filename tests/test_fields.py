@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abplab.fields import (bump_field, constant_field, hess_form,
+from abplab.fields import (_frame_components, bump_field, constant_field, hess_form,
                            quadratic_field, radial_field, random_bump_field,
                            sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
@@ -44,6 +44,18 @@ class TestLaplacianNu:
         d2 = (f(rho + h) - 2 * f(rho) + f(rho - h)) / h**2
         expect = d2 + d1 / np.tan(rho)
         assert np.allclose(u.laplacian_nu(pts), expect, atol=1e-4)
+
+    def test_metric_trace_matches_frame_trace_hyperbolic(self):
+        # tr(H G) with the Minkowski G against h11 + h22 in an orthonormal frame
+        m = hyperbolic(1.0)
+        g = _grid(m, n=24)
+        u = sum_fields([quadratic_field(g, m.origin(), 0.7),
+                        bump_field(g, g.points[9, 5], -0.4, 5.0)])
+        pts = g.points[::3, ::3].reshape(-1, 3)
+        e1, e2 = m.tangent_frame(pts)
+        H = u.hess(pts)
+        frame_trace = hess_form(m, H, e1, e1) + hess_form(m, H, e2, e2)
+        assert np.allclose(u.laplacian(pts), frame_trace, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
     def test_closed_form_vs_grid_operator_h2(self, m):
@@ -100,6 +112,22 @@ class TestFieldConsistency:
             assert fd1 == pytest.approx(float(m.tangent_inner(p, u.grad(p), e)), abs=1e-8)
             fd2 = (u.value(m.exp(p, h * e)) - 2 * u.value(p) + u.value(m.exp(p, -h * e))) / h**2
             assert fd2 == pytest.approx(float(hess_form(m, u.hess(p), e, e)), abs=2e-5)
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_frame_components_match_hess_form(self, m, rng):
+        g = _grid(m, n=24)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        pts = g.points[::4, ::4].reshape(-1, g.points.shape[-1])
+        H = u.hess(pts)
+        e1, e2 = m.tangent_frame(pts)
+        th = rng.uniform(0.0, 2.0 * math.pi, size=len(pts))[:, None]
+        f1 = np.cos(th) * e1 + np.sin(th) * e2   # a rotated frame per point
+        f2 = m.rotate90(pts, f1)
+        C = _frame_components(m, H, f1, f2)
+        assert C.shape == (len(pts), 2, 2)
+        for a, x in enumerate((f1, f2)):
+            for b, y in enumerate((f1, f2)):
+                assert np.allclose(C[:, a, b], hess_form(m, H, x, y), rtol=1e-12, atol=1e-14)
 
     def test_random_bump_hessian_bound(self, rng):
         m = hyperbolic(1.0)

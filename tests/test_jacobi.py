@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from abplab.contact import compute_contact_set, refine_contact_points
-from abplab.fields import bump_field, quadratic_field, sum_fields
+from abplab.fields import _frame_components, bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import (JacobiState, _rk4_linear, curvature_matrix, dn_functional,
-                           first_nonpositive_time, hessian_frame_components,
-                           integrate_jacobi, solve_jacobi_pair,
+                           first_nonpositive_time, integrate_jacobi, solve_jacobi_pair,
                            verify_comparison, verify_ode_structure)
 from conftest import ALL_MODELS, random_point, random_tangent
 
@@ -70,11 +69,10 @@ class TestIntegrateJacobi:
         o = m.origin()
         v = 1.1 * m.tangent_frame(o)[1]
         ref = math.cos(1.1)
-        errs = [abs(float(integrate_jacobi(m, o, np.zeros((2, 2)), v, n).det()[-1]) - abs(ref))
-                for n in (64, 128)]
         errs = [abs(float(np.linalg.det(integrate_jacobi(m, o, np.zeros((2, 2)), v, n).J[-1])) - ref)
                 for n in (64, 128)]
-        assert errs[0] / max(errs[1], 1e-18) >= 8.0
+        # fourth order gives 2^4 = 16 (15.9 measured); a third-order scheme gives about 8
+        assert errs[0] / max(errs[1], 1e-18) >= 14.0
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError, match="64"):
@@ -222,7 +220,7 @@ class TestContactPositivity:
             L = float(m.tangent_norm(x, v))
             e1 = v / L if L > 0 else m.tangent_frame(x)[0]
             e2 = m.rotate90(x, e1)
-            H = hessian_frame_components(m, u.hess(x) / a, x, (e1, e2))
+            H = _frame_components(m, u.hess(x) / a, e1, e2)
             st = integrate_jacobi(m, x, H, v, 128)
             assert float(np.min(st.det())) > -1e-9
             # the flow lands on the vertex at time 1
