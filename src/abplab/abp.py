@@ -127,11 +127,12 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     """Certify nu[E] <= contact-set integral of the comparison bound.
 
     set_stride = 1 runs the exact node scan over all of E and bases the
-    verdict on the node-set quadrature.  set_stride > 1 subsamples the scan
-    (containment diagnostics only); set_stride = 0 skips it.  In both latter
-    cases the verdict comes from the transport quadrature, which requires the
+    verdict on the node-set quadrature.  set_stride = 0 skips the scan; the
+    verdict then comes from the transport quadrature, which requires the
     structured disc vertex set (n_rings) and closed-form derivatives.
     """
+    if set_stride not in (0, 1):
+        raise ValueError("set_stride must be 0 or 1")
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     K, N, r = inst.params.K, inst.params.N, grid.radius
     gap = inst.params.ricci_gap(m, r)
@@ -146,8 +147,8 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
 
     rhs_nodes = None
     quad_tol = 0.0
-    if set_stride >= 1:
-        cs = compute_contact_set(m, u, a, inst.E[::set_stride], grid)
+    if set_stride == 1:
+        cs = compute_contact_set(m, u, a, inst.E, grid)
         nodes = cs.node_indices
         if np.any(nodes // n_t >= n_r - 1):
             return _premise_failure("measure-estimate", "contact set contained in the open ball")
@@ -181,7 +182,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
                        lhs, tr["rhs_transport"], rel_tol=rel_tol,
                        abs_tol=rel_tol * lhs, **diag)
     else:
-        raise ValueError("subsampled scans need the transport side for a verdict")
+        raise ValueError("a verdict without the scan needs the transport side")
     return rep
 
 

@@ -49,6 +49,8 @@ class BarrierSpec:
     def __post_init__(self):
         if self.alpha < 2.0:
             raise ValueError("barrier exponent alpha must be >= 2")
+        if not self.r > 0:
+            raise ValueError("barrier radius r must be positive")
 
     @property
     def beta0(self) -> float:

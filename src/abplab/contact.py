@@ -88,9 +88,6 @@ class ContactSet:
                                    int(xi), int(yi)))
         return out
 
-    def covers_all_vertices(self) -> bool:
-        return len(self.contact_of) == len(self.vertex_indices)
-
 
 def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
                         E: np.ndarray, Omega: Optional[GeodesicBallGrid] = None,
@@ -224,8 +221,9 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     for _ in range(_NEWTON_ITERS):
         # rho_y^2 / 2 is the radial function with f' = rho, f'' = 1
         gd, Hd = _radial_derivatives(m, Y, X, lambda r: r, np.ones_like)
-        g = u.grad(X) + a * gd
-        H = u.hess(X) + a * Hd
+        gu, Hu = u.jet(X)
+        g = gu + a * gd
+        H = Hu + a * Hd
         e1, e2 = m.tangent_frame(X)
         g1 = m.tangent_inner(X, g, e1)
         g2 = m.tangent_inner(X, g, e2)

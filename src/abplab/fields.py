@@ -1,9 +1,10 @@
 """Scalar fields on geodesic ball grids, with optional analytic derivatives.
 
 A :class:`ScalarField` always carries node samples on a grid.  Fields built
-from closed forms additionally expose value / gradient / Hessian evaluators
-at arbitrary points, which the contact-set and transport machinery use for
-sub-cell refinement.  Gradients are embedding-space tangent vectors; Hessians
+from closed forms additionally expose evaluators at arbitrary points, which
+the contact-set and transport machinery use for sub-cell refinement: value_fn
+and one deriv_fn(p, hessian) returning the gradient, or (grad, Hess) when
+hessian is true.  Gradients are embedding-space tangent vectors; Hessians
 are embedding-space symmetric matrices annihilating the normal direction.
 """
 
@@ -38,43 +39,50 @@ class ScalarField:
     grid: GeodesicBallGrid
     values: np.ndarray  # (n_r, n_theta)
     value_fn: Optional[Callable] = None
-    grad_fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
+    deriv_fn: Optional[Callable] = None  # (p, hessian) -> grad or (grad, Hess)
 
     @property
     def has_derivatives(self) -> bool:
-        return self.grad_fn is not None and self.hess_fn is not None
+        return self.deriv_fn is not None
 
     def value(self, p):
         if self.value_fn is None:
             raise ValueError("field has no closed-form evaluator")
         return self.value_fn(np.asarray(p, float))
 
+    def _derivatives(self, p, hessian: bool):
+        if self.deriv_fn is None:
+            raise ValueError("field has no closed-form derivatives")
+        return self.deriv_fn(np.asarray(p, float), hessian)
+
     def grad(self, p):
-        if self.grad_fn is None:
-            raise ValueError("field has no closed-form gradient")
-        return self.grad_fn(np.asarray(p, float))
+        return self._derivatives(p, False)
 
     def hess(self, p):
-        if self.hess_fn is None:
-            raise ValueError("field has no closed-form Hessian")
-        return self.hess_fn(np.asarray(p, float))
+        return self._derivatives(p, True)[1]
 
-    def laplacian(self, p):
-        """Metric Laplacian: the trace tr(H G) of the Hessian against the
-        metric G, the Minkowski diagonal on the hyperboloid and I elsewhere."""
+    def jet(self, p):
+        """(grad, Hess) from one derivative evaluation."""
+        return self._derivatives(p, True)
+
+    def _metric_trace(self, H):
+        """tr(H G), G the Minkowski diagonal on the hyperboloid and I elsewhere."""
         m = self.grid.model
         g = np.diag(_MINK) if m.kind == "hyperbolic" else np.ones(m.embedding_dim)
-        return np.einsum("...ii,i->...", self.hess(p), g)
+        return np.einsum("...ii,i->...", H, g)
+
+    def laplacian(self, p):
+        """Metric Laplacian: the trace of the Hessian against the metric."""
+        return self._metric_trace(self.hess(p))
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
         m = self.grid.model
-        lap = self.laplacian(p)
+        grad, H = self.jet(p)
         gV = m.grad_V(np.asarray(p, float))
-        return lap - m.tangent_inner(p, self.grad(p), gV)
+        return self._metric_trace(H) - m.tangent_inner(p, grad, gV)
 
-    def check_consistency(self, tol=1e-10) -> float:
+    def check_consistency(self) -> float:
         """Max |closed form - node samples|; raises if no closed form."""
         v = self.value(self.grid.points)
         return float(np.max(np.abs(v - self.values)))
@@ -145,14 +153,12 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
     def val(p):
         return np.full(np.asarray(p).shape[:-1], float(c))
 
-    def grad(p):
-        return np.zeros(np.asarray(p).shape[:-1] + (d,))
-
-    def hess(p):
-        return np.zeros(np.asarray(p).shape[:-1] + (d, d))
+    def deriv(p, hessian):
+        grad = np.zeros(np.asarray(p).shape[:-1] + (d,))
+        return (grad, np.zeros(grad.shape + (d,))) if hessian else grad
 
     vals = np.full(grid.shape, float(c))
-    return ScalarField(grid, vals, val, grad, hess)
+    return ScalarField(grid, vals, val, deriv)
 
 
 def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
@@ -168,14 +174,11 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
     def val(p):
         return f(m.distance(center, p))
 
-    def grad(p):
-        return _radial_derivatives(m, center, p, df)
-
-    def hess(p):
-        return _radial_derivatives(m, center, p, df, d2f)[1]
+    def deriv(p, hessian):
+        return _radial_derivatives(m, center, p, df, d2f if hessian else None)
 
     vals = f(m.distance(center, grid.points))
-    return ScalarField(grid, vals, val, grad, hess)
+    return ScalarField(grid, vals, val, deriv)
 
 
 def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
@@ -188,15 +191,14 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
             d = np.asarray(p, float) - c
             return 0.5 * b * np.einsum("...i,...i->...", d, d)
 
-        def grad(p):
-            return b * (np.asarray(p, float) - c)
-
-        def hess(p):
-            sh = np.asarray(p).shape[:-1]
-            return np.broadcast_to(b * np.eye(2), sh + (2, 2)).copy()
+        def deriv(p, hessian):
+            grad = b * (np.asarray(p, float) - c)
+            if not hessian:
+                return grad
+            return grad, np.broadcast_to(b * np.eye(2), grad.shape + (2,)).copy()
 
         vals = val(grid.points)
-        return ScalarField(grid, vals, val, grad, hess)
+        return ScalarField(grid, vals, val, deriv)
     return radial_field(
         grid,
         center,
@@ -228,13 +230,13 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
         def val(p):
             return np.sum([f.value(p) for f in fields], axis=0)
 
-        def grad(p):
-            return np.sum([f.grad(p) for f in fields], axis=0)
+        def deriv(p, hessian):
+            parts = [f.deriv_fn(p, hessian) for f in fields]
+            if not hessian:
+                return np.sum(parts, axis=0)
+            return tuple(np.sum(d, axis=0) for d in zip(*parts))
 
-        def hess(p):
-            return np.sum([f.hess(p) for f in fields], axis=0)
-
-        return ScalarField(grid, vals, val, grad, hess)
+        return ScalarField(grid, vals, val, deriv)
     return ScalarField(grid, vals)
 
 

@@ -434,6 +434,8 @@ def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int
     """Build the geodesic polar grid; rejects radii beyond the working-ball limit."""
     if n_r < 8 or n_theta < 8:
         raise ValueError("grid resolution below the minimum of 8")
+    if not r > 0:
+        raise ValueError("grid radius must be positive")
     if not r < model.domain_radius_limit:
         raise ValueError("grid radius must stay below the working-ball limit")
     center = np.asarray(center, float)

@@ -14,7 +14,6 @@ over pairs within distance r; on the models it has the closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,14 @@ from .constants import calH
 from .geometry import ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["PucciParams", "pucci", "e_theta", "e_theta_bounds",
+__all__ = ["pucci", "e_theta", "e_theta_bounds",
            "pucci_contact_bound", "extremal_form_gap"]
 
 
-@dataclass(frozen=True)
-class PucciParams:
-    theta: float
-
-    def __post_init__(self):
-        if self.theta < 1.0:
-            raise ValueError("ellipticity ratio theta must be >= 1")
-
-
 def pucci(H, theta: float):
-    """(M^-, M^+) of a symmetric matrix or a batch of them."""
+    """(M^-, M^+) of a symmetric matrix or a batch of them; theta >= 1."""
+    if not theta >= 1.0:
+        raise ValueError("ellipticity ratio theta must be >= 1")
     H = np.asarray(H, float)
     asym = np.max(np.abs(H - np.swapaxes(H, -1, -2)))
     if asym > 1e-12:

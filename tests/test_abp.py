@@ -125,15 +125,12 @@ class TestHypothesisScreens:
         def val(p):
             return 3.0 * np.asarray(p, float)[..., 0]
 
-        def grad(p):
-            out = np.zeros(np.asarray(p).shape)
-            out[..., 0] = 3.0
-            return out
+        def deriv(p, hessian):
+            grad = np.zeros(np.asarray(p).shape)
+            grad[..., 0] = 3.0
+            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
 
-        def hess(p):
-            return np.zeros(np.asarray(p).shape + (2,))
-
-        u = ScalarField(grid, val(grid.points), val, grad, hess)
+        u = ScalarField(grid, val(grid.points), val, deriv)
         E = disc_vertex_indices(grid, grid.radial_rings(0.3))
         inst = AbpInstance(m, CurvatureParams(0, 2, 1.0), grid, E, u, 1.0)
         rep = abp_check(inst, set_stride=1)
@@ -146,6 +143,13 @@ class TestHypothesisScreens:
                             lambda g: constant_field(g, 0.0), 1.0)
         with pytest.raises(ValueError, match="transport"):
             abp_check(inst, set_stride=0, n_rings=None)
+
+    def test_stride_above_one_rejected(self):
+        m = euclidean()
+        inst, nr = _instance(m, CurvatureParams(0, 2, 1.0), 1.0, 48,
+                             lambda g: constant_field(g, 0.0), 1.0)
+        with pytest.raises(ValueError, match="set_stride"):
+            abp_check(inst, set_stride=2, n_rings=nr)
 
 
 class TestTransportInternals:

@@ -71,6 +71,11 @@ class TestBarrierH:
         with pytest.raises(ValueError, match=">= 2"):
             BarrierSpec(1.5)
 
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_nonpositive_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="positive"):
+            BarrierSpec(2.0, euclidean(), np.zeros(2), r)
+
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             barrier_h(BarrierSpec(2.0), -0.1)

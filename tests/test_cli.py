@@ -67,6 +67,18 @@ class TestCliExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["abp-check", "--r", "-1"],
+        ["barrier-check", "--r", "0"],
+        ["pucci", "--theta", "0"],
+        ["harnack-check", "--which", "pucci", "--theta", "0.5"],
+    ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half"])
+    def test_bad_input_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"experiment": "constants", "bogus_key": 1}')

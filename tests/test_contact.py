@@ -277,15 +277,12 @@ class TestGradientResidual:
         def val(p):
             return slope * np.asarray(p, float)[..., 0]
 
-        def grad(p):
-            out = np.zeros(np.asarray(p).shape)
-            out[..., 0] = slope
-            return out
+        def deriv(p, hessian):
+            grad = np.zeros(np.asarray(p).shape)
+            grad[..., 0] = slope
+            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
 
-        def hess(p):
-            return np.zeros(np.asarray(p).shape + (2,))
-
-        u = ScalarField(g, val(g.points), val, grad, hess)
+        u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
         cs = compute_contact_set(m, u, 1.0, np.array([yi]))
         res = gradient_contact_residual(m, u, cs.pairs()[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abplab.barrier import BarrierSpec, barrier_field
 from abplab.fields import (_frame_components, bump_field, constant_field, hess_form,
                            quadratic_field, radial_field, random_bump_field,
                            sum_fields)
@@ -73,6 +74,21 @@ class TestLaplacianNu:
             err = np.nanmax(np.abs((lap_d - lap_a)[2:-1]))
             errs.append(err)
         assert errs[0] / errs[1] >= 3.0
+
+
+class TestJet:
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_jet_is_grad_and_hess_bitwise(self, m):
+        # quadratic_field takes its flat-chart path on euclidean and gaussian
+        g = _grid(m, n=24)
+        parts = [constant_field(g, 1.5), quadratic_field(g, m.origin(), 0.7),
+                 bump_field(g, g.points[7, 3], -0.4, 5.0),
+                 barrier_field(g, BarrierSpec(3.0, m, m.origin(), 1.0))]
+        pts = np.vstack([g.points[::3, ::3].reshape(-1, g.points.shape[-1]), m.origin()])
+        for u in parts + [sum_fields(parts)]:
+            grad, H = u.jet(pts)
+            for got, want in ((grad, u.grad(pts)), (H, u.hess(pts))):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestFieldConsistency:

@@ -196,6 +196,11 @@ class TestPolarGrid:
         with pytest.raises(ValueError, match="minimum"):
             build_polar_grid(euclidean(), np.zeros(2), 1.0, 4, 64)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="positive"):
+            build_polar_grid(euclidean(), np.zeros(2), r, 64, 64)
+
     def test_sphere_domain_limit(self):
         with pytest.raises(ValueError, match="working-ball"):
             build_polar_grid(sphere(1.0), sphere(1.0).origin(), 1.6, 64, 64)

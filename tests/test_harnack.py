@@ -122,15 +122,12 @@ class TestFullCheck:
         def val(p):
             return 1.0 + np.asarray(p, float)[..., 0]
 
-        def grad(p):
-            out = np.zeros(np.asarray(p).shape)
-            out[..., 0] = 1.0
-            return out
+        def deriv(p, hessian):
+            grad = np.zeros(np.asarray(p).shape)
+            grad[..., 0] = 1.0
+            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
 
-        def hess(p):
-            return np.zeros(np.asarray(p).shape + (2,))
-
-        u = ScalarField(g, val(g.points), val, grad, hess)
+        u = ScalarField(g, val(g.points), val, deriv)
         inst = HarnackInstance(m, params, g, u, constant_field(g, 0.0))
         rep = harnack_check_full(inst, build_ledger(params))
         assert rep.passed

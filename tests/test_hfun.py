@@ -127,6 +127,27 @@ class TestNumeric:
         with pytest.raises(ValueError, match="resolution"):
             hfun_numeric(euclidean(), 1.0, 16, 512)
 
+    @pytest.mark.parametrize("n_boundary,n_ball", [(64, 64), (128, 128), (32, 256)])
+    @pytest.mark.parametrize("kind", ["sphere", "hyperbolic", "euclidean"])
+    def test_one_atom_matches_all_atoms(self, kind, n_boundary, n_ball):
+        # oracle: the search over every boundary atom that rotation symmetry
+        # reduces to the atom at omega = 0
+        m = {"sphere": sphere(1.0), "hyperbolic": hyperbolic(1.0), "euclidean": euclidean()}[kind]
+        d = 0.5
+        res = hfun_numeric(m, d, n_boundary, n_ball)
+        ang = np.arange(n_ball) * (2 * math.pi / n_ball)
+        rad = np.linspace(0.0, theta_ratio(m, d), 64)
+        X = (rad[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)[None]).reshape(-1, 2)
+        best = 0.0
+        for om in np.arange(n_boundary) * (2 * math.pi / n_boundary):
+            P = poisson_kernel_disc(X, om)
+            best = max(best, float(P.max() / P.min()))
+        assert abs(res.value_numeric - best) <= 4e-15 * best
+
+    def test_atoms_must_divide_probe_angles(self):
+        with pytest.raises(ValueError, match="divide"):
+            hfun_numeric(euclidean(), 1.0, 48, 64)
+
 
 class TestExpansionFit:
     def test_euclidean_trivial(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abplab.geometry import euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.pucci import (PucciParams, e_theta, e_theta_bounds,
+from abplab.pucci import (e_theta, e_theta_bounds,
                           extremal_form_gap, pucci, pucci_contact_bound)
 from abplab.report import seeded_rng
 
@@ -68,7 +68,7 @@ class TestPucciOperator:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            PucciParams(0.5)
+            pucci(np.eye(2), 0.5)
 
 
 class TestETheta:
