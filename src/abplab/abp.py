@@ -31,6 +31,7 @@ from .constants import CurvatureParams, calH, calS
 from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField
 from .geometry import GeodesicBallGrid, ModelSpace
+from .pde import apply_weighted_laplacian
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["AbpInstance", "d_bound", "abp_check", "transport_rhs", "disc_vertex_indices"]
@@ -187,8 +188,6 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
 
 
 def _grid_laplacian_nodes(inst: AbpInstance, nodes) -> np.ndarray:
-    from .pde import apply_weighted_laplacian
-
     lap = apply_weighted_laplacian(inst.grid, inst.u.values)
     return lap.reshape(-1)[nodes]
 

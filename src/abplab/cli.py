@@ -376,6 +376,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else argv))
         if args.experiment is None:
             raise ValueError("no experiment selected")
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         reports, extra = _HANDLERS[args.experiment](args)
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -19,7 +19,6 @@ whenever the field carries closed-form derivatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,9 +122,9 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     if np.any(np.isnan(uf)):
         raise ValueError("u has NaN values")
     X = grid.flat_points()
-    if m.kind == "sphere":
+    if m.sectional() > 0:
         dE = float(np.max(m.distance(grid.center, X[E])))
-        if 2.0 * grid.radius + 2.0 * dE >= 0.5 * math.pi / math.sqrt(m.k):
+        if 2.0 * grid.radius + 2.0 * dE >= m.domain_radius_limit:
             raise ValueError("sphere domain too large: diam(Omega) + diam(E) "
                              "must stay below pi/(2 sqrt k)")
     n_r, n_t = grid.n_r, grid.n_theta
@@ -245,25 +244,17 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
 
 
 def check_contact_location(m: ModelSpace, u: ScalarField, a: float,
-                           x0, r: float, y0, l: float, t: float) -> CheckReport:
+                           x0, r: float, y0, l: float, t: float,
+                           cs: Optional[ContactSet] = None) -> CheckReport:
     """Inclusion of the contact set in the inner ball and low sub-level set.
 
     With u(y0) = l somewhere in the half ball and u >= t on the 5r/6 shell,
     l < t forces A(a, B_{r/6}(y0)/B_r(x0), u) into B_{5r/6}(x0) intersected
     with {u <= l + a r^2/36}.  Premise violations are reported, not raised.
+    The contact set is read from cs when the caller has already scanned
+    _location_vertices(u.grid, y0, r) with opening a; otherwise the scan
+    runs here, after the premises pass.
     """
-    return _contact_location(m, u, a, x0, r, y0, l, t)
-
-
-def _location_vertices(grid: GeodesicBallGrid, y0, r: float) -> np.ndarray:
-    """The vertex set B_{r/6}(y0) as flat node indices."""
-    return np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
-
-
-def _contact_location(m, u, a, x0, r, y0, l, t, cs: Optional[ContactSet] = None):
-    """The location report of check_contact_location, read from cs when the
-    caller has already scanned the vertex set _location_vertices(u.grid, y0, r)
-    with opening a; otherwise the scan runs here, after the premises pass."""
     pre = _location_premises(m, u, x0, r, y0, l, t)
     if pre is not None:
         return _premise_failure("contact-location", pre)
@@ -286,6 +277,11 @@ def _contact_location(m, u, a, x0, r, y0, l, t, cs: Optional[ContactSet] = None)
                     max_value=worst_u, level_bound=level, grid_tol=grid_tol,
                     tight_level=l + a * r * r / 72.0,
                     n_contact_nodes=int(len(nodes)))
+
+
+def _location_vertices(grid: GeodesicBallGrid, y0, r: float) -> np.ndarray:
+    """The vertex set B_{r/6}(y0) as flat node indices."""
+    return np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
 
 
 def _location_premises(m, u, x0, r, y0, l, t):

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import _MINK, GeodesicBallGrid, ModelSpace
+from .geometry import GeodesicBallGrid, ModelSpace
 
 __all__ = [
     "ScalarField",
@@ -66,10 +66,9 @@ class ScalarField:
         return self._derivatives(p, True)
 
     def _metric_trace(self, H):
-        """tr(H G), G the Minkowski diagonal on the hyperboloid and I elsewhere."""
+        """tr(H G), G the ambient metric (the Minkowski diagonal on the hyperboloid)."""
         m = self.grid.model
-        g = np.diag(_MINK) if m.kind == "hyperbolic" else np.ones(m.embedding_dim)
-        return np.einsum("...ii,i->...", H, g)
+        return np.einsum("...ii,i->...", H, m.lower(np.ones(m.embedding_dim)))
 
     def laplacian(self, p):
         """Metric Laplacian: the trace of the Hessian against the metric."""
@@ -91,15 +90,11 @@ class ScalarField:
 def hess_form(m: ModelSpace, H, X, Y):
     """Evaluate the Hessian bilinear form on tangent vectors.
 
-    H is stored as the frame outer-product matrix sum h_ij e_i@e_j, so on the
-    hyperboloid the indices must be lowered with the Minkowski metric before
-    contracting.
+    H is stored as the frame outer-product matrix sum h_ij e_i@e_j, so the
+    indices are lowered with the ambient metric before contracting.
     """
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    if m.kind == "hyperbolic":
-        X = X @ _MINK
-        Y = Y @ _MINK
+    X = m.lower(np.asarray(X, float))
+    Y = m.lower(np.asarray(Y, float))
     return np.einsum("...i,...ij,...j->...", X, H, Y)
 
 
@@ -107,7 +102,7 @@ def _frame_components(m: ModelSpace, H, e1, e2):
     """Symmetric 2x2 components [[h11, h12], [h12, h22]] of embedding Hessians
     H in the frames (e1, e2), h_ab = hess_form(m, H, e_a, e_b); vectorized
     over the leading axes of H, e1 and e2."""
-    l1, l2 = (e1 @ _MINK, e2 @ _MINK) if m.kind == "hyperbolic" else (e1, e2)
+    l1, l2 = m.lower(e1), m.lower(e2)
     h11, h12, h22 = (np.einsum("...i,...ij,...j->...", x, H, y)
                      for x, y in ((l1, l1), (l1, l2), (l2, l2)))
     return np.stack([h11, h12, h12, h22], -1).reshape(np.shape(h11) + (2, 2))

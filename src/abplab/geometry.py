@@ -9,6 +9,12 @@ Four two-dimensional metric-measure model spaces are supported:
 * ``gaussian_plane``  -- flat metric with weighted measure
                          ``exp(-lam*|x|^2/2) dx``.
 
+They are one family keyed by the signed curvature kappa (k, -k, 0, 0).  The
+curved members are the quadric <p, p> = 1/kappa under the family inner
+product (Euclidean, Minkowski), so each operation has one curved formula in
+the model functions sn/cs (sin/cos, sinh/cosh) of s rho, s = sqrt|kappa|, and
+where it pays a flat-chart one free of transcendental work.
+
 Points live in embedding coordinates (length-2 vectors for the plane models,
 length-3 for sphere/hyperboloid), which keeps distance/exp/log branch-free
 and exactly testable.  All operations are vectorized over leading axes and
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +40,7 @@ __all__ = [
     "gaussian_plane",
 ]
 
-_MINK = np.diag([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
+_MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
 
 
 class Measure(NamedTuple):
@@ -51,9 +57,34 @@ def _mdot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
 
 
+def _arccos_clipped(c):
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def _arccosh_floored(c):
+    return np.arccosh(np.maximum(c, 1.0))
+
+
+def _identity(t):
+    return t
+
+
+# kind -> (sn, cs, arc_cs, inner): the model functions, the inverse of cs
+# (distance from kappa <p, q>) and the ambient inner product
+_FAMILY = {
+    "sphere": (np.sin, np.cos, _arccos_clipped, _dot),
+    "hyperbolic": (np.sinh, np.cosh, _arccosh_floored, _mdot),
+    "euclidean": (_identity, np.ones_like, None, _dot),
+    "gaussian_plane": (_identity, np.ones_like, None, _dot),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     """One of the four closed-form model metric-measure spaces.
+
+    The kind fixes a row (sn, cs, arc_cs, inner) of the family table and the
+    signed curvature kappa = sectional(), both resolved at construction.
 
     Parameters
     ----------
@@ -69,43 +100,48 @@ class ModelSpace:
     k: float = 0.0
     lam: float = 0.0
     dim: int = field(default=2, init=False)
+    _sn: Callable = field(init=False, repr=False, compare=False)
+    _cs: Callable = field(init=False, repr=False, compare=False)
+    _arc_cs: Callable = field(init=False, repr=False, compare=False)
+    _inner: Callable = field(init=False, repr=False, compare=False)
+    _kappa: float = field(init=False, repr=False, compare=False)
+    _s: float = field(init=False, repr=False, compare=False)  # sqrt|kappa|, 1 if flat
 
     def __post_init__(self):
-        if self.kind not in ("euclidean", "sphere", "hyperbolic", "gaussian_plane"):
+        if self.kind not in _FAMILY:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind in ("sphere", "hyperbolic") and not self.k > 0:
             raise ValueError(f"{self.kind} requires curvature k > 0")
+        kappa = {"sphere": self.k, "hyperbolic": -self.k}.get(self.kind, 0.0)
+        derived = zip(("_sn", "_cs", "_arc_cs", "_inner", "_kappa", "_s"),
+                      (*_FAMILY[self.kind], kappa, math.sqrt(abs(kappa)) or 1.0))
+        for name, value in derived:
+            object.__setattr__(self, name, value)
 
     # -- basic descriptors -------------------------------------------------
 
     @property
     def embedding_dim(self) -> int:
-        return 3 if self.kind in ("sphere", "hyperbolic") else 2
+        return 2 if self.is_flat_chart else 3
 
     @property
     def is_flat_chart(self) -> bool:
-        return self.kind in ("euclidean", "gaussian_plane")
+        return self._kappa == 0.0
 
     @property
     def cut_radius(self) -> float:
         """Radius within which exp is a diffeomorphism (pi/sqrt(k) on the sphere)."""
-        if self.kind == "sphere":
-            return math.pi / math.sqrt(self.k)
-        return math.inf
+        return math.pi / self._s if self._kappa > 0 else math.inf
 
     @property
     def domain_radius_limit(self) -> float:
         """Working-ball limit keeping every restricted distance function smooth."""
-        if self.kind == "sphere":
-            return 0.5 * math.pi / math.sqrt(self.k)
-        return math.inf
+        return 0.5 * math.pi / self._s if self._kappa > 0 else math.inf
 
     def origin(self) -> np.ndarray:
-        if self.kind == "sphere":
-            return np.array([0.0, 0.0, 1.0 / math.sqrt(self.k)])
-        if self.kind == "hyperbolic":
-            return np.array([0.0, 0.0, 1.0 / math.sqrt(self.k)])
-        return np.zeros(2)
+        if self.is_flat_chart:
+            return np.zeros(2)
+        return np.array([0.0, 0.0, 1.0 / self._s])
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -124,44 +160,40 @@ class ModelSpace:
     def embedding_residual(self, p) -> np.ndarray:
         """|constraint violation| of a point: 0 for valid embedded points."""
         p = np.asarray(p, float)
-        if self.kind == "sphere":
-            return np.abs(_dot(p, p) - 1.0 / self.k)
-        if self.kind == "hyperbolic":
-            return np.abs(_mdot(p, p) + 1.0 / self.k)
-        return np.zeros(p.shape[:-1])
+        if self.is_flat_chart:
+            return np.zeros(p.shape[:-1])
+        return np.abs(self._inner(p, p) - 1.0 / self._kappa)
 
     def tangency_residual(self, p, v) -> np.ndarray:
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        if self.kind == "sphere":
-            return np.abs(_dot(p, v))
-        if self.kind == "hyperbolic":
-            return np.abs(_mdot(p, v))
-        return np.zeros(np.broadcast_shapes(p.shape[:-1], v.shape[:-1]))
+        if self.is_flat_chart:
+            return np.zeros(np.broadcast_shapes(p.shape[:-1], v.shape[:-1]))
+        return np.abs(self._inner(p, v))
 
     def tangent_inner(self, p, v, w) -> np.ndarray:
         """Riemannian inner product of tangent vectors at p."""
-        if self.kind == "hyperbolic":
-            return _mdot(v, w)
-        return _dot(v, w)
+        return self._inner(v, w)
 
     def tangent_norm(self, p, v) -> np.ndarray:
         return np.sqrt(np.maximum(self.tangent_inner(p, v, v), 0.0))
+
+    def lower(self, v):
+        """v with its index lowered, tangent_inner(p, v, w) == lower(v) . w: v times
+        the Minkowski diagonal on the hyperboloid, v itself elsewhere."""
+        return v * _MINK_DIAG if self._kappa < 0 else v
 
     # -- distance / exp / log ----------------------------------------------
 
     def distance(self, p, q) -> np.ndarray:
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        if self.kind == "sphere":
-            c = _dot(p, q) * self.k
-            if np.any(c < -1.0 + 1e-9):
-                raise ValueError("antipodal pair on the sphere (cut locus)")
-            return np.arccos(np.clip(c, -1.0, 1.0)) / math.sqrt(self.k)
-        if self.kind == "hyperbolic":
-            c = -_mdot(p, q) * self.k
-            return np.arccosh(np.maximum(c, 1.0)) / math.sqrt(self.k)
-        return np.linalg.norm(q - p, axis=-1)
+        if self.is_flat_chart:
+            return np.linalg.norm(q - p, axis=-1)
+        c = self._kappa * self._inner(p, q)
+        if np.any(c < -1.0 + 1e-9):
+            raise ValueError("antipodal pair on the sphere (cut locus)")
+        return self._arc_cs(c) / self._s
 
     def exp(self, p, v) -> np.ndarray:
         """Geodesic exponential; requires |v| < cut_radius."""
@@ -172,17 +204,13 @@ class ModelSpace:
             raise ValueError("tangent norm exceeds the cut radius")
         if self.is_flat_chart:
             return p + v
-        sk = math.sqrt(self.k)
-        t = sk * L
-        # sin(t)/t and its hyperbolic twin are smooth at 0; series below 1e-6
+        t = self._s * L
+        # sn(t)/t is smooth at 0; its series 1 - sgn(kappa) t^2/6 below 1e-6
         small = t < 1e-6
-        if self.kind == "sphere":
-            c = np.cos(t)
-            s_over = np.where(small, 1.0 - t * t / 6.0, np.sin(np.where(small, 1.0, t)) / np.where(small, 1.0, t))
-        else:
-            c = np.cosh(t)
-            s_over = np.where(small, 1.0 + t * t / 6.0, np.sinh(np.where(small, 1.0, t)) / np.where(small, 1.0, t))
-        return c[..., None] * p + s_over[..., None] * v
+        safe = np.where(small, 1.0, t)
+        sn_over = np.where(small, 1.0 - math.copysign(1.0, self._kappa) * (t * t / 6.0),
+                           self._sn(safe) / safe)
+        return self._cs(t)[..., None] * p + sn_over[..., None] * v
 
     def log(self, p, q) -> np.ndarray:
         """Inverse of exp within the cut radius: exp(p, log(p, q)) == q."""
@@ -191,12 +219,8 @@ class ModelSpace:
         if self.is_flat_chart:
             return q - p
         d = self.distance(p, q)
-        if self.kind == "sphere":
-            u = q - (self.k * _dot(q, p))[..., None] * p
-            nu = np.sqrt(np.maximum(_dot(u, u), 0.0))
-        else:
-            u = q + (self.k * _mdot(q, p))[..., None] * p
-            nu = np.sqrt(np.maximum(_mdot(u, u), 0.0))
+        u = self._project_tangent(p, q)
+        nu = np.sqrt(np.maximum(self._inner(u, u), 0.0))
         scale = np.where(nu > 0, d / np.where(nu > 0, nu, 1.0), 0.0)
         return scale[..., None] * u
 
@@ -224,9 +248,8 @@ class ModelSpace:
         return e1, e2
 
     def _project_tangent(self, p, w):
-        if self.kind == "sphere":
-            return w - (self.k * _dot(w, p))[..., None] * p
-        return w + (self.k * _mdot(w, p))[..., None] * p
+        """Tangential part w - kappa <w, p> p of an ambient vector at p."""
+        return w - (self._kappa * self._inner(w, p))[..., None] * p
 
     def rotate90(self, p, v):
         """Unit-preserving rotation of a tangent vector by +90 degrees."""
@@ -236,33 +259,17 @@ class ModelSpace:
             out[..., 0] = -v[..., 1]
             out[..., 1] = v[..., 0]
             return out
-        p = np.asarray(p, float)
-        sk = math.sqrt(self.k)
-        if self.kind == "sphere":
-            return np.cross(sk * p, v)
-        # Minkowski cross J(u x v) is M-orthogonal to both u and v
-        return np.cross(sk * p, v) @ _MINK
+        # lowered, the cross product with the unit normal s p is tangent on both quadrics
+        return self.lower(np.cross(self._s * np.asarray(p, float), v))
 
     # -- metric coefficient, weight ------------------------------------------
 
     def psi(self, rho):
-        """Polar metric coefficient: rho, sin(sqrt(k) rho)/sqrt(k), sinh(..)/sqrt(k)."""
-        rho = np.asarray(rho, float)
-        if self.kind == "sphere":
-            sk = math.sqrt(self.k)
-            return np.sin(sk * rho) / sk
-        if self.kind == "hyperbolic":
-            sk = math.sqrt(self.k)
-            return np.sinh(sk * rho) / sk
-        return rho
+        """Polar metric coefficient sn(s rho)/s: rho, sin(s rho)/s or sinh(s rho)/s."""
+        return self._sn(self._s * np.asarray(rho, float)) / self._s
 
     def dpsi(self, rho):
-        rho = np.asarray(rho, float)
-        if self.kind == "sphere":
-            return np.cos(math.sqrt(self.k) * rho)
-        if self.kind == "hyperbolic":
-            return np.cosh(math.sqrt(self.k) * rho)
-        return np.ones_like(rho)
+        return self._cs(self._s * np.asarray(rho, float))
 
     def dist_hessian_transverse(self, rho):
         """Transverse eigenvalue of Hess(rho_y^2 / 2) at distance rho (radial one is 1)."""
@@ -295,12 +302,10 @@ class ModelSpace:
         """
         if not r < self.cut_radius:
             raise ValueError("ball radius exceeds the cut radius")
+        if not self.is_flat_chart:
+            return Measure(float(2.0 * math.pi / self._kappa * (1.0 - self.dpsi(r))), "closed_form")
         if self.kind == "euclidean":
             return Measure(math.pi * r * r, "closed_form")
-        if self.kind == "sphere":
-            return Measure(2.0 * math.pi / self.k * (1.0 - math.cos(math.sqrt(self.k) * r)), "closed_form")
-        if self.kind == "hyperbolic":
-            return Measure(2.0 * math.pi / self.k * (math.cosh(math.sqrt(self.k) * r) - 1.0), "closed_form")
         center = np.asarray(center, float)
         if _dot(center, center) < 1e-28:
             lam = self.lam
@@ -318,18 +323,14 @@ class ModelSpace:
     # -- curvature --------------------------------------------------------------
 
     def sectional(self) -> float:
-        """Constant sectional (= Gauss) curvature of the underlying metric."""
-        if self.kind == "sphere":
-            return self.k
-        if self.kind == "hyperbolic":
-            return -self.k
-        return 0.0
+        """Constant sectional (= Gauss) curvature kappa of the underlying metric."""
+        return self._kappa
 
     def ricci_nu_quadratic(self, p, v, N):
         """Bakry-Emery Ricci form Ric_{N,nu}(v, v) at p (N in [2, inf])."""
         p = np.asarray(p, float)
         v = np.asarray(v, float)
-        base = self.sectional() * self.tangent_inner(p, v, v)
+        base = self._kappa * self.tangent_inner(p, v, v)
         if self.kind != "gaussian_plane" or self.lam == 0.0:
             return base
         lam = self.lam
@@ -347,12 +348,8 @@ class ModelSpace:
                 raise ValueError("effective dimension N must be >= dim")
             if N == self.dim and self.kind == "gaussian_plane" and self.lam != 0.0:
                 raise ValueError("N == dim requires a trivial weight")
-        if self.kind == "sphere":
-            return self.k
-        if self.kind == "hyperbolic":
-            return -self.k
-        if self.kind == "euclidean":
-            return 0.0
+        if self.kind != "gaussian_plane":
+            return self._kappa
         lam = self.lam
         if math.isinf(N):
             return lam

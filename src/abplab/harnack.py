@@ -23,7 +23,7 @@ import numpy as np
 
 from .barrier import BarrierSpec, barrier_field
 from .constants import ConstantsLedger, CurvatureParams, _log_doubling
-from .contact import _contact_location, _location_vertices, compute_contact_set
+from .contact import _location_vertices, check_contact_location, compute_contact_set
 from .fields import ScalarField, sum_fields
 from .geometry import GeodesicBallGrid, ModelSpace
 from .measure import integral_I, log_lp_average
@@ -234,7 +234,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     l = float(w_field.values.reshape(-1)[y0_flat])
     t_level = 18.0**ledger.alpha - (4.0 / 3.0) ** ledger.alpha
     cs = compute_contact_set(m, w_field, 1.0 / r**2, _location_vertices(grid, y0, r))
-    loc = _contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
+    loc = check_contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
     rep.diagnostics["location_check_pass"] = bool(loc.passed)
     rep.diagnostics.update({f"location_{k}": v for k, v in loc.diagnostics.items()})
 

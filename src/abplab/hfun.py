@@ -10,6 +10,7 @@ the Poisson kernel over the image of the half ball gives
     sphere k:      (1 + 2 cos(phi))^2,    phi = sqrt(k) d / sqrt(2)
     hyperbolic k:  (1 + 2 cosh(phi))^2
 
+that is (1 + 2 dpsi(d / sqrt(2)))^2 in the model's own polar coefficient,
 with the half-ball image radius ratio theta(d) = tan(phi/2)/tan(phi)
 (tanh/tanh in the hyperbolic case, 1/2 in the flat one), tied to the value
 by ((1 + theta)/(1 - theta))^2.
@@ -60,7 +61,7 @@ def poisson_kernel_disc(x, omega):
 
 def chart_phi(m: ModelSpace, d: float) -> float:
     """Conformal chart angle phi = sqrt(k) d / sqrt(2); validity needs phi < 1."""
-    if m.kind in ("euclidean", "gaussian_plane"):
+    if m.is_flat_chart:
         return 0.0
     phi = math.sqrt(m.k) * d / math.sqrt(2.0)
     if not phi < 1.0:
@@ -69,22 +70,19 @@ def chart_phi(m: ModelSpace, d: float) -> float:
 
 
 def hfun_closed_form(m: ModelSpace, d: float) -> float:
-    phi = chart_phi(m, d)
-    if m.kind == "sphere":
-        return (1.0 + 2.0 * math.cos(phi)) ** 2
-    if m.kind == "hyperbolic":
-        return (1.0 + 2.0 * math.cosh(phi)) ** 2
-    return 9.0
+    """(1 + 2 dpsi(d/sqrt 2))^2: 9 on the flat charts, even in d."""
+    chart_phi(m, d)
+    return float((1.0 + 2.0 * m.dpsi(d / math.sqrt(2.0))) ** 2)
 
 
 def theta_ratio(m: ModelSpace, d: float) -> float:
-    """Image radius ratio of the half ball inside the full ball's disc image."""
-    phi = chart_phi(m, d)
-    if m.kind == "sphere":
-        return math.tan(0.5 * phi) / math.tan(phi)
-    if m.kind == "hyperbolic":
-        return math.tanh(0.5 * phi) / math.tanh(phi)
-    return 0.5
+    """Image radius ratio of the half ball inside the full ball's disc image,
+    psi(h/2) dpsi(h) / (dpsi(h/2) psi(h)) with h = d/sqrt 2; needs d > 0."""
+    if not d > 0:
+        raise ValueError("hfun radius d must be positive")
+    chart_phi(m, d)
+    h = d / math.sqrt(2.0)
+    return float(m.psi(0.5 * h) * m.dpsi(h) / (m.dpsi(0.5 * h) * m.psi(h)))
 
 
 def hfun_numeric(m: ModelSpace, d: float, n_boundary: int = 512,

@@ -189,20 +189,13 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
 
 
 def _velocity(state: JacobiState, idx) -> np.ndarray:
-    """gamma'(t) in embedding coordinates (exact for the model geodesics)."""
+    """gamma'(t) = -kappa L psi(L t) x + dpsi(L t) v, L = |v|: exact on the models."""
     m = state.model
     x, v = state.base, state.v
-    t = state.times[idx]
-    if m.is_flat_chart:
-        return np.broadcast_to(v, (len(idx), v.shape[-1])).copy()
     L = float(m.tangent_norm(x, v))
-    if L == 0.0:
-        return np.zeros((len(idx), v.shape[-1]))
-    sk = math.sqrt(m.k)
-    s = sk * L * t
-    if m.kind == "sphere":
-        return (-sk * L * np.sin(s))[:, None] * x[None, :] + np.cos(s)[:, None] * v[None, :]
-    return (sk * L * np.sinh(s))[:, None] * x[None, :] + np.cosh(s)[:, None] * v[None, :]
+    Lt = L * state.times[idx]
+    return ((-m.sectional() * L * m.psi(Lt))[:, None] * x[None, :]
+            + m.dpsi(Lt)[:, None] * v[None, :])
 
 
 def solve_jacobi_pair(R, n_steps: int = 512):

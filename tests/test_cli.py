@@ -73,7 +73,14 @@ class TestCliExitCodes:
         ["barrier-check", "--r", "0"],
         ["pucci", "--theta", "0"],
         ["harnack-check", "--which", "pucci", "--theta", "0.5"],
-    ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half"])
+        ["hfun", "--model", "hyperbolic", "--k", "1", "--d", "0", "--samples", "64"],
+        ["hfun", "--model", "sphere", "--k", "1", "--d", "-0.5", "--samples", "64"],
+        ["doubling", "--samples", "0"],
+        ["pucci", "--samples", "0"],
+        ["harnack-check", "--which", "pucci", "--samples", "0"],
+    ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
+            "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
+            "harnack-pucci-samples-0"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

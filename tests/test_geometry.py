@@ -117,6 +117,13 @@ class TestTangency:
         assert model.tangent_inner(p, e2, e2) == pytest.approx(1.0, abs=1e-12)
         assert abs(model.tangent_inner(p, e1, e2)) < 1e-12
 
+    def test_lower_gives_the_inner_product(self, model, rng):
+        p = random_point(model, rng, 0.5)
+        v = random_tangent(model, p, 0.7, rng)
+        w = random_tangent(model, p, 1.1, rng)
+        assert model.tangent_inner(p, v, w) == pytest.approx(
+            float(np.sum(model.lower(v) * w)), rel=1e-14, abs=1e-15)
+
     def test_rotate90_preserves_norm(self, model, rng):
         p = random_point(model, rng, 0.5)
         v = random_tangent(model, p, 1.3, rng)
@@ -137,6 +144,16 @@ class TestBallMeasure:
         m = sphere(1.0)
         val, _ = quad(lambda s: 2 * math.pi * math.sin(s), 0.0, 1.1)
         assert m.ball_measure(m.origin(), 1.1).value == pytest.approx(val, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [1.0, 4.0])
+    def test_hyperbolic_against_quadrature(self, k):
+        # oracle: integral of the circumference 2 pi sinh(sqrt(k) s)/sqrt(k)
+        m = hyperbolic(k)
+        sk = math.sqrt(k)
+        val, _ = quad(lambda s: 2 * math.pi * math.sinh(sk * s) / sk, 0.0, 0.9)
+        got = m.ball_measure(m.origin(), 0.9)
+        assert got.value == pytest.approx(val, rel=1e-10)
+        assert got.method == "closed_form"
 
     def test_gaussian_against_quadrature(self):
         lam = 1.7

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abplab.geometry import euclidean, hyperbolic, sphere
+from abplab.geometry import euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.hfun import (chart_phi, expansion_fit, hfun_closed_form,
                          hfun_numeric, poisson_kernel_disc, theta_ratio)
 from abplab.report import seeded_rng
@@ -55,7 +55,18 @@ class TestClosedForms:
 
 class TestThetaRatio:
     def test_flat_is_half(self):
-        assert theta_ratio(euclidean(), 1.0) == 0.5
+        for m in (euclidean(), gaussian_plane(1.0)):
+            for d in (0.3, 1.0, 2.7):
+                assert theta_ratio(m, d) == 0.5
+
+    @pytest.mark.parametrize("m", [euclidean(), sphere(1.0), hyperbolic(1.0)],
+                             ids=["euclidean", "sphere", "hyperbolic"])
+    @pytest.mark.parametrize("d", [0.0, -0.5])
+    def test_nonpositive_radius_rejected(self, m, d):
+        with pytest.raises(ValueError, match="positive"):
+            theta_ratio(m, d)
+        with pytest.raises(ValueError, match="positive"):
+            hfun_numeric(m, d, 64, 64)
 
     def test_small_d_limit(self):
         for m in (sphere(1.0), hyperbolic(1.0)):

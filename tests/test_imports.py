@@ -1,4 +1,5 @@
-"""Every top-level import of an abplab module is used by that module."""
+"""Structure checks on the abplab sources: every top-level import of a
+module is used by it, and only geometry decides the sign of the curvature."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,38 @@ def test_detector_flags_and_accepts():
            "__all__ = ['exported']\n"
            "def f(v: Optional[int]):\n    return math.pi\n")
     assert unused_imports(src) == ["Sequence (line 4)", "os (line 3)"]
+
+
+CURVED_KINDS = {"sphere", "hyperbolic"}
+
+
+def curved_kind_comparisons(source: str) -> list:
+    """Lines that compare a `.kind` attribute with a curved model's name;
+    the sign of the curvature is geometry.ModelSpace's decision alone."""
+    def names(node):
+        if isinstance(node, ast.Constant):
+            return {node.value}
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return {e.value for e in node.elts if isinstance(e, ast.Constant)}
+        return set()
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(o, ast.Attribute) and o.attr == "kind"
+                          for o in (node.left, *node.comparators))
+                  and any(names(o) & CURVED_KINDS for o in (node.left, *node.comparators)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geometry.py"],
+                         ids=[p.name for p in MODULES if p.name != "geometry.py"])
+def test_curvature_sign_stays_in_geometry(path):
+    assert curved_kind_comparisons(path.read_text()) == []
+
+
+def test_curvature_detector_flags_and_accepts():
+    src = ('if m.kind == "sphere":\n    pass\n'
+           'ok = m.kind == "gaussian_plane" or rep.kind == "le"\n'
+           'bad = "hyperbolic" != g.model.kind\n'
+           'name = kind == "sphere"\n'
+           'also = m.kind in ("euclidean", "sphere")\n')
+    assert curved_kind_comparisons(src) == [1, 4, 6]

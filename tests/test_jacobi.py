@@ -6,7 +6,7 @@ import pytest
 from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import _frame_components, bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.jacobi import (JacobiState, _rk4_linear, curvature_matrix, dn_functional,
+from abplab.jacobi import (JacobiState, _rk4_linear, _velocity, curvature_matrix, dn_functional,
                            first_nonpositive_time, integrate_jacobi, solve_jacobi_pair,
                            verify_comparison, verify_ode_structure)
 from conftest import ALL_MODELS, random_point, random_tangent
@@ -200,6 +200,24 @@ class TestOdeStructure:
             jd = jd + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
             ref.append(np.vstack([j, jd]))
         assert np.max(np.abs(_rk4_linear(R, Z0, n) - np.array(ref))) < 1e-12
+
+
+class TestVelocity:
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    @pytest.mark.parametrize("L", [0.0, 0.4, 0.9])
+    def test_matches_centred_difference_of_exp(self, m, L, rng):
+        x = random_point(m, rng, 0.5)
+        v = random_tangent(m, x, L, rng)
+        times = np.linspace(0.0, 1.0, 9)
+        state = JacobiState(m, x, v, times, None, None, None, None, None)
+        idx = np.arange(len(times))
+        h = 1e-5
+        fd = (m.exp(x, (times + h)[:, None] * v) - m.exp(x, (times - h)[:, None] * v)) / (2 * h)
+        vel = _velocity(state, idx)
+        assert vel.shape == fd.shape
+        assert float(np.max(np.abs(vel - fd))) < 1e-8
+        if L == 0.0:
+            assert not np.any(vel)
 
 
 class TestContactPositivity:
