@@ -31,7 +31,7 @@ from .constants import CurvatureParams, calH, calS
 from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField
 from .geometry import GeodesicBallGrid, ModelSpace
-from .pde import apply_weighted_laplacian
+from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["AbpInstance", "d_bound", "abp_check", "transport_rhs", "disc_vertex_indices"]
@@ -143,7 +143,6 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     wf = grid.flat_weights()
     lhs = float(np.sum(wf[inst.E]))
     n_r, n_t = grid.shape
-    pts = grid.flat_points()
     diag: dict = {"set_stride": set_stride, "n_vertices": int(len(inst.E))}
 
     rhs_nodes = None
@@ -153,9 +152,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
         nodes = cs.node_indices
         if np.any(nodes // n_t >= n_r - 1):
             return _premise_failure("measure-estimate", "contact set contained in the open ball")
-        lap_nodes = u.laplacian_nu(pts[nodes]) if u.has_derivatives else \
-            _grid_laplacian_nodes(inst, nodes)
-        G_nodes, _ = _integrand(K, N, r, a, lap_nodes, diag)
+        G_nodes, _ = _integrand(K, N, r, a, node_laplacian_nu(u, nodes), diag)
         rhs_nodes = float(np.sum(G_nodes * wf[nodes]))
         quad_tol = _boundary_allowance(inst, nodes, G_nodes)
         diag["n_contact_nodes"] = int(len(nodes))
@@ -185,11 +182,6 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     else:
         raise ValueError("a verdict without the scan needs the transport side")
     return rep
-
-
-def _grid_laplacian_nodes(inst: AbpInstance, nodes) -> np.ndarray:
-    lap = apply_weighted_laplacian(inst.grid, inst.u.values)
-    return lap.reshape(-1)[nodes]
 
 
 def _boundary_allowance(inst: AbpInstance, nodes, G_nodes) -> float:

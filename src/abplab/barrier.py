@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CurvatureParams, calH
-from .fields import ScalarField, radial_field
+from .fields import ScalarField, _laplacian_nu, _radial_derivatives, radial_field
 from .geometry import GeodesicBallGrid, ModelSpace
 from .report import CheckReport, check_le
 
@@ -137,27 +137,20 @@ def barrier_field(grid: GeodesicBallGrid, spec: BarrierSpec) -> ScalarField:
 
 
 def _lap_nu_psi_radial(spec: BarrierSpec, rho):
-    """r^2 Delta_nu psi along the radius, via the radial closed form."""
+    """r^2 Delta_nu psi at the distances rho along one ray from the centre."""
     m, r = spec.model, spec.r
-    t = np.asarray(rho, float) / r
-    h1 = barrier_dh(spec, t)
-    h2 = barrier_d2h(spec, t)
-    # Delta_nu f(rho) = f'' + (psi'/psi) f' - V' f'; for the gaussian plane
-    # the barrier is centered wherever the ball is, V' is radial only for the
-    # origin-centered case handled here
-    rho = np.asarray(rho, float)
-    small = rho < 1e-12
-    safe = np.where(small, 1.0, rho)
-    met = np.where(small, 0.0, m.dpsi(safe) / m.psi(safe))
-    vr = spec.model.lam * rho if m.kind == "gaussian_plane" else 0.0
-    lap = h2 / (r * r) + (met - vr) * h1 / r
-    near0 = 2.0 * barrier_d2h(spec, t) / (r * r)  # limit f'' + f'/rho -> 2 f''(0)
-    return r * r * np.where(small, near0, lap)
+    x0 = np.asarray(spec.center, float)
+    p = m.exp(x0, np.asarray(rho, float)[:, None] * m.tangent_frame(x0)[0])
+    jet = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
+                              lambda s: barrier_d2h(spec, s / r) / (r * r))
+    return r * r * _laplacian_nu(m, p, *jet)
 
 
 def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
                    n_samples: int = 4000) -> list[CheckReport]:
-    """Dense radial verification of the barrier inequalities on the model ball.
+    """Dense radial verification of the barrier inequalities on the model ball;
+    Delta_nu psi is sampled along one ray from the centre, by the same fields
+    calculus as the contact refinement.
 
     (a) inf h >= -alpha^2 18^alpha
     (b) derivative bounds on both pieces
@@ -208,24 +201,22 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
 def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
                            sample_radius: float, n_samples: int = 2000,
                            n_dirs: int = 16) -> CheckReport:
-    """Delta_nu(rho_y^2/2) <= N H(w rho) on a dense radial sample.
+    """Delta_nu(rho_y^2/2) <= N H(w rho) on a dense sample of a fan of n_dirs
+    rays from y.
 
-    On the flat weighted plane the left side depends on the direction from y,
-    so a fan of directions is sampled; the curvature parameter K must bound
-    the Bakry-Emery Ricci from below on the sampled region.
+    The left side depends on the direction where the weight is not radial
+    about y, so the fan is sampled on every model; the curvature parameter K
+    must bound the Bakry-Emery Ricci from below on the sampled region.
     """
     y = np.asarray(y, float)
     N, w = params.N, params.omega
     rho = np.linspace(1e-9, sample_radius, n_samples)
-    if m.kind == "gaussian_plane":
-        th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
-        dirs = np.stack([np.cos(th), np.sin(th)], -1)
-        x = y[None, None, :] + rho[:, None, None] * dirs[None, :, :]
-        # Delta(rho^2/2) = 2, minus lam * x . (x - y)
-        lhs = 2.0 - m.lam * np.einsum("rdi,rdi->rd", x, x - y[None, None, :])
-        lhs = lhs.max(axis=1)
-    else:
-        lhs = 1.0 + m.dist_hessian_transverse(rho)
+    th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+    e1, e2 = m.tangent_frame(y)
+    dirs = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
+    p = m.exp(y, rho[:, None, None] * dirs[None, :, :])
+    jet = _radial_derivatives(m, y, p, lambda s: s, np.ones_like)  # rho^2/2
+    lhs = _laplacian_nu(m, p, *jet).max(axis=1)
     rhs = N * calH(w * rho)
     gap = float(np.max(lhs - rhs))
     return check_le("ricci-comparison", "distance-laplacian-comparison",

@@ -65,26 +65,29 @@ class ScalarField:
         """(grad, Hess) from one derivative evaluation."""
         return self._derivatives(p, True)
 
-    def _metric_trace(self, H):
-        """tr(H G), G the ambient metric (the Minkowski diagonal on the hyperboloid)."""
-        m = self.grid.model
-        return np.einsum("...ii,i->...", H, m.lower(np.ones(m.embedding_dim)))
-
     def laplacian(self, p):
         """Metric Laplacian: the trace of the Hessian against the metric."""
-        return self._metric_trace(self.hess(p))
+        return _metric_trace(self.grid.model, self.hess(p))
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
-        m = self.grid.model
-        grad, H = self.jet(p)
-        gV = m.grad_V(np.asarray(p, float))
-        return self._metric_trace(H) - m.tangent_inner(p, grad, gV)
+        return _laplacian_nu(self.grid.model, p, *self.jet(p))
 
     def check_consistency(self) -> float:
         """Max |closed form - node samples|; raises if no closed form."""
         v = self.value(self.grid.points)
         return float(np.max(np.abs(v - self.values)))
+
+
+def _metric_trace(m: ModelSpace, H):
+    """tr(H G), G the ambient metric (the Minkowski diagonal on the hyperboloid)."""
+    return np.einsum("...ii,i->...", H, m.lower(np.ones(m.embedding_dim)))
+
+
+def _laplacian_nu(m: ModelSpace, p, grad, H):
+    """Delta_nu u = tr(Hess u) - g(grad u, grad V) at p, from the gradient
+    and Hessian of u there."""
+    return _metric_trace(m, H) - m.tangent_inner(p, grad, m.grad_V(p))
 
 
 def hess_form(m: ModelSpace, H, X, Y):

@@ -13,7 +13,8 @@ They are one family keyed by the signed curvature kappa (k, -k, 0, 0).  The
 curved members are the quadric <p, p> = 1/kappa under the family inner
 product (Euclidean, Minkowski), so each operation has one curved formula in
 the model functions sn/cs (sin/cos, sinh/cosh) of s rho, s = sqrt|kappa|, and
-where it pays a flat-chart one free of transcendental work.
+where it pays a flat-chart one free of transcendental work.  The weight
+V = lam |p|^2 / 2 is keyed by lam alone, 0 off the gaussian plane.
 
 Points live in embedding coordinates (length-2 vectors for the plane models,
 length-3 for sphere/hyperboloid), which keeps distance/exp/log branch-free
@@ -84,7 +85,8 @@ class ModelSpace:
     """One of the four closed-form model metric-measure spaces.
 
     The kind fixes a row (sn, cs, arc_cs, inner) of the family table and the
-    signed curvature kappa = sectional(), both resolved at construction.
+    signed curvature kappa = sectional(), both resolved at construction; lam
+    alone fixes the weight, and only the gaussian plane may set it nonzero.
 
     Parameters
     ----------
@@ -93,7 +95,7 @@ class ModelSpace:
     k : float
         Curvature magnitude for sphere/hyperbolic (> 0 there, ignored else).
     lam : float
-        Weight coefficient of the gaussian plane, V(x) = lam*|x|^2/2.
+        Weight coefficient, V(x) = lam*|x|^2/2; nonzero only on the gaussian plane.
     """
 
     kind: str
@@ -112,6 +114,8 @@ class ModelSpace:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind in ("sphere", "hyperbolic") and not self.k > 0:
             raise ValueError(f"{self.kind} requires curvature k > 0")
+        if self.lam != 0.0 and self.kind != "gaussian_plane":
+            raise ValueError(f"{self.kind} carries no weight: lam must be 0")
         kappa = {"sphere": self.k, "hyperbolic": -self.k}.get(self.kind, 0.0)
         derived = zip(("_sn", "_cs", "_arc_cs", "_inner", "_kappa", "_s"),
                       (*_FAMILY[self.kind], kappa, math.sqrt(abs(kappa)) or 1.0))
@@ -221,7 +225,8 @@ class ModelSpace:
         d = self.distance(p, q)
         u = self._project_tangent(p, q)
         nu = np.sqrt(np.maximum(self._inner(u, u), 0.0))
-        scale = np.where(nu > 0, d / np.where(nu > 0, nu, 1.0), 0.0)
+        ok = nu > 1e-14 / self._s  # below it u is rounding noise: q == p
+        scale = np.where(ok, d / np.where(ok, nu, 1.0), 0.0)
         return scale[..., None] * u
 
     # -- frames --------------------------------------------------------------
@@ -280,37 +285,30 @@ class ModelSpace:
         return np.where(small, 1.0, out)
 
     def weight_V(self, p):
+        """V(p) = lam |p|^2 / 2, identically zero when lam = 0."""
         p = np.asarray(p, float)
-        if self.kind == "gaussian_plane":
-            return 0.5 * self.lam * _dot(p, p)
-        return np.zeros(p.shape[:-1])
+        return 0.5 * self.lam * _dot(p, p)
 
     def grad_V(self, p):
-        p = np.asarray(p, float)
-        if self.kind == "gaussian_plane":
-            return self.lam * p
-        return np.zeros_like(p)
+        return self.lam * np.asarray(p, float)
 
     # -- measures --------------------------------------------------------------
 
     def ball_measure(self, center, r, n_quad: int = 512) -> Measure:
         """nu-measure of the geodesic ball B_r(center).
 
-        Closed forms exist everywhere for the unweighted models and at the
-        origin of the gaussian plane; other gaussian centers fall back to a
-        dense radial-angular quadrature and are flagged as such.
+        Unweighted balls have the closed form 4 pi psi(r/2)^2 (pi r^2 when
+        flat), free of the cancellation in 2 pi/kappa (1 - dpsi(r)); weighted
+        balls have one at the origin, and elsewhere fall back to a dense
+        radial-angular quadrature flagged as such.
         """
         if not r < self.cut_radius:
             raise ValueError("ball radius exceeds the cut radius")
-        if not self.is_flat_chart:
-            return Measure(float(2.0 * math.pi / self._kappa * (1.0 - self.dpsi(r))), "closed_form")
-        if self.kind == "euclidean":
-            return Measure(math.pi * r * r, "closed_form")
+        lam = self.lam
+        if lam == 0.0:
+            return Measure(float(4.0 * math.pi * self.psi(0.5 * r) ** 2), "closed_form")
         center = np.asarray(center, float)
         if _dot(center, center) < 1e-28:
-            lam = self.lam
-            if abs(lam) < 1e-15:
-                return Measure(math.pi * r * r, "closed_form")
             return Measure(2.0 * math.pi / lam * -math.expm1(-0.5 * lam * r * r), "closed_form")
         # midpoint quadrature of exp(-V) over the off-origin disc
         h = r / n_quad
@@ -331,7 +329,7 @@ class ModelSpace:
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         base = self._kappa * self.tangent_inner(p, v, v)
-        if self.kind != "gaussian_plane" or self.lam == 0.0:
+        if self.lam == 0.0:
             return base
         lam = self.lam
         hessV = lam * _dot(v, v)  # D^2 V = lam * Id
@@ -346,11 +344,11 @@ class ModelSpace:
         if not math.isinf(N):
             if N < self.dim:
                 raise ValueError("effective dimension N must be >= dim")
-            if N == self.dim and self.kind == "gaussian_plane" and self.lam != 0.0:
+            if N == self.dim and self.lam != 0.0:
                 raise ValueError("N == dim requires a trivial weight")
-        if self.kind != "gaussian_plane":
-            return self._kappa
         lam = self.lam
+        if lam == 0.0:
+            return self._kappa
         if math.isinf(N):
             return lam
         # eigenvalues of lam*I - lam^2 (x tensor x)/(N-2): {lam, lam - lam^2 rho^2/(N-2)}

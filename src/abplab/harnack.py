@@ -27,7 +27,7 @@ from .contact import _location_vertices, check_contact_location, compute_contact
 from .fields import ScalarField, sum_fields
 from .geometry import GeodesicBallGrid, ModelSpace
 from .measure import integral_I, log_lp_average
-from .pde import apply_weighted_laplacian
+from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["HarnackInstance", "log_lp_average", "harnack_check_sup",
@@ -64,10 +64,7 @@ def _nodewise_gap(inst: HarnackInstance, sense: str, tol: float = 1e-6):
     solver-produced fields with the solver's own stencil, which reproduces the
     right-hand side to rounding error so hypothesis and conclusion share bias.
     """
-    if inst.u.has_derivatives:
-        lap = inst.u.laplacian_nu(inst.grid.points)
-    else:
-        lap = apply_weighted_laplacian(inst.grid, inst.u.values, inst.boundary)
+    lap = node_laplacian_nu(inst.u, boundary=inst.boundary)
     ok = np.isfinite(lap)
     d = lap[ok] - inst.f.values[ok]
     scale = max(1.0, float(np.max(np.abs(inst.f.values))),
@@ -201,8 +198,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     if float(np.min(u.values[half])) > 1.0 + 1e-12:
         return _premise_failure("growth-bound", "inf_{B_{r/2}} u <= 1", anchor,
                                 sharpness="non-sharp")
-    lap = u.laplacian_nu(grid.points) if u.has_derivatives else \
-        apply_weighted_laplacian(grid, u.values, None)
+    lap = node_laplacian_nu(u)
     ok = np.isfinite(lap)
     scale = max(1.0, float(np.max(np.abs(f.values))))
     if float(np.max(lap[ok] - f.values[ok])) > op_tol * scale:

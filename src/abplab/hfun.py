@@ -60,10 +60,10 @@ def poisson_kernel_disc(x, omega):
 
 
 def chart_phi(m: ModelSpace, d: float) -> float:
-    """Conformal chart angle phi = sqrt(k) d / sqrt(2); validity needs phi < 1."""
+    """Conformal chart angle phi = sqrt|kappa| d / sqrt(2); validity needs phi < 1."""
     if m.is_flat_chart:
         return 0.0
-    phi = math.sqrt(m.k) * d / math.sqrt(2.0)
+    phi = math.sqrt(abs(m.sectional())) * d / math.sqrt(2.0)
     if not phi < 1.0:
         raise ValueError("radius outside the conformal chart validity (phi >= 1)")
     return phi

@@ -9,9 +9,9 @@ polar grid:
 which reproduces u_rr + (psi'/psi) u_r - V' u_r + psi^{-2} u_tt to O(h^2) and
 is an M-matrix for any psi, w > 0, so the discrete maximum principle holds by
 construction.  The pole face carries coefficient psi(0) = 0, hence the first
-ring needs no special closure.  The coefficients are angle-independent
-(gaussian balls must be centered at the origin), so an FFT in theta reduces
-the solve to one tridiagonal system per Fourier mode.
+ring needs no special closure.  The weight must be constant on every ring
+(weighted balls are origin-centered), so the coefficients are angle-free and
+an FFT in theta reduces the solve to one tridiagonal system per mode.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .fields import ScalarField
 from .geometry import GeodesicBallGrid
 
 __all__ = ["DirichletProblem", "solve_poisson", "apply_weighted_laplacian",
-           "radial_face_coefficients"]
+           "node_laplacian_nu", "radial_face_coefficients"]
 
 
 @dataclass
@@ -38,17 +38,19 @@ class DirichletProblem:
         g = self.grid
         if g.n_r < 64 or g.n_theta < 64:
             raise ValueError("solver grid must be at least 64 x 64")
-        if g.model.kind == "gaussian_plane" and np.linalg.norm(np.asarray(g.center)) > 1e-12:
-            raise ValueError("gaussian_plane solves require an origin-centered ball")
+        V = g.model.weight_V(g.points)
+        if np.any(np.ptp(V, axis=1) > 1e-12 * np.max(np.abs(V), axis=1)):
+            raise ValueError("the weight varies around a ring: weighted solves "
+                             "require an origin-centered ball")
         self.f = np.asarray(self.f, float).reshape(g.shape)
         self.g = np.asarray(self.g, float).reshape(g.n_theta)
 
 
 def _radial_weight(grid: GeodesicBallGrid, rho):
+    """exp(-V) at distances rho along one ray from the centre."""
     m = grid.model
-    if m.kind == "gaussian_plane":
-        return np.exp(-0.5 * m.lam * np.asarray(rho) ** 2)
-    return np.ones_like(np.asarray(rho, float))
+    ray = np.asarray(rho, float)[..., None] * grid.frame[0]
+    return np.exp(-m.weight_V(m.exp(grid.center, ray)))
 
 
 def radial_face_coefficients(grid: GeodesicBallGrid):
@@ -90,6 +92,17 @@ def apply_weighted_laplacian(grid: GeodesicBallGrid, values, boundary=None):
     rad = lo[:, None] * down + hi[:, None] * up - (lo + hi)[:, None] * u
     th = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) * ang[:, None]
     return rad + th
+
+
+def node_laplacian_nu(u: ScalarField, nodes=None, boundary=None):
+    """Weighted Laplacian of u at the flat node indices nodes, or grid-shaped
+    at every node: the closed form when u has derivatives, else the solver
+    stencil with the Dirichlet trace boundary (apply_weighted_laplacian)."""
+    grid = u.grid
+    if u.has_derivatives:
+        return u.laplacian_nu(grid.points if nodes is None else grid.flat_points()[nodes])
+    lap = apply_weighted_laplacian(grid, u.values, boundary)
+    return lap if nodes is None else lap.reshape(-1)[nodes]
 
 
 def solve_poisson(prob: DirichletProblem, tol_factor: float = 1e-10,

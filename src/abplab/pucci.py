@@ -54,7 +54,7 @@ def e_theta(m: ModelSpace, r: float, theta: float, n_dense: int = 4096) -> float
     if not r < m.cut_radius:
         raise ValueError("radius must stay below the cut radius")
     if m.sectional() < 0:
-        analytic = (theta - 1.0) * (1.0 + calH(math.sqrt(m.k) * r))
+        analytic = (theta - 1.0) * (1.0 + calH(math.sqrt(-m.sectional()) * r))
     else:
         # flat charts have transverse eigenvalue 1; the sphere's decreases
         # from 1, so its supremum also sits at rho -> 0

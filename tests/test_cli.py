@@ -78,13 +78,26 @@ class TestCliExitCodes:
         ["doubling", "--samples", "0"],
         ["pucci", "--samples", "0"],
         ["harnack-check", "--which", "pucci", "--samples", "0"],
+        ["barrier-check", "--model", "sphere", "--k", "1", "--K", "1", "--r", "3.5"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
-            "harnack-pucci-samples-0"])
+            "harnack-pucci-samples-0", "barrier-r-beyond-cut"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["abp-check"], ["harnack-check", "--which", "growth"]],
+                             ids=["abp-check", "growth"])
+    def test_weight_free_gaussian_matches_euclidean(self, argv, tmp_path):
+        # lambda = 0 keys the weight off, N = 2 included
+        reports = []
+        for i, model in enumerate((["gaussian", "--lambda", "0"], ["euclidean"])):
+            out = tmp_path / str(i)
+            assert main([*argv, "--model", *model, "--N", "2", "--resolution", "48",
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(next(out.glob("*_report.json")).read_text())["reports"])
+        assert reports[0] == reports[1]
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

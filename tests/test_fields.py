@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from abplab.barrier import BarrierSpec, barrier_field
-from abplab.fields import (_frame_components, bump_field, constant_field, hess_form,
-                           quadratic_field, radial_field, random_bump_field,
-                           sum_fields)
+from abplab.fields import (_frame_components, _laplacian_nu, _radial_derivatives, bump_field,
+                           constant_field, hess_form, quadratic_field, radial_field,
+                           random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.pde import apply_weighted_laplacian
 from conftest import ALL_MODELS
@@ -74,6 +74,30 @@ class TestLaplacianNu:
             err = np.nanmax(np.abs((lap_d - lap_a)[2:-1]))
             errs.append(err)
         assert errs[0] / errs[1] >= 3.0
+
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_helper_on_radial_derivatives(self, m, rng):
+        # the composition the barrier checks use, centred off the origin (where
+        # the gaussian weight is not radial) and sampled down to the centre
+        g = _grid(m)
+        e1, e2 = m.tangent_frame(m.origin())
+        c = m.exp(m.origin(), 0.2 * e1 - 0.1 * e2)
+        f = lambda r: np.exp(-2.0 * r * r)
+        df = lambda r: -4.0 * r * np.exp(-2.0 * r * r)
+        d2f = lambda r: (16.0 * r * r - 4.0) * np.exp(-2.0 * r * r)
+        f1, f2 = m.tangent_frame(c)
+        th = rng.uniform(0.0, 2.0 * np.pi, 40)
+        t = np.concatenate([[0.0, 1e-12, 1e-10, 3e-9, 9.9e-9], rng.uniform(0.05, 0.6, 35)])
+        p = m.exp(c, t[:, None] * (np.cos(th)[:, None] * f1 + np.sin(th)[:, None] * f2))
+        got = _laplacian_nu(m, p, *_radial_derivatives(m, c, p, df, d2f))
+        np.testing.assert_array_equal(got, radial_field(g, c, f, df, d2f).laplacian_nu(p))
+        # near the centre: the limit 2 f''(0); elsewhere f'' + f' psi'/psi - f' dV/drho
+        assert np.allclose(got[:5], -8.0, rtol=0.0, atol=1e-6)
+        rho = m.distance(c, p[5:])
+        dV = m.lam * np.einsum("...i,...i->...", p[5:], p[5:] - c) / rho if m.is_flat_chart else 0.0
+        expect = d2f(rho) + df(rho) * (m.dpsi(rho) / m.psi(rho) - dV)
+        np.testing.assert_allclose(got[5:], expect, rtol=1e-10, atol=1e-12)
 
 
 class TestJet:

@@ -171,6 +171,43 @@ class TestBallMeasure:
         assert got.value < m.ball_measure(np.zeros(2), 0.5).value
 
 
+    @pytest.mark.parametrize("m, sn", [(sphere(1.0), math.sin), (hyperbolic(1.0), math.sinh)],
+                             ids=["sphere", "hyperbolic"])
+    @pytest.mark.parametrize("r", [1e-2, 1e-3, 1e-4])
+    def test_small_radius_accuracy(self, m, sn, r):
+        # 2 pi/kappa (1 - dpsi(r)) cancels to ~7e-9 relative at r = 1e-4
+        val, _ = quad(lambda s: 2 * math.pi * sn(s), 0.0, r, epsabs=0.0, epsrel=2e-14)
+        got = m.ball_measure(m.origin(), r)
+        assert got.value == pytest.approx(val, rel=1e-13, abs=0.0)
+        assert got.method == "closed_form"
+
+    def test_weight_free_gaussian_off_center_closed_form(self):
+        got = gaussian_plane(0.0).ball_measure(np.array([0.4, 0.0]), 0.5)
+        assert got.method == "closed_form"
+        assert got.value == pytest.approx(math.pi * 0.25, rel=1e-15, abs=0.0)
+
+
+class TestWeight:
+    def test_weight_off_the_gaussian_plane_rejected(self):
+        with pytest.raises(ValueError, match="lam must be 0"):
+            ModelSpace("sphere", k=1, lam=3)
+
+    def test_gaussian_closed_forms(self, rng):
+        lam = 1.7
+        m = gaussian_plane(lam)
+        p = rng.normal(size=(50, 2))
+        np.testing.assert_allclose(m.weight_V(p), 0.5 * lam * (p[:, 0] ** 2 + p[:, 1] ** 2),
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(m.grad_V(p), lam * p, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("m", [euclidean(), sphere(1.0), hyperbolic(1.0)],
+                             ids=["euclidean", "sphere", "hyperbolic"])
+    def test_unweighted_models_exactly_zero(self, m, rng):
+        p = np.array([random_point(m, rng, 1.0) for _ in range(20)])
+        assert np.all(m.weight_V(p) == 0.0) and m.weight_V(p).shape == (20,)
+        assert np.all(m.grad_V(p) == 0.0) and m.grad_V(p).shape == p.shape
+
+
 class TestPolarGrid:
     def test_weight_sum_matches_measure(self, model):
         g = build_polar_grid(model, model.origin(), 1.0, 256, 256)
@@ -236,6 +273,10 @@ class TestRicciLowerBound:
         m = gaussian_plane(1.0)
         assert m.ricci_lower_bound(4.0, 1.0) == pytest.approx(0.5, abs=1e-15)
         assert m.ricci_lower_bound(math.inf, 3.0) == 1.0
+
+    def test_weight_free_gaussian_at_dim(self):
+        # lam = 0 keys the weight off: kappa = 0, no division by N - dim
+        assert gaussian_plane(0.0).ricci_lower_bound(2.0, 1.0) == 0.0
 
     def test_dim_with_weight_rejected(self):
         with pytest.raises(ValueError, match="trivial weight"):

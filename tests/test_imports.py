@@ -1,5 +1,5 @@
 """Structure checks on the abplab sources: every top-level import of a
-module is used by it, and only geometry decides the sign of the curvature."""
+module is used by it, and only geometry decides the model kind and weight."""
 
 import ast
 from pathlib import Path
@@ -49,12 +49,12 @@ def test_detector_flags_and_accepts():
     assert unused_imports(src) == ["Sequence (line 4)", "os (line 3)"]
 
 
-CURVED_KINDS = {"sphere", "hyperbolic"}
+MODEL_KINDS = {"euclidean", "sphere", "hyperbolic", "gaussian_plane"}
 
 
-def curved_kind_comparisons(source: str) -> list:
-    """Lines that compare a `.kind` attribute with a curved model's name;
-    the sign of the curvature is geometry.ModelSpace's decision alone."""
+def model_decisions(source: str) -> list:
+    """Lines that compare a `.kind` attribute with a model's name or read a
+    `.lam` attribute: the kind and the weight are geometry.ModelSpace's alone."""
     def names(node):
         if isinstance(node, ast.Constant):
             return {node.value}
@@ -62,23 +62,30 @@ def curved_kind_comparisons(source: str) -> list:
             return {e.value for e in node.elts if isinstance(e, ast.Constant)}
         return set()
 
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Compare)
-                  and any(isinstance(o, ast.Attribute) and o.attr == "kind"
-                          for o in (node.left, *node.comparators))
-                  and any(names(o) & CURVED_KINDS for o in (node.left, *node.comparators)))
+    def decides(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "lam" and isinstance(node.ctx, ast.Load)
+        operands = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+        return (any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands)
+                and any(names(o) & MODEL_KINDS for o in operands))
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if decides(node)})
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geometry.py"],
                          ids=[p.name for p in MODULES if p.name != "geometry.py"])
 def test_curvature_sign_stays_in_geometry(path):
-    assert curved_kind_comparisons(path.read_text()) == []
+    assert model_decisions(path.read_text()) == []
 
 
 def test_curvature_detector_flags_and_accepts():
     src = ('if m.kind == "sphere":\n    pass\n'
-           'ok = m.kind == "gaussian_plane" or rep.kind == "le"\n'
+           'ok = rep.kind == "eq" or kind == "gaussian_plane"\n'
            'bad = "hyperbolic" != g.model.kind\n'
            'name = kind == "sphere"\n'
-           'also = m.kind in ("euclidean", "sphere")\n')
-    assert curved_kind_comparisons(src) == [1, 4, 6]
+           'also = m.kind in ("euclidean", "sphere")\n'
+           'flat = m.kind == "gaussian_plane"\n'
+           'w = 0.5 * spec.model.lam * r\n'
+           'm = ModelSpace("gaussian_plane", lam=getattr(args, "lam"))\n'
+           'self.lam = 1.0\n')
+    assert model_decisions(src) == [1, 4, 6, 7, 8]

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from abplab.fields import ScalarField, bump_field
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.pde import DirichletProblem, apply_weighted_laplacian, solve_poisson
+from abplab.pde import DirichletProblem, apply_weighted_laplacian, node_laplacian_nu, solve_poisson
 from abplab.report import seeded_rng
 from conftest import ALL_MODELS
 
@@ -78,6 +79,16 @@ class TestSolvePoisson:
         with pytest.raises(ValueError, match="64"):
             DirichletProblem(g, np.zeros(g.shape), np.zeros(32))
 
+    @pytest.mark.parametrize("m, shift", [(sphere(1.0), 0.3), (hyperbolic(1.0), 0.3),
+                                          (gaussian_plane(1.0), 0.0), (gaussian_plane(0.0), 0.3)],
+                             ids=["sphere", "hyperbolic", "gaussian-origin", "weight-free-off-origin"])
+    def test_ring_constant_weight_accepted(self, m, shift):
+        # the FFT solve needs exp(-V) constant on every ring, not a kind
+        c = m.exp(m.origin(), shift * m.tangent_frame(m.origin())[0])
+        g = build_polar_grid(m, c, 0.5, 64, 64)
+        u, _ = solve_poisson(DirichletProblem(g, np.zeros(g.shape), np.ones(64)))
+        assert np.max(np.abs(u.values - 1.0)) < 1e-10
+
     def test_gaussian_off_center_rejected(self):
         m = gaussian_plane(1.0)
         g = build_polar_grid(m, np.array([0.3, 0.0]), 0.5, 64, 64)
@@ -100,3 +111,18 @@ class TestOperator:
         rho = g.rho[2:-1]
         expect = 2.0 + 2.0 * rho * np.cos(rho) / np.sin(rho)
         assert np.max(np.abs(lap[2:-1] - expect[:, None])) < 2e-3
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_node_laplacian_picks_closed_form_or_stencil(self, m):
+        g = _grid(m)
+        u = bump_field(g, m.exp(m.origin(), 0.2 * m.tangent_frame(m.origin())[0]), 0.7, 3.0)
+        nodes = np.array([0, 5, 700, 2000])
+        np.testing.assert_array_equal(node_laplacian_nu(u, nodes),
+                                      u.laplacian_nu(g.flat_points()[nodes]))
+        np.testing.assert_array_equal(node_laplacian_nu(u), u.laplacian_nu(g.points))
+        samples = ScalarField(g, u.values)   # no derivatives: the solver stencil
+        bnd = u.values[-1]
+        np.testing.assert_array_equal(node_laplacian_nu(samples, boundary=bnd),
+                                      apply_weighted_laplacian(g, u.values, bnd))
+        np.testing.assert_array_equal(node_laplacian_nu(samples, nodes),
+                                      apply_weighted_laplacian(g, u.values).reshape(-1)[nodes])
