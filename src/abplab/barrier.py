@@ -37,6 +37,9 @@ __all__ = ["BarrierSpec", "barrier_h", "barrier_dh", "barrier_d2h", "barrier_psi
            "barrier_field", "verify_barrier", "check_ricci_comparison"]
 
 _JUNCTION = 1.0 / 18.0
+_BARRIER_SAMPLES = 4000  # samples of inf h in verify_barrier; its other pieces take half
+_FAN_SAMPLES = 2000      # radii per ray of the Ricci comparison fan
+_FAN_DIRS = 16           # rays of that fan
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,7 @@ def _lap_nu_psi_radial(spec: BarrierSpec, rho):
     return r * r * _laplacian_nu(m, p, *jet)
 
 
-def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
-                   n_samples: int = 4000) -> list[CheckReport]:
+def verify_barrier(spec: BarrierSpec, params: CurvatureParams) -> list[CheckReport]:
     """Dense radial verification of the barrier inequalities on the model ball;
     Delta_nu psi is sampled along one ray from the centre, by the same fields
     calculus as the contact refinement.
@@ -161,20 +163,20 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
     w = params.omega
     reports = []
 
-    t = np.linspace(0.0, 4.0, n_samples)
+    t = np.linspace(0.0, 4.0, _BARRIER_SAMPLES)
     hv = barrier_h(spec, t)
     reports.append(check_le("barrier-inf", "barrier-lower-bound",
                             -float(np.min(hv)), a * a * 18.0**a,
                             inf_h=float(np.min(hv)), attained_at=float(t[np.argmin(hv)])))
 
-    tc = np.linspace(1e-9, _JUNCTION, n_samples // 2)
+    tc = np.linspace(1e-9, _JUNCTION, _BARRIER_SAMPLES // 2)
     ratio = barrier_dh(spec, tc) / tc
     gap_core = max(
         float(np.max(ratio)) - 972.0 * a * a * 18.0**a,
         float(np.max(np.abs(barrier_d2h(spec, tc) - ratio))) - 972.0 * a * a * 18.0**a,
         -float(np.min(ratio)),  # positivity of h'/t on the core
     )
-    tt = np.linspace(_JUNCTION * (1.0 + 1e-9), 4.0, n_samples // 2)
+    tt = np.linspace(_JUNCTION * (1.0 + 1e-9), 4.0, _BARRIER_SAMPLES // 2)
     exact_tail = barrier_d2h(spec, tt) - barrier_dh(spec, tt) / tt \
         + a * (a + 2.0) * tt ** (-(a + 2.0))
     gap_tail = float(np.max(np.abs(exact_tail)))
@@ -182,7 +184,7 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
                             max(gap_core, gap_tail / (a * 18.0**a)), 1e-12,
                             core_gap=gap_core, tail_identity_residual=gap_tail))
 
-    rho_in = np.linspace(0.0, r / 18.0, n_samples // 2)
+    rho_in = np.linspace(0.0, r / 18.0, _BARRIER_SAMPLES // 2)
     lhs_in = _lap_nu_psi_radial(spec, rho_in) / N + calH(w * r)
     bound_in = 972.0 * a**3 * 18.0**a
     reports.append(check_le("barrier-inside", "barrier-laplacian-inside",
@@ -190,7 +192,7 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
                             measured_max=float(np.max(lhs_in)),
                             stated_variant_4_alpha=972.0 * a**3 * 4.0**a))
 
-    rho_out = np.linspace(r / 18.0 * (1 + 1e-9), r * (1.0 - 1e-9), n_samples // 2)
+    rho_out = np.linspace(r / 18.0 * (1 + 1e-9), r * (1.0 - 1e-9), _BARRIER_SAMPLES // 2)
     lhs_out = _lap_nu_psi_radial(spec, rho_out) / N + calH(w * r)
     reports.append(check_le("barrier-outside", "barrier-laplacian-outside",
                             float(np.max(lhs_out)), 0.0,
@@ -199,10 +201,9 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams,
 
 
 def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
-                           sample_radius: float, n_samples: int = 2000,
-                           n_dirs: int = 16) -> CheckReport:
-    """Delta_nu(rho_y^2/2) <= N H(w rho) on a dense sample of a fan of n_dirs
-    rays from y.
+                           sample_radius: float) -> CheckReport:
+    """Delta_nu(rho_y^2/2) <= N H(w rho) on a dense sample of a fan of
+    _FAN_DIRS rays from y.
 
     The left side depends on the direction where the weight is not radial
     about y, so the fan is sampled on every model; the curvature parameter K
@@ -210,8 +211,8 @@ def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
     """
     y = np.asarray(y, float)
     N, w = params.N, params.omega
-    rho = np.linspace(1e-9, sample_radius, n_samples)
-    th = np.linspace(0.0, 2.0 * math.pi, n_dirs, endpoint=False)
+    rho = np.linspace(1e-9, sample_radius, _FAN_SAMPLES)
+    th = np.linspace(0.0, 2.0 * math.pi, _FAN_DIRS, endpoint=False)
     e1, e2 = m.tangent_frame(y)
     dirs = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
     p = m.exp(y, rho[:, None, None] * dirs[None, :, :])

@@ -149,7 +149,7 @@ def cmd_harnack(args):
             if which == "sup":
                 reports.append(harnack_check_sup(inst, ledger))
             elif which == "sub":
-                reports.append(harnack_check_sub(inst, ledger, p=max(args.p, ledger.p0)))
+                reports.append(harnack_check_sub(inst, ledger, p=args.p))
             else:
                 reports.append(harnack_check_full(inst, ledger))
     elif which == "growth":
@@ -191,6 +191,8 @@ def cmd_hfun(args):
     series = []
     if args.fit:
         dmax = args.dmax
+        if not dmax > 0:
+            raise ValueError("--dmax must be positive")
         ds = np.linspace(dmax / 20.0, dmax, max(args.samples, 8))
         vals = np.array([hfun_closed_form(m, d) for d in ds])
         coeffs, resid = expansion_fit(ds, vals, degree=4)

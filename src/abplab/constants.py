@@ -13,7 +13,7 @@ which is the exponent actually forced by iterating the doubling bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -106,11 +106,7 @@ class ConstantsLedger:
     log_log_c2: float
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "omega", "doubling_r", "doubling_2r", "doubling_4r", "eta", "alpha",
-            "mu", "log_mu", "big_m", "log_big_m", "delta0", "log_delta0",
-            "p0", "p1", "c3", "log_c3", "c0", "log_c0",
-            "c1_p0", "log_c1_p0", "log_log_c1_p0", "c2", "log_c2", "log_log_c2")}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}
         d["K"], d["N"], d["R"] = self.params.K, self.params.N, self.params.R
         return d
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
+_N_QUAD = 512  # radii and angles of the off-origin weighted ball quadrature
 
 
 class Measure(NamedTuple):
@@ -294,7 +295,7 @@ class ModelSpace:
 
     # -- measures --------------------------------------------------------------
 
-    def ball_measure(self, center, r, n_quad: int = 512) -> Measure:
+    def ball_measure(self, center, r) -> Measure:
         """nu-measure of the geodesic ball B_r(center).
 
         Unweighted balls have the closed form 4 pi psi(r/2)^2 (pi r^2 when
@@ -311,12 +312,12 @@ class ModelSpace:
         if _dot(center, center) < 1e-28:
             return Measure(2.0 * math.pi / lam * -math.expm1(-0.5 * lam * r * r), "closed_form")
         # midpoint quadrature of exp(-V) over the off-origin disc
-        h = r / n_quad
-        rho = (np.arange(n_quad) + 0.5) * h
-        th = (np.arange(n_quad) + 0.5) * (2 * math.pi / n_quad)
+        h = r / _N_QUAD
+        rho = (np.arange(_N_QUAD) + 0.5) * h
+        th = (np.arange(_N_QUAD) + 0.5) * (2 * math.pi / _N_QUAD)
         pts = center + rho[:, None, None] * np.stack([np.cos(th), np.sin(th)], -1)[None, :, :]
         w = np.exp(-self.weight_V(pts)) * rho[:, None]
-        return Measure(float(w.sum() * h * (2 * math.pi / n_quad)), "quadrature")
+        return Measure(float(w.sum() * h * (2 * math.pi / _N_QUAD)), "quadrature")
 
     # -- curvature --------------------------------------------------------------
 

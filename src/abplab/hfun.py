@@ -94,11 +94,14 @@ def hfun_numeric(m: ModelSpace, d: float, n_boundary: int = 512,
     at multiples of 2 pi / n_boundary and probe angles at multiples of
     2 pi / n_ball.  With n_boundary dividing n_ball, the rotation taking any
     atom to omega = 0 maps the probe set onto itself, so every atom gives the
-    ratio of the atom at 0, the one evaluated; the analytic maximizer lies in
-    the search set.
+    ratio of the atom at 0, the one evaluated.  The kernel is largest at
+    angle 0 and smallest at the antipode pi on the boundary circle, so n_ball
+    must be even for the analytic maximizer to lie in the search set.
     """
     if n_boundary < 32 or n_ball < 32:
         raise ValueError("resolution below the minimum of 32")
+    if n_ball % 2:
+        raise ValueError("n_ball must be even, so that the antipode pi is a probe angle")
     if n_ball % n_boundary:
         raise ValueError("n_boundary must divide n_ball")
     theta = theta_ratio(m, d)

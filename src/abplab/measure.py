@@ -15,6 +15,8 @@ from .report import CheckReport, check_le
 __all__ = ["BallFamily", "doubling_check", "integral_I", "log_lp_average",
            "lp_distribution_check", "vitali_cover", "vitali_verify"]
 
+_K_CAP = 10_000  # most tail-sum terms of lp_distribution_check
+
 
 @dataclass
 class BallFamily:
@@ -62,17 +64,16 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
 
 
 def integral_I(m: ModelSpace, params: CurvatureParams, f: ScalarField,
-               ball_radius: float, q: float, center=None) -> float:
+               ball_radius: float, q: float) -> float:
     """r^2 (avg over B_r of |f|^{N q})^{1/(N q)} with grid quadrature.
 
     The average runs over the sub-ball of f's grid of the given radius
-    (centered at the grid center unless told otherwise); exact for constants.
+    about the grid center; exact for constants.
     """
     if q < 1.0:
         raise ValueError("exponent q must be >= 1")
     grid = f.grid
-    c = grid.center if center is None else center
-    mask = grid.mask_within(c, ball_radius)
+    mask = grid.mask_within(grid.center, ball_radius)
     if not np.any(mask):
         raise ValueError("no grid nodes inside the requested ball")
     w = grid.weights[mask]
@@ -108,8 +109,7 @@ def log_lp_average(values, weights, p: float) -> float:
     return mx + (math.log(s) - math.log(W)) / p
 
 
-def lp_distribution_check(f_values, weights, C: float, p: float,
-                          k_cap: int = 10_000) -> CheckReport:
+def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
     """Bracket the p-th moment by the geometric tail sums.
 
     With lam(t) = relative measure of {f > t} (the upper tail) and
@@ -118,7 +118,7 @@ def lp_distribution_check(f_values, weights, C: float, p: float,
         (1 - C^{-p}) S + C^{-p} lam(1)  <=  avg f^p  <=  1 + (C^p - 1) S.
 
     The sum terminates exactly once C^k clears max f; a cap guards runaway
-    growth and triggers a divergent-sum report.
+    growth past _K_CAP terms and triggers a divergent-sum report.
     """
     if C <= 1.0:
         raise ValueError("C must exceed 1")
@@ -137,7 +137,7 @@ def lp_distribution_check(f_values, weights, C: float, p: float,
         t = C**k
         if t > fmax:
             break
-        if k > k_cap:
+        if k > _K_CAP:
             rep = check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0)
             rep.passed = False
             rep.diagnostics["divergent_sum"] = True

@@ -27,6 +27,9 @@ from .geometry import GeodesicBallGrid
 __all__ = ["DirichletProblem", "solve_poisson", "apply_weighted_laplacian",
            "node_laplacian_nu", "radial_face_coefficients"]
 
+_TOL_FACTOR = 1e-10  # solve_poisson's residual tolerance, relative to ||f||_inf
+_MAX_REFINE = 4      # its most refinement steps
+
 
 @dataclass
 class DirichletProblem:
@@ -105,19 +108,18 @@ def node_laplacian_nu(u: ScalarField, nodes=None, boundary=None):
     return lap if nodes is None else lap.reshape(-1)[nodes]
 
 
-def solve_poisson(prob: DirichletProblem, tol_factor: float = 1e-10,
-                  max_refine: int = 4):
+def solve_poisson(prob: DirichletProblem):
     """Solve Delta_nu u = f with Dirichlet data; returns (field, residual).
 
     Direct FFT + tridiagonal factorization, followed by iterative refinement
     until the a-posteriori residual satisfies
 
-        ||residual||_inf <= tol_factor * ||f||_inf + 1e-12 + 8 eps ||A|| ||u||
+        ||residual||_inf <= _TOL_FACTOR * ||f||_inf + 1e-12 + 8 eps ||A|| ||u||
 
     The last term is the backward-error floor: stencil rows next to the pole
     scale like 1/(psi(h/2) dtheta)^2, so evaluating the operator there incurs
     roundoff of that size and no smaller residual is certifiable.
-    Raises if the cap is reached without convergence.
+    Raises if _MAX_REFINE refinement steps do not reach it.
     """
     grid = prob.grid
     n_r, n_t = grid.shape
@@ -143,9 +145,9 @@ def solve_poisson(prob: DirichletProblem, tol_factor: float = 1e-10,
 
     def tol_now():
         floor = 8.0 * np.finfo(float).eps * a_norm * float(np.max(np.abs(u)))
-        return tol_factor * float(np.max(np.abs(prob.f))) + 1e-12 + floor
+        return _TOL_FACTOR * float(np.max(np.abs(prob.f))) + 1e-12 + floor
 
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         if float(np.max(np.abs(res))) <= tol_now():
             break
         rh = np.fft.rfft(res, axis=1)

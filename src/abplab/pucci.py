@@ -24,6 +24,8 @@ from .report import CheckReport, _premise_failure, check_le
 __all__ = ["pucci", "e_theta", "e_theta_bounds",
            "pucci_contact_bound", "extremal_form_gap"]
 
+_N_DENSE = 4096  # radii of e_theta's dense confirmation sample
+
 
 def pucci(H, theta: float):
     """(M^-, M^+) of a symmetric matrix or a batch of them; theta >= 1."""
@@ -44,12 +46,12 @@ def pucci(H, theta: float):
     return m_minus, m_plus
 
 
-def e_theta(m: ModelSpace, r: float, theta: float, n_dense: int = 4096) -> float:
+def e_theta(m: ModelSpace, r: float, theta: float) -> float:
     """sup over rho <= r of M^+[Hess(rho_y^2/2)] - tr[Hess(rho_y^2/2)].
 
     Eigenvalues of the distance Hessian are (1, transverse(rho)); the excess
     is (theta-1) * (1 + transverse^+).  The analytic supremum is confirmed
-    against a dense radial sample.
+    against a dense radial sample of _N_DENSE radii.
     """
     if not r < m.cut_radius:
         raise ValueError("radius must stay below the cut radius")
@@ -59,7 +61,7 @@ def e_theta(m: ModelSpace, r: float, theta: float, n_dense: int = 4096) -> float
         # flat charts have transverse eigenvalue 1; the sphere's decreases
         # from 1, so its supremum also sits at rho -> 0
         analytic = (theta - 1.0) * 2.0
-    rho = np.linspace(1e-9, r, n_dense)
+    rho = np.linspace(1e-9, r, _N_DENSE)
     sampled = (theta - 1.0) * (1.0 + np.maximum(m.dist_hessian_transverse(rho), 0.0))
     dense = float(np.max(sampled))
     if dense > analytic * (1.0 + 1e-12) + 1e-12:

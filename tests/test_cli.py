@@ -79,9 +79,12 @@ class TestCliExitCodes:
         ["pucci", "--samples", "0"],
         ["harnack-check", "--which", "pucci", "--samples", "0"],
         ["barrier-check", "--model", "sphere", "--k", "1", "--K", "1", "--r", "3.5"],
+        ["hfun", "--samples", "33"],
+        ["hfun", "--fit", "--dmax", "-1"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
-            "harnack-pucci-samples-0", "barrier-r-beyond-cut"])
+            "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
+            "hfun-dmax-negative"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -155,6 +158,16 @@ class TestCliExitCodes:
         rep = json.loads((out / "harnack_check_report.json").read_text())["reports"][0]
         assert not rep["pass"]
         assert rep["diagnostics"]["numerical_failure"].startswith("poisson solve did not reach")
+
+    def test_sub_p_below_p0_is_a_named_failure(self, tmp_path, capsys):
+        # --p reaches the library as given; p < p0 is the check's own premise
+        out = tmp_path / "out"
+        code = main(["harnack-check", "--which", "sub", "--p", "-1", "--out", str(out)])
+        assert code == 1
+        assert "[FAIL] harnack-sub" in capsys.readouterr().out
+        rep = json.loads((out / "harnack_check_report.json").read_text())["reports"][0]
+        assert rep["diagnostics"]["violated_premise"] == "p >= p0"
+        assert rep["diagnostics"]["unsupported_p"] == -1.0
 
     def test_non_object_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"

@@ -112,6 +112,15 @@ class TestSubCheck:
         assert "unsupported_p" in rep.diagnostics
 
 
+    def test_not_subsolution_rejected(self):
+        m, g = _flat_grid()
+        u = quadratic_field(g, m.origin(), -1.0)  # Delta u = -2 < 0
+        rep = harnack_check_sub(HarnackInstance(m, FLAT, g, u, constant_field(g, 0.0)),
+                                build_ledger(FLAT), p=1.0)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "Delta_nu u >= f nodewise"
+
+
 class TestFullCheck:
     def test_affine_positive_harmonic(self):
         # sup/inf over the half ball of 1 + x1 is (1+1/2R)/(1-1/2R) -> 3 at R=1/2
@@ -149,6 +158,15 @@ class TestFullCheck:
         inst = HarnackInstance(m, params, g, u, ScalarField(g, f), boundary=bnd)
         rep = harnack_check_full(inst, build_ledger(params))
         assert rep.passed
+
+
+    def test_not_solution_rejected(self):
+        m, g = _flat_grid()
+        u = sum_fields([constant_field(g, 1.0), quadratic_field(g, m.origin(), 0.1)])
+        rep = harnack_check_full(HarnackInstance(m, FLAT, g, u, constant_field(g, 0.0)),
+                                 build_ledger(FLAT))
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "Delta_nu u = f nodewise"
 
 
 class TestGrowth:
@@ -203,3 +221,27 @@ class TestGrowth:
         fbig = constant_field(g, 16.0)
         rep = growth_check(m, params, ledger, bowl, fbig, m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_2R, 1) <= delta0"
+
+    def test_screen_premises_named(self):
+        params = CurvatureParams(0.0, 2.0, 1.0)
+        ledger = build_ledger(params)
+        m = hyperbolic(1.0)
+        g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
+        rep = growth_check(m, params, ledger, self._well(m, g, 1.0), constant_field(g, 0.0),
+                           m.origin(), 1.0)
+        assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on B_r"
+        m = euclidean()
+        g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
+        bowl = quadratic_field(g, m.origin(), 8.0)  # Delta u = 16 > 0
+        rep = growth_check(m, params, ledger, bowl, constant_field(g, 0.0), m.origin(), 1.0)
+        assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
+
+    def test_operator_premise_screened_before_inf(self):
+        # Delta u > 0 and inf_{B_{r/2}} u = 3 > 1: the screen names the operator
+        m = euclidean()
+        params = CurvatureParams(0.0, 2.0, 1.0)
+        g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
+        u = sum_fields([constant_field(g, 3.0), quadratic_field(g, m.origin(), 8.0)])
+        rep = growth_check(m, params, build_ledger(params), u, constant_field(g, 0.0),
+                           m.origin(), 1.0)
+        assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"

@@ -159,6 +159,13 @@ class TestNumeric:
         with pytest.raises(ValueError, match="divide"):
             hfun_numeric(euclidean(), 1.0, 48, 64)
 
+    @pytest.mark.parametrize("n", [33, 63, 65, 129])
+    def test_odd_probe_count_rejected(self, n):
+        # the kernel's minimum sits at the antipode pi, which no odd count
+        # of equally spaced probe angles contains
+        with pytest.raises(ValueError, match="even"):
+            hfun_numeric(euclidean(), 1.0, n, n)
+
 
 class TestExpansionFit:
     def test_euclidean_trivial(self):

@@ -1,5 +1,6 @@
 """Structure checks on the abplab sources: every top-level import of a
-module is used by it, and only geometry decides the model kind and weight."""
+module is used by it, every private top-level name is used somewhere in the
+package, and only geometry decides the model kind and weight."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,50 @@ def test_detector_flags_and_accepts():
            "__all__ = ['exported']\n"
            "def f(v: Optional[int]):\n    return math.pi\n")
     assert unused_imports(src) == ["Sequence (line 4)", "os (line 3)"]
+
+
+def dead_helpers(sources: dict) -> list:
+    """Private top-level functions, classes and constants (module: name) that
+    no module of sources references: by name, as an attribute or in an import."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return sorted(f"{module}: {name}" for module, name in defined if name not in used)
+
+
+def test_no_dead_private_helpers():
+    assert dead_helpers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_dead_helper_detector_flags_and_accepts():
+    sources = {
+        "a.py": ("__all__ = ['f']\n_USED = 1\n_DEAD = 2\n_ATTR = 3\n_IMPORTED = 4\n"
+                 "def _helper():\n    return _USED\n"
+                 "def _orphan():\n    return 0\n"
+                 "class _Unused:\n    pass\n"
+                 "def f():\n    return _helper()\n"),
+        "b.py": ("from .a import _IMPORTED\nimport a\n"
+                 "_local: int = 0\n"
+                 "def g():\n    _DEAD_LOCAL = 1\n    return a._ATTR\n"),
+    }
+    assert dead_helpers(sources) == ["a.py: _DEAD", "a.py: _Unused", "a.py: _orphan",
+                                     "b.py: _local"]
 
 
 MODEL_KINDS = {"euclidean", "sphere", "hyperbolic", "gaussian_plane"}
