@@ -69,9 +69,10 @@ def cmd_contact(args):
     E = disc_vertex_indices(grid, grid.radial_rings(0.45 * args.r))
     cs = compute_contact_set(m, u, args.a, E)
     pairs = cs.pairs()
+    residuals = gradient_contact_residual(m, u, args.a, np.array([p.x for p in pairs]),
+                                          np.array([p.y for p in pairs]))
     lines = ["y_coords,x_coords,min_value,residual"]
-    for p in pairs:
-        res = gradient_contact_residual(m, u, p)
+    for p, res in zip(pairs, residuals.tolist()):
         ys = ";".join(repr(float(c)) for c in p.y)
         xs = ";".join(repr(float(c)) for c in p.x)
         lines.append(f"{ys},{xs},{p.min_value!r},{res!r}")
@@ -193,7 +194,7 @@ def cmd_hfun(args):
         dmax = args.dmax
         if not dmax > 0:
             raise ValueError("--dmax must be positive")
-        ds = np.linspace(dmax / 20.0, dmax, max(args.samples, 8))
+        ds = np.linspace(dmax / 20.0, dmax, args.samples)
         vals = np.array([hfun_closed_form(m, d) for d in ds])
         coeffs, resid = expansion_fit(ds, vals, degree=4)
         sec = m.sectional()

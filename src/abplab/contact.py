@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, _frame_components, _radial_derivatives
+from .fields import ScalarField, _radial_derivatives
 from .geometry import GeodesicBallGrid, ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
@@ -197,13 +197,14 @@ def _ranges(start, length):
     return np.repeat(start - np.cumsum(length) + length, length) + np.arange(int(length.sum()))
 
 
-def gradient_contact_residual(m: ModelSpace, u: ScalarField, pair: ContactPair) -> float:
-    """|grad u(x) + a rho grad rho_y(x)|: zero certifies an interior contact."""
+def gradient_contact_residual(m: ModelSpace, u: ScalarField, a: float, X, Y) -> np.ndarray:
+    """|grad u(x) + a rho grad rho_y(x)| over the pairs (x, y) of X and Y:
+    zero certifies an interior contact."""
     if not u.has_derivatives:
         raise ValueError("gradient residual needs a closed-form gradient")
-    x, y = pair.x, pair.y
-    g = u.grad(x) - pair.a * m.log(x, y)  # a * grad(rho_y^2/2) = -a log_x(y)
-    return float(m.tangent_norm(x, g))
+    X = np.asarray(X, float)
+    g = u.grad(X) - a * m.log(X, Y)  # a * grad(rho_y^2/2) = -a log_x(y)
+    return m.tangent_norm(X, g)
 
 
 def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
@@ -212,33 +213,38 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
 
     Requires closed-form derivatives of u.  Steps are clamped to half the
     grid radius; points whose Hessian degenerates keep their last iterate.
+    A point takes the step computed where both frame components of its
+    grad F are below _NEWTON_TOL and then leaves the live set; the loop ends
+    when the live set is empty or after _NEWTON_ITERS steps.
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
     X = np.array(X0, float)
+    Y = np.asarray(Y, float)
+    live = np.arange(len(X))
     cap = 0.5 * u.grid.radius
     for _ in range(_NEWTON_ITERS):
+        x = X[live]
+        e1, e2 = frame = m.tangent_frame(x)
         # rho_y^2 / 2 is the radial function with f' = rho, f'' = 1
-        gd, Hd = _radial_derivatives(m, Y, X, lambda r: r, np.ones_like)
-        gu, Hu = u.jet(X)
+        gd, hd = _radial_derivatives(m, Y[live], x, lambda r: r, np.ones_like, frame)
+        gu, hu = u.jet(x, frame)
         g = gu + a * gd
-        H = Hu + a * Hd
-        e1, e2 = m.tangent_frame(X)
-        g1 = m.tangent_inner(X, g, e1)
-        g2 = m.tangent_inner(X, g, e2)
-        h = _frame_components(m, H, e1, e2)
-        h11, h12, h22 = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+        h = hu + a * hd
+        g1 = m.tangent_inner(x, g, e1)
+        g2 = m.tangent_inner(x, g, e2)
+        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         det = h11 * h22 - h12 * h12
         ok = np.abs(det) > 1e-14
         dets = np.where(ok, det, 1.0)
         d1 = -(h22 * g1 - h12 * g2) / dets
         d2 = -(h11 * g2 - h12 * g1) / dets
-        step = d1[..., None] * e1 + d2[..., None] * e2
-        ln = m.tangent_norm(X, step)
+        step = d1[:, None] * e1 + d2[:, None] * e2
+        ln = m.tangent_norm(x, step)
         scale = np.where(ln > cap, cap / np.where(ln > cap, ln, 1.0), 1.0)
-        step = step * (scale * ok)[..., None]
-        X = m.exp(X, step)
-        if float(np.max(np.abs(np.stack([g1, g2])))) < _NEWTON_TOL:
+        X[live] = m.exp(x, step * (scale * ok)[:, None])
+        live = live[~(np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL)]
+        if live.size == 0:
             break
     return X
 

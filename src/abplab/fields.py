@@ -3,9 +3,10 @@
 A :class:`ScalarField` always carries node samples on a grid.  Fields built
 from closed forms additionally expose evaluators at arbitrary points, which
 the contact-set and transport machinery use for sub-cell refinement: value_fn
-and one deriv_fn(p, hessian) returning the gradient, or (grad, Hess) when
-hessian is true.  Gradients are embedding-space tangent vectors; Hessians
-are embedding-space symmetric matrices annihilating the normal direction.
+and one deriv_fn(p, frame) returning the gradient when frame is None, or
+(grad, h) for an orthonormal tangent frame (e1, e2) at p.  Gradients are
+embedding-space tangent vectors; h holds the 2x2 Hessian components
+h_ab = Hess u(e_a, e_b), so no evaluation builds an embedding matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class ScalarField:
     grid: GeodesicBallGrid
     values: np.ndarray  # (n_r, n_theta)
     value_fn: Optional[Callable] = None
-    deriv_fn: Optional[Callable] = None  # (p, hessian) -> grad or (grad, Hess)
+    deriv_fn: Optional[Callable] = None  # (p, frame) -> grad, or (grad, h) given a frame
 
     @property
     def has_derivatives(self) -> bool:
@@ -50,24 +51,34 @@ class ScalarField:
             raise ValueError("field has no closed-form evaluator")
         return self.value_fn(np.asarray(p, float))
 
-    def _derivatives(self, p, hessian: bool):
+    def _derivatives(self, p, frame):
         if self.deriv_fn is None:
             raise ValueError("field has no closed-form derivatives")
-        return self.deriv_fn(np.asarray(p, float), hessian)
+        return self.deriv_fn(p, frame)
 
     def grad(self, p):
-        return self._derivatives(p, False)
+        return self._derivatives(np.asarray(p, float), None)
+
+    def jet(self, p, frame=None):
+        """(grad, h) from one derivative evaluation: h[..., a, b] is
+        Hess u(e_a, e_b) in the orthonormal frame (e1, e2) at p, by default
+        m.tangent_frame(p)."""
+        p = np.asarray(p, float)
+        if frame is None:
+            frame = self.grid.model.tangent_frame(p)
+        return self._derivatives(p, frame)
 
     def hess(self, p):
-        return self._derivatives(p, True)[1]
-
-    def jet(self, p):
-        """(grad, Hess) from one derivative evaluation."""
-        return self._derivatives(p, True)
+        """The Hessian as an embedding matrix sum_ab h_ab e_a@e_b, the form
+        hess_form contracts."""
+        frame = self.grid.model.tangent_frame(np.asarray(p, float))
+        E = np.stack(frame, -2)
+        return np.einsum("...ai,...ab,...bj->...ij", E, self.jet(p, frame)[1], E)
 
     def laplacian(self, p):
-        """Metric Laplacian: the trace of the Hessian against the metric."""
-        return _metric_trace(self.grid.model, self.hess(p))
+        """Metric Laplacian: the trace h11 + h22 of the frame components."""
+        h = self.jet(p)[1]
+        return h[..., 0, 0] + h[..., 1, 1]
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
@@ -79,15 +90,10 @@ class ScalarField:
         return float(np.max(np.abs(v - self.values)))
 
 
-def _metric_trace(m: ModelSpace, H):
-    """tr(H G), G the ambient metric (the Minkowski diagonal on the hyperboloid)."""
-    return np.einsum("...ii,i->...", H, m.lower(np.ones(m.embedding_dim)))
-
-
-def _laplacian_nu(m: ModelSpace, p, grad, H):
-    """Delta_nu u = tr(Hess u) - g(grad u, grad V) at p, from the gradient
-    and Hessian of u there."""
-    return _metric_trace(m, H) - m.tangent_inner(p, grad, m.grad_V(p))
+def _laplacian_nu(m: ModelSpace, p, grad, h):
+    """Delta_nu u = h11 + h22 - g(grad u, grad V) at p, from the gradient of
+    u there and its Hessian components h in any orthonormal frame."""
+    return h[..., 0, 0] + h[..., 1, 1] - m.tangent_inner(p, grad, m.grad_V(p))
 
 
 def hess_form(m: ModelSpace, H, X, Y):
@@ -101,26 +107,19 @@ def hess_form(m: ModelSpace, H, X, Y):
     return np.einsum("...i,...ij,...j->...", X, H, Y)
 
 
-def _frame_components(m: ModelSpace, H, e1, e2):
-    """Symmetric 2x2 components [[h11, h12], [h12, h22]] of embedding Hessians
-    H in the frames (e1, e2), h_ab = hess_form(m, H, e_a, e_b); vectorized
-    over the leading axes of H, e1 and e2."""
-    l1, l2 = m.lower(e1), m.lower(e2)
-    h11, h12, h22 = (np.einsum("...i,...ij,...j->...", x, H, y)
-                     for x, y in ((l1, l1), (l1, l2), (l2, l2)))
-    return np.stack([h11, h12, h12, h22], -1).reshape(np.shape(h11) + (2, 2))
-
-
-def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None):
+def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     """Gradient of f(rho), rho = rho(center, .), at the points p, and with d2f
-    also its Hessian:
+    also its Hessian components in the orthonormal frame (e1, e2) at p:
 
-        grad = f' e_r,   Hess = f'' e_r@e_r + f' (psi'/psi) e_t@e_t,
+        grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
 
-    e_r pointing away from the centre and e_t = rotate90(e_r).  Within 1e-8
-    of the centre the Hessian is its limit f''(0) times the tangent
-    projector, so f must be even at 0 (f'(0) = 0).  df and d2f map rho to
-    f' and f''; center broadcasts against p.
+    e_r pointing away from the centre.  With c_a = <e_r, e_a>:
+
+        h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
+
+    Within 1e-8 of the centre the Hessian is its limit f''(0) I, so f must
+    be even at 0 (f'(0) = 0).  df and d2f map rho to f' and f''; center
+    broadcasts against p.
     """
     p = np.asarray(p, float)
     v = m.log(p, center)   # points from p toward the centre, norm rho
@@ -133,15 +132,15 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None):
         return grad
     d2 = d2f(rho)
     small = rho < 1e-8
-    if np.any(small):
-        # any orthonormal (e_r, e_t) spans the projector there
-        er = np.where(small[..., None], m.tangent_frame(p)[0], er)
-    et = m.rotate90(p, er)
     safe = np.where(small, 1.0, rho)
-    kt = np.where(small, d2, d1 * m.dpsi(safe) / m.psi(safe))
-    H = (d2[..., None, None] * np.einsum("...i,...j->...ij", er, er)
-         + kt[..., None, None] * np.einsum("...i,...j->...ij", et, et))
-    return grad, H
+    k = np.where(small, d2, d1 * m.dpsi(safe) / m.psi(safe))
+    e1, e2 = frame
+    # near the centre any unit e_r gives the limit; take c = (1, 0)
+    c1 = np.where(small, 1.0, m.tangent_inner(p, er, e1))
+    c2 = np.where(small, 0.0, m.tangent_inner(p, er, e2))
+    h12 = (d2 - k) * c1 * c2
+    h = np.stack([d2 * c1 * c1 + k * c2 * c2, h12, h12, d2 * c2 * c2 + k * c1 * c1], -1)
+    return grad, h.reshape(h12.shape + (2, 2))
 
 
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
@@ -151,9 +150,9 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
     def val(p):
         return np.full(np.asarray(p).shape[:-1], float(c))
 
-    def deriv(p, hessian):
+    def deriv(p, frame):
         grad = np.zeros(np.asarray(p).shape[:-1] + (d,))
-        return (grad, np.zeros(grad.shape + (d,))) if hessian else grad
+        return grad if frame is None else (grad, np.zeros(grad.shape[:-1] + (2, 2)))
 
     vals = np.full(grid.shape, float(c))
     return ScalarField(grid, vals, val, deriv)
@@ -163,8 +162,8 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
     """Field u(x) = f(rho(center, x)) with analytic first/second derivatives.
 
     f must be even at 0 (df(0) = 0) so the composition is smooth across the
-    center.  Gradient and Hessian follow the standard radial decomposition:
-    grad u = f' e_r,  Hess u = f'' e_r@e_r + f' (psi'/psi) e_t@e_t.
+    center.  Gradient and Hessian follow the standard radial decomposition,
+    see _radial_derivatives.
     """
     m = grid.model
     center = np.asarray(center, float)
@@ -172,8 +171,8 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
     def val(p):
         return f(m.distance(center, p))
 
-    def deriv(p, hessian):
-        return _radial_derivatives(m, center, p, df, d2f if hessian else None)
+    def deriv(p, frame):
+        return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
 
     vals = f(m.distance(center, grid.points))
     return ScalarField(grid, vals, val, deriv)
@@ -189,9 +188,9 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
             d = np.asarray(p, float) - c
             return 0.5 * b * np.einsum("...i,...i->...", d, d)
 
-        def deriv(p, hessian):
+        def deriv(p, frame):
             grad = b * (np.asarray(p, float) - c)
-            if not hessian:
+            if frame is None:
                 return grad
             return grad, np.broadcast_to(b * np.eye(2), grad.shape + (2,)).copy()
 
@@ -228,9 +227,9 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
         def val(p):
             return np.sum([f.value(p) for f in fields], axis=0)
 
-        def deriv(p, hessian):
-            parts = [f.deriv_fn(p, hessian) for f in fields]
-            if not hessian:
+        def deriv(p, frame):
+            parts = [f.deriv_fn(p, frame) for f in fields]
+            if frame is None:
                 return np.sum(parts, axis=0)
             return tuple(np.sum(d, axis=0) for d in zip(*parts))
 

@@ -81,10 +81,11 @@ class TestCliExitCodes:
         ["barrier-check", "--model", "sphere", "--k", "1", "--K", "1", "--r", "3.5"],
         ["hfun", "--samples", "33"],
         ["hfun", "--fit", "--dmax", "-1"],
+        ["hfun", "--fit", "--samples", "3"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
-            "hfun-dmax-negative"])
+            "hfun-dmax-negative", "hfun-fit-samples-3"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

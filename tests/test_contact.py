@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from abplab.contact import (check_contact_location, compute_contact_set,
-                            gradient_contact_residual, refine_contact_points)
+from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, check_contact_location,
+                            compute_contact_set, gradient_contact_residual,
+                            refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, sphere
@@ -251,7 +252,8 @@ class TestGradientResidual:
         g = _grid(m, n=24)
         u = constant_field(g, 2.0)
         cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.2))
-        assert gradient_contact_residual(m, u, cs.pairs()[0]) == pytest.approx(0.0, abs=1e-14)
+        p = cs.pairs()[0]
+        assert gradient_contact_residual(m, u, 1.0, p.x, p.y) == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_refined_pair(self):
         m = euclidean()
@@ -263,9 +265,7 @@ class TestGradientResidual:
         X = refine_contact_points(m, u, 1.0, Y, g.flat_points()[cs.contact_of])
         # closed-form identity b x = a (y - x) at the refined points
         assert np.max(np.abs(1.0 * X - 1.0 * (Y - X))) < 1e-10
-        from abplab.contact import ContactPair
-        p = ContactPair(X[4], Y[4], 1.0, 0.0, 0.0, 0, 0)
-        assert gradient_contact_residual(m, u, p) < 1e-10
+        assert np.max(gradient_contact_residual(m, u, 1.0, X, Y)) < 1e-10
 
     def test_boundary_contact_flagged_by_residual(self):
         # a linear field drags the minimizer onto the boundary ring, where the
@@ -277,16 +277,29 @@ class TestGradientResidual:
         def val(p):
             return slope * np.asarray(p, float)[..., 0]
 
-        def deriv(p, hessian):
+        def deriv(p, frame):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = slope
-            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
+            return grad if frame is None else (grad, np.zeros(grad.shape[:-1] + (2, 2)))
 
         u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
         cs = compute_contact_set(m, u, 1.0, np.array([yi]))
-        res = gradient_contact_residual(m, u, cs.pairs()[0])
-        assert res > 0.1
+        p = cs.pairs()[0]
+        assert gradient_contact_residual(m, u, 1.0, p.x, p.y) > 0.1
+
+    def test_vectorized_matches_per_pair_loop(self, model, rng):
+        # the residuals of all pairs in one call against one call per pair
+        g = _grid(model, r=0.5, n=32)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        cs = compute_contact_set(model, u, 1.0, _disc_indices(g, 0.2))
+        pairs = cs.pairs()
+        X = np.array([p.x for p in pairs])
+        Y = np.array([p.y for p in pairs])
+        got = gradient_contact_residual(model, u, 1.0, X, Y)
+        want = [float(gradient_contact_residual(model, u, 1.0, x, y)) for x, y in zip(X, Y)]
+        assert got.shape == (len(pairs),)
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=1)
 
 
 class TestContactLocation:
@@ -323,18 +336,87 @@ class TestContactLocation:
 
 class TestDistanceHessian:
     def test_matches_fd_on_models(self):
+        # rho_y^2 / 2 through the shared radial routine: f' = rho, f'' = 1.
+        # Its frame components against second differences along e1, e2 and
+        # (e1 + e2)/sqrt(2), off the centre and at it, where h is the identity
         for m in ALL_MODELS:
             o = m.origin()
             e1, e2 = m.tangent_frame(o)
             y = m.exp(o, 0.4 * e1)
-            x = m.exp(o, 0.25 * e2)
-            # rho_y^2 / 2 through the shared radial routine: f' = rho, f'' = 1
-            gd, H = _radial_derivatives(m, y, x, lambda r: r, np.ones_like)
             f = lambda p: 0.5 * m.distance(p, y) ** 2
             h = 1e-5
-            a1, a2 = m.tangent_frame(x)
-            for e in (a1, a2):
-                fd = (f(m.exp(x, h * e)) - f(m.exp(x, -h * e))) / (2 * h)
-                assert fd == pytest.approx(float(m.tangent_inner(x, gd, e)), abs=1e-8)
-                fd2 = (f(m.exp(x, h * e)) - 2 * f(x) + f(m.exp(x, -h * e))) / h**2
-                assert fd2 == pytest.approx(float(hess_form(m, H, e, e)), abs=1e-5)
+            for x in (m.exp(o, 0.25 * e2), y):
+                a1, a2 = frame = m.tangent_frame(x)
+                gd, hd = _radial_derivatives(m, y, x, lambda r: r, np.ones_like, frame)
+                for e in (a1, a2):
+                    fd = (f(m.exp(x, h * e)) - f(m.exp(x, -h * e))) / (2 * h)
+                    assert fd == pytest.approx(float(m.tangent_inner(x, gd, e)), abs=1e-8)
+                diagonal = 0.5 * (hd[0, 0] + 2.0 * hd[0, 1] + hd[1, 1])
+                for e, want in ((a1, hd[0, 0]), (a2, hd[1, 1]),
+                                ((a1 + a2) / math.sqrt(2.0), diagonal)):
+                    fd2 = (f(m.exp(x, h * e)) - 2 * f(x) + f(m.exp(x, -h * e))) / h**2
+                    assert fd2 == pytest.approx(float(want), abs=1e-5)
+            np.testing.assert_array_equal(hd, np.eye(2))
+
+
+def _newton_all_points(m, u, a, Y, X):
+    """Reference refinement: every point steps at every iteration until all
+    frame components of grad F are below the tolerance.  The Hessian of u
+    is read through hess_form, that of rho_y^2/2 from its eigenvalues, 1
+    along e_r and dist_hessian_transverse across it."""
+    cap = 0.5 * u.grid.radius
+    for _ in range(_NEWTON_ITERS):
+        e = m.tangent_frame(X)
+        v = m.log(X, Y)
+        rho = m.tangent_norm(X, v)
+        er = -v / np.where(rho > 0, rho, 1.0)[:, None]
+        t = m.dist_hessian_transverse(rho)
+        H = u.hess(X)
+        grad = u.grad(X) - a * v
+        c = np.stack([m.tangent_inner(X, er, ea) for ea in e], -1)
+        h = np.array([[hess_form(m, H, ea, eb) for eb in e] for ea in e]).transpose(2, 0, 1)
+        h += a * (t[:, None, None] * np.eye(2)
+                  + (1.0 - t)[:, None, None] * c[:, :, None] * c[:, None, :])
+        gf = np.stack([m.tangent_inner(X, grad, ea) for ea in e], -1)
+        d = -np.linalg.solve(h, gf[:, :, None])[:, :, 0]
+        step = d[:, :1] * e[0] + d[:, 1:] * e[1]
+        ln = m.tangent_norm(X, step)
+        X = m.exp(X, step * np.minimum(1.0, cap / np.maximum(ln, 1e-300))[:, None])
+        if np.max(np.abs(gf)) < _NEWTON_TOL:
+            break
+    return X
+
+
+class TestNewtonFreeze:
+    def test_converged_points_leave_after_one_evaluation(self):
+        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 is least at a y/(a + b).  The half
+        # of the vertices started there converge at the first evaluation; the
+        # rest take one exact Newton step and converge at the second
+        m = euclidean()
+        g = _grid(m, n=32)
+        a, b = 1.0, 0.5
+        u = quadratic_field(g, np.zeros(2), b)
+        counts = []
+
+        def deriv(p, frame):
+            if frame is not None:
+                counts.append(len(p))
+            return u.deriv_fn(p, frame)
+
+        Y = g.flat_points()[_disc_indices(g, 0.4)]
+        X0 = Y.copy()
+        half = len(Y) // 2
+        X0[:half] = a * Y[:half] / (a + b)
+        X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, X0)
+        assert counts == [len(Y), len(Y) - half]
+        assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14
+
+    def test_matches_all_points_newton(self, model, rng):
+        g = _grid(model, r=0.5, n=48)
+        a = 1.0
+        u = random_bump_field(g, rng, hess_bound=0.5 * a)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        X = refine_contact_points(model, u, a, Y, Y.copy())
+        want = _newton_all_points(model, u, a, Y, Y.copy())
+        assert np.max(np.abs(X - want)) < 1e-12
+        assert np.max(gradient_contact_residual(model, u, a, X, Y)) < 1e-12

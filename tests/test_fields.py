@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abplab.barrier import BarrierSpec, barrier_field
-from abplab.fields import (_frame_components, _laplacian_nu, _radial_derivatives, bump_field,
+from abplab.fields import (_laplacian_nu, _radial_derivatives, bump_field,
                            constant_field, hess_form, quadratic_field, radial_field,
                            random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
@@ -90,7 +90,8 @@ class TestLaplacianNu:
         th = rng.uniform(0.0, 2.0 * np.pi, 40)
         t = np.concatenate([[0.0, 1e-12, 1e-10, 3e-9, 9.9e-9], rng.uniform(0.05, 0.6, 35)])
         p = m.exp(c, t[:, None] * (np.cos(th)[:, None] * f1 + np.sin(th)[:, None] * f2))
-        got = _laplacian_nu(m, p, *_radial_derivatives(m, c, p, df, d2f))
+        jet = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
+        got = _laplacian_nu(m, p, *jet)
         np.testing.assert_array_equal(got, radial_field(g, c, f, df, d2f).laplacian_nu(p))
         # near the centre: the limit 2 f''(0); elsewhere f'' + f' psi'/psi - f' dV/drho
         assert np.allclose(got[:5], -8.0, rtol=0.0, atol=1e-6)
@@ -103,16 +104,28 @@ class TestLaplacianNu:
 class TestJet:
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
     def test_jet_is_grad_and_hess_bitwise(self, m):
-        # quadratic_field takes its flat-chart path on euclidean and gaussian
+        # quadratic_field takes its flat-chart path on euclidean and gaussian.
+        # jet's gradient is grad's; its components in the default frame are
+        # those in m.tangent_frame(p), and u.hess assembles them, so
+        # hess_form reads them back; the centre is sampled too
         g = _grid(m, n=24)
         parts = [constant_field(g, 1.5), quadratic_field(g, m.origin(), 0.7),
                  bump_field(g, g.points[7, 3], -0.4, 5.0),
                  barrier_field(g, BarrierSpec(3.0, m, m.origin(), 1.0))]
         pts = np.vstack([g.points[::3, ::3].reshape(-1, g.points.shape[-1]), m.origin()])
+        e1, e2 = m.tangent_frame(pts)
         for u in parts + [sum_fields(parts)]:
-            grad, H = u.jet(pts)
-            for got, want in ((grad, u.grad(pts)), (H, u.hess(pts))):
+            grad, h = u.jet(pts)
+            for got, want in ((grad, u.grad(pts)), (h, u.jet(pts, (e1, e2))[1])):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert h.shape == (len(pts), 2, 2)
+            assert h[:, 0, 1].tobytes() == h[:, 1, 0].tobytes()
+            H = u.hess(pts)
+            scale = max(1.0, float(np.max(np.abs(h))))
+            for a, x in enumerate((e1, e2)):
+                for b, y in enumerate((e1, e2)):
+                    assert np.allclose(hess_form(m, H, x, y), h[:, a, b],
+                                       rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestFieldConsistency:
@@ -163,7 +176,7 @@ class TestFieldConsistency:
         th = rng.uniform(0.0, 2.0 * math.pi, size=len(pts))[:, None]
         f1 = np.cos(th) * e1 + np.sin(th) * e2   # a rotated frame per point
         f2 = m.rotate90(pts, f1)
-        C = _frame_components(m, H, f1, f2)
+        C = u.jet(pts, (f1, f2))[1]
         assert C.shape == (len(pts), 2, 2)
         for a, x in enumerate((f1, f2)):
             for b, y in enumerate((f1, f2)):

@@ -134,3 +134,43 @@ def test_curvature_detector_flags_and_accepts():
            'm = ModelSpace("gaussian_plane", lam=getattr(args, "lam"))\n'
            'self.lam = 1.0\n')
     assert model_decisions(src) == [1, 4, 6, 7, 8]
+
+
+def matrix_einsums(source: str) -> list:
+    """Lines of einsum subscripts whose output keeps two or more explicit
+    indices, such as the outer product "...i,...j->...ij": each builds a
+    matrix per point.  ScalarField.hess, which returns the embedding matrix,
+    is exempt."""
+    tree = ast.parse(source)
+    exempt = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "ScalarField":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "hess":
+                    exempt |= {id(n) for n in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exempt and node.value.count("->") == 1
+                  and len(node.value.split("->")[1].replace(".", "").strip()) >= 2)
+
+
+FRAME_MODULES = ("fields.py", "contact.py", "barrier.py")
+
+
+@pytest.mark.parametrize("name", FRAME_MODULES)
+def test_hessians_stay_in_frame_components(name):
+    assert matrix_einsums((SRC / name).read_text()) == []
+
+
+def test_matrix_einsum_detector_flags_and_accepts():
+    src = ('class ScalarField:\n'
+           '    def hess(self, E, h):\n'
+           '        return np.einsum("...ai,...ab,...bj->...ij", E, h, E)\n'
+           'def f(a, b, H):\n'
+           '    s = np.einsum("...i,...i->...", a, b)\n'
+           '    t = np.einsum("...i,...ij,...j->...", a, H, b)\n'
+           '    return np.einsum("...i,...j->...ij", a, b)\n'
+           'OUTER = "...i,...j->...ij"\n'
+           'def hess(e):\n'
+           '    return np.einsum("...i,...j->...ij", e, e)\n')
+    assert matrix_einsums(src) == [7, 8, 10]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abplab.contact import compute_contact_set, refine_contact_points
-from abplab.fields import _frame_components, bump_field, quadratic_field, sum_fields
+from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import (JacobiState, _rk4_linear, _velocity, curvature_matrix, dn_functional,
                            first_nonpositive_time, integrate_jacobi, solve_jacobi_pair,
@@ -238,7 +238,7 @@ class TestContactPositivity:
             L = float(m.tangent_norm(x, v))
             e1 = v / L if L > 0 else m.tangent_frame(x)[0]
             e2 = m.rotate90(x, e1)
-            H = _frame_components(m, u.hess(x) / a, e1, e2)
+            H = u.jet(x, (e1, e2))[1] / a
             st = integrate_jacobi(m, x, H, v, 128)
             assert float(np.min(st.det())) > -1e-9
             # the flow lands on the vertex at time 1
