@@ -144,9 +144,9 @@ def _lap_nu_psi_radial(spec: BarrierSpec, rho):
     m, r = spec.model, spec.r
     x0 = np.asarray(spec.center, float)
     p = m.exp(x0, np.asarray(rho, float)[:, None] * m.tangent_frame(x0)[0])
-    jet = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
-                              lambda s: barrier_d2h(spec, s / r) / (r * r), m.tangent_frame(p))
-    return r * r * _laplacian_nu(m, p, *jet)
+    grad, lap = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
+                                    lambda s: barrier_d2h(spec, s / r) / (r * r))
+    return r * r * _laplacian_nu(m, p, grad, lap)
 
 
 def verify_barrier(spec: BarrierSpec, params: CurvatureParams) -> list[CheckReport]:
@@ -216,8 +216,8 @@ def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
     e1, e2 = m.tangent_frame(y)
     dirs = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
     p = m.exp(y, rho[:, None, None] * dirs[None, :, :])
-    jet = _radial_derivatives(m, y, p, lambda s: s, np.ones_like, m.tangent_frame(p))  # rho^2/2
-    lhs = _laplacian_nu(m, p, *jet).max(axis=1)
+    grad, lap = _radial_derivatives(m, y, p, lambda s: s, np.ones_like)  # rho^2/2
+    lhs = _laplacian_nu(m, p, grad, lap).max(axis=1)
     rhs = N * calH(w * rho)
     gap = float(np.max(lhs - rhs))
     return check_le("ricci-comparison", "distance-laplacian-comparison",

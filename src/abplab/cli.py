@@ -28,7 +28,7 @@ from .harnack import (HarnackInstance, growth_check, harnack_check_full,
 from .hfun import expansion_fit, hfun_closed_form, hfun_numeric
 from .measure import doubling_check
 from .pde import DirichletProblem, solve_poisson
-from .pucci import e_theta, e_theta_bounds, pucci, pucci_contact_bound
+from .pucci import check_algebra, e_theta, e_theta_bounds, pucci_contact_bound
 from .report import check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng, write_atomic
 
 def build_model(args) -> geometry.ModelSpace:
@@ -55,11 +55,14 @@ def _params(args) -> CurvatureParams:
 
 
 # -- subcommand handlers -----------------------------------------------------
+#
+# Each returns (reports, payload, files): payload adds keys to the JSON
+# report, and files maps a file-name suffix to the text written beside it.
 
 def cmd_constants(args):
     ledger = build_ledger(_params(args))
     reports = verify_ledger(ledger)
-    return reports, {"ledger": ledger.to_dict()}
+    return reports, {"ledger": ledger.to_dict()}, {}
 
 
 def cmd_contact(args):
@@ -68,18 +71,17 @@ def cmd_contact(args):
     u = quadratic_field(grid, m.origin(), args.b)
     E = disc_vertex_indices(grid, grid.radial_rings(0.45 * args.r))
     cs = compute_contact_set(m, u, args.a, E)
-    pairs = cs.pairs()
-    residuals = gradient_contact_residual(m, u, args.a, np.array([p.x for p in pairs]),
-                                          np.array([p.y for p in pairs]))
+    vertex, node, level = cs.pairs()
+    pts = grid.flat_points()
+    residuals = gradient_contact_residual(m, u, args.a, pts[node], pts[vertex])
     lines = ["y_coords,x_coords,min_value,residual"]
-    for p, res in zip(pairs, residuals.tolist()):
-        ys = ";".join(repr(float(c)) for c in p.y)
-        xs = ";".join(repr(float(c)) for c in p.x)
-        lines.append(f"{ys},{xs},{p.min_value!r},{res!r}")
+    for y, x, c, res in zip(pts[vertex].tolist(), pts[node].tolist(), level.tolist(),
+                            residuals.tolist()):
+        lines.append(f"{';'.join(map(repr, y))},{';'.join(map(repr, x))},{c!r},{res!r}")
     rep = check_le("contact-vertex-coverage", "contact-set-construction",
                    float(len(E)), float(len(cs.contact_of)),
-                   n_pairs=len(pairs), n_distinct_contact_nodes=int(len(cs.node_indices)))
-    return [rep], {"pairs_csv": "\n".join(lines) + "\n"}
+                   n_pairs=len(vertex), n_distinct_contact_nodes=int(len(cs.node_indices)))
+    return [rep], {}, {"pairs.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_abp(args):
@@ -96,7 +98,7 @@ def cmd_abp(args):
         u = random_bump_field(grid, seeded_rng(args.seed, "abp-cli"),
                               hess_bound=0.5 * args.a)
     rep = abp_check(AbpInstance(m, params, grid, E, u, args.a), n_rings=n_rings)
-    return [rep], {}
+    return [rep], {}, {}
 
 
 def cmd_barrier(args):
@@ -110,7 +112,7 @@ def cmd_barrier(args):
                             max(jr), 1e-8 * max(1.0, abs(spec.beta1)),
                             value_residual=jr[0], d1_residual=jr[1], d2_residual=jr[2]))
     reports.append(check_ricci_comparison(m, params, m.origin(), args.r))
-    return reports, {"alpha": alpha}
+    return reports, {"alpha": alpha}, {}
 
 
 def cmd_doubling(args):
@@ -124,7 +126,7 @@ def cmd_doubling(args):
         r2 = r1 * rng.uniform(0.15, 0.8)
         center = _random_center(m, rng, 0.2 * limit)
         reports.append(doubling_check(m, params, center, r1, r2))
-    return reports, {}
+    return reports, {}, {}
 
 
 def cmd_harnack(args):
@@ -161,17 +163,14 @@ def cmd_harnack(args):
         reports.append(growth_check(m, params, ledger, u, f, m.origin(), args.r))
     elif which == "pucci":
         rng = seeded_rng(args.seed, "harnack-pucci")
-        worst = 0.0
-        for _ in range(args.samples):
-            W = rng.normal(size=(2, 2))
-            W = W @ W.T
-            H = rng.normal(size=(2, 2))
-            H = 0.5 * (H + H.T)
-            a = rng.uniform(0.1, 3.0)
-            rep = pucci_contact_bound(W - a * H, H, a, args.theta)
-            worst = max(worst, rep.lhs - rep.rhs)
+        W, H = rng.normal(size=(2, args.samples, 2, 2))
+        a = rng.uniform(0.1, 3.0, size=args.samples)
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        rep = pucci_contact_bound(W @ np.swapaxes(W, -1, -2) - a[:, None, None] * H, H, a,
+                                  args.theta)
         reports.append(check_le("pucci-contact-battery", "extremal-trace-chain",
-                                worst, 0.0, abs_tol=1e-10, samples=args.samples))
+                                rep.lhs, rep.rhs, abs_tol=rep.abs_tol,
+                                samples=args.samples, **rep.diagnostics))
         ev = e_theta(m, 2.0 * params.R, args.theta)
         br, bs = e_theta_bounds(m, 2.0 * params.R, args.theta, params.K,
                                 max(0.0, -m.sectional()))
@@ -183,13 +182,12 @@ def cmd_harnack(args):
     lines = ["quantity,lhs,rhs,slack"]
     for rep in reports:
         lines.append(f"{rep.name},{rep.lhs!r},{rep.rhs!r},{rep.rhs - rep.lhs!r}")
-    return reports, {"slack_csv": "\n".join(lines) + "\n"}
+    return reports, {}, {"slack.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_hfun(args):
     m = build_model(args)
-    reports = []
-    series = []
+    files = {}
     if args.fit:
         dmax = args.dmax
         if not dmax > 0:
@@ -198,82 +196,51 @@ def cmd_hfun(args):
         vals = np.array([hfun_closed_form(m, d) for d in ds])
         coeffs, resid = expansion_fit(ds, vals, degree=4)
         sec = m.sectional()
-        reports.append(check_eq("hfun-fit-a0", "harnack-functional-expansion",
-                                coeffs[0], 9.0, abs_tol=1e-3))
-        reports.append(check_le("hfun-fit-a1", "harnack-functional-expansion",
-                                abs(coeffs[1]), 1e-6))
-        reports.append(check_eq("hfun-fit-a2", "harnack-functional-expansion",
-                                coeffs[2], -3.0 * sec, rel_tol=0.01,
-                                fit_residual=resid))
-        series = [(float(d), float(v)) for d, v in zip(ds, vals)]
+        reports = [
+            check_eq("hfun-fit-a0", "harnack-functional-expansion", coeffs[0], 9.0, abs_tol=1e-3),
+            check_le("hfun-fit-a1", "harnack-functional-expansion", abs(coeffs[1]), 1e-6),
+            check_eq("hfun-fit-a2", "harnack-functional-expansion", coeffs[2], -3.0 * sec,
+                     rel_tol=0.01, fit_residual=resid),
+        ]
+        series = (ds, vals)
     else:
         r = hfun_numeric(m, args.d, args.samples, args.samples)
-        reports.append(check_eq("hfun-numeric-vs-closed", "harnack-functional-value",
-                                r.value_numeric, r.value_closed, rel_tol=1e-3,
-                                theta=r.theta_used))
-        series = [(args.d, r.value_closed)]
-        values_csv = ("d,closed,numeric\n"
-                      f"{args.d!r},{r.value_closed!r},{r.value_numeric!r}\n")
-        return reports, {"series": series, "values_csv": values_csv}
-    return reports, {"series": series}
+        reports = [check_eq("hfun-numeric-vs-closed", "harnack-functional-value",
+                            r.value_numeric, r.value_closed, rel_tol=1e-3,
+                            theta=r.theta_used)]
+        series = ([args.d], [r.value_closed])
+        files["values.csv"] = ("d,closed,numeric\n"
+                               f"{args.d!r},{r.value_closed!r},{r.value_numeric!r}\n")
+    files["series.dat"] = emit_plotdata(series)
+    return reports, {}, files
 
 
 def cmd_pucci(args):
-    rng = seeded_rng(args.seed, "pucci-identities")
-    th = args.theta
-    worst = {"negation": 0.0, "trace_bracket": 0.0, "monotone": 0.0,
-             "superadd_minus": 0.0, "subadd_plus": 0.0, "theta1_collapse": 0.0}
-    for _ in range(args.samples):
-        A = rng.normal(size=(2, 2))
-        A = 0.5 * (A + A.T)
-        B = rng.normal(size=(2, 2))
-        B = 0.5 * (B + B.T)
-        am, ap = pucci(A, th)
-        bm, bp = pucci(B, th)
-        sm, sp = pucci(A + B, th)
-        worst["negation"] = max(worst["negation"], abs(am + pucci(-A, th)[1]))
-        worst["trace_bracket"] = max(worst["trace_bracket"],
-                                     am - np.trace(A), np.trace(A) - ap)
-        P = rng.normal(size=(2, 2))
-        P = P @ P.T
-        cm, cp = pucci(A + P, th)
-        worst["monotone"] = max(worst["monotone"], am - cm, ap - cp)
-        worst["superadd_minus"] = max(worst["superadd_minus"], am + bm - sm)
-        worst["subadd_plus"] = max(worst["subadd_plus"], sp - ap - bp)
-        m1m, m1p = pucci(A, 1.0)
-        worst["theta1_collapse"] = max(worst["theta1_collapse"],
-                                       abs(m1m - np.trace(A)), abs(m1p - np.trace(A)))
-    reports = [check_le(f"pucci-{k}", "extremal-operator-algebra", v, 0.0,
-                        abs_tol=1e-10, samples=args.samples)
-               for k, v in sorted(worst.items())]
-    return reports, {}
+    Z = seeded_rng(args.seed, "pucci-identities").normal(size=(args.samples, 3, 2, 2))
+    A, B, P = Z[:, 0], Z[:, 1], Z[:, 2]
+    return check_algebra(0.5 * (A + np.swapaxes(A, -1, -2)), 0.5 * (B + np.swapaxes(B, -1, -2)),
+                         P @ np.swapaxes(P, -1, -2), args.theta), {}, {}
 
 
 def cmd_all(args):
     reports = []
-    extras = {}
     ns = argparse.Namespace(**vars(args))
-    for name, fn in (("constants", cmd_constants), ("pucci", cmd_pucci)):
-        r, _ = fn(ns)
-        reports.extend(r)
+    for fn in (cmd_constants, cmd_pucci):
+        reports.extend(fn(ns)[0])
     ns.resolution = min(args.resolution, 64)
     for model in ("euclidean", "hyperbolic"):
         ns.model = model
         ns.K = 1.0 if model == "hyperbolic" else 0.0
-        r, _ = cmd_abp(ns)
-        reports.extend(r)
-        r, _ = cmd_barrier(ns)
-        reports.extend(r)
+        reports.extend(cmd_abp(ns)[0])
+        reports.extend(cmd_barrier(ns)[0])
         ns.samples = min(args.samples, 20)
-        r, _ = cmd_doubling(ns)
-        reports.extend(r)
+        reports.extend(cmd_doubling(ns)[0])
     ns.model = "sphere"
     ns.fit = False
     ns.d = 0.5
     ns.samples = 128
-    r, _ = cmd_hfun(ns)
-    reports.extend(r)
-    return reports, extras
+    reports.extend(cmd_hfun(ns)[0])
+    return reports, {}, {}
 
 
 def _random_center(m, rng, spread):
@@ -381,32 +348,20 @@ def main(argv=None) -> int:
             raise ValueError("no experiment selected")
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
-        reports, extra = _HANDLERS[args.experiment](args)
+        reports, payload, files = _HANDLERS[args.experiment](args)
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     out = os.environ.get("ABPLAB_OUT") or getattr(args, "out", None)
     name = args.experiment.replace("-", "_")
-    payload_extra = {k: v for k, v in extra.items()
-                     if k not in ("pairs_csv", "series", "slack_csv", "values_csv")}
-    payload_extra["experiment"] = args.experiment
-    payload_extra["seed"] = getattr(args, "seed", 0)
-    text = emit_json(reports, None, payload_extra)
     if out:
+        payload.update(experiment=args.experiment, seed=getattr(args, "seed", 0))
+        files["report.json"] = emit_json(reports, payload)
+        if getattr(args, "format", "json") == "csv":
+            files["report.csv"] = emit_csv(reports)
         try:
-            write_atomic(os.path.join(out, f"{name}_report.json"), text)
-            if getattr(args, "format", "json") == "csv":
-                emit_csv(reports, os.path.join(out, f"{name}_report.csv"))
-            if "pairs_csv" in extra:
-                write_atomic(os.path.join(out, f"{name}_pairs.csv"), extra["pairs_csv"])
-            if "slack_csv" in extra:
-                write_atomic(os.path.join(out, f"{name}_slack.csv"), extra["slack_csv"])
-            if "values_csv" in extra:
-                write_atomic(os.path.join(out, f"{name}_values.csv"), extra["values_csv"])
-            if extra.get("series"):
-                xs = [p[0] for p in extra["series"]]
-                ys = [p[1] for p in extra["series"]]
-                emit_plotdata((xs, ys), os.path.join(out, f"{name}_series.dat"))
+            for suffix, text in files.items():
+                write_atomic(os.path.join(out, f"{name}_{suffix}"), text)
         except OSError as e:
             print(f"output error: {e}", file=sys.stderr)
             return 2

@@ -29,7 +29,6 @@ from .geometry import GeodesicBallGrid, ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = [
-    "ContactPair",
     "ContactSet",
     "compute_contact_set",
     "gradient_contact_residual",
@@ -41,17 +40,6 @@ _BLOCK = 8            # angular nodes per block of the pruned scan
 _TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
 _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
-
-
-@dataclass(frozen=True)
-class ContactPair:
-    x: np.ndarray        # contact point
-    y: np.ndarray        # vertex, in E
-    a: float             # opening
-    c: float             # paraboloid level c_y == achieved infimum
-    min_value: float
-    x_index: int         # flat node index of the contact node
-    y_index: int
 
 
 @dataclass
@@ -71,21 +59,19 @@ class ContactSet:
         return np.unique(np.concatenate([self.contact_of, extra])) if len(self.ties) \
             else np.unique(self.contact_of)
 
-    def pairs(self) -> list:
-        pts = self.grid.flat_points()
-        out = []
+    def pairs(self):
+        """Arrays (vertex, node, level) over every contact pair: the flat
+        indices of the vertex and of its contact node, and the vertex's
+        infimum of F_y, the paraboloid's level c_y.  The primary pairs come
+        first, by vertex, then the ties, by vertex and node."""
+        ties = np.array(sorted(self.ties), dtype=np.int64).reshape(-1, 2)
         order = np.lexsort((self.contact_of, self.vertex_indices))
-        for i in order:
-            yi, xi = int(self.vertex_indices[i]), int(self.contact_of[i])
-            out.append(ContactPair(pts[xi], pts[yi], self.a,
-                                   float(self.min_values[i]), float(self.min_values[i]),
-                                   xi, yi))
-        for yi, xi in sorted(self.ties):
-            pos = int(np.searchsorted(self.vertex_indices, yi))
-            out.append(ContactPair(pts[xi], pts[yi], self.a,
-                                   float(self.min_values[pos]), float(self.min_values[pos]),
-                                   int(xi), int(yi)))
-        return out
+        # the row of each tie's vertex in E, which need not be ascending; each
+        # vertex has one primary contact, so order sorts E
+        tie_rows = order[np.searchsorted(self.vertex_indices, ties[:, 0], sorter=order)]
+        rows = np.concatenate([order, tie_rows])
+        return (self.vertex_indices[rows], np.concatenate([self.contact_of[order], ties[:, 1]]),
+                self.min_values[rows])
 
 
 def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,

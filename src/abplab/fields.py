@@ -82,7 +82,8 @@ class ScalarField:
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
-        return _laplacian_nu(self.grid.model, p, *self.jet(p))
+        grad, h = self.jet(p)
+        return _laplacian_nu(self.grid.model, p, grad, h[..., 0, 0] + h[..., 1, 1])
 
     def check_consistency(self) -> float:
         """Max |closed form - node samples|; raises if no closed form."""
@@ -90,10 +91,10 @@ class ScalarField:
         return float(np.max(np.abs(v - self.values)))
 
 
-def _laplacian_nu(m: ModelSpace, p, grad, h):
-    """Delta_nu u = h11 + h22 - g(grad u, grad V) at p, from the gradient of
-    u there and its Hessian components h in any orthonormal frame."""
-    return h[..., 0, 0] + h[..., 1, 1] - m.tangent_inner(p, grad, m.grad_V(p))
+def _laplacian_nu(m: ModelSpace, p, grad, lap):
+    """Delta_nu u = Delta u - g(grad u, grad V) at p, from the gradient of u
+    there and its Laplacian lap, the trace of its Hessian."""
+    return lap - m.tangent_inner(p, grad, m.grad_V(p))
 
 
 def hess_form(m: ModelSpace, H, X, Y):
@@ -108,12 +109,13 @@ def hess_form(m: ModelSpace, H, X, Y):
 
 
 def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
-    """Gradient of f(rho), rho = rho(center, .), at the points p, and with d2f
-    also its Hessian components in the orthonormal frame (e1, e2) at p:
+    """Gradient of f(rho), rho = rho(center, .), at the points p,
 
         grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
 
-    e_r pointing away from the centre.  With c_a = <e_r, e_a>:
+    e_r pointing away from the centre.  With d2f it also returns the Hessian:
+    its trace f'' + k, which needs no frame, when frame is None, and else its
+    components in the orthonormal frame (e1, e2) at p; with c_a = <e_r, e_a>,
 
         h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
 
@@ -134,6 +136,8 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     small = rho < 1e-8
     safe = np.where(small, 1.0, rho)
     k = np.where(small, d2, d1 * m.dpsi(safe) / m.psi(safe))
+    if frame is None:
+        return grad, d2 + k
     e1, e2 = frame
     # near the centre any unit e_r gives the limit; take c = (1, 0)
     c1 = np.where(small, 1.0, m.tangent_inner(p, er, e1))

@@ -4,7 +4,8 @@ M_theta^-(H) = sum_{l >= 0} l + theta sum_{l < 0} l over the eigenvalues l of
 H; M_theta^+ mirrors it.  They are the envelopes inf/sup of tr(A H) over
 symmetric I <= A <= theta I, hence M^- <= tr <= M^+ and the algebra checked
 here: M^-(H) = -M^+(-H), monotonicity, sub/superadditivity, trace collapse at
-theta = 1.
+theta = 1.  Every matrix here is 2x2, so the eigenvalues come in closed form
+and each operation takes one matrix or a (..., 2, 2) stack alike.
 
 E_theta(r) is the worst excess M^+[Hess(rho_y^2/2)] - tr[Hess(rho_y^2/2)]
 over pairs within distance r; on the models it has the closed form
@@ -21,29 +22,76 @@ from .constants import calH
 from .geometry import ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["pucci", "e_theta", "e_theta_bounds",
+__all__ = ["pucci", "check_algebra", "e_theta", "e_theta_bounds",
            "pucci_contact_bound", "extremal_form_gap"]
 
 _N_DENSE = 4096  # radii of e_theta's dense confirmation sample
 
 
+def _eig2(H):
+    """Eigenvalues (lo, hi) of the symmetric part of each 2x2 matrix in H, in
+    closed form: (a+d)/2 -+ hypot((a-d)/2, b)."""
+    mean = 0.5 * (H[..., 0, 0] + H[..., 1, 1])
+    rad = np.hypot(0.5 * (H[..., 0, 0] - H[..., 1, 1]), 0.5 * (H[..., 0, 1] + H[..., 1, 0]))
+    return mean - rad, mean + rad
+
+
+def _trace(H):
+    return H[..., 0, 0] + H[..., 1, 1]
+
+
 def pucci(H, theta: float):
-    """(M^-, M^+) of a symmetric matrix or a batch of them; theta >= 1."""
+    """(M^-, M^+) of a symmetric 2x2 matrix, as floats, or of each matrix of
+    a (..., 2, 2) stack, as arrays; theta >= 1."""
     if not theta >= 1.0:
         raise ValueError("ellipticity ratio theta must be >= 1")
     H = np.asarray(H, float)
-    asym = np.max(np.abs(H - np.swapaxes(H, -1, -2)))
+    if H.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a (..., 2, 2) stack, got shape {H.shape}")
+    asym = np.max(np.abs(H[..., 0, 1] - H[..., 1, 0]))
     if asym > 1e-12:
         raise ValueError(f"input asymmetry {asym:.2e} beyond tolerance")
-    Hs = 0.5 * (H + np.swapaxes(H, -1, -2))
-    lam = np.linalg.eigvalsh(Hs)
-    pos = np.sum(np.maximum(lam, 0.0), axis=-1)
-    neg = np.sum(np.minimum(lam, 0.0), axis=-1)
+    lo, hi = _eig2(H)
+    pos = np.maximum(lo, 0.0) + np.maximum(hi, 0.0)
+    neg = np.minimum(lo, 0.0) + np.minimum(hi, 0.0)
     m_minus = pos + theta * neg
     m_plus = neg + theta * pos
     if H.ndim == 2:
         return float(m_minus), float(m_plus)
     return m_minus, m_plus
+
+
+def check_algebra(A, B, P, theta: float) -> list[CheckReport]:
+    """The algebra of the extremal operators over stacks of symmetric A, B and
+    positive semidefinite P, one report per identity, sorted by name:
+
+        negation         M^-(A) = -M^+(-A)
+        trace_bracket    M^-(A) <= tr A <= M^+(A)
+        monotone         M^-(A) <= M^-(A + P) and M^+(A) <= M^+(A + P)
+        superadd_minus   M^-(A) + M^-(B) <= M^-(A + B)
+        subadd_plus      M^+(A + B) <= M^+(A) + M^+(B)
+        theta1_collapse  M^-(A) = M^+(A) = tr A at theta = 1
+
+    Each lhs is the worst violation over the samples, 0 when there is none.
+    """
+    A, B, P = (np.asarray(M, float) for M in (A, B, P))
+    am, ap = pucci(A, theta)
+    bm, bp = pucci(B, theta)
+    sm, sp = pucci(A + B, theta)
+    cm, cp = pucci(A + P, theta)
+    m1m, m1p = pucci(A, 1.0)
+    tr = _trace(A)
+    worst = {
+        "negation": np.abs(am + pucci(-A, theta)[1]),
+        "trace_bracket": np.maximum(am - tr, tr - ap),
+        "monotone": np.maximum(am - cm, ap - cp),
+        "superadd_minus": am + bm - sm,
+        "subadd_plus": sp - ap - bp,
+        "theta1_collapse": np.maximum(np.abs(m1m - tr), np.abs(m1p - tr)),
+    }
+    return [check_le(f"pucci-{k}", "extremal-operator-algebra", np.max(v, initial=0.0), 0.0,
+                     abs_tol=1e-10, samples=int(np.size(tr)))
+            for k, v in sorted(worst.items())]
 
 
 def e_theta(m: ModelSpace, r: float, theta: float) -> float:
@@ -84,25 +132,29 @@ def e_theta_bounds(m: ModelSpace, r: float, theta: float, K: float, K_sec: float
     return ric, sec
 
 
-def pucci_contact_bound(u_hessian, dist_hessian, a: float, theta: float) -> CheckReport:
+def pucci_contact_bound(u_hessian, dist_hessian, a, theta: float) -> CheckReport:
     """tr S <= M^-(S) + a (M^+(H) - tr H) under the contact condition S + aH >= 0.
 
     This is the two-line trace estimate that lets the extremal operator stand
-    in for the Laplacian on contact sets.
+    in for the Laplacian on contact sets.  S and H may be (..., 2, 2) stacks
+    with a scalar or per-sample a; the report then holds lhs and rhs at the
+    sample with the least margin, so it fails when any sample fails, and any
+    sample that violates the premise fails it.
     """
     S = np.asarray(u_hessian, float)
     H = np.asarray(dist_hessian, float)
-    lam_min = float(np.min(np.linalg.eigvalsh(S + a * H)))
+    a = np.asarray(a, float)
+    lam_min = float(np.min(_eig2(S + a[..., None, None] * H)[0]))
     if lam_min < -1e-12:
         return _premise_failure("pucci-contact", "u_hessian + a dist_hessian >= 0",
                                 "extremal-trace-chain", min_eig=lam_min)
     mm, _ = pucci(S, theta)
     _, hp = pucci(H, theta)
-    lhs = float(np.trace(S))
-    rhs = mm + a * (hp - float(np.trace(H)))
-    return check_le("pucci-contact", "extremal-trace-chain", lhs, rhs,
-                    abs_tol=1e-10 * max(1.0, abs(lhs), abs(rhs)),
-                    contact_min_eig=lam_min)
+    lhs, rhs = (np.ravel(v) for v in np.broadcast_arrays(_trace(S), mm + a * (hp - _trace(H))))
+    tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    i = np.argmin(rhs + tol - lhs)
+    return check_le("pucci-contact", "extremal-trace-chain", lhs[i], rhs[i],
+                    abs_tol=float(tol[i]), contact_min_eig=lam_min)
 
 
 def extremal_form_gap(H, theta: float, rng, n_samples: int = 200) -> dict:
@@ -113,20 +165,15 @@ def extremal_form_gap(H, theta: float, rng, n_samples: int = 200) -> dict:
     """
     H = np.asarray(H, float)
     mm, mp = pucci(H, theta)
-    worst_low, worst_high = 0.0, 0.0
-    for _ in range(n_samples):
-        X = rng.normal(size=H.shape)
-        Q, _ = np.linalg.qr(X)
-        A = Q @ np.diag(rng.uniform(1.0, theta, size=H.shape[0])) @ Q.T
-        t = float(np.trace(A @ H))
-        worst_low = max(worst_low, mm - t)
-        worst_high = max(worst_high, t - mp)
+    Q, _ = np.linalg.qr(rng.normal(size=(n_samples, 2, 2)))
+    A = (Q * rng.uniform(1.0, theta, size=(n_samples, 1, 2))) @ np.swapaxes(Q, -1, -2)
+    t = np.einsum("nij,ji->n", A, H)
     lam, V = np.linalg.eigh(0.5 * (H + H.T))
     A_min = V @ np.diag(np.where(lam < 0, theta, 1.0)) @ V.T
     A_max = V @ np.diag(np.where(lam >= 0, theta, 1.0)) @ V.T
     return {
-        "worst_below_minus": worst_low,
-        "worst_above_plus": worst_high,
+        "worst_below_minus": float(np.max(mm - t, initial=0.0)),
+        "worst_above_plus": float(np.max(t - mp, initial=0.0)),
         "attain_minus_gap": abs(float(np.trace(A_min @ H)) - mm),
         "attain_plus_gap": abs(float(np.trace(A_max @ H)) - mp),
     }

@@ -102,17 +102,14 @@ def write_atomic(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def emit_json(reports, path=None, extra=None) -> str:
+def emit_json(reports, extra=None) -> str:
     payload = {"reports": [r.to_dict() for r in reports]}
     if extra:
         payload.update({k: _jsonable(v) for k, v in sorted(extra.items())})
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        write_atomic(path, text)
-    return text
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit_csv(reports, path=None) -> str:
+def emit_csv(reports) -> str:
     """CSV with header (name, anchor, lhs, rhs, tol, pass)."""
     if not reports:
         raise ValueError("no reports to emit")
@@ -120,19 +117,16 @@ def emit_csv(reports, path=None) -> str:
     for r in reports:
         tol = r.rel_tol if r.rel_tol else r.abs_tol
         lines.append(f"{r.name},{r.anchor},{r.lhs!r},{r.rhs!r},{tol!r},{int(r.passed)}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        write_atomic(path, text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def emit_plotdata(series, path) -> None:
+def emit_plotdata(series) -> str:
     """Two-column whitespace-separated (x, y) file for one series."""
     xs, ys = series
     if len(xs) == 0:
         raise ValueError("empty series")
     lines = [f"{float(x)!r} {float(y)!r}" for x, y in zip(xs, ys)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def seeded_rng(seed: int, tag: str = "") -> np.random.Generator:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from abplab.cli import main
-from abplab.report import CheckReport, check_eq, check_le, emit_csv, emit_json, emit_plotdata
+from abplab.pucci import pucci_contact_bound
+from abplab.report import CheckReport, check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng
 
 
 class TestReports:
@@ -27,12 +28,10 @@ class TestReports:
         payload = json.loads(text)
         assert payload["reports"][0]["rhs"] == "inf"
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         reports = [check_le("a", "s1", 1.0, 2.0, rel_tol=1e-6),
                    check_eq("b", "s2", 1.0, 1.5, abs_tol=1e-3)]
-        path = tmp_path / "r.csv"
-        emit_csv(reports, str(path))
-        lines = path.read_text().strip().split("\n")
+        lines = emit_csv(reports).strip().split("\n")
         assert lines[0] == "name,anchor,lhs,rhs,tol,pass"
         for line, rep in zip(lines[1:], reports):
             name, anchor, lhs, rhs, tol, passed = line.split(",")
@@ -45,13 +44,11 @@ class TestReports:
         with pytest.raises(ValueError):
             emit_csv([])
 
-    def test_plotdata(self, tmp_path):
-        path = tmp_path / "series.dat"
-        emit_plotdata(([0.1, 0.2], [9.0, 9.1]), str(path))
-        rows = [l.split() for l in path.read_text().strip().split("\n")]
+    def test_plotdata(self):
+        rows = [l.split() for l in emit_plotdata(([0.1, 0.2], [9.0, 9.1])).strip().split("\n")]
         assert [[float(a), float(b)] for a, b in rows] == [[0.1, 9.0], [0.2, 9.1]]
         with pytest.raises(ValueError):
-            emit_plotdata(([], []), str(tmp_path / "empty.dat"))
+            emit_plotdata(([], []))
 
 
 class TestCliExitCodes:
@@ -219,6 +216,27 @@ class TestCliOutputs:
         assert len(rows) == 16
         x, y = map(float, rows[0].split())
         assert y == pytest.approx(9.0 - 3.0 * x * x, rel=1e-3)
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_pucci_battery_is_least_margin_sample(self, tmp_path, seed):
+        # the battery reports the per-matrix check at the sample with the least
+        # margin, so it fails exactly when one of them fails
+        out = tmp_path / "hp"
+        assert main(["harnack-check", "--which", "pucci", "--samples", "300",
+                     "--theta", "2.5", "--seed", str(seed), "--out", str(out)]) == 0
+        rep = json.loads((out / "harnack_check_report.json").read_text())["reports"][0]
+        assert rep["name"] == "pucci-contact-battery"
+        rng = seeded_rng(seed, "harnack-pucci")
+        W, H = rng.normal(size=(2, 300, 2, 2))
+        a = rng.uniform(0.1, 3.0, size=300)
+        single = [pucci_contact_bound(w @ w.T - x * 0.5 * (h + h.T), 0.5 * (h + h.T), x, 2.5)
+                  for w, h, x in zip(W, H, a)]
+        assert all(r.passed for r in single)
+        worst = min(single, key=lambda r: r.rhs + r.abs_tol - r.lhs)
+        assert (rep["lhs"], rep["rhs"], rep["abs_tol"], rep["pass"]) == \
+            (worst.lhs, worst.rhs, worst.abs_tol, True)
+        assert rep["diagnostics"]["contact_min_eig"] == \
+            min(r.diagnostics["contact_min_eig"] for r in single)
 
 
 class TestDeterminism:

@@ -28,9 +28,9 @@ class TestComputeContactSet:
         E = _disc_indices(g, 0.5 * r)
         cs = compute_contact_set(model, u, 2.0, E)
         assert np.array_equal(np.sort(cs.contact_of), np.sort(E))
-        for p in cs.pairs()[:5]:
-            assert np.allclose(p.x, p.y)
-            assert p.min_value == pytest.approx(1.7)
+        vertex, node, level = cs.pairs()
+        assert np.allclose(g.flat_points()[node[:5]], g.flat_points()[vertex[:5]])
+        assert level[:5] == pytest.approx(1.7)
 
     def test_euclidean_quadratic_map(self):
         # oracle: grad(u + a/2 |.-y|^2) = 0 at x = a y/(a+b)
@@ -149,11 +149,28 @@ class TestComputeContactSet:
         g = _grid(m, n=24)
         u = quadratic_field(g, np.zeros(2), 1.0)
         cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.3))
-        pairs = cs.pairs()
-        keys = [(p.y_index, p.x_index) for p in pairs]
+        vertex, node, level = cs.pairs()
+        keys = list(zip(vertex.tolist(), node.tolist()))
         assert keys == sorted(keys)
-        p = pairs[0]
-        assert p.c == p.min_value
+        assert np.array_equal(level, cs.min_values[np.argsort(cs.vertex_indices)])
+
+    def test_tie_levels_with_unsorted_vertices(self, model):
+        # a tie pair's level is its own vertex's infimum even when E is not
+        # ascending: two planted minimisers tie for the middle vertex of E
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        a = 1.0
+        E = 7 * g.n_theta + np.array([5, 3, 9])
+        planted = np.array([2 * g.n_theta + 30, 15 * g.n_theta + 12])
+        X = g.flat_points()
+        vals = np.zeros(g.n_r * g.n_theta)
+        vals[planted] = -5.0 - 0.5 * a * model.distance(X[E[1]], X[planted]) ** 2
+        u = ScalarField(g, vals.reshape(g.shape))
+        cs = _assert_matches_brute_force(model, u, a, E)
+        vertex, node, level = cs.pairs()
+        assert len(vertex) == len(E) + 1 and vertex[-1] == E[1]
+        assert level[-1] == cs.min_values[1] != cs.min_values[0]
+        own = dict(zip(E.tolist(), cs.min_values.tolist()))
+        assert level.tolist() == [own[v] for v in vertex.tolist()]
 
 
 def _brute_force(m, u, a, E, tie_tol=1e-12):
@@ -252,8 +269,10 @@ class TestGradientResidual:
         g = _grid(m, n=24)
         u = constant_field(g, 2.0)
         cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.2))
-        p = cs.pairs()[0]
-        assert gradient_contact_residual(m, u, 1.0, p.x, p.y) == pytest.approx(0.0, abs=1e-14)
+        vertex, node, _ = cs.pairs()
+        X = g.flat_points()
+        assert gradient_contact_residual(m, u, 1.0, X[node[0]], X[vertex[0]]) \
+            == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_refined_pair(self):
         m = euclidean()
@@ -285,20 +304,21 @@ class TestGradientResidual:
         u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
         cs = compute_contact_set(m, u, 1.0, np.array([yi]))
-        p = cs.pairs()[0]
-        assert gradient_contact_residual(m, u, 1.0, p.x, p.y) > 0.1
+        vertex, node, _ = cs.pairs()
+        X = g.flat_points()
+        assert gradient_contact_residual(m, u, 1.0, X[node[0]], X[vertex[0]]) > 0.1
 
     def test_vectorized_matches_per_pair_loop(self, model, rng):
         # the residuals of all pairs in one call against one call per pair
         g = _grid(model, r=0.5, n=32)
         u = random_bump_field(g, rng, hess_bound=0.5)
         cs = compute_contact_set(model, u, 1.0, _disc_indices(g, 0.2))
-        pairs = cs.pairs()
-        X = np.array([p.x for p in pairs])
-        Y = np.array([p.y for p in pairs])
+        vertex, node, _ = cs.pairs()
+        X = g.flat_points()[node]
+        Y = g.flat_points()[vertex]
         got = gradient_contact_residual(model, u, 1.0, X, Y)
         want = [float(gradient_contact_residual(model, u, 1.0, x, y)) for x, y in zip(X, Y)]
-        assert got.shape == (len(pairs),)
+        assert got.shape == (len(vertex),)
         np.testing.assert_array_max_ulp(got, np.array(want), maxulp=1)
 
 

@@ -90,9 +90,19 @@ class TestLaplacianNu:
         th = rng.uniform(0.0, 2.0 * np.pi, 40)
         t = np.concatenate([[0.0, 1e-12, 1e-10, 3e-9, 9.9e-9], rng.uniform(0.05, 0.6, 35)])
         p = m.exp(c, t[:, None] * (np.cos(th)[:, None] * f1 + np.sin(th)[:, None] * f2))
-        jet = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
-        got = _laplacian_nu(m, p, *jet)
-        np.testing.assert_array_equal(got, radial_field(g, c, f, df, d2f).laplacian_nu(p))
+        grad, h = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
+        want = radial_field(g, c, f, df, d2f).laplacian_nu(p)
+        np.testing.assert_array_equal(_laplacian_nu(m, p, grad, h[..., 0, 0] + h[..., 1, 1]),
+                                      want)
+        # the trace path: f'' + k with no frame, against h11 + h22 of the frame
+        # components, which carry a few ulps of <e_r, e_a> each; near the
+        # centre those inherit the distance's sqrt(eps) error instead, and the
+        # limit below holds
+        grad_t, lap = _radial_derivatives(m, c, p, df, d2f)
+        got = _laplacian_nu(m, p, grad_t, lap)
+        np.testing.assert_array_equal(grad_t, grad)
+        np.testing.assert_allclose(got[5:], want[5:], rtol=0.0,
+                                   atol=32 * np.finfo(float).eps * np.max(np.abs(want)))
         # near the centre: the limit 2 f''(0); elsewhere f'' + f' psi'/psi - f' dV/drho
         assert np.allclose(got[:5], -8.0, rtol=0.0, atol=1e-6)
         rho = m.distance(c, p[5:])

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from abplab.geometry import euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.pucci import (e_theta, e_theta_bounds,
+from abplab.pucci import (check_algebra, e_theta, e_theta_bounds,
                           extremal_form_gap, pucci, pucci_contact_bound)
 from abplab.report import seeded_rng
+
+
+def _sym(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 class TestPucciOperator:
@@ -69,6 +73,94 @@ class TestPucciOperator:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             pucci(np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (), (4, 2, 3)])
+    def test_not_2x2_rejected(self, shape):
+        with pytest.raises(ValueError, match="2x2"):
+            pucci(np.zeros(shape), 2.0)
+
+
+class TestStackedPucci:
+    @staticmethod
+    def _stack():
+        """Generic symmetric, diagonal (equal, zero and distinct entries),
+        near-multiples of I, exact multiples of I and near-singular matrices."""
+        rng = seeded_rng(15, "pucci-stack")
+        S = _sym(rng.normal(size=(400, 2, 2)))
+        d = rng.normal(size=(200, 2))
+        d[:50, 1] = d[:50, 0]
+        d[50:70, 0] = 0.0
+        diag = d[:, :, None] * np.eye(2)
+        c = rng.normal(size=(200, 1, 1))
+        near = c * np.eye(2) + 1e-9 * S[:200]
+        near[:20] = c[:20] * np.eye(2)
+        v = rng.normal(size=(200, 2))
+        singular = v[:, :, None] * v[:, None, :] + 1e-12 * S[200:]
+        return np.concatenate([S, diag, near, singular])
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e10, 1e20])
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    def test_matches_eigvalsh(self, scale, theta):
+        H = scale * self._stack()
+        mm, mp = pucci(H, theta)
+        lam = np.linalg.eigvalsh(H)
+        pos = np.sum(np.maximum(lam, 0.0), axis=-1)
+        neg = np.sum(np.minimum(lam, 0.0), axis=-1)
+        # each eigenvalue to 2 ulps of the matrix's scale, weighted by theta
+        tol = 4.0 * (1.0 + theta) * np.finfo(float).eps * np.max(np.abs(lam), axis=-1)
+        assert np.all(np.abs(mm - (pos + theta * neg)) <= tol)
+        assert np.all(np.abs(mp - (neg + theta * pos)) <= tol)
+
+    def test_stack_matches_single_matrices(self):
+        H = self._stack()[::40]
+        mm, mp = pucci(H, 2.0)
+        assert [pucci(h, 2.0) for h in H] == list(zip(mm.tolist(), mp.tolist()))
+
+    def test_asymmetry_anywhere_in_stack_rejected(self):
+        H = np.stack([np.eye(2)] * 5)
+        H[3, 0, 1] = 1e-9
+        with pytest.raises(ValueError, match="asymmetry"):
+            pucci(H, 2.0)
+
+
+class TestCheckAlgebra:
+    @staticmethod
+    def _draws(n, seed=3):
+        A, B, P = seeded_rng(seed, "check-algebra").normal(size=(3, n, 2, 2))
+        return _sym(A), _sym(B), P @ np.swapaxes(P, -1, -2)
+
+    def test_matches_per_sample_loop(self):
+        # the running maxima of one pucci call per sample, as a reference
+        A, B, P = self._draws(300)
+        th = 2.0
+        worst = dict.fromkeys(["monotone", "negation", "subadd_plus", "superadd_minus",
+                               "theta1_collapse", "trace_bracket"], 0.0)
+        for a, b, p in zip(A, B, P):
+            am, ap = pucci(a, th)
+            bm, bp = pucci(b, th)
+            sm, sp = pucci(a + b, th)
+            cm, cp = pucci(a + p, th)
+            m1m, m1p = pucci(a, 1.0)
+            tr = a[0, 0] + a[1, 1]
+            worst["negation"] = max(worst["negation"], abs(am + pucci(-a, th)[1]))
+            worst["trace_bracket"] = max(worst["trace_bracket"], am - tr, tr - ap)
+            worst["monotone"] = max(worst["monotone"], am - cm, ap - cp)
+            worst["superadd_minus"] = max(worst["superadd_minus"], am + bm - sm)
+            worst["subadd_plus"] = max(worst["subadd_plus"], sp - ap - bp)
+            worst["theta1_collapse"] = max(worst["theta1_collapse"], abs(m1m - tr), abs(m1p - tr))
+        reports = check_algebra(A, B, P, th)
+        assert [r.name for r in reports] == [f"pucci-{k}" for k in worst]
+        assert [r.lhs for r in reports] == list(worst.values())
+        for r in reports:
+            assert r.passed and r.rhs == 0.0 and r.abs_tol == 1e-10
+            assert r.anchor == "extremal-operator-algebra" and r.diagnostics == {"samples": 300}
+
+    def test_violation_named(self):
+        # P = -I breaks monotonicity and nothing else
+        A, B, _ = self._draws(50)
+        P = np.broadcast_to(-np.eye(2), A.shape)
+        failed = [r.name for r in check_algebra(A, B, P, 2.0) if not r.passed]
+        assert failed == ["pucci-monotone"]
 
 
 class TestETheta:
@@ -134,3 +226,30 @@ class TestContactBound:
         rep = pucci_contact_bound(-np.eye(2), np.zeros((2, 2)), 1.0, 2.0)
         assert not rep.passed
         assert "violated_premise" in rep.diagnostics
+
+    @staticmethod
+    def _stack(n=300):
+        rng = seeded_rng(16, "contact-stack")
+        W, H = rng.normal(size=(2, n, 2, 2))
+        H = _sym(H)
+        a = rng.uniform(0.1, 3.0, size=n)
+        return W @ np.swapaxes(W, -1, -2) - a[:, None, None] * H, H, a
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_stack_reports_worst_sample(self, theta):
+        S, H, a = self._stack()
+        single = [pucci_contact_bound(s, h, x, theta) for s, h, x in zip(S, H, a)]
+        worst = min(single, key=lambda r: r.rhs + r.abs_tol - r.lhs)
+        rep = pucci_contact_bound(S, H, a, theta)
+        assert (rep.lhs, rep.rhs, rep.abs_tol, rep.passed) == \
+            (worst.lhs, worst.rhs, worst.abs_tol, worst.passed)
+        assert rep.passed == all(r.passed for r in single)
+        assert rep.diagnostics["contact_min_eig"] == \
+            min(r.diagnostics["contact_min_eig"] for r in single)
+
+    def test_premise_violation_anywhere_fails_stack(self):
+        S, H, a = self._stack()
+        S[137] -= 50.0 * np.eye(2)
+        rep = pucci_contact_bound(S, H, a, 2.0)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "u_hessian + a dist_hessian >= 0"
