@@ -113,8 +113,10 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
 
         grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
 
-    e_r pointing away from the centre.  With d2f it also returns the Hessian:
-    its trace f'' + k, which needs no frame, when frame is None, and else its
+    e_r pointing away from the centre.  rho, psi, psi' and e_r = -w/psi all
+    come from the one chord decomposition m._polar(p, center), w the tangent
+    at p toward the centre.  With d2f it also returns the Hessian: its trace
+    f'' + k, which needs no frame, when frame is None, and else its
     components in the orthonormal frame (e1, e2) at p; with c_a = <e_r, e_a>,
 
         h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
@@ -124,18 +126,15 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     broadcasts against p.
     """
     p = np.asarray(p, float)
-    v = m.log(p, center)   # points from p toward the centre, norm rho
-    rho = m.tangent_norm(p, v)
-    at_center = rho < 1e-12
-    er = np.where(at_center[..., None], 0.0, -v / np.where(at_center, 1.0, rho)[..., None])
+    rho, psi, dpsi, w = m._polar(p, center)
+    er = -w / np.where(psi > 0.0, psi, 1.0)[..., None]   # 0 at the centre, where w = 0
     d1 = df(rho)
     grad = d1[..., None] * er
     if d2f is None:
         return grad
     d2 = d2f(rho)
     small = rho < 1e-8
-    safe = np.where(small, 1.0, rho)
-    k = np.where(small, d2, d1 * m.dpsi(safe) / m.psi(safe))
+    k = np.where(small, d2, d1 * dpsi / np.where(small, 1.0, psi))
     if frame is None:
         return grad, d2 + k
     e1, e2 = frame

@@ -17,9 +17,10 @@ where it pays a flat-chart one free of transcendental work.  The weight
 V = lam |p|^2 / 2 is keyed by lam alone, 0 off the gaussian plane.
 
 Points live in embedding coordinates (length-2 vectors for the plane models,
-length-3 for sphere/hyperboloid), which keeps distance/exp/log branch-free
-and exactly testable.  All operations are vectorized over leading axes and
-pure, so callers may evaluate them concurrently.
+length-3 for sphere/hyperboloid).  distance, log and psi, psi' at the
+distance all come from one inner product, the chord <q - p, q - p>, exactly
+0 at q == p.  All operations are vectorized over leading axes and pure, so
+callers may evaluate them concurrently.
 """
 
 from __future__ import annotations
@@ -59,25 +60,17 @@ def _mdot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
 
 
-def _arccos_clipped(c):
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def _arccosh_floored(c):
-    return np.arccosh(np.maximum(c, 1.0))
-
-
 def _identity(t):
     return t
 
 
-# kind -> (sn, cs, arc_cs, inner): the model functions, the inverse of cs
-# (distance from kappa <p, q>) and the ambient inner product
+# kind -> (sn, cs, asn, inner): the model functions, the inverse of sn (the
+# distance from the half chord) and the ambient inner product
 _FAMILY = {
-    "sphere": (np.sin, np.cos, _arccos_clipped, _dot),
-    "hyperbolic": (np.sinh, np.cosh, _arccosh_floored, _mdot),
-    "euclidean": (_identity, np.ones_like, None, _dot),
-    "gaussian_plane": (_identity, np.ones_like, None, _dot),
+    "sphere": (np.sin, np.cos, np.arcsin, _dot),
+    "hyperbolic": (np.sinh, np.cosh, np.arcsinh, _mdot),
+    "euclidean": (_identity, np.ones_like, _identity, _dot),
+    "gaussian_plane": (_identity, np.ones_like, _identity, _dot),
 }
 
 
@@ -85,7 +78,7 @@ _FAMILY = {
 class ModelSpace:
     """One of the four closed-form model metric-measure spaces.
 
-    The kind fixes a row (sn, cs, arc_cs, inner) of the family table and the
+    The kind fixes a row (sn, cs, asn, inner) of the family table and the
     signed curvature kappa = sectional(), both resolved at construction; lam
     alone fixes the weight, and only the gaussian plane may set it nonzero.
 
@@ -105,7 +98,7 @@ class ModelSpace:
     dim: int = field(default=2, init=False)
     _sn: Callable = field(init=False, repr=False, compare=False)
     _cs: Callable = field(init=False, repr=False, compare=False)
-    _arc_cs: Callable = field(init=False, repr=False, compare=False)
+    _asn: Callable = field(init=False, repr=False, compare=False)
     _inner: Callable = field(init=False, repr=False, compare=False)
     _kappa: float = field(init=False, repr=False, compare=False)
     _s: float = field(init=False, repr=False, compare=False)  # sqrt|kappa|, 1 if flat
@@ -118,7 +111,7 @@ class ModelSpace:
         if self.lam != 0.0 and self.kind != "gaussian_plane":
             raise ValueError(f"{self.kind} carries no weight: lam must be 0")
         kappa = {"sphere": self.k, "hyperbolic": -self.k}.get(self.kind, 0.0)
-        derived = zip(("_sn", "_cs", "_arc_cs", "_inner", "_kappa", "_s"),
+        derived = zip(("_sn", "_cs", "_asn", "_inner", "_kappa", "_s"),
                       (*_FAMILY[self.kind], kappa, math.sqrt(abs(kappa)) or 1.0))
         for name, value in derived:
             object.__setattr__(self, name, value)
@@ -190,15 +183,28 @@ class ModelSpace:
 
     # -- distance / exp / log ----------------------------------------------
 
-    def distance(self, p, q) -> np.ndarray:
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        if self.is_flat_chart:
-            return np.linalg.norm(q - p, axis=-1)
-        c = self._kappa * self._inner(p, q)
-        if np.any(c < -1.0 + 1e-9):
+    def _chord(self, p, q):
+        """(rho, q - p, chord) of each pair from the one inner product
+        chord^2 = <q - p, q - p>: rho = 2 asn(s chord/2)/s, the chord when flat."""
+        d = np.asarray(q, float) - np.asarray(p, float)
+        chord = np.sqrt(np.maximum(self._inner(d, d), 0.0))
+        half = (0.5 * self._s) * chord
+        # on the sphere cs(s rho) = 1 - 2 half^2 must stay above -1 + 1e-9
+        if self._kappa > 0 and np.any(half * half > 1.0 - 5e-10):
             raise ValueError("antipodal pair on the sphere (cut locus)")
-        return self._arc_cs(c) / self._s
+        return (2.0 / self._s) * self._asn(half), d, chord
+
+    def _polar(self, p, q):
+        """(rho, psi(rho), psi'(rho), w) of each pair from its chord:
+        psi = chord sqrt(1 - kappa chord^2/4), psi' = 1 - kappa chord^2/2, and
+        w = q - kappa <p, q> p = (q - p) + (kappa chord^2/2) p, the tangent at
+        p toward q with |w| = psi; exactly (0, 0, 1, 0) at q == p."""
+        rho, d, chord = self._chord(p, q)
+        h = (0.25 * self._kappa) * chord * chord
+        return rho, chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
+
+    def distance(self, p, q) -> np.ndarray:
+        return self._chord(p, q)[0]
 
     def exp(self, p, v) -> np.ndarray:
         """Geodesic exponential; requires |v| < cut_radius."""
@@ -218,17 +224,9 @@ class ModelSpace:
         return self._cs(t)[..., None] * p + sn_over[..., None] * v
 
     def log(self, p, q) -> np.ndarray:
-        """Inverse of exp within the cut radius: exp(p, log(p, q)) == q."""
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        if self.is_flat_chart:
-            return q - p
-        d = self.distance(p, q)
-        u = self._project_tangent(p, q)
-        nu = np.sqrt(np.maximum(self._inner(u, u), 0.0))
-        ok = nu > 1e-14 / self._s  # below it u is rounding noise: q == p
-        scale = np.where(ok, d / np.where(ok, nu, 1.0), 0.0)
-        return scale[..., None] * u
+        """Inverse of exp within the cut radius, exactly 0 at q == p."""
+        rho, psi, _, w = self._polar(p, q)
+        return (rho / np.where(psi > 0.0, psi, 1.0))[..., None] * w
 
     # -- frames --------------------------------------------------------------
 

@@ -139,13 +139,15 @@ def pucci_contact_bound(u_hessian, dist_hessian, a, theta: float) -> CheckReport
     in for the Laplacian on contact sets.  S and H may be (..., 2, 2) stacks
     with a scalar or per-sample a; the report then holds lhs and rhs at the
     sample with the least margin, so it fails when any sample fails, and any
-    sample that violates the premise fails it.
+    sample that violates the premise, up to 1e-12 max(1, |S|, a|H|), fails it.
     """
     S = np.asarray(u_hessian, float)
     H = np.asarray(dist_hessian, float)
     a = np.asarray(a, float)
-    lam_min = float(np.min(_eig2(S + a[..., None, None] * H)[0]))
-    if lam_min < -1e-12:
+    lo = _eig2(S + a[..., None, None] * H)[0]
+    scale = np.maximum(np.maximum(1.0, np.abs(S).max((-2, -1))), a * np.abs(H).max((-2, -1)))
+    lam_min = float(np.min(lo))
+    if np.any(lo < -1e-12 * scale):
         return _premise_failure("pucci-contact", "u_hessian + a dist_hessian >= 0",
                                 "extremal-trace-chain", min_eig=lam_min)
     mm, _ = pucci(S, theta)

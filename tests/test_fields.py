@@ -95,13 +95,11 @@ class TestLaplacianNu:
         np.testing.assert_array_equal(_laplacian_nu(m, p, grad, h[..., 0, 0] + h[..., 1, 1]),
                                       want)
         # the trace path: f'' + k with no frame, against h11 + h22 of the frame
-        # components, which carry a few ulps of <e_r, e_a> each; near the
-        # centre those inherit the distance's sqrt(eps) error instead, and the
-        # limit below holds
+        # components, which carry a few ulps of <e_r, e_a> each
         grad_t, lap = _radial_derivatives(m, c, p, df, d2f)
         got = _laplacian_nu(m, p, grad_t, lap)
         np.testing.assert_array_equal(grad_t, grad)
-        np.testing.assert_allclose(got[5:], want[5:], rtol=0.0,
+        np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=32 * np.finfo(float).eps * np.max(np.abs(want)))
         # near the centre: the limit 2 f''(0); elsewhere f'' + f' psi'/psi - f' dV/drho
         assert np.allclose(got[:5], -8.0, rtol=0.0, atol=1e-6)

@@ -32,7 +32,7 @@ class TestDistance:
         p = random_point(model, rng, 0.5)
         q = random_point(model, rng, 0.5)
         assert model.distance(p, q) == pytest.approx(model.distance(q, p), abs=1e-14)
-        assert model.distance(p, p) < 1e-9
+        assert model.distance(p, p) == 0.0
 
     def test_antipodal_rejected(self):
         m = sphere(1.0)
@@ -70,7 +70,7 @@ class TestExpLog:
 
     def test_log_at_base_is_zero(self, model):
         o = model.origin()
-        assert np.linalg.norm(model.log(o, o)) < 1e-12
+        assert np.all(model.log(o, o) == 0.0)
 
     def test_round_trip_thousand(self, model, rng):
         o = model.origin()
@@ -105,6 +105,52 @@ class TestExpLog:
             b = model.exp(p, (t + h) * v)
             speed = model.distance(a, b) / (2 * h)
             assert speed == pytest.approx(0.7, abs=1e-6)
+
+
+CURVED = [sphere(1.0), hyperbolic(1.0)]
+
+
+def _atan2_distance(m, p, q):
+    """Oracle: rho from cs(s rho) = kappa <p, q> and sn(s rho) = s |w|,
+    w = q - kappa <p, q> p; atan2 on the sphere, asinh on the hyperboloid."""
+    kappa = m.sectional()
+    s = math.sqrt(abs(kappa))
+    J = np.array([1.0, 1.0, -1.0]) if kappa < 0 else np.ones(3)
+    c = kappa * np.sum(J * p * q, -1)
+    w = q - c[..., None] * p
+    sn = s * np.sqrt(np.sum(J * w * w, -1))
+    return (np.arctan2(sn, c) if kappa > 0 else np.arcsinh(sn)) / s
+
+
+@pytest.mark.parametrize("m", CURVED, ids=[m.kind for m in CURVED])
+class TestChordAccuracy:
+    """distance and log at off-origin points, where <c, c> = 1/kappa holds
+    only to rounding: exact at q == p, and to a few ulps at any separation."""
+
+    @staticmethod
+    def _points(m, rng):
+        c = np.array([random_point(m, rng, 1.0) for _ in range(200)])
+        v = np.array([random_tangent(m, x, 1.0, rng) for x in c])
+        return c, v
+
+    def test_coincident_pairs_exactly_zero(self, m, rng):
+        c, _ = self._points(m, rng)
+        assert np.all(m.distance(c, c) == 0.0)
+        assert np.all(m.log(c, c) == 0.0)
+
+    def test_near_pairs_to_rounding(self, m, rng):
+        c, v = self._points(m, rng)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.max(np.abs(c), -1))
+        for eps in 10.0 ** np.arange(-12, -2):
+            err = np.abs(m.distance(c, m.exp(c, eps * v)) - eps)
+            assert np.all(err <= tol), (eps, float(np.max(err / tol)))
+
+    def test_far_pairs_match_atan2_oracle(self, m, rng):
+        c, v = self._points(m, rng)
+        t = rng.uniform(0.1, 0.9 * math.pi if m.sectional() > 0 else 2.0, len(c))
+        q = m.exp(c, t[:, None] * v)
+        want = _atan2_distance(m, c, q)
+        np.testing.assert_allclose(m.distance(c, q), want, rtol=4e-15, atol=0.0)
 
 
 class TestTangency:

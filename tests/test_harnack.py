@@ -220,7 +220,19 @@ class TestGrowth:
         bowl = quadratic_field(g, m.origin(), 8.0)
         fbig = constant_field(g, 16.0)
         rep = growth_check(m, params, ledger, bowl, fbig, m.origin(), 1.0)
-        assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_2R, 1) <= delta0"
+        assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_r, 1) <= delta0"
+
+    def test_f_integral_premise_on_b_r(self):
+        # u and f live on B_2r; f vanishes on B_r, so I_{K,N}(f, B_r, 1) = 0
+        # however large f is outside it
+        m = euclidean()
+        params = CurvatureParams(0.0, 2.0, 1.0)
+        g = build_polar_grid(m, m.origin(), 2.0, 96, 96)
+        f = ScalarField(g, np.where(g.rho[:, None] <= 1.0, 0.0, 16.0) * np.ones(g.shape))
+        rep = growth_check(m, params, build_ledger(params), self._well(m, g, 1.0, depth=0.4),
+                           f, m.origin(), 1.0)
+        assert "violated_premise" not in rep.diagnostics
+        assert rep.passed, rep.diagnostics
 
     def test_screen_premises_named(self):
         params = CurvatureParams(0.0, 2.0, 1.0)

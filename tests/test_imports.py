@@ -1,6 +1,7 @@
 """Structure checks on the abplab sources: every top-level import of a
 module is used by it, every private top-level name is used somewhere in the
-package, and only geometry decides the model kind and weight."""
+package, only geometry decides the model kind and weight, and only geometry
+turns an inner product into a distance."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,33 @@ def test_matrix_einsum_detector_flags_and_accepts():
            'def hess(e):\n'
            '    return np.einsum("...i,...j->...ij", e, e)\n')
     assert matrix_einsums(src) == [7, 8, 10]
+
+
+INVERSE_TRIG = {"arccos", "arccosh", "arcsin", "arcsinh", "arctan2",
+                "acos", "acosh", "asin", "asinh", "atan2"}
+
+
+def inverse_trig_uses(source: str) -> list:
+    """Lines that name an inverse circular or hyperbolic function (numpy's
+    arccos ... arctan2, math's acos ... atan2), called or passed on: the
+    distance is ModelSpace's chord decomposition alone."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Attribute) and node.attr in INVERSE_TRIG)
+                   or (isinstance(node, ast.Name) and node.id in INVERSE_TRIG)})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "geometry.py"],
+                         ids=[p.name for p in MODULES if p.name != "geometry.py"])
+def test_distances_stay_in_geometry(path):
+    assert inverse_trig_uses(path.read_text()) == []
+
+
+def test_inverse_trig_detector_flags_and_accepts():
+    src = ("import math\nimport numpy as np\nfrom numpy import arcsinh\n"
+           "rho = np.arccos(np.clip(c, -1.0, 1.0))\n"
+           "t = math.atan2(y, x)\n"
+           "f = np.arccosh\n"
+           "g = arcsinh(x) + np.cos(x) + np.sinh(x)\n"
+           "arccos_table = {'name': 'arcsin'}\n"
+           "h = np.arctan(x) + math.acosh(2.0)\n")
+    assert inverse_trig_uses(src) == [4, 5, 6, 7, 9]

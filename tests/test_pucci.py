@@ -222,6 +222,17 @@ class TestContactBound:
             rep = pucci_contact_bound(W - a * H, H, a, 1.0 + 3.0 * rng.uniform())
             assert rep.passed
 
+    def test_touching_pairs_pass_at_large_scale(self):
+        # S + aH = v v^T has a zero eigenvalue, which rounding moves by about
+        # eps times the size of S and aH, not by an absolute amount
+        rng = seeded_rng(15, "contact-touching")
+        v = rng.normal(size=(1000, 2))
+        H = _sym(rng.normal(size=(1000, 2, 2)))
+        a = rng.uniform(0.1, 3.0, size=1000)
+        S = v[:, :, None] * v[:, None, :] - a[:, None, None] * H
+        rep = pucci_contact_bound(1e6 * S, 1e6 * H, a, 2.0)
+        assert rep.passed, rep.diagnostics
+
     def test_contact_violation_reported(self):
         rep = pucci_contact_bound(-np.eye(2), np.zeros((2, 2)), 1.0, 2.0)
         assert not rep.passed
