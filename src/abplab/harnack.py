@@ -81,10 +81,27 @@ def _nodewise_gap(u: ScalarField, f: ScalarField, sense: str, boundary) -> float
     return float(np.max(gap)) / max(1.0, float(np.max(np.abs(f.values))))
 
 
+def _require_same_nodes(u: ScalarField, f: ScalarField) -> None:
+    """ValueError unless f is sampled at u's nodes: the nodewise screen pairs
+    them node by node and the f-terms integrate f over u's balls."""
+    gu, gf = u.grid, f.grid
+    if gf is gu or (gf.shape == gu.shape and np.array_equal(gf.points, gu.points)):
+        return
+    raise ValueError(f"f is not sampled on u's grid nodes: f's grid is {_grid_label(gf)},"
+                     f" u's is {_grid_label(gu)}")
+
+
+def _grid_label(g) -> str:
+    return (f"{g.n_r}x{g.n_theta} over radius {g.radius:g} about "
+            f"{np.round(g.center, 6).tolist()} on the {g.model.kind} model")
+
+
 def _screen(name: str, inst: HarnackInstance, sense: str, ball: str, nonneg: bool,
             anchor: str = "") -> Optional[CheckReport]:
     """The first violated premise, in the order Ric_{N,nu} >= -K g, u >= 0
-    (if nonneg) and Delta_nu u {sense} f, as a failed report; None if all hold."""
+    (if nonneg) and Delta_nu u {sense} f, as a failed report; None if all hold.
+    Raises ValueError when f is not sampled on u's grid nodes."""
+    _require_same_nodes(inst.u, inst.f)
     if inst.params.ricci_gap(inst.model, inst.grid.radius) > 1e-12:
         which = f"Ric_{{N,nu}} >= -K g on {ball}"
     elif nonneg and np.min(inst.u.values) < -1e-12:

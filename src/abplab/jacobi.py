@@ -9,7 +9,10 @@ Runge-Kutta step is exactly Z -> P Z with
 
     P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-so the integrator builds P once and applies it to a block of initial data.
+so the integrator builds P once and fills the trajectory of a block of initial
+data by doubling: with Z[0] = Z0, Z[k : 2k] = P^k Z[0 : k] for k = 1, 2, 4, ...
+(the last block cut off at n_steps), squaring P^k between blocks.  That is
+ceil(log2(n_steps + 1)) batched products in place of one product per step.
 
 The per-time diagnostics feed the concavity comparisons: with
 
@@ -58,7 +61,9 @@ class JacobiState:
     frame: tuple               # parallel frame (e1, e2) at the base
 
     def det(self) -> np.ndarray:
-        return np.linalg.det(self.J)
+        """det J(t) per sample time, in closed form on the (T, 2, 2) stack."""
+        J = self.J
+        return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
 
     def wronskian_drift(self) -> float:
         """Max drift of J^T Jdot - Jdot^T J, conserved when R is symmetric."""
@@ -77,7 +82,9 @@ def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
     """Classical RK4 for J'' = -R J on [0, 1] with fixed steps, R constant.
 
     Z0 is a (4, m) block of initial data (J; J'); returns the trajectory,
-    shape (n_steps + 1, 4, m).
+    shape (n_steps + 1, 4, m), with Z[0] = Z0 and Z[i] = P^i Z0.  It is built
+    by doubling: Z[k : k + c] = P^k Z[0 : c], c = min(k, n_steps + 1 - k), for
+    k = 1, 2, 4, ... up to n_steps, one batched product per power of two.
     """
     h = 1.0 / n_steps
     hA = np.zeros((4, 4))
@@ -90,8 +97,11 @@ def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
         P = P + term
     Z = np.empty((n_steps + 1,) + np.shape(Z0))
     Z[0] = Z0
-    for i in range(n_steps):
-        Z[i + 1] = P @ Z[i]
+    for j in range(int(n_steps).bit_length()):
+        k = 1 << j
+        c = min(k, n_steps + 1 - k)
+        np.matmul(P, Z[:c], out=Z[k:k + c])
+        P = P @ P  # P^(2k), for the next block
     return Z
 
 
@@ -123,6 +133,11 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     return JacobiState(m, x, v, times, Z[:, :2], Z[:, 2:], wr, gamma, (e1, e2))
 
 
+def _weighted_det(state: JacobiState) -> np.ndarray:
+    """weight_ratio(t) * det J(t) per sample time."""
+    return state.det() * state.weight_ratio
+
+
 def dn_functional(state: JacobiState, N) -> np.ndarray:
     """D_N(t) samples, NaN from the first nonpositive determinant on.
 
@@ -130,7 +145,7 @@ def dn_functional(state: JacobiState, N) -> np.ndarray:
     later crossing ends the valid prefix, and first_nonpositive_time reports
     its time.
     """
-    det = state.det() * state.weight_ratio
+    det = _weighted_det(state)
     bad = np.flatnonzero(det <= 0.0)
     if bad.size and bad[0] == 0:
         raise ValueError("determinant nonpositive at t = 0")
@@ -146,7 +161,7 @@ def dn_functional(state: JacobiState, N) -> np.ndarray:
 
 
 def first_nonpositive_time(state: JacobiState) -> Optional[float]:
-    det = state.det() * state.weight_ratio
+    det = _weighted_det(state)
     bad = np.flatnonzero(det <= 0.0)
     return float(state.times[bad[0]]) if bad.size else None
 

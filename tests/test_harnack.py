@@ -257,3 +257,46 @@ class TestGrowth:
         rep = growth_check(m, params, build_ledger(params), u, constant_field(g, 0.0),
                            m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
+
+
+class TestFOnUsGrid:
+    """The checks pair Delta_nu u with f node by node, so f must be sampled at
+    u's nodes; a field on any other grid is a ValueError, not a verdict."""
+
+    PARAMS = CurvatureParams(0.0, 2.0, 1.0)
+
+    def _u_and_wide_f(self):
+        # u on a 96^2 grid of B_1 with Delta u = -4; f on a 96^2 grid of B_2,
+        # 0 on B_1 and -5 outside, so Delta u <= f holds on all of B_1
+        m = euclidean()
+        g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
+        u = sum_fields([constant_field(g, 1.15), quadratic_field(g, m.origin(), -2.0)])
+        g2 = build_polar_grid(m, m.origin(), 2.0, 96, 96)
+        f = ScalarField(g2, np.where(g2.rho[:, None] <= 1.0, 0.0, -5.0) * np.ones(g2.shape))
+        return m, g, u, f
+
+    def test_growth_check_rejects_f_on_a_wider_grid(self):
+        m, _, u, f = self._u_and_wide_f()
+        with pytest.raises(ValueError, match="not sampled on u's grid nodes.*radius 2.*radius 1"):
+            growth_check(m, self.PARAMS, build_ledger(self.PARAMS), u, f, m.origin(), 1.0)
+
+    def test_growth_check_accepts_f_on_an_equal_grid(self):
+        # the same f restricted to B_1, on a second grid built with u's arguments
+        m, g, u, _ = self._u_and_wide_f()
+        twin = build_polar_grid(m, m.origin(), 1.0, 96, 96)
+        assert twin is not g
+        rep = growth_check(m, self.PARAMS, build_ledger(self.PARAMS), u,
+                           constant_field(twin, 0.0), m.origin(), 1.0)
+        assert "violated_premise" not in rep.diagnostics
+        assert rep.passed, rep.diagnostics
+
+    @pytest.mark.parametrize("check", [
+        harnack_check_sup, harnack_check_full,
+        lambda inst, ledger: harnack_check_sub(inst, ledger, ledger.p0),
+    ], ids=["sup", "full", "sub"])
+    def test_instance_checks_reject_f_on_another_grid(self, check):
+        m, g = _flat_grid()
+        other = build_polar_grid(m, m.origin(), g.radius, 64, 96)
+        inst = HarnackInstance(m, FLAT, g, constant_field(g, 1.0), constant_field(other, 0.0))
+        with pytest.raises(ValueError, match="f's grid is 64x96.*u's is 96x96"):
+            check(inst, build_ledger(FLAT))

@@ -1,7 +1,8 @@
 """Structure checks on the abplab sources: every top-level import of a
 module is used by it, every private top-level name is used somewhere in the
-package, only geometry decides the model kind and weight, and only geometry
-turns an inner product into a distance."""
+package, only geometry decides the model kind and weight, only geometry
+turns an inner product into a distance, and the Jacobi integrator takes no
+Python-level loop per time step."""
 
 import ast
 from pathlib import Path
@@ -205,3 +206,48 @@ def test_inverse_trig_detector_flags_and_accepts():
            "arccos_table = {'name': 'arcsin'}\n"
            "h = np.arctan(x) + math.acosh(2.0)\n")
     assert inverse_trig_uses(src) == [4, 5, 6, 7, 9]
+
+
+def per_step_loops(source: str) -> list:
+    """Lines of loops that may run once per time step: a `for` over anything
+    but range() of literals or of a bit_length() (so range(n_steps),
+    range(len(times) - 1), a time array or enumerate(times) are flagged), and
+    a `while` whose test reads n_steps, a len() or a .shape.  The propagator
+    runs its ceil(log2(n_steps + 1)) doubling blocks as
+    range(int(n_steps).bit_length())."""
+    def reads_a_count(expr):
+        if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+                and expr.func.attr == "bit_length"):
+            return False
+        return isinstance(expr, ast.Name) or any(map(reads_a_count, ast.iter_child_nodes(expr)))
+
+    def per_step(node):
+        if isinstance(node, ast.For):
+            it = node.iter
+            return not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                        and it.func.id == "range" and not any(map(reads_a_count, it.args)))
+        if isinstance(node, ast.While):
+            return any((isinstance(n, ast.Name) and n.id in ("n_steps", "len"))
+                       or (isinstance(n, ast.Attribute) and n.attr == "shape")
+                       for n in ast.walk(node.test))
+        return False
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if per_step(node))
+
+
+def test_jacobi_has_no_per_step_loop():
+    assert per_step_loops((SRC / "jacobi.py").read_text()) == []
+
+
+def test_per_step_loop_detector_flags_and_accepts():
+    src = ("for i in range(n_steps):\n    Z[i + 1] = P @ Z[i]\n"
+           "for k in range(1, 5):\n    term = term @ hA / k\n"
+           "for j in range(int(n_steps).bit_length()):\n    P = P @ P\n"
+           "for i in range(len(times) - 1):\n    pass\n"
+           "for z in Z:\n    pass\n"
+           "for i, t in enumerate(times):\n    pass\n"
+           "while i < n_steps:\n    i += 1\n"
+           "while tested < n_random:\n    tested += 1\n"
+           "while k <= Z.shape[0]:\n    k *= 2\n"
+           "for j in range(2 ** 3 + 1):\n    pass\n")
+    assert per_step_loops(src) == [1, 7, 9, 11, 13, 17]

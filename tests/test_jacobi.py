@@ -185,21 +185,38 @@ class TestOdeStructure:
 
     @FOUR_R
     def test_propagator_matches_stepwise_rk4(self, R, rng):
-        # reference: the classical four-stage RK4 step for J'' = -R J
-        n = 256
-        h = 1.0 / n
+        # the doubling fills blocks of 1, 2, 4, ... samples: n = 255 ends on a
+        # full block, the others on a partial one (of one sample for 64, 256, 512)
         Z0 = np.hstack([np.eye(4), rng.normal(size=(4, 3))])
-        j, jd = Z0[:2], Z0[2:]
-        ref = [Z0]
-        for _ in range(n):
-            k1j, k1d = jd, -R @ j
-            k2j, k2d = jd + 0.5 * h * k1d, -R @ (j + 0.5 * h * k1j)
-            k3j, k3d = jd + 0.5 * h * k2d, -R @ (j + 0.5 * h * k2j)
-            k4j, k4d = jd + h * k3d, -R @ (j + h * k3j)
-            j = j + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-            jd = jd + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-            ref.append(np.vstack([j, jd]))
-        assert np.max(np.abs(_rk4_linear(R, Z0, n) - np.array(ref))) < 1e-12
+        for n in (64, 100, 255, 256, 257, 512):
+            Z = _rk4_linear(R, Z0, n)
+            assert Z.shape == (n + 1, 4, 7)
+            assert np.array_equal(Z[0], Z0)
+            err = float(np.max(np.abs(Z - _stepwise_rk4(R, Z0, n))))
+            assert err < 1e-12, (n, err)
+
+    @FOUR_R
+    def test_jacobi_pair_matches_stepwise_rk4(self, R):
+        J10, J01 = solve_jacobi_pair(R, 512)
+        ref = _stepwise_rk4(R, np.eye(4), 512)
+        assert np.max(np.abs(J10 - ref[:, :2, :2])) < 1e-12
+        assert np.max(np.abs(J01 - ref[:, :2, 2:])) < 1e-12
+
+
+def _stepwise_rk4(R, Z0, n):
+    """The classical four-stage RK4 step for J'' = -R J, taken n times."""
+    h = 1.0 / n
+    j, jd = Z0[:2], Z0[2:]
+    ref = [Z0]
+    for _ in range(n):
+        k1j, k1d = jd, -R @ j
+        k2j, k2d = jd + 0.5 * h * k1d, -R @ (j + 0.5 * h * k1j)
+        k3j, k3d = jd + 0.5 * h * k2d, -R @ (j + 0.5 * h * k2j)
+        k4j, k4d = jd + h * k3d, -R @ (j + h * k3j)
+        j = j + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+        jd = jd + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
+        ref.append(np.vstack([j, jd]))
+    return np.array(ref)
 
 
 class TestVelocity:
