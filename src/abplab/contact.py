@@ -12,7 +12,10 @@ gradient/Hessian identity relies on.
 
 The grid minimization is exact at node resolution: a table of distances per
 vertex ring and lower bounds over angular blocks of nodes skip only nodes
-that provably lie above the infimum plus the tie tolerance.  A vectorized
+that provably lie above the infimum plus the tie tolerance.  The upper bound
+they are compared with is F at real nodes, among them the 3x3 patch about
+the contact found for the same vertex angle on an earlier ring, and each
+chunk of vertices gathers its surviving nodes in one list.  A vectorized
 Riemannian Newton refinement upgrades contact locations to sub-cell accuracy
 whenever the field carries closed-form derivatives.
 """
@@ -38,6 +41,8 @@ __all__ = [
 
 _BLOCK = 8            # angular nodes per block of the pruned scan
 _TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
+# (ring, angle) offsets of the 3x3 node patch about a vertex angle's seed
+_PATCH = np.array([np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)])
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
 _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
 
@@ -85,12 +90,21 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     every transcendental call of the scan.  The angles are split into blocks
     of _BLOCK nodes.  For each block of vertices on one ring, a node block
     is bounded below by min u over it plus the least (a/2) T_iv over the
-    angle differences the two blocks can have.  Only node blocks whose bound
-    is at most the exact minimum over the best-bounded block, at its worst
-    vertex, plus _TIE_TOL are evaluated.  Rounding is monotone, so every
-    skipped node lies more than _TIE_TOL above the infimum: minimisers and
-    ties (all nodes within _TIE_TOL of the infimum) are exactly those of a
-    scan of all nodes with the tabulated distances.
+    angle differences the two blocks can have.  The upper bound of a vertex
+    block is, at its worst vertex, the least F over the best-bounded node
+    block and over the 3x3 node patch (rings +-1, clipped; angles +-1,
+    wrapped) about a seed: the contact node last found for the vertex's
+    angle, at first its node on the innermost vertex ring.  Only node blocks
+    whose lower bound is at most this upper bound plus _TIE_TOL are
+    evaluated.  The upper bound is F at real nodes, computed as the scan
+    computes it, and rounding is monotone, so every skipped node lies more
+    than _TIE_TOL above the infimum: minimisers and ties (all nodes within
+    _TIE_TOL of the infimum) are exactly those of a scan of all nodes with
+    the tabulated distances.  Each ring is laid out in whole blocks of
+    slots, the slots past its last node holding u = +inf, so F is +inf there
+    and no padding slot is a minimiser or a tie.  The kept node blocks of a
+    chunk form one slot list, vertex block after vertex block, each in
+    ring-major order, so argmin breaks ties as a scan of all nodes does.
 
     Parameters
     ----------
@@ -116,25 +130,30 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     n_r, n_t = grid.n_r, grid.n_theta
     B = _BLOCK
     n_b = -(-n_t // B)
-    padded = np.full((n_r, n_b * B), np.inf)
-    padded[:, :n_t] = uf.reshape(n_r, n_t)
-    u_block = padded.reshape(n_r, n_b, B).min(axis=2)
+    W = n_b * B   # slots per ring: the nodes, then +inf padding up to whole blocks
+    u_slot = np.full((n_r, W), np.inf)
+    u_slot[:, :n_t] = uf.reshape(n_r, n_t)
+    u_block = u_slot.reshape(n_r, n_b, B).min(axis=2)
+    u_slot = u_slot.reshape(-1)
     # the angle differences j - jv between a vertex block and the node block
     # d blocks away, d = 1 - n_b .. n_b - 1
     window = (np.arange(1 - n_b, n_b)[:, None] * B + np.arange(1 - B, B)[None, :]) % n_t
     shift = np.arange(n_b)[None, :] - np.arange(n_b)[:, None] + n_b - 1   # [bv, b] -> d
-    block_start = (np.arange(n_r)[:, None] * n_t + np.arange(n_b)[None, :] * B).ravel()
-    block_len = np.tile(np.minimum(B, n_t - np.arange(n_b) * B), n_r)
-    # position of node (i, j) in the doubled table, at vertex angle 0
-    column = (np.arange(n_r)[:, None] * (2 * n_t) + np.arange(n_t)[None, :] + n_t).ravel()
+    # position of slot (i, j) in the doubled table at vertex angle 0; padding
+    # reads a finite entry, so F is +inf there
+    column = (np.arange(n_r)[:, None] * (2 * n_t) + np.arange(W)[None, :] % n_t + n_t).ravel()
+    in_block = np.arange(B)
 
     ring, ang = np.divmod(E, n_t)
     order = np.lexsort((ang, ring))
     ring_starts = np.flatnonzero(np.diff(ring[order], prepend=-1))
+    # the contact slot last found per vertex angle, at first the node of the
+    # innermost vertex ring: its 3x3 patch seeds the upper bound
+    seed = ring[order[0]] * W + np.arange(n_t)
     n_y = len(E)
     contact = np.empty(n_y, np.int64)
     minval = np.empty(n_y)
-    tie_rows, tie_nodes = [], []
+    tie_rows, tie_slots = [], []
     for s, e in zip(ring_starts, np.append(ring_starts[1:], n_y)):
         iv = int(ring[order[s]])
         T = (0.5 * a) * m.distance(X[iv * n_t], X).reshape(n_r, n_t) ** 2
@@ -146,41 +165,50 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
             vb, first, count = np.unique(jv // B, return_index=True, return_counts=True)
             lower = (u_block[None, :, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
                      ).reshape(len(vb), -1)
-            # upper bound per vertex block: the exact minimum over its
-            # best-bounded node block (a short block repeats its last node),
-            # at the worst vertex of the block
+            # upper bound per vertex block: each vertex's least F over its
+            # best-bounded node block and the patch about its seed, at the
+            # worst vertex of the block
             top = np.repeat(np.argmin(lower, axis=1), count)
-            nodes = block_start[top][:, None] + np.minimum(np.arange(B)[None, :],
-                                                           block_len[top][:, None] - 1)
-            F = uf[nodes] + T_wrap[column[nodes] - jv[:, None]]
+            seed_ring, seed_ang = np.divmod(seed[jv], W)
+            slots = np.concatenate([
+                top[:, None] * B + in_block,
+                np.clip(seed_ring[:, None] + _PATCH[0], 0, n_r - 1) * W
+                + (seed_ang[:, None] + _PATCH[1]) % n_t], axis=1)
+            F = u_slot[slots] + T_wrap[column[slots] - jv[:, None]]
             ub = np.maximum.reduceat(F.min(axis=1), first) + _TIE_TOL
+            # one slot list for the chunk, vertex block after vertex block
+            group, kept = np.nonzero(lower <= ub[:, None])
+            slots = (kept[:, None] * B + in_block).ravel()
+            slot_u, slot_col = u_slot[slots], column[slots]
+            edges = np.append(0, np.cumsum(np.bincount(group, minlength=len(vb)) * B))
             for g in range(len(vb)):
-                keep = lower[g] <= ub[g]
-                nodes = _ranges(block_start[keep], block_len[keep])
+                x = slice(edges[g], edges[g + 1])
                 r = slice(first[g], first[g] + count[g])
-                F = uf[nodes][None, :] + T_wrap[column[nodes][None, :] - jv[r, None]]
+                F = slot_u[x][None, :] + T_wrap[slot_col[x][None, :] - jv[r, None]]
                 amin = np.argmin(F, axis=1)
                 fmin = F[np.arange(len(F)), amin]
-                contact[rows[r]] = nodes[amin]
+                contact[rows[r]] = slots[x][amin]
                 minval[rows[r]] = fmin
                 near = F <= (fmin + _TIE_TOL)[:, None]
                 if np.count_nonzero(near) > len(F):
                     near[np.arange(len(F)), amin] = False
                     v, k = np.nonzero(near)
                     tie_rows.append(rows[r][v])
-                    tie_nodes.append(nodes[k])
+                    tie_slots.append(slots[x][k])
+            seed[jv] = contact[rows]
     ties = []   # in the order of E, nodes ascending per vertex
     if tie_rows:
         tie_rows = np.concatenate(tie_rows)
-        tie_nodes = np.concatenate(tie_nodes)
+        tie_nodes = _slot_node(np.concatenate(tie_slots), W, n_t)
         by_vertex = np.argsort(tie_rows, kind="stable")
         ties = [(int(E[p]), int(x)) for p, x in zip(tie_rows[by_vertex], tie_nodes[by_vertex])]
-    return ContactSet(m, grid, float(a), E, contact, minval, ties)
+    return ContactSet(m, grid, float(a), E, _slot_node(contact, W, n_t), minval, ties)
 
 
-def _ranges(start, length):
-    """Concatenated arange(start[k], start[k] + length[k]) over k."""
-    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(int(length.sum()))
+def _slot_node(slot, W, n_t):
+    """Flat node index of a slot of the padded (n_r, W) layout."""
+    i, j = np.divmod(slot, W)
+    return i * n_t + j
 
 
 def gradient_contact_residual(m: ModelSpace, u: ScalarField, a: float, X, Y) -> np.ndarray:

@@ -12,6 +12,7 @@ h_ab = Hess u(e_a, e_b), so no evaluation builds an embedding matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -224,17 +225,19 @@ def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) ->
 
 
 def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
+    """The pointwise sum of fields on one grid, added part after part,
+    ((f0 + f1) + f2) + ..., with no stacked copy of the parts."""
     grid = fields[0].grid
-    vals = np.sum([f.values for f in fields], axis=0)
+    vals = reduce(np.add, [f.values for f in fields])
     if all(f.has_derivatives for f in fields):
         def val(p):
-            return np.sum([f.value(p) for f in fields], axis=0)
+            return reduce(np.add, [f.value(p) for f in fields])
 
         def deriv(p, frame):
             parts = [f.deriv_fn(p, frame) for f in fields]
             if frame is None:
-                return np.sum(parts, axis=0)
-            return tuple(np.sum(d, axis=0) for d in zip(*parts))
+                return reduce(np.add, parts)
+            return tuple(reduce(np.add, d) for d in zip(*parts))
 
         return ScalarField(grid, vals, val, deriv)
     return ScalarField(grid, vals)

@@ -19,7 +19,11 @@ V = lam |p|^2 / 2 is keyed by lam alone, 0 off the gaussian plane.
 Points live in embedding coordinates (length-2 vectors for the plane models,
 length-3 for sphere/hyperboloid).  distance, log and psi, psi' at the
 distance all come from one inner product, the chord <q - p, q - p>, exactly
-0 at q == p.  All operations are vectorized over leading axes and pure, so
+0 at q == p.  Every inner product is a sum of component products taken in
+the one order (t0 + t1) + t2, so distance can form chord^2 from the
+per-component differences q[..., i] - p[..., i], never building the batch of
+differences that log needs for its tangent, and still equal log's rho bit
+for bit.  All operations are vectorized over leading axes and pure, so
 callers may evaluate them concurrently.
 """
 
@@ -51,26 +55,37 @@ class Measure(NamedTuple):
     method: str  # "closed_form" or "quadrature"
 
 
+def _products(a, b):
+    """The component products a[..., i] b[..., i]."""
+    return [a[..., i] * b[..., i] for i in range(a.shape[-1])]
+
+
+def _euclidean_sum(t):
+    """Euclidean inner product from its component products, (t0 + t1) + t2."""
+    return t[0] + t[1] + t[2] if len(t) == 3 else t[0] + t[1]
+
+
+def _minkowski_sum(t):
+    """Minkowski inner product, signature (+,+,-), from its component products."""
+    return t[0] + t[1] - t[2]
+
+
 def _dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
-
-
-def _mdot(a, b):
-    """Minkowski inner product with signature (+,+,-)."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] - a[..., 2] * b[..., 2]
+    return _euclidean_sum(_products(a, b))
 
 
 def _identity(t):
     return t
 
 
-# kind -> (sn, cs, asn, inner): the model functions, the inverse of sn (the
-# distance from the half chord) and the ambient inner product
+# kind -> (sn, cs, asn, isum): the model functions, the inverse of sn (the
+# distance from the half chord) and the ambient inner product as a sum of
+# component products
 _FAMILY = {
-    "sphere": (np.sin, np.cos, np.arcsin, _dot),
-    "hyperbolic": (np.sinh, np.cosh, np.arcsinh, _mdot),
-    "euclidean": (_identity, np.ones_like, _identity, _dot),
-    "gaussian_plane": (_identity, np.ones_like, _identity, _dot),
+    "sphere": (np.sin, np.cos, np.arcsin, _euclidean_sum),
+    "hyperbolic": (np.sinh, np.cosh, np.arcsinh, _minkowski_sum),
+    "euclidean": (_identity, np.ones_like, _identity, _euclidean_sum),
+    "gaussian_plane": (_identity, np.ones_like, _identity, _euclidean_sum),
 }
 
 
@@ -78,7 +93,7 @@ _FAMILY = {
 class ModelSpace:
     """One of the four closed-form model metric-measure spaces.
 
-    The kind fixes a row (sn, cs, asn, inner) of the family table and the
+    The kind fixes a row (sn, cs, asn, isum) of the family table and the
     signed curvature kappa = sectional(), both resolved at construction; lam
     alone fixes the weight, and only the gaussian plane may set it nonzero.
 
@@ -99,7 +114,7 @@ class ModelSpace:
     _sn: Callable = field(init=False, repr=False, compare=False)
     _cs: Callable = field(init=False, repr=False, compare=False)
     _asn: Callable = field(init=False, repr=False, compare=False)
-    _inner: Callable = field(init=False, repr=False, compare=False)
+    _isum: Callable = field(init=False, repr=False, compare=False)
     _kappa: float = field(init=False, repr=False, compare=False)
     _s: float = field(init=False, repr=False, compare=False)  # sqrt|kappa|, 1 if flat
 
@@ -111,7 +126,7 @@ class ModelSpace:
         if self.lam != 0.0 and self.kind != "gaussian_plane":
             raise ValueError(f"{self.kind} carries no weight: lam must be 0")
         kappa = {"sphere": self.k, "hyperbolic": -self.k}.get(self.kind, 0.0)
-        derived = zip(("_sn", "_cs", "_asn", "_inner", "_kappa", "_s"),
+        derived = zip(("_sn", "_cs", "_asn", "_isum", "_kappa", "_s"),
                       (*_FAMILY[self.kind], kappa, math.sqrt(abs(kappa)) or 1.0))
         for name, value in derived:
             object.__setattr__(self, name, value)
@@ -153,6 +168,10 @@ class ModelSpace:
     def from_json_dict(d: dict) -> "ModelSpace":
         return ModelSpace(d["kind"], k=d.get("k", 0.0), lam=d.get("lambda", 0.0))
 
+    def _inner(self, a, b):
+        """The family inner product <a, b> over the last axis."""
+        return self._isum(_products(a, b))
+
     # -- embedding constraints --------------------------------------------
 
     def embedding_residual(self, p) -> np.ndarray:
@@ -183,28 +202,33 @@ class ModelSpace:
 
     # -- distance / exp / log ----------------------------------------------
 
-    def _chord(self, p, q):
-        """(rho, q - p, chord) of each pair from the one inner product
-        chord^2 = <q - p, q - p>: rho = 2 asn(s chord/2)/s, the chord when flat."""
-        d = np.asarray(q, float) - np.asarray(p, float)
-        chord = np.sqrt(np.maximum(self._inner(d, d), 0.0))
+    def _rho(self, chord_sq):
+        """(rho, chord) from chord^2 = <q - p, q - p>: rho = 2 asn(s chord/2)/s,
+        the chord when flat."""
+        chord = np.sqrt(np.maximum(chord_sq, 0.0))
         half = (0.5 * self._s) * chord
         # on the sphere cs(s rho) = 1 - 2 half^2 must stay above -1 + 1e-9
         if self._kappa > 0 and np.any(half * half > 1.0 - 5e-10):
             raise ValueError("antipodal pair on the sphere (cut locus)")
-        return (2.0 / self._s) * self._asn(half), d, chord
+        return (2.0 / self._s) * self._asn(half), chord
 
     def _polar(self, p, q):
         """(rho, psi(rho), psi'(rho), w) of each pair from its chord:
         psi = chord sqrt(1 - kappa chord^2/4), psi' = 1 - kappa chord^2/2, and
         w = q - kappa <p, q> p = (q - p) + (kappa chord^2/2) p, the tangent at
         p toward q with |w| = psi; exactly (0, 0, 1, 0) at q == p."""
-        rho, d, chord = self._chord(p, q)
+        d = np.asarray(q, float) - np.asarray(p, float)
+        rho, chord = self._rho(self._inner(d, d))
         h = (0.25 * self._kappa) * chord * chord
         return rho, chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
 
     def distance(self, p, q) -> np.ndarray:
-        return self._chord(p, q)[0]
+        """rho of each pair, its chord^2 summed over the component differences
+        q[..., i] - p[..., i]: the batch q - p of points is never formed."""
+        p = np.asarray(p, float)
+        q = np.asarray(q, float)
+        d = [q[..., i] - p[..., i] for i in range(q.shape[-1])]
+        return self._rho(self._isum([c * c for c in d]))[0]
 
     def exp(self, p, v) -> np.ndarray:
         """Geodesic exponential; requires |v| < cut_radius."""

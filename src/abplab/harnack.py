@@ -187,7 +187,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     Premises (screened on the grid of u, which must cover B_r(x0)), in this
     order: Ric_{N,nu} >= -K g, u >= 0, Delta_nu u <= f nodewise,
     inf_{B_{r/2}} u <= 1, and the scaled f-integral I_{K,N}(f, B_r, 1) over
-    the sub-ball of radius r of f's grid below delta0.
+    the nodes of B_r(x0) below delta0.
 
     Conclusion: nu[{u <= M} cap B_{r/18}] / nu[B_r] >= mu.
 
@@ -206,7 +206,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     if float(np.min(u.values[half])) > 1.0 + 1e-12:
         return _premise_failure("growth-bound", "inf_{B_{r/2}} u <= 1", anchor,
                                 sharpness="non-sharp")
-    if integral_I(m, params, f, r, 1.0) > ledger.delta0 * (1.0 + 1e-12):
+    if integral_I(m, params, f, x0, r, 1.0) > ledger.delta0 * (1.0 + 1e-12):
         return _premise_failure("growth-bound", "I_{K,N}(f, B_r, 1) <= delta0", anchor,
                                 sharpness="non-sharp")
 

@@ -64,16 +64,16 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
 
 
 def integral_I(m: ModelSpace, params: CurvatureParams, f: ScalarField,
-               ball_radius: float, q: float) -> float:
-    """r^2 (avg over B_r of |f|^{N q})^{1/(N q)} with grid quadrature.
+               center, ball_radius: float, q: float) -> float:
+    """r^2 (avg over B_r(center) of |f|^{N q})^{1/(N q)} with grid quadrature.
 
-    The average runs over the sub-ball of f's grid of the given radius
-    about the grid center; exact for constants.
+    The average runs over the nodes of f's grid within ball_radius of
+    center; exact for constants.
     """
     if q < 1.0:
         raise ValueError("exponent q must be >= 1")
     grid = f.grid
-    mask = grid.mask_within(grid.center, ball_radius)
+    mask = grid.mask_within(center, ball_radius)
     if not np.any(mask):
         raise ValueError("no grid nodes inside the requested ball")
     w = grid.weights[mask]

@@ -262,6 +262,25 @@ class TestPrunedScanMatchesBruteForce:
         cs = _assert_matches_brute_force(model, u, a, np.array([yi]))
         assert cs.ties == [(yi, near)]
 
+    def test_seeded_bound_keeps_exact_tie(self, model):
+        # vertices on rings 5 and 6 of one angle both touch at x_star, on the
+        # opposite ray; the outer vertex's seed patch then holds its exact
+        # minimum, so its bound is min + tie_tol.  A node a quarter turn away,
+        # 5e-13 above that minimum, must still be reported as a tie.
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        a = 1.0
+        E = np.array([5, 6]) * g.n_theta + 9
+        x_star = 25 * g.n_theta + 29
+        near = 25 * g.n_theta + 19
+        X = g.flat_points()
+        vals = np.zeros(g.n_r * g.n_theta)
+        vals[x_star] = -5.0 - 0.5 * a * model.distance(X[E[1]], X[x_star]) ** 2
+        vals[near] = -5.0 + 5e-13 - 0.5 * a * model.distance(X[E[1]], X[near]) ** 2
+        u = ScalarField(g, vals.reshape(g.shape))
+        cs = _assert_matches_brute_force(model, u, a, E)
+        assert cs.contact_of.tolist() == [x_star, x_star]
+        assert cs.ties == [(int(E[1]), near)]
+
 
 class TestGradientResidual:
     def test_constant_pair_zero(self):

@@ -153,6 +153,28 @@ class TestChordAccuracy:
         np.testing.assert_allclose(m.distance(c, q), want, rtol=4e-15, atol=0.0)
 
 
+class TestOneChord:
+    """distance sums the chord over per-component differences and log over the
+    batch q - p; both give the same rho, bit for bit."""
+
+    def test_one_to_many(self, model):
+        g = build_polar_grid(model, model.origin(), 0.2 * min(1.0, model.domain_radius_limit),
+                             24, 24)
+        X = g.flat_points()
+        for p in X[::37]:
+            assert np.array_equal(model.distance(p, X), model._polar(p, X)[0])
+            assert np.array_equal(model.distance(X, p), model._polar(X, p)[0])
+
+    def test_pairwise(self, model, rng):
+        spread = 0.4 * min(1.0, model.domain_radius_limit)
+        p = np.array([random_point(model, rng, spread) for _ in range(300)])
+        q = np.array([random_point(model, rng, spread) for _ in range(300)])
+        assert np.array_equal(model.distance(p, q), model._polar(p, q)[0])
+        assert np.array_equal(model.distance(p.reshape(20, 15, -1), q.reshape(20, 15, -1)),
+                              model._polar(p, q)[0].reshape(20, 15))
+        assert np.array_equal(model.distance(p, q), [model.distance(a, b) for a, b in zip(p, q)])
+
+
 class TestTangency:
     def test_frame_orthonormal(self, model, rng):
         p = random_point(model, rng, 0.6)

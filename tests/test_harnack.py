@@ -234,6 +234,17 @@ class TestGrowth:
         assert "violated_premise" not in rep.diagnostics
         assert rep.passed, rep.diagnostics
 
+    def test_f_integral_premise_about_x0(self):
+        # the same f about x0 = (0.9, 0): B_r(x0) reaches into the shell where
+        # f = 16, so I_{K,N}(f, B_r(x0), 1) is about 11.9 > delta0
+        m = euclidean()
+        params = CurvatureParams(0.0, 2.0, 1.0)
+        g = build_polar_grid(m, m.origin(), 2.0, 96, 96)
+        f = ScalarField(g, np.where(g.rho[:, None] <= 1.0, 0.0, 16.0) * np.ones(g.shape))
+        rep = growth_check(m, params, build_ledger(params), constant_field(g, 0.5),
+                           f, np.array([0.9, 0.0]), 1.0)
+        assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_r, 1) <= delta0"
+
     def test_screen_premises_named(self):
         params = CurvatureParams(0.0, 2.0, 1.0)
         ledger = build_ledger(params)

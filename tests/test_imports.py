@@ -1,8 +1,8 @@
 """Structure checks on the abplab sources: every top-level import of a
 module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
-turns an inner product into a distance, and the Jacobi integrator takes no
-Python-level loop per time step."""
+turns an inner product into a distance and it sums them without einsum,
+and the Jacobi integrator takes no Python-level loop per time step."""
 
 import ast
 from pathlib import Path
@@ -251,3 +251,25 @@ def test_per_step_loop_detector_flags_and_accepts():
            "while k <= Z.shape[0]:\n    k *= 2\n"
            "for j in range(2 ** 3 + 1):\n    pass\n")
     assert per_step_loops(src) == [1, 7, 9, 11, 13, 17]
+
+
+def einsum_calls(source: str) -> list:
+    """Lines that call or name einsum."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Attribute) and node.attr == "einsum")
+                   or (isinstance(node, ast.Name) and node.id == "einsum")})
+
+
+def test_geometry_sums_inner_products_per_component():
+    # every inner product is (t0 + t1) + t2 over component products: an
+    # einsum may sum a batch in another order than one pair
+    assert einsum_calls((SRC / "geometry.py").read_text()) == []
+
+
+def test_einsum_detector_flags_and_accepts():
+    src = ("import numpy as np\nfrom numpy import einsum\n"
+           "s = np.einsum('...i,...i->...', a, b)\n"
+           "f = einsum\n"
+           "t = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]\n"
+           "einsum_note = 'np.einsum'\n")
+    assert einsum_calls(src) == [3, 4]
