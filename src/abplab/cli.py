@@ -44,14 +44,8 @@ def build_model(args) -> geometry.ModelSpace:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _parse_n(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _params(args) -> CurvatureParams:
-    return CurvatureParams(args.K, _parse_n(args.N), args.R)
+    return CurvatureParams(args.K, args.N, args.R)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -264,7 +258,7 @@ def _build_parser():
     common.add_argument("--lambda", dest="lam", type=float, default=1.0,
                         help="gaussian weight coefficient")
     common.add_argument("--K", type=float, default=0.0)
-    common.add_argument("--N", default="2")
+    common.add_argument("--N", type=float, default=2.0)
     common.add_argument("--R", type=float, default=1.0)
     common.add_argument("--r", type=float, default=1.0)
     common.add_argument("--a", type=float, default=1.0)

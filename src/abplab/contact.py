@@ -22,7 +22,7 @@ whenever the field carries closed-form derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,21 +55,20 @@ class ContactSet:
     vertex_indices: np.ndarray   # flat indices of E
     contact_of: np.ndarray       # primary contact node per vertex (same length)
     min_values: np.ndarray       # achieved infima per vertex
-    ties: list = field(default_factory=list)  # (y_index, x_index) beyond the primary
+    ties: np.ndarray             # (n, 2) rows (y_index, x_index) beyond the primary,
+                                 # by position in E, then by node
 
     @property
     def node_indices(self) -> np.ndarray:
         """Distinct contact-node indices (the set A as grid nodes)."""
-        extra = np.array([x for _, x in self.ties], dtype=np.int64)
-        return np.unique(np.concatenate([self.contact_of, extra])) if len(self.ties) \
-            else np.unique(self.contact_of)
+        return np.unique(np.concatenate([self.contact_of, self.ties[:, 1]]))
 
     def pairs(self):
         """Arrays (vertex, node, level) over every contact pair: the flat
         indices of the vertex and of its contact node, and the vertex's
         infimum of F_y, the paraboloid's level c_y.  The primary pairs come
         first, by vertex, then the ties, by vertex and node."""
-        ties = np.array(sorted(self.ties), dtype=np.int64).reshape(-1, 2)
+        ties = self.ties[np.lexsort((self.ties[:, 1], self.ties[:, 0]))]
         order = np.lexsort((self.contact_of, self.vertex_indices))
         # the row of each tie's vertex in E, which need not be ascending; each
         # vertex has one primary contact, so order sorts E
@@ -196,12 +195,12 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
                     tie_rows.append(rows[r][v])
                     tie_slots.append(slots[x][k])
             seed[jv] = contact[rows]
-    ties = []   # in the order of E, nodes ascending per vertex
+    ties = np.empty((0, 2), dtype=np.int64)
     if tie_rows:
         tie_rows = np.concatenate(tie_rows)
         tie_nodes = _slot_node(np.concatenate(tie_slots), W, n_t)
         by_vertex = np.argsort(tie_rows, kind="stable")
-        ties = [(int(E[p]), int(x)) for p, x in zip(tie_rows[by_vertex], tie_nodes[by_vertex])]
+        ties = np.stack([E[tie_rows[by_vertex]], tie_nodes[by_vertex]], axis=1)
     return ContactSet(m, grid, float(a), E, _slot_node(contact, W, n_t), minval, ties)
 
 

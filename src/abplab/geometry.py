@@ -156,18 +156,6 @@ class ModelSpace:
             return np.zeros(2)
         return np.array([0.0, 0.0, 1.0 / self._s])
 
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind in ("sphere", "hyperbolic"):
-            d["k"] = self.k
-        if self.kind == "gaussian_plane":
-            d["lambda"] = self.lam
-        return d
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ModelSpace":
-        return ModelSpace(d["kind"], k=d.get("k", 0.0), lam=d.get("lambda", 0.0))
-
     def _inner(self, a, b):
         """The family inner product <a, b> over the last axis."""
         return self._isum(_products(a, b))

@@ -123,7 +123,7 @@ def harnack_check_sup(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckRe
     half = g.mask_within(g.center, 0.5 * R)
     log_lhs = log_lp_average(inst.u.values[half], g.weights[half], ledger.p0)
     inf_u = float(np.min(inst.u.values[half]))
-    log_rhs = ledger.log_c0 + _log_add(_log(inf_u), _f_term_log(inst, ledger))
+    log_rhs = ledger.log_c0 + np.logaddexp(_log(inf_u), _f_term_log(inst, ledger))
     return check_le("harnack-sup", "supersolution-average-bound",
                     log_lhs, log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp",
@@ -148,7 +148,7 @@ def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float) 
     sup_u = float(np.max(inst.u.values[half]))
     log_avg = log_lp_average(np.maximum(inst.u.values[ball_R], 0.0),
                              g.weights[ball_R], p)
-    log_rhs = ledger.log_c1_p0 + _log_add(log_avg, _f_term_log(inst, ledger))
+    log_rhs = ledger.log_c1_p0 + np.logaddexp(log_avg, _f_term_log(inst, ledger))
     return check_le("harnack-sub", "subsolution-sup-bound",
                     _log(sup_u), log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp", p=p, sup_u=sup_u)
@@ -163,21 +163,12 @@ def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckR
     half = g.mask_within(g.center, 0.5 * R)
     sup_u = float(np.max(inst.u.values[half]))
     inf_u = float(np.min(inst.u.values[half]))
-    log_rhs = ledger.log_c2 + _log_add(_log(inf_u), _f_term_log(inst, ledger))
+    log_rhs = ledger.log_c2 + np.logaddexp(_log(inf_u), _f_term_log(inst, ledger))
     return check_le("harnack-full", "solution-harnack-bound",
                     _log(sup_u), log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp",
                     sup_u=sup_u, inf_u=inf_u,
                     sup_over_inf=sup_u / inf_u if inf_u > 0 else math.inf)
-
-
-def _log_add(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    m = max(a, b)
-    return m + math.log1p(math.exp(min(a, b) - m))
 
 
 def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger,
@@ -195,6 +186,14 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     contact configuration with opening 1/r^2 whose contact set must land in
     B_{5r/6} below the level w(y0) + 1/36, and whose measure inside B_{r/18}
     reproduces the mu lower bound.
+
+    Both fold into one stored comparison, max(mu, bound) <= min(ratio,
+    certified) at rel_tol 1e-9, with bound the contact-mass lower bound and
+    certified the contact-mass ratio of the core (the contact nodes in
+    B_{r/18}) when the location check passes and u <= M on the core, else 0.
+    Besides mu <= ratio and the pipeline's mu, bound <= certified, the fold
+    asks bound <= ratio.  That follows from bound <= certified: a certified
+    core lies in {u <= M} cap B_{r/18}, so its mass is at most ratio's.
     """
     grid = u.grid
     anchor = "local-growth"
@@ -216,8 +215,6 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     a18 = grid.mask_within(x0, r / 18.0)
     hit = a18 & (u.values <= ledger.big_m)
     ratio = float(np.sum(grid.weights[hit])) / total
-    rep = check_le("growth-bound", anchor, ledger.mu, ratio, rel_tol=1e-9,
-                   measure_ratio=ratio, mu=ledger.mu, sharpness="non-sharp")
 
     # proof pipeline: barrier, contact set, location, measure bound
     spec = BarrierSpec(ledger.alpha, m, np.asarray(x0, float), r)
@@ -229,8 +226,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     t_level = 18.0**ledger.alpha - (4.0 / 3.0) ** ledger.alpha
     cs = compute_contact_set(m, w_field, 1.0 / r**2, _location_vertices(grid, y0, r))
     loc = check_contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
-    rep.diagnostics["location_check_pass"] = bool(loc.passed)
-    rep.diagnostics.update({f"location_{k}": v for k, v in loc.diagnostics.items()})
+    diag = {f"location_{k}": v for k, v in loc.diagnostics.items()}
 
     nodes = cs.node_indices
     core = nodes[a18.reshape(-1)[nodes]]  # contact nodes inside B_{r/18}
@@ -238,13 +234,13 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     bound = (18.0**3 * ledger.alpha**2 * 18.0**ledger.alpha
              * math.cosh(params.omega * r)) ** (-N) \
         * math.exp(-4.0 * _log_doubling(K, N, 2 * r))
-    rep.diagnostics["contact_mass_ratio"] = a_mass / total
-    rep.diagnostics["contact_mass_bound"] = bound
     sub = u.values.reshape(-1)[core]
-    rep.diagnostics["max_u_on_contact_core"] = float(np.max(sub)) if len(sub) else None
-    pipeline_ok = (loc.passed and a_mass / total >= bound * (1 - 1e-9)
-                   and a_mass / total >= ledger.mu * (1 - 1e-9)
-                   and (len(sub) == 0 or float(np.max(sub)) <= ledger.big_m))
-    rep.diagnostics["pipeline_pass"] = bool(pipeline_ok)
-    rep.passed = rep.passed and pipeline_ok
-    return rep
+    max_core = float(np.max(sub)) if len(sub) else None
+    core_ok = loc.passed and (max_core is None or max_core <= ledger.big_m)
+    certified = a_mass / total if core_ok else 0.0
+    lhs = max(ledger.mu, bound)
+    diag.update(location_check_pass=bool(loc.passed), contact_mass_ratio=a_mass / total,
+                contact_mass_bound=bound, max_u_on_contact_core=max_core,
+                pipeline_pass=lhs <= certified * (1 + 1e-9))
+    return check_le("growth-bound", anchor, lhs, min(ratio, certified), rel_tol=1e-9,
+                    measure_ratio=ratio, mu=ledger.mu, sharpness="non-sharp", **diag)

@@ -39,7 +39,9 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
                    r1: float, r2: float) -> CheckReport:
     """nu[B_r1] / nu[B_r2] <= D_{K,N,R} (r1/r2)^{N eta} for nested balls.
 
-    Also checks the plain two-ball form nu[B_{2 r2}] <= D nu[B_{r2}].
+    Also checks the plain two-ball form nu[B_{2 r2}] <= D nu[B_{r2}] when 2 r2
+    is inside the cut radius.  Both hold iff the larger of ratio / bound and
+    two_ball_ratio / D is at most 1, which is the stored lhs against rhs 1.
     """
     if not (0 < r2 < r1 <= params.R):
         raise ValueError("need 0 < r2 < r1 <= R")
@@ -52,15 +54,15 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     eta = _log_doubling(K, N, R) / (N * math.log(2.0))
     big = m.ball_measure(center, r1).value
     small = m.ball_measure(center, r2).value
-    lhs = big / small
-    rhs = D * (r1 / r2) ** (N * eta)
-    rep = check_le("doubling-ratio", "doubling-estimate", lhs, rhs, rel_tol=1e-9,
-                   r1=r1, r2=r2, doubling_constant=D, eta=eta)
+    ratio = big / small
+    bound = D * (r1 / r2) ** (N * eta)
+    lhs = ratio / bound
+    diag = dict(r1=r1, r2=r2, doubling_constant=D, eta=eta, ratio=ratio, bound=bound)
     if 2 * r2 < m.cut_radius:
         two = m.ball_measure(center, 2 * r2).value / small
-        rep.diagnostics["two_ball_ratio"] = two
-        rep.passed = rep.passed and two <= D * (1 + 1e-9)
-    return rep
+        diag["two_ball_ratio"] = two
+        lhs = max(lhs, two / D)
+    return check_le("doubling-ratio", "doubling-estimate", lhs, 1.0, rel_tol=1e-9, **diag)
 
 
 def integral_I(m: ModelSpace, params: CurvatureParams, f: ScalarField,
@@ -138,10 +140,8 @@ def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
         if t > fmax:
             break
         if k > _K_CAP:
-            rep = check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0)
-            rep.passed = False
-            rep.diagnostics["divergent_sum"] = True
-            return rep
+            return check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0,
+                            divergent_sum=True)
         lam = float(np.sum(w[f > t])) / W
         S += (C ** (p * k)) * lam
         terms += 1
@@ -157,6 +157,11 @@ def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
                     truncation_index=terms)
 
 
+def _distance_matrix(fam: BallFamily) -> np.ndarray:
+    """rho between every two centers of the family, symmetric bit for bit."""
+    return fam.model.distance(fam.centers[:, None], fam.centers[None, :])
+
+
 def vitali_cover(fam: BallFamily) -> np.ndarray:
     """Greedy quarter-radius selection, largest balls first.
 
@@ -166,35 +171,25 @@ def vitali_cover(fam: BallFamily) -> np.ndarray:
     n = len(fam.radii)
     if n == 0:
         raise ValueError("empty ball family")
-    order = np.argsort(-fam.radii, kind="stable")
+    D = _distance_matrix(fam)
+    blocked = np.zeros(n, dtype=bool)  # quarter-ball meets a chosen one
     chosen: list[int] = []
-    for i in order:
-        ok = True
-        for j in chosen:
-            d = float(fam.model.distance(fam.centers[i], fam.centers[j]))
-            if d < 0.25 * (fam.radii[i] + fam.radii[j]):
-                ok = False
-                break
-        if ok:
+    for i in np.argsort(-fam.radii, kind="stable"):
+        if not blocked[i]:
             chosen.append(int(i))
+            blocked |= D[i] < 0.25 * (fam.radii[i] + fam.radii)
     return np.array(chosen, dtype=np.int64)
 
 
 def vitali_verify(fam: BallFamily, selected: np.ndarray) -> CheckReport:
     """Exhaustive disjointness and coverage audit of a selection."""
     sel = np.asarray(selected, dtype=np.int64)
-    worst_overlap = -math.inf
-    for ii, i in enumerate(sel):
-        for j in sel[ii + 1:]:
-            d = float(fam.model.distance(fam.centers[i], fam.centers[j]))
-            worst_overlap = max(worst_overlap, 0.25 * (fam.radii[i] + fam.radii[j]) - d)
-    uncovered = 0
-    for i in range(len(fam.radii)):
-        d = fam.model.distance(fam.centers[i], fam.centers[sel])
-        if not np.any(d <= fam.radii[sel] + 1e-12):
-            uncovered += 1
-    rep = check_le("vitali-cover", "quarter-radius-covering",
-                   max(worst_overlap, float(uncovered)), 0.0,
-                   n_selected=int(len(sel)), uncovered_centers=uncovered,
-                   worst_quarter_overlap=worst_overlap)
-    return rep
+    D = _distance_matrix(fam)
+    r = fam.radii[sel]
+    overlap = 0.25 * (r[:, None] + r[None, :]) - D[np.ix_(sel, sel)]
+    worst_overlap = float(np.max(overlap[np.triu_indices(len(sel), 1)], initial=-math.inf))
+    uncovered = int(np.count_nonzero(~np.any(D[:, sel] <= r + 1e-12, axis=1)))
+    return check_le("vitali-cover", "quarter-radius-covering",
+                    max(worst_overlap, float(uncovered)), 0.0,
+                    n_selected=int(len(sel)), uncovered_centers=uncovered,
+                    worst_quarter_overlap=worst_overlap)

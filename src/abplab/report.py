@@ -1,11 +1,14 @@
 """Structured pass/fail records and tabular emission.
 
 Every verified inequality or identity in the suite produces a
-:class:`CheckReport` carrying both sides, the tolerance, and enough
-diagnostics to recompute the verdict from the stored fields alone:
+:class:`CheckReport` carrying both sides and both tolerances.  Its verdict is
+a read-only function of those stored fields, so no caller can set it and every
+emitted row reproduces its own pass:
 
 * kind "le":  pass  <=>  lhs <= rhs * (1 + rel_tol) + abs_tol
 * kind "eq":  pass  <=>  |lhs - rhs| <= rel_tol * max(|lhs|, |rhs|, 1) + abs_tol
+
+A check with a compound condition folds it into lhs and rhs.
 
 Values may legitimately overflow float64 (several pipeline constants do);
 non-finite values are serialized as strings so reports stay valid JSON.
@@ -34,10 +37,10 @@ class CheckReport:
     rel_tol: float = 0.0
     abs_tol: float = 0.0
     kind: str = "le"     # "le" or "eq"
-    passed: bool = False
     diagnostics: dict = field(default_factory=dict)
 
-    def recompute(self) -> bool:
+    @property
+    def passed(self) -> bool:
         if self.kind == "eq":
             scale = max(abs(self.lhs), abs(self.rhs), 1.0)
             return abs(self.lhs - self.rhs) <= self.rel_tol * scale + self.abs_tol
@@ -58,17 +61,11 @@ class CheckReport:
 
 
 def check_le(name, anchor, lhs, rhs, rel_tol=0.0, abs_tol=0.0, **diag) -> CheckReport:
-    r = CheckReport(name, anchor, float(lhs), float(rhs), rel_tol, abs_tol, "le",
-                    diagnostics=dict(diag))
-    r.passed = r.recompute()
-    return r
+    return CheckReport(name, anchor, float(lhs), float(rhs), rel_tol, abs_tol, "le", diag)
 
 
 def check_eq(name, anchor, lhs, rhs, rel_tol=0.0, abs_tol=0.0, **diag) -> CheckReport:
-    r = CheckReport(name, anchor, float(lhs), float(rhs), rel_tol, abs_tol, "eq",
-                    diagnostics=dict(diag))
-    r.passed = r.recompute()
-    return r
+    return CheckReport(name, anchor, float(lhs), float(rhs), rel_tol, abs_tol, "eq", diag)
 
 
 def _premise_failure(name: str, which: str, anchor: str = "", **diag) -> CheckReport:
@@ -110,13 +107,14 @@ def emit_json(reports, extra=None) -> str:
 
 
 def emit_csv(reports) -> str:
-    """CSV with header (name, anchor, lhs, rhs, tol, pass)."""
+    """CSV with header (name, anchor, kind, lhs, rhs, rel_tol, abs_tol, pass):
+    every row holds all the fields its pass is computed from."""
     if not reports:
         raise ValueError("no reports to emit")
-    lines = ["name,anchor,lhs,rhs,tol,pass"]
+    lines = ["name,anchor,kind,lhs,rhs,rel_tol,abs_tol,pass"]
     for r in reports:
-        tol = r.rel_tol if r.rel_tol else r.abs_tol
-        lines.append(f"{r.name},{r.anchor},{r.lhs!r},{r.rhs!r},{tol!r},{int(r.passed)}")
+        lines.append(f"{r.name},{r.anchor},{r.kind},{r.lhs!r},{r.rhs!r},"
+                     f"{float(r.rel_tol)!r},{float(r.abs_tol)!r},{int(r.passed)}")
     return "\n".join(lines) + "\n"
 
 

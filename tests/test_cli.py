@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -9,12 +10,32 @@ from abplab.pucci import pucci_contact_bound
 from abplab.report import CheckReport, check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng
 
 
+def _rule(kind, lhs, rhs, rel_tol, abs_tol):
+    """The le/eq verdict from a row's own fields, written out independently."""
+    if kind == "eq":
+        return abs(lhs - rhs) <= rel_tol * max(abs(lhs), abs(rhs), 1.0) + abs_tol
+    return lhs <= rhs * (1 + rel_tol) + abs_tol
+
+
+def _csv_rows_reproduce_pass(text):
+    rows = list(csv.DictReader(text.splitlines()))
+    for row in rows:
+        verdict = _rule(row["kind"], *(float(row[k]) for k in ("lhs", "rhs", "rel_tol", "abs_tol")))
+        assert verdict == bool(int(row["pass"])), row
+    return rows
+
+
 class TestReports:
     def test_le_recompute(self):
         r = check_le("x", "anchor", 1.0, 2.0)
-        assert r.passed and r.recompute()
+        assert r.passed
         r = check_le("x", "anchor", 3.0, 2.0)
         assert not r.passed
+        # the verdict follows the stored sides; nothing can set it
+        r.rhs = 3.0
+        assert r.passed
+        with pytest.raises(AttributeError):
+            r.passed = False
 
     def test_eq_tolerance(self):
         r = check_eq("x", "anchor", 1.0, 1.0 + 1e-12, abs_tol=1e-10)
@@ -31,14 +52,10 @@ class TestReports:
     def test_csv_round_trip(self):
         reports = [check_le("a", "s1", 1.0, 2.0, rel_tol=1e-6),
                    check_eq("b", "s2", 1.0, 1.5, abs_tol=1e-3)]
-        lines = emit_csv(reports).strip().split("\n")
-        assert lines[0] == "name,anchor,lhs,rhs,tol,pass"
-        for line, rep in zip(lines[1:], reports):
-            name, anchor, lhs, rhs, tol, passed = line.split(",")
-            assert name == rep.name
-            recomputed = (float(lhs) <= float(rhs) * (1 + float(tol))) if rep.kind == "le" \
-                else abs(float(lhs) - float(rhs)) <= float(tol)
-            assert recomputed == bool(int(passed))
+        text = emit_csv(reports)
+        assert text.split("\n")[0] == "name,anchor,kind,lhs,rhs,rel_tol,abs_tol,pass"
+        rows = _csv_rows_reproduce_pass(text)
+        assert [(r["name"], r["kind"], r["pass"]) for r in rows] == [("a", "le", "1"), ("b", "eq", "0")]
 
     def test_empty_csv_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +201,14 @@ class TestCliOutputs:
         assert data["experiment"] == "constants"
         assert len(data["reports"]) == 5
         assert (out / "constants_report.csv").exists()
+
+    def test_csv_rows_reproduce_their_pass(self, tmp_path):
+        # this row passes only through its abs_tol, which a single tol column dropped
+        out = tmp_path / "abp"
+        assert main(["abp-check", "--model", "sphere", "--k", "1", "--r", "0.5", "--u", "random",
+                     "--seed", "1", "--resolution", "96", "--format", "csv", "--out", str(out)]) == 0
+        rows = _csv_rows_reproduce_pass((out / "abp_check_report.csv").read_text())
+        assert [r["pass"] for r in rows] == ["1"]
 
     def test_env_override(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

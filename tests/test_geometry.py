@@ -350,9 +350,3 @@ class TestRicciLowerBound:
         with pytest.raises(ValueError, match="trivial weight"):
             gaussian_plane(1.0).ricci_lower_bound(2.0, 1.0)
 
-
-class TestJson:
-    def test_round_trip(self, model):
-        d = model.to_json_dict()
-        m2 = ModelSpace.from_json_dict(d)
-        assert m2 == model

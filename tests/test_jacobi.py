@@ -116,6 +116,18 @@ class TestComparison:
         rep = verify_comparison(st, m, 2.0, 0.0, r=0.5)
         assert rep.passed
 
+    def test_uniform_form_failure_is_in_the_stored_sides(self):
+        # the comparison itself holds here but the radius-uniform form at
+        # r = 0.1 does not: the verdict and the stored sides both say so
+        m = hyperbolic(1.0)
+        o = m.origin()
+        st = integrate_jacobi(m, o, np.zeros((2, 2)), m.tangent_frame(o)[0], 256)
+        rep = verify_comparison(st, m, 2.0, 1.0, r=0.1)
+        assert not rep.passed
+        assert rep.lhs > rep.rhs * (1 + rep.rel_tol) + rep.abs_tol
+        assert rep.diagnostics["comparison_gap"] <= rep.abs_tol < rep.lhs
+        assert rep.lhs == rep.diagnostics["uniform_form_gap"]
+
     def test_sphere_numeric(self):
         m = sphere(1.0)
         o = m.origin()

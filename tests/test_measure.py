@@ -167,6 +167,25 @@ class TestVitali:
             close = d < 0.25 * (radii[i] + radii[sel])
             assert np.any(close & (radii[sel] >= radii[i] - 1e-12))
 
+    def test_matches_pairwise_greedy_and_audit(self, model):
+        # the per-pair loops the distance-matrix cover and audit replace
+        rng = seeded_rng(23, f"vitali-ref-{model.kind}")
+        centers = np.stack([random_point(model, rng, 0.8) for _ in range(60)])
+        radii = rng.uniform(0.05, 0.4, size=60)
+        d = lambda i, j: float(model.distance(centers[i], centers[j]))
+        chosen = []
+        for i in np.argsort(-radii, kind="stable"):
+            if all(d(i, j) >= 0.25 * (radii[i] + radii[j]) for j in chosen):
+                chosen.append(int(i))
+        fam = BallFamily(model, centers, radii)
+        assert vitali_cover(fam).tolist() == chosen
+        worst = max(0.25 * (radii[i] + radii[j]) - d(i, j)
+                    for k, i in enumerate(chosen) for j in chosen[k + 1:])
+        uncovered = sum(not any(d(i, j) <= radii[j] + 1e-12 for j in chosen) for i in range(60))
+        rep = vitali_verify(fam, np.array(chosen))
+        assert rep.diagnostics["worst_quarter_overlap"] == worst
+        assert rep.diagnostics["uncovered_centers"] == uncovered == 0
+
     def test_empty_family_rejected(self):
         fam = BallFamily(euclidean(), np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
