@@ -33,10 +33,11 @@ from .fields import ScalarField, _laplacian_nu, _radial_derivatives, radial_fiel
 from .geometry import GeodesicBallGrid, ModelSpace
 from .report import CheckReport, check_le
 
-__all__ = ["BarrierSpec", "barrier_h", "barrier_dh", "barrier_d2h", "barrier_psi",
-           "barrier_field", "verify_barrier", "check_ricci_comparison"]
+__all__ = ["BarrierSpec", "barrier_h", "barrier_dh", "barrier_d2h", "barrier_field",
+           "verify_barrier", "check_ricci_comparison"]
 
 _JUNCTION = 1.0 / 18.0
+_ALPHA_MAX = 200.0       # keeps alpha^3 18^(alpha + 2), the checks' largest factor, finite
 _BARRIER_SAMPLES = 4000  # samples of inf h in verify_barrier; its other pieces take half
 _FAN_SAMPLES = 2000      # radii per ray of the Ricci comparison fan
 _FAN_DIRS = 16           # rays of that fan
@@ -50,8 +51,8 @@ class BarrierSpec:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 2.0:
-            raise ValueError("barrier exponent alpha must be >= 2")
+        if not 2.0 <= self.alpha <= _ALPHA_MAX:
+            raise ValueError(f"barrier exponent alpha must be >= 2 and <= {_ALPHA_MAX:g}")
         if not self.r > 0:
             raise ValueError("barrier radius r must be positive")
 
@@ -70,62 +71,43 @@ class BarrierSpec:
         a = self.alpha
         return -(18.0**3 / 3.0) * a * (2.0 + a) * 18.0**a
 
-    @property
-    def junction(self) -> float:
-        return _JUNCTION
+
+# (cubic, tail) of h^(k) at t, k = 0, 1, 2; t a float or an array
+_PIECES = (
+    (lambda s, t: s.beta0 + s.beta1 * t * t + s.beta2 * t**3,
+     lambda s, t: 18.0**s.alpha - t ** (-s.alpha)),
+    (lambda s, t: 2.0 * s.beta1 * t + 3.0 * s.beta2 * t * t,
+     lambda s, t: s.alpha * t ** (-(s.alpha + 1.0))),
+    (lambda s, t: 2.0 * s.beta1 + 6.0 * s.beta2 * t,
+     lambda s, t: -s.alpha * (s.alpha + 1.0) * t ** (-(s.alpha + 2.0))),
+)
+
+
+def _glued(spec: BarrierSpec, t, k: int):
+    """h^(k)(t): the cubic up to the junction, the tail beyond it."""
+    cubic, tail = _PIECES[k]
+    t = np.asarray(t, float)
+    out = np.where(t <= _JUNCTION, cubic(spec, t), tail(spec, np.where(t > _JUNCTION, t, 1.0)))
+    return out if out.ndim else float(out)
 
 
 def barrier_h(spec: BarrierSpec, t):
-    t = np.asarray(t, float)
-    if np.any(t < 0):
+    if np.any(np.asarray(t) < 0):
         raise ValueError("h is defined on t >= 0")
-    a = spec.alpha
-    cubic = spec.beta0 + spec.beta1 * t * t + spec.beta2 * t**3
-    ts = np.where(t > _JUNCTION, t, 1.0)
-    tail = 18.0**a - ts ** (-a)
-    out = np.where(t <= _JUNCTION, cubic, tail)
-    return out if out.ndim else float(out)
+    return _glued(spec, t, 0)
 
 
 def barrier_dh(spec: BarrierSpec, t):
-    t = np.asarray(t, float)
-    a = spec.alpha
-    cubic = 2.0 * spec.beta1 * t + 3.0 * spec.beta2 * t * t
-    ts = np.where(t > _JUNCTION, t, 1.0)
-    tail = a * ts ** (-(a + 1.0))
-    out = np.where(t <= _JUNCTION, cubic, tail)
-    return out if out.ndim else float(out)
+    return _glued(spec, t, 1)
 
 
 def barrier_d2h(spec: BarrierSpec, t):
-    t = np.asarray(t, float)
-    a = spec.alpha
-    cubic = 2.0 * spec.beta1 + 6.0 * spec.beta2 * t
-    ts = np.where(t > _JUNCTION, t, 1.0)
-    tail = -a * (a + 1.0) * ts ** (-(a + 2.0))
-    out = np.where(t <= _JUNCTION, cubic, tail)
-    return out if out.ndim else float(out)
+    return _glued(spec, t, 2)
 
 
 def junction_residuals(spec: BarrierSpec):
     """|cubic - tail| for value and first two derivatives at t = 1/18."""
-    a, j = spec.alpha, _JUNCTION
-    cubic = (spec.beta0 + spec.beta1 * j * j + spec.beta2 * j**3,
-             2.0 * spec.beta1 * j + 3.0 * spec.beta2 * j * j,
-             2.0 * spec.beta1 + 6.0 * spec.beta2 * j)
-    tail = (18.0**a - j ** (-a),
-            a * j ** (-(a + 1.0)),
-            -a * (a + 1.0) * j ** (-(a + 2.0)))
-    return tuple(abs(c - t) for c, t in zip(cubic, tail))
-
-
-def barrier_psi(spec: BarrierSpec, p):
-    """psi(p) = h(rho(x0, p)/r); radial and continuous on the ball."""
-    m, x0, r = spec.model, spec.center, spec.r
-    rho = m.distance(np.asarray(x0, float), np.asarray(p, float))
-    if np.any(rho >= m.cut_radius):
-        raise ValueError("barrier evaluated beyond the cut radius")
-    return barrier_h(spec, rho / r)
+    return tuple(abs(cubic(spec, _JUNCTION) - tail(spec, _JUNCTION)) for cubic, tail in _PIECES)
 
 
 def barrier_field(grid: GeodesicBallGrid, spec: BarrierSpec) -> ScalarField:

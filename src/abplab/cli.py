@@ -342,6 +342,11 @@ def main(argv=None) -> int:
             raise ValueError("no experiment selected")
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+        # --N = inf is the dimension-free case; every other float flag is finite
+        bad = [f"--{'lambda' if k == 'lam' else k}" for k, v in vars(args).items()
+               if k != "N" and isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         reports, payload, files = _HANDLERS[args.experiment](args)
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)

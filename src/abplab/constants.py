@@ -59,12 +59,12 @@ class CurvatureParams:
     R: float
 
     def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
+        if not 0 <= self.K < math.inf:
+            raise ValueError("K must be finite and >= 0")
         if not (self.N >= 2):
             raise ValueError("N must be >= 2")
-        if not (self.R > 0):
-            raise ValueError("R must be > 0")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be finite and > 0")
 
     def ricci_gap(self, model, radius: float) -> float:
         """K_required - K on the ball of the given radius at the model's
@@ -132,7 +132,12 @@ def build_ledger(params: CurvatureParams) -> ConstantsLedger:
                    + _log_cosh(omega * R)) - 4.0 * log_d[4 * R]
     mu = math.exp(log_mu)
     log_big_m = math.log(2.0) + 2.0 * math.log(alpha) + alpha * _LOG18
-    big_m = math.exp(log_big_m)
+    try:
+        big_m = math.exp(log_big_m)
+    except OverflowError:
+        raise ValueError("M overflows float64 for these (K, N, R); the ledger "
+                         "needs sqrt(K)R and N small enough that exp(log_M) is "
+                         "representable") from None
     log_delta0 = -(math.log(2.0) + (4.0 / N) * log_d[2 * R] + math.log(calS(omega * R)))
     delta0 = math.exp(log_delta0)
 

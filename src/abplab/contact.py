@@ -49,9 +49,6 @@ _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below 
 
 @dataclass
 class ContactSet:
-    model: ModelSpace
-    grid: GeodesicBallGrid
-    a: float
     vertex_indices: np.ndarray   # flat indices of E
     contact_of: np.ndarray       # primary contact node per vertex (same length)
     min_values: np.ndarray       # achieved infima per vertex
@@ -201,7 +198,7 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
         tie_nodes = _slot_node(np.concatenate(tie_slots), W, n_t)
         by_vertex = np.argsort(tie_rows, kind="stable")
         ties = np.stack([E[tie_rows[by_vertex]], tie_nodes[by_vertex]], axis=1)
-    return ContactSet(m, grid, float(a), E, _slot_node(contact, W, n_t), minval, ties)
+    return ContactSet(E, _slot_node(contact, W, n_t), minval, ties)
 
 
 def _slot_node(slot, W, n_t):

@@ -86,11 +86,6 @@ class ScalarField:
         grad, h = self.jet(p)
         return _laplacian_nu(self.grid.model, p, grad, h[..., 0, 0] + h[..., 1, 1])
 
-    def check_consistency(self) -> float:
-        """Max |closed form - node samples|; raises if no closed form."""
-        v = self.value(self.grid.points)
-        return float(np.max(np.abs(v - self.values)))
-
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
     """Delta_nu u = Delta u - g(grad u, grad V) at p, from the gradient of u

@@ -169,13 +169,6 @@ class ModelSpace:
             return np.zeros(p.shape[:-1])
         return np.abs(self._inner(p, p) - 1.0 / self._kappa)
 
-    def tangency_residual(self, p, v) -> np.ndarray:
-        p = np.asarray(p, float)
-        v = np.asarray(v, float)
-        if self.is_flat_chart:
-            return np.zeros(np.broadcast_shapes(p.shape[:-1], v.shape[:-1]))
-        return np.abs(self._inner(p, v))
-
     def tangent_inner(self, p, v, w) -> np.ndarray:
         """Riemannian inner product of tangent vectors at p."""
         return self._inner(v, w)
@@ -422,10 +415,6 @@ class GeodesicBallGrid:
     def flat_weights(self) -> np.ndarray:
         return self.weights.reshape(-1)
 
-    def integrate(self, values) -> float:
-        """Quadrature of a node-sampled function against nu."""
-        return float(np.sum(self.weights * np.asarray(values)))
-
     def mask_within(self, center, r) -> np.ndarray:
         """Boolean node mask of the sub-ball B_r(center)."""
         d = self.model.distance(self.points, np.asarray(center, float))
@@ -465,4 +454,6 @@ def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int
         pg = model.exp(center, rg[:, None, None] * dirs[None, :, :])
         weights += 0.5 * model.psi(rg)[:, None] * np.exp(-model.weight_V(pg))
     weights *= drho * dth
+    if not np.sum(weights) > 0:
+        raise ValueError("grid weights sum to 0: radius too small for float64")
     return GeodesicBallGrid(model, center, float(r), n_r, n_theta, rho, theta, points, weights, (e1, e2))

@@ -33,8 +33,8 @@ from .measure import integral_I, log_lp_average
 from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["HarnackInstance", "log_lp_average", "harnack_check_sup",
-           "harnack_check_sub", "harnack_check_full", "growth_check"]
+__all__ = ["HarnackInstance", "harnack_check_sup", "harnack_check_sub",
+           "harnack_check_full", "growth_check"]
 
 _OP_TOL = 1e-6  # nodewise Delta_nu u against f, relative to max(1, max|f|)
 

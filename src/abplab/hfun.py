@@ -1,10 +1,11 @@
 """The sharp Harnack ratio functional on the three constant-curvature planes.
 
-For a ball of geodesic radius d, the supremum over positive harmonic
-functions of sup/inf over the half-radius ball has closed forms through the
-conformal picture: a geodesic ball maps to a Euclidean disc, harmonic
-functions correspond across the conformal factor, and the extremal ratio of
-the Poisson kernel over the image of the half ball gives
+hfun(m, d) is the sharp constant of the geodesic ball B_{sqrt(2) d}: the
+supremum over positive harmonic functions on it of sup/inf over its half
+ball B_{d/sqrt(2)}.  It has closed forms through the conformal picture: a
+geodesic ball maps to a Euclidean disc, harmonic functions correspond across
+the conformal factor, and the extremal ratio of the Poisson kernel over the
+image of the half ball gives
 
     euclidean:     9
     sphere k:      (1 + 2 cos(phi))^2,    phi = sqrt(k) d / sqrt(2)
@@ -13,7 +14,9 @@ the Poisson kernel over the image of the half ball gives
 that is (1 + 2 dpsi(d / sqrt(2)))^2 in the model's own polar coefficient,
 with the half-ball image radius ratio theta(d) = tan(phi/2)/tan(phi)
 (tanh/tanh in the hyperbolic case, 1/2 in the flat one), tied to the value
-by ((1 + theta)/(1 - theta))^2.
+by ((1 + theta)/(1 - theta))^2.  The stereographic image of B_rho has radius
+proportional to tan(sqrt(k) rho/2), so theta is the image ratio of B_{D/2}
+in B_D for D = sqrt(2) d, not for D = d.
 
 The numeric optimizer maximizes over boundary point masses; mixtures are
 dominated pointwise by their best atom, so point masses suffice -- a claim
@@ -38,13 +41,9 @@ __all__ = ["HfunResult", "poisson_kernel_disc", "hfun_closed_form",
 
 @dataclass
 class HfunResult:
-    model: ModelSpace
-    d: float
     value_closed: float
     value_numeric: float
     theta_used: float
-    n_boundary: int
-    n_ball: int
 
 
 def poisson_kernel_disc(x, omega):
@@ -60,7 +59,8 @@ def poisson_kernel_disc(x, omega):
 
 
 def chart_phi(m: ModelSpace, d: float) -> float:
-    """Conformal chart angle phi = sqrt|kappa| d / sqrt(2); validity needs phi < 1."""
+    """Conformal chart angle phi = sqrt|kappa| d / sqrt(2), half of sqrt|kappa| D
+    for the ball radius D = sqrt(2) d; validity needs phi < 1."""
     if m.is_flat_chart:
         return 0.0
     phi = math.sqrt(abs(m.sectional())) * d / math.sqrt(2.0)
@@ -76,8 +76,9 @@ def hfun_closed_form(m: ModelSpace, d: float) -> float:
 
 
 def theta_ratio(m: ModelSpace, d: float) -> float:
-    """Image radius ratio of the half ball inside the full ball's disc image,
-    psi(h/2) dpsi(h) / (dpsi(h/2) psi(h)) with h = d/sqrt 2; needs d > 0."""
+    """Image radius ratio of B_{d/sqrt 2} inside the disc image of B_{sqrt 2 d},
+    tan(phi/2)/tan(phi) with phi = sqrt(k) d/sqrt 2 (tanh when hyperbolic, 1/2
+    flat): psi(h/2) dpsi(h) / (dpsi(h/2) psi(h)) with h = d/sqrt 2; needs d > 0."""
     if not d > 0:
         raise ValueError("hfun radius d must be positive")
     chart_phi(m, d)
@@ -111,7 +112,7 @@ def hfun_numeric(m: ModelSpace, d: float, n_boundary: int = 512,
          * np.stack([np.cos(ang), np.sin(ang)], -1)[None, :, :]).reshape(-1, 2)
     P = poisson_kernel_disc(X, 0.0)
     best = float(P.max() / P.min())
-    return HfunResult(m, d, hfun_closed_form(m, d), best, theta, n_boundary, n_ball)
+    return HfunResult(hfun_closed_form(m, d), best, theta)
 
 
 def expansion_fit(d_samples, values, degree: int = 3):

@@ -58,18 +58,11 @@ class JacobiState:
     Jdot: np.ndarray           # (T, 2, 2)
     weight_ratio: np.ndarray   # exp(-V(gamma)) / exp(-V(base)) per time
     gamma: np.ndarray          # geodesic samples (T, embedding_dim)
-    frame: tuple               # parallel frame (e1, e2) at the base
 
     def det(self) -> np.ndarray:
         """det J(t) per sample time, in closed form on the (T, 2, 2) stack."""
         J = self.J
         return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-
-    def wronskian_drift(self) -> float:
-        """Max drift of J^T Jdot - Jdot^T J, conserved when R is symmetric."""
-        W = np.einsum("tij,tik->tjk", self.J, self.Jdot) \
-            - np.einsum("tij,tik->tjk", self.Jdot, self.J)
-        return float(np.max(np.abs(W - W[0])))
 
 
 def curvature_matrix(m: ModelSpace, v_norm_sq: float) -> np.ndarray:
@@ -108,8 +101,9 @@ def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
 def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -> JacobiState:
     """Jacobi flow data for the geodesic t -> exp_x(t v).
 
-    initial_hessian: 2x2 symmetric matrix (frame components of Hess u at x,
-    in the frame returned with the state: e1 along v, e2 normal).
+    initial_hessian: 2x2 symmetric matrix, the components of Hess u at x in
+    the frame e1 = v/|v|, e2 = e1 rotated by +90 degrees (any orthonormal
+    frame when v = 0).
     """
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
@@ -121,31 +115,20 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     L = float(m.tangent_norm(x, v))
     if L >= m.cut_radius:
         raise ValueError("initial speed exceeds the cut radius")
-    if L > 0:
-        e1 = v / L
-        e2 = m.rotate90(x, e1)
-    else:
-        e1, e2 = m.tangent_frame(x)
     Z = _rk4_linear(curvature_matrix(m, L * L), np.vstack([np.eye(2), H0]), n_steps)
     times = np.linspace(0.0, 1.0, n_steps + 1)
     gamma = m.exp(x, times[:, None] * v[None, :])
     wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
-    return JacobiState(m, x, v, times, Z[:, :2], Z[:, 2:], wr, gamma, (e1, e2))
-
-
-def _weighted_det(state: JacobiState) -> np.ndarray:
-    """weight_ratio(t) * det J(t) per sample time."""
-    return state.det() * state.weight_ratio
+    return JacobiState(m, x, v, times, Z[:, :2], Z[:, 2:], wr, gamma)
 
 
 def dn_functional(state: JacobiState, N) -> np.ndarray:
     """D_N(t) samples, NaN from the first nonpositive determinant on.
 
     Raises ValueError only when the determinant is nonpositive at t = 0; a
-    later crossing ends the valid prefix, and first_nonpositive_time reports
-    its time.
+    later crossing ends the valid prefix.
     """
-    det = _weighted_det(state)
+    det = state.det() * state.weight_ratio
     bad = np.flatnonzero(det <= 0.0)
     if bad.size and bad[0] == 0:
         raise ValueError("determinant nonpositive at t = 0")
@@ -158,12 +141,6 @@ def dn_functional(state: JacobiState, N) -> np.ndarray:
     else:
         out[ok] = det[ok] ** (1.0 / N)
     return out
-
-
-def first_nonpositive_time(state: JacobiState) -> Optional[float]:
-    det = _weighted_det(state)
-    bad = np.flatnonzero(det <= 0.0)
-    return float(state.times[bad[0]]) if bad.size else None
 
 
 def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,

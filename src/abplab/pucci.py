@@ -22,8 +22,7 @@ from .constants import calH
 from .geometry import ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["pucci", "check_algebra", "e_theta", "e_theta_bounds",
-           "pucci_contact_bound", "extremal_form_gap"]
+__all__ = ["pucci", "check_algebra", "e_theta", "e_theta_bounds", "pucci_contact_bound"]
 
 _N_DENSE = 4096  # radii of e_theta's dense confirmation sample
 
@@ -158,24 +157,3 @@ def pucci_contact_bound(u_hessian, dist_hessian, a, theta: float) -> CheckReport
     return check_le("pucci-contact", "extremal-trace-chain", lhs[i], rhs[i],
                     abs_tol=float(tol[i]), contact_min_eig=lam_min)
 
-
-def extremal_form_gap(H, theta: float, rng, n_samples: int = 200) -> dict:
-    """Stress the inf/sup envelope form of the extremal operators.
-
-    Random admissible A = Q diag(unif[1, theta]) Q^T give tr(A H) inside
-    [M^-, M^+]; the eigenbasis-diagonal extremal choice attains each end.
-    """
-    H = np.asarray(H, float)
-    mm, mp = pucci(H, theta)
-    Q, _ = np.linalg.qr(rng.normal(size=(n_samples, 2, 2)))
-    A = (Q * rng.uniform(1.0, theta, size=(n_samples, 1, 2))) @ np.swapaxes(Q, -1, -2)
-    t = np.einsum("nij,ji->n", A, H)
-    lam, V = np.linalg.eigh(0.5 * (H + H.T))
-    A_min = V @ np.diag(np.where(lam < 0, theta, 1.0)) @ V.T
-    A_max = V @ np.diag(np.where(lam >= 0, theta, 1.0)) @ V.T
-    return {
-        "worst_below_minus": float(np.max(mm - t, initial=0.0)),
-        "worst_above_plus": float(np.max(t - mp, initial=0.0)),
-        "attain_minus_gap": abs(float(np.trace(A_min @ H)) - mm),
-        "attain_plus_gap": abs(float(np.trace(A_max @ H)) - mp),
-    }

@@ -163,4 +163,5 @@ class TestTransportInternals:
         lhs = float(np.sum(inst.grid.flat_weights()[inst.E]))
         assert tr["rhs_transport"] == pytest.approx(w**N * lhs, rel=1e-12)
         # refined points sit at the arccosh conditioning floor (~sqrt(eps))
-        assert tr["max_contact_shift"] < 1e-7
+        Y = inst.grid.points[:nr].reshape(-1, inst.grid.points.shape[-1])
+        assert np.max(m.distance(Y, tr["contact_points"])) < 1e-7

@@ -138,7 +138,7 @@ def test_criterion_05_barrier():
     ok = True
     for alpha in (2.0, 3.1, 5.0, 10.0):
         sp = BarrierSpec(alpha)
-        scale = max(1.0, abs(barrier_d2h(sp, sp.junction)))
+        scale = max(1.0, abs(barrier_d2h(sp, 1.0 / 18.0)))
         ok &= all(x <= 1e-8 * scale for x in junction_residuals(sp))
     for model, params in ((euclidean(), CurvatureParams(0.0, 2.0, 1.0)),
                           (hyperbolic(1.0), CurvatureParams(1.0, 2.0, 1.0))):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from abplab.barrier import (BarrierSpec, barrier_dh, barrier_d2h, barrier_field,
-                            barrier_h, barrier_psi, check_ricci_comparison,
-                            junction_residuals, verify_barrier)
+                            barrier_h, check_ricci_comparison, junction_residuals,
+                            verify_barrier)
 from abplab.constants import CurvatureParams, build_ledger
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 
@@ -17,7 +17,7 @@ class TestBarrierH:
 
     def test_junction_vanishes_from_both_sides(self):
         sp = BarrierSpec(2.0)
-        j = sp.junction
+        j = 1.0 / 18.0
         cubic = sp.beta0 + sp.beta1 * j * j + sp.beta2 * j**3
         tail = 18.0**2 - j ** (-2.0)
         assert cubic == pytest.approx(0.0, abs=1e-9)
@@ -37,7 +37,7 @@ class TestBarrierH:
     def test_c2_junction(self, alpha):
         sp = BarrierSpec(alpha)
         res = junction_residuals(sp)
-        scale = max(1.0, abs(barrier_d2h(sp, sp.junction)))
+        scale = max(1.0, abs(barrier_d2h(sp, 1.0 / 18.0)))
         assert all(x <= 1e-8 * scale for x in res)
 
     @pytest.mark.parametrize("alpha", [2.0, 3.1, 5.0, 10.0])
@@ -61,7 +61,7 @@ class TestBarrierH:
     def test_core_quantitative_bounds(self):
         sp = BarrierSpec(4.0)
         a = sp.alpha
-        t = np.linspace(1e-9, sp.junction, 2000)
+        t = np.linspace(1e-9, 1.0 / 18.0, 2000)
         ratio = barrier_dh(sp, t) / t
         assert np.all(ratio > 0)
         assert float(np.max(ratio)) <= 972.0 * a * a * 18.0**a
@@ -81,26 +81,30 @@ class TestBarrierH:
             barrier_h(BarrierSpec(2.0), -0.1)
 
 
+def _psi(sp, p):
+    """psi(p) = h(rho(x0, p)/r), the barrier on the ball."""
+    return barrier_h(sp, sp.model.distance(sp.center, np.asarray(p, float)) / sp.r)
+
+
 class TestBarrierPsi:
     def test_center_value(self):
         m = euclidean()
         sp = BarrierSpec(2.0, m, m.origin(), 1.0)
-        assert barrier_psi(sp, m.origin()) == pytest.approx(sp.beta0, abs=1e-12)
+        assert _psi(sp, m.origin()) == pytest.approx(sp.beta0, abs=1e-12)
 
     def test_radial_values(self):
         m = euclidean()
         sp = BarrierSpec(2.0, m, m.origin(), 1.0)
-        assert barrier_psi(sp, np.array([0.5, 0.0])) == pytest.approx(320.0, abs=1e-12)
-        assert barrier_psi(sp, np.array([0.0, 0.75])) == pytest.approx(
-            18.0**2 - (4.0 / 3.0) ** 2, abs=1e-12)
+        assert _psi(sp, [0.5, 0.0]) == pytest.approx(320.0, abs=1e-12)
+        assert _psi(sp, [0.0, 0.75]) == pytest.approx(18.0**2 - (4.0 / 3.0) ** 2, abs=1e-12)
 
     def test_field_matches_pointwise(self):
         m = hyperbolic(1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 32, 32)
         sp = BarrierSpec(3.0, m, m.origin(), 1.0)
         f = barrier_field(g, sp)
-        assert f.check_consistency() < 1e-9
-        assert np.allclose(f.values, barrier_psi(sp, g.points), atol=1e-10)
+        assert np.max(np.abs(f.value(g.points) - f.values)) < 1e-9
+        assert np.allclose(f.values, _psi(sp, g.points), atol=1e-10)
 
 
 class TestVerifyBarrier:

@@ -96,10 +96,21 @@ class TestCliExitCodes:
         ["hfun", "--samples", "33"],
         ["hfun", "--fit", "--dmax", "-1"],
         ["hfun", "--fit", "--samples", "3"],
+        ["doubling", "--K", "inf", "--samples", "2"],
+        ["constants", "--K", "nan"],
+        ["barrier-check", "--alpha", "nan"],
+        ["doubling", "--model", "gaussian", "--lambda", "inf"],
+        ["constants", "--N", "400"],
+        ["constants", "--K", "1e6"],
+        ["constants", "--R", "1e3", "--K", "1"],
+        ["barrier-check", "--alpha", "1e6"],
+        ["harnack-check", "--which", "growth", "--r", "1e-300"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
-            "hfun-dmax-negative", "hfun-fit-samples-3"])
+            "hfun-dmax-negative", "hfun-fit-samples-3", "doubling-K-inf", "constants-K-nan",
+            "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
+            "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -175,12 +175,18 @@ class TestOneChord:
         assert np.array_equal(model.distance(p, q), [model.distance(a, b) for a, b in zip(p, q)])
 
 
+def _tangency_residual(model, p, v):
+    """|<p, v>|, 0 for a tangent vector of a curved model; every vector of a
+    flat chart is tangent."""
+    return 0.0 if model.is_flat_chart else abs(model.lower(p) @ v)
+
+
 class TestTangency:
     def test_frame_orthonormal(self, model, rng):
         p = random_point(model, rng, 0.6)
         e1, e2 = model.tangent_frame(p)
-        assert model.tangency_residual(p, e1) < 1e-12
-        assert model.tangency_residual(p, e2) < 1e-12
+        assert _tangency_residual(model, p, e1) < 1e-12
+        assert _tangency_residual(model, p, e2) < 1e-12
         assert model.tangent_inner(p, e1, e1) == pytest.approx(1.0, abs=1e-12)
         assert model.tangent_inner(p, e2, e2) == pytest.approx(1.0, abs=1e-12)
         assert abs(model.tangent_inner(p, e1, e2)) < 1e-12
@@ -196,7 +202,7 @@ class TestTangency:
         p = random_point(model, rng, 0.5)
         v = random_tangent(model, p, 1.3, rng)
         w = model.rotate90(p, v)
-        assert model.tangency_residual(p, w) < 1e-10
+        assert _tangency_residual(model, p, w) < 1e-10
         assert model.tangent_inner(p, v, w) == pytest.approx(0.0, abs=1e-10)
         assert model.tangent_norm(p, w) == pytest.approx(1.3, abs=1e-10)
 
@@ -285,19 +291,19 @@ class TestPolarGrid:
     def test_euclid_integrate_constant(self):
         m = euclidean()
         g = build_polar_grid(m, m.origin(), 1.0, 256, 256)
-        assert g.integrate(np.ones(g.shape)) == pytest.approx(math.pi, rel=1e-6)
+        assert np.sum(g.weights * np.ones(g.shape)) == pytest.approx(math.pi, rel=1e-6)
 
     def test_sphere_integrate_constant(self):
         m = sphere(1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 256, 256)
-        assert g.integrate(np.ones(g.shape)) == pytest.approx(2 * math.pi * (1 - math.cos(1.0)), rel=1e-6)
+        assert np.sum(g.weights * np.ones(g.shape)) == pytest.approx(2 * math.pi * (1 - math.cos(1.0)), rel=1e-6)
 
     def test_integrate_rho_squared(self):
         # oracle: 2 pi * integral rho^3 = pi/2 on the unit disc
         m = euclidean()
         g = build_polar_grid(m, m.origin(), 1.0, 256, 256)
         vals = np.broadcast_to((g.rho**2)[:, None], g.shape)
-        assert g.integrate(vals) == pytest.approx(math.pi / 2, rel=1e-4)
+        assert np.sum(g.weights * vals) == pytest.approx(math.pi / 2, rel=1e-4)
 
     def test_quadrature_convergence(self, model):
         # smooth radial integrand, reference from adaptive quadrature
@@ -311,7 +317,7 @@ class TestPolarGrid:
         for n in (32, 64):
             g = build_polar_grid(model, model.origin(), 1.0, n, n)
             vals = np.exp(-1.3 * g.rho**2)[:, None] * np.ones(g.shape)
-            errs.append(abs(g.integrate(vals) - ref))
+            errs.append(abs(np.sum(g.weights * vals) - ref))
         assert errs[0] / max(errs[1], 1e-16) >= 3.0
 
     def test_resolution_floor(self):

@@ -7,7 +7,8 @@ from abplab.constants import CurvatureParams, build_ledger
 from abplab.fields import ScalarField, constant_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, hyperbolic
 from abplab.harnack import (HarnackInstance, growth_check, harnack_check_full,
-                            harnack_check_sub, harnack_check_sup, log_lp_average)
+                            harnack_check_sub, harnack_check_sup)
+from abplab.measure import log_lp_average
 from abplab.pde import DirichletProblem, solve_poisson
 from abplab.report import seeded_rng
 

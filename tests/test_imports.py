@@ -2,15 +2,21 @@
 module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
-and the Jacobi integrator takes no Python-level loop per time step."""
+the Jacobi integrator takes no Python-level loop per time step, and every
+abplab name the benchmark binds, read from its sources, still exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+from abplab.fields import ScalarField
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "abplab"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -273,3 +279,77 @@ def test_einsum_detector_flags_and_accepts():
            "t = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]\n"
            "einsum_note = 'np.einsum'\n")
     assert einsum_calls(src) == [3, 4]
+
+
+def _assigned(tree, name):
+    """The value of the top-level assignment to name."""
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets))
+
+
+def counter_arguments(source: str) -> dict:
+    """{"module.function": keys} over the COUNTERS table: the args["..."]
+    keys that each counter function (tracer, args, result) reads."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = _assigned(tree, "COUNTERS")
+    out = {}
+    for key, value in zip(table.keys, table.values):
+        fn = functions[value.id]
+        args = fn.args.args[1].arg
+        out[key.value] = sorted({n.slice.value for n in ast.walk(fn)
+                                 if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+                                 and n.value.id == args and isinstance(n.slice, ast.Constant)})
+    return out
+
+
+def abplab_attributes(source: str) -> list:
+    """(module, attr) of each attribute read from a module bound by
+    `from abplab import ...`."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name: alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.module == "abplab"
+             for alias in node.names}
+    return sorted({(bound[n.value.id], n.attr) for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   and isinstance(n.value, ast.Name) and n.value.id in bound})
+
+
+def _abplab(module, name):
+    return getattr(importlib.import_module(f"abplab.{module}"), name, None)
+
+
+def test_benchmark_field_methods_exist():
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text())
+    names = ast.literal_eval(_assigned(tracing, "FIELD_METHODS"))
+    assert [n for n in names if not hasattr(ScalarField, n)] == []
+
+
+def test_benchmark_counters_read_parameters():
+    missing = []
+    for target, keys in counter_arguments((PERFBENCH / "tracing.py").read_text()).items():
+        fn = _abplab(*target.split("."))
+        params = inspect.signature(fn).parameters if fn is not None else {}
+        missing += [f"{target}: {k}" for k in keys if k not in params]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")),
+                         ids=[p.name for p in sorted(PERFBENCH.glob("*.py"))])
+def test_benchmark_reads_existing_names(path):
+    assert [f"{m}.{a}" for m, a in abplab_attributes(path.read_text())
+            if _abplab(m, a) is None] == []
+
+
+def test_benchmark_binding_detectors_flag_and_accept():
+    src = ("from abplab import contact, fields as f\nimport abplab.pde\n"
+           "def _count(tr, args, out):\n"
+           "    tr.counts['n'] += args['chunk'] + len(args['E']) + out['x']\n"
+           "def _other(tr, a, out):\n    return a['Omega']\n"
+           "COUNTERS = {'contact.compute_contact_set': _count, 'pde.solve_poisson': _other}\n"
+           "x = contact.compute_contact_set(f.hess_form, abplab.pde.solve)\n"
+           "contact.stored = f\n")
+    assert counter_arguments(src) == {"contact.compute_contact_set": ["E", "chunk"],
+                                      "pde.solve_poisson": ["Omega"]}
+    assert abplab_attributes(src) == [("contact", "compute_contact_set"),
+                                      ("fields", "hess_form")]

@@ -4,9 +4,30 @@ import numpy as np
 import pytest
 
 from abplab.geometry import euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.pucci import (check_algebra, e_theta, e_theta_bounds,
-                          extremal_form_gap, pucci, pucci_contact_bound)
+from abplab.pucci import check_algebra, e_theta, e_theta_bounds, pucci, pucci_contact_bound
 from abplab.report import seeded_rng
+
+
+def extremal_form_gap(H, theta: float, rng, n_samples: int = 200) -> dict:
+    """Stress the inf/sup envelope form of the extremal operators.
+
+    Random admissible A = Q diag(unif[1, theta]) Q^T give tr(A H) inside
+    [M^-, M^+]; the eigenbasis-diagonal extremal choice attains each end.
+    """
+    H = np.asarray(H, float)
+    mm, mp = pucci(H, theta)
+    Q, _ = np.linalg.qr(rng.normal(size=(n_samples, 2, 2)))
+    A = (Q * rng.uniform(1.0, theta, size=(n_samples, 1, 2))) @ np.swapaxes(Q, -1, -2)
+    t = np.einsum("nij,ji->n", A, H)
+    lam, V = np.linalg.eigh(0.5 * (H + H.T))
+    A_min = V @ np.diag(np.where(lam < 0, theta, 1.0)) @ V.T
+    A_max = V @ np.diag(np.where(lam >= 0, theta, 1.0)) @ V.T
+    return {
+        "worst_below_minus": float(np.max(mm - t, initial=0.0)),
+        "worst_above_plus": float(np.max(t - mp, initial=0.0)),
+        "attain_minus_gap": abs(float(np.trace(A_min @ H)) - mm),
+        "attain_plus_gap": abs(float(np.trace(A_max @ H)) - mp),
+    }
 
 
 def _sym(M):
