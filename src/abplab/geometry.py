@@ -23,22 +23,23 @@ distance all come from one inner product, the chord <q - p, q - p>, exactly
 the one order (t0 + t1) + t2, so distance can form chord^2 from the
 per-component differences q[..., i] - p[..., i], never building the batch of
 differences that log needs for its tangent, and still equal log's rho bit
-for bit.  All operations are vectorized over leading axes and pure, so
-callers may evaluate them concurrently.
+for bit.  Ball measures are floats in closed form, but for one radial
+Gauss-Legendre rule off the gaussian origin.  All operations are vectorized
+over leading axes and pure, so callers may evaluate them concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ModelSpace",
     "GeodesicBallGrid",
-    "Measure",
     "build_polar_grid",
     "euclidean",
     "sphere",
@@ -47,12 +48,14 @@ __all__ = [
 ]
 
 _MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
-_N_QUAD = 512  # radii and angles of the off-origin weighted ball quadrature
+_I0_MAX = 700.0  # largest |lam| |c| r of an off-origin weighted ball; np.i0 overflows from 710
 
 
-class Measure(NamedTuple):
-    value: float
-    method: str  # "closed_form" or "quadrature"
+@cache
+def _gauss_legendre():
+    """64-node Gauss-Legendre rule on [0, 1]; loads numpy.polynomial on first use."""
+    t, w = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def _products(a, b):
@@ -298,29 +301,30 @@ class ModelSpace:
 
     # -- measures --------------------------------------------------------------
 
-    def ball_measure(self, center, r) -> Measure:
+    def ball_measure(self, center, r) -> float:
         """nu-measure of the geodesic ball B_r(center).
 
-        Unweighted balls have the closed form 4 pi psi(r/2)^2 (pi r^2 when
-        flat), free of the cancellation in 2 pi/kappa (1 - dpsi(r)); weighted
-        balls have one at the origin, and elsewhere fall back to a dense
-        radial-angular quadrature flagged as such.
+        Unweighted balls have the closed form 4 pi psi(r/2)^2, free of the
+        cancellation in 2 pi/kappa (1 - dpsi(r)); weighted balls have one at
+        the origin.  Off it the angle integral is 2 pi exp(-lam (|c| - sgn(lam)
+        rho)^2/2 - x) I0(x), x = |lam| |c| rho (a bounded exponent); 64-node
+        Gauss-Legendre takes the radius.  x > 700 raises: np.i0 overflows from 710.
         """
         if not r < self.cut_radius:
             raise ValueError("ball radius exceeds the cut radius")
         lam = self.lam
         if lam == 0.0:
-            return Measure(float(4.0 * math.pi * self.psi(0.5 * r) ** 2), "closed_form")
-        center = np.asarray(center, float)
-        if _dot(center, center) < 1e-28:
-            return Measure(2.0 * math.pi / lam * -math.expm1(-0.5 * lam * r * r), "closed_form")
-        # midpoint quadrature of exp(-V) over the off-origin disc
-        h = r / _N_QUAD
-        rho = (np.arange(_N_QUAD) + 0.5) * h
-        th = (np.arange(_N_QUAD) + 0.5) * (2 * math.pi / _N_QUAD)
-        pts = center + rho[:, None, None] * np.stack([np.cos(th), np.sin(th)], -1)[None, :, :]
-        w = np.exp(-self.weight_V(pts)) * rho[:, None]
-        return Measure(float(w.sum() * h * (2 * math.pi / _N_QUAD)), "quadrature")
+            return float(4.0 * math.pi * self.psi(0.5 * r) ** 2)
+        c = math.hypot(*np.asarray(center, float))
+        if c < 1e-14:
+            return 2.0 * math.pi / lam * -math.expm1(-0.5 * lam * r * r)
+        x_max = abs(lam) * c * r
+        if x_max > _I0_MAX:
+            raise ValueError(f"weighted ball needs |lam| |c| r <= {_I0_MAX:g}, not {x_max:g}")
+        t, w = _gauss_legendre()
+        rho, x = r * t, x_max * t
+        f = rho * np.exp(-0.5 * lam * (c - np.copysign(rho, lam)) ** 2 - x) * np.i0(x)
+        return float(2.0 * math.pi * r * np.dot(w, f))
 
     # -- curvature --------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -144,7 +143,7 @@ def dn_functional(state: JacobiState, N) -> np.ndarray:
 
 
 def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
-                      r: Optional[float] = None) -> CheckReport:
+                      r: float) -> CheckReport:
     """Concavity comparison for D_N along the geodesic.
 
     Checks, at interior sample times with valid determinant,
@@ -152,13 +151,12 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
         D_N'' <= -(1/N) Ric_{N,nu}(gamma') D_N     (N < inf)
         D_inf'' <= -Ric_{inf,nu}(gamma')           (N = inf)
 
-    by centered second differences, plus, when r is given, the radius-uniform
-    form  D_N'' <= 4 (K/N) r^2 D_N  with |gamma'| <= 2r; the stored lhs is
-    then the larger of the two gaps.
+    by centered second differences, and the radius-uniform form
+    D_N'' <= 4 (K/N) r^2 D_N  with |gamma'| <= 2r; the stored lhs is the
+    larger of the two gaps.
     """
     D = dn_functional(state, N)
-    t = state.times
-    h = t[1] - t[0]
+    h = state.times[1] - state.times[0]
     ok = np.isfinite(D)
     interior = ok[:-2] & ok[1:-1] & ok[2:]
     if interior.sum() < 8:
@@ -168,20 +166,17 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
     ric = m.ricci_nu_quadratic(state.gamma[idx], _velocity(state, idx), N)
     if math.isinf(N):
         rhs = -ric
-        rhs_uniform = None if r is None else np.full_like(rhs, 4.0 * ledger_K * r * r)
+        rhs_uniform = 4.0 * ledger_K * r * r
     else:
         rhs = -(ric / N) * D[idx]
-        rhs_uniform = None if r is None else 4.0 * (ledger_K / N) * r * r * D[idx]
+        rhs_uniform = 4.0 * (ledger_K / N) * r * r * D[idx]
     scale = max(1.0, float(np.max(np.abs(d2))), float(np.max(np.abs(rhs))))
     gap = float(np.max(d2 - rhs))
-    diag = dict(n_interior=int(interior.sum()), fd_scale=scale)
-    lhs = gap
-    if rhs_uniform is not None:
-        gap_u = float(np.max(d2 - rhs_uniform))
-        diag.update(comparison_gap=gap, uniform_form_gap=gap_u)
-        lhs = max(gap, gap_u)
+    gap_u = float(np.max(d2 - rhs_uniform))
     return check_le("jacobi-concavity", "determinant-comparison",
-                    lhs, 0.0, abs_tol=_FD_SLACK * scale, **diag)
+                    max(gap, gap_u), 0.0, abs_tol=_FD_SLACK * scale,
+                    n_interior=int(interior.sum()), fd_scale=scale,
+                    comparison_gap=gap, uniform_form_gap=gap_u)
 
 
 def _velocity(state: JacobiState, idx) -> np.ndarray:

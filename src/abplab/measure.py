@@ -10,7 +10,7 @@ import numpy as np
 from .constants import CurvatureParams, _log_doubling
 from .fields import ScalarField
 from .geometry import ModelSpace
-from .report import CheckReport, check_le
+from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["BallFamily", "doubling_check", "integral_I", "log_lp_average",
            "lp_distribution_check", "vitali_cover", "vitali_verify"]
@@ -42,24 +42,32 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     Also checks the plain two-ball form nu[B_{2 r2}] <= D nu[B_{r2}] when 2 r2
     is inside the cut radius.  Both hold iff the larger of ratio / bound and
     two_ball_ratio / D is at most 1, which is the stored lhs against rhs 1.
+    Ric_{N,nu} >= -K g is screened on the origin ball holding every ball measured.
     """
     if not (0 < r2 < r1 <= params.R):
         raise ValueError("need 0 < r2 < r1 <= R")
     if r1 >= m.cut_radius:
         raise ValueError("outer ball exceeds the cut radius")
     K, N, R = params.K, params.N, params.R
+    if math.isinf(N):
+        raise ValueError("the doubling bound requires N < inf")
+    two_ball = 2 * r2 < m.cut_radius
+    outer = max(r1, 2 * r2) if two_ball else r1
+    gap = params.ricci_gap(m, float(m.distance(m.origin(), center)) + outer)
+    if gap > 1e-12:
+        return _premise_failure("doubling-ratio", "Ric_{N,nu} >= -K g on the ball",
+                                "doubling-estimate", ricci_gap=gap)
     D = math.exp(_log_doubling(K, N, R))
     # the iteration pairing: the exponent is log2 of the same doubling
     # constant that appears as the prefactor
     eta = _log_doubling(K, N, R) / (N * math.log(2.0))
-    big = m.ball_measure(center, r1).value
-    small = m.ball_measure(center, r2).value
-    ratio = big / small
+    small = m.ball_measure(center, r2)
+    ratio = m.ball_measure(center, r1) / small
     bound = D * (r1 / r2) ** (N * eta)
     lhs = ratio / bound
     diag = dict(r1=r1, r2=r2, doubling_constant=D, eta=eta, ratio=ratio, bound=bound)
-    if 2 * r2 < m.cut_radius:
-        two = m.ball_measure(center, 2 * r2).value / small
+    if two_ball:
+        two = m.ball_measure(center, 2 * r2) / small
         diag["two_ball_ratio"] = two
         lhs = max(lhs, two / D)
     return check_le("doubling-ratio", "doubling-estimate", lhs, 1.0, rel_tol=1e-9, **diag)
@@ -132,19 +140,12 @@ def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
         raise ValueError("distribution bracketing needs f >= 0")
     W = float(np.sum(w))
     fmax = float(np.max(f))
-    S = 0.0
-    k = 0
-    terms = 0
-    while True:
-        t = C**k
-        if t > fmax:
-            break
+    S, k = 0.0, 0
+    while C**k <= fmax:
         if k > _K_CAP:
             return check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0,
                             divergent_sum=True)
-        lam = float(np.sum(w[f > t])) / W
-        S += (C ** (p * k)) * lam
-        terms += 1
+        S += C ** (p * k) * (float(np.sum(w[f > C**k])) / W)
         k += 1
     lam1 = float(np.sum(w[f > 1.0])) / W
     moment = float(np.sum(w * f**p)) / W
@@ -154,7 +155,7 @@ def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
     return check_le("lp-bracketing", "tail-sum-moment-bounds", gap, 0.0,
                     abs_tol=1e-12 * max(1.0, moment),
                     lower=lower, moment=moment, upper=upper,
-                    truncation_index=terms)
+                    truncation_index=k)
 
 
 def _distance_matrix(fam: BallFamily) -> np.ndarray:

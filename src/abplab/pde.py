@@ -25,7 +25,7 @@ from .fields import ScalarField
 from .geometry import GeodesicBallGrid
 
 __all__ = ["DirichletProblem", "solve_poisson", "apply_weighted_laplacian",
-           "node_laplacian_nu", "radial_face_coefficients"]
+           "node_laplacian_nu"]
 
 _TOL_FACTOR = 1e-10  # solve_poisson's residual tolerance, relative to ||f||_inf
 _MAX_REFINE = 4      # its most refinement steps
@@ -56,7 +56,7 @@ def _radial_weight(grid: GeodesicBallGrid, rho):
     return np.exp(-m.weight_V(m.exp(grid.center, ray)))
 
 
-def radial_face_coefficients(grid: GeodesicBallGrid):
+def _radial_face_coefficients(grid: GeodesicBallGrid):
     """psi * exp(-V) at the n_r + 1 radial faces (zero at the pole face)."""
     faces = np.arange(grid.n_r + 1) * grid.drho
     return grid.model.psi(faces) * _radial_weight(grid, faces)
@@ -65,7 +65,7 @@ def radial_face_coefficients(grid: GeodesicBallGrid):
 def _stencil(grid: GeodesicBallGrid):
     m = grid.model
     h = grid.drho
-    cf = radial_face_coefficients(grid)
+    cf = _radial_face_coefficients(grid)
     cc = m.psi(grid.rho) * _radial_weight(grid, grid.rho)
     lo = cf[:-1] / (h * h * cc)   # couples u_{i-1}
     hi = cf[1:] / (h * h * cc)    # couples u_{i+1}

@@ -105,12 +105,15 @@ class TestCliExitCodes:
         ["constants", "--R", "1e3", "--K", "1"],
         ["barrier-check", "--alpha", "1e6"],
         ["harnack-check", "--which", "growth", "--r", "1e-300"],
+        ["doubling", "--N", "inf", "--samples", "2"],
+        ["doubling", "--model", "gaussian", "--N", "2", "--samples", "2"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
             "hfun-dmax-negative", "hfun-fit-samples-3", "doubling-K-inf", "constants-K-nan",
             "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
-            "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300"])
+            "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300",
+            "doubling-N-inf", "doubling-gaussian-N-dim"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from abplab.geometry import (ModelSpace, build_polar_grid, euclidean,
                              gaussian_plane, hyperbolic, sphere)
+from abplab.report import seeded_rng
 from conftest import random_point, random_tangent
 
 
@@ -207,17 +208,30 @@ class TestTangency:
         assert model.tangent_norm(p, w) == pytest.approx(1.3, abs=1e-10)
 
 
+def _disc_measure(lam, c, r):
+    """oracle: nested quad of exp(-lam |c + rho e|^2/2) rho over the disc."""
+    cx, cy = map(float, c)
+
+    def ring(rho):
+        val, _ = quad(lambda th: math.exp(-0.5 * lam * ((cx + rho * math.cos(th)) ** 2
+                                                       + (cy + rho * math.sin(th)) ** 2)),
+                      0.0, 2 * math.pi, epsabs=0.0, epsrel=2e-14, limit=200)
+        return rho * val
+
+    return quad(ring, 0.0, r, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+
 class TestBallMeasure:
     def test_euclidean(self):
         bm = euclidean().ball_measure(np.zeros(2), 0.8)
-        assert bm.value == pytest.approx(math.pi * 0.64, rel=1e-14)
-        assert bm.method == "closed_form"
+        assert isinstance(bm, float)
+        assert bm == pytest.approx(math.pi * 0.64, rel=1e-14)
 
     def test_sphere_against_quadrature(self):
         # oracle: integral of the circumference 2 pi sin(s)
         m = sphere(1.0)
         val, _ = quad(lambda s: 2 * math.pi * math.sin(s), 0.0, 1.1)
-        assert m.ball_measure(m.origin(), 1.1).value == pytest.approx(val, rel=1e-10)
+        assert m.ball_measure(m.origin(), 1.1) == pytest.approx(val, rel=1e-10)
 
     @pytest.mark.parametrize("k", [1.0, 4.0])
     def test_hyperbolic_against_quadrature(self, k):
@@ -225,25 +239,42 @@ class TestBallMeasure:
         m = hyperbolic(k)
         sk = math.sqrt(k)
         val, _ = quad(lambda s: 2 * math.pi * math.sinh(sk * s) / sk, 0.0, 0.9)
-        got = m.ball_measure(m.origin(), 0.9)
-        assert got.value == pytest.approx(val, rel=1e-10)
-        assert got.method == "closed_form"
+        assert m.ball_measure(m.origin(), 0.9) == pytest.approx(val, rel=1e-10)
 
     def test_gaussian_against_quadrature(self):
         lam = 1.7
         m = gaussian_plane(lam)
         val, _ = quad(lambda s: 2 * math.pi * s * math.exp(-0.5 * lam * s * s), 0.0, 0.9)
-        got = m.ball_measure(np.zeros(2), 0.9)
-        assert got.value == pytest.approx(val, rel=1e-10)
-        assert got.method == "closed_form"
+        assert m.ball_measure(np.zeros(2), 0.9) == pytest.approx(val, rel=1e-10)
 
-    def test_gaussian_off_center_flagged(self):
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_gaussian_off_center_against_oracle(self):
+        rng = seeded_rng(17, "off-origin-balls")
+        for i in range(60):
+            lam = (0.5, 1.0, 2.0)[i % 3]
+            th = rng.uniform(0.0, 2 * math.pi)
+            c = rng.uniform(0.05, 2.8) * np.array([math.cos(th), math.sin(th)])
+            r = rng.uniform(0.05, 1.5)
+            got = gaussian_plane(lam).ball_measure(c, r)
+            assert got == pytest.approx(_disc_measure(lam, c, r), rel=1e-13, abs=0.0)
         m = gaussian_plane(1.0)
-        got = m.ball_measure(np.array([0.4, 0.0]), 0.5)
-        assert got.method == "quadrature"
         # weight at the off-center disc is below the origin-centered one
-        assert got.value < m.ball_measure(np.zeros(2), 0.5).value
+        assert m.ball_measure(np.array([0.4, 0.0]), 0.5) < m.ball_measure(np.zeros(2), 0.5)
 
+    def test_gaussian_off_center_negative_weight(self):
+        # lam < 0: the exponent pairs rho with +|c|, where the weight peaks
+        for c, r in (((1.0, 0.5), 1.2), ((0.0, 2.0), 0.7), ((-0.3, 0.1), 1.5)):
+            got = gaussian_plane(-0.5).ball_measure(np.array(c), r)
+            assert got == pytest.approx(_disc_measure(-0.5, c, r), rel=1e-13, abs=0.0)
+
+    def test_gaussian_off_center_at_the_i0_bound(self):
+        # |lam| |c| r = 699.4 is in range; 702 is past np.i0's overflow margin
+        m = gaussian_plane(1.0)
+        c = np.array([0.0, 26.0])
+        got = m.ball_measure(c, 26.9)
+        assert got == pytest.approx(_disc_measure(1.0, c, 26.9), rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError, match="700"):
+            m.ball_measure(c, 27.0)
 
     @pytest.mark.parametrize("m, sn", [(sphere(1.0), math.sin), (hyperbolic(1.0), math.sinh)],
                              ids=["sphere", "hyperbolic"])
@@ -251,14 +282,11 @@ class TestBallMeasure:
     def test_small_radius_accuracy(self, m, sn, r):
         # 2 pi/kappa (1 - dpsi(r)) cancels to ~7e-9 relative at r = 1e-4
         val, _ = quad(lambda s: 2 * math.pi * sn(s), 0.0, r, epsabs=0.0, epsrel=2e-14)
-        got = m.ball_measure(m.origin(), r)
-        assert got.value == pytest.approx(val, rel=1e-13, abs=0.0)
-        assert got.method == "closed_form"
+        assert m.ball_measure(m.origin(), r) == pytest.approx(val, rel=1e-13, abs=0.0)
 
     def test_weight_free_gaussian_off_center_closed_form(self):
         got = gaussian_plane(0.0).ball_measure(np.array([0.4, 0.0]), 0.5)
-        assert got.method == "closed_form"
-        assert got.value == pytest.approx(math.pi * 0.25, rel=1e-15, abs=0.0)
+        assert got == pytest.approx(math.pi * 0.25, rel=1e-15, abs=0.0)
 
 
 class TestWeight:
@@ -285,7 +313,7 @@ class TestWeight:
 class TestPolarGrid:
     def test_weight_sum_matches_measure(self, model):
         g = build_polar_grid(model, model.origin(), 1.0, 256, 256)
-        ref = model.ball_measure(model.origin(), 1.0).value
+        ref = model.ball_measure(model.origin(), 1.0)
         assert abs(g.weights.sum() - ref) / ref < 1e-6
 
     def test_euclid_integrate_constant(self):

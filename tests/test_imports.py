@@ -2,12 +2,16 @@
 module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
-the Jacobi integrator takes no Python-level loop per time step, and every
-abplab name the benchmark binds, read from its sources, still exists."""
+the Jacobi integrator takes no Python-level loop per time step, every
+abplab name the benchmark binds, read from its sources, still exists, and
+importing the CLI leaves numpy.polynomial unloaded."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -353,3 +357,14 @@ def test_benchmark_binding_detectors_flag_and_accept():
                                       "pde.solve_poisson": ["Omega"]}
     assert abplab_attributes(src) == [("contact", "compute_contact_set"),
                                       ("fields", "hess_form")]
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # every run pays its import; numpy.polynomial costs ~4 ms and only the
+    # off-origin weighted ball measure needs it, on first use
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, abplab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -22,7 +22,7 @@ class TestDoubling:
     def test_sphere_ratio_below_flat(self):
         m = sphere(1.0)
         for r in (0.1, 0.3, 0.7):
-            ratio = m.ball_measure(m.origin(), 2 * r).value / m.ball_measure(m.origin(), r).value
+            ratio = m.ball_measure(m.origin(), 2 * r) / m.ball_measure(m.origin(), r)
             assert ratio < 4.0
 
     def test_hyperbolic_cosh_bound(self):
@@ -31,7 +31,7 @@ class TestDoubling:
         K, N, R = 1.0, 2.0, 1.0
         bound = 2.0**N * math.cosh(2.0 * math.sqrt(K / (N - 1)) * R) ** (N - 1)
         for r in (0.2, 0.35, 0.5):
-            ratio = m.ball_measure(m.origin(), 2 * r).value / m.ball_measure(m.origin(), r).value
+            ratio = m.ball_measure(m.origin(), 2 * r) / m.ball_measure(m.origin(), r)
             assert ratio <= bound
 
     @pytest.mark.parametrize("m,params", [
@@ -53,6 +53,27 @@ class TestDoubling:
     def test_bad_radii_rejected(self):
         with pytest.raises(ValueError):
             doubling_check(euclidean(), CurvatureParams(0, 2, 1.0), np.zeros(2), 0.2, 0.4)
+
+    def test_infinite_N_rejected(self):
+        with pytest.raises(ValueError, match="N < inf"):
+            doubling_check(gaussian_plane(1.0), CurvatureParams(0, math.inf, 0.9),
+                           np.zeros(2), 0.8, 0.4)
+
+    def test_ricci_premise_screened(self):
+        # Ric = -4 on hyperbolic(4) breaks Ric_{N,nu} >= -K g for K = 0
+        rep = doubling_check(hyperbolic(4.0), CurvatureParams(0.0, 2.0, 1.0),
+                             hyperbolic(4.0).origin(), 0.8, 0.3)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on the ball"
+        assert rep.diagnostics["ricci_gap"] == pytest.approx(4.0, rel=1e-15)
+
+    def test_ricci_premise_reaches_the_largest_ball(self):
+        # gaussian plane, lam = 1, N = 4: Ric_{N,nu} >= 0 exactly on |x| <= sqrt 2.
+        # B_{2 r2}(c) reaches |c| + 2 r2 = 1.5 though B_r1(c) stays inside
+        m, params = gaussian_plane(1.0), CurvatureParams(0.0, 4.0, 0.9)
+        c = np.array([0.3, 0.0])
+        assert not doubling_check(m, params, c, 0.65, 0.6).passed
+        assert doubling_check(m, params, c, 0.65, 0.5).passed
 
 
 class TestIntegralI:
