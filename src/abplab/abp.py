@@ -38,6 +38,8 @@ from .report import CheckReport, _premise_failure, check_le
 
 __all__ = ["AbpInstance", "d_bound", "abp_check", "transport_rhs", "disc_vertex_indices"]
 
+_REL_TOL = 1e-6  # relative tolerance of the measure-estimate verdict
+
 
 @dataclass
 class AbpInstance:
@@ -124,8 +126,7 @@ def _fd_gram(m: ModelSpace, T, rho, dtheta):
     return g11 * g22 - g12 * g12
 
 
-def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = None,
-              rel_tol: float = 1e-6) -> CheckReport:
+def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = None) -> CheckReport:
     """Certify nu[E] <= contact-set integral of the comparison bound.
 
     set_stride = 1 runs the exact node scan over all of E and bases the
@@ -137,7 +138,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
         raise ValueError("set_stride must be 0 or 1")
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     K, N, r = inst.params.K, inst.params.N, grid.radius
-    gap = inst.params.ricci_gap(m, r)
+    gap = inst.params.ricci_gap(m, grid.center, r)
     if gap > 1e-12:
         return _premise_failure("measure-estimate", "Ric_{N,nu} >= -K g on the ball",
                                 ricci_gap=gap)
@@ -173,13 +174,13 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     if set_stride == 1:
         diag["verdict_basis"] = "node_quadrature"
         rep = check_le("measure-estimate", "measure-estimate",
-                       lhs, rhs_nodes, rel_tol=rel_tol, abs_tol=quad_tol,
+                       lhs, rhs_nodes, rel_tol=_REL_TOL, abs_tol=quad_tol,
                        quad_tol=quad_tol, **diag)
     elif tr is not None:
         diag["verdict_basis"] = "transport_quadrature"
         rep = check_le("measure-estimate", "measure-estimate",
-                       lhs, tr["rhs_transport"], rel_tol=rel_tol,
-                       abs_tol=rel_tol * lhs, **diag)
+                       lhs, tr["rhs_transport"], rel_tol=_REL_TOL,
+                       abs_tol=_REL_TOL * lhs, **diag)
     else:
         raise ValueError("a verdict without the scan needs the transport side")
     return rep

@@ -9,6 +9,7 @@ Philox4x64-10 generator keyed by the seed, and no timestamps are recorded).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,16 +33,11 @@ from .pucci import check_algebra, e_theta, e_theta_bounds, pucci_contact_bound
 from .report import check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng, write_atomic
 
 def build_model(args) -> geometry.ModelSpace:
-    name = args.model
-    if name == "euclidean":
+    if args.model == "euclidean":
         return geometry.euclidean()
-    if name == "sphere":
-        return geometry.sphere(args.k)
-    if name == "hyperbolic":
-        return geometry.hyperbolic(args.k)
-    if name == "gaussian":
+    if args.model == "gaussian":
         return geometry.gaussian_plane(getattr(args, "lam"))
-    raise ValueError(f"unknown model {name!r}")
+    return getattr(geometry, args.model)(args.k)  # sphere or hyperbolic
 
 
 def _params(args) -> CurvatureParams:
@@ -128,10 +124,9 @@ def cmd_harnack(args):
     params = _params(args)
     ledger = build_ledger(params)
     which = args.which
-    res = args.resolution
     reports = []
     if which in ("sup", "sub", "full"):
-        grid = build_polar_grid(m, m.origin(), 2.0 * params.R, res, res)
+        grid = build_polar_grid(m, m.origin(), 2.0 * params.R, args.resolution, args.resolution)
         rng = seeded_rng(args.seed, f"harnack-{which}")
         bnd = 1.0 + 0.3 * np.cos(grid.theta) + 0.1 * np.sin(2.0 * grid.theta)
         fvals = -np.abs(rng.normal(size=grid.shape))
@@ -150,12 +145,12 @@ def cmd_harnack(args):
             else:
                 reports.append(harnack_check_full(inst, ledger))
     elif which == "growth":
-        grid = build_polar_grid(m, m.origin(), args.r, res, res)
+        grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
         u = sum_fields([constant_field(grid, 1.0 + args.r**2 / 8.0),
                         quadratic_field(grid, m.origin(), -2.0)])
         f = constant_field(grid, 0.0)
         reports.append(growth_check(m, params, ledger, u, f, m.origin(), args.r))
-    elif which == "pucci":
+    else:  # pucci
         rng = seeded_rng(args.seed, "harnack-pucci")
         W, H = rng.normal(size=(2, args.samples, 2, 2))
         a = rng.uniform(0.1, 3.0, size=args.samples)
@@ -171,8 +166,6 @@ def cmd_harnack(args):
         reports.append(check_le("curvature-error-term", "distance-hessian-excess",
                                 ev, min(br, bs), rel_tol=1e-12,
                                 ricci_bound=br, sectional_bound=bs))
-    else:
-        raise ValueError(f"unknown harnack check {which!r}")
     lines = ["quantity,lhs,rhs,slack"]
     for rep in reports:
         lines.append(f"{rep.name},{rep.lhs!r},{rep.rhs!r},{rep.rhs - rep.lhs!r}")
@@ -218,7 +211,7 @@ def cmd_pucci(args):
 
 def cmd_all(args):
     reports = []
-    ns = argparse.Namespace(**vars(args))
+    ns = argparse.Namespace(**vars(args), fit=False, d=0.5)
     for fn in (cmd_constants, cmd_pucci):
         reports.extend(fn(ns)[0])
     ns.resolution = min(args.resolution, 64)
@@ -230,8 +223,6 @@ def cmd_all(args):
         ns.samples = min(args.samples, 20)
         reports.extend(cmd_doubling(ns)[0])
     ns.model = "sphere"
-    ns.fit = False
-    ns.d = 0.5
     ns.samples = 128
     reports.extend(cmd_hfun(ns)[0])
     return reports, {}, {}
@@ -246,55 +237,59 @@ def _random_center(m, rng, spread):
 
 # -- argument plumbing --------------------------------------------------------
 
+_FLAGS = {
+    "model": dict(default="euclidean", choices=["euclidean", "sphere", "hyperbolic", "gaussian"]),
+    "k": dict(type=float, default=1.0, help="curvature magnitude"),
+    "lambda": dict(dest="lam", type=float, default=1.0, help="gaussian weight coefficient"),
+    "K": dict(type=float, default=0.0),
+    "N": dict(type=float, default=2.0),
+    "R": dict(type=float, default=1.0),
+    "r": dict(type=float, default=1.0),
+    "a": dict(type=float, default=1.0),
+    "b": dict(type=float, default=1.0),
+    "d": dict(type=float, default=0.5),
+    "p": dict(type=float, default=1.0),
+    "alpha": dict(type=float, default=None),
+    "theta": dict(type=float, default=2.0),
+    "u": dict(default="quadratic", choices=["const", "quadratic", "random"]),
+    "resolution": dict(type=int, default=64),
+    "samples": dict(type=int, default=100),
+    "which": dict(default="sup", choices=["sup", "sub", "full", "growth", "pucci"]),
+    "fit": dict(action="store_true"),
+    "dmax": dict(type=float, default=0.12),
+    "seed": dict(type=int, default=0),
+    "format": dict(default="json", choices=["json", "csv"]),
+    "out": dict(default=None),
+}
+
+# Each subcommand's handler and the flags it reads.  Every subcommand also
+# takes _COMMON, since every report records its seed.  `all` sets model, d and
+# fit itself and never builds the gaussian model.
+_COMMON = "seed format out"
+_SUBCOMMANDS = {
+    "constants": (cmd_constants, "K N R"),
+    "contact": (cmd_contact, "model k lambda r resolution a b"),
+    "abp-check": (cmd_abp, "model k lambda K N R r resolution u a b"),
+    "barrier-check": (cmd_barrier, "model k lambda K N R r alpha"),
+    "doubling": (cmd_doubling, "model k lambda K N R samples"),
+    "harnack-check": (cmd_harnack, "model k lambda K N R which resolution p r samples theta"),
+    "hfun": (cmd_hfun, "model k lambda d samples fit dmax"),
+    "pucci": (cmd_pucci, "samples theta"),
+    "all": (cmd_all, "k K N R r resolution u a b alpha samples theta"),
+}
+
+
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(prog="abplab",
                                  description="curvature/measure-estimate verification runs")
     ap.add_argument("--config", help="JSON config file; flags override its values")
-    sub = ap.add_subparsers(dest="experiment")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", default="euclidean",
-                        choices=["euclidean", "sphere", "hyperbolic", "gaussian"])
-    common.add_argument("--k", type=float, default=1.0, help="curvature magnitude")
-    common.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                        help="gaussian weight coefficient")
-    common.add_argument("--K", type=float, default=0.0)
-    common.add_argument("--N", type=float, default=2.0)
-    common.add_argument("--R", type=float, default=1.0)
-    common.add_argument("--r", type=float, default=1.0)
-    common.add_argument("--a", type=float, default=1.0)
-    common.add_argument("--b", type=float, default=1.0)
-    common.add_argument("--d", type=float, default=0.5)
-    common.add_argument("--p", type=float, default=1.0)
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--theta", type=float, default=2.0)
-    common.add_argument("--u", default="quadratic",
-                        choices=["const", "quadratic", "random"])
-    common.add_argument("--resolution", type=int, default=64)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=100)
-    common.add_argument("--format", default="json", choices=["json", "csv"])
-    common.add_argument("--out", default=None)
-    common.add_argument("--which", default="sup",
-                        choices=["sup", "sub", "full", "growth", "pucci"])
-    common.add_argument("--fit", action="store_true")
-    common.add_argument("--dmax", type=float, default=0.12)
-    for name in ("constants", "contact", "abp-check", "barrier-check", "doubling",
-                 "harnack-check", "hfun", "pucci", "all"):
-        sub.add_parser(name, parents=[common])
+    sub = ap.add_subparsers(dest="experiment", required=True)
+    for name, (_, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag in (flags + " " + _COMMON).split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
-
-
-_HANDLERS = {
-    "constants": cmd_constants,
-    "contact": cmd_contact,
-    "abp-check": cmd_abp,
-    "barrier-check": cmd_barrier,
-    "doubling": cmd_doubling,
-    "harnack-check": cmd_harnack,
-    "hfun": cmd_hfun,
-    "pucci": cmd_pucci,
-    "all": cmd_all,
-}
 
 
 def _with_config(parser, argv):
@@ -320,7 +315,7 @@ def _with_config(parser, argv):
     if bad:
         raise ValueError(f"config values must be strings, numbers or booleans: {bad}")
     experiment = cfg.pop("experiment", None)
-    if rest and rest[0] in _HANDLERS:
+    if rest and rest[0] in _SUBCOMMANDS:
         experiment, rest = rest[0], rest[1:]
     if experiment is None:
         raise ValueError("no experiment selected")
@@ -338,25 +333,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else argv))
-        if args.experiment is None:
-            raise ValueError("no experiment selected")
-        if args.samples < 1:
+        if vars(args).get("samples", 1) < 1:
             raise ValueError("--samples must be at least 1")
         # --N = inf is the dimension-free case; every other float flag is finite
         bad = [f"--{'lambda' if k == 'lam' else k}" for k, v in vars(args).items()
                if k != "N" and isinstance(v, float) and not math.isfinite(v)]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
-        reports, payload, files = _HANDLERS[args.experiment](args)
+        reports, payload, files = _SUBCOMMANDS[args.experiment][0](args)
     except (ValueError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    out = os.environ.get("ABPLAB_OUT") or getattr(args, "out", None)
+    out = os.environ.get("ABPLAB_OUT") or args.out
     name = args.experiment.replace("-", "_")
     if out:
-        payload.update(experiment=args.experiment, seed=getattr(args, "seed", 0))
+        payload.update(experiment=args.experiment, seed=args.seed)
         files["report.json"] = emit_json(reports, payload)
-        if getattr(args, "format", "json") == "csv":
+        if args.format == "csv":
             files["report.csv"] = emit_csv(reports)
         try:
             for suffix, text in files.items():

@@ -66,10 +66,11 @@ class CurvatureParams:
         if not 0 < self.R < math.inf:
             raise ValueError("R must be finite and > 0")
 
-    def ricci_gap(self, model, radius: float) -> float:
-        """K_required - K on the ball of the given radius at the model's
-        origin; positive means Ric_{N,nu} >= -K g fails there."""
-        return max(0.0, -model.ricci_lower_bound(self.N, radius)) - self.K
+    def ricci_gap(self, model, center, radius: float) -> float:
+        """K_required - K on the origin ball of radius d(o, center) + radius,
+        which holds B_radius(center); positive means Ric_{N,nu} >= -K g fails there."""
+        reach = float(model.distance(model.origin(), center)) + radius
+        return max(0.0, -model.ricci_lower_bound(self.N, reach)) - self.K
 
     @property
     def omega(self) -> float:

@@ -102,7 +102,7 @@ def _screen(name: str, inst: HarnackInstance, sense: str, ball: str, nonneg: boo
     (if nonneg) and Delta_nu u {sense} f, as a failed report; None if all hold.
     Raises ValueError when f is not sampled on u's grid nodes."""
     _require_same_nodes(inst.u, inst.f)
-    if inst.params.ricci_gap(inst.model, inst.grid.radius) > 1e-12:
+    if inst.params.ricci_gap(inst.model, inst.grid.center, inst.grid.radius) > 1e-12:
         which = f"Ric_{{N,nu}} >= -K g on {ball}"
     elif nonneg and np.min(inst.u.values) < -1e-12:
         which = f"u >= 0 on {ball}"

@@ -53,7 +53,7 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
         raise ValueError("the doubling bound requires N < inf")
     two_ball = 2 * r2 < m.cut_radius
     outer = max(r1, 2 * r2) if two_ball else r1
-    gap = params.ricci_gap(m, float(m.distance(m.origin(), center)) + outer)
+    gap = params.ricci_gap(m, center, outer)
     if gap > 1e-12:
         return _premise_failure("doubling-ratio", "Ric_{N,nu} >= -K g on the ball",
                                 "doubling-estimate", ricci_gap=gap)
@@ -62,6 +62,8 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     # constant that appears as the prefactor
     eta = _log_doubling(K, N, R) / (N * math.log(2.0))
     small = m.ball_measure(center, r2)
+    if not small > 0:
+        raise ValueError(f"nu[B_r2] underflows to 0 at r2 = {r2:g}")
     ratio = m.ball_measure(center, r1) / small
     bound = D * (r1 / r2) ** (N * eta)
     lhs = ratio / bound

@@ -40,8 +40,8 @@ def _trace(H):
 
 
 def pucci(H, theta: float):
-    """(M^-, M^+) of a symmetric 2x2 matrix, as floats, or of each matrix of
-    a (..., 2, 2) stack, as arrays; theta >= 1."""
+    """(M^-, M^+) of a symmetric 2x2 matrix, as floats, or of each matrix of a
+    (..., 2, 2) stack, as arrays; theta >= 1.  ValueError if either leaves float64."""
     if not theta >= 1.0:
         raise ValueError("ellipticity ratio theta must be >= 1")
     H = np.asarray(H, float)
@@ -53,8 +53,11 @@ def pucci(H, theta: float):
     lo, hi = _eig2(H)
     pos = np.maximum(lo, 0.0) + np.maximum(hi, 0.0)
     neg = np.minimum(lo, 0.0) + np.minimum(hi, 0.0)
-    m_minus = pos + theta * neg
-    m_plus = neg + theta * pos
+    with np.errstate(over="ignore"):
+        m_minus = pos + theta * neg
+        m_plus = neg + theta * pos
+    if not (np.isfinite(m_minus).all() and np.isfinite(m_plus).all()):
+        raise ValueError(f"M^- or M^+ leaves float64 at theta = {theta:g}")
     if H.ndim == 2:
         return float(m_minus), float(m_plus)
     return m_minus, m_plus

@@ -118,6 +118,20 @@ class TestHypothesisScreens:
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on the ball"
 
+    def test_ricci_premise_on_off_centre_ball(self):
+        # B_0.5((1.3, 0)) reaches |x| = 1.8, where the gaussian plane's
+        # Ric_{N,nu} at N = 4 falls below 0; the origin ball of radius 0.5 has no gap
+        m = gaussian_plane(1.0)
+        c = np.array([1.3, 0.0])
+        grid = build_polar_grid(m, c, 0.5, 48, 48)
+        E = disc_vertex_indices(grid, grid.radial_rings(0.45 * 0.5))
+        inst = AbpInstance(m, CurvatureParams(0.0, 4.0, 1.0), grid, E,
+                           quadratic_field(grid, c, 1.0), 1.0)
+        rep = abp_check(inst)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on the ball"
+        assert rep.diagnostics["ricci_gap"] == pytest.approx(0.62, rel=1e-12)
+
     def test_boundary_touching_contact(self):
         m = euclidean()
         grid = build_polar_grid(m, m.origin(), 1.0, 48, 48)

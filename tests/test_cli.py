@@ -107,17 +107,41 @@ class TestCliExitCodes:
         ["harnack-check", "--which", "growth", "--r", "1e-300"],
         ["doubling", "--N", "inf", "--samples", "2"],
         ["doubling", "--model", "gaussian", "--N", "2", "--samples", "2"],
+        ["doubling", "--R", "1e-200", "--samples", "2"],
+        ["pucci", "--theta", "1e308"],
+        ["harnack-check", "--which", "pucci", "--theta", "1e308"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
             "hfun-dmax-negative", "hfun-fit-samples-3", "doubling-K-inf", "constants-K-nan",
             "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
             "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300",
-            "doubling-N-inf", "doubling-gaussian-N-dim"])
+            "doubling-N-inf", "doubling-gaussian-N-dim", "doubling-measure-underflow",
+            "pucci-theta-overflow", "harnack-pucci-theta-overflow"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--resolution", "8"],
+        ["contact", "--K", "1"],
+        ["abp-check", "--samples", "5"],
+        ["barrier-check", "--resolution", "8"],
+        ["doubling", "--r", "0.5"],
+        ["harnack-check", "--d", "0.5"],
+        ["hfun", "--resolution", "8"],
+        ["pucci", "--model", "sphere"],
+        ["all", "--which", "sup"],
+    ], ids=lambda argv: argv[0])
+    def test_unread_flag_exits_two(self, argv, tmp_path, capsys):
+        # a flag the subcommand would ignore is a usage error, not a silent no-op
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["abp-check"], ["harnack-check", "--which", "growth"]],
                              ids=["abp-check", "growth"])
@@ -138,6 +162,14 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not any(p.name.endswith("report.json") for p in tmp_path.iterdir())
+
+    def test_config_key_the_subcommand_does_not_read_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"experiment": "constants", "resolution": 5,
+                                   "out": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        assert "config error: unknown config keys: ['resolution']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unparsable_config_exits_two(self, tmp_path):
         cfg = tmp_path / "broken.json"

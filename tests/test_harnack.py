@@ -5,7 +5,7 @@ import pytest
 
 from abplab.constants import CurvatureParams, build_ledger
 from abplab.fields import ScalarField, constant_field, quadratic_field, sum_fields
-from abplab.geometry import build_polar_grid, euclidean, hyperbolic
+from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic
 from abplab.harnack import (HarnackInstance, growth_check, harnack_check_full,
                             harnack_check_sub, harnack_check_sup)
 from abplab.measure import log_lp_average
@@ -259,6 +259,18 @@ class TestGrowth:
         bowl = quadratic_field(g, m.origin(), 8.0)  # Delta u = 16 > 0
         rep = growth_check(m, params, ledger, bowl, constant_field(g, 0.0), m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
+
+    def test_ricci_premise_on_off_centre_ball(self):
+        # the grid of B_0.5((1.3, 0)) reaches |x| = 1.8, past the gaussian
+        # plane's N = 4 premise; every other premise holds for u = 0.5, f = 0
+        m = gaussian_plane(1.0)
+        params = CurvatureParams(0.0, 4.0, 1.0)
+        x0 = np.array([1.3, 0.0])
+        g = build_polar_grid(m, x0, 0.5, 48, 48)
+        rep = growth_check(m, params, build_ledger(params), constant_field(g, 0.5),
+                           constant_field(g, 0.0), x0, 0.5)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on B_r"
 
     def test_operator_premise_screened_before_inf(self):
         # Delta u > 0 and inf_{B_{r/2}} u = 3 > 1: the screen names the operator

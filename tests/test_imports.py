@@ -3,8 +3,9 @@ module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
 the Jacobi integrator takes no Python-level loop per time step, every
-abplab name the benchmark binds, read from its sources, still exists, and
-importing the CLI leaves numpy.polynomial unloaded."""
+abplab name the benchmark binds, read from its sources, still exists, every
+flag a CLI subcommand declares is read by its run, and importing the CLI
+leaves numpy.polynomial unloaded."""
 
 import ast
 import importlib
@@ -357,6 +358,65 @@ def test_benchmark_binding_detectors_flag_and_accept():
                                       "pde.solve_poisson": ["Omega"]}
     assert abplab_attributes(src) == [("contact", "compute_contact_set"),
                                       ("fields", "hess_form")]
+
+
+def unread_flags(source: str) -> list:
+    """"subcommand: --flag" for each flag of the CLI's _SUBCOMMANDS table, the
+    _COMMON ones included, that no function reached from the row's handler or
+    from main reads as args.<dest> or getattr(args, "<dest>").  A function
+    reaches every module-level function it names; _FLAGS gives each dest."""
+    tree = ast.parse(source)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    flags = _assigned(tree, "_FLAGS")
+    dest = {k.value: next((kw.value.value for kw in v.keywords if kw.arg == "dest"), k.value)
+            for k, v in zip(flags.keys, flags.values)}
+    common = ast.literal_eval(_assigned(tree, "_COMMON")).split()
+
+    def reads(name):
+        seen, todo, out = set(), [name], set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for n in ast.walk(functions[fn]):
+                if isinstance(n, ast.Name) and n.id in functions:
+                    todo.append(n.id)
+                elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                      and isinstance(n.value, ast.Name) and n.value.id == "args"):
+                    out.add(n.attr)
+                elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                      and n.func.id == "getattr" and isinstance(n.args[0], ast.Name)
+                      and n.args[0].id == "args"):
+                    out.add(n.args[1].value)
+        return out
+
+    table = _assigned(tree, "_SUBCOMMANDS")
+    by_main = reads("main")
+    unread = []
+    for sub, (handler, names) in zip(table.keys, (row.elts for row in table.values)):
+        read = reads(handler.id) | by_main
+        unread += [f"{sub.value}: --{f}" for f in names.value.split() + common
+                   if dest[f] not in read]
+    return sorted(unread)
+
+
+def test_every_cli_flag_is_read():
+    assert unread_flags((SRC / "cli.py").read_text()) == []
+
+
+def test_unread_flag_detector_flags_and_accepts():
+    src = ('_FLAGS = {"k": dict(type=float), "lambda": dict(dest="lam", type=float),\n'
+           '          "n": dict(type=int), "seed": dict(type=int), "out": dict()}\n'
+           '_COMMON = "seed out"\n'
+           'def _model(args):\n    return getattr(args, "lam") * args.k\n'
+           'def cmd_a(args):\n    return _model(args), args.seed\n'
+           'def cmd_b(args):\n    args.n = 3\n    return args.k, {"lam": 1}\n'
+           'def cmd_c(args):\n    return [f(args) for f in (cmd_a,)]\n'
+           'def main(argv):\n    args = parse(argv)\n    return args.out\n'
+           '_SUBCOMMANDS = {"a": (cmd_a, "k lambda"), "b": (cmd_b, "k lambda n"),\n'
+           '                "c": (cmd_c, "k lambda n")}\n')
+    assert unread_flags(src) == ["b: --lambda", "b: --n", "b: --seed", "c: --n"]
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
