@@ -110,7 +110,8 @@ def cmd_doubling(args):
     params = _params(args)
     rng = seeded_rng(args.seed, "doubling")
     reports = []
-    limit = min(params.R, 0.45 * m.domain_radius_limit)
+    # a drawn ball reaches under 0.2 limit + max(r1, 2 r2) <= 1.8 limit from the origin
+    limit = min(params.R, 0.45 * m.domain_radius_limit, m.ricci_reach(params.N, params.K) / 1.8)
     for _ in range(args.samples):
         r1 = limit * rng.uniform(0.3, 1.0)
         r2 = r1 * rng.uniform(0.15, 0.8)
@@ -281,12 +282,12 @@ _SUBCOMMANDS = {
 
 @functools.cache
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="abplab",
+    ap = argparse.ArgumentParser(prog="abplab", allow_abbrev=False,
                                  description="curvature/measure-estimate verification runs")
     ap.add_argument("--config", help="JSON config file; flags override its values")
     sub = ap.add_subparsers(dest="experiment", required=True)
     for name, (_, flags) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)   # a flag's prefix is no flag
         for flag in (flags + " " + _COMMON).split():
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
     return ap
@@ -299,7 +300,7 @@ def _with_config(parser, argv):
     which come later, win.  A config "experiment" stands in for a missing
     subcommand.
     """
-    pre = argparse.ArgumentParser(prog="abplab", add_help=False)
+    pre = argparse.ArgumentParser(prog="abplab", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if not known.config:

@@ -157,8 +157,9 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
         T_window = T[:, window].min(axis=2)
         for lo in range(s, e, chunk):
             rows = order[lo:min(lo + chunk, e)]
-            jv = ang[rows]
-            vb, first, count = np.unique(jv // B, return_index=True, return_counts=True)
+            jv = ang[rows]   # ascending: E is ordered by ring, then angle
+            first = np.flatnonzero(np.diff(jv // B, prepend=-1))
+            vb, count = jv[first] // B, np.diff(first, append=len(jv))
             lower = (u_block[None, :, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
                      ).reshape(len(vb), -1)
             # upper bound per vertex block: each vertex's least F over its
@@ -225,37 +226,44 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     grid radius; points whose Hessian degenerates keep their last iterate.
     A point takes the step computed where both frame components of its
     grad F are below _NEWTON_TOL and then leaves the live set; the loop ends
-    when the live set is empty or after _NEWTON_ITERS steps.
+    when the live set is empty or after _NEWTON_ITERS steps.  A first step
+    from the vertices (X0 = Y) evaluates u's jet alone: at x = y that of
+    rho_y^2/2 is (0, I), as _radial_derivatives gives it exactly.
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
     X = np.array(X0, float)
     Y = np.asarray(Y, float)
-    live = np.arange(len(X))
+    live = slice(None)   # every point, by view, until the first converges
     cap = 0.5 * u.grid.radius
-    for _ in range(_NEWTON_ITERS):
+    for it in range(_NEWTON_ITERS):
         x = X[live]
         e1, e2 = frame = m.tangent_frame(x)
-        # rho_y^2 / 2 is the radial function with f' = rho, f'' = 1
-        gd, hd = _radial_derivatives(m, Y[live], x, lambda r: r, np.ones_like, frame)
         gu, hu = u.jet(x, frame)
-        g = gu + a * gd
-        h = hu + a * hd
+        if it == 0 and np.array_equal(X, Y):
+            g, h = gu, hu + a * np.eye(2)
+        else:
+            # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
+            g, h = _radial_derivatives(m, Y[live], x, lambda r: a * r,
+                                       lambda r: np.full_like(r, a), frame)
+            g += gu
+            h += hu
         g1 = m.tangent_inner(x, g, e1)
         g2 = m.tangent_inner(x, g, e2)
         h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         det = h11 * h22 - h12 * h12
-        ok = np.abs(det) > 1e-14
-        dets = np.where(ok, det, 1.0)
-        d1 = -(h22 * g1 - h12 * g2) / dets
-        d2 = -(h11 * g2 - h12 * g1) / dets
+        inv = 1.0 / np.where(np.abs(det) > 1e-14, det, np.inf)   # 0 where h degenerates
+        d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
         step = d1[:, None] * e1 + d2[:, None] * e2
         ln = m.tangent_norm(x, step)
-        scale = np.where(ln > cap, cap / np.where(ln > cap, ln, 1.0), 1.0)
-        X[live] = m.exp(x, step * (scale * ok)[:, None])
-        live = live[~(np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL)]
-        if live.size == 0:
-            break
+        if np.any(ln > cap):
+            step *= (cap / np.maximum(ln, cap))[:, None]
+        X[live] = m.exp(x, step)
+        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
+        if done.any():
+            live = np.arange(len(X))[live][~done]
+            if live.size == 0:
+                break
     return X
 
 

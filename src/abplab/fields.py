@@ -109,37 +109,42 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
 
         grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
 
-    e_r pointing away from the centre.  rho, psi, psi' and e_r = -w/psi all
-    come from the one chord decomposition m._polar(p, center), w the tangent
-    at p toward the centre.  With d2f it also returns the Hessian: its trace
-    f'' + k, which needs no frame, when frame is None, and else its
-    components in the orthonormal frame (e1, e2) at p; with c_a = <e_r, e_a>,
+    e_r = -w/psi pointing away from the centre, so grad = (-f'/psi) w.  rho,
+    psi, psi' and w, the tangent at p toward the centre, all come from the
+    one chord decomposition m._polar(p, center).  With d2f it also returns
+    the Hessian: its trace f'' + k, which needs no frame, when frame is None,
+    and else its components in the orthonormal frame (e1, e2) at p; with the
+    cosines c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
 
         h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
 
     Within 1e-8 of the centre the Hessian is its limit f''(0) I, so f must
-    be even at 0 (f'(0) = 0).  df and d2f map rho to f' and f''; center
-    broadcasts against p.
+    be even at 0 (f'(0) = 0); at the centre itself the jet is exactly
+    (0, f''(0) I).  df and d2f map rho to f' and f''; center broadcasts
+    against p.
     """
     p = np.asarray(p, float)
     rho, psi, dpsi, w = m._polar(p, center)
-    er = -w / np.where(psi > 0.0, psi, 1.0)[..., None]   # 0 at the centre, where w = 0
+    small = rho < 1e-8
+    near = small.any()   # np.where only then
+    if near:   # psi = 0 only at the centre, where w = 0
+        psi = np.where(psi > 0.0, psi, 1.0)
     d1 = df(rho)
-    grad = d1[..., None] * er
+    grad = (-d1 / psi)[..., None] * w
     if d2f is None:
         return grad
     d2 = d2f(rho)
-    small = rho < 1e-8
-    k = np.where(small, d2, d1 * dpsi / np.where(small, 1.0, psi))
+    k = np.where(small, d2, d1 * dpsi / psi) if near else d1 * dpsi / psi
     if frame is None:
         return grad, d2 + k
-    e1, e2 = frame
-    # near the centre any unit e_r gives the limit; take c = (1, 0)
-    c1 = np.where(small, 1.0, m.tangent_inner(p, er, e1))
-    c2 = np.where(small, 0.0, m.tangent_inner(p, er, e2))
-    h12 = (d2 - k) * c1 * c2
-    h = np.stack([d2 * c1 * c1 + k * c2 * c2, h12, h12, d2 * c2 * c2 + k * c1 * c1], -1)
-    return grad, h.reshape(h12.shape + (2, 2))
+    c1, c2 = (m.tangent_inner(p, w, e) / psi for e in frame)
+    if near:   # any unit e_r gives the limit; take c = (1, 0)
+        c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.0, c2)
+    h = np.empty(c1.shape + (2, 2))
+    h[..., 0, 0] = d2 * c1 * c1 + k * c2 * c2
+    h[..., 0, 1] = h[..., 1, 0] = (d2 - k) * c1 * c2
+    h[..., 1, 1] = d2 * c2 * c2 + k * c1 * c1
+    return grad, h
 
 
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
@@ -191,7 +196,7 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
             grad = b * (np.asarray(p, float) - c)
             if frame is None:
                 return grad
-            return grad, np.broadcast_to(b * np.eye(2), grad.shape + (2,)).copy()
+            return grad, np.tile(b * np.eye(2), grad.shape[:-1] + (1, 1))
 
         vals = val(grid.points)
         return ScalarField(grid, vals, val, deriv)

@@ -218,11 +218,11 @@ class ModelSpace:
         """Geodesic exponential; requires |v| < cut_radius."""
         p = np.asarray(p, float)
         v = np.asarray(v, float)
+        if self.is_flat_chart:   # the cut radius is infinite
+            return p + v
         L = self.tangent_norm(p, v)
         if np.any(L >= self.cut_radius - 1e-15):
             raise ValueError("tangent norm exceeds the cut radius")
-        if self.is_flat_chart:
-            return p + v
         t = self._s * L
         # sn(t)/t is smooth at 0; its series 1 - sgn(kappa) t^2/6 below 1e-6
         small = t < 1e-6
@@ -242,18 +242,14 @@ class ModelSpace:
         """A deterministic orthonormal tangent frame (e1, e2) at p."""
         p = np.asarray(p, float)
         if self.is_flat_chart:
-            shape = p.shape[:-1]
-            e1 = np.broadcast_to(np.array([1.0, 0.0]), shape + (2,))
-            e2 = np.broadcast_to(np.array([0.0, 1.0]), shape + (2,))
-            return e1.copy(), e2.copy()
+            reps = p.shape[:-1] + (1,)
+            return np.tile([1.0, 0.0], reps), np.tile([0.0, 1.0], reps)
         # project the ambient x-axis, fall back to y-axis near its poles
-        a = np.broadcast_to(np.array([1.0, 0.0, 0.0]), p.shape).copy()
-        e1 = self._project_tangent(p, a)
+        e1 = self._project_tangent(p, np.array([1.0, 0.0, 0.0]))
         n1 = self.tangent_norm(p, e1)
         bad = n1 < 1e-6
         if np.any(bad):
-            b = np.broadcast_to(np.array([0.0, 1.0, 0.0]), p.shape).copy()
-            e1 = np.where(bad[..., None], self._project_tangent(p, b), e1)
+            e1 = np.where(bad[..., None], self._project_tangent(p, np.array([0.0, 1.0, 0.0])), e1)
             n1 = self.tangent_norm(p, e1)
         e1 = e1 / n1[..., None]
         e2 = self.rotate90(p, e1)
@@ -362,6 +358,14 @@ class ModelSpace:
         # eigenvalues of lam*I - lam^2 (x tensor x)/(N-2): {lam, lam - lam^2 rho^2/(N-2)}
         edge = lam - lam * lam * ball_radius**2 / (N - self.dim)
         return min(lam, edge)
+
+    def ricci_reach(self, N, K) -> float:
+        """Radius where ricci_lower_bound(N, .) = lam - lam^2 rho^2/(N - 2) falls
+        below -K; inf where the bound is constant or below -K at 0."""
+        lam = self.lam
+        if lam == 0.0 or not self.dim < N < math.inf or lam + K <= 0.0:
+            return math.inf
+        return math.sqrt((N - self.dim) * (lam + K)) / abs(lam)
 
 
 def euclidean() -> ModelSpace:

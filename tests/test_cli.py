@@ -81,6 +81,12 @@ class TestCliExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_gaussian_doubling_draws_inside_the_ricci_reach(self, capsys):
+        # lam = 1, N = 4, K = 0: Ric_{N,nu} >= 0 holds out to rho = sqrt(2) only
+        assert main(["doubling", "--model", "gaussian", "--N", "4", "--R", "0.9",
+                     "--samples", "100"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
         ["abp-check", "--r", "-1"],
@@ -142,6 +148,28 @@ class TestCliExitCodes:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["abp-check", "--s", "3", "--resolution", "32"],
+        ["hfun", "--fit", "--dm", "0.1", "--samples", "8"],
+        ["doubling", "--s", "3"],
+        ["harnack-check", "--wh=growth", "--resolution", "48"],
+    ], ids=["abp-check-s", "hfun-dm", "doubling-s", "harnack-wh"])
+    def test_flag_prefix_exits_two(self, argv, tmp_path, capsys):
+        # a prefix of a flag is no flag: it would otherwise run as --seed or --dmax
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_prefix_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"res": 16, "out": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg), "abp-check"]) == 2
+        assert "config error: unknown config keys: ['res']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["abp-check"], ["harnack-check", "--which", "growth"]],
                              ids=["abp-check", "growth"])

@@ -9,7 +9,7 @@ from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, check_contact_location,
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, sphere
-from conftest import ALL_MODELS
+from conftest import ALL_MODELS, random_point
 
 
 def _grid(m, r=1.0, n=48):
@@ -459,3 +459,35 @@ class TestNewtonFreeze:
         want = _newton_all_points(model, u, a, Y, Y.copy())
         assert np.max(np.abs(X - want)) < 1e-12
         assert np.max(gradient_contact_residual(model, u, a, X, Y)) < 1e-12
+
+
+class TestNewtonFirstStep:
+    def test_jet_at_the_centre_is_exact(self, model, rng):
+        # the first Newton step from the vertices takes (0, I) without
+        # evaluating it; at p == centre the routine gives exactly that
+        Y = np.stack([random_point(model, rng, 0.5) for _ in range(16)])
+        gd, hd = _radial_derivatives(model, Y, Y, lambda r: r, np.ones_like,
+                                     model.tangent_frame(Y))
+        assert np.all(model.distance(model.origin(), Y) > 0.0)
+        np.testing.assert_array_equal(gd, 0.0)
+        np.testing.assert_array_equal(hd, np.broadcast_to(np.eye(2), hd.shape))
+
+    def test_step_from_the_vertices_is_exact_newton(self):
+        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 from X0 = Y: the first step, taken
+        # with the distance jet (0, I) unevaluated, lands on a y/(a + b), and
+        # every point converges at the second evaluation
+        m = euclidean()
+        g = _grid(m, n=32)
+        a, b = 0.6, 1.7
+        u = quadratic_field(g, np.zeros(2), b)
+        counts = []
+
+        def deriv(p, frame):
+            if frame is not None:
+                counts.append(len(p))
+            return u.deriv_fn(p, frame)
+
+        Y = g.flat_points()[_disc_indices(g, 0.4)]
+        X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, Y.copy())
+        assert counts == [len(Y), len(Y)]
+        assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14

@@ -384,3 +384,16 @@ class TestRicciLowerBound:
         with pytest.raises(ValueError, match="trivial weight"):
             gaussian_plane(1.0).ricci_lower_bound(2.0, 1.0)
 
+    @pytest.mark.parametrize("lam, N, K", [(1.0, 4.0, 0.0), (2.0, 3.0, 0.5), (-1.0, 6.0, 2.0)])
+    def test_reach_is_where_the_bound_meets_minus_k(self, lam, N, K):
+        m = gaussian_plane(lam)
+        reach = m.ricci_reach(N, K)
+        assert m.ricci_lower_bound(N, reach) == pytest.approx(-K, abs=1e-12)
+        assert m.ricci_lower_bound(N, 0.999 * reach) > -K > m.ricci_lower_bound(N, 1.001 * reach)
+
+    def test_reach_unbounded_where_the_bound_is_constant_or_already_below(self):
+        # no weight, N = inf, or lam + K <= 0: no radius to shrink draws to
+        for m, N, K in ((hyperbolic(1.0), 2.0, 0.0), (euclidean(), 4.0, 0.0),
+                        (gaussian_plane(1.0), math.inf, 0.0), (gaussian_plane(-1.0), 4.0, 0.5)):
+            assert m.ricci_reach(N, K) == math.inf
+
