@@ -32,7 +32,7 @@ import numpy as np
 from .constants import CurvatureParams, calH, calS
 from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
 from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
@@ -43,12 +43,23 @@ _REL_TOL = 1e-6  # relative tolerance of the measure-estimate verdict
 
 @dataclass
 class AbpInstance:
+    """The measure estimate's data.  model and grid must be u's: a model
+    differing by value from grid.model, or a grid without u's nodes, raises
+    ValueError."""
     model: ModelSpace
     params: CurvatureParams
     grid: GeodesicBallGrid         # the ball B_r
     E: np.ndarray                  # flat node indices, closed subset of the ball
     u: ScalarField
     a: float
+
+    def __post_init__(self):
+        if self.model != self.grid.model:
+            raise ValueError(f"model is {_model_label(self.model)}, but the grid is on "
+                             f"{_model_label(self.grid.model)}")
+        if not _same_nodes(self.u.grid, self.grid):
+            raise ValueError(f"the grid does not carry u's nodes: the grid is "
+                             f"{_grid_label(self.grid)}, u's is {_grid_label(self.u.grid)}")
 
 
 def d_bound(K: float, N, r: float, a: float, lap_nu_u) -> np.ndarray:
@@ -150,7 +161,7 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     rhs_nodes = None
     quad_tol = 0.0
     if set_stride == 1:
-        cs = compute_contact_set(m, u, a, inst.E, grid)
+        cs = compute_contact_set(u, a, inst.E)
         nodes = cs.node_indices
         if np.any(nodes // n_t >= n_r - 1):
             return _premise_failure("measure-estimate", "contact set contained in the open ball")

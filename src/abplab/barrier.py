@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import CurvatureParams, calH
 from .fields import ScalarField, _laplacian_nu, _radial_derivatives, radial_field
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import GeodesicBallGrid, ModelSpace, _radius_range_error
 from .report import CheckReport, check_le
 
 __all__ = ["BarrierSpec", "barrier_h", "barrier_dh", "barrier_d2h", "barrier_field",
@@ -122,13 +122,23 @@ def barrier_field(grid: GeodesicBallGrid, spec: BarrierSpec) -> ScalarField:
 
 
 def _lap_nu_psi_radial(spec: BarrierSpec, rho):
-    """r^2 Delta_nu psi at the distances rho along one ray from the centre."""
+    """r^2 Delta_nu psi at the distances rho along one ray from the centre;
+    ValueError where it is not finite."""
     m, r = spec.model, spec.r
     x0 = np.asarray(spec.center, float)
-    p = m.exp(x0, np.asarray(rho, float)[:, None] * m.tangent_frame(x0)[0])
-    grad, lap = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
-                                    lambda s: barrier_d2h(spec, s / r) / (r * r))
-    return r * r * _laplacian_nu(m, p, grad, lap)
+    with np.errstate(all="ignore"):
+        p = m.exp(x0, np.asarray(rho, float)[:, None] * m.tangent_frame(x0)[0])
+        grad, lap = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
+                                        lambda s: barrier_d2h(spec, s / r) / (r * r))
+        out = r * r * _laplacian_nu(m, p, grad, lap)
+    return _finite_laplacian(out, "r^2 Delta_nu psi", r)
+
+
+def _finite_laplacian(lap, what: str, r: float):
+    """lap, or ValueError if a sample is not finite: the radius r leaves float64."""
+    if not np.all(np.isfinite(lap)):
+        raise _radius_range_error(f"{what} is not finite on the sample", r)
+    return lap
 
 
 def verify_barrier(spec: BarrierSpec, params: CurvatureParams) -> list[CheckReport]:
@@ -197,9 +207,11 @@ def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
     th = np.linspace(0.0, 2.0 * math.pi, _FAN_DIRS, endpoint=False)
     e1, e2 = m.tangent_frame(y)
     dirs = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
-    p = m.exp(y, rho[:, None, None] * dirs[None, :, :])
-    grad, lap = _radial_derivatives(m, y, p, lambda s: s, np.ones_like)  # rho^2/2
-    lhs = _laplacian_nu(m, p, grad, lap).max(axis=1)
+    with np.errstate(all="ignore"):
+        p = m.exp(y, rho[:, None, None] * dirs[None, :, :])
+        grad, lap = _radial_derivatives(m, y, p, lambda s: s, np.ones_like)  # rho^2/2
+        lap_nu = _laplacian_nu(m, p, grad, lap)
+    lhs = _finite_laplacian(lap_nu, "Delta_nu(rho_y^2/2)", sample_radius).max(axis=1)
     rhs = N * calH(w * rho)
     gap = float(np.max(lhs - rhs))
     return check_le("ricci-comparison", "distance-laplacian-comparison",

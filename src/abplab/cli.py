@@ -60,10 +60,10 @@ def cmd_contact(args):
     grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
     u = quadratic_field(grid, m.origin(), args.b)
     E = disc_vertex_indices(grid, grid.radial_rings(0.45 * args.r))
-    cs = compute_contact_set(m, u, args.a, E)
+    cs = compute_contact_set(u, args.a, E)
     vertex, node, level = cs.pairs()
     pts = grid.flat_points()
-    residuals = gradient_contact_residual(m, u, args.a, pts[node], pts[vertex])
+    residuals = gradient_contact_residual(u, args.a, pts[node], pts[vertex])
     lines = ["y_coords,x_coords,min_value,residual"]
     for y, x, c, res in zip(pts[vertex].tolist(), pts[node].tolist(), level.tolist(),
                             residuals.tolist()):
@@ -138,7 +138,7 @@ def cmd_harnack(args):
             reports.append(check_le(f"harnack-{which}", "poisson-solve", 1.0, 0.0,
                                     numerical_failure=str(e)))
         else:
-            inst = HarnackInstance(m, params, grid, u, ScalarField(grid, fvals), boundary=bnd)
+            inst = HarnackInstance(params, u, ScalarField(grid, fvals), boundary=bnd)
             if which == "sup":
                 reports.append(harnack_check_sup(inst, ledger))
             elif which == "sub":
@@ -150,7 +150,7 @@ def cmd_harnack(args):
         u = sum_fields([constant_field(grid, 1.0 + args.r**2 / 8.0),
                         quadratic_field(grid, m.origin(), -2.0)])
         f = constant_field(grid, 0.0)
-        reports.append(growth_check(m, params, ledger, u, f, m.origin(), args.r))
+        reports.append(growth_check(params, ledger, u, f, m.origin(), args.r))
     else:  # pucci
         rng = seeded_rng(args.seed, "harnack-pucci")
         W, H = rng.normal(size=(2, args.samples, 2, 2))
@@ -175,6 +175,11 @@ def cmd_harnack(args):
 
 def cmd_hfun(args):
     m = build_model(args)
+    if m.is_weighted:
+        # the closed form is the sharp constant of the Laplacian, through the
+        # conformal disc picture; the weighted Laplacian has no such picture
+        raise ValueError("hfun's closed form is sharp for the unweighted Laplacian only: "
+                         "on the gaussian model --lambda must be 0")
     files = {}
     if args.fit:
         dmax = args.dmax

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import ScalarField, _radial_derivatives
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = [
@@ -75,8 +75,8 @@ class ContactSet:
                 self.min_values[rows])
 
 
-def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
-                        E: np.ndarray, Omega: Optional[GeodesicBallGrid] = None,
+def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
+                        Omega: Optional[GeodesicBallGrid] = None,
                         chunk: int = 128) -> ContactSet:
     """Exact contact-set computation over the grid closure, by pruned scan.
 
@@ -105,10 +105,15 @@ def compute_contact_set(m: ModelSpace, u: ScalarField, a: float,
     Parameters
     ----------
     E : array of flat node indices (the vertex set, a subset of the grid).
-    Omega : defaults to the grid carried by u.
+    Omega : the grid of the minimization, u's own; one with other nodes or
+        another model raises ValueError.
     chunk : most vertices evaluated together.
     """
-    grid = Omega if Omega is not None else u.grid
+    grid = u.grid
+    if Omega is not None and not _same_nodes(grid, Omega):
+        raise ValueError(f"Omega does not carry u's grid nodes: Omega is {_grid_label(Omega)},"
+                         f" u's grid is {_grid_label(grid)}")
+    m = grid.model
     E = np.asarray(E, dtype=np.int64)
     if E.size == 0:
         raise ValueError("empty vertex set E")
@@ -208,11 +213,12 @@ def _slot_node(slot, W, n_t):
     return i * n_t + j
 
 
-def gradient_contact_residual(m: ModelSpace, u: ScalarField, a: float, X, Y) -> np.ndarray:
+def gradient_contact_residual(u: ScalarField, a: float, X, Y) -> np.ndarray:
     """|grad u(x) + a rho grad rho_y(x)| over the pairs (x, y) of X and Y:
     zero certifies an interior contact."""
     if not u.has_derivatives:
         raise ValueError("gradient residual needs a closed-form gradient")
+    m = u.grid.model
     X = np.asarray(X, float)
     g = u.grad(X) - a * m.log(X, Y)  # a * grad(rho_y^2/2) = -a log_x(y)
     return m.tangent_norm(X, g)
@@ -222,7 +228,8 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
                           Y: np.ndarray, X0: np.ndarray) -> np.ndarray:
     """Riemannian Newton descent of F_y from X0, vectorized over vertices.
 
-    Requires closed-form derivatives of u.  Steps are clamped to half the
+    Requires closed-form derivatives of u, and m must be u's model (compared
+    by value; ValueError otherwise).  Steps are clamped to half the
     grid radius; points whose Hessian degenerates keep their last iterate.
     A point takes the step computed where both frame components of its
     grad F are below _NEWTON_TOL and then leaves the live set; the loop ends
@@ -232,6 +239,9 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
+    if m != u.grid.model:
+        raise ValueError(f"m is {_model_label(m)}, but u's grid is on "
+                         f"{_model_label(u.grid.model)}")
     X = np.array(X0, float)
     Y = np.asarray(Y, float)
     live = slice(None)   # every point, by view, until the first converges
@@ -267,7 +277,7 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     return X
 
 
-def check_contact_location(m: ModelSpace, u: ScalarField, a: float,
+def check_contact_location(u: ScalarField, a: float,
                            x0, r: float, y0, l: float, t: float,
                            cs: Optional[ContactSet] = None) -> CheckReport:
     """Inclusion of the contact set in the inner ball and low sub-level set.
@@ -279,15 +289,15 @@ def check_contact_location(m: ModelSpace, u: ScalarField, a: float,
     _location_vertices(u.grid, y0, r) with opening a; otherwise the scan
     runs here, after the premises pass.
     """
-    pre = _location_premises(m, u, x0, r, y0, l, t)
+    pre = _location_premises(u, x0, r, y0, l, t)
     if pre is not None:
         return _premise_failure("contact-location", pre)
     # vertices must include y0's node so the touching bound below is exact
     if cs is None:
-        cs = compute_contact_set(m, u, a, _location_vertices(u.grid, y0, r))
+        cs = compute_contact_set(u, a, _location_vertices(u.grid, y0, r))
     nodes = cs.node_indices
     pts = u.grid.flat_points()[nodes]
-    d_x0 = m.distance(np.asarray(x0, float), pts)
+    d_x0 = u.grid.model.distance(np.asarray(x0, float), pts)
     uvals = u.values.reshape(-1)[nodes]
     # discrete minimization over nodes reproduces the touching inequality
     # exactly whenever y0 is itself a node, so only float slack is allowed
@@ -308,13 +318,13 @@ def _location_vertices(grid: GeodesicBallGrid, y0, r: float) -> np.ndarray:
     return np.flatnonzero(grid.mask_within(y0, r / 6.0).ravel())
 
 
-def _location_premises(m, u, x0, r, y0, l, t):
+def _location_premises(u, x0, r, y0, l, t):
     """Premise screening; u >= t is required on the annulus B_r minus B_{5r/6},
     which is the form the contradiction argument actually consumes."""
     grid = u.grid
     if not l < t:
         return "l < t"
-    if m.distance(np.asarray(x0, float), np.asarray(y0, float)) > r / 2.0 + 1e-12:
+    if grid.model.distance(np.asarray(x0, float), np.asarray(y0, float)) > r / 2.0 + 1e-12:
         return "y0 in closed B_{r/2}(x0)"
     uy0 = float(u.value(y0)) if u.has_derivatives else None
     if uy0 is not None and abs(uy0 - l) > 1e-9 * max(1.0, abs(l)):

@@ -145,6 +145,11 @@ class ModelSpace:
         return self._kappa == 0.0
 
     @property
+    def is_weighted(self) -> bool:
+        """True when the measure carries a nontrivial weight exp(-V)."""
+        return self.lam != 0.0
+
+    @property
     def cut_radius(self) -> float:
         """Radius within which exp is a diffeomorphism (pi/sqrt(k) on the sphere)."""
         return math.pi / self._s if self._kappa > 0 else math.inf
@@ -433,6 +438,28 @@ class GeodesicBallGrid:
         return int(np.sum(self.rho <= r))
 
 
+def _same_nodes(g: GeodesicBallGrid, h: GeodesicBallGrid) -> bool:
+    """True when h samples g's nodes: the same grid, or one of equal shape,
+    node coordinates and model, the model compared by value."""
+    return h is g or (h.shape == g.shape and h.model == g.model
+                      and np.array_equal(h.points, g.points))
+
+
+def _model_label(m: ModelSpace) -> str:
+    return f"the {m.kind} model (k={m.k:g}, lam={m.lam:g})"
+
+
+def _grid_label(g: GeodesicBallGrid) -> str:
+    return (f"{g.n_r}x{g.n_theta} over radius {g.radius:g} about "
+            f"{np.round(g.center, 6).tolist()} on {_model_label(g.model)}")
+
+
+def _radius_range_error(what: str, r: float) -> ValueError:
+    """The error for a radius r at which what leaves float64, naming the end."""
+    end = "large" if r > 1.0 else "small"
+    return ValueError(f"{what}: radius {r:g} is too {end} for the float64 range")
+
+
 def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int) -> GeodesicBallGrid:
     """Build the geodesic polar grid; rejects radii beyond the working-ball limit."""
     if n_r < 8 or n_theta < 8:
@@ -451,17 +478,19 @@ def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int
     e1, e2 = model.tangent_frame(center)
     dirs = np.cos(theta)[:, None] * e1[None, :] + np.sin(theta)[:, None] * e2[None, :]
     v = rho[:, None, None] * dirs[None, :, :]
-    points = model.exp(center, v)
     # per-node weight = cell integral of psi * exp(-V) along the ray, radial
     # 2-point Gauss per cell (midpoint form psi(rho_i) e^{-V} drho dth + O(h^2),
     # but the measure identity then holds to O(h^4))
     off = 0.5 * drho / math.sqrt(3.0)
     weights = np.zeros((n_r, n_theta))
-    for s in (-off, off):
-        rg = rho + s
-        pg = model.exp(center, rg[:, None, None] * dirs[None, :, :])
-        weights += 0.5 * model.psi(rg)[:, None] * np.exp(-model.weight_V(pg))
-    weights *= drho * dth
-    if not np.sum(weights) > 0:
-        raise ValueError("grid weights sum to 0: radius too small for float64")
+    with np.errstate(all="ignore"):   # a radius outside float64 range is refused below
+        points = model.exp(center, v)
+        for s in (-off, off):
+            rg = rho + s
+            pg = model.exp(center, rg[:, None, None] * dirs[None, :, :])
+            weights += 0.5 * model.psi(rg)[:, None] * np.exp(-model.weight_V(pg))
+        weights *= drho * dth
+    total = float(np.sum(weights))
+    if not 0.0 < total < math.inf:
+        raise _radius_range_error(f"grid weights sum to {total:g} on {_model_label(model)}", r)
     return GeodesicBallGrid(model, center, float(r), n_r, n_theta, rho, theta, points, weights, (e1, e2))

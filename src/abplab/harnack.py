@@ -28,7 +28,7 @@ from .barrier import BarrierSpec, barrier_field
 from .constants import ConstantsLedger, CurvatureParams, _log_doubling
 from .contact import _location_vertices, check_contact_location, compute_contact_set
 from .fields import ScalarField, sum_fields
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import _grid_label, _same_nodes
 from .measure import integral_I, log_lp_average
 from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
@@ -41,24 +41,22 @@ _OP_TOL = 1e-6  # nodewise Delta_nu u against f, relative to max(1, max|f|)
 
 @dataclass
 class HarnackInstance:
-    """u, f sampled on a grid over B_{2R}; R is half the grid radius."""
-    model: ModelSpace
+    """u, f sampled on one grid over B_{2R}; the model and grid are u's, and
+    R is half the grid radius."""
     params: CurvatureParams
-    grid: GeodesicBallGrid
     u: ScalarField
     f: ScalarField
     boundary: Optional[np.ndarray] = None  # Dirichlet trace of u, if known
 
     @property
     def R(self) -> float:
-        return 0.5 * self.grid.radius
+        return 0.5 * self.u.grid.radius
 
 
 def _f_term_log(inst: HarnackInstance, ledger: ConstantsLedger) -> float:
     """log of R^2 (avg_{B_2R} |f|^{N eta})^{1/(N eta)}."""
     N, eta = inst.params.N, ledger.eta
-    g = inst.grid
-    lg = log_lp_average(np.abs(inst.f.values), g.weights, N * eta)
+    lg = log_lp_average(np.abs(inst.f.values), inst.u.grid.weights, N * eta)
     return 2.0 * math.log(inst.R) + lg
 
 
@@ -81,28 +79,18 @@ def _nodewise_gap(u: ScalarField, f: ScalarField, sense: str, boundary) -> float
     return float(np.max(gap)) / max(1.0, float(np.max(np.abs(f.values))))
 
 
-def _require_same_nodes(u: ScalarField, f: ScalarField) -> None:
-    """ValueError unless f is sampled at u's nodes: the nodewise screen pairs
-    them node by node and the f-terms integrate f over u's balls."""
-    gu, gf = u.grid, f.grid
-    if gf is gu or (gf.shape == gu.shape and np.array_equal(gf.points, gu.points)):
-        return
-    raise ValueError(f"f is not sampled on u's grid nodes: f's grid is {_grid_label(gf)},"
-                     f" u's is {_grid_label(gu)}")
-
-
-def _grid_label(g) -> str:
-    return (f"{g.n_r}x{g.n_theta} over radius {g.radius:g} about "
-            f"{np.round(g.center, 6).tolist()} on the {g.model.kind} model")
-
-
 def _screen(name: str, inst: HarnackInstance, sense: str, ball: str, nonneg: bool,
             anchor: str = "") -> Optional[CheckReport]:
     """The first violated premise, in the order Ric_{N,nu} >= -K g, u >= 0
     (if nonneg) and Delta_nu u {sense} f, as a failed report; None if all hold.
-    Raises ValueError when f is not sampled on u's grid nodes."""
-    _require_same_nodes(inst.u, inst.f)
-    if inst.params.ricci_gap(inst.model, inst.grid.center, inst.grid.radius) > 1e-12:
+    Raises ValueError when f is not sampled on u's grid nodes and model: the
+    nodewise screen pairs them node by node, and the f-terms integrate f over
+    u's balls."""
+    g, gf = inst.u.grid, inst.f.grid
+    if not _same_nodes(g, gf):
+        raise ValueError(f"f is not sampled on u's grid nodes: f's grid is {_grid_label(gf)},"
+                         f" u's is {_grid_label(g)}")
+    if inst.params.ricci_gap(g.model, g.center, g.radius) > 1e-12:
         which = f"Ric_{{N,nu}} >= -K g on {ball}"
     elif nonneg and np.min(inst.u.values) < -1e-12:
         which = f"u >= 0 on {ball}"
@@ -119,7 +107,7 @@ def harnack_check_sup(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckRe
     failed = _screen("harnack-sup", inst, "<=", "B_2R", nonneg=True)
     if failed:
         return failed
-    g, R = inst.grid, inst.R
+    g, R = inst.u.grid, inst.R
     half = g.mask_within(g.center, 0.5 * R)
     log_lhs = log_lp_average(inst.u.values[half], g.weights[half], ledger.p0)
     inf_u = float(np.min(inst.u.values[half]))
@@ -142,7 +130,7 @@ def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float) 
     failed = _screen("harnack-sub", inst, ">=", "B_2R", nonneg=False)
     if failed:
         return failed
-    g, R = inst.grid, inst.R
+    g, R = inst.u.grid, inst.R
     half = g.mask_within(g.center, 0.5 * R)
     ball_R = g.mask_within(g.center, R)
     sup_u = float(np.max(inst.u.values[half]))
@@ -159,7 +147,7 @@ def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckR
     failed = _screen("harnack-full", inst, "=", "B_2R", nonneg=True)
     if failed:
         return failed
-    g, R = inst.grid, inst.R
+    g, R = inst.u.grid, inst.R
     half = g.mask_within(g.center, 0.5 * R)
     sup_u = float(np.max(inst.u.values[half]))
     inf_u = float(np.min(inst.u.values[half]))
@@ -171,11 +159,12 @@ def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckR
                     sup_over_inf=sup_u / inf_u if inf_u > 0 else math.inf)
 
 
-def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger,
+def growth_check(params: CurvatureParams, ledger: ConstantsLedger,
                  u: ScalarField, f: ScalarField, x0, r: float) -> CheckReport:
     """The local growth bound plus the barrier/contact pipeline behind it.
 
-    Premises (screened on the grid of u, which must cover B_r(x0)), in this
+    Premises (screened on the grid of u, which must cover B_r(x0) and whose
+    model is the one checked; f is sampled on its nodes), in this
     order: Ric_{N,nu} >= -K g, u >= 0, Delta_nu u <= f nodewise,
     inf_{B_{r/2}} u <= 1, and the scaled f-integral I_{K,N}(f, B_r, 1) over
     the nodes of B_r(x0) below delta0.
@@ -197,7 +186,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     """
     grid = u.grid
     anchor = "local-growth"
-    failed = _screen("growth-bound", HarnackInstance(m, params, grid, u, f), "<=", "B_r",
+    failed = _screen("growth-bound", HarnackInstance(params, u, f), "<=", "B_r",
                      nonneg=True, anchor=anchor)
     if failed:
         return failed
@@ -205,7 +194,7 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     if float(np.min(u.values[half])) > 1.0 + 1e-12:
         return _premise_failure("growth-bound", "inf_{B_{r/2}} u <= 1", anchor,
                                 sharpness="non-sharp")
-    if integral_I(m, params, f, x0, r, 1.0) > ledger.delta0 * (1.0 + 1e-12):
+    if integral_I(params, f, x0, r, 1.0) > ledger.delta0 * (1.0 + 1e-12):
         return _premise_failure("growth-bound", "I_{K,N}(f, B_r, 1) <= delta0", anchor,
                                 sharpness="non-sharp")
 
@@ -217,15 +206,15 @@ def growth_check(m: ModelSpace, params: CurvatureParams, ledger: ConstantsLedger
     ratio = float(np.sum(grid.weights[hit])) / total
 
     # proof pipeline: barrier, contact set, location, measure bound
-    spec = BarrierSpec(ledger.alpha, m, np.asarray(x0, float), r)
+    spec = BarrierSpec(ledger.alpha, grid.model, np.asarray(x0, float), r)
     psi = barrier_field(grid, spec)
     w_field = sum_fields([u, psi])
     y0_flat = int(np.argmin(np.where(half, w_field.values, np.inf)))
     y0 = grid.flat_points()[y0_flat]
     l = float(w_field.values.reshape(-1)[y0_flat])
     t_level = 18.0**ledger.alpha - (4.0 / 3.0) ** ledger.alpha
-    cs = compute_contact_set(m, w_field, 1.0 / r**2, _location_vertices(grid, y0, r))
-    loc = check_contact_location(m, w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
+    cs = compute_contact_set(w_field, 1.0 / r**2, _location_vertices(grid, y0, r))
+    loc = check_contact_location(w_field, 1.0 / r**2, x0, r, y0, l, t_level, cs)
     diag = {f"location_{k}": v for k, v in loc.diagnostics.items()}
 
     nodes = cs.node_indices

@@ -75,12 +75,13 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     return check_le("doubling-ratio", "doubling-estimate", lhs, 1.0, rel_tol=1e-9, **diag)
 
 
-def integral_I(m: ModelSpace, params: CurvatureParams, f: ScalarField,
+def integral_I(params: CurvatureParams, f: ScalarField,
                center, ball_radius: float, q: float) -> float:
     """r^2 (avg over B_r(center) of |f|^{N q})^{1/(N q)} with grid quadrature.
 
     The average runs over the nodes of f's grid within ball_radius of
-    center; exact for constants.
+    center, in the distance and measure of that grid's model; exact for
+    constants.
     """
     if q < 1.0:
         raise ValueError("exponent q must be >= 1")

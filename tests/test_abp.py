@@ -66,8 +66,8 @@ class TestEqualityCases:
         inst2, _ = _instance(m, CurvatureParams(0, 2, 1.0), 1.0, 48,
                              lambda g: quadratic_field(g, m.origin(), c), c)
         from abplab.contact import compute_contact_set
-        cs1 = compute_contact_set(m, inst1.u, inst1.a, inst1.E)
-        cs2 = compute_contact_set(m, inst2.u, inst2.a, inst2.E)
+        cs1 = compute_contact_set(inst1.u, inst1.a, inst1.E)
+        cs2 = compute_contact_set(inst2.u, inst2.a, inst2.E)
         assert np.array_equal(cs1.contact_of, cs2.contact_of)
         r1 = abp_check(inst1, set_stride=1, n_rings=nr)
         r2 = abp_check(inst2, set_stride=1, n_rings=nr)
@@ -164,6 +164,35 @@ class TestHypothesisScreens:
                              lambda g: constant_field(g, 0.0), 1.0)
         with pytest.raises(ValueError, match="set_stride"):
             abp_check(inst, set_stride=2, n_rings=nr)
+
+
+class TestInstanceSources:
+    """model and grid must be u's; equal models built apart are one model."""
+
+    def _parts(self, n=32):
+        m = euclidean()
+        grid = build_polar_grid(m, m.origin(), 1.0, n, n)
+        return grid, disc_vertex_indices(grid, 5), quadratic_field(grid, m.origin(), 1.0)
+
+    def test_model_differing_by_value_refused(self):
+        grid, E, u = self._parts()
+        with pytest.raises(ValueError, match="model is the hyperbolic model .*, but the grid "
+                                             "is on the euclidean model"):
+            AbpInstance(hyperbolic(1.0), CurvatureParams(0, 2, 1.0), grid, E, u, 1.0)
+
+    def test_grid_without_u_nodes_refused(self):
+        grid, E, _ = self._parts(24)
+        _, _, u = self._parts(32)
+        with pytest.raises(ValueError, match="the grid is 24x24 .*, u's is 32x32"):
+            AbpInstance(euclidean(), CurvatureParams(0, 2, 1.0), grid, E, u, 1.0)
+
+    def test_equal_model_instances_accepted(self):
+        # a separate euclidean() and a twin grid are the same model and nodes
+        grid, E, u = self._parts()
+        twin, _, _ = self._parts()
+        assert grid.model is not euclidean() and twin is not grid
+        rep = abp_check(AbpInstance(euclidean(), CurvatureParams(0, 2, 1.0), twin, E, u, 1.0))
+        assert rep.passed
 
 
 class TestTransportInternals:

@@ -116,6 +116,7 @@ class TestCliExitCodes:
         ["doubling", "--R", "1e-200", "--samples", "2"],
         ["pucci", "--theta", "1e308"],
         ["harnack-check", "--which", "pucci", "--theta", "1e308"],
+        ["hfun", "--model", "gaussian", "--samples", "64"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
@@ -123,11 +124,29 @@ class TestCliExitCodes:
             "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
             "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300",
             "doubling-N-inf", "doubling-gaussian-N-dim", "doubling-measure-underflow",
-            "pucci-theta-overflow", "harnack-pucci-theta-overflow"])
+            "pucci-theta-overflow", "harnack-pucci-theta-overflow", "hfun-weighted"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["barrier-check", "--model", "euclidean", "--r", "1e6"],
+        ["barrier-check", "--model", "euclidean", "--r", "1e-6"],
+        ["hfun", "--model", "gaussian", "--lambda", "0", "--samples", "64"],
+    ], ids=["barrier-r-1e6", "barrier-r-1e-6", "hfun-gaussian-lambda-0"])
+    def test_edge_input_runs(self, argv, capsys):
+        assert main(argv) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r,end", [("1e300", "large"), ("1e-300", "small")])
+    def test_radius_beyond_float64_exits_two(self, r, end, capsys):
+        # the barrier's sampled Laplacian would be NaN there
+        assert main(["barrier-check", "--model", "euclidean", "--r", r]) == 2
+        captured = capsys.readouterr()
+        assert f"radius {float(r):g} is too {end} for the float64 range" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--resolution", "8"],

@@ -8,7 +8,7 @@ from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, check_contact_location,
                             refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
-from abplab.geometry import build_polar_grid, euclidean, sphere
+from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from conftest import ALL_MODELS, random_point
 
 
@@ -26,7 +26,7 @@ class TestComputeContactSet:
         g = _grid(model, r=r, n=32)
         u = constant_field(g, 1.7)
         E = _disc_indices(g, 0.5 * r)
-        cs = compute_contact_set(model, u, 2.0, E)
+        cs = compute_contact_set(u, 2.0, E)
         assert np.array_equal(np.sort(cs.contact_of), np.sort(E))
         vertex, node, level = cs.pairs()
         assert np.allclose(g.flat_points()[node[:5]], g.flat_points()[vertex[:5]])
@@ -39,7 +39,7 @@ class TestComputeContactSet:
         b, a = 1.5, 0.75
         u = quadratic_field(g, np.zeros(2), b)
         E = _disc_indices(g, 0.4)
-        cs = compute_contact_set(m, u, a, E)
+        cs = compute_contact_set(u, a, E)
         X = g.flat_points()[cs.contact_of]
         Y = g.flat_points()[cs.vertex_indices]
         assert np.max(np.abs(X - (a / (a + b)) * Y)) < 2.0 * g.drho
@@ -50,7 +50,7 @@ class TestComputeContactSet:
         g = _grid(m, r=1.5, n=64)
         u = ScalarField(g, -np.broadcast_to(g.rho[:, None], g.shape).copy())
         center_idx = np.array([int(np.argmin(g.rho)) * g.n_theta])
-        cs = compute_contact_set(m, u, 1.0, center_idx)
+        cs = compute_contact_set(u, 1.0, center_idx)
         rho_contact = g.rho[cs.node_indices // g.n_theta]
         assert np.all(np.abs(rho_contact - 1.0) <= 1.5 * g.drho)
 
@@ -58,7 +58,7 @@ class TestComputeContactSet:
         g = _grid(euclidean(), n=16)
         u = constant_field(g, 0.0)
         with pytest.raises(ValueError, match="empty"):
-            compute_contact_set(euclidean(), u, 1.0, np.array([], dtype=np.int64))
+            compute_contact_set(u, 1.0, np.array([], dtype=np.int64))
 
     def test_nan_field_rejected(self):
         # a NaN would void the block lower bounds the scan prunes with
@@ -66,14 +66,14 @@ class TestComputeContactSet:
         vals = np.zeros(g.shape)
         vals[3, 5] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            compute_contact_set(euclidean(), ScalarField(g, vals), 1.0, _disc_indices(g, 0.5))
+            compute_contact_set(ScalarField(g, vals), 1.0, _disc_indices(g, 0.5))
 
     def test_sphere_domain_size_guard(self):
         m = sphere(1.0)
         g = build_polar_grid(m, m.origin(), 0.7, 32, 32)
         u = constant_field(g, 0.0)
         with pytest.raises(ValueError, match="pi"):
-            compute_contact_set(m, u, 1.0, _disc_indices(g, 0.6))
+            compute_contact_set(u, 1.0, _disc_indices(g, 0.6))
 
     def test_monotone_in_vertex_set(self, rng):
         m = euclidean()
@@ -82,8 +82,8 @@ class TestComputeContactSet:
                         bump_field(g, np.array([0.2, 0.1]), -0.2, 6.0)])
         big = _disc_indices(g, 0.35)
         small = rng.choice(big, size=len(big) // 3, replace=False)
-        A_small = compute_contact_set(m, u, 1.0, small).node_indices
-        A_big = compute_contact_set(m, u, 1.0, big).node_indices
+        A_small = compute_contact_set(u, 1.0, small).node_indices
+        A_big = compute_contact_set(u, 1.0, big).node_indices
         assert np.all(np.isin(A_small, A_big))
 
     def test_grid_refinement_hausdorff(self):
@@ -94,7 +94,7 @@ class TestComputeContactSet:
             g = _grid(m, n=n)
             u = sum_fields([quadratic_field(g, np.zeros(2), 1.0),
                             bump_field(g, np.array([0.15, -0.1]), 0.3, 4.0)])
-            cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.35))
+            cs = compute_contact_set(u, 1.0, _disc_indices(g, 0.35))
             sets[n] = g.flat_points()[cs.node_indices]
         h = 1.0 / 32
         d = np.sqrt(((sets[32][:, None, :] - sets[64][None, :, :]) ** 2).sum(-1))
@@ -106,12 +106,12 @@ class TestComputeContactSet:
         g = _grid(m, n=40)
         base = quadratic_field(g, np.zeros(2), 1.0)
         E = _disc_indices(g, 0.3)
-        A = compute_contact_set(m, base, 1.0, E).node_indices
+        A = compute_contact_set(base, 1.0, E).node_indices
         pts = g.flat_points()
         k = 200.0
         wobble = np.sin(5.0 * g.points[..., 0]) / k
         uk = ScalarField(g, base.values + wobble)
-        Ak = compute_contact_set(m, uk, 1.0, E).node_indices
+        Ak = compute_contact_set(uk, 1.0, E).node_indices
         d = np.sqrt(((pts[Ak][:, None] - pts[A][None, :]) ** 2).sum(-1))
         assert float(d.min(axis=1).max()) <= 2.0 * g.drho + 2.0 * g.radius * g.dtheta
 
@@ -123,7 +123,7 @@ class TestComputeContactSet:
         E = _disc_indices(g, 0.3)
         argmin_pt = g.flat_points()[int(np.argmin(u.values))]
         for k in (10.0, 100.0, 1000.0):
-            cs = compute_contact_set(m, u, 1.0 / k, E)
+            cs = compute_contact_set(u, 1.0 / k, E)
             pts = g.flat_points()[cs.node_indices]
             worst = np.max(np.linalg.norm(pts - argmin_pt, axis=1))
             if k == 1000.0:
@@ -141,14 +141,14 @@ class TestComputeContactSet:
             d2 = float(np.sum((g.flat_points()[node] - y) ** 2))
             vals[node] = -5.0 - 0.5 * a * d2
         u = ScalarField(g, vals.reshape(g.shape))
-        cs = compute_contact_set(m, u, a, np.array([yi]))
+        cs = compute_contact_set(u, a, np.array([yi]))
         assert len(cs.node_indices) == 2
 
     def test_pairs_sorted_and_levels(self):
         m = euclidean()
         g = _grid(m, n=24)
         u = quadratic_field(g, np.zeros(2), 1.0)
-        cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.3))
+        cs = compute_contact_set(u, 1.0, _disc_indices(g, 0.3))
         vertex, node, level = cs.pairs()
         keys = list(zip(vertex.tolist(), node.tolist()))
         assert keys == sorted(keys)
@@ -173,6 +173,38 @@ class TestComputeContactSet:
         assert level.tolist() == [own[v] for v in vertex.tolist()]
 
 
+class TestOneModel:
+    """The model and grid of a scan or a refinement are u's own."""
+
+    def test_scan_refuses_omega_without_u_nodes(self):
+        u = quadratic_field(_grid(euclidean(), n=32), np.zeros(2), 1.0)
+        other = _grid(euclidean(), n=24)
+        with pytest.raises(ValueError, match="Omega is 24x24 .* u's grid is 32x32"):
+            compute_contact_set(u, 1.0, _disc_indices(u.grid, 0.3), Omega=other)
+
+    def test_scan_refuses_omega_on_another_model(self):
+        # the same node coordinates under another weight
+        u = quadratic_field(_grid(euclidean(), n=32), np.zeros(2), 1.0)
+        other = _grid(gaussian_plane(1.0), n=32)
+        with pytest.raises(ValueError, match="gaussian_plane.*u's grid .*euclidean"):
+            compute_contact_set(u, 1.0, _disc_indices(u.grid, 0.3), Omega=other)
+
+    def test_scan_accepts_an_equal_omega(self):
+        u = quadratic_field(_grid(euclidean(), n=32), np.zeros(2), 1.0)
+        E = _disc_indices(u.grid, 0.3)
+        twin = _grid(euclidean(), n=32)
+        got, want = compute_contact_set(u, 1.0, E, Omega=twin), compute_contact_set(u, 1.0, E)
+        assert np.array_equal(got.contact_of, want.contact_of)
+
+    def test_refinement_refuses_another_model(self):
+        g = _grid(euclidean(), n=32)
+        u = quadratic_field(g, np.zeros(2), 1.0)
+        Y = g.flat_points()[_disc_indices(g, 0.3)]
+        with pytest.raises(ValueError, match="m is the hyperbolic model.*u's grid is on the "
+                                             "euclidean model"):
+            refine_contact_points(hyperbolic(1.0), u, 1.0, Y, Y.copy())
+
+
 def _brute_force(m, u, a, E, tie_tol=1e-12):
     """Oracle: u + (a/2) rho^2 at every node, argmin and every node within
     tie_tol of the minimum."""
@@ -187,7 +219,7 @@ def _brute_force(m, u, a, E, tie_tol=1e-12):
 
 
 def _assert_matches_brute_force(m, u, a, E, **kwargs):
-    cs = compute_contact_set(m, u, a, E, **kwargs)
+    cs = compute_contact_set(u, a, E, **kwargs)
     contact, best, ties = _brute_force(m, u, a, E)
     assert np.array_equal(cs.vertex_indices, E)
     assert np.array_equal(cs.contact_of, contact)
@@ -287,10 +319,10 @@ class TestGradientResidual:
         m = euclidean()
         g = _grid(m, n=24)
         u = constant_field(g, 2.0)
-        cs = compute_contact_set(m, u, 1.0, _disc_indices(g, 0.2))
+        cs = compute_contact_set(u, 1.0, _disc_indices(g, 0.2))
         vertex, node, _ = cs.pairs()
         X = g.flat_points()
-        assert gradient_contact_residual(m, u, 1.0, X[node[0]], X[vertex[0]]) \
+        assert gradient_contact_residual(u, 1.0, X[node[0]], X[vertex[0]]) \
             == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_refined_pair(self):
@@ -298,12 +330,12 @@ class TestGradientResidual:
         g = _grid(m, n=48)
         u = quadratic_field(g, np.zeros(2), 1.0)
         E = _disc_indices(g, 0.3)
-        cs = compute_contact_set(m, u, 1.0, E)
+        cs = compute_contact_set(u, 1.0, E)
         Y = g.flat_points()[cs.vertex_indices]
         X = refine_contact_points(m, u, 1.0, Y, g.flat_points()[cs.contact_of])
         # closed-form identity b x = a (y - x) at the refined points
         assert np.max(np.abs(1.0 * X - 1.0 * (Y - X))) < 1e-10
-        assert np.max(gradient_contact_residual(m, u, 1.0, X, Y)) < 1e-10
+        assert np.max(gradient_contact_residual(u, 1.0, X, Y)) < 1e-10
 
     def test_boundary_contact_flagged_by_residual(self):
         # a linear field drags the minimizer onto the boundary ring, where the
@@ -322,21 +354,21 @@ class TestGradientResidual:
 
         u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
-        cs = compute_contact_set(m, u, 1.0, np.array([yi]))
+        cs = compute_contact_set(u, 1.0, np.array([yi]))
         vertex, node, _ = cs.pairs()
         X = g.flat_points()
-        assert gradient_contact_residual(m, u, 1.0, X[node[0]], X[vertex[0]]) > 0.1
+        assert gradient_contact_residual(u, 1.0, X[node[0]], X[vertex[0]]) > 0.1
 
     def test_vectorized_matches_per_pair_loop(self, model, rng):
         # the residuals of all pairs in one call against one call per pair
         g = _grid(model, r=0.5, n=32)
         u = random_bump_field(g, rng, hess_bound=0.5)
-        cs = compute_contact_set(model, u, 1.0, _disc_indices(g, 0.2))
+        cs = compute_contact_set(u, 1.0, _disc_indices(g, 0.2))
         vertex, node, _ = cs.pairs()
         X = g.flat_points()[node]
         Y = g.flat_points()[vertex]
-        got = gradient_contact_residual(model, u, 1.0, X, Y)
-        want = [float(gradient_contact_residual(model, u, 1.0, x, y)) for x, y in zip(X, Y)]
+        got = gradient_contact_residual(u, 1.0, X, Y)
+        want = [float(gradient_contact_residual(u, 1.0, x, y)) for x, y in zip(X, Y)]
         assert got.shape == (len(vertex),)
         np.testing.assert_array_max_ulp(got, np.array(want), maxulp=1)
 
@@ -349,7 +381,7 @@ class TestContactLocation:
         u = sum_fields([constant_field(g, 1.0), bump_field(g, y0, -1.0, 8.0)])
         l = float(u.value(y0))
         t = 1.0 - math.exp(-8.0 / 9.0)
-        rep = check_contact_location(m, u, 1.0, m.origin(), 1.0, y0, l, t - 1e-9)
+        rep = check_contact_location(u, 1.0, m.origin(), 1.0, y0, l, t - 1e-9)
         assert rep.passed
         assert rep.diagnostics["max_distance"] <= 5.0 / 6.0
 
@@ -361,14 +393,14 @@ class TestContactLocation:
         l = float(u.value(y0))
         shell = ~g.mask_within(m.origin(), 5.0 * 0.35 / 6.0)
         t = float(np.min(u.values[shell]))
-        rep = check_contact_location(m, u, 1.0, m.origin(), 0.35, y0, l, t - 1e-9)
+        rep = check_contact_location(u, 1.0, m.origin(), 0.35, y0, l, t - 1e-9)
         assert rep.passed
 
     def test_premise_violation_reported(self):
         m = euclidean()
         g = _grid(m, n=32)
         u = constant_field(g, 0.5)
-        rep = check_contact_location(m, u, 1.0, m.origin(), 1.0, g.points[3, 0], 0.9, 0.5)
+        rep = check_contact_location(u, 1.0, m.origin(), 1.0, g.points[3, 0], 0.9, 0.5)
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "l < t"
 
@@ -458,7 +490,7 @@ class TestNewtonFreeze:
         X = refine_contact_points(model, u, a, Y, Y.copy())
         want = _newton_all_points(model, u, a, Y, Y.copy())
         assert np.max(np.abs(X - want)) < 1e-12
-        assert np.max(gradient_contact_residual(model, u, a, X, Y)) < 1e-12
+        assert np.max(gradient_contact_residual(u, a, X, Y)) < 1e-12
 
 
 class TestNewtonFirstStep:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,6 +361,12 @@ class TestPolarGrid:
     def test_sphere_domain_limit(self):
         with pytest.raises(ValueError, match="working-ball"):
             build_polar_grid(sphere(1.0), sphere(1.0).origin(), 1.6, 64, 64)
+
+    @pytest.mark.parametrize("r,end", [(1e160, "large"), (1e-300, "small")])
+    def test_radius_outside_float64_names_its_end(self, r, end):
+        # at 1e160 the euclidean weights turn NaN, at 1e-300 they underflow to 0
+        with pytest.raises(ValueError, match=re.escape(f"radius {r:g} is too {end} for the float64")):
+            build_polar_grid(euclidean(), np.zeros(2), r, 8, 8)
 
 
 class TestRicciLowerBound:

@@ -3,9 +3,10 @@ module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
 the Jacobi integrator takes no Python-level loop per time step, every
-abplab name the benchmark binds, read from its sources, still exists, every
-flag a CLI subcommand declares is read by its run, and importing the CLI
-leaves numpy.polynomial unloaded."""
+abplab name the benchmark binds, read from its sources, still exists, no
+public function or dataclass takes a model beside a field or grid that
+carries it, every flag a CLI subcommand declares is read by its run, and
+importing the CLI leaves numpy.polynomial unloaded."""
 
 import ast
 import importlib
@@ -358,6 +359,57 @@ def test_benchmark_binding_detectors_flag_and_accept():
                                       "pde.solve_poisson": ["Omega"]}
     assert abplab_attributes(src) == [("contact", "compute_contact_set"),
                                       ("fields", "hess_form")]
+
+
+MODEL_PARAMS = {"m", "model"}
+FIELD_PARAMS = {"u", "f", "grid"}
+# perfbench builds AbpInstance positionally and its refinement counter reads
+# refine_contact_points's m; each refuses a model other than u's
+BENCHMARK_BOUND = ["abp.py: AbpInstance", "contact.py: refine_contact_points"]
+
+
+def _parameters(fn) -> set:
+    a = fn.args
+    return {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def model_beside_field(source: str) -> list:
+    """Public functions, public methods and dataclasses that take a model
+    (m, model) beside a field or grid (u, f, grid), which carries its own."""
+    tree = ast.parse(source)
+    takes = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            takes.append((node.name, _parameters(node)))
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            takes.append((node.name, {s.target.id for s in node.body
+                                      if isinstance(s, ast.AnnAssign)
+                                      and isinstance(s.target, ast.Name)}))
+        takes += [(f"{node.name}.{f.name}", _parameters(f)) for f in node.body
+                  if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return sorted(name for name, params in takes
+                  if params & MODEL_PARAMS and params & FIELD_PARAMS)
+
+
+def test_verdicts_read_the_model_from_their_field():
+    found = [f"{p.name}: {name}" for p in MODULES for name in model_beside_field(p.read_text())]
+    assert found == BENCHMARK_BOUND
+
+
+def test_model_beside_field_detector_flags_and_accepts():
+    src = ("from dataclasses import dataclass\n"
+           "def f(m, u):\n    pass\n"
+           "def g(u):\n    pass\n"
+           "def _h(model, grid):\n    pass\n"
+           "@dataclass(frozen=True)\nclass A:\n    model: int\n    f: int\n"
+           "@dataclass\nclass B:\n    grid: int\n    k: int = 0\n"
+           "class C:\n    def check(self, *, model, grid):\n        pass\n"
+           "    def _inner(self, m, u):\n        pass\n")
+    assert model_beside_field(src) == ["A", "C.check", "f"]
 
 
 def unread_flags(source: str) -> list:

@@ -261,7 +261,7 @@ class TestContactPositivity:
                         bump_field(g, g.points[10, 3], -0.2, 5.0)])
         a = 1.0
         E = np.flatnonzero(g.mask_within(m.origin(), 0.1).ravel())[::5]
-        cs = compute_contact_set(m, u, a, E)
+        cs = compute_contact_set(u, a, E)
         Y = g.flat_points()[cs.vertex_indices]
         X = refine_contact_points(m, u, a, Y, g.flat_points()[cs.contact_of])
         for x, y in zip(X[:10], Y[:10]):

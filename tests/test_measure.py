@@ -84,7 +84,7 @@ class TestIntegralI:
     def test_constant_exact(self):
         m = euclidean()
         f = self._field(m, lambda g: np.full(g.shape, -2.5))
-        got = integral_I(m, CurvatureParams(0, 2, 1.0), f, m.origin(), 0.8, 1.0)
+        got = integral_I(CurvatureParams(0, 2, 1.0), f, m.origin(), 0.8, 1.0)
         assert got == pytest.approx(0.8**2 * 2.5, rel=1e-12)
 
     def test_monotone_in_exponent(self, rng):
@@ -92,7 +92,7 @@ class TestIntegralI:
         m = euclidean()
         f = self._field(m, lambda g: np.abs(rng.normal(size=g.shape)) + 0.1)
         p = CurvatureParams(0.0, 2.0, 1.0)
-        assert integral_I(m, p, f, m.origin(), 0.9, 1.0) <= integral_I(m, p, f, m.origin(), 0.9, 2.0) * (1 + 1e-12)
+        assert integral_I(p, f, m.origin(), 0.9, 1.0) <= integral_I(p, f, m.origin(), 0.9, 2.0) * (1 + 1e-12)
 
     @pytest.mark.parametrize("m,params", [
         (sphere(1.0), CurvatureParams(0.0, 2.0, 0.7)),
@@ -103,7 +103,7 @@ class TestIntegralI:
         f = self._field(m, lambda g: np.abs(rng.normal(size=g.shape)) + 0.05, r=limit)
         from abplab.constants import build_ledger
         eta = build_ledger(params).eta
-        vals = [integral_I(m, params, f, m.origin(), r, eta) for r in (0.4 * limit, 0.7 * limit, limit)]
+        vals = [integral_I(params, f, m.origin(), r, eta) for r in (0.4 * limit, 0.7 * limit, limit)]
         assert vals[0] <= vals[1] * (1 + 1e-9) <= vals[2] * (1 + 1e-9) ** 2
 
     def test_average_about_the_given_centre(self):
@@ -113,15 +113,15 @@ class TestIntegralI:
         f = self._field(m, lambda g: np.where(g.rho[:, None] <= 1.0, 0.0, 16.0)
                         * np.ones(g.shape), r=2.0, n=96)
         params = CurvatureParams(0, 2, 1.0)
-        assert integral_I(m, params, f, m.origin(), 1.0, 1.0) == 0.0
-        assert integral_I(m, params, f, np.array([0.9, 0.0]), 1.0, 1.0) == pytest.approx(
+        assert integral_I(params, f, m.origin(), 1.0, 1.0) == 0.0
+        assert integral_I(params, f, np.array([0.9, 0.0]), 1.0, 1.0) == pytest.approx(
             11.9, abs=0.05)
 
     def test_exponent_floor(self):
         m = euclidean()
         f = self._field(m, lambda g: np.ones(g.shape))
         with pytest.raises(ValueError):
-            integral_I(m, CurvatureParams(0, 2, 1.0), f, m.origin(), 0.5, 0.5)
+            integral_I(CurvatureParams(0, 2, 1.0), f, m.origin(), 0.5, 0.5)
 
 
 class TestLpBracketing:

@@ -183,6 +183,32 @@ class TestCheckAlgebra:
         failed = [r.name for r in check_algebra(A, B, P, 2.0) if not r.passed]
         assert failed == ["pucci-monotone"]
 
+    @staticmethod
+    def _cli_draws(seed=0, n=1000):
+        # the samples of `abplab pucci --samples n --seed seed`
+        Z = seeded_rng(seed, "pucci-identities").normal(size=(n, 3, 2, 2))
+        return _sym(Z[:, 0]), _sym(Z[:, 1]), Z[:, 2] @ np.swapaxes(Z[:, 2], -1, -2)
+
+    @pytest.mark.parametrize("theta", [3e5, 1e8, 1e100])
+    def test_large_theta_rounding_passes(self, theta):
+        # the identities hold exactly; their rounding grows with theta max|eig|
+        reports = check_algebra(*self._cli_draws(), theta)
+        assert [r.name for r in reports if not r.passed] == []
+        # and the allowance stays at rounding level: eps theta times a few units
+        assert all(1e-10 < r.abs_tol < 1e-12 * theta for r in reports)
+
+    def test_perturbed_operator_still_fails_at_large_theta(self, monkeypatch):
+        import abplab.pucci as mod
+        exact = mod.pucci
+
+        def perturbed(H, theta):
+            mm, mp = exact(H, theta)
+            return mm, mp + 1e-6 * np.max(np.abs(mp))
+
+        monkeypatch.setattr(mod, "pucci", perturbed)
+        failed = [r.name for r in check_algebra(*self._cli_draws(), 1e8) if not r.passed]
+        assert "pucci-negation" in failed
+
 
 class TestETheta:
     def test_euclidean_value(self):
@@ -214,6 +240,19 @@ class TestETheta:
     def test_cut_radius_guard(self):
         with pytest.raises(ValueError):
             e_theta(sphere(1.0), 4.0, 2.0)
+
+    @pytest.mark.parametrize("m", [euclidean(), sphere(1.0), hyperbolic(1.0),
+                                   gaussian_plane(1.0)],
+                             ids=["euclidean", "sphere", "hyperbolic", "gaussian"])
+    def test_dense_sample_stays_below_the_supremum(self, m):
+        # oracle: the excess (theta - 1)(1 + transverse^+) on 4096 radii in (0, r]
+        for r in (0.3, 1.0, 1.5):
+            rho = np.linspace(1e-9, r, 4096)
+            for th in (1.0, 2.0, 5.0):
+                dense = (th - 1.0) * (1.0 + np.maximum(m.dist_hessian_transverse(rho), 0.0))
+                analytic = e_theta(m, r, th)
+                assert float(np.max(dense)) <= analytic * (1.0 + 1e-12) + 1e-12
+                assert float(np.max(dense)) >= analytic * (1.0 - 1e-6) - 1e-12
 
 
 class TestContactBound:
