@@ -97,11 +97,16 @@ def _integrand(K, N, r, a, lap, clamp_report=None):
 def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     """Contact integral through the vertex parametrization (structured E only).
 
-    E must be the disc of the first n_rings full rings.  Newton refinement
-    starts from the vertices themselves; with openings dominating the field's
-    Hessian the functional is strictly convex and the iteration is safe.
+    E must be the disc of the first n_rings full rings; any other n_rings
+    raises ValueError.  Newton refinement starts from the vertices themselves;
+    with openings dominating the field's Hessian the functional is strictly
+    convex and the iteration is safe.
     """
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
+    disc = disc_vertex_indices(grid, n_rings)
+    if not np.array_equal(inst.E, disc):
+        raise ValueError(f"E ({len(inst.E)} vertices) is not the disc of the first "
+                         f"{n_rings} rings ({len(disc)} vertices) that n_rings names")
     K, N = inst.params.K, inst.params.N
     Y = grid.points[:n_rings].reshape(-1, grid.points.shape[-1])
     X = refine_contact_points(m, u, a, Y, Y.copy())

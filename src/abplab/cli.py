@@ -24,8 +24,7 @@ from .constants import CurvatureParams, build_ledger, verify_ledger
 from .contact import compute_contact_set, gradient_contact_residual
 from .fields import ScalarField, constant_field, quadratic_field, random_bump_field, sum_fields
 from .geometry import build_polar_grid
-from .harnack import (HarnackInstance, growth_check, harnack_check_full,
-                      harnack_check_sub, harnack_check_sup)
+from .harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
 from .hfun import expansion_fit, hfun_closed_form, hfun_numeric
 from .measure import doubling_check
 from .pde import DirichletProblem, solve_poisson
@@ -76,8 +75,8 @@ def cmd_contact(args):
 
 def cmd_abp(args):
     m = build_model(args)
-    params = _params(args)
     grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
+    params = CurvatureParams(args.K, args.N, args.r)   # R = r: no verdict reads R
     n_rings = grid.radial_rings(0.45 * args.r)
     E = disc_vertex_indices(grid, n_rings)
     if args.u == "const":
@@ -94,7 +93,7 @@ def cmd_abp(args):
 def cmd_barrier(args):
     m = build_model(args)
     params = _params(args)
-    alpha = args.alpha if args.alpha is not None else build_ledger(params).alpha
+    alpha = args.alpha if args.alpha is not None else params.alpha
     spec = BarrierSpec(alpha, m, m.origin(), args.r)
     reports = verify_barrier(spec, params)
     jr = junction_residuals(spec)
@@ -123,7 +122,6 @@ def cmd_doubling(args):
 def cmd_harnack(args):
     m = build_model(args)
     params = _params(args)
-    ledger = build_ledger(params)
     which = args.which
     reports = []
     if which in ("sup", "sub", "full"):
@@ -138,19 +136,19 @@ def cmd_harnack(args):
             reports.append(check_le(f"harnack-{which}", "poisson-solve", 1.0, 0.0,
                                     numerical_failure=str(e)))
         else:
-            inst = HarnackInstance(params, u, ScalarField(grid, fvals), boundary=bnd)
+            f = ScalarField(grid, fvals)
             if which == "sup":
-                reports.append(harnack_check_sup(inst, ledger))
+                reports.append(harnack_check_sup(params, u, f, bnd))
             elif which == "sub":
-                reports.append(harnack_check_sub(inst, ledger, p=args.p))
+                reports.append(harnack_check_sub(params, u, f, args.p, bnd))
             else:
-                reports.append(harnack_check_full(inst, ledger))
+                reports.append(harnack_check_full(params, u, f, bnd))
     elif which == "growth":
         grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
         u = sum_fields([constant_field(grid, 1.0 + args.r**2 / 8.0),
                         quadratic_field(grid, m.origin(), -2.0)])
         f = constant_field(grid, 0.0)
-        reports.append(growth_check(params, ledger, u, f, m.origin(), args.r))
+        reports.append(growth_check(params, u, f, m.origin(), args.r))
     else:  # pucci
         rng = seeded_rng(args.seed, "harnack-pucci")
         W, H = rng.normal(size=(2, args.samples, 2, 2))
@@ -275,7 +273,7 @@ _COMMON = "seed format out"
 _SUBCOMMANDS = {
     "constants": (cmd_constants, "K N R"),
     "contact": (cmd_contact, "model k lambda r resolution a b"),
-    "abp-check": (cmd_abp, "model k lambda K N R r resolution u a b"),
+    "abp-check": (cmd_abp, "model k lambda K N r resolution u a b"),
     "barrier-check": (cmd_barrier, "model k lambda K N R r alpha"),
     "doubling": (cmd_doubling, "model k lambda K N R samples"),
     "harnack-check": (cmd_harnack, "model k lambda K N R which resolution p r samples theta"),

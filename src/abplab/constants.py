@@ -78,6 +78,11 @@ class CurvatureParams:
             return 0.0
         return 2.0 * math.sqrt(self.K / self.N)
 
+    @property
+    def alpha(self) -> float:
+        """The barrier exponent N H(omega R)."""
+        return self.N * calH(self.omega * self.R)
+
 
 @dataclass(frozen=True)
 class ConstantsLedger:
@@ -127,7 +132,7 @@ def build_ledger(params: CurvatureParams) -> ConstantsLedger:
     omega = params.omega
     log_d = {r: _log_doubling(K, N, r) for r in (R, 2 * R, 4 * R)}
     eta = log_d[2 * R] / (N * math.log(2.0))
-    alpha = N * calH(omega * R)
+    alpha = params.alpha
 
     log_mu = -N * (3.0 * _LOG18 + 2.0 * math.log(alpha) + alpha * _LOG18
                    + _log_cosh(omega * R)) - 4.0 * log_d[4 * R]

@@ -49,6 +49,7 @@ __all__ = [
 
 _MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
 _I0_MAX = 700.0  # largest |lam| |c| r of an off-origin weighted ball; np.i0 overflows from 710
+_COSH_MAX = 710.4758600739439  # acosh of the largest float64: cosh and sinh overflow past it
 
 
 @cache
@@ -220,15 +221,20 @@ class ModelSpace:
         return self._rho(self._isum([c * c for c in d]))[0]
 
     def exp(self, p, v) -> np.ndarray:
-        """Geodesic exponential; requires |v| < cut_radius."""
+        """Geodesic exponential; requires |v| < cut_radius, and on the hyperboloid
+        s|v| <= _COSH_MAX, past which the point leaves float64."""
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         if self.is_flat_chart:   # the cut radius is infinite
             return p + v
         L = self.tangent_norm(p, v)
+        t = self._s * L
+        if self._kappa < 0 and np.any(t > _COSH_MAX):
+            big = float(np.max(np.abs(v)))   # |v| itself may overflow in L
+            raise _radius_range_error(f"exp on {_model_label(self)}",
+                                      big * float(np.max(self.tangent_norm(p, v / big))))
         if np.any(L >= self.cut_radius - 1e-15):
             raise ValueError("tangent norm exceeds the cut radius")
-        t = self._s * L
         # sn(t)/t is smooth at 0; its series 1 - sgn(kappa) t^2/6 below 1e-6
         small = t < 1e-6
         safe = np.where(small, 1.0, t)

@@ -1,8 +1,9 @@
 """End-to-end Harnack-inequality checks and the local growth bound.
 
-All four checks share the same shape: hypothesis screening on the grid
-(reported as named premise violations, never exceptions), then the inequality
-with ledger constants.  One screen checks the common premises -- the Ricci
+All four checks share the same shape: the constants built from the curvature
+data alone, build_ledger(params); hypothesis screening on the grid (reported
+as named premise violations, never exceptions); then the inequality with
+those constants.  One screen checks the common premises -- the Ricci
 bound on the ball, u >= 0 where the theorem needs it, and Delta_nu u <=, >= or
 = f at every node -- with one tolerance, _OP_TOL * max(1, max|f|), for the
 nodewise comparison.  The constants are astronomically non-sharp
@@ -19,13 +20,12 @@ the naive power collapses to 1.0 and loses the entire quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .barrier import BarrierSpec, barrier_field
-from .constants import ConstantsLedger, CurvatureParams, _log_doubling
+from .constants import ConstantsLedger, CurvatureParams, _log_doubling, build_ledger
 from .contact import _location_vertices, check_contact_location, compute_contact_set
 from .fields import ScalarField, sum_fields
 from .geometry import _grid_label, _same_nodes
@@ -33,35 +33,29 @@ from .measure import integral_I, log_lp_average
 from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["HarnackInstance", "harnack_check_sup", "harnack_check_sub",
-           "harnack_check_full", "growth_check"]
+__all__ = ["harnack_check_sup", "harnack_check_sub", "harnack_check_full", "growth_check"]
 
 _OP_TOL = 1e-6  # nodewise Delta_nu u against f, relative to max(1, max|f|)
 
 
-@dataclass
-class HarnackInstance:
-    """u, f sampled on one grid over B_{2R}; the model and grid are u's, and
-    R is half the grid radius."""
-    params: CurvatureParams
-    u: ScalarField
-    f: ScalarField
-    boundary: Optional[np.ndarray] = None  # Dirichlet trace of u, if known
-
-    @property
-    def R(self) -> float:
-        return 0.5 * self.u.grid.radius
-
-
-def _f_term_log(inst: HarnackInstance, ledger: ConstantsLedger) -> float:
+def _f_term_log(ledger: ConstantsLedger, u: ScalarField, f: ScalarField) -> float:
     """log of R^2 (avg_{B_2R} |f|^{N eta})^{1/(N eta)}."""
-    N, eta = inst.params.N, ledger.eta
-    lg = log_lp_average(np.abs(inst.f.values), inst.u.grid.weights, N * eta)
-    return 2.0 * math.log(inst.R) + lg
+    lg = log_lp_average(np.abs(f.values), u.grid.weights, ledger.params.N * ledger.eta)
+    return 2.0 * math.log(ledger.params.R) + lg
 
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
+
+
+def _half_ball(params: CurvatureParams, u: ScalarField) -> np.ndarray:
+    """The node mask of B_{R/2}.  u's grid is the ball B_2R, so its radius must
+    be 2 * params.R (relative 1e-12); any other radius raises ValueError."""
+    g, R = u.grid, params.R
+    if not abs(g.radius - 2.0 * R) <= 1e-12 * 2.0 * R:
+        raise ValueError(f"u's grid has radius {g.radius!r}, but params.R = {R!r} "
+                         f"asks for B_2R of radius {2.0 * R!r}")
+    return g.mask_within(g.center, 0.5 * R)
 
 
 def _nodewise_gap(u: ScalarField, f: ScalarField, sense: str, boundary) -> float:
@@ -79,79 +73,85 @@ def _nodewise_gap(u: ScalarField, f: ScalarField, sense: str, boundary) -> float
     return float(np.max(gap)) / max(1.0, float(np.max(np.abs(f.values))))
 
 
-def _screen(name: str, inst: HarnackInstance, sense: str, ball: str, nonneg: bool,
+def _screen(name: str, params: CurvatureParams, u: ScalarField, f: ScalarField,
+            sense: str, ball: str, nonneg: bool, boundary=None,
             anchor: str = "") -> Optional[CheckReport]:
     """The first violated premise, in the order Ric_{N,nu} >= -K g, u >= 0
     (if nonneg) and Delta_nu u {sense} f, as a failed report; None if all hold.
     Raises ValueError when f is not sampled on u's grid nodes and model: the
     nodewise screen pairs them node by node, and the f-terms integrate f over
     u's balls."""
-    g, gf = inst.u.grid, inst.f.grid
+    g, gf = u.grid, f.grid
     if not _same_nodes(g, gf):
         raise ValueError(f"f is not sampled on u's grid nodes: f's grid is {_grid_label(gf)},"
                          f" u's is {_grid_label(g)}")
-    if inst.params.ricci_gap(g.model, g.center, g.radius) > 1e-12:
+    if params.ricci_gap(g.model, g.center, g.radius) > 1e-12:
         which = f"Ric_{{N,nu}} >= -K g on {ball}"
-    elif nonneg and np.min(inst.u.values) < -1e-12:
+    elif nonneg and np.min(u.values) < -1e-12:
         which = f"u >= 0 on {ball}"
-    elif _nodewise_gap(inst.u, inst.f, sense, inst.boundary) > _OP_TOL:
+    elif _nodewise_gap(u, f, sense, boundary) > _OP_TOL:
         which = f"Delta_nu u {sense} f nodewise"
     else:
         return None
     return _premise_failure(name, which, anchor, sharpness="non-sharp")
 
 
-def harnack_check_sup(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckReport:
-    """Supersolution bound: (avg_{B_{R/2}} u^{p0})^{1/p0} against
-    C0 (inf u + f-term), with C0 = exp(2/p0); compared in logs."""
-    failed = _screen("harnack-sup", inst, "<=", "B_2R", nonneg=True)
+def harnack_check_sup(params: CurvatureParams, u: ScalarField, f: ScalarField,
+                      boundary: Optional[np.ndarray] = None) -> CheckReport:
+    """Supersolution bound on u's grid B_2R (boundary: u's Dirichlet trace, if known):
+    (avg_{B_{R/2}} u^{p0})^{1/p0} against C0 (inf u + f-term), C0 = exp(2/p0)."""
+    ledger = build_ledger(params)
+    half = _half_ball(params, u)
+    failed = _screen("harnack-sup", params, u, f, "<=", "B_2R", True, boundary)
     if failed:
         return failed
-    g, R = inst.u.grid, inst.R
-    half = g.mask_within(g.center, 0.5 * R)
-    log_lhs = log_lp_average(inst.u.values[half], g.weights[half], ledger.p0)
-    inf_u = float(np.min(inst.u.values[half]))
-    log_rhs = ledger.log_c0 + np.logaddexp(_log(inf_u), _f_term_log(inst, ledger))
+    log_lhs = log_lp_average(u.values[half], u.grid.weights[half], ledger.p0)
+    inf_u = float(np.min(u.values[half]))
+    log_rhs = ledger.log_c0 + np.logaddexp(_log(inf_u), _f_term_log(ledger, u, f))
     return check_le("harnack-sup", "supersolution-average-bound",
                     log_lhs, log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp",
                     inf_u=inf_u, p0=ledger.p0)
 
 
-def harnack_check_sub(inst: HarnackInstance, ledger: ConstantsLedger, p: float) -> CheckReport:
-    """Subsolution bound: sup_{B_{R/2}} u against C1(p) [ (avg (u+)^p)^{1/p} + f-term].
+def harnack_check_sub(params: CurvatureParams, u: ScalarField, f: ScalarField, p: float,
+                      boundary: Optional[np.ndarray] = None) -> CheckReport:
+    """Subsolution bound on u's grid B_2R: sup_{B_{R/2}} u against
+    C1(p) [ (avg (u+)^p)^{1/p} + f-term].
 
     Only p >= p0 is supported; C1(p) = C1(p0) there.  Smaller p would need
     the interpolation constant the pipeline does not provide.
     """
+    ledger = build_ledger(params)
+    half = _half_ball(params, u)
     if p < ledger.p0:
         return _premise_failure("harnack-sub", "p >= p0", sharpness="non-sharp",
                                 unsupported_p=p)
-    failed = _screen("harnack-sub", inst, ">=", "B_2R", nonneg=False)
+    failed = _screen("harnack-sub", params, u, f, ">=", "B_2R", False, boundary)
     if failed:
         return failed
-    g, R = inst.u.grid, inst.R
-    half = g.mask_within(g.center, 0.5 * R)
-    ball_R = g.mask_within(g.center, R)
-    sup_u = float(np.max(inst.u.values[half]))
-    log_avg = log_lp_average(np.maximum(inst.u.values[ball_R], 0.0),
-                             g.weights[ball_R], p)
-    log_rhs = ledger.log_c1_p0 + np.logaddexp(log_avg, _f_term_log(inst, ledger))
+    g = u.grid
+    ball_R = g.mask_within(g.center, params.R)
+    sup_u = float(np.max(u.values[half]))
+    log_avg = log_lp_average(np.maximum(u.values[ball_R], 0.0), g.weights[ball_R], p)
+    log_rhs = ledger.log_c1_p0 + np.logaddexp(log_avg, _f_term_log(ledger, u, f))
     return check_le("harnack-sub", "subsolution-sup-bound",
                     _log(sup_u), log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp", p=p, sup_u=sup_u)
 
 
-def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckReport:
-    """Two-sided bound for nonnegative solutions: sup <= C2 (inf + f-term)."""
-    failed = _screen("harnack-full", inst, "=", "B_2R", nonneg=True)
+def harnack_check_full(params: CurvatureParams, u: ScalarField, f: ScalarField,
+                       boundary: Optional[np.ndarray] = None) -> CheckReport:
+    """Two-sided bound for nonnegative solutions on u's grid B_2R:
+    sup <= C2 (inf + f-term)."""
+    ledger = build_ledger(params)
+    half = _half_ball(params, u)
+    failed = _screen("harnack-full", params, u, f, "=", "B_2R", True, boundary)
     if failed:
         return failed
-    g, R = inst.u.grid, inst.R
-    half = g.mask_within(g.center, 0.5 * R)
-    sup_u = float(np.max(inst.u.values[half]))
-    inf_u = float(np.min(inst.u.values[half]))
-    log_rhs = ledger.log_c2 + np.logaddexp(_log(inf_u), _f_term_log(inst, ledger))
+    sup_u = float(np.max(u.values[half]))
+    inf_u = float(np.min(u.values[half]))
+    log_rhs = ledger.log_c2 + np.logaddexp(_log(inf_u), _f_term_log(ledger, u, f))
     return check_le("harnack-full", "solution-harnack-bound",
                     _log(sup_u), log_rhs, abs_tol=1e-9,
                     log_scale=True, sharpness="non-sharp",
@@ -159,8 +159,8 @@ def harnack_check_full(inst: HarnackInstance, ledger: ConstantsLedger) -> CheckR
                     sup_over_inf=sup_u / inf_u if inf_u > 0 else math.inf)
 
 
-def growth_check(params: CurvatureParams, ledger: ConstantsLedger,
-                 u: ScalarField, f: ScalarField, x0, r: float) -> CheckReport:
+def growth_check(params: CurvatureParams, u: ScalarField, f: ScalarField,
+                 x0, r: float) -> CheckReport:
     """The local growth bound plus the barrier/contact pipeline behind it.
 
     Premises (screened on the grid of u, which must cover B_r(x0) and whose
@@ -184,10 +184,10 @@ def growth_check(params: CurvatureParams, ledger: ConstantsLedger,
     asks bound <= ratio.  That follows from bound <= certified: a certified
     core lies in {u <= M} cap B_{r/18}, so its mass is at most ratio's.
     """
+    ledger = build_ledger(params)
     grid = u.grid
     anchor = "local-growth"
-    failed = _screen("growth-bound", HarnackInstance(params, u, f), "<=", "B_r",
-                     nonneg=True, anchor=anchor)
+    failed = _screen("growth-bound", params, u, f, "<=", "B_r", True, anchor=anchor)
     if failed:
         return failed
     half = grid.mask_within(x0, 0.5 * r)

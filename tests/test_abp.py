@@ -166,6 +166,19 @@ class TestHypothesisScreens:
             abp_check(inst, set_stride=2, n_rings=nr)
 
 
+    @pytest.mark.parametrize("set_stride", [0, 1])
+    def test_n_rings_other_than_e_rejected(self, set_stride):
+        # the transport side integrates over the disc n_rings names, so a
+        # smaller disc than E would fail a true inequality
+        m = euclidean()
+        inst, nr = _instance(m, CurvatureParams(0, 2, 1.0), 1.0, 64,
+                             lambda g: quadratic_field(g, m.origin(), 1.0), 1.0)
+        with pytest.raises(ValueError, match=rf"E \({nr * 64} vertices\) .* first 10 rings "
+                                             r"\(640 vertices\)"):
+            abp_check(inst, set_stride=set_stride, n_rings=10)
+        with pytest.raises(ValueError, match="not the disc"):
+            transport_rhs(inst, nr + 1)
+
 class TestInstanceSources:
     """model and grid must be u's; equal models built apart are one model."""
 

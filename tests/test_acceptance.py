@@ -19,8 +19,7 @@ from abplab.fields import (ScalarField, constant_field, quadratic_field,
                            random_bump_field, sum_fields)
 from abplab.geometry import (build_polar_grid, euclidean, gaussian_plane,
                              hyperbolic, sphere)
-from abplab.harnack import (HarnackInstance, growth_check, harnack_check_full,
-                            harnack_check_sub, harnack_check_sup)
+from abplab.harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
 from abplab.hfun import expansion_fit, hfun_closed_form, hfun_numeric
 from abplab.jacobi import integrate_jacobi, verify_comparison
 from abplab.measure import BallFamily, doubling_check, lp_distribution_check, vitali_cover, vitali_verify
@@ -180,61 +179,55 @@ def test_criterion_07_harnack_pipeline():
     ok = True
     flat = CurvatureParams(0.0, 2.0, 1.0)
     curved = CurvatureParams(1.0, 2.0, 0.5)
-    lf, lc = build_ledger(flat), build_ledger(curved)
+    lf = build_ledger(flat)
 
     # manufactured instances
     me, ge = euclidean(), build_polar_grid(euclidean(), np.zeros(2), 2.0, 96, 96)
     usup = sum_fields([constant_field(ge, 4.05), quadratic_field(ge, np.zeros(2), -0.5)])
-    r = harnack_check_sup(HarnackInstance(flat, usup, constant_field(ge, 0.0)), lf)
+    r = harnack_check_sup(flat, usup, constant_field(ge, 0.0))
     ok &= r.passed and r.diagnostics["sharpness"] == "non-sharp"
     usub = quadratic_field(ge, np.zeros(2), 2.0)
-    r = harnack_check_sub(HarnackInstance(flat, usub, constant_field(ge, 4.0)), lf, p=1.0)
+    r = harnack_check_sub(flat, usub, constant_field(ge, 4.0), 1.0)
     ok &= r.passed
-    r = harnack_check_sub(HarnackInstance(flat, usub, constant_field(ge, 4.0)), lf, p=lf.p0)
+    r = harnack_check_sub(flat, usub, constant_field(ge, 4.0), lf.p0)
     ok &= r.passed
 
     # solver-produced instances on both geometries
-    for model, params, ledger in ((me, flat, lf), (hyperbolic(1.0), curved, lc)):
+    for model, params in ((me, flat), (hyperbolic(1.0), curved)):
         g = build_polar_grid(model, model.origin(), 2.0 * params.R, 96, 96)
         rng = seeded_rng(SEED, f"acc7-{model.kind}")
         bnd = 1.0 + 0.3 * np.cos(g.theta)
         f = -np.abs(rng.normal(size=g.shape)) * 0.2
         u, _ = solve_poisson(DirichletProblem(g, f, bnd))
-        inst = HarnackInstance(params, u, ScalarField(g, f), boundary=bnd)
-        ok &= harnack_check_sup(inst, ledger).passed
-        ok &= harnack_check_sub(inst, ledger, p=1.0).passed
+        ok &= harnack_check_sup(params, u, ScalarField(g, f), bnd).passed
+        ok &= harnack_check_sub(params, u, ScalarField(g, f), 1.0, bnd).passed
         u2, _ = solve_poisson(DirichletProblem(g, np.zeros(g.shape), bnd))
-        inst2 = HarnackInstance(params, u2, constant_field(g, 0.0), boundary=bnd)
-        ok &= harnack_check_full(inst2, ledger).passed
+        ok &= harnack_check_full(params, u2, constant_field(g, 0.0), bnd).passed
 
     # named rejections
     uneg = sum_fields([constant_field(ge, 0.5), quadratic_field(ge, np.zeros(2), -0.5)])
-    r = harnack_check_sup(HarnackInstance(flat, uneg, constant_field(ge, 0.0)), lf)
+    r = harnack_check_sup(flat, uneg, constant_field(ge, 0.0))
     ok &= (not r.passed) and r.diagnostics["violated_premise"] == "u >= 0 on B_2R"
-    r = harnack_check_sub(HarnackInstance(flat, usub, constant_field(ge, 4.0)),
-                          lf, p=0.5 * lf.p0)
+    r = harnack_check_sub(flat, usub, constant_field(ge, 4.0), 0.5 * lf.p0)
     ok &= (not r.passed) and r.diagnostics["violated_premise"] == "p >= p0"
     mh = hyperbolic(1.0)
     gh = build_polar_grid(mh, mh.origin(), 1.0, 96, 96)
     bad = CurvatureParams(0.0, 2.0, 0.5)
-    r = harnack_check_full(HarnackInstance(bad, constant_field(gh, 1.0),
-                                           constant_field(gh, 0.0)), build_ledger(bad))
+    r = harnack_check_full(bad, constant_field(gh, 1.0), constant_field(gh, 0.0))
     ok &= (not r.passed) and "Ric" in r.diagnostics["violated_premise"]
 
     # growth bound with its contact pipeline on both geometries
-    for model, params, ledger in ((me, flat, lf), (mh, CurvatureParams(1.0, 2.0, 1.0),
-                                                   build_ledger(CurvatureParams(1.0, 2.0, 1.0)))):
+    for model, params in ((me, flat), (mh, CurvatureParams(1.0, 2.0, 1.0))):
         g = build_polar_grid(model, model.origin(), 1.0, 96, 96)
         u = sum_fields([constant_field(g, 0.9 + 0.25), quadratic_field(g, model.origin(), -2.0)])
-        rep = growth_check(params, ledger, u, constant_field(g, 0.0),
-                           model.origin(), 1.0)
+        rep = growth_check(params, u, constant_field(g, 0.0), model.origin(), 1.0)
         ok &= rep.passed and rep.diagnostics["pipeline_pass"]
         ok &= rep.diagnostics["sharpness"] == "non-sharp"
     high = sum_fields([constant_field(ge, 3.0), quadratic_field(ge, np.zeros(2), -0.5)])
     # reuse the euclid growth grid shape for the violating instance
     gg = build_polar_grid(me, np.zeros(2), 1.0, 96, 96)
     high = sum_fields([constant_field(gg, 3.0), quadratic_field(gg, np.zeros(2), -2.0)])
-    rep = growth_check(flat, lf, high, constant_field(gg, 0.0), np.zeros(2), 1.0)
+    rep = growth_check(flat, high, constant_field(gg, 0.0), np.zeros(2), 1.0)
     ok &= rep.diagnostics["violated_premise"] == "inf_{B_{r/2}} u <= 1"
     _verdict(7, "harnack pipeline: theorems, rejections, growth bound",
              ok, time.perf_counter() - t0, 300.0)

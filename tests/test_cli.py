@@ -117,6 +117,7 @@ class TestCliExitCodes:
         ["pucci", "--theta", "1e308"],
         ["harnack-check", "--which", "pucci", "--theta", "1e308"],
         ["hfun", "--model", "gaussian", "--samples", "64"],
+        ["harnack-check", "--which", "sup", "--N", "inf", "--resolution", "32"],
     ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
@@ -124,7 +125,8 @@ class TestCliExitCodes:
             "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
             "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300",
             "doubling-N-inf", "doubling-gaussian-N-dim", "doubling-measure-underflow",
-            "pucci-theta-overflow", "harnack-pucci-theta-overflow", "hfun-weighted"])
+            "pucci-theta-overflow", "harnack-pucci-theta-overflow", "hfun-weighted",
+            "harnack-sup-N-inf"])
     def test_bad_input_exits_two(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -167,6 +169,30 @@ class TestCliExitCodes:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_abp_check_takes_no_capital_r(self, capsys):
+        # abp-check's params take the ball radius --r; no verdict reads R
+        with pytest.raises(SystemExit) as exc:
+            main(["abp-check", "--R", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --R 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["harnack-check", "--which", "pucci", "--N", "inf", "--samples", "10"],
+        ["barrier-check", "--K", "50", "--R", "3"],
+    ], ids=["harnack-pucci-N-inf", "barrier-K-50-R-3"])
+    def test_no_unread_ledger_is_built(self, argv, capsys):
+        # the full ledger needs N < inf and a representable M; these runs read
+        # none of it, so its limits do not turn them into usage errors
+        assert main(argv) in (0, 1)
+        assert "config error" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_hyperbolic_radius_beyond_float64_exits_two(self, capsys):
+        # the hyperboloid has no cut radius; its exp leaves float64 instead
+        assert main(["barrier-check", "--model", "hyperbolic", "--k", "1", "--r", "1e160"]) == 2
+        err = capsys.readouterr().err
+        assert "too large for the float64 range" in err and "cut radius" not in err
 
     @pytest.mark.parametrize("argv", [
         ["abp-check", "--s", "3", "--resolution", "32"],

@@ -98,6 +98,15 @@ class TestExpLog:
         with pytest.raises(ValueError, match="cut radius"):
             m.exp(o, v)
 
+    @pytest.mark.parametrize("norm", [800.0, 1e160])
+    def test_hyperboloid_exp_beyond_float64_rejected(self, norm):
+        # cosh(s|v|) overflows past 710: no NaN points, and no cut radius named
+        m = hyperbolic(1.0)
+        with np.errstate(over="ignore"):   # |v|^2 itself overflows at 1e160
+            with pytest.raises(ValueError, match=re.escape(
+                    f"radius {norm:g} is too large for the float64 range")):
+                m.exp(m.origin(), np.array([norm, 0.0, 0.0]))
+
     def test_geodesic_constant_speed(self, model, rng):
         p = random_point(model, rng, 0.2)
         v = random_tangent(model, p, 0.7, rng)

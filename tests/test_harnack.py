@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 from abplab.constants import CurvatureParams, build_ledger
 from abplab.fields import ScalarField, constant_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic
-from abplab.harnack import (HarnackInstance, growth_check, harnack_check_full,
-                            harnack_check_sub, harnack_check_sup)
+from abplab.harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
 from abplab.measure import log_lp_average
 from abplab.pde import DirichletProblem, solve_poisson
 from abplab.report import seeded_rng
@@ -44,9 +42,7 @@ class TestLogLpAverage:
 class TestSupCheck:
     def test_trivial_constant(self):
         m, g = _flat_grid()
-        ledger = build_ledger(FLAT)
-        inst = HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(g, 0.0))
-        rep = harnack_check_sup(inst, ledger)
+        rep = harnack_check_sup(FLAT, constant_field(g, 1.0), constant_field(g, 0.0))
         assert rep.passed
         assert rep.diagnostics["sharpness"] == "non-sharp"
 
@@ -54,23 +50,20 @@ class TestSupCheck:
         # u = 4.05 - |x|^2 on B_2 with Delta u = -2, a strict supersolution of 0
         m, g = _flat_grid()
         u = sum_fields([constant_field(g, 4.05), quadratic_field(g, m.origin(), -0.5)])
-        inst = HarnackInstance(FLAT, u, constant_field(g, 0.0))
-        rep = harnack_check_sup(inst, build_ledger(FLAT))
+        rep = harnack_check_sup(FLAT, u, constant_field(g, 0.0))
         assert rep.passed
 
     def test_negative_u_rejected(self):
         m, g = _flat_grid()
         u = sum_fields([constant_field(g, 0.5), quadratic_field(g, m.origin(), -0.5)])
-        rep = harnack_check_sup(HarnackInstance(FLAT, u, constant_field(g, 0.0)),
-                                build_ledger(FLAT))
+        rep = harnack_check_sup(FLAT, u, constant_field(g, 0.0))
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "u >= 0 on B_2R"
 
     def test_not_supersolution_rejected(self):
         m, g = _flat_grid()
         u = quadratic_field(g, m.origin(), 1.0)  # Delta u = 2 > 0
-        rep = harnack_check_sup(HarnackInstance(FLAT, u, constant_field(g, 0.0)),
-                                build_ledger(FLAT))
+        rep = harnack_check_sup(FLAT, u, constant_field(g, 0.0))
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
 
@@ -78,9 +71,7 @@ class TestSupCheck:
         m = hyperbolic(1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         bad = CurvatureParams(0.0, 2.0, 0.5)
-        rep = harnack_check_sup(HarnackInstance(bad, constant_field(g, 1.0),
-                                                constant_field(g, 0.0)),
-                                build_ledger(bad))
+        rep = harnack_check_sup(bad, constant_field(g, 1.0), constant_field(g, 0.0))
         assert not rep.passed
         assert "Ric" in rep.diagnostics["violated_premise"]
 
@@ -88,27 +79,24 @@ class TestSupCheck:
 class TestSubCheck:
     def test_trivial_constant(self):
         m, g = _flat_grid()
-        inst = HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(g, 0.0))
-        assert harnack_check_sub(inst, build_ledger(FLAT), p=1.0).passed
+        assert harnack_check_sub(FLAT, constant_field(g, 1.0), constant_field(g, 0.0), 1.0).passed
 
     def test_quadratic_subsolution(self):
         m, g = _flat_grid()
         u = quadratic_field(g, m.origin(), 2.0)  # Delta u = 4
-        inst = HarnackInstance(FLAT, u, constant_field(g, 4.0))
-        assert harnack_check_sub(inst, build_ledger(FLAT), p=1.0).passed
+        assert harnack_check_sub(FLAT, u, constant_field(g, 4.0), 1.0).passed
 
     def test_p_at_p0(self):
         m, g = _flat_grid()
         ledger = build_ledger(FLAT)
         u = quadratic_field(g, m.origin(), 2.0)
-        inst = HarnackInstance(FLAT, u, constant_field(g, 4.0))
-        assert harnack_check_sub(inst, ledger, p=ledger.p0).passed
+        assert harnack_check_sub(FLAT, u, constant_field(g, 4.0), ledger.p0).passed
 
     def test_small_p_unsupported(self):
         m, g = _flat_grid()
         ledger = build_ledger(FLAT)
-        inst = HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(g, 0.0))
-        rep = harnack_check_sub(inst, ledger, p=0.5 * ledger.p0)
+        rep = harnack_check_sub(FLAT, constant_field(g, 1.0), constant_field(g, 0.0),
+                                0.5 * ledger.p0)
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "p >= p0"
         assert "unsupported_p" in rep.diagnostics
@@ -117,8 +105,7 @@ class TestSubCheck:
     def test_not_subsolution_rejected(self):
         m, g = _flat_grid()
         u = quadratic_field(g, m.origin(), -1.0)  # Delta u = -2 < 0
-        rep = harnack_check_sub(HarnackInstance(FLAT, u, constant_field(g, 0.0)),
-                                build_ledger(FLAT), p=1.0)
+        rep = harnack_check_sub(FLAT, u, constant_field(g, 0.0), 1.0)
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Delta_nu u >= f nodewise"
 
@@ -139,8 +126,7 @@ class TestFullCheck:
             return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
 
         u = ScalarField(g, val(g.points), val, deriv)
-        inst = HarnackInstance(params, u, constant_field(g, 0.0))
-        rep = harnack_check_full(inst, build_ledger(params))
+        rep = harnack_check_full(params, u, constant_field(g, 0.0))
         assert rep.passed
         # closed form on the node set: (1 + rho_max)/(1 - rho_max) over the
         # half ball, the affine analogue of the textbook ratio 3 at rho = 1/2
@@ -157,16 +143,14 @@ class TestFullCheck:
         f = rng.normal(size=g.shape) * 0.05
         u, _ = solve_poisson(DirichletProblem(g, f, bnd))
         assert float(np.min(u.values)) > 0
-        inst = HarnackInstance(params, u, ScalarField(g, f), boundary=bnd)
-        rep = harnack_check_full(inst, build_ledger(params))
+        rep = harnack_check_full(params, u, ScalarField(g, f), bnd)
         assert rep.passed
 
 
     def test_not_solution_rejected(self):
         m, g = _flat_grid()
         u = sum_fields([constant_field(g, 1.0), quadratic_field(g, m.origin(), 0.1)])
-        rep = harnack_check_full(HarnackInstance(FLAT, u, constant_field(g, 0.0)),
-                                 build_ledger(FLAT))
+        rep = harnack_check_full(FLAT, u, constant_field(g, 0.0))
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Delta_nu u = f nodewise"
 
@@ -182,11 +166,10 @@ class TestGrowth:
         (hyperbolic(1.0), CurvatureParams(1.0, 2.0, 1.0)),
     ], ids=["euclidean", "hyperbolic"])
     def test_superharmonic_pipeline(self, m, params):
-        ledger = build_ledger(params)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         u = self._well(m, g, 1.0)
         f = constant_field(g, 0.0)
-        rep = growth_check(params, ledger, u, f, m.origin(), 1.0)
+        rep = growth_check(params, u, f, m.origin(), 1.0)
         assert rep.passed, rep.diagnostics
         assert rep.diagnostics["pipeline_pass"]
         assert rep.diagnostics["location_check_pass"]
@@ -196,8 +179,7 @@ class TestGrowth:
         m = euclidean()
         params = CurvatureParams(0.0, 2.0, 1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
-        rep = growth_check(params, build_ledger(params),
-                           constant_field(g, 0.0), constant_field(g, 0.0),
+        rep = growth_check(params, constant_field(g, 0.0), constant_field(g, 0.0),
                            m.origin(), 1.0)
         assert rep.passed
         # {u <= M} is everything, so the ratio is the 1/18-ball share
@@ -208,20 +190,19 @@ class TestGrowth:
     def test_premise_violations_named(self):
         m = euclidean()
         params = CurvatureParams(0.0, 2.0, 1.0)
-        ledger = build_ledger(params)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         f0 = constant_field(g, 0.0)
         high = sum_fields([constant_field(g, 3.0), quadratic_field(g, m.origin(), -2.0)])
-        rep = growth_check(params, ledger, high, f0, m.origin(), 1.0)
+        rep = growth_check(params, high, f0, m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "inf_{B_{r/2}} u <= 1"
         neg = quadratic_field(g, m.origin(), -2.0)
-        rep = growth_check(params, ledger, neg, f0, m.origin(), 1.0)
+        rep = growth_check(params, neg, f0, m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "u >= 0 on B_r"
         # an upward paraboloid needs a large forcing, which breaks the
         # f-integral premise while satisfying the pointwise ones
         bowl = quadratic_field(g, m.origin(), 8.0)
         fbig = constant_field(g, 16.0)
-        rep = growth_check(params, ledger, bowl, fbig, m.origin(), 1.0)
+        rep = growth_check(params, bowl, fbig, m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_r, 1) <= delta0"
 
     def test_f_integral_premise_on_b_r(self):
@@ -231,8 +212,7 @@ class TestGrowth:
         params = CurvatureParams(0.0, 2.0, 1.0)
         g = build_polar_grid(m, m.origin(), 2.0, 96, 96)
         f = ScalarField(g, np.where(g.rho[:, None] <= 1.0, 0.0, 16.0) * np.ones(g.shape))
-        rep = growth_check(params, build_ledger(params), self._well(m, g, 1.0, depth=0.4),
-                           f, m.origin(), 1.0)
+        rep = growth_check(params, self._well(m, g, 1.0, depth=0.4), f, m.origin(), 1.0)
         assert "violated_premise" not in rep.diagnostics
         assert rep.passed, rep.diagnostics
 
@@ -243,22 +223,20 @@ class TestGrowth:
         params = CurvatureParams(0.0, 2.0, 1.0)
         g = build_polar_grid(m, m.origin(), 2.0, 96, 96)
         f = ScalarField(g, np.where(g.rho[:, None] <= 1.0, 0.0, 16.0) * np.ones(g.shape))
-        rep = growth_check(params, build_ledger(params), constant_field(g, 0.5),
-                           f, np.array([0.9, 0.0]), 1.0)
+        rep = growth_check(params, constant_field(g, 0.5), f, np.array([0.9, 0.0]), 1.0)
         assert rep.diagnostics["violated_premise"] == "I_{K,N}(f, B_r, 1) <= delta0"
 
     def test_screen_premises_named(self):
         params = CurvatureParams(0.0, 2.0, 1.0)
-        ledger = build_ledger(params)
         m = hyperbolic(1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
-        rep = growth_check(params, ledger, self._well(m, g, 1.0), constant_field(g, 0.0),
+        rep = growth_check(params, self._well(m, g, 1.0), constant_field(g, 0.0),
                            m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on B_r"
         m = euclidean()
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         bowl = quadratic_field(g, m.origin(), 8.0)  # Delta u = 16 > 0
-        rep = growth_check(params, ledger, bowl, constant_field(g, 0.0), m.origin(), 1.0)
+        rep = growth_check(params, bowl, constant_field(g, 0.0), m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
 
     def test_ricci_premise_on_off_centre_ball(self):
@@ -268,8 +246,7 @@ class TestGrowth:
         params = CurvatureParams(0.0, 4.0, 1.0)
         x0 = np.array([1.3, 0.0])
         g = build_polar_grid(m, x0, 0.5, 48, 48)
-        rep = growth_check(params, build_ledger(params), constant_field(g, 0.5),
-                           constant_field(g, 0.0), x0, 0.5)
+        rep = growth_check(params, constant_field(g, 0.5), constant_field(g, 0.0), x0, 0.5)
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on B_r"
 
@@ -279,8 +256,7 @@ class TestGrowth:
         params = CurvatureParams(0.0, 2.0, 1.0)
         g = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         u = sum_fields([constant_field(g, 3.0), quadratic_field(g, m.origin(), 8.0)])
-        rep = growth_check(params, build_ledger(params), u, constant_field(g, 0.0),
-                           m.origin(), 1.0)
+        rep = growth_check(params, u, constant_field(g, 0.0), m.origin(), 1.0)
         assert rep.diagnostics["violated_premise"] == "Delta_nu u <= f nodewise"
 
 
@@ -303,28 +279,26 @@ class TestFOnUsGrid:
     def test_growth_check_rejects_f_on_a_wider_grid(self):
         m, _, u, f = self._u_and_wide_f()
         with pytest.raises(ValueError, match="not sampled on u's grid nodes.*radius 2.*radius 1"):
-            growth_check(self.PARAMS, build_ledger(self.PARAMS), u, f, m.origin(), 1.0)
+            growth_check(self.PARAMS, u, f, m.origin(), 1.0)
 
     def test_growth_check_accepts_f_on_an_equal_grid(self):
         # the same f restricted to B_1, on a second grid built with u's arguments
         m, g, u, _ = self._u_and_wide_f()
         twin = build_polar_grid(m, m.origin(), 1.0, 96, 96)
         assert twin is not g
-        rep = growth_check(self.PARAMS, build_ledger(self.PARAMS), u,
-                           constant_field(twin, 0.0), m.origin(), 1.0)
+        rep = growth_check(self.PARAMS, u, constant_field(twin, 0.0), m.origin(), 1.0)
         assert "violated_premise" not in rep.diagnostics
         assert rep.passed, rep.diagnostics
 
     @pytest.mark.parametrize("check", [
         harnack_check_sup, harnack_check_full,
-        lambda inst, ledger: harnack_check_sub(inst, ledger, ledger.p0),
+        lambda params, u, f: harnack_check_sub(params, u, f, build_ledger(params).p0),
     ], ids=["sup", "full", "sub"])
     def test_instance_checks_reject_f_on_another_grid(self, check):
         m, g = _flat_grid()
         other = build_polar_grid(m, m.origin(), g.radius, 64, 96)
-        inst = HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(other, 0.0))
         with pytest.raises(ValueError, match="f's grid is 64x96.*u's is 96x96"):
-            check(inst, build_ledger(FLAT))
+            check(FLAT, constant_field(g, 1.0), constant_field(other, 0.0))
 
     def test_f_on_the_same_nodes_of_another_model_rejected(self):
         # the gaussian grid has u's node coordinates but other weights
@@ -332,12 +306,17 @@ class TestFOnUsGrid:
         mg = gaussian_plane(1.0)
         other = build_polar_grid(mg, mg.origin(), g.radius, 96, 96)
         assert np.array_equal(other.points, g.points)
-        inst = HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(other, 0.0))
         with pytest.raises(ValueError, match="f's grid is .*gaussian_plane.*u's is .*euclidean"):
-            harnack_check_sup(inst, build_ledger(FLAT))
+            harnack_check_sup(FLAT, constant_field(g, 1.0), constant_field(other, 0.0))
 
-    def test_instance_reads_model_and_grid_from_u(self):
-        assert [f.name for f in dataclasses.fields(HarnackInstance)] == \
-            ["params", "u", "f", "boundary"]
-        _, g = _flat_grid(R=0.75)
-        assert HarnackInstance(FLAT, constant_field(g, 1.0), constant_field(g, 0.0)).R == 0.75
+    @pytest.mark.parametrize("check", [
+        harnack_check_sup, harnack_check_full,
+        lambda params, u, f: harnack_check_sub(params, u, f, 1.0),
+    ], ids=["sup", "full", "sub"])
+    def test_r_is_half_the_grid_radius(self, check):
+        # R has one source: a grid of radius 4 is B_2R for R = 2, not for R = 0.1
+        _, g = _flat_grid(R=2.0)
+        u, f = constant_field(g, 1.0), constant_field(g, 0.0)
+        with pytest.raises(ValueError, match=r"radius 4\.0, but params\.R = 0\.1 .* radius 0\.2"):
+            check(CurvatureParams(0.0, 2.0, 0.1), u, f)
+        assert check(CurvatureParams(0.0, 2.0, 2.0), u, f).passed

@@ -5,8 +5,9 @@ turns an inner product into a distance and it sums them without einsum,
 the Jacobi integrator takes no Python-level loop per time step, every
 abplab name the benchmark binds, read from its sources, still exists, no
 public function or dataclass takes a model beside a field or grid that
-carries it, every flag a CLI subcommand declares is read by its run, and
-importing the CLI leaves numpy.polynomial unloaded."""
+carries it or a ledger beside the params it is built from, every flag a CLI
+subcommand declares is read by its run, and importing the CLI leaves
+numpy.polynomial unloaded."""
 
 import ast
 import importlib
@@ -373,9 +374,9 @@ def _parameters(fn) -> set:
     return {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
 
 
-def model_beside_field(source: str) -> list:
-    """Public functions, public methods and dataclasses that take a model
-    (m, model) beside a field or grid (u, f, grid), which carries its own."""
+def public_signatures(source: str) -> list:
+    """(name, parameter names) of each public function, public method and
+    dataclass (its fields) at the top level of a module."""
     tree = ast.parse(source)
     takes = []
     for node in tree.body:
@@ -391,7 +392,13 @@ def model_beside_field(source: str) -> list:
                                       and isinstance(s.target, ast.Name)}))
         takes += [(f"{node.name}.{f.name}", _parameters(f)) for f in node.body
                   if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-    return sorted(name for name, params in takes
+    return takes
+
+
+def model_beside_field(source: str) -> list:
+    """Public functions, public methods and dataclasses that take a model
+    (m, model) beside a field or grid (u, f, grid), which carries its own."""
+    return sorted(name for name, params in public_signatures(source)
                   if params & MODEL_PARAMS and params & FIELD_PARAMS)
 
 
@@ -410,6 +417,30 @@ def test_model_beside_field_detector_flags_and_accepts():
            "class C:\n    def check(self, *, model, grid):\n        pass\n"
            "    def _inner(self, m, u):\n        pass\n")
     assert model_beside_field(src) == ["A", "C.check", "f"]
+
+
+def ledger_beside_params(source: str) -> list:
+    """Public functions, public methods and dataclasses that take a ledger
+    beside the curvature params it is built from: build_ledger(params) is
+    the one source of the constants."""
+    return sorted(name for name, params in public_signatures(source)
+                  if {"ledger", "params"} <= params)
+
+
+def test_checks_build_the_constants_they_read():
+    found = [f"{p.name}: {name}" for p in MODULES for name in ledger_beside_params(p.read_text())]
+    assert found == []
+
+
+def test_ledger_beside_params_detector_flags_and_accepts():
+    src = ("from dataclasses import dataclass\n"
+           "def f(params, ledger):\n    pass\n"
+           "def g(params, u):\n    ledger = build_ledger(params)\n"
+           "def verify(ledger):\n    pass\n"
+           "def _h(params, ledger):\n    pass\n"
+           "@dataclass\nclass A:\n    params: int\n    ledger: int\n"
+           "class C:\n    def check(self, ledger, *, params):\n        pass\n")
+    assert ledger_beside_params(src) == ["A", "C.check", "f"]
 
 
 def unread_flags(source: str) -> list:
