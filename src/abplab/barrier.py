@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import CurvatureParams, calH
 from .fields import ScalarField, _laplacian_nu, _radial_derivatives, radial_field
-from .geometry import GeodesicBallGrid, ModelSpace, _radius_range_error
+from .geometry import GeodesicBallGrid, ModelSpace, _model_label, _radius_range_error
 from .report import CheckReport, check_le
 
 __all__ = ["BarrierSpec", "barrier_h", "barrier_dh", "barrier_d2h", "barrier_field",
@@ -111,7 +111,13 @@ def junction_residuals(spec: BarrierSpec):
 
 
 def barrier_field(grid: GeodesicBallGrid, spec: BarrierSpec) -> ScalarField:
-    """The barrier as a ScalarField with piecewise-closed-form derivatives."""
+    """The barrier as a ScalarField with piecewise-closed-form derivatives.
+
+    ValueError when spec's model is not grid's: the field lives on the grid.
+    """
+    if spec.model != grid.model:
+        raise ValueError(f"the barrier is on {_model_label(spec.model)}, but the grid is on "
+                         f"{_model_label(grid.model)}")
     r = spec.r
     return radial_field(
         grid, spec.center,

@@ -281,6 +281,14 @@ _SUBCOMMANDS = {
     "pucci": (cmd_pucci, "samples theta"),
     "all": (cmd_all, "k K N R r resolution u a b alpha samples theta"),
 }
+# The subcommands whose mode flag picks what runs: that flag, and for each mode
+# the flags of the row that it reads and some other mode does not.  Every mode
+# reads the row's remaining flags; main refuses a listed flag the mode does not read.
+_MODES = {
+    "harnack-check": ("which", {"sup": "resolution", "sub": "resolution p", "full": "resolution",
+                                "growth": "resolution r", "pucci": "samples theta"}),
+    "hfun": ("fit", {False: "d", True: "dmax"}),
+}
 
 
 @functools.cache
@@ -333,10 +341,33 @@ def _with_config(parser, argv):
     return head + rest
 
 
+def _refuse_unread_by_mode(args, tokens):
+    """Raise ValueError naming each flag of tokens, the command line with the
+    config spliced in, that the selected mode of the subcommand does not read."""
+    if args.experiment not in _MODES:
+        return
+    flag, reads = _MODES[args.experiment]
+    mode = vars(args)[flag]
+    given = {t[2:].split("=")[0] for t in tokens if t.startswith("--")}
+    other = {f for r in reads.values() for f in r.split()} - set(reads[mode].split())
+    unread = sorted(given & other)
+    if not unread:
+        return
+    if isinstance(mode, bool):
+        label = f"--{flag}" if mode else f"without --{flag}"
+    else:
+        label = f"--{flag} {mode}"
+    verb = "is" if len(unread) == 1 else "are"
+    raise ValueError(f"{', '.join('--' + f for f in unread)} {verb} not read by "
+                     f"{args.experiment} {label}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_with_config(parser, sys.argv[1:] if argv is None else argv))
+        tokens = _with_config(parser, sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(tokens)
+        _refuse_unread_by_mode(args, tokens)
         if vars(args).get("samples", 1) < 1:
             raise ValueError("--samples must be at least 1")
         # --N = inf is the dimension-free case; every other float flag is finite

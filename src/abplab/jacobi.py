@@ -39,12 +39,9 @@ __all__ = [
     "integrate_jacobi",
     "dn_functional",
     "verify_comparison",
-    "verify_ode_structure",
-    "solve_jacobi_pair",
 ]
 
 _FD_SLACK = 1e-5  # verify_comparison's tolerance, relative to the finite-difference scale
-_T_MIN = 0.05     # verify_ode_structure screens S(t) from this time on
 
 
 @dataclass
@@ -142,7 +139,7 @@ def dn_functional(state: JacobiState, N) -> np.ndarray:
     return out
 
 
-def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
+def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
                       r: float) -> CheckReport:
     """Concavity comparison for D_N along the geodesic.
 
@@ -166,10 +163,10 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, ledger_K: float,
     ric = m.ricci_nu_quadratic(state.gamma[idx], _velocity(state, idx), N)
     if math.isinf(N):
         rhs = -ric
-        rhs_uniform = 4.0 * ledger_K * r * r
+        rhs_uniform = 4.0 * K * r * r
     else:
         rhs = -(ric / N) * D[idx]
-        rhs_uniform = 4.0 * (ledger_K / N) * r * r * D[idx]
+        rhs_uniform = 4.0 * (K / N) * r * r * D[idx]
     scale = max(1.0, float(np.max(np.abs(d2))), float(np.max(np.abs(rhs))))
     gap = float(np.max(d2 - rhs))
     gap_u = float(np.max(d2 - rhs_uniform))
@@ -187,54 +184,3 @@ def _velocity(state: JacobiState, idx) -> np.ndarray:
     Lt = L * state.times[idx]
     return ((-m.sectional() * L * m.psi(Lt))[:, None] * x[None, :]
             + m.dpsi(Lt)[:, None] * v[None, :])
-
-
-def solve_jacobi_pair(R, n_steps: int = 512):
-    """The two normalized Jacobi matrices: J10 (J=I, J'=0) and J01 (J=0, J'=I)."""
-    Z = _rk4_linear(R, np.eye(4), n_steps)
-    return Z[:, :2, :2], Z[:, :2, 2:]
-
-
-def verify_ode_structure(R, rng=None, n_random: int = 32) -> CheckReport:
-    """Structural facts about S(t) = J01(t)^{-1} J10(t).
-
-    Asserts symmetry and monotone decrease of the eigenvalues of S on the
-    solver's time grid from _T_MIN on, and the equivalence, for random
-    symmetric initial slopes B:
-
-        B + S(1) >= 0   <=>   det J(t) > 0 on [0, 1)
-
-    with J(0) = I, J'(0) = B.  The scheme is linear, so J = J10 + J01 B.
-    Slopes within 0.05 of the spectral boundary are resampled to keep the
-    equivalence numerically decidable.
-    """
-    J10, J01 = solve_jacobi_pair(R)
-    use = np.linspace(0.0, 1.0, len(J10)) >= _T_MIN
-    dets = np.linalg.det(J01[use])
-    if np.any(np.abs(dets) < 1e-12):
-        raise ValueError("J01 singular on (0,1]: conjugate-point configuration")
-    S = np.linalg.solve(J01[use], J10[use])
-    sym = float(np.max(np.abs(S - np.transpose(S, (0, 2, 1)))))
-    eigs = np.linalg.eigvalsh(0.5 * (S + np.transpose(S, (0, 2, 1))))
-    increase = float(np.max(np.diff(eigs, axis=0)))
-    lhs = max(sym - 1e-8, increase - 1e-8)
-    diag = dict(symmetry_defect=sym, worst_eig_increase=increase)
-    if rng is not None:
-        S1 = S[-1]
-        mism = 0
-        tested = 0
-        while tested < n_random:
-            B = rng.normal(size=(2, 2)) * 1.5
-            B = 0.5 * (B + B.T)
-            margin = float(np.min(np.linalg.eigvalsh(B + S1)))
-            if abs(margin) < 0.05:
-                continue
-            tested += 1
-            detJ = np.linalg.det(J10[:-1] + J01[:-1] @ B)  # [0, 1) open at the right end
-            positive = bool(np.all(detJ > 0.0))
-            if positive != (margin > 0.0):
-                mism += 1
-        diag.update(good_slope_equivalence_mismatches=mism,
-                    good_slope_equivalence_samples=tested)
-        lhs = max(lhs, mism)
-    return check_le("jacobi-slope-matrix", "normalized-slope-structure", lhs, 0.0, **diag)

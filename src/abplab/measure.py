@@ -1,9 +1,8 @@
-"""Doubling bounds, the scaled L^p integral, tail-sum bracketing, Vitali covers."""
+"""Doubling bounds and the scaled L^p integral."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,27 +11,7 @@ from .fields import ScalarField
 from .geometry import ModelSpace
 from .report import CheckReport, _premise_failure, check_le
 
-__all__ = ["BallFamily", "doubling_check", "integral_I", "log_lp_average",
-           "lp_distribution_check", "vitali_cover", "vitali_verify"]
-
-_K_CAP = 10_000  # most tail-sum terms of lp_distribution_check
-
-
-@dataclass
-class BallFamily:
-    model: ModelSpace
-    centers: np.ndarray   # (n, embedding_dim)
-    radii: np.ndarray     # (n,)
-
-    def __post_init__(self):
-        self.centers = np.asarray(self.centers, float)
-        self.radii = np.asarray(self.radii, float)
-        if len(self.centers) != len(self.radii):
-            raise ValueError("centers and radii must align")
-        if np.any(self.radii <= 0):
-            raise ValueError("radii must be positive")
-        if not np.all(np.isfinite(self.radii)):
-            raise ValueError("the family needs bounded radii")
+__all__ = ["doubling_check", "integral_I", "log_lp_average"]
 
 
 def doubling_check(m: ModelSpace, params: CurvatureParams, center,
@@ -120,80 +99,3 @@ def log_lp_average(values, weights, p: float) -> float:
     mx = float(np.max(logs))
     s = float(np.sum(wp * np.exp(p * (logs - mx))))
     return mx + (math.log(s) - math.log(W)) / p
-
-
-def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
-    """Bracket the p-th moment by the geometric tail sums.
-
-    With lam(t) = relative measure of {f > t} (the upper tail) and
-    S = sum_{k>=0} C^{pk} lam(C^k):
-
-        (1 - C^{-p}) S + C^{-p} lam(1)  <=  avg f^p  <=  1 + (C^p - 1) S.
-
-    The sum terminates exactly once C^k clears max f; a cap guards runaway
-    growth past _K_CAP terms and triggers a divergent-sum report.
-    """
-    if C <= 1.0:
-        raise ValueError("C must exceed 1")
-    if p <= 0:
-        raise ValueError("p must be positive")
-    f = np.asarray(f_values, float).reshape(-1)
-    w = np.asarray(weights, float).reshape(-1)
-    if np.any(f < 0):
-        raise ValueError("distribution bracketing needs f >= 0")
-    W = float(np.sum(w))
-    fmax = float(np.max(f))
-    S, k = 0.0, 0
-    while C**k <= fmax:
-        if k > _K_CAP:
-            return check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0,
-                            divergent_sum=True)
-        S += C ** (p * k) * (float(np.sum(w[f > C**k])) / W)
-        k += 1
-    lam1 = float(np.sum(w[f > 1.0])) / W
-    moment = float(np.sum(w * f**p)) / W
-    lower = (1.0 - C ** (-p)) * S + C ** (-p) * lam1
-    upper = 1.0 + (C**p - 1.0) * S
-    gap = max(lower - moment, moment - upper)
-    return check_le("lp-bracketing", "tail-sum-moment-bounds", gap, 0.0,
-                    abs_tol=1e-12 * max(1.0, moment),
-                    lower=lower, moment=moment, upper=upper,
-                    truncation_index=k)
-
-
-def _distance_matrix(fam: BallFamily) -> np.ndarray:
-    """rho between every two centers of the family, symmetric bit for bit."""
-    return fam.model.distance(fam.centers[:, None], fam.centers[None, :])
-
-
-def vitali_cover(fam: BallFamily) -> np.ndarray:
-    """Greedy quarter-radius selection, largest balls first.
-
-    Selected quarter-balls are pairwise disjoint, and every center of the
-    family lies in some selected full ball.
-    """
-    n = len(fam.radii)
-    if n == 0:
-        raise ValueError("empty ball family")
-    D = _distance_matrix(fam)
-    blocked = np.zeros(n, dtype=bool)  # quarter-ball meets a chosen one
-    chosen: list[int] = []
-    for i in np.argsort(-fam.radii, kind="stable"):
-        if not blocked[i]:
-            chosen.append(int(i))
-            blocked |= D[i] < 0.25 * (fam.radii[i] + fam.radii)
-    return np.array(chosen, dtype=np.int64)
-
-
-def vitali_verify(fam: BallFamily, selected: np.ndarray) -> CheckReport:
-    """Exhaustive disjointness and coverage audit of a selection."""
-    sel = np.asarray(selected, dtype=np.int64)
-    D = _distance_matrix(fam)
-    r = fam.radii[sel]
-    overlap = 0.25 * (r[:, None] + r[None, :]) - D[np.ix_(sel, sel)]
-    worst_overlap = float(np.max(overlap[np.triu_indices(len(sel), 1)], initial=-math.inf))
-    uncovered = int(np.count_nonzero(~np.any(D[:, sel] <= r + 1e-12, axis=1)))
-    return check_le("vitali-cover", "quarter-radius-covering",
-                    max(worst_overlap, float(uncovered)), 0.0,
-                    n_selected=int(len(sel)), uncovered_centers=uncovered,
-                    worst_quarter_overlap=worst_overlap)

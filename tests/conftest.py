@@ -1,8 +1,18 @@
+"""Shared fixtures and helpers of the test suite, and the lab checks that only
+tests run: Vitali covers and tail-sum moment bracketing (measure), and the
+normalized Jacobi pair with its slope-matrix structure (jacobi)."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from abplab.geometry import euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.report import seeded_rng
+from abplab.geometry import ModelSpace, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.jacobi import _rk4_linear
+from abplab.report import CheckReport, check_le, seeded_rng
 
 ALL_MODELS = [euclidean(), sphere(1.0), hyperbolic(1.0), gaussian_plane(1.0)]
 
@@ -25,3 +35,158 @@ def random_tangent(m, p, L, gen):
 
 def random_point(m, gen, spread):
     return m.exp(m.origin(), random_tangent(m, m.origin(), spread * np.sqrt(gen.uniform()), gen))
+
+
+# -- measure: tail-sum moment bracketing and Vitali covers ---------------------
+
+_K_CAP = 10_000  # most tail-sum terms of lp_distribution_check
+
+
+@dataclass
+class BallFamily:
+    model: ModelSpace
+    centers: np.ndarray   # (n, embedding_dim)
+    radii: np.ndarray     # (n,)
+
+    def __post_init__(self):
+        self.centers = np.asarray(self.centers, float)
+        self.radii = np.asarray(self.radii, float)
+        if len(self.centers) != len(self.radii):
+            raise ValueError("centers and radii must align")
+        if np.any(self.radii <= 0):
+            raise ValueError("radii must be positive")
+        if not np.all(np.isfinite(self.radii)):
+            raise ValueError("the family needs bounded radii")
+
+
+def lp_distribution_check(f_values, weights, C: float, p: float) -> CheckReport:
+    """Bracket the p-th moment by the geometric tail sums.
+
+    With lam(t) = relative measure of {f > t} (the upper tail) and
+    S = sum_{k>=0} C^{pk} lam(C^k):
+
+        (1 - C^{-p}) S + C^{-p} lam(1)  <=  avg f^p  <=  1 + (C^p - 1) S.
+
+    The sum terminates exactly once C^k clears max f; a cap guards runaway
+    growth past _K_CAP terms and triggers a divergent-sum report.
+    """
+    if C <= 1.0:
+        raise ValueError("C must exceed 1")
+    if p <= 0:
+        raise ValueError("p must be positive")
+    f = np.asarray(f_values, float).reshape(-1)
+    w = np.asarray(weights, float).reshape(-1)
+    if np.any(f < 0):
+        raise ValueError("distribution bracketing needs f >= 0")
+    W = float(np.sum(w))
+    fmax = float(np.max(f))
+    S, k = 0.0, 0
+    while C**k <= fmax:
+        if k > _K_CAP:
+            return check_le("lp-bracketing", "tail-sum-moment-bounds", 1.0, 0.0,
+                            divergent_sum=True)
+        S += C ** (p * k) * (float(np.sum(w[f > C**k])) / W)
+        k += 1
+    lam1 = float(np.sum(w[f > 1.0])) / W
+    moment = float(np.sum(w * f**p)) / W
+    lower = (1.0 - C ** (-p)) * S + C ** (-p) * lam1
+    upper = 1.0 + (C**p - 1.0) * S
+    gap = max(lower - moment, moment - upper)
+    return check_le("lp-bracketing", "tail-sum-moment-bounds", gap, 0.0,
+                    abs_tol=1e-12 * max(1.0, moment),
+                    lower=lower, moment=moment, upper=upper,
+                    truncation_index=k)
+
+
+def _distance_matrix(fam: BallFamily) -> np.ndarray:
+    """rho between every two centers of the family, symmetric bit for bit."""
+    return fam.model.distance(fam.centers[:, None], fam.centers[None, :])
+
+
+def vitali_cover(fam: BallFamily) -> np.ndarray:
+    """Greedy quarter-radius selection, largest balls first.
+
+    Selected quarter-balls are pairwise disjoint, and every center of the
+    family lies in some selected full ball.
+    """
+    n = len(fam.radii)
+    if n == 0:
+        raise ValueError("empty ball family")
+    D = _distance_matrix(fam)
+    blocked = np.zeros(n, dtype=bool)  # quarter-ball meets a chosen one
+    chosen: list[int] = []
+    for i in np.argsort(-fam.radii, kind="stable"):
+        if not blocked[i]:
+            chosen.append(int(i))
+            blocked |= D[i] < 0.25 * (fam.radii[i] + fam.radii)
+    return np.array(chosen, dtype=np.int64)
+
+
+def vitali_verify(fam: BallFamily, selected: np.ndarray) -> CheckReport:
+    """Exhaustive disjointness and coverage audit of a selection."""
+    sel = np.asarray(selected, dtype=np.int64)
+    D = _distance_matrix(fam)
+    r = fam.radii[sel]
+    overlap = 0.25 * (r[:, None] + r[None, :]) - D[np.ix_(sel, sel)]
+    worst_overlap = float(np.max(overlap[np.triu_indices(len(sel), 1)], initial=-math.inf))
+    uncovered = int(np.count_nonzero(~np.any(D[:, sel] <= r + 1e-12, axis=1)))
+    return check_le("vitali-cover", "quarter-radius-covering",
+                    max(worst_overlap, float(uncovered)), 0.0,
+                    n_selected=int(len(sel)), uncovered_centers=uncovered,
+                    worst_quarter_overlap=worst_overlap)
+
+
+# -- jacobi: the normalized pair and its slope matrix ----------------------------
+
+_T_MIN = 0.05  # verify_ode_structure screens S(t) from this time on
+
+
+def solve_jacobi_pair(R, n_steps: int = 512):
+    """The two normalized Jacobi matrices: J10 (J=I, J'=0) and J01 (J=0, J'=I)."""
+    Z = _rk4_linear(R, np.eye(4), n_steps)
+    return Z[:, :2, :2], Z[:, :2, 2:]
+
+
+def verify_ode_structure(R, rng=None, n_random: int = 32) -> CheckReport:
+    """Structural facts about S(t) = J01(t)^{-1} J10(t).
+
+    Asserts symmetry and monotone decrease of the eigenvalues of S on the
+    solver's time grid from _T_MIN on, and the equivalence, for random
+    symmetric initial slopes B:
+
+        B + S(1) >= 0   <=>   det J(t) > 0 on [0, 1)
+
+    with J(0) = I, J'(0) = B.  The scheme is linear, so J = J10 + J01 B.
+    Slopes within 0.05 of the spectral boundary are resampled to keep the
+    equivalence numerically decidable.
+    """
+    J10, J01 = solve_jacobi_pair(R)
+    use = np.linspace(0.0, 1.0, len(J10)) >= _T_MIN
+    dets = np.linalg.det(J01[use])
+    if np.any(np.abs(dets) < 1e-12):
+        raise ValueError("J01 singular on (0,1]: conjugate-point configuration")
+    S = np.linalg.solve(J01[use], J10[use])
+    sym = float(np.max(np.abs(S - np.transpose(S, (0, 2, 1)))))
+    eigs = np.linalg.eigvalsh(0.5 * (S + np.transpose(S, (0, 2, 1))))
+    increase = float(np.max(np.diff(eigs, axis=0)))
+    lhs = max(sym - 1e-8, increase - 1e-8)
+    diag = dict(symmetry_defect=sym, worst_eig_increase=increase)
+    if rng is not None:
+        S1 = S[-1]
+        mism = 0
+        tested = 0
+        while tested < n_random:
+            B = rng.normal(size=(2, 2)) * 1.5
+            B = 0.5 * (B + B.T)
+            margin = float(np.min(np.linalg.eigvalsh(B + S1)))
+            if abs(margin) < 0.05:
+                continue
+            tested += 1
+            detJ = np.linalg.det(J10[:-1] + J01[:-1] @ B)  # [0, 1) open at the right end
+            positive = bool(np.all(detJ > 0.0))
+            if positive != (margin > 0.0):
+                mism += 1
+        diag.update(good_slope_equivalence_mismatches=mism,
+                    good_slope_equivalence_samples=tested)
+        lhs = max(lhs, mism)
+    return check_le("jacobi-slope-matrix", "normalized-slope-structure", lhs, 0.0, **diag)

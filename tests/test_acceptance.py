@@ -22,11 +22,12 @@ from abplab.geometry import (build_polar_grid, euclidean, gaussian_plane,
 from abplab.harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
 from abplab.hfun import expansion_fit, hfun_closed_form, hfun_numeric
 from abplab.jacobi import integrate_jacobi, verify_comparison
-from abplab.measure import BallFamily, doubling_check, lp_distribution_check, vitali_cover, vitali_verify
+from abplab.measure import doubling_check
 from abplab.pde import DirichletProblem, solve_poisson
 from abplab.pucci import e_theta, e_theta_bounds, pucci, pucci_contact_bound
 from abplab.report import seeded_rng
-from conftest import random_point, random_tangent
+from conftest import (BallFamily, lp_distribution_check, random_point, random_tangent,
+                      vitali_cover, vitali_verify)
 
 SEED = 20260811
 

@@ -106,6 +106,21 @@ class TestBarrierPsi:
         assert np.max(np.abs(f.value(g.points) - f.values)) < 1e-9
         assert np.allclose(f.values, _psi(sp, g.points), atol=1e-10)
 
+    def test_field_refuses_a_spec_on_another_model(self):
+        # the field is built on the grid's model, so a spec on another one
+        # would silently become the grid model's barrier
+        g = build_polar_grid(euclidean(), euclidean().origin(), 1.0, 16, 16)
+        m = hyperbolic(1.0)
+        with pytest.raises(ValueError, match="the barrier is on the hyperbolic model .*"
+                                             "but the grid is on the euclidean model"):
+            barrier_field(g, BarrierSpec(3.0, m, m.origin(), 1.0))
+
+    def test_field_accepts_an_equal_model(self):
+        m = euclidean()
+        g = build_polar_grid(m, m.origin(), 1.0, 16, 16)
+        f = barrier_field(g, BarrierSpec(3.0, euclidean(), m.origin(), 1.0))
+        assert np.array_equal(f.values, barrier_field(g, BarrierSpec(3.0, m, m.origin(), 1.0)).values)
+
 
 class TestVerifyBarrier:
     def test_euclid_flat_alpha2(self):

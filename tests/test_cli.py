@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abplab.cli import main
+from abplab.cli import _FLAGS, _MODES, _SUBCOMMANDS, main
 from abplab.pucci import pucci_contact_bound
 from abplab.report import CheckReport, check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng
 
@@ -68,6 +70,54 @@ class TestReports:
             emit_plotdata(([], []))
 
 
+# (argv, message, id): each flag that the selected mode of harnack-check or
+# hfun does not read, given a value that mode would otherwise accept
+MODE_REFUSALS = [
+    (["harnack-check", "--which", "sup", "--p", "2"],
+     "--p is not read by harnack-check --which sup", "sup-p"),
+    (["harnack-check", "--which", "sup", "--r", "0.5"],
+     "--r is not read by harnack-check --which sup", "sup-r"),
+    (["harnack-check", "--which", "sup", "--samples", "10"],
+     "--samples is not read by harnack-check --which sup", "sup-samples"),
+    (["harnack-check", "--which", "sup", "--theta", "2.5"],
+     "--theta is not read by harnack-check --which sup", "sup-theta"),
+    (["harnack-check", "--which", "sub", "--r", "0.5"],
+     "--r is not read by harnack-check --which sub", "sub-r"),
+    (["harnack-check", "--which", "sub", "--samples", "10"],
+     "--samples is not read by harnack-check --which sub", "sub-samples"),
+    (["harnack-check", "--which", "sub", "--theta", "2.5"],
+     "--theta is not read by harnack-check --which sub", "sub-theta"),
+    (["harnack-check", "--which", "full", "--p", "2"],
+     "--p is not read by harnack-check --which full", "full-p"),
+    (["harnack-check", "--which", "full", "--r", "0.5"],
+     "--r is not read by harnack-check --which full", "full-r"),
+    (["harnack-check", "--which", "full", "--samples", "10"],
+     "--samples is not read by harnack-check --which full", "full-samples"),
+    (["harnack-check", "--which", "full", "--theta", "2.5"],
+     "--theta is not read by harnack-check --which full", "full-theta"),
+    (["harnack-check", "--which", "growth", "--p", "2"],
+     "--p is not read by harnack-check --which growth", "growth-p"),
+    (["harnack-check", "--which", "growth", "--samples", "10"],
+     "--samples is not read by harnack-check --which growth", "growth-samples"),
+    (["harnack-check", "--which", "growth", "--theta", "2.5"],
+     "--theta is not read by harnack-check --which growth", "growth-theta"),
+    (["harnack-check", "--which", "pucci", "--resolution", "32"],
+     "--resolution is not read by harnack-check --which pucci", "pucci-resolution"),
+    (["harnack-check", "--which", "pucci", "--p", "2"],
+     "--p is not read by harnack-check --which pucci", "pucci-p"),
+    (["harnack-check", "--which", "pucci", "--r", "0.5"],
+     "--r is not read by harnack-check --which pucci", "pucci-r"),
+    (["harnack-check", "--r", "0.5"],
+     "--r is not read by harnack-check --which sup", "default-sup-r"),
+    (["hfun", "--samples", "64", "--dmax", "0.1"],
+     "--dmax is not read by hfun without --fit", "hfun-dmax"),
+    (["hfun", "--fit", "--samples", "8", "--d", "0.5"],
+     "--d is not read by hfun --fit", "hfun-fit-d"),
+    (["harnack-check", "--which=pucci", "--p=2", "--r", "0.5", "--resolution", "32"],
+     "--p, --r, --resolution are not read by harnack-check --which pucci", "pucci-three"),
+]
+
+
 class TestCliExitCodes:
     def test_pass_run_exits_zero(self, capsys):
         assert main(["constants", "--K", "0", "--N", "2", "--R", "1"]) == 0
@@ -89,6 +139,7 @@ class TestCliExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [
+        *(refusal[0] for refusal in MODE_REFUSALS),
         ["abp-check", "--r", "-1"],
         ["barrier-check", "--r", "0"],
         ["pucci", "--theta", "0"],
@@ -118,7 +169,8 @@ class TestCliExitCodes:
         ["harnack-check", "--which", "pucci", "--theta", "1e308"],
         ["hfun", "--model", "gaussian", "--samples", "64"],
         ["harnack-check", "--which", "sup", "--N", "inf", "--resolution", "32"],
-    ], ids=["abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
+    ], ids=[*(refusal[2] for refusal in MODE_REFUSALS),
+            "abp-r-negative", "barrier-r-zero", "pucci-theta-0", "harnack-pucci-theta-half",
             "hfun-d-zero", "hfun-d-negative", "doubling-samples-0", "pucci-samples-0",
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
             "hfun-dmax-negative", "hfun-fit-samples-3", "doubling-K-inf", "constants-K-nan",
@@ -131,6 +183,33 @@ class TestCliExitCodes:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv,message,_", MODE_REFUSALS, ids=[r[2] for r in MODE_REFUSALS])
+    def test_flag_the_mode_does_not_read_is_named(self, argv, message, _, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"experiment": "hfun", "dmax": 7, "samples": 64}, "--dmax is not read by hfun without --fit"),
+        ({"experiment": "harnack-check", "which": "growth", "theta": 9},
+         "--theta is not read by harnack-check --which growth"),
+    ], ids=["hfun-dmax", "growth-theta"])
+    def test_config_key_the_mode_does_not_read_exits_two(self, config, message, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+        assert main(["--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mode_flags_are_declared_by_their_subcommand(self):
+        # each mode's flags, and the flag that selects the mode, are in the
+        # subcommand's row, and the table names every mode the flag can take
+        for sub, (flag, reads) in _MODES.items():
+            row = _SUBCOMMANDS[sub][1].split()
+            assert flag in row and {f for r in reads.values() for f in r.split()} <= set(row)
+            assert set(reads) == set(_FLAGS[flag].get("choices", (False, True)))
 
     @pytest.mark.parametrize("argv", [
         ["barrier-check", "--model", "euclidean", "--r", "1e6"],
@@ -308,6 +387,35 @@ class TestCliExitCodes:
         cfg.write_text("[1, 2]")
         assert main(["--config", str(cfg), "constants"]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+def readme_examples() -> list:
+    """The argv of each `abplab` line of the README's sh blocks, comments dropped."""
+    examples, inside = [], False
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            inside = line == "```sh"
+        elif inside and line.startswith("abplab "):
+            examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 12
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)])
+def test_readme_example_runs(argv, tmp_path, monkeypatch):
+    # documented usage stays accepted and passes; reports go under tmp_path
+    monkeypatch.delenv("ABPLAB_OUT", raising=False)
+    if "--out" in argv:
+        argv = argv[:argv.index("--out")] + argv[argv.index("--out") + 2:]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / f"{argv[0].replace('-', '_')}_report.json").exists()
 
 
 class TestCliOutputs:

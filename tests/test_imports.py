@@ -3,11 +3,12 @@ module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
 the Jacobi integrator takes no Python-level loop per time step, every
-abplab name the benchmark binds, read from its sources, still exists, no
-public function or dataclass takes a model beside a field or grid that
-carries it or a ledger beside the params it is built from, every flag a CLI
-subcommand declares is read by its run, and importing the CLI leaves
-numpy.polynomial unloaded."""
+abplab name the benchmark binds, read from its sources, still exists, every
+top-level name and method of the package is reached from the CLI's main or
+from what the benchmark binds, no public function or dataclass takes a model
+beside a field or grid that carries it or a ledger beside the params it is
+built from, every flag a CLI subcommand declares is read by its run, and
+importing the CLI leaves numpy.polynomial unloaded."""
 
 import ast
 import importlib
@@ -360,6 +361,100 @@ def test_benchmark_binding_detectors_flag_and_accept():
                                       "pde.solve_poisson": ["Omega"]}
     assert abplab_attributes(src) == [("contact", "compute_contact_set"),
                                       ("fields", "hess_form")]
+
+
+def _definitions(sources: dict) -> dict:
+    """{"module.name": node} for each top-level function, class and constant
+    of sources, and {"module.Class.method": node} for each method; dunders
+    are left out."""
+    defs = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    defs.update((f"{module}.{node.name}.{f.name}", f) for f in node.body
+                                if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update((f"{module}.{t.id}", node) for t in targets
+                            if isinstance(t, ast.Name) and not t.id.startswith("__"))
+    return defs
+
+
+def _names_read(node) -> set:
+    """Names, attributes and imported names that a definition reads.  A class
+    reads its decorators, bases, fields and dunder methods, not its other
+    methods, which are definitions of their own."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        parts = node.decorator_list + node.bases + [
+            s for s in node.body if not isinstance(s, ast.FunctionDef) or s.name.startswith("__")]
+    names = set()
+    for n in (n for part in parts for n in ast.walk(part)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names |= {alias.name for alias in n.names}
+    return names
+
+
+def unreached(sources: dict, roots) -> list:
+    """"module.name" of each definition of sources (see _definitions) that no
+    walk from roots reaches.  The walk goes by name: a reached definition
+    reaches every definition, in any module, named like a name it reads."""
+    defs = _definitions(sources)
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
+    seen, todo = set(), [r for r in roots if r in defs]
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            for name in _names_read(defs[key]):
+                todo += by_name.get(name, [])
+    return sorted(set(defs) - seen)
+
+
+def run_roots(perfbench: Path) -> set:
+    """Where a run starts: the CLI's main, every abplab name the benchmark
+    reads, the ScalarField methods its tracer wraps and its counter targets."""
+    roots = {"cli.main"}
+    for path in perfbench.glob("*.py"):
+        roots |= {f"{m}.{a}" for m, a in abplab_attributes(path.read_text())}
+    tracing = (perfbench / "tracing.py").read_text()
+    roots |= {f"fields.ScalarField.{n}"
+              for n in ast.literal_eval(_assigned(ast.parse(tracing), "FIELD_METHODS"))}
+    return roots | set(counter_arguments(tracing))
+
+
+def test_every_public_name_is_reached():
+    # the package holds what a run reaches; a check that only tests run
+    # lives in the tests (tests/conftest.py)
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreached(sources, run_roots(PERFBENCH)) == []
+
+
+def test_reachability_detector_flags_and_accepts():
+    sources = {
+        "cli": ("from .a import used\n"
+                "def main(argv):\n    return used(argv).report()\n"),
+        "a": ("_LIMIT = 3\n_SPARE = 4\n"
+              "class Box:\n    size: int = _LIMIT\n"
+              "    def __post_init__(self):\n        self.size = _clip(self.size)\n"
+              "    def report(self):\n        return self.size\n"
+              "    def unused(self):\n        return 0\n"
+              "def _clip(x):\n    return x\n"
+              "def used(x):\n    return Box()\n"
+              "def planted(x):\n    return _helper(x)\n"
+              "def _helper(x):\n    return _SPARE\n"
+              "def bench_only(x):\n    return x\n"),
+    }
+    assert unreached(sources, {"cli.main", "a.bench_only"}) == [
+        "a.Box.unused", "a._SPARE", "a._helper", "a.planted"]
 
 
 MODEL_PARAMS = {"m", "model"}

@@ -7,9 +7,9 @@ from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import (JacobiState, _rk4_linear, _velocity, curvature_matrix, dn_functional,
-                           integrate_jacobi, solve_jacobi_pair, verify_comparison,
-                           verify_ode_structure)
-from conftest import ALL_MODELS, random_point, random_tangent
+                           integrate_jacobi, verify_comparison)
+from conftest import (ALL_MODELS, random_point, random_tangent, solve_jacobi_pair,
+                      verify_ode_structure)
 
 
 class TestCurvatureMatrix:

@@ -6,10 +6,9 @@ import pytest
 from abplab.constants import CurvatureParams
 from abplab.fields import ScalarField
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.measure import (BallFamily, doubling_check, integral_I,
-                            lp_distribution_check, vitali_cover, vitali_verify)
+from abplab.measure import doubling_check, integral_I
 from abplab.report import seeded_rng
-from conftest import random_point
+from conftest import BallFamily, lp_distribution_check, random_point, vitali_cover, vitali_verify
 
 
 class TestDoubling:
