@@ -15,13 +15,18 @@ vertex ring and lower bounds over angular blocks of nodes skip only nodes
 that provably lie above the infimum plus the tie tolerance.  The upper bound
 they are compared with is F at real nodes, among them the 3x3 patch about
 the contact found for the same vertex angle on an earlier ring, and each
-chunk of vertices gathers its surviving nodes in one list.  A vectorized
+chunk of vertices gathers its surviving nodes in one list.  Each vertex
+ring tabulates only the band of node rings that a ring-level floor of F,
+min u plus a floor under the tabulated (a/2) rho^2, cannot exclude; the
+floor's allowance for rounding grows with the stored points' norms, so
+where the table loses precision the band widens to every ring.  A vectorized
 Riemannian Newton refinement upgrades contact locations to sub-cell accuracy
 whenever the field carries closed-form derivatives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +50,7 @@ _TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
 _PATCH = np.array([np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)])
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
 _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
+_FLOOR_ULPS = 64      # eps multiples of _ring_floor's allowance
 
 
 @dataclass
@@ -102,6 +108,17 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     chunk form one slot list, vertex block after vertex block, each in
     ring-major order, so argmin breaks ties as a scan of all nodes does.
 
+    A vertex ring tabulates only a band of node rings.  Ring i is left out
+    when min u over it plus (a/2) floor_i^2 exceeds, by more than _TIE_TOL,
+    the largest F at a seed over the vertex ring, with floor_i from
+    _ring_floor: a floor under the tabulated distances to ring i, whose
+    allowance grows with the stored points' norms, since far out on the
+    hyperboloid the table falls below the exact ring gap.  Every node of a
+    left-out ring then lies more than _TIE_TOL above every vertex's
+    infimum.  The band is the contiguous span of the other rings and of the
+    seeds' patches, so the scan above runs on it unchanged, in the same
+    ring-major order, and returns what the full table would, bit for bit.
+
     Parameters
     ----------
     E : array of flat node indices (the vertex set, a subset of the grid).
@@ -135,6 +152,7 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     u_slot = np.full((n_r, W), np.inf)
     u_slot[:, :n_t] = uf.reshape(n_r, n_t)
     u_block = u_slot.reshape(n_r, n_b, B).min(axis=2)
+    u_ring = u_block.min(axis=1)
     u_slot = u_slot.reshape(-1)
     # the angle differences j - jv between a vertex block and the node block
     # d blocks away, d = 1 - n_b .. n_b - 1
@@ -155,38 +173,54 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     contact = np.empty(n_y, np.int64)
     minval = np.empty(n_y)
     tie_rows, tie_slots = [], []
-    for s, e in zip(ring_starts, np.append(ring_starts[1:], n_y)):
+    floors = _ring_floor(m, grid.rho, _ring_magnitudes(grid), ring[order[ring_starts]])
+    for s, e, floor in zip(ring_starts, np.append(ring_starts[1:], n_y), floors):
         iv = int(ring[order[s]])
-        T = (0.5 * a) * m.distance(X[iv * n_t], X).reshape(n_r, n_t) ** 2
+        # the band of rings [lo, hi) that can hold a contact: the rings
+        # whose floor of F is within _TIE_TOL of the ring's largest F at a
+        # seed, and the seeds' patches.  F at a seed is the table's entry,
+        # from node (iv, 0) to the seed turned back by the vertex angle,
+        # raised by a relative 2^-40 lest the library's transcendentals round
+        # a lone pair otherwise than a whole row
+        jr = ang[order[s:e]]
+        seed_ring, seed_ang = np.divmod(seed[jr], W)
+        d = m.distance(X[iv * n_t], X[seed_ring * n_t + (seed_ang - jr) % n_t])
+        ub = np.max(u_slot[seed[jr]] + ((0.5 * a) * d ** 2) * (1.0 + 2.0 ** -40)) + _TIE_TOL
+        band = np.concatenate([np.flatnonzero(u_ring + (0.5 * a) * floor ** 2 <= ub),
+                               seed_ring - 1, seed_ring + 1])
+        lo, hi = max(int(band.min()), 0), min(int(band.max()) + 1, n_r)
+        T = (0.5 * a) * m.distance(X[iv * n_t], X[lo * n_t:hi * n_t]).reshape(-1, n_t) ** 2
         T_wrap = np.concatenate([T, T], axis=1).reshape(-1)
         T_window = T[:, window].min(axis=2)
-        for lo in range(s, e, chunk):
-            rows = order[lo:min(lo + chunk, e)]
+        for c in range(s, e, chunk):
+            rows = order[c:min(c + chunk, e)]
             jv = ang[rows]   # ascending: E is ordered by ring, then angle
+            # column[slot] - at is the slot's entry of T_wrap for vertex angle jv
+            at = (jv + lo * 2 * n_t)[:, None]
             first = np.flatnonzero(np.diff(jv // B, prepend=-1))
             vb, count = jv[first] // B, np.diff(first, append=len(jv))
-            lower = (u_block[None, :, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
+            lower = (u_block[None, lo:hi, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
                      ).reshape(len(vb), -1)
             # upper bound per vertex block: each vertex's least F over its
             # best-bounded node block and the patch about its seed, at the
             # worst vertex of the block
-            top = np.repeat(np.argmin(lower, axis=1), count)
+            top = np.repeat(np.argmin(lower, axis=1), count) + lo * n_b
             seed_ring, seed_ang = np.divmod(seed[jv], W)
             slots = np.concatenate([
                 top[:, None] * B + in_block,
                 np.clip(seed_ring[:, None] + _PATCH[0], 0, n_r - 1) * W
                 + (seed_ang[:, None] + _PATCH[1]) % n_t], axis=1)
-            F = u_slot[slots] + T_wrap[column[slots] - jv[:, None]]
+            F = u_slot[slots] + T_wrap[column[slots] - at]
             ub = np.maximum.reduceat(F.min(axis=1), first) + _TIE_TOL
             # one slot list for the chunk, vertex block after vertex block
             group, kept = np.nonzero(lower <= ub[:, None])
-            slots = (kept[:, None] * B + in_block).ravel()
+            slots = ((kept + lo * n_b)[:, None] * B + in_block).ravel()
             slot_u, slot_col = u_slot[slots], column[slots]
             edges = np.append(0, np.cumsum(np.bincount(group, minlength=len(vb)) * B))
             for g in range(len(vb)):
                 x = slice(edges[g], edges[g + 1])
                 r = slice(first[g], first[g] + count[g])
-                F = slot_u[x][None, :] + T_wrap[slot_col[x][None, :] - jv[r, None]]
+                F = slot_u[x][None, :] + T_wrap[slot_col[x][None, :] - at[r]]
                 amin = np.argmin(F, axis=1)
                 fmin = F[np.arange(len(F)), amin]
                 contact[rows[r]] = slots[x][amin]
@@ -205,6 +239,39 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
         by_vertex = np.argsort(tie_rows, kind="stable")
         ties = np.stack([E[tie_rows[by_vertex]], tie_nodes[by_vertex]], axis=1)
     return ContactSet(E, _slot_node(contact, W, n_t), minval, ties)
+
+
+def _ring_magnitudes(grid: GeodesicBallGrid) -> np.ndarray:
+    """Largest Euclidean norm of a stored node, per ring."""
+    P = grid.points
+    return np.sqrt(np.max(np.sum(P * P, axis=2), axis=1))
+
+
+def _ring_floor(m: ModelSpace, rho, mag, iv) -> np.ndarray:
+    """Row k, entry i: a floor under every distance m.distance computes from
+    a node of ring iv[k] to a node of ring i, the grid's stored points as
+    given; rho are the ring radii and mag the rings' largest stored norms.
+
+    Exact points on rings of radii rho_i and rho_iv lie at least
+    d = |rho_i - rho_iv| apart, so their chord^2 is at least (2 psi(d/2))^2.
+    Two roundings separate that from the computed chord^2.  Summing squared
+    component differences errs by at most about 5 eps (|p| + |q|)^2.  A
+    stored node sits within a few eps (1 + s rho) |p| of an exact point of
+    its ring, s = sqrt|kappa|: the frame, the angle and the norm of the
+    tangent each round, and the rho-proportional part is the radius error
+    times the point's speed along the ray.  That moves <q - p, q - p> by at
+    most 2 |q - p| (|e_p| + |e_q|).  With |p| and |q| at most mag_i and
+    mag_iv, both fit within _FLOOR_ULPS eps (1 + s (rho_i + rho_iv))
+    (mag_i + mag_iv)^2 several times over.  The floor is the distance of
+    the chord^2 less that allowance, lowered by a relative 2^-40 for the
+    rounding of the map from chord^2 to rho.  Where the allowance outgrows
+    the gap, as on the hyperboloid at large radii, where the tabulated
+    chords lose their precision, the floor is 0.
+    """
+    rv, mv = rho[iv][:, None], mag[iv][:, None]
+    s = math.sqrt(abs(m.sectional()))
+    slack = _FLOOR_ULPS * np.finfo(float).eps * (1.0 + s * (rho + rv)) * (mag + mv) ** 2
+    return m._rho((2.0 * m.psi(0.5 * np.abs(rho - rv))) ** 2 - slack)[0] * (1.0 - 2.0 ** -40)
 
 
 def _slot_node(slot, W, n_t):

@@ -206,8 +206,14 @@ class ModelSpace:
         """(rho, psi(rho), psi'(rho), w) of each pair from its chord:
         psi = chord sqrt(1 - kappa chord^2/4), psi' = 1 - kappa chord^2/2, and
         w = q - kappa <p, q> p = (q - p) + (kappa chord^2/2) p, the tangent at
-        p toward q with |w| = psi; exactly (0, 0, 1, 0) at q == p."""
+        p toward q with |w| = psi; exactly (0, 0, 1, 0) at q == p.  Flat
+        charts skip the kappa = 0 arithmetic: rho = psi = chord, psi' = 1
+        and w = d + 0.0, which turns a -0.0 difference into the +0.0 that
+        d + 0 p gives, so the values match the curved form's bit for bit."""
         d = np.asarray(q, float) - np.asarray(p, float)
+        if self.is_flat_chart:
+            rho = np.sqrt(np.maximum(self._inner(d, d), 0.0))
+            return rho, rho, np.ones_like(rho), d + 0.0
         rho, chord = self._rho(self._inner(d, d))
         h = (0.25 * self._kappa) * chord * chord
         return rho, chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, check_contact_location,
+from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _ring_floor,
+                            _ring_magnitudes, check_contact_location,
                             compute_contact_set, gradient_contact_residual,
                             refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
@@ -259,8 +260,14 @@ class TestPrunedScanMatchesBruteForce:
         _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.5 * g.radius))
 
     def test_small_chunks(self, model, rng):
+        # the band of rings each vertex ring scans depends on the seeds of
+        # its vertices; no chunking may change the contact set
         g, u = self._setup(model, rng, n_r=24, n_theta=40)
-        _assert_matches_brute_force(model, u, 2.0, _disc_indices(g, 0.4 * g.radius), chunk=3)
+        y0 = g.points[g.n_r // 3, g.n_theta // 5]
+        for E in (_disc_indices(g, 0.4 * g.radius),
+                  np.flatnonzero(g.mask_within(y0, g.radius / 6.0).ravel())):
+            for chunk in (1, 3, 128):
+                _assert_matches_brute_force(model, u, 2.0, E, chunk=chunk)
 
     def test_planted_exact_ties(self, model):
         # u = c - (a/2) rho^2(., y) on four nodes in different rings and
@@ -312,6 +319,97 @@ class TestPrunedScanMatchesBruteForce:
         cs = _assert_matches_brute_force(model, u, a, E)
         assert cs.contact_of.tolist() == [x_star, x_star]
         assert cs.ties.tolist() == [[int(E[1]), near]]
+
+
+def _table_brute_force(u, a, E):
+    """Oracle through the scan's own per-ring table: F_y(x) = u(x) +
+    T_iv[i, (j - jv) mod n_theta] for y = (iv, jv), x = (i, j), with T_iv the
+    (a/2) rho^2 from node (iv, 0); argmin and every node within _TIE_TOL."""
+    g = u.grid
+    X = g.flat_points()
+    n_t = g.n_theta
+    F = []
+    for y in E:
+        iv, jv = divmod(int(y), n_t)
+        T = (0.5 * a) * g.model.distance(X[iv * n_t], X).reshape(g.shape) ** 2
+        F.append((u.values + T[:, (np.arange(n_t) - jv) % n_t]).reshape(-1))
+    F = np.array(F)
+    contact = np.argmin(F, axis=1)
+    best = F[np.arange(len(E)), contact]
+    ties = [[int(y), int(x)] for k, y in enumerate(E)
+            for x in np.flatnonzero(F[k] <= best[k] + _TIE_TOL) if x != contact[k]]
+    return contact, best, ties
+
+
+class TestRingBand:
+    """Each vertex ring scans only the band of rings that the floor of
+    tabulated rho^2 from _ring_floor cannot exclude."""
+
+    CASES = ([(euclidean(), r) for r in (1.0, 1e4)] + [(gaussian_plane(1.0), 0.8)]
+             + [(sphere(k), f * 0.5 * math.pi / math.sqrt(k)) for k in (1.0, 25.0)
+                for f in (0.05, 0.2)]
+             + [(hyperbolic(1.0), r) for r in (0.5, 5.0, 10.0, 15.0, 20.0, 30.0)])
+
+    @pytest.mark.parametrize("m, r", CASES, ids=[f"{m.kind}-{r:g}" for m, r in CASES])
+    def test_floor_below_every_tabulated_distance(self, m, r):
+        # every ring pair, about the origin and, where the centre fits in
+        # float64 precision, about an off-centre point
+        centres = [m.origin()]
+        if r <= 5.0:
+            v = np.array([0.6, 0.3, 0.0])[:m.embedding_dim] * r
+            if m.embedding_dim == 3:
+                v = m._project_tangent(m.origin(), v)
+            centres.append(m.exp(m.origin(), v))
+        for centre in centres:
+            g = build_polar_grid(m, centre, r, 48, 48)
+            X = g.flat_points()
+            floor = _ring_floor(m, g.rho, _ring_magnitudes(g), np.arange(g.n_r))
+            for iv in range(g.n_r):
+                rho = m.distance(X[iv * g.n_theta], X).reshape(g.shape)
+                assert np.all(floor[iv] <= rho.min(axis=1))
+            if r <= 1.0:   # where the table is accurate, the floor is the ring gap
+                gap = np.abs(g.rho[:, None] - g.rho[None, :])
+                assert np.all(floor >= gap * (1.0 - 1e-6))
+
+    @pytest.mark.parametrize("r", [10.0, 15.0])
+    def test_table_exact_oracle_far_out(self, r):
+        # Far out on the hyperboloid the table's rho^2 falls below the exact
+        # (rho_i - rho_iv)^2 on some rings.  A node planted on the ray of a
+        # ring-40 vertex, on the ring where the table falls furthest below,
+        # has tabulated F under the vertex's own F = 0, while the exact ring
+        # bound less 2e-9 relative lies above it: a floor from exact
+        # geometry would skip that ring and return the vertex.
+        m = hyperbolic(1.0)
+        g = _grid(m, r=r, n=48)
+        n_t, a = g.n_theta, 1.0
+        X = g.flat_points()
+        iv, jv = 40, 5
+        T = m.distance(X[iv * n_t], X).reshape(g.shape) ** 2
+        gap = (g.rho - g.rho[iv]) ** 2
+        deficit = 1.0 - T.min(axis=1) / np.where(gap > 0.0, gap, np.inf)
+        deficit[iv] = 0.0
+        i = int(np.argmax(deficit))
+        y, x = iv * n_t + jv, i * n_t + jv
+        assert np.argmin(T[i]) == 0 and deficit[i] > 3e-9
+        vals = np.zeros(g.n_r * n_t)
+        vals[x] = -0.5 * a * gap[i] * (1.0 - 3e-9)
+        u = ScalarField(g, vals.reshape(g.shape))
+        assert vals[x] + 0.5 * a * T[i, 0] < 0.0
+        assert vals[x] + 0.5 * a * gap[i] * (1.0 - 2e-9) > _TIE_TOL
+        cs = compute_contact_set(u, a, np.array([y]))
+        contact, best, ties = _table_brute_force(u, a, np.array([y]))
+        assert cs.contact_of.tolist() == contact.tolist() == [x]
+        assert np.array_equal(cs.min_values, best) and cs.ties.tolist() == ties == []
+
+    @pytest.mark.parametrize("r", [10.0, 15.0, 20.0])
+    def test_scan_matches_table_oracle_far_out(self, r, rng):
+        g = _grid(hyperbolic(1.0), r=r, n=32)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        E = np.flatnonzero(g.mask_within(g.center, 0.6 * r).ravel())[::5]
+        cs = compute_contact_set(u, 1.0 / r, E)
+        contact, best, ties = _table_brute_force(u, 1.0 / r, E)
+        assert np.array_equal(cs.contact_of, contact)
+        assert np.array_equal(cs.min_values, best) and cs.ties.tolist() == ties
 
 
 class TestGradientResidual:
