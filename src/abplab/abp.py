@@ -109,7 +109,7 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
                          f"{n_rings} rings ({len(disc)} vertices) that n_rings names")
     K, N = inst.params.K, inst.params.N
     Y = grid.points[:n_rings].reshape(-1, grid.points.shape[-1])
-    X = refine_contact_points(m, u, a, Y, Y.copy())
+    X = refine_contact_points(m, u, a, Y, Y)
     sh = (n_rings, grid.n_theta)
     T = X.reshape(sh + (X.shape[-1],))
     src_pts = grid.points[:n_rings]

@@ -21,9 +21,9 @@ from . import geometry
 from .abp import AbpInstance, abp_check, disc_vertex_indices
 from .barrier import BarrierSpec, check_ricci_comparison, junction_residuals, verify_barrier
 from .constants import CurvatureParams, build_ledger, verify_ledger
-from .contact import compute_contact_set, gradient_contact_residual
+from .contact import _ring_floor, _ring_magnitudes, compute_contact_set, gradient_contact_residual
 from .fields import ScalarField, constant_field, quadratic_field, random_bump_field, sum_fields
-from .geometry import build_polar_grid
+from .geometry import _model_label, build_polar_grid
 from .harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
 from .hfun import expansion_fit, hfun_closed_form, hfun_numeric
 from .measure import doubling_check
@@ -43,6 +43,20 @@ def _params(args) -> CurvatureParams:
     return CurvatureParams(args.K, args.N, args.R)
 
 
+def _scan_grid(m, r, resolution) -> geometry.GeodesicBallGrid:
+    """The polar grid of radius r about the origin that a contact scan runs
+    on.  ValueError when the stored points cannot resolve the gap between
+    two adjacent rings, as on the hyperboloid of k = 1 from r = 15 up: the
+    scan's distance table then loses the ring gap, and its verdicts with it."""
+    grid = build_polar_grid(m, m.origin(), r, resolution, resolution)
+    ring = np.arange(grid.n_r - 1)
+    floor = _ring_floor(m, grid.rho, _ring_magnitudes(grid), ring)[ring, ring + 1]
+    if np.any(floor == 0.0):
+        raise ValueError(f"radius {r:g} is too large for a contact scan on {_model_label(m)}: "
+                         f"the {resolution}^2 grid's stored points cannot resolve its ring gaps")
+    return grid
+
+
 # -- subcommand handlers -----------------------------------------------------
 #
 # Each returns (reports, payload, files): payload adds keys to the JSON
@@ -56,7 +70,7 @@ def cmd_constants(args):
 
 def cmd_contact(args):
     m = build_model(args)
-    grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
+    grid = _scan_grid(m, args.r, args.resolution)
     u = quadratic_field(grid, m.origin(), args.b)
     E = disc_vertex_indices(grid, grid.radial_rings(0.45 * args.r))
     cs = compute_contact_set(u, args.a, E)
@@ -75,7 +89,7 @@ def cmd_contact(args):
 
 def cmd_abp(args):
     m = build_model(args)
-    grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
+    grid = _scan_grid(m, args.r, args.resolution)
     params = CurvatureParams(args.K, args.N, args.r)   # R = r: no verdict reads R
     n_rings = grid.radial_rings(0.45 * args.r)
     E = disc_vertex_indices(grid, n_rings)
@@ -144,7 +158,7 @@ def cmd_harnack(args):
             else:
                 reports.append(harnack_check_full(params, u, f, bnd))
     elif which == "growth":
-        grid = build_polar_grid(m, m.origin(), args.r, args.resolution, args.resolution)
+        grid = _scan_grid(m, args.r, args.resolution)
         u = sum_fields([constant_field(grid, 1.0 + args.r**2 / 8.0),
                         quadratic_field(grid, m.origin(), -2.0)])
         f = constant_field(grid, 0.0)

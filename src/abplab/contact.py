@@ -21,7 +21,9 @@ min u plus a floor under the tabulated (a/2) rho^2, cannot exclude; the
 floor's allowance for rounding grows with the stored points' norms, so
 where the table loses precision the band widens to every ring.  A vectorized
 Riemannian Newton refinement upgrades contact locations to sub-cell accuracy
-whenever the field carries closed-form derivatives.
+whenever the field carries closed-form derivatives; on the flat charts it
+works in chart coordinates, where rho_y^2/2 = |x - y|^2/2 has its jet in
+closed form.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ _TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
 _PATCH = np.array([np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)])
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
 _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
+_DET_TOL = 1e-14      # a point whose |det Hess F| is at most this times a^2 keeps its iterate
 _FLOOR_ULPS = 64      # eps multiples of _ring_floor's allowance
 
 
@@ -297,12 +300,19 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
 
     Requires closed-form derivatives of u, and m must be u's model (compared
     by value; ValueError otherwise).  Steps are clamped to half the
-    grid radius; points whose Hessian degenerates keep their last iterate.
-    A point takes the step computed where both frame components of its
-    grad F are below _NEWTON_TOL and then leaves the live set; the loop ends
-    when the live set is empty or after _NEWTON_ITERS steps.  A first step
-    from the vertices (X0 = Y) evaluates u's jet alone: at x = y that of
-    rho_y^2/2 is (0, I), as _radial_derivatives gives it exactly.
+    grid radius; points whose Hessian degenerates, |det| at most _DET_TOL
+    a^2 (the scale of the distance term's own determinant), keep their last
+    iterate.  A point takes the step computed where both frame components
+    of its grad F are below _NEWTON_TOL and then leaves the live set; the
+    loop ends when the live set is empty or after _NEWTON_ITERS steps.
+
+    Flat charts refine in chart coordinates: the frame is the coordinate
+    basis, the jet of rho_y^2/2 is (x - y, I) in closed form, grad F's
+    frame components are its coordinates and the step is (d1, d2).  Curved
+    charts take the jet of rho_y^2/2 from _radial_derivatives and project
+    onto the frame; a first step from the vertices (X0 = Y) there evaluates
+    u's jet alone, since at x = y that of rho_y^2/2 is (0, I), as
+    _radial_derivatives gives it exactly.
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
@@ -311,13 +321,18 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
                          f"{_model_label(u.grid.model)}")
     X = np.array(X0, float)
     Y = np.asarray(Y, float)
+    flat = m.is_flat_chart
     live = slice(None)   # every point, by view, until the first converges
     cap = 0.5 * u.grid.radius
+    degenerate = _DET_TOL * a * a
     for it in range(_NEWTON_ITERS):
         x = X[live]
         e1, e2 = frame = m.tangent_frame(x)
         gu, hu = u.jet(x, frame)
-        if it == 0 and np.array_equal(X, Y):
+        if flat:
+            # the jet of a rho_y^2 / 2 = a |x - y|^2 / 2 is (a (x - y), a I)
+            g, h = gu + a * (x - Y[live]), hu + a * np.eye(2)
+        elif it == 0 and np.array_equal(X, Y):
             g, h = gu, hu + a * np.eye(2)
         else:
             # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
@@ -325,13 +340,12 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
                                        lambda r: np.full_like(r, a), frame)
             g += gu
             h += hu
-        g1 = m.tangent_inner(x, g, e1)
-        g2 = m.tangent_inner(x, g, e2)
+        g1, g2 = (g[:, 0], g[:, 1]) if flat else (m.tangent_inner(x, g, e) for e in frame)
         h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
         det = h11 * h22 - h12 * h12
-        inv = 1.0 / np.where(np.abs(det) > 1e-14, det, np.inf)   # 0 where h degenerates
+        inv = 1.0 / np.where(np.abs(det) > degenerate, det, np.inf)   # 0 where h degenerates
         d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
-        step = d1[:, None] * e1 + d2[:, None] * e2
+        step = np.stack([d1, d2], axis=1) if flat else d1[:, None] * e1 + d2[:, None] * e2
         ln = m.tangent_norm(x, step)
         if np.any(ln > cap):
             step *= (cap / np.maximum(ln, cap))[:, None]

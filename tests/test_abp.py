@@ -57,6 +57,22 @@ class TestEqualityCases:
         assert rep.diagnostics["equality_gap"] < 1e-12
         assert rep.diagnostics["min_pointwise_density"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m,params,r", [
+        (euclidean(), CurvatureParams(0, 2, 1.0), 1.0),
+        (hyperbolic(1.0), CurvatureParams(1, 2, 0.5), 0.5),
+    ], ids=["euclidean", "hyperbolic"])
+    def test_transport_side_is_scale_free(self, m, params, r):
+        # (u, a) -> (c u, c a) keeps the contact map and the integrand, a
+        # function of lap/a: at c = 1e-8 the transport side reads as at c = 1.
+        # A degeneracy test blind to the scale froze every point at its
+        # vertex there, for rhs_transport 2.640 against lhs 0.660 on the plane
+        rhs = []
+        for c in (1.0, 1e-8):
+            inst, nr = _instance(m, params, r, 48,
+                                 lambda g: quadratic_field(g, m.origin(), c), c)
+            rhs.append(transport_rhs(inst, nr)["rhs_transport"])
+        assert rhs[1] == pytest.approx(rhs[0], rel=1e-12)
+
     def test_scaling_consistency(self):
         # (u, a) -> (c u, c a) leaves contact structure and bound untouched
         m = euclidean()

@@ -230,6 +230,26 @@ class TestCliExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
+        ["contact", "--model", "hyperbolic", "--k", "1"],
+        ["abp-check", "--model", "hyperbolic", "--k", "1", "--K", "1"],
+        ["harnack-check", "--which", "growth", "--model", "hyperbolic", "--k", "1", "--K", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unresolved_ring_gap_exits_two(self, argv, tmp_path, capsys):
+        # at r = 20 the stored hyperboloid points cannot resolve a ring gap;
+        # abp-check passed there with rhs 2.6e26 against lhs 1.98e4
+        out = tmp_path / "out"
+        assert main([*argv, "--r", "20", "--resolution", "32", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "radius 20 is too large for a contact scan" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_resolved_hyperboloid_contact_runs(self, capsys):
+        assert main(["contact", "--model", "hyperbolic", "--k", "1", "--r", "5",
+                     "--resolution", "32"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
         ["constants", "--resolution", "8"],
         ["contact", "--K", "1"],
         ["abp-check", "--samples", "5"],

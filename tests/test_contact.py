@@ -556,29 +556,33 @@ def _newton_all_points(m, u, a, Y, X):
     return X
 
 
+FLAT_MODELS = [euclidean(), gaussian_plane(1.0)]
+
+
 class TestNewtonFreeze:
     def test_converged_points_leave_after_one_evaluation(self):
-        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 is least at a y/(a + b).  The half
-        # of the vertices started there converge at the first evaluation; the
-        # rest take one exact Newton step and converge at the second
-        m = euclidean()
-        g = _grid(m, n=32)
-        a, b = 1.0, 0.5
-        u = quadratic_field(g, np.zeros(2), b)
-        counts = []
+        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 is least at a y/(a + b) on both
+        # flat charts.  The half of the vertices started there converge at
+        # the first evaluation; the rest take one exact Newton step and
+        # converge at the second
+        for m in FLAT_MODELS:
+            g = _grid(m, n=32)
+            a, b = 1.0, 0.5
+            u = quadratic_field(g, np.zeros(2), b)
+            counts = []
 
-        def deriv(p, frame):
-            if frame is not None:
-                counts.append(len(p))
-            return u.deriv_fn(p, frame)
+            def deriv(p, frame):
+                if frame is not None:
+                    counts.append(len(p))
+                return u.deriv_fn(p, frame)
 
-        Y = g.flat_points()[_disc_indices(g, 0.4)]
-        X0 = Y.copy()
-        half = len(Y) // 2
-        X0[:half] = a * Y[:half] / (a + b)
-        X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, X0)
-        assert counts == [len(Y), len(Y) - half]
-        assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14
+            Y = g.flat_points()[_disc_indices(g, 0.4)]
+            X0 = Y.copy()
+            half = len(Y) // 2
+            X0[:half] = a * Y[:half] / (a + b)
+            X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, X0)
+            assert counts == [len(Y), len(Y) - half], m.kind
+            assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14, m.kind
 
     def test_matches_all_points_newton(self, model, rng):
         g = _grid(model, r=0.5, n=48)
@@ -603,21 +607,40 @@ class TestNewtonFirstStep:
         np.testing.assert_array_equal(hd, np.broadcast_to(np.eye(2), hd.shape))
 
     def test_step_from_the_vertices_is_exact_newton(self):
-        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 from X0 = Y: the first step, taken
-        # with the distance jet (0, I) unevaluated, lands on a y/(a + b), and
-        # every point converges at the second evaluation
-        m = euclidean()
-        g = _grid(m, n=32)
-        a, b = 0.6, 1.7
-        u = quadratic_field(g, np.zeros(2), b)
-        counts = []
+        # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 from X0 = Y on both flat charts:
+        # the first step, with the distance jet (a (x - y), a I) in chart
+        # coordinates, lands on a y/(a + b), and every point converges at
+        # the second evaluation
+        for m in FLAT_MODELS:
+            g = _grid(m, n=32)
+            a, b = 0.6, 1.7
+            u = quadratic_field(g, np.zeros(2), b)
+            counts = []
 
-        def deriv(p, frame):
-            if frame is not None:
-                counts.append(len(p))
-            return u.deriv_fn(p, frame)
+            def deriv(p, frame):
+                if frame is not None:
+                    counts.append(len(p))
+                return u.deriv_fn(p, frame)
 
-        Y = g.flat_points()[_disc_indices(g, 0.4)]
-        X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, Y.copy())
-        assert counts == [len(Y), len(Y)]
-        assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14
+            Y = g.flat_points()[_disc_indices(g, 0.4)]
+            X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y,
+                                      Y.copy())
+            assert counts == [len(Y), len(Y)], m.kind
+            assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14, m.kind
+
+
+class TestNewtonScale:
+    def test_tiny_opening_lands_where_the_unit_opening_does(self, model):
+        # (u, a) -> (c u, c a) scales F_y, its gradient and its Hessian by c
+        # and leaves the Newton step as it is.  At c = 1e-8 det Hess F is
+        # about 4e-16, which an absolute degeneracy test takes for singular,
+        # freezing every point at its vertex
+        g = _grid(model, r=0.5, n=48)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        X = {}
+        for c in (1.0, 1e-8):
+            u = quadratic_field(g, model.origin(), c)
+            X[c] = refine_contact_points(model, u, c, Y, Y)
+            assert np.max(gradient_contact_residual(u, c, X[c], Y)) < 1e-12 * c
+        assert np.max(np.abs(X[1.0] - Y)) > 0.05
+        assert np.max(np.abs(X[1e-8] - X[1.0])) < 1e-14
