@@ -133,12 +133,22 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
 
 
 def _fd_gram(m: ModelSpace, T, rho, dtheta):
-    """det of the first fundamental form of a (rho, theta)-parametrized patch."""
-    t_r = np.gradient(T, rho, axis=0, edge_order=2 if len(rho) > 2 else 1)
-    t_t = (np.roll(T, -1, axis=1) - np.roll(T, 1, axis=1)) / (2.0 * dtheta)
-    g11 = m.tangent_inner(T, t_r, t_r)
-    g22 = m.tangent_inner(T, t_t, t_t)
-    g12 = m.tangent_inner(T, t_r, t_t)
+    """det of the first fundamental form of a (rho, theta)-parametrized patch.
+
+    The differences run on each coordinate plane T[..., i] of the patch and
+    give contiguous planes, whose inner products are summed in the model's
+    own order (Minkowski on the hyperboloid)."""
+    edge_order = 2 if len(rho) > 2 else 1
+    C = [T[..., i] for i in range(T.shape[-1])]
+    t_r = [np.gradient(c, rho, axis=0, edge_order=edge_order) for c in C]
+    t_t = [(np.roll(c, -1, axis=1) - np.roll(c, 1, axis=1)) / (2.0 * dtheta) for c in C]
+
+    def inner(v, w):
+        return m._isum([vi * wi for vi, wi in zip(v, w)])
+
+    g11 = inner(t_r, t_r)
+    g22 = inner(t_t, t_t)
+    g12 = inner(t_r, t_t)
     return g11 * g22 - g12 * g12
 
 
@@ -179,8 +189,15 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     tr = None
     if n_rings is not None and u.has_derivatives:
         tr = transport_rhs(inst, n_rings)
-        max_reach = float(np.max(m.distance(grid.center, tr["contact_points"])))
-        if max_reach >= r - 0.5 * grid.drho:
+        X = tr["contact_points"]
+        finite = np.isfinite(X)
+        if not finite.all():
+            lost = int(np.sum(~finite.all(axis=-1)))
+            return check_le("measure-estimate", "measure-estimate", 1.0, 0.0,
+                            numerical_failure=f"{lost} of {len(X)} refined contact "
+                                              f"points are not finite", **diag)
+        max_reach = float(np.max(m.distance(grid.center, X)))
+        if not max_reach < r - 0.5 * grid.drho:
             return _premise_failure("measure-estimate", "contact set contained in the open ball")
         diag["rhs_transport"] = tr["rhs_transport"]
         diag["equality_gap"] = abs(lhs - tr["rhs_transport"]) / max(lhs, 1e-300)

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import ScalarField, _radial_derivatives
+from .fields import _I_ROWS, ScalarField, _radial_derivatives
 from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
 from .report import CheckReport, _premise_failure, check_le
 
@@ -306,13 +306,15 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     of its grad F are below _NEWTON_TOL and then leaves the live set; the
     loop ends when the live set is empty or after _NEWTON_ITERS steps.
 
-    Flat charts refine in chart coordinates: the frame is the coordinate
-    basis, the jet of rho_y^2/2 is (x - y, I) in closed form, grad F's
-    frame components are its coordinates and the step is (d1, d2).  Curved
-    charts take the jet of rho_y^2/2 from _radial_derivatives and project
-    onto the frame; a first step from the vertices (X0 = Y) there evaluates
-    u's jet alone, since at x = y that of rho_y^2/2 is (0, I), as
-    _radial_derivatives gives it exactly.
+    The 2x2 algebra runs on the Hessian rows (h11, h12, h22) of the jets,
+    a I adding a (1, 0, 1).  Flat charts refine in chart coordinates: the
+    frame is the coordinate basis, the jet of rho_y^2/2 is (x - y, I) in
+    closed form, grad F's frame components are its coordinates, and the
+    step (d1, d2), capped by sqrt(d1^2 + d2^2), adds to each coordinate.
+    Curved charts take the jet of rho_y^2/2 from _radial_derivatives, project
+    onto the frame and step by exp along d1 e1 + d2 e2; a first step from
+    the vertices (X0 = Y) there evaluates u's jet alone, since at x = y that
+    of rho_y^2/2 is (0, I), as _radial_derivatives gives it exactly.
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
@@ -325,15 +327,16 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     live = slice(None)   # every point, by view, until the first converges
     cap = 0.5 * u.grid.radius
     degenerate = _DET_TOL * a * a
+    a_eye = (a * _I_ROWS)[:, None]
     for it in range(_NEWTON_ITERS):
         x = X[live]
         e1, e2 = frame = m.tangent_frame(x)
         gu, hu = u.jet(x, frame)
         if flat:
             # the jet of a rho_y^2 / 2 = a |x - y|^2 / 2 is (a (x - y), a I)
-            g, h = gu + a * (x - Y[live]), hu + a * np.eye(2)
+            g, h = gu + a * (x - Y[live]), hu + a_eye
         elif it == 0 and np.array_equal(X, Y):
-            g, h = gu, hu + a * np.eye(2)
+            g, h = gu, hu + a_eye
         else:
             # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
             g, h = _radial_derivatives(m, Y[live], x, lambda r: a * r,
@@ -341,15 +344,23 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
             g += gu
             h += hu
         g1, g2 = (g[:, 0], g[:, 1]) if flat else (m.tangent_inner(x, g, e) for e in frame)
-        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        h11, h12, h22 = h
         det = h11 * h22 - h12 * h12
         inv = 1.0 / np.where(np.abs(det) > degenerate, det, np.inf)   # 0 where h degenerates
         d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
-        step = np.stack([d1, d2], axis=1) if flat else d1[:, None] * e1 + d2[:, None] * e2
-        ln = m.tangent_norm(x, step)
-        if np.any(ln > cap):
-            step *= (cap / np.maximum(ln, cap))[:, None]
-        X[live] = m.exp(x, step)
+        if flat:
+            ln = np.sqrt(d1 * d1 + d2 * d2)
+            if np.any(ln > cap):
+                s = cap / np.maximum(ln, cap)
+                d1, d2 = d1 * s, d2 * s
+            X[live, 0] = x[:, 0] + d1
+            X[live, 1] = x[:, 1] + d2
+        else:
+            step = d1[:, None] * e1 + d2[:, None] * e2
+            ln = m.tangent_norm(x, step)
+            if np.any(ln > cap):
+                step *= (cap / np.maximum(ln, cap))[:, None]
+            X[live] = m.exp(x, step)
         done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
         if done.any():
             live = np.arange(len(X))[live][~done]

@@ -5,8 +5,10 @@ from closed forms additionally expose evaluators at arbitrary points, which
 the contact-set and transport machinery use for sub-cell refinement: value_fn
 and one deriv_fn(p, frame) returning the gradient when frame is None, or
 (grad, h) for an orthonormal tangent frame (e1, e2) at p.  Gradients are
-embedding-space tangent vectors; h holds the 2x2 Hessian components
-h_ab = Hess u(e_a, e_b), so no evaluation builds an embedding matrix.
+embedding-space tangent vectors; h holds the Hessian components
+h_ab = Hess u(e_a, e_b) as three rows (h11, h12, h22), shape (3,) + batch,
+each row contiguous, so the 2x2 algebra of a caller reads whole rows and no
+evaluation builds a matrix but ScalarField.hess.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ _N_BUMPS = 4
 _BETA_RANGE = (2.0, 8.0)
 _CENTER_FRAC = 0.6
 
+# the identity as Hessian rows (h11, h12, h22)
+_I_ROWS = np.array([1.0, 0.0, 1.0])
+
 
 @dataclass
 class ScalarField:
@@ -61,9 +66,9 @@ class ScalarField:
         return self._derivatives(np.asarray(p, float), None)
 
     def jet(self, p, frame=None):
-        """(grad, h) from one derivative evaluation: h[..., a, b] is
-        Hess u(e_a, e_b) in the orthonormal frame (e1, e2) at p, by default
-        m.tangent_frame(p)."""
+        """(grad, h) from one derivative evaluation: h = (h11, h12, h22) has
+        shape (3,) + p.shape[:-1], h_ab = Hess u(e_a, e_b) in the orthonormal
+        frame (e1, e2) at p, by default m.tangent_frame(p)."""
         p = np.asarray(p, float)
         if frame is None:
             frame = self.grid.model.tangent_frame(p)
@@ -71,20 +76,22 @@ class ScalarField:
 
     def hess(self, p):
         """The Hessian as an embedding matrix sum_ab h_ab e_a@e_b, the form
-        hess_form contracts."""
+        hess_form contracts, from the 2x2 matrix of the rows (h12 twice)."""
         frame = self.grid.model.tangent_frame(np.asarray(p, float))
         E = np.stack(frame, -2)
-        return np.einsum("...ai,...ab,...bj->...ij", E, self.jet(p, frame)[1], E)
+        h11, h12, h22 = self.jet(p, frame)[1]
+        h = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
+        return np.einsum("...ai,...ab,...bj->...ij", E, h, E)
 
     def laplacian(self, p):
         """Metric Laplacian: the trace h11 + h22 of the frame components."""
         h = self.jet(p)[1]
-        return h[..., 0, 0] + h[..., 1, 1]
+        return h[0] + h[2]
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
         grad, h = self.jet(p)
-        return _laplacian_nu(self.grid.model, p, grad, h[..., 0, 0] + h[..., 1, 1])
+        return _laplacian_nu(self.grid.model, p, grad, h[0] + h[2])
 
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
@@ -113,15 +120,16 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     psi, psi' and w, the tangent at p toward the centre, all come from the
     one chord decomposition m._polar(p, center).  With d2f it also returns
     the Hessian: its trace f'' + k, which needs no frame, when frame is None,
-    and else its components in the orthonormal frame (e1, e2) at p; with the
-    cosines c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
+    and else its components in the orthonormal frame (e1, e2) at p, the rows
+    h = (h11, h12, h22) of shape (3,) + batch; with the cosines
+    c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
 
         h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
 
     Within 1e-8 of the centre the Hessian is its limit f''(0) I, so f must
     be even at 0 (f'(0) = 0); at the centre itself the jet is exactly
-    (0, f''(0) I).  df and d2f map rho to f' and f''; center broadcasts
-    against p.
+    (0, f''(0) I), the rows (f''(0), 0, f''(0)).  df and d2f map rho to f'
+    and f''; center broadcasts against p.
     """
     p = np.asarray(p, float)
     rho, psi, dpsi, w = m._polar(p, center)
@@ -140,10 +148,10 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     c1, c2 = (m.tangent_inner(p, w, e) / psi for e in frame)
     if near:   # any unit e_r gives the limit; take c = (1, 0)
         c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.0, c2)
-    h = np.empty(c1.shape + (2, 2))
-    h[..., 0, 0] = d2 * c1 * c1 + k * c2 * c2
-    h[..., 0, 1] = h[..., 1, 0] = (d2 - k) * c1 * c2
-    h[..., 1, 1] = d2 * c2 * c2 + k * c1 * c1
+    h = np.empty((3,) + c1.shape)
+    h[0] = d2 * c1 * c1 + k * c2 * c2
+    h[1] = (d2 - k) * c1 * c2
+    h[2] = d2 * c2 * c2 + k * c1 * c1
     return grad, h
 
 
@@ -156,7 +164,7 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
 
     def deriv(p, frame):
         grad = np.zeros(np.asarray(p).shape[:-1] + (d,))
-        return grad if frame is None else (grad, np.zeros(grad.shape[:-1] + (2, 2)))
+        return grad if frame is None else (grad, np.zeros((3,) + grad.shape[:-1]))
 
     vals = np.full(grid.shape, float(c))
     return ScalarField(grid, vals, val, deriv)
@@ -193,10 +201,17 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
             return 0.5 * b * np.einsum("...i,...i->...", d, d)
 
         def deriv(p, frame):
-            grad = b * (np.asarray(p, float) - c)
+            # b (p - c) by coordinate: a (2,) centre broadcast over the
+            # points' last axis runs one inner loop per point
+            p = np.asarray(p, float)
+            grad = np.empty(p.shape)
+            for i in range(2):
+                grad[..., i] = b * (p[..., i] - c[i])
             if frame is None:
                 return grad
-            return grad, np.tile(b * np.eye(2), grad.shape[:-1] + (1, 1))
+            h = np.empty((3,) + grad.shape[:-1])
+            h[...] = (b * _I_ROWS).reshape((3,) + (1,) * (h.ndim - 1))
+            return grad, h
 
         vals = val(grid.points)
         return ScalarField(grid, vals, val, deriv)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from abplab.abp import AbpInstance, abp_check, d_bound, disc_vertex_indices, transport_rhs
+from abplab import abp
+from abplab.abp import (AbpInstance, _fd_gram, abp_check, d_bound, disc_vertex_indices,
+                        transport_rhs)
 from abplab.constants import CurvatureParams
 from abplab.fields import ScalarField, constant_field, quadratic_field, random_bump_field
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.report import seeded_rng
+from conftest import ALL_MODELS
 
 
 class TestDBound:
@@ -134,6 +137,37 @@ class TestHypothesisScreens:
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on the ball"
 
+    @pytest.mark.parametrize("set_stride", [0, 1])
+    def test_overflowing_refinement_is_a_numerical_failure(self, set_stride):
+        # at b = 1e300 Newton's h11 h22 overflows and every refined point is
+        # NaN: the verdict fails by name on either basis
+        m = euclidean()
+        inst, nr = _instance(m, CurvatureParams(0, 2, 1.0), 1.0, 48,
+                             lambda g: quadratic_field(g, m.origin(), 1e300), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = abp_check(inst, set_stride=set_stride, n_rings=nr)
+        assert not rep.passed
+        n = len(inst.E)
+        assert rep.diagnostics["numerical_failure"] == (
+            f"{n} of {n} refined contact points are not finite")
+        assert "rhs_transport" not in rep.diagnostics
+
+    def test_nan_reach_fails_the_open_ball_premise(self, monkeypatch):
+        # finite contact points whose chord from the centre overflows to
+        # inf - inf on the hyperboloid: their reach is NaN, not inside the ball
+        m = hyperbolic(1.0)
+        inst, nr = _instance(m, CurvatureParams(1.0, 2.0, 0.5), 0.5, 48,
+                             lambda g: constant_field(g, 0.0), 1.0)
+        far = np.array([1e200, 0.0, 1e200])
+        monkeypatch.setattr(abp, "transport_rhs", lambda inst, n_rings: {
+            "rhs_transport": 1.0, "min_pointwise_density": 1.0,
+            "contact_points": np.tile(far, (len(inst.E), 1))})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(m.distance(inst.grid.center, far))
+            rep = abp_check(inst, set_stride=0, n_rings=nr)
+        assert not rep.passed
+        assert rep.diagnostics["violated_premise"] == "contact set contained in the open ball"
+
     def test_ricci_premise_on_off_centre_ball(self):
         # B_0.5((1.3, 0)) reaches |x| = 1.8, where the gaussian plane's
         # Ric_{N,nu} at N = 4 falls below 0; the origin ball of radius 0.5 has no gap
@@ -158,7 +192,7 @@ class TestHypothesisScreens:
         def deriv(p, hessian):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = 3.0
-            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
+            return (grad, np.zeros((3,) + grad.shape[:-1])) if hessian else grad
 
         u = ScalarField(grid, val(grid.points), val, deriv)
         E = disc_vertex_indices(grid, grid.radial_rings(0.3))
@@ -237,3 +271,27 @@ class TestTransportInternals:
         # refined points sit at the arccosh conditioning floor (~sqrt(eps))
         Y = inst.grid.points[:nr].reshape(-1, inst.grid.points.shape[-1])
         assert np.max(m.distance(Y, tr["contact_points"])) < 1e-7
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    @pytest.mark.parametrize("n_rings", [2, 7])   # first and second order at the edges
+    def test_fd_gram_matches_the_point_major_form(self, m, n_rings, rng):
+        # a patch of grid points moved off the grid, so every stencil sees
+        # generic differences
+        grid = build_polar_grid(m, m.origin(), 0.5, 24, 24)
+        P = grid.points[:n_rings]
+        e1, e2 = m.tangent_frame(P)
+        c = rng.uniform(-0.01, 0.01, size=(2,) + P.shape[:-1] + (1,))
+        T = m.exp(P, c[0] * e1 + c[1] * e2)
+        got = _fd_gram(m, T, grid.rho[:n_rings], grid.dtheta)
+        assert got.tobytes() == _fd_gram_point_major(m, T, grid.rho[:n_rings],
+                                                     grid.dtheta).tobytes()
+
+
+def _fd_gram_point_major(m, T, rho, dtheta):
+    """_fd_gram on the (..., d) layout of T, through m.tangent_inner."""
+    t_r = np.gradient(T, rho, axis=0, edge_order=2 if len(rho) > 2 else 1)
+    t_t = (np.roll(T, -1, axis=1) - np.roll(T, 1, axis=1)) / (2.0 * dtheta)
+    g11 = m.tangent_inner(T, t_r, t_r)
+    g22 = m.tangent_inner(T, t_t, t_t)
+    g12 = m.tangent_inner(T, t_r, t_t)
+    return g11 * g22 - g12 * g12

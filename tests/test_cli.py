@@ -392,6 +392,22 @@ class TestCliExitCodes:
         assert not rep["pass"]
         assert rep["diagnostics"]["numerical_failure"].startswith("poisson solve did not reach")
 
+    @pytest.mark.parametrize("flags", [["--u", "random", "--a", "1e300"],
+                                       ["--u", "quadratic", "--b", "1e300"]],
+                             ids=["random-a", "quadratic-b"])
+    def test_overflowing_refinement_is_a_named_failure(self, flags, tmp_path, capsys):
+        # Newton's h11 h22 overflows and every refined point is NaN; these runs
+        # passed on the node quadrature with a NaN rhs_transport
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["abp-check", *flags, "--out", str(out)])
+        assert code == 1
+        assert "[FAIL] measure-estimate" in capsys.readouterr().out
+        rep = json.loads((out / "abp_check_report.json").read_text())["reports"][0]
+        n = rep["diagnostics"]["n_vertices"]
+        assert rep["diagnostics"]["numerical_failure"] == (
+            f"{n} of {n} refined contact points are not finite")
+
     def test_sub_p_below_p0_is_a_named_failure(self, tmp_path, capsys):
         # --p reaches the library as given; p < p0 is the check's own premise
         out = tmp_path / "out"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from abplab.contact import (_NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _ring_floor,
+from abplab import contact
+from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _ring_floor,
                             _ring_magnitudes, check_contact_location,
                             compute_contact_set, gradient_contact_residual,
                             refine_contact_points)
@@ -448,7 +449,7 @@ class TestGradientResidual:
         def deriv(p, frame):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = slope
-            return grad if frame is None else (grad, np.zeros(grad.shape[:-1] + (2, 2)))
+            return grad if frame is None else (grad, np.zeros((3,) + grad.shape[:-1]))
 
         u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
@@ -507,7 +508,8 @@ class TestDistanceHessian:
     def test_matches_fd_on_models(self):
         # rho_y^2 / 2 through the shared radial routine: f' = rho, f'' = 1.
         # Its frame components against second differences along e1, e2 and
-        # (e1 + e2)/sqrt(2), off the centre and at it, where h is the identity
+        # (e1 + e2)/sqrt(2), off the centre and at it, where the rows
+        # (h11, h12, h22) are the identity's (1, 0, 1)
         for m in ALL_MODELS:
             o = m.origin()
             e1, e2 = m.tangent_frame(o)
@@ -520,12 +522,12 @@ class TestDistanceHessian:
                 for e in (a1, a2):
                     fd = (f(m.exp(x, h * e)) - f(m.exp(x, -h * e))) / (2 * h)
                     assert fd == pytest.approx(float(m.tangent_inner(x, gd, e)), abs=1e-8)
-                diagonal = 0.5 * (hd[0, 0] + 2.0 * hd[0, 1] + hd[1, 1])
-                for e, want in ((a1, hd[0, 0]), (a2, hd[1, 1]),
+                diagonal = 0.5 * (hd[0] + 2.0 * hd[1] + hd[2])
+                for e, want in ((a1, hd[0]), (a2, hd[2]),
                                 ((a1 + a2) / math.sqrt(2.0), diagonal)):
                     fd2 = (f(m.exp(x, h * e)) - 2 * f(x) + f(m.exp(x, -h * e))) / h**2
                     assert fd2 == pytest.approx(float(want), abs=1e-5)
-            np.testing.assert_array_equal(hd, np.eye(2))
+            np.testing.assert_array_equal(hd, [1.0, 0.0, 1.0])
 
 
 def _newton_all_points(m, u, a, Y, X):
@@ -595,16 +597,69 @@ class TestNewtonFreeze:
         assert np.max(gradient_contact_residual(u, a, X, Y)) < 1e-12
 
 
+def _newton_stacked(m, u, a, Y, X):
+    """The flat-chart loop on stacked operands: a (n, 2, 2) Hessian, and a
+    (n, 2) step capped through tangent_norm and taken through exp."""
+    X = X.copy()
+    live = slice(None)
+    cap = 0.5 * u.grid.radius
+    for _ in range(_NEWTON_ITERS):
+        x = X[live]
+        gu, (h11, h12, h22) = u.jet(x, m.tangent_frame(x))
+        hu = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
+        g, h = gu + a * (x - Y[live]), hu + a * np.eye(2)
+        g1, g2 = g[:, 0], g[:, 1]
+        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        det = h11 * h22 - h12 * h12
+        inv = 1.0 / np.where(np.abs(det) > _DET_TOL * a * a, det, np.inf)
+        step = np.stack([(h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv], axis=1)
+        ln = m.tangent_norm(x, step)
+        if np.any(ln > cap):
+            step *= (cap / np.maximum(ln, cap))[:, None]
+        X[live] = m.exp(x, step)
+        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
+        if done.any():
+            live = np.arange(len(X))[live][~done]
+            if live.size == 0:
+                break
+    return X
+
+
+class TestNewtonFlatStep:
+    @pytest.mark.parametrize("m", FLAT_MODELS, ids=[m.kind for m in FLAT_MODELS])
+    def test_capped_steps_match_the_stacked_loop(self, m, rng, monkeypatch):
+        # every other point starts about 0.9 from its contact, where the
+        # first Newton steps exceed the cap 0.15 = half the grid radius, the
+        # rest at their vertices, inside it; the steps from (d1, d2) land bit
+        # for bit where the stacked loop does
+        g = _grid(m, r=0.3, n=32)
+        a = 1.0
+        u = sum_fields([quadratic_field(g, np.zeros(2), 0.5),
+                        random_bump_field(g, rng, hess_bound=0.25)])
+        Y = g.flat_points()[_disc_indices(g, 0.15)]
+        X0 = Y.copy()
+        X0[::2] += np.array([0.8, -0.5])
+        X = refine_contact_points(m, u, a, Y, X0)
+        assert X.tobytes() == _newton_stacked(m, u, a, Y, X0).tobytes()
+        assert np.max(gradient_contact_residual(u, a, X, Y)) < 1e-12
+        monkeypatch.setattr(contact, "_NEWTON_ITERS", 1)
+        first = np.hypot(*(refine_contact_points(m, u, a, Y, X0) - X0).T)
+        np.testing.assert_allclose(first[::2], 0.15, rtol=1e-12)
+        assert np.max(first[1::2]) < 0.1
+
+
 class TestNewtonFirstStep:
     def test_jet_at_the_centre_is_exact(self, model, rng):
         # the first Newton step from the vertices takes (0, I) without
-        # evaluating it; at p == centre the routine gives exactly that
+        # evaluating it; at p == centre the routine gives exactly that, the
+        # rows (h11, h12, h22) = (1, 0, 1)
         Y = np.stack([random_point(model, rng, 0.5) for _ in range(16)])
         gd, hd = _radial_derivatives(model, Y, Y, lambda r: r, np.ones_like,
                                      model.tangent_frame(Y))
         assert np.all(model.distance(model.origin(), Y) > 0.0)
         np.testing.assert_array_equal(gd, 0.0)
-        np.testing.assert_array_equal(hd, np.broadcast_to(np.eye(2), hd.shape))
+        assert hd.shape == (3, len(Y))
+        np.testing.assert_array_equal(hd, np.broadcast_to([[1.0], [0.0], [1.0]], hd.shape))
 
     def test_step_from_the_vertices_is_exact_newton(self):
         # F_y = (b/2)|x|^2 + (a/2)|x - y|^2 from X0 = Y on both flat charts:

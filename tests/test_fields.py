@@ -92,7 +92,7 @@ class TestLaplacianNu:
         p = m.exp(c, t[:, None] * (np.cos(th)[:, None] * f1 + np.sin(th)[:, None] * f2))
         grad, h = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
         want = radial_field(g, c, f, df, d2f).laplacian_nu(p)
-        np.testing.assert_array_equal(_laplacian_nu(m, p, grad, h[..., 0, 0] + h[..., 1, 1]),
+        np.testing.assert_array_equal(_laplacian_nu(m, p, grad, h[0] + h[2]),
                                       want)
         # the trace path: f'' + k with no frame, against h11 + h22 of the frame
         # components, which carry a few ulps of <e_r, e_a> each
@@ -111,11 +111,12 @@ class TestLaplacianNu:
 
 class TestJet:
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
-    def test_jet_is_grad_and_hess_bitwise(self, m):
+    def test_jet_is_grad_and_hess_bitwise(self, m, monkeypatch):
         # quadratic_field takes its flat-chart path on euclidean and gaussian.
-        # jet's gradient is grad's; its components in the default frame are
-        # those in m.tangent_frame(p), and u.hess assembles them, so
-        # hess_form reads them back; the centre is sampled too
+        # jet's gradient is grad's; its rows (h11, h12, h22) in the default
+        # frame are those in m.tangent_frame(p), and u.hess assembles them
+        # into a 2x2 matrix, h12 bitwise on both sides of the diagonal, whose
+        # embedding form hess_form reads back; the centre is sampled too
         g = _grid(m, n=24)
         parts = [constant_field(g, 1.5), quadratic_field(g, m.origin(), 0.7),
                  bump_field(g, g.points[7, 3], -0.4, 5.0),
@@ -126,13 +127,25 @@ class TestJet:
             grad, h = u.jet(pts)
             for got, want in ((grad, u.grad(pts)), (h, u.jet(pts, (e1, e2))[1])):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert h.shape == (len(pts), 2, 2)
-            assert h[:, 0, 1].tobytes() == h[:, 1, 0].tobytes()
-            H = u.hess(pts)
+            assert h.shape == (3, len(pts))
+            assembled = []   # the 2x2 matrix hess hands to einsum
+
+            def einsum(spec, E, hm, F, einsum=np.einsum):
+                assembled.append(hm)
+                return einsum(spec, E, hm, F)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "einsum", einsum)
+                H = u.hess(pts)
+            (hm,) = assembled
+            assert hm.shape == (len(pts), 2, 2)
+            for got, want in ((hm[:, 0, 0], h[0]), (hm[:, 0, 1], h[1]),
+                              (hm[:, 1, 0], h[1]), (hm[:, 1, 1], h[2])):
+                assert got.tobytes() == want.tobytes()
             scale = max(1.0, float(np.max(np.abs(h))))
             for a, x in enumerate((e1, e2)):
                 for b, y in enumerate((e1, e2)):
-                    assert np.allclose(hess_form(m, H, x, y), h[:, a, b],
+                    assert np.allclose(hess_form(m, H, x, y), hm[:, a, b],
                                        rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -185,10 +198,11 @@ class TestFieldConsistency:
         f1 = np.cos(th) * e1 + np.sin(th) * e2   # a rotated frame per point
         f2 = m.rotate90(pts, f1)
         C = u.jet(pts, (f1, f2))[1]
-        assert C.shape == (len(pts), 2, 2)
+        assert C.shape == (3, len(pts))
+        rows = {(0, 0): C[0], (0, 1): C[1], (1, 0): C[1], (1, 1): C[2]}
         for a, x in enumerate((f1, f2)):
             for b, y in enumerate((f1, f2)):
-                assert np.allclose(C[:, a, b], hess_form(m, H, x, y), rtol=1e-12, atol=1e-14)
+                assert np.allclose(rows[a, b], hess_form(m, H, x, y), rtol=1e-12, atol=1e-14)
 
     def test_random_bump_hessian_bound(self, rng):
         m = hyperbolic(1.0)

@@ -123,7 +123,7 @@ class TestFullCheck:
         def deriv(p, hessian):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = 1.0
-            return (grad, np.zeros(np.asarray(p).shape + (2,))) if hessian else grad
+            return (grad, np.zeros((3,) + grad.shape[:-1])) if hessian else grad
 
         u = ScalarField(g, val(g.points), val, deriv)
         rep = harnack_check_full(params, u, constant_field(g, 0.0))

@@ -269,7 +269,8 @@ class TestContactPositivity:
             L = float(m.tangent_norm(x, v))
             e1 = v / L if L > 0 else m.tangent_frame(x)[0]
             e2 = m.rotate90(x, e1)
-            H = u.jet(x, (e1, e2))[1] / a
+            h11, h12, h22 = u.jet(x, (e1, e2))[1] / a
+            H = np.array([[h11, h12], [h12, h22]])
             st = integrate_jacobi(m, x, H, v, 128)
             assert float(np.min(st.det())) > -1e-9
             # the flow lands on the vertex at time 1
