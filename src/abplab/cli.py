@@ -299,8 +299,9 @@ _SUBCOMMANDS = {
 # the flags of the row that it reads and some other mode does not.  Every mode
 # reads the row's remaining flags; main refuses a listed flag the mode does not read.
 _MODES = {
-    "harnack-check": ("which", {"sup": "resolution", "sub": "resolution p", "full": "resolution",
-                                "growth": "resolution r", "pucci": "samples theta"}),
+    "harnack-check": ("which", {"sup": "resolution N", "sub": "resolution p N",
+                                "full": "resolution N", "growth": "resolution r N",
+                                "pucci": "samples theta"}),
     "hfun": ("fit", {False: "d", True: "dmax"}),
 }
 

@@ -1,18 +1,15 @@
-"""Jacobi matrix ODE along geodesics and the weighted determinant functional.
+"""Jacobi fields along geodesics in closed form, and the weighted determinant functional.
 
-The matrix system J'' + R J = 0 is integrated in a parallel frame aligned
-with the initial velocity.  On the constant-curvature models that frame makes
-R constant: diag(0, k |v|^2) on the sphere, diag(0, -k |v|^2) on the
-hyperboloid, zero on the flat charts.  With Z = (J; J') the system is
-Z' = A Z, A = [[0, I], [-R, 0]], and one classical fixed-step fourth-order
-Runge-Kutta step is exactly Z -> P Z with
+The matrix system J'' + R J = 0, J(0) = I, J'(0) = H0, is written in a
+parallel frame aligned with the initial velocity v.  On the constant-curvature
+models that frame makes R constant, diag(0, kappa |v|^2), so the system
+splits into two scalar equations that the models solve exactly.  With
+L = |v|, cs(t) = dpsi(L t) and sn(t) = psi(L t) / L (sn(t) = t when L = 0):
 
-    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+    J(t)  = diag(1, cs(t)) + diag(t, sn(t)) H0,
+    J'(t) = diag(0, -kappa L^2 sn(t)) + diag(1, cs(t)) H0,
 
-so the integrator builds P once and fills the trajectory of a block of initial
-data by doubling: with Z[0] = Z0, Z[k : 2k] = P^k Z[0 : k] for k = 1, 2, 4, ...
-(the last block cut off at n_steps), squaring P^k between blocks.  That is
-ceil(log2(n_steps + 1)) batched products in place of one product per step.
+filled at n_steps + 1 evenly spaced times on [0, 1].
 
 The per-time diagnostics feed the concavity comparisons: with
 
@@ -30,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ModelSpace
+from .geometry import ModelSpace, _model_label
 from .report import CheckReport, check_le
 
 __all__ = [
     "JacobiState",
-    "curvature_matrix",
     "integrate_jacobi",
     "dn_functional",
     "verify_comparison",
@@ -61,41 +57,9 @@ class JacobiState:
         return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
 
 
-def curvature_matrix(m: ModelSpace, v_norm_sq: float) -> np.ndarray:
-    """Constant R in the frame (velocity direction, normal)."""
-    sec = m.sectional()
-    return np.diag([0.0, sec * v_norm_sq])
-
-
-def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
-    """Classical RK4 for J'' = -R J on [0, 1] with fixed steps, R constant.
-
-    Z0 is a (4, m) block of initial data (J; J'); returns the trajectory,
-    shape (n_steps + 1, 4, m), with Z[0] = Z0 and Z[i] = P^i Z0.  It is built
-    by doubling: Z[k : k + c] = P^k Z[0 : c], c = min(k, n_steps + 1 - k), for
-    k = 1, 2, 4, ... up to n_steps, one batched product per power of two.
-    """
-    h = 1.0 / n_steps
-    hA = np.zeros((4, 4))
-    hA[:2, 2:] = h * np.eye(2)
-    hA[2:, :2] = -h * np.asarray(R, float)
-    P = np.eye(4)
-    term = np.eye(4)
-    for k in range(1, 5):
-        term = term @ hA / k
-        P = P + term
-    Z = np.empty((n_steps + 1,) + np.shape(Z0))
-    Z[0] = Z0
-    for j in range(int(n_steps).bit_length()):
-        k = 1 << j
-        c = min(k, n_steps + 1 - k)
-        np.matmul(P, Z[:c], out=Z[k:k + c])
-        P = P @ P  # P^(2k), for the next block
-    return Z
-
-
 def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -> JacobiState:
-    """Jacobi flow data for the geodesic t -> exp_x(t v).
+    """Jacobi flow data for the geodesic t -> exp_x(t v), in closed form at
+    n_steps + 1 evenly spaced times on [0, 1] (n_steps sample intervals).
 
     initial_hessian: 2x2 symmetric matrix, the components of Hess u at x in
     the frame e1 = v/|v|, e2 = e1 rotated by +90 degrees (any orthonormal
@@ -111,11 +75,18 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     L = float(m.tangent_norm(x, v))
     if L >= m.cut_radius:
         raise ValueError("initial speed exceeds the cut radius")
-    Z = _rk4_linear(curvature_matrix(m, L * L), np.vstack([np.eye(2), H0]), n_steps)
     times = np.linspace(0.0, 1.0, n_steps + 1)
+    # exp refuses a hyperboloid radius past float64 before cs and sn overflow
     gamma = m.exp(x, times[:, None] * v[None, :])
+    cs = m.dpsi(L * times)
+    sn = m.psi(L * times) / L if L > 0.0 else times
+    J = np.stack([times[:, None] * H0[0], sn[:, None] * H0[1]], axis=1)
+    J[:, 0, 0] += 1.0
+    J[:, 1, 1] += cs
+    Jdot = np.stack([np.broadcast_to(H0[0], (len(times), 2)), cs[:, None] * H0[1]], axis=1)
+    Jdot[:, 1, 1] -= m.sectional() * L * L * sn
     wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
-    return JacobiState(m, x, v, times, Z[:, :2], Z[:, 2:], wr, gamma)
+    return JacobiState(m, x, v, times, J, Jdot, wr, gamma)
 
 
 def dn_functional(state: JacobiState, N) -> np.ndarray:
@@ -150,8 +121,11 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
 
     by centered second differences, and the radius-uniform form
     D_N'' <= 4 (K/N) r^2 D_N  with |gamma'| <= 2r; the stored lhs is the
-    larger of the two gaps.
+    larger of the two gaps.  m must be the state's own model.
     """
+    if m != state.model:
+        raise ValueError(f"m is {_model_label(m)}, but the state is on "
+                         f"{_model_label(state.model)}")
     D = dn_functional(state, N)
     h = state.times[1] - state.times[0]
     ok = np.isfinite(D)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from abplab.geometry import ModelSpace, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.jacobi import _rk4_linear
 from abplab.report import CheckReport, check_le, seeded_rng
 
 ALL_MODELS = [euclidean(), sphere(1.0), hyperbolic(1.0), gaussian_plane(1.0)]
@@ -139,6 +138,33 @@ def vitali_verify(fam: BallFamily, selected: np.ndarray) -> CheckReport:
 # -- jacobi: the normalized pair and its slope matrix ----------------------------
 
 _T_MIN = 0.05  # verify_ode_structure screens S(t) from this time on
+
+
+def _rk4_linear(R, Z0, n_steps: int) -> np.ndarray:
+    """Classical RK4 for J'' = -R J on [0, 1] with fixed steps, R constant.
+
+    Z0 is a (4, m) block of initial data (J; J'); returns the trajectory,
+    shape (n_steps + 1, 4, m), with Z[0] = Z0 and Z[i] = P^i Z0.  It is built
+    by doubling: Z[k : k + c] = P^k Z[0 : c], c = min(k, n_steps + 1 - k), for
+    k = 1, 2, 4, ... up to n_steps, one batched product per power of two.
+    """
+    h = 1.0 / n_steps
+    hA = np.zeros((4, 4))
+    hA[:2, 2:] = h * np.eye(2)
+    hA[2:, :2] = -h * np.asarray(R, float)
+    P = np.eye(4)
+    term = np.eye(4)
+    for k in range(1, 5):
+        term = term @ hA / k
+        P = P + term
+    Z = np.empty((n_steps + 1,) + np.shape(Z0))
+    Z[0] = Z0
+    for j in range(int(n_steps).bit_length()):
+        k = 1 << j
+        c = min(k, n_steps + 1 - k)
+        np.matmul(P, Z[:c], out=Z[k:k + c])
+        P = P @ P  # P^(2k), for the next block
+    return Z
 
 
 def solve_jacobi_pair(R, n_steps: int = 512):

@@ -107,6 +107,8 @@ MODE_REFUSALS = [
      "--p is not read by harnack-check --which pucci", "pucci-p"),
     (["harnack-check", "--which", "pucci", "--r", "0.5"],
      "--r is not read by harnack-check --which pucci", "pucci-r"),
+    (["harnack-check", "--which", "pucci", "--N", "3"],
+     "--N is not read by harnack-check --which pucci", "pucci-N"),
     (["harnack-check", "--r", "0.5"],
      "--r is not read by harnack-check --which sup", "default-sup-r"),
     (["hfun", "--samples", "64", "--dmax", "0.1"],
@@ -277,7 +279,7 @@ class TestCliExitCodes:
         assert "unrecognized arguments: --R 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["harnack-check", "--which", "pucci", "--N", "inf", "--samples", "10"],
+        ["harnack-check", "--which", "pucci", "--samples", "10"],
         ["barrier-check", "--K", "50", "--R", "3"],
     ], ids=["harnack-pucci-N-inf", "barrier-K-50-R-3"])
     def test_no_unread_ledger_is_built(self, argv, capsys):

@@ -6,21 +6,9 @@ import pytest
 from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.jacobi import (JacobiState, _rk4_linear, _velocity, curvature_matrix, dn_functional,
-                           integrate_jacobi, verify_comparison)
-from conftest import (ALL_MODELS, random_point, random_tangent, solve_jacobi_pair,
+from abplab.jacobi import JacobiState, _velocity, dn_functional, integrate_jacobi, verify_comparison
+from conftest import (ALL_MODELS, _rk4_linear, random_point, random_tangent, solve_jacobi_pair,
                       verify_ode_structure)
-
-
-class TestCurvatureMatrix:
-    def test_flat_zero(self):
-        assert np.all(curvature_matrix(euclidean(), 1.7) == 0.0)
-        assert np.all(curvature_matrix(gaussian_plane(2.0), 0.5) == 0.0)
-
-    def test_constant_curvature_blocks(self):
-        assert np.allclose(curvature_matrix(sphere(1.0), 1.0), np.diag([0.0, 1.0]))
-        assert np.allclose(curvature_matrix(hyperbolic(1.0), 1.0), np.diag([0.0, -1.0]))
-        assert np.allclose(curvature_matrix(sphere(2.0), 0.3), np.diag([0.0, 0.6]))
 
 
 class TestIntegrateJacobi:
@@ -66,16 +54,6 @@ class TestIntegrateJacobi:
         z = integrate_jacobi(m, o, np.zeros((2, 2)), v, 128).J
         assert np.max(np.abs(a - b - c + z)) < 1e-10
 
-    def test_step_halving_fourth_order(self):
-        m = sphere(1.0)
-        o = m.origin()
-        v = 1.1 * m.tangent_frame(o)[1]
-        ref = math.cos(1.1)
-        errs = [abs(float(np.linalg.det(integrate_jacobi(m, o, np.zeros((2, 2)), v, n).J[-1])) - ref)
-                for n in (64, 128)]
-        # fourth order gives 2^4 = 16 (15.9 measured); a third-order scheme gives about 8
-        assert errs[0] / max(errs[1], 1e-18) >= 14.0
-
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError, match="64"):
             integrate_jacobi(euclidean(), np.zeros(2), np.zeros((2, 2)), np.array([0.1, 0.0]), 16)
@@ -88,6 +66,38 @@ class TestIntegrateJacobi:
         g = x[None, :] + st.times[:, None] * v[None, :]
         expect = np.exp(-(0.5 * np.einsum("ij,ij->i", g, g) - 0.5 * x @ x))
         assert np.allclose(st.weight_ratio, expect, atol=1e-14)
+
+    @pytest.mark.parametrize("m", ALL_MODELS + [sphere(4.0)],
+                             ids=[m.kind for m in ALL_MODELS] + ["sphere-k4"])
+    def test_matches_closed_form_at_every_sample(self, m, rng):
+        # R = diag(0, kappa L^2) in the frame (v/L, its rotation): each sample
+        # against the scalar solutions, evaluated by math.cos/cosh one at a time
+        kappa = m.sectional()
+        for L in [0.0] + list(rng.uniform(0.05, 0.9 * min(m.cut_radius, 2.0), size=8)):
+            p = random_point(m, rng, 0.3)
+            H = rng.normal(size=(2, 2))
+            H = 0.5 * (H + H.T)
+            st = integrate_jacobi(m, p, H, random_tangent(m, p, L, rng), 256)
+            w = math.sqrt(abs(kappa)) * float(m.tangent_norm(p, st.v))
+            for t, J, Jdot in zip(st.times, st.J, st.Jdot):
+                if w == 0.0:   # flat, or v = 0
+                    cs, sn, dcs = 1.0, t, 0.0
+                elif kappa > 0:
+                    cs, sn, dcs = math.cos(w * t), math.sin(w * t) / w, -w * math.sin(w * t)
+                else:
+                    cs, sn, dcs = math.cosh(w * t), math.sinh(w * t) / w, w * math.sinh(w * t)
+                exact = np.diag([1.0, cs]) + np.diag([t, sn]) @ H
+                exact_dot = np.diag([0.0, dcs]) + np.diag([1.0, cs]) @ H
+                scale = max(1.0, float(np.max(np.abs(exact))), float(np.max(np.abs(exact_dot))))
+                err = max(float(np.max(np.abs(J - exact))), float(np.max(np.abs(Jdot - exact_dot))))
+                assert err <= 8.0 * np.finfo(float).eps * scale, (L, t, err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_hyperboloid_radius_past_float64_refused_by_name(self):
+        m = hyperbolic(1.0)
+        o = m.origin()
+        with pytest.raises(ValueError, match="radius 800 is too large for the float64 range"):
+            integrate_jacobi(m, o, np.zeros((2, 2)), 800.0 * m.tangent_frame(o)[0])
 
 
 class TestDnFunctional:
@@ -145,6 +155,13 @@ class TestComparison:
         expect = 0.5 * (x @ x) - 0.5 * np.einsum("ij,ij->i", st.gamma, st.gamma)
         assert np.max(np.abs(D - expect)) < 1e-12
         assert verify_comparison(st, m, math.inf, 0.0, r=0.5).passed
+
+    def test_another_model_refused(self):
+        m = sphere(1.0)
+        st = integrate_jacobi(m, m.origin(), np.zeros((2, 2)), 0.5 * m.tangent_frame(m.origin())[0])
+        with pytest.raises(ValueError, match=r"m is the sphere model \(k=2, lam=0\), but the "
+                                             r"state is on the sphere model \(k=1, lam=0\)"):
+            verify_comparison(st, sphere(2.0), 2.0, 0.0, r=0.4)
 
     @pytest.mark.parametrize("m,N,K", [
         (euclidean(), 2.0, 0.0),
