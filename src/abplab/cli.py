@@ -21,7 +21,7 @@ from . import geometry
 from .abp import AbpInstance, abp_check, disc_vertex_indices
 from .barrier import BarrierSpec, check_ricci_comparison, junction_residuals, verify_barrier
 from .constants import CurvatureParams, build_ledger, verify_ledger
-from .contact import _ring_floor, _ring_magnitudes, compute_contact_set, gradient_contact_residual
+from .contact import compute_contact_set, gradient_contact_residual
 from .fields import ScalarField, constant_field, quadratic_field, random_bump_field, sum_fields
 from .geometry import _model_label, build_polar_grid
 from .harnack import growth_check, harnack_check_full, harnack_check_sub, harnack_check_sup
@@ -45,13 +45,14 @@ def _params(args) -> CurvatureParams:
 
 def _scan_grid(m, r, resolution) -> geometry.GeodesicBallGrid:
     """The polar grid of radius r about the origin that a contact scan runs
-    on.  ValueError when the stored points cannot resolve the gap between
-    two adjacent rings, as on the hyperboloid of k = 1 from r = 15 up: the
-    scan's distance table then loses the ring gap, and its verdicts with it."""
+    on.  ValueError when the stored points miss the ring gap drho between
+    two adjacent nodes of a ray by more than 1e-5 drho, as on the
+    hyperboloid of k = 1 from r = 12.75 up at 32^2: the Newton refinement,
+    the gradient residual and the field values read those points, and their
+    verdicts are lost with the gap."""
     grid = build_polar_grid(m, m.origin(), r, resolution, resolution)
-    ring = np.arange(grid.n_r - 1)
-    floor = _ring_floor(m, grid.rho, _ring_magnitudes(grid), ring)[ring, ring + 1]
-    if np.any(floor == 0.0):
+    P = grid.points
+    if np.max(np.abs(m.distance(P[:-1], P[1:]) - grid.drho)) > 1e-5 * grid.drho:
         raise ValueError(f"radius {r:g} is too large for a contact scan on {_model_label(m)}: "
                          f"the {resolution}^2 grid's stored points cannot resolve its ring gaps")
     return grid

@@ -15,20 +15,19 @@ vertex ring and lower bounds over angular blocks of nodes skip only nodes
 that provably lie above the infimum plus the tie tolerance.  The upper bound
 they are compared with is F at real nodes, among them the 3x3 patch about
 the contact found for the same vertex angle on an earlier ring, and each
-chunk of vertices gathers its surviving nodes in one list.  Each vertex
-ring tabulates only the band of node rings that a ring-level floor of F,
-min u plus a floor under the tabulated (a/2) rho^2, cannot exclude; the
-floor's allowance for rounding grows with the stored points' norms, so
-where the table loses precision the band widens to every ring.  A vectorized
-Riemannian Newton refinement upgrades contact locations to sub-cell accuracy
-whenever the field carries closed-form derivatives; on the flat charts it
-works in chart coordinates, where rho_y^2/2 = |x - y|^2/2 has its jet in
-closed form.
+chunk of vertices gathers its surviving nodes in one list.  The tables come
+from the nodes' polar coordinates about the grid centre by the law of
+cosines, so they keep full precision at every radius, and the scan reads no
+stored point.  Each vertex ring tabulates only the band of node rings that a
+ring-level floor of F, min u plus the table's own entry at angle difference
+0 lowered by a relative 2^-40, cannot exclude.  A vectorized Riemannian
+Newton refinement upgrades contact locations to sub-cell accuracy whenever
+the field carries closed-form derivatives; on the flat charts it works in
+chart coordinates, where rho_y^2/2 = |x - y|^2/2 has its jet in closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +52,6 @@ _PATCH = np.array([np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)])
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
 _NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
 _DET_TOL = 1e-14      # a point whose |det Hess F| is at most this times a^2 keeps its iterate
-_FLOOR_ULPS = 64      # eps multiples of _ring_floor's allowance
 
 
 @dataclass
@@ -111,16 +109,20 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     chunk form one slot list, vertex block after vertex block, each in
     ring-major order, so argmin breaks ties as a scan of all nodes does.
 
-    A vertex ring tabulates only a band of node rings.  Ring i is left out
-    when min u over it plus (a/2) floor_i^2 exceeds, by more than _TIE_TOL,
-    the largest F at a seed over the vertex ring, with floor_i from
-    _ring_floor: a floor under the tabulated distances to ring i, whose
-    allowance grows with the stored points' norms, since far out on the
-    hyperboloid the table falls below the exact ring gap.  Every node of a
-    left-out ring then lies more than _TIE_TOL above every vertex's
-    infimum.  The band is the contiguous span of the other rings and of the
-    seeds' patches, so the scan above runs on it unchanged, in the same
-    ring-major order, and returns what the full table would, bit for bit.
+    The tables come from polar coordinates (rho_i, theta_j) about the
+    centre, by the law of cosines of _polar_rho_sq, and the scan reads no
+    stored point.  A vertex ring tabulates only a band of node rings.  Ring
+    i is left out when min u over it plus its floor exceeds, by more than
+    _TIE_TOL, the largest F at a seed over the vertex ring.  The floor is
+    the table's expression at angle difference 0, lowered by a relative
+    2^-40, and lies below every entry of its row: adding the non-negative
+    angular term cannot lower a float, sqrt and the scalings are correctly
+    rounded, and the 2^-40 covers the libm asn (np.arcsin, np.arcsinh),
+    monotone only in practice.  Every node of a left-out ring then lies
+    more than _TIE_TOL above every vertex's infimum.  The band is the
+    contiguous span of the other rings and of the seeds' patches, so the
+    scan above runs on it unchanged, in the same ring-major order, and
+    returns what the full table would, bit for bit.
 
     Parameters
     ----------
@@ -142,13 +144,13 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     uf = u.values.reshape(-1)
     if np.any(np.isnan(uf)):
         raise ValueError("u has NaN values")
-    X = grid.flat_points()
+    n_r, n_t = grid.n_r, grid.n_theta
+    ring, ang = np.divmod(E, n_t)
     if m.sectional() > 0:
-        dE = float(np.max(m.distance(grid.center, X[E])))
+        dE = float(grid.rho[np.max(ring)])
         if 2.0 * grid.radius + 2.0 * dE >= m.domain_radius_limit:
             raise ValueError("sphere domain too large: diam(Omega) + diam(E) "
                              "must stay below pi/(2 sqrt k)")
-    n_r, n_t = grid.n_r, grid.n_theta
     B = _BLOCK
     n_b = -(-n_t // B)
     W = n_b * B   # slots per ring: the nodes, then +inf padding up to whole blocks
@@ -165,8 +167,8 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     # reads a finite entry, so F is +inf there
     column = (np.arange(n_r)[:, None] * (2 * n_t) + np.arange(W)[None, :] % n_t + n_t).ravel()
     in_block = np.arange(B)
+    sin2 = np.sin(0.5 * grid.theta) ** 2   # sin^2 of half each angle difference
 
-    ring, ang = np.divmod(E, n_t)
     order = np.lexsort((ang, ring))
     ring_starts = np.flatnonzero(np.diff(ring[order], prepend=-1))
     # the contact slot last found per vertex angle, at first the node of the
@@ -176,23 +178,25 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     contact = np.empty(n_y, np.int64)
     minval = np.empty(n_y)
     tie_rows, tie_slots = [], []
-    floors = _ring_floor(m, grid.rho, _ring_magnitudes(grid), ring[order[ring_starts]])
+    # per vertex ring, floors of (a/2) rho^2 to each node ring: the table's
+    # entries at angle difference 0, lowered by a relative 2^-40
+    floors = (0.5 * a) * _polar_rho_sq(m, grid.rho, ring[order[ring_starts]][:, None],
+                                       np.arange(n_r), 0.0) * (1.0 - 2.0 ** -40)
     for s, e, floor in zip(ring_starts, np.append(ring_starts[1:], n_y), floors):
         iv = int(ring[order[s]])
         # the band of rings [lo, hi) that can hold a contact: the rings
         # whose floor of F is within _TIE_TOL of the ring's largest F at a
         # seed, and the seeds' patches.  F at a seed is the table's entry,
-        # from node (iv, 0) to the seed turned back by the vertex angle,
-        # raised by a relative 2^-40 lest the library's transcendentals round
-        # a lone pair otherwise than a whole row
+        # from node (iv, 0) to the seed turned back by the vertex angle; it
+        # is raised and the floor lowered by a relative 2^-40, lest the
+        # library's transcendentals round a lone pair otherwise than a row
         jr = ang[order[s:e]]
         seed_ring, seed_ang = np.divmod(seed[jr], W)
-        d = m.distance(X[iv * n_t], X[seed_ring * n_t + (seed_ang - jr) % n_t])
-        ub = np.max(u_slot[seed[jr]] + ((0.5 * a) * d ** 2) * (1.0 + 2.0 ** -40)) + _TIE_TOL
-        band = np.concatenate([np.flatnonzero(u_ring + (0.5 * a) * floor ** 2 <= ub),
-                               seed_ring - 1, seed_ring + 1])
+        rho_sq = _polar_rho_sq(m, grid.rho, iv, seed_ring, sin2[(seed_ang - jr) % n_t])
+        ub = np.max(u_slot[seed[jr]] + ((0.5 * a) * rho_sq) * (1.0 + 2.0 ** -40)) + _TIE_TOL
+        band = np.concatenate([np.flatnonzero(u_ring + floor <= ub), seed_ring - 1, seed_ring + 1])
         lo, hi = max(int(band.min()), 0), min(int(band.max()) + 1, n_r)
-        T = (0.5 * a) * m.distance(X[iv * n_t], X[lo * n_t:hi * n_t]).reshape(-1, n_t) ** 2
+        T = (0.5 * a) * _polar_rho_sq(m, grid.rho, iv, np.arange(lo, hi)[:, None], sin2)
         T_wrap = np.concatenate([T, T], axis=1).reshape(-1)
         T_window = T[:, window].min(axis=2)
         for c in range(s, e, chunk):
@@ -244,37 +248,14 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     return ContactSet(E, _slot_node(contact, W, n_t), minval, ties)
 
 
-def _ring_magnitudes(grid: GeodesicBallGrid) -> np.ndarray:
-    """Largest Euclidean norm of a stored node, per ring."""
-    P = grid.points
-    return np.sqrt(np.max(np.sum(P * P, axis=2), axis=1))
-
-
-def _ring_floor(m: ModelSpace, rho, mag, iv) -> np.ndarray:
-    """Row k, entry i: a floor under every distance m.distance computes from
-    a node of ring iv[k] to a node of ring i, the grid's stored points as
-    given; rho are the ring radii and mag the rings' largest stored norms.
-
-    Exact points on rings of radii rho_i and rho_iv lie at least
-    d = |rho_i - rho_iv| apart, so their chord^2 is at least (2 psi(d/2))^2.
-    Two roundings separate that from the computed chord^2.  Summing squared
-    component differences errs by at most about 5 eps (|p| + |q|)^2.  A
-    stored node sits within a few eps (1 + s rho) |p| of an exact point of
-    its ring, s = sqrt|kappa|: the frame, the angle and the norm of the
-    tangent each round, and the rho-proportional part is the radius error
-    times the point's speed along the ray.  That moves <q - p, q - p> by at
-    most 2 |q - p| (|e_p| + |e_q|).  With |p| and |q| at most mag_i and
-    mag_iv, both fit within _FLOOR_ULPS eps (1 + s (rho_i + rho_iv))
-    (mag_i + mag_iv)^2 several times over.  The floor is the distance of
-    the chord^2 less that allowance, lowered by a relative 2^-40 for the
-    rounding of the map from chord^2 to rho.  Where the allowance outgrows
-    the gap, as on the hyperboloid at large radii, where the tabulated
-    chords lose their precision, the floor is 0.
-    """
-    rv, mv = rho[iv][:, None], mag[iv][:, None]
-    s = math.sqrt(abs(m.sectional()))
-    slack = _FLOOR_ULPS * np.finfo(float).eps * (1.0 + s * (rho + rv)) * (mag + mv) ** 2
-    return m._rho((2.0 * m.psi(0.5 * np.abs(rho - rv))) ** 2 - slack)[0] * (1.0 - 2.0 ** -40)
+def _polar_rho_sq(m: ModelSpace, rho, iv, i, sin2) -> np.ndarray:
+    """rho^2 from node (iv, 0) to nodes of rings i whose angles have
+    sin^2(dtheta/2) = sin2, rho the ring radii, by the polar law of cosines
+    of an isotropic model: psi(d/2)^2 = psi((rho_i - rho_iv)/2)^2
+    + psi(rho_i) psi(rho_iv) sin2, with d = m._rho(4 psi(d/2)^2)."""
+    half = m.psi(0.5 * (rho[i] - rho[iv]))
+    q = half * half + m.psi(rho[i]) * m.psi(rho[iv]) * sin2
+    return m._rho(4.0 * q)[0] ** 2
 
 
 def _slot_node(slot, W, n_t):

@@ -247,9 +247,11 @@ class TestCliExitCodes:
         assert not out.exists()
 
     def test_resolved_hyperboloid_contact_runs(self, capsys):
-        assert main(["contact", "--model", "hyperbolic", "--k", "1", "--r", "5",
-                     "--resolution", "32"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        # r = 10 lies below the first refused radius at 32^2, 12.75
+        for r in ("5", "10"):
+            assert main(["contact", "--model", "hyperbolic", "--k", "1", "--r", r,
+                         "--resolution", "32"]) == 0
+            assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["constants", "--resolution", "8"],

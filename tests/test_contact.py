@@ -1,13 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from abplab import contact
-from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _ring_floor,
-                            _ring_magnitudes, check_contact_location,
-                            compute_contact_set, gradient_contact_residual,
-                            refine_contact_points)
+from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _polar_rho_sq,
+                            check_contact_location, compute_contact_set,
+                            gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
@@ -325,14 +325,15 @@ class TestPrunedScanMatchesBruteForce:
 def _table_brute_force(u, a, E):
     """Oracle through the scan's own per-ring table: F_y(x) = u(x) +
     T_iv[i, (j - jv) mod n_theta] for y = (iv, jv), x = (i, j), with T_iv the
-    (a/2) rho^2 from node (iv, 0); argmin and every node within _TIE_TOL."""
+    (a/2) rho^2 from node (iv, 0) in full _polar_rho_sq rows; argmin and
+    every node within _TIE_TOL."""
     g = u.grid
-    X = g.flat_points()
     n_t = g.n_theta
+    sin2 = np.sin(0.5 * g.theta) ** 2
     F = []
     for y in E:
         iv, jv = divmod(int(y), n_t)
-        T = (0.5 * a) * g.model.distance(X[iv * n_t], X).reshape(g.shape) ** 2
+        T = (0.5 * a) * _polar_rho_sq(g.model, g.rho, iv, np.arange(g.n_r)[:, None], sin2)
         F.append((u.values + T[:, (np.arange(n_t) - jv) % n_t]).reshape(-1))
     F = np.array(F)
     contact = np.argmin(F, axis=1)
@@ -342,67 +343,87 @@ def _table_brute_force(u, a, E):
     return contact, best, ties
 
 
+def _exact_rho_sq(m, rho_v, rho, theta):
+    """rho^2 between the polar nodes (rho_v, 0) and (rho, theta) of m, by the
+    half-angle law of cosines at 60 digits."""
+    with mpmath.workdps(60):
+        s = mpmath.sqrt(abs(mpmath.mpf(m.sectional()))) or mpmath.mpf(1)
+        sn, asn = {"sphere": (mpmath.sin, mpmath.asin),
+                   "hyperbolic": (mpmath.sinh, mpmath.asinh)}.get(m.kind, (lambda t: t, lambda t: t))
+        rv, r = mpmath.mpf(rho_v), mpmath.mpf(rho)
+        q = (sn(s * (r - rv) / 2) ** 2
+             + sn(s * r) * sn(s * rv) * mpmath.sin(mpmath.mpf(theta) / 2) ** 2)
+        return (2 * asn(mpmath.sqrt(q)) / s) ** 2
+
+
 class TestRingBand:
-    """Each vertex ring scans only the band of rings that the floor of
-    tabulated rho^2 from _ring_floor cannot exclude."""
+    """The scan's rho^2 tables come from the polar law of cosines, and each
+    vertex ring scans only the band of rings that the table's entry at
+    angle difference 0, lowered by 2^-40, cannot exclude."""
 
     CASES = ([(euclidean(), r) for r in (1.0, 1e4)] + [(gaussian_plane(1.0), 0.8)]
              + [(sphere(k), f * 0.5 * math.pi / math.sqrt(k)) for k in (1.0, 25.0)
                 for f in (0.05, 0.2)]
-             + [(hyperbolic(1.0), r) for r in (0.5, 5.0, 10.0, 15.0, 20.0, 30.0)])
+             + [(hyperbolic(1.0), r) for r in (0.5, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0)])
+    IDS = [f"{m.kind}-{r:g}" for m, r in CASES]
 
-    @pytest.mark.parametrize("m, r", CASES, ids=[f"{m.kind}-{r:g}" for m, r in CASES])
+    @pytest.mark.parametrize("m, r", CASES, ids=IDS)
+    def test_polar_table_matches_mpmath(self, m, r):
+        g = _grid(m, r=r, n=48)
+        rng = np.random.default_rng(0)
+        iv, i, k = rng.integers(0, 48, size=(3, 300))
+        sin2 = np.sin(0.5 * g.theta) ** 2
+        got = _polar_rho_sq(m, g.rho, iv, i, sin2[k])
+        eps = np.finfo(float).eps
+        for n in range(len(got)):
+            exact = _exact_rho_sq(m, g.rho[iv[n]], g.rho[i[n]], g.theta[k[n]])
+            assert abs(got[n] - exact) <= 4 * eps * exact
+
+    @pytest.mark.parametrize("m, r", CASES, ids=IDS)
     def test_floor_below_every_tabulated_distance(self, m, r):
-        # every ring pair, about the origin and, where the centre fits in
-        # float64 precision, about an off-centre point
-        centres = [m.origin()]
-        if r <= 5.0:
-            v = np.array([0.6, 0.3, 0.0])[:m.embedding_dim] * r
-            if m.embedding_dim == 3:
-                v = m._project_tangent(m.origin(), v)
-            centres.append(m.exp(m.origin(), v))
-        for centre in centres:
-            g = build_polar_grid(m, centre, r, 48, 48)
-            X = g.flat_points()
-            floor = _ring_floor(m, g.rho, _ring_magnitudes(g), np.arange(g.n_r))
-            for iv in range(g.n_r):
-                rho = m.distance(X[iv * g.n_theta], X).reshape(g.shape)
-                assert np.all(floor[iv] <= rho.min(axis=1))
-            if r <= 1.0:   # where the table is accurate, the floor is the ring gap
-                gap = np.abs(g.rho[:, None] - g.rho[None, :])
-                assert np.all(floor >= gap * (1.0 - 1e-6))
+        # the floor the scan bands its rings by, against every entry of the
+        # table rows it stands for; it is the squared ring gap at every radius
+        g = _grid(m, r=r, n=48)
+        rings = np.arange(g.n_r)
+        sin2 = np.sin(0.5 * g.theta) ** 2
+        for iv in rings:
+            floor = _polar_rho_sq(m, g.rho, iv, rings, 0.0) * (1.0 - 2.0 ** -40)
+            T = _polar_rho_sq(m, g.rho, iv, rings[:, None], sin2)
+            assert np.all(floor <= T.min(axis=1))
+            assert np.all(floor >= (g.rho - g.rho[iv]) ** 2 * (1.0 - 1e-12))
 
     @pytest.mark.parametrize("r", [10.0, 15.0])
     def test_table_exact_oracle_far_out(self, r):
-        # Far out on the hyperboloid the table's rho^2 falls below the exact
-        # (rho_i - rho_iv)^2 on some rings.  A node planted on the ray of a
-        # ring-40 vertex, on the ring where the table falls furthest below,
-        # has tabulated F under the vertex's own F = 0, while the exact ring
-        # bound less 2e-9 relative lies above it: a floor from exact
-        # geometry would skip that ring and return the vertex.
+        # Far out on the hyperboloid, rho^2 from the stored points falls
+        # below the exact (rho_i - rho_iv)^2 on some rings.  A node planted
+        # on the ray of a ring-40 vertex, on the ring where it falls
+        # furthest below, has F from the stored points under the vertex's
+        # own F = 0, while its exact F lies above _TIE_TOL: the polar table
+        # keeps the exact gap, so the node loses and the vertex is returned.
         m = hyperbolic(1.0)
         g = _grid(m, r=r, n=48)
         n_t, a = g.n_theta, 1.0
         X = g.flat_points()
         iv, jv = 40, 5
-        T = m.distance(X[iv * n_t], X).reshape(g.shape) ** 2
+        stored = m.distance(X[iv * n_t], X).reshape(g.shape) ** 2
         gap = (g.rho - g.rho[iv]) ** 2
-        deficit = 1.0 - T.min(axis=1) / np.where(gap > 0.0, gap, np.inf)
+        deficit = 1.0 - stored.min(axis=1) / np.where(gap > 0.0, gap, np.inf)
         deficit[iv] = 0.0
         i = int(np.argmax(deficit))
         y, x = iv * n_t + jv, i * n_t + jv
-        assert np.argmin(T[i]) == 0 and deficit[i] > 3e-9
+        assert np.argmin(stored[i]) == 0 and deficit[i] > 3e-9
         vals = np.zeros(g.n_r * n_t)
         vals[x] = -0.5 * a * gap[i] * (1.0 - 3e-9)
         u = ScalarField(g, vals.reshape(g.shape))
-        assert vals[x] + 0.5 * a * T[i, 0] < 0.0
+        assert vals[x] + 0.5 * a * stored[i, 0] < 0.0
         assert vals[x] + 0.5 * a * gap[i] * (1.0 - 2e-9) > _TIE_TOL
         cs = compute_contact_set(u, a, np.array([y]))
         contact, best, ties = _table_brute_force(u, a, np.array([y]))
-        assert cs.contact_of.tolist() == contact.tolist() == [x]
-        assert np.array_equal(cs.min_values, best) and cs.ties.tolist() == ties == []
+        assert cs.contact_of.tolist() == contact.tolist() == [y]
+        assert cs.min_values.tolist() == best.tolist() == [0.0]
+        assert cs.ties.tolist() == ties == []
 
-    @pytest.mark.parametrize("r", [10.0, 15.0, 20.0])
+    @pytest.mark.parametrize("r", [10.0, 15.0, 20.0, 50.0])
     def test_scan_matches_table_oracle_far_out(self, r, rng):
         g = _grid(hyperbolic(1.0), r=r, n=32)
         u = random_bump_field(g, rng, hess_bound=0.5)
