@@ -14,7 +14,11 @@ Two discretizations of the right-hand side are produced:
   certification.  Its diagnostic min_pointwise_density, min over y of
   D(x(y))^N times the nu-area element ratio, is 1 in theory but a
   finite-difference estimate biased low by the stencil (0.982 at 48^2 and
-  0.996 at 96^2 for a random euclidean field); no verdict reads it.
+  0.996 at 96^2 for a random euclidean field); no verdict reads it.  The
+  source patch's Gram determinant depends on the grid and n_rings alone, so
+  it is computed once per (grid, n_rings) and kept with the grid, whose
+  arrays are read-only after the build; on a model with V = 0 the weight
+  ratio exp(-(V(x) - V(y))) is exactly 1 and is not formed.
 
 The integrand clamps D at zero for finite N: at genuine contact points the
 bound is nonnegative, so the clamp only suppresses grid-noise negatives; any
@@ -100,7 +104,9 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     E must be the disc of the first n_rings full rings; any other n_rings
     raises ValueError.  Newton refinement starts from the vertices themselves;
     with openings dominating the field's Hessian the functional is strictly
-    convex and the iteration is safe.
+    convex and the iteration is safe.  The source Gram comes from the grid's
+    cache (_source_gram); on an unweighted model (V = 0) the weight ratio,
+    exactly 1 there, is skipped.
     """
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     disc = disc_vertex_indices(grid, n_rings)
@@ -108,23 +114,24 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
         raise ValueError(f"E ({len(inst.E)} vertices) is not the disc of the first "
                          f"{n_rings} rings ({len(disc)} vertices) that n_rings names")
     K, N = inst.params.K, inst.params.N
-    Y = grid.points[:n_rings].reshape(-1, grid.points.shape[-1])
-    X = refine_contact_points(m, u, a, Y, Y)
-    sh = (n_rings, grid.n_theta)
-    T = X.reshape(sh + (X.shape[-1],))
-    src_pts = grid.points[:n_rings]
     # area elements by the same FD stencil on the image and the source, so the
     # chord bias of the stencil cancels in the ratio; the identity map then
     # reproduces the source quadrature weights exactly
+    gram_Y = _source_gram(grid, n_rings)
+    Y = grid.points[:n_rings].reshape(-1, grid.points.shape[-1])
+    X = refine_contact_points(m, u, a, Y, Y)
+    T = X.reshape((n_rings, grid.n_theta, X.shape[-1]))
     gram_T = _fd_gram(m, T, grid.rho[:n_rings], grid.dtheta)
-    gram_Y = _fd_gram(m, src_pts, grid.rho[:n_rings], grid.dtheta)
     ratio = np.sqrt(np.maximum(gram_T, 0.0) / gram_Y)
-    wr = np.exp(-(m.weight_V(T) - m.weight_V(src_pts)))
-    nu_area = grid.weights[:n_rings] * ratio * wr
     lap = u.laplacian_nu(T)
     Gv = _integrand(K, N, grid.radius, a, lap)
+    nu_area = grid.weights[:n_rings] * ratio
+    density = Gv * ratio
+    if m.is_weighted:
+        wr = np.exp(-(m.weight_V(T) - m.weight_V(grid.points[:n_rings])))
+        nu_area *= wr
+        density *= wr
     rhs = float(np.sum(Gv * nu_area))
-    density = Gv * ratio * wr
     return {
         "rhs_transport": rhs,
         "min_pointwise_density": float(np.min(density)),
@@ -132,16 +139,37 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     }
 
 
+def _source_gram(grid: GeodesicBallGrid, n_rings: int):
+    """_fd_gram of the grid's own disc of n_rings rings, computed on the first
+    call and kept, read-only, in grid._grams: it reads only the grid's
+    points, rho and n_theta, which cannot change after the build."""
+    gram = grid._grams.get(n_rings)
+    if gram is None:
+        gram = _fd_gram(grid.model, grid.points[:n_rings], grid.rho[:n_rings], grid.dtheta)
+        gram.flags.writeable = False
+        grid._grams[n_rings] = gram
+    return gram
+
+
 def _fd_gram(m: ModelSpace, T, rho, dtheta):
     """det of the first fundamental form of a (rho, theta)-parametrized patch.
 
     The differences run on each coordinate plane T[..., i] of the patch and
     give contiguous planes, whose inner products are summed in the model's
-    own order (Minkowski on the hyperboloid)."""
+    own order (Minkowski on the hyperboloid).  The theta differences are
+    central and wrap around each ring, written slice by slice into one array
+    per plane."""
     edge_order = 2 if len(rho) > 2 else 1
     C = [T[..., i] for i in range(T.shape[-1])]
     t_r = [np.gradient(c, rho, axis=0, edge_order=edge_order) for c in C]
-    t_t = [(np.roll(c, -1, axis=1) - np.roll(c, 1, axis=1)) / (2.0 * dtheta) for c in C]
+    t_t = []
+    for c in C:
+        d = np.empty(c.shape)
+        np.subtract(c[:, 2:], c[:, :-2], out=d[:, 1:-1])
+        np.subtract(c[:, 1], c[:, -1], out=d[:, 0])
+        np.subtract(c[:, 0], c[:, -2], out=d[:, -1])
+        d /= 2.0 * dtheta
+        t_t.append(d)
 
     def inner(v, w):
         return m._isum([vi * wi for vi, wi in zip(v, w)])

@@ -293,9 +293,10 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     closed form, grad F's frame components are its coordinates, and the
     step (d1, d2), capped by sqrt(d1^2 + d2^2), adds to each coordinate.
     Curved charts take the jet of rho_y^2/2 from _radial_derivatives, project
-    onto the frame and step by exp along d1 e1 + d2 e2; a first step from
-    the vertices (X0 = Y) there evaluates u's jet alone, since at x = y that
-    of rho_y^2/2 is (0, I), as _radial_derivatives gives it exactly.
+    onto the frame and step by exp along d1 e1 + d2 e2.  On every chart a
+    first step from the vertices (X0 = Y) evaluates u's jet alone, since at
+    x = y that of rho_y^2/2 is exactly (0, I): x - y is 0 on the flat charts,
+    and _radial_derivatives gives (0, I) at its centre.
     """
     if not u.has_derivatives:
         raise ValueError("refinement needs closed-form derivatives")
@@ -313,11 +314,11 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
         x = X[live]
         e1, e2 = frame = m.tangent_frame(x)
         gu, hu = u.jet(x, frame)
-        if flat:
+        if it == 0 and np.array_equal(X, Y):
+            g, h = gu, hu + a_eye
+        elif flat:
             # the jet of a rho_y^2 / 2 = a |x - y|^2 / 2 is (a (x - y), a I)
             g, h = gu + a * (x - Y[live]), hu + a_eye
-        elif it == 0 and np.array_equal(X, Y):
-            g, h = gu, hu + a_eye
         else:
             # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
             g, h = _radial_derivatives(m, Y[live], x, lambda r: a * r,

@@ -96,7 +96,10 @@ class ScalarField:
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
     """Delta_nu u = Delta u - g(grad u, grad V) at p, from the gradient of u
-    there and its Laplacian lap, the trace of its Hessian."""
+    there and its Laplacian lap, the trace of its Hessian; lap itself where
+    V = 0."""
+    if not m.is_weighted:
+        return lap
     return lap - m.tangent_inner(p, grad, m.grad_V(p))
 
 

@@ -50,6 +50,11 @@ __all__ = [
 _MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
 _I0_MAX = 700.0  # largest |lam| |c| r of an off-origin weighted ball; np.i0 overflows from 710
 _COSH_MAX = 710.4758600739439  # acosh of the largest float64: cosh and sinh overflow past it
+# the flat charts' tangent frame, the coordinate basis, which tangent_frame
+# broadcasts read-only over a batch
+_E1 = np.array([1.0, 0.0])
+_E2 = np.array([0.0, 1.0])
+_E1.flags.writeable = _E2.flags.writeable = False
 
 
 @cache
@@ -256,11 +261,13 @@ class ModelSpace:
     # -- frames --------------------------------------------------------------
 
     def tangent_frame(self, p):
-        """A deterministic orthonormal tangent frame (e1, e2) at p."""
+        """A deterministic orthonormal tangent frame (e1, e2) at p.  On the
+        flat charts it is the coordinate basis, as read-only views that
+        broadcast one constant pair over p's batch: nothing is copied."""
         p = np.asarray(p, float)
         if self.is_flat_chart:
-            reps = p.shape[:-1] + (1,)
-            return np.tile([1.0, 0.0], reps), np.tile([0.0, 1.0], reps)
+            shape = p.shape[:-1] + (2,)
+            return np.broadcast_to(_E1, shape), np.broadcast_to(_E2, shape)
         # project the ambient x-axis, fall back to y-axis near its poles
         e1 = self._project_tangent(p, np.array([1.0, 0.0, 0.0]))
         n1 = self.tangent_norm(p, e1)
@@ -401,7 +408,7 @@ def gaussian_plane(lam: float) -> ModelSpace:
     return ModelSpace("gaussian_plane", lam=lam)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeodesicBallGrid:
     """Cell-centered geodesic polar grid over B_radius(center).
 
@@ -409,6 +416,12 @@ class GeodesicBallGrid:
     ``weights[i, j] = psi(rho_i) * exp(-V(node)) * drho * dtheta`` so that
     ``weights.sum()`` approximates the nu-measure of the ball.  The cell-centered
     radii avoid the polar coordinate singularity at rho = 0.
+
+    A grid is fixed once made: no field can be rebound, and rho, theta,
+    points and weights are made read-only (center, which may be the caller's
+    own array, is left alone), so what is derived from them may be kept with
+    the grid (the transport verdict's source Gram, in _grams by n_rings) and
+    never goes stale.
     """
 
     model: ModelSpace
@@ -421,6 +434,11 @@ class GeodesicBallGrid:
     points: np.ndarray   # (n_r, n_theta, embedding_dim)
     weights: np.ndarray  # (n_r, n_theta)
     frame: tuple         # orthonormal tangent frame at the center
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.rho, self.theta, self.points, self.weights):
+            arr.flags.writeable = False
 
     @property
     def drho(self) -> float:

@@ -287,6 +287,59 @@ class TestTransportInternals:
                                                      grid.dtheta).tobytes()
 
 
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_source_gram_is_kept_per_grid_and_n_rings(self, m):
+        # each (grid, n_rings) reads its own source patch, computed once
+        grid = build_polar_grid(m, m.origin(), 0.5, 24, 24)
+        other = build_polar_grid(m, m.origin(), 0.4, 24, 24)   # same shape, other points
+        for g, n_rings in ((grid, 5), (grid, 9), (other, 9), (grid, 5)):
+            got = abp._source_gram(g, n_rings)
+            want = _fd_gram(m, g.points[:n_rings], g.rho[:n_rings], g.dtheta)
+            assert got.tobytes() == want.tobytes()
+            assert got is abp._source_gram(g, n_rings) and not got.flags.writeable
+        assert sorted(grid._grams) == [5, 9] and list(other._grams) == [9]
+
+    @pytest.mark.parametrize("m,params,r", [
+        (euclidean(), CurvatureParams(0.0, 2.0, 1.0), 1.0),
+        (sphere(1.0), CurvatureParams(0.0, 2.0, 0.3), 0.3),
+        (hyperbolic(1.0), CurvatureParams(1.0, 2.0, 0.5), 0.5),
+        (gaussian_plane(1.0), CurvatureParams(0.0, 4.0, 0.8), 0.8),
+    ], ids=["euclidean", "sphere", "hyperbolic", "gaussian"])
+    def test_reports_on_a_reused_grid_match_a_fresh_grid(self, m, params, r):
+        # the second run on one grid reads the kept source Gram
+        def field_fn(g):
+            return random_bump_field(g, seeded_rng(3, f"reuse-{m.kind}"), hess_bound=0.5)
+
+        inst, nr = _instance(m, params, r, 48, field_fn, 1.0)
+        fresh, _ = _instance(m, params, r, 48, field_fn, 1.0)
+        for set_stride in (0, 1):
+            want = abp_check(fresh, set_stride=set_stride, n_rings=nr).to_dict()
+            for _ in range(2):
+                assert abp_check(inst, set_stride=set_stride, n_rings=nr).to_dict() == want
+        assert list(inst.grid._grams) == [nr]
+
+    def test_weighted_transport_applies_the_weight_ratio(self):
+        # V != 0 on the gaussian plane: the transport side must carry
+        # exp(-(V(x) - V(y))), in the order weights * ratio * wr
+        m = gaussian_plane(1.0)
+        K, N, a = 0.0, 4.0, 1.0
+        inst, nr = _instance(m, CurvatureParams(K, N, 0.8), 0.8, 48,
+                             lambda g: random_bump_field(g, seeded_rng(5, "weighted"),
+                                                         hess_bound=0.5 * a), a)
+        tr = transport_rhs(inst, nr)
+        g = inst.grid
+        src = g.points[:nr]
+        T = tr["contact_points"].reshape(src.shape)
+        ratio = np.sqrt(np.maximum(_fd_gram(m, T, g.rho[:nr], g.dtheta), 0.0)
+                        / _fd_gram(m, src, g.rho[:nr], g.dtheta))
+        wr = np.exp(-(m.weight_V(T) - m.weight_V(src)))
+        Gv = abp._integrand(K, N, g.radius, a, inst.u.laplacian_nu(T))
+        assert np.max(np.abs(wr - 1.0)) > 1e-3
+        assert tr["rhs_transport"] == float(np.sum(Gv * (g.weights[:nr] * ratio * wr)))
+        assert tr["min_pointwise_density"] == float(np.min(Gv * ratio * wr))
+        assert tr["rhs_transport"] != float(np.sum(Gv * (g.weights[:nr] * ratio)))
+
+
 def _fd_gram_point_major(m, T, rho, dtheta):
     """_fd_gram on the (..., d) layout of T, through m.tangent_inner."""
     t_r = np.gradient(T, rho, axis=0, edge_order=2 if len(rho) > 2 else 1)

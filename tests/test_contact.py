@@ -11,6 +11,7 @@ from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _pol
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.report import seeded_rng
 from conftest import ALL_MODELS, random_point
 
 
@@ -703,6 +704,46 @@ class TestNewtonFirstStep:
                                       Y.copy())
             assert counts == [len(Y), len(Y)], m.kind
             assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14, m.kind
+
+
+    @pytest.mark.parametrize("m", FLAT_MODELS, ids=[m.kind for m in FLAT_MODELS])
+    def test_flat_first_step_takes_the_jet_of_u_alone(self, m):
+        # from X0 = Y the flat charts skip the distance gradient a (x - y),
+        # which is 0 there: the refined points equal, bit for bit, those of
+        # a Newton loop that adds it at every step
+        g = _grid(m, r=0.8, n=48)
+        a = 1.0
+        u = random_bump_field(g, seeded_rng(13, f"first-step-{m.kind}"), hess_bound=0.5 * a)
+        Y = g.flat_points()[_disc_indices(g, 0.36)]
+        X = refine_contact_points(m, u, a, Y, Y)
+        assert np.max(np.abs(X - Y)) > 1e-3
+        assert X.tobytes() == _flat_newton_adding_the_distance_gradient(u, a, Y).tobytes()
+
+
+def _flat_newton_adding_the_distance_gradient(u, a, Y):
+    """The flat-chart Newton loop of refine_contact_points with the jet
+    (a (x - y), a I) of a rho_y^2/2 added at every step, the first one too."""
+    X = Y.copy()
+    live = np.arange(len(X))
+    cap = 0.5 * u.grid.radius
+    for _ in range(_NEWTON_ITERS):
+        x = X[live]
+        gu, hu = u.jet(x)
+        g1, g2 = (gu + a * (x - Y[live])).T
+        h11, h12, h22 = hu + (a * np.array([1.0, 0.0, 1.0]))[:, None]
+        det = h11 * h22 - h12 * h12
+        inv = 1.0 / np.where(np.abs(det) > _DET_TOL * a * a, det, np.inf)
+        d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
+        ln = np.sqrt(d1 * d1 + d2 * d2)
+        if np.any(ln > cap):
+            s = cap / np.maximum(ln, cap)
+            d1, d2 = d1 * s, d2 * s
+        X[live, 0] = x[:, 0] + d1
+        X[live, 1] = x[:, 1] + d2
+        live = live[~(np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL)]
+        if live.size == 0:
+            break
+    return X
 
 
 class TestNewtonScale:

@@ -109,6 +109,21 @@ class TestLaplacianNu:
         np.testing.assert_allclose(got[5:], expect, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", ALL_MODELS + [gaussian_plane(0.0)],
+                         ids=[m.kind for m in ALL_MODELS] + ["gaussian-lam0"])
+def test_laplacian_nu_equals_the_subtracted_form(m, rng):
+    # where V = 0 the helper returns lap itself; it must equal lap minus
+    # g(grad u, grad V) as computed in full, and keep the term where V != 0
+    g = _grid(m, r=0.6)
+    u = random_bump_field(g, rng, hess_bound=1.0)
+    p = g.points[::3, ::5]
+    grad, h = u.jet(p)
+    lap = h[0] + h[2]
+    got = _laplacian_nu(m, p, grad, lap)
+    np.testing.assert_array_equal(got, lap - m.tangent_inner(p, grad, m.grad_V(p)))
+    assert np.array_equal(got, lap) != m.is_weighted
+
+
 class TestJet:
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
     def test_jet_is_grad_and_hess_bitwise(self, m, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -202,6 +203,19 @@ class TestTangency:
         assert model.tangent_inner(p, e2, e2) == pytest.approx(1.0, abs=1e-12)
         assert abs(model.tangent_inner(p, e1, e2)) < 1e-12
 
+    @pytest.mark.parametrize("m", [euclidean(), gaussian_plane(1.0)], ids=["euclidean", "gaussian"])
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=["point", "n", "n_r-n_t"])
+    def test_flat_frame_is_a_read_only_view_of_the_tiled_basis(self, m, batch, rng):
+        p = rng.uniform(-1.0, 1.0, size=batch + (2,))
+        e1, e2 = m.tangent_frame(p)
+        reps = batch + (1,)
+        for e, want in ((e1, np.tile([1.0, 0.0], reps)), (e2, np.tile([0.0, 1.0], reps))):
+            assert e.shape == want.shape and not e.flags.writeable
+            assert e.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                e[...] = 0.0
+        np.testing.assert_array_equal(m.tangent_frame(p)[0], e1)   # the constants are intact
+
     def test_lower_gives_the_inner_product(self, model, rng):
         p = random_point(model, rng, 0.5)
         v = random_tangent(model, p, 0.7, rng)
@@ -370,6 +384,31 @@ class TestPolarGrid:
     def test_sphere_domain_limit(self):
         with pytest.raises(ValueError, match="working-ball"):
             build_polar_grid(sphere(1.0), sphere(1.0).origin(), 1.6, 64, 64)
+
+    @pytest.mark.parametrize("name", ["points", "weights", "rho", "theta"])
+    def test_grid_arrays_are_read_only(self, model, name):
+        # what is kept with a grid (the transport verdict's source Gram) is
+        # derived from these arrays, so no caller may write into them
+        g = build_polar_grid(model, model.origin(), 0.5, 16, 16)
+        arr = getattr(g, name)
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+        np.testing.assert_array_equal(arr, before)
+
+    @pytest.mark.parametrize("name", ["points", "weights", "rho", "theta", "center",
+                                      "radius", "n_r", "model"])
+    def test_grid_fields_cannot_be_rebound(self, name):
+        g = build_polar_grid(euclidean(), np.zeros(2), 0.5, 16, 16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, getattr(g, name))
+
+    def test_grid_leaves_the_callers_centre_writable(self):
+        c = np.array([0.1, -0.2])
+        g = build_polar_grid(euclidean(), c, 0.5, 16, 16)
+        assert g.center is c and c.flags.writeable
 
     @pytest.mark.parametrize("r,end", [(1e160, "large"), (1e-300, "small")])
     def test_radius_outside_float64_names_its_end(self, r, end):
