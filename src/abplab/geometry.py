@@ -419,9 +419,8 @@ class GeodesicBallGrid:
 
     A grid is fixed once made: no field can be rebound, and rho, theta,
     points and weights are made read-only (center, which may be the caller's
-    own array, is left alone), so what is derived from them may be kept with
-    the grid (the transport verdict's source Gram, in _grams by n_rings) and
-    never goes stale.
+    own array, is left alone), so no caller can change the nodes or weights
+    that the checks built on the grid read.
     """
 
     model: ModelSpace
@@ -434,7 +433,6 @@ class GeodesicBallGrid:
     points: np.ndarray   # (n_r, n_theta, embedding_dim)
     weights: np.ndarray  # (n_r, n_theta)
     frame: tuple         # orthonormal tangent frame at the center
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.rho, self.theta, self.points, self.weights):

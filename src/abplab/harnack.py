@@ -169,7 +169,8 @@ def growth_check(params: CurvatureParams, u: ScalarField, f: ScalarField,
     inf_{B_{r/2}} u <= 1, and the scaled f-integral I_{K,N}(f, B_r, 1) over
     the nodes of B_r(x0) below delta0.
 
-    Conclusion: nu[{u <= M} cap B_{r/18}] / nu[B_r] >= mu.
+    Conclusion: nu[{u <= M} cap B_{r/18}] / nu[B_r] >= mu.  A grid with no
+    node in B_{r/18}(x0) cannot measure that set and raises ValueError.
 
     Pipeline: with the barrier psi on B_r(x0), w = u + psi is driven into a
     contact configuration with opening 1/r^2 whose contact set must land in
@@ -186,6 +187,10 @@ def growth_check(params: CurvatureParams, u: ScalarField, f: ScalarField,
     """
     ledger = build_ledger(params)
     grid = u.grid
+    a18 = grid.mask_within(x0, r / 18.0)
+    if not a18.any():
+        raise ValueError(f"no node of u's grid ({_grid_label(grid)}) lies in B_{{r/18}}(x0), "
+                         f"radius {r / 18.0:g}, where the check measures {{u <= M}}")
     anchor = "local-growth"
     failed = _screen("growth-bound", params, u, f, "<=", "B_r", True, anchor=anchor)
     if failed:
@@ -201,7 +206,6 @@ def growth_check(params: CurvatureParams, u: ScalarField, f: ScalarField,
     K, N = params.K, params.N
     w_nodes = grid.flat_weights()
     total = float(np.sum(w_nodes))
-    a18 = grid.mask_within(x0, r / 18.0)
     hit = a18 & (u.values <= ledger.big_m)
     ratio = float(np.sum(grid.weights[hit])) / total
 

@@ -36,6 +36,21 @@ def random_point(m, gen, spread):
     return m.exp(m.origin(), random_tangent(m, m.origin(), spread * np.sqrt(gen.uniform()), gen))
 
 
+def fd_gram(m, T, rho, dtheta):
+    """det of the first fundamental form of a (rho, theta)-parametrized patch
+    T of shape (n_rings, n_theta, d), by finite differences: second-order
+    differences in rho (np.gradient) and central differences in theta that
+    wrap around each ring, their inner products in the model's own order
+    (Minkowski on the hyperboloid).  sqrt(fd_gram(image) / fd_gram(source))
+    is an O(h^2) oracle for the area element of a map between patches."""
+    t_r = np.gradient(T, rho, axis=0, edge_order=2 if len(rho) > 2 else 1)
+    t_t = (np.roll(T, -1, axis=1) - np.roll(T, 1, axis=1)) / (2.0 * dtheta)
+    g11 = m.tangent_inner(T, t_r, t_r)
+    g22 = m.tangent_inner(T, t_t, t_t)
+    g12 = m.tangent_inner(T, t_r, t_t)
+    return g11 * g22 - g12 * g12
+
+
 # -- measure: tail-sum moment bracketing and Vitali covers ---------------------
 
 _K_CAP = 10_000  # most tail-sum terms of lp_distribution_check

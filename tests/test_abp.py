@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from abplab import abp
-from abplab.abp import (AbpInstance, _fd_gram, abp_check, d_bound, disc_vertex_indices,
-                        transport_rhs)
+from abplab.abp import AbpInstance, abp_check, d_bound, disc_vertex_indices, transport_rhs
 from abplab.constants import CurvatureParams
-from abplab.fields import ScalarField, constant_field, quadratic_field, random_bump_field
+from abplab.fields import (ScalarField, bump_field, constant_field, quadratic_field,
+                           random_bump_field)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.report import seeded_rng
-from conftest import ALL_MODELS
+from conftest import ALL_MODELS, fd_gram
 
 
 class TestDBound:
@@ -57,8 +57,8 @@ class TestEqualityCases:
                              lambda g: quadratic_field(g, m.origin(), b), a)
         rep = abp_check(inst, set_stride=1, n_rings=nr)
         assert rep.passed
-        assert rep.diagnostics["equality_gap"] < 1e-12
-        assert rep.diagnostics["min_pointwise_density"] == pytest.approx(1.0, abs=1e-10)
+        assert rep.diagnostics["equality_gap"] <= 1e-13
+        assert abs(rep.diagnostics["min_pointwise_density"] - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("m,params,r", [
         (euclidean(), CurvatureParams(0, 2, 1.0), 1.0),
@@ -108,9 +108,9 @@ class TestInequality:
                                  lambda g: random_bump_field(g, rng, hess_bound=0.5 * a), a)
             rep = abp_check(inst, set_stride=1, n_rings=nr)
             assert rep.passed, (trial, rep.diagnostics)
-            # the density diagnostic carries the FD area-element truncation,
-            # O(h^2) plus one-sided edge rings, so ~1e-3 at this resolution
-            assert rep.diagnostics["min_pointwise_density"] > 1.0 - 5e-3
+            # D^N / det J(1) >= 1 pointwise by the Jacobi comparison, and the
+            # area element is exact: only rounding may show below 1
+            assert rep.diagnostics["min_pointwise_density"] >= 1.0 - 1e-12
 
     def test_sphere_bump_gap_positive_and_stable(self):
         m = sphere(1.0)
@@ -272,33 +272,6 @@ class TestTransportInternals:
         Y = inst.grid.points[:nr].reshape(-1, inst.grid.points.shape[-1])
         assert np.max(m.distance(Y, tr["contact_points"])) < 1e-7
 
-    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
-    @pytest.mark.parametrize("n_rings", [2, 7])   # first and second order at the edges
-    def test_fd_gram_matches_the_point_major_form(self, m, n_rings, rng):
-        # a patch of grid points moved off the grid, so every stencil sees
-        # generic differences
-        grid = build_polar_grid(m, m.origin(), 0.5, 24, 24)
-        P = grid.points[:n_rings]
-        e1, e2 = m.tangent_frame(P)
-        c = rng.uniform(-0.01, 0.01, size=(2,) + P.shape[:-1] + (1,))
-        T = m.exp(P, c[0] * e1 + c[1] * e2)
-        got = _fd_gram(m, T, grid.rho[:n_rings], grid.dtheta)
-        assert got.tobytes() == _fd_gram_point_major(m, T, grid.rho[:n_rings],
-                                                     grid.dtheta).tobytes()
-
-
-    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
-    def test_source_gram_is_kept_per_grid_and_n_rings(self, m):
-        # each (grid, n_rings) reads its own source patch, computed once
-        grid = build_polar_grid(m, m.origin(), 0.5, 24, 24)
-        other = build_polar_grid(m, m.origin(), 0.4, 24, 24)   # same shape, other points
-        for g, n_rings in ((grid, 5), (grid, 9), (other, 9), (grid, 5)):
-            got = abp._source_gram(g, n_rings)
-            want = _fd_gram(m, g.points[:n_rings], g.rho[:n_rings], g.dtheta)
-            assert got.tobytes() == want.tobytes()
-            assert got is abp._source_gram(g, n_rings) and not got.flags.writeable
-        assert sorted(grid._grams) == [5, 9] and list(other._grams) == [9]
-
     @pytest.mark.parametrize("m,params,r", [
         (euclidean(), CurvatureParams(0.0, 2.0, 1.0), 1.0),
         (sphere(1.0), CurvatureParams(0.0, 2.0, 0.3), 0.3),
@@ -306,7 +279,7 @@ class TestTransportInternals:
         (gaussian_plane(1.0), CurvatureParams(0.0, 4.0, 0.8), 0.8),
     ], ids=["euclidean", "sphere", "hyperbolic", "gaussian"])
     def test_reports_on_a_reused_grid_match_a_fresh_grid(self, m, params, r):
-        # the second run on one grid reads the kept source Gram
+        # a verdict leaves nothing behind on its grid that a second run reads
         def field_fn(g):
             return random_bump_field(g, seeded_rng(3, f"reuse-{m.kind}"), hess_bound=0.5)
 
@@ -316,11 +289,10 @@ class TestTransportInternals:
             want = abp_check(fresh, set_stride=set_stride, n_rings=nr).to_dict()
             for _ in range(2):
                 assert abp_check(inst, set_stride=set_stride, n_rings=nr).to_dict() == want
-        assert list(inst.grid._grams) == [nr]
 
     def test_weighted_transport_applies_the_weight_ratio(self):
-        # V != 0 on the gaussian plane: the transport side must carry
-        # exp(-(V(x) - V(y))), in the order weights * ratio * wr
+        # V != 0 on the gaussian plane: each vertex's term must carry
+        # exp(-(V(x) - V(y))), in the order (D^N / det J(1)) * wr * weight
         m = gaussian_plane(1.0)
         K, N, a = 0.0, 4.0, 1.0
         inst, nr = _instance(m, CurvatureParams(K, N, 0.8), 0.8, 48,
@@ -328,23 +300,140 @@ class TestTransportInternals:
                                                          hess_bound=0.5 * a), a)
         tr = transport_rhs(inst, nr)
         g = inst.grid
-        src = g.points[:nr]
-        T = tr["contact_points"].reshape(src.shape)
-        ratio = np.sqrt(np.maximum(_fd_gram(m, T, g.rho[:nr], g.dtheta), 0.0)
-                        / _fd_gram(m, src, g.rho[:nr], g.dtheta))
-        wr = np.exp(-(m.weight_V(T) - m.weight_V(src)))
-        Gv = abp._integrand(K, N, g.radius, a, inst.u.laplacian_nu(T))
+        X = tr["contact_points"]
+        Y = g.points[:nr].reshape(X.shape)
+        frame = m.tangent_frame(X)
+        grad, h = inst.u.jet(X, frame)
+        det = abp._jacobian_det(m, X, grad, h, a, frame)
+        wr = np.exp(-(m.weight_V(X) - m.weight_V(Y)))
+        Gv = abp._integrand(K, N, g.radius, a, inst.u.laplacian_nu(X))
+        W = g.weights[:nr].reshape(-1)
         assert np.max(np.abs(wr - 1.0)) > 1e-3
-        assert tr["rhs_transport"] == float(np.sum(Gv * (g.weights[:nr] * ratio * wr)))
-        assert tr["min_pointwise_density"] == float(np.min(Gv * ratio * wr))
-        assert tr["rhs_transport"] != float(np.sum(Gv * (g.weights[:nr] * ratio)))
+        assert tr["rhs_transport"] == float(np.sum(Gv / det * wr * W))
+        assert tr["min_pointwise_density"] == float(np.min(Gv / det * wr))
+        assert tr["rhs_transport"] != float(np.sum(Gv / det * W))
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_blocked_transport_equals_one_block(self, m, monkeypatch):
+        # the quadrature is pointwise and summed once over the disc, so the
+        # blocks move no bit: one block, 11 of 2 rings, and 4-ring blocks
+        # with a 2-ring last one (22 rings of 48)
+        r = 0.5
+        params = CurvatureParams(1.0 if m.sectional() < 0 else 0.0, 4.0, r)
+        inst, nr = _instance(m, params, r, 48,
+                             lambda g: random_bump_field(g, seeded_rng(9, f"blocks-{m.kind}"),
+                                                         hess_bound=0.5), 1.0)
+        runs = []
+        assert nr == 22
+        for block in (10**6, 96, 151):
+            monkeypatch.setattr(abp, "_BLOCK_POINTS", block)
+            tr = transport_rhs(inst, nr)
+            runs.append((tr["contact_points"].tobytes(), tr["rhs_transport"],
+                         tr["min_pointwise_density"],
+                         abp_check(inst, set_stride=0, n_rings=nr).to_dict()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def _fd_gram_point_major(m, T, rho, dtheta):
-    """_fd_gram on the (..., d) layout of T, through m.tangent_inner."""
-    t_r = np.gradient(T, rho, axis=0, edge_order=2 if len(rho) > 2 else 1)
-    t_t = (np.roll(T, -1, axis=1) - np.roll(T, 1, axis=1)) / (2.0 * dtheta)
-    g11 = m.tangent_inner(T, t_r, t_r)
-    g22 = m.tangent_inner(T, t_t, t_t)
-    g12 = m.tangent_inner(T, t_r, t_t)
-    return g11 * g22 - g12 * g12
+class TestJacobianDet:
+    """det J(1) of the contact map y(x) = exp_x(grad u(x)/a) in closed form,
+    against an oracle that knows nothing of Jacobi fields."""
+
+    @staticmethod
+    def _fd_det(m, u, a, x, eps=1e-5):
+        # central differences of y along exp_x(+-eps e_i); |det| from the Gram
+        # of the two columns, both taken in the ambient (Minkowski) metric
+        def y_of(p):
+            return m.exp(p, u.grad(p) / a)
+
+        cols = [(y_of(m.exp(x, eps * e)) - y_of(m.exp(x, -eps * e))) / (2.0 * eps)
+                for e in m.tangent_frame(x)]
+        g11, g12, g22 = (m.tangent_inner(x, v, w) for v, w in
+                         ((cols[0], cols[0]), (cols[0], cols[1]), (cols[1], cols[1])))
+        return np.sqrt(g11 * g22 - g12 * g12)
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_closed_form_matches_the_difference_jacobian(self, m):
+        # at scattered points of the unit ball: a random field (a generic
+        # Hessian), an off-centre quadratic whose gradient reaches
+        # L = |grad u|/a ~ 1, and one bump at its centre, where grad u = 0
+        a = 1.0
+        grid = build_polar_grid(m, m.origin(), 1.0, 16, 16)
+        u = random_bump_field(grid, seeded_rng(13, f"jacobian-{m.kind}"), hess_bound=0.8 * a)
+        c = grid.points[3, 5]
+        quad = quadratic_field(grid, grid.points[6, 2], 0.8)
+        bump = bump_field(grid, c, -0.2, 3.0)
+        P = grid.points[::2, ::3].reshape(-1, grid.points.shape[-1])
+        assert not np.any(bump.grad(c))
+        for field, x in ((u, P), (quad, P), (bump, np.concatenate([c[None], P[:8]]))):
+            frame = m.tangent_frame(x)
+            grad, h = field.jet(x, frame)
+            got = abp._jacobian_det(m, x, grad, h, a, frame)
+            want = self._fd_det(m, field, a, x)
+            assert np.all(got > 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-8)
+            if field is quad and not m.is_flat_chart:
+                # the curved terms carry weight: the flat form det(I + H/a) is off
+                flat = (1.0 + h[0] / a) * (1.0 + h[2] / a) - (h[1] / a) ** 2
+                assert np.max(np.abs(flat / want - 1.0)) > 0.05
+
+    @pytest.mark.parametrize("m,params,r", [
+        (euclidean(), CurvatureParams(0.0, 2.0, 1.0), 1.0),
+        (sphere(1.0), CurvatureParams(0.0, 2.0, 0.3), 0.3),
+        (hyperbolic(1.0), CurvatureParams(1.0, 2.0, 0.5), 0.5),
+        (gaussian_plane(1.0), CurvatureParams(0.0, 4.0, 0.8), 0.8),
+    ], ids=["euclidean", "sphere", "hyperbolic", "gaussian"])
+    def test_fd_area_element_converges_to_it_at_second_order(self, m, params, r):
+        # the same refined points integrated with the FD Gram of image and
+        # source instead: the difference is the stencil's truncation, so it
+        # falls like h^2 over one disc of radius 3r/8 at 48^2, 96^2, 192^2
+        errs = []
+        for n in (48, 96, 192):
+            grid = build_polar_grid(m, m.origin(), r, n, n)
+            nr = 3 * n // 8
+            u = random_bump_field(grid, seeded_rng(11, f"rate-{m.kind}"), hess_bound=0.5)
+            inst = AbpInstance(m, params, grid, disc_vertex_indices(grid, nr), u, 1.0)
+            tr = transport_rhs(inst, nr)
+            src = grid.points[:nr]
+            T = tr["contact_points"].reshape(src.shape)
+            ratio = np.sqrt(fd_gram(m, T, grid.rho[:nr], grid.dtheta)
+                            / fd_gram(m, src, grid.rho[:nr], grid.dtheta))
+            wr = np.exp(-(m.weight_V(T) - m.weight_V(src)))
+            Gv = abp._integrand(params.K, params.N, r, 1.0, u.laplacian_nu(T))
+            errs.append(abs(tr["rhs_transport"] - float(np.sum(Gv * grid.weights[:nr]
+                                                               * ratio * wr))))
+        assert errs[0] / errs[1] > 2.6 and errs[1] / errs[2] > 3.2, errs
+
+
+class TestFolds:
+    def test_planted_saddle_fails_by_name(self):
+        # u = -(3a/2) x1^2 + x2^2: Hess F_y = diag(-2a, 2 + a) everywhere, so
+        # Newton lands on the saddle x = (-y1/2, a y2/(2 + a)) of every F_y,
+        # inside the ball, where det J(1) = det(I + H/a) = -2 (1 + 2/a) < 0
+        m, a = euclidean(), 1.0
+        grid = build_polar_grid(m, m.origin(), 1.0, 48, 48)
+
+        def val(p):
+            p = np.asarray(p, float)
+            return -1.5 * a * p[..., 0] ** 2 + p[..., 1] ** 2
+
+        def deriv(p, frame):
+            p = np.asarray(p, float)
+            grad = np.stack([-3.0 * a * p[..., 0], 2.0 * p[..., 1]], -1)
+            if frame is None:
+                return grad
+            h = np.empty((3,) + p.shape[:-1])
+            h[0], h[1], h[2] = -3.0 * a, 0.0, 2.0
+            return grad, h
+
+        u = ScalarField(grid, val(grid.points), val, deriv)
+        nr = grid.radial_rings(0.45)
+        E = disc_vertex_indices(grid, nr)
+        rep = abp_check(AbpInstance(m, CurvatureParams(0, 2, 1.0), grid, E, u, a),
+                        set_stride=0, n_rings=nr)
+        assert not rep.passed
+        d = rep.diagnostics
+        n = len(E)
+        assert d["fold_points"] == n
+        assert d["least_jacobian_det"] == pytest.approx(-2.0 * (1.0 + 2.0 / a), rel=1e-14)
+        assert d["numerical_failure"].startswith(f"{n} of {n} contact points are folds")
+        assert "rhs_transport" not in d

@@ -164,6 +164,7 @@ class TestCliExitCodes:
         ["constants", "--R", "1e3", "--K", "1"],
         ["barrier-check", "--alpha", "1e6"],
         ["harnack-check", "--which", "growth", "--r", "1e-300"],
+        ["harnack-check", "--which", "growth", "--resolution", "8"],
         ["doubling", "--N", "inf", "--samples", "2"],
         ["doubling", "--model", "gaussian", "--N", "2", "--samples", "2"],
         ["doubling", "--R", "1e-200", "--samples", "2"],
@@ -177,7 +178,7 @@ class TestCliExitCodes:
             "harnack-pucci-samples-0", "barrier-r-beyond-cut", "hfun-samples-odd",
             "hfun-dmax-negative", "hfun-fit-samples-3", "doubling-K-inf", "constants-K-nan",
             "barrier-alpha-nan", "doubling-lambda-inf", "constants-N-400", "constants-K-1e6",
-            "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300",
+            "constants-R-1e3", "barrier-alpha-1e6", "growth-r-1e-300", "growth-resolution-8",
             "doubling-N-inf", "doubling-gaussian-N-dim", "doubling-measure-underflow",
             "pucci-theta-overflow", "harnack-pucci-theta-overflow", "hfun-weighted",
             "harnack-sup-N-inf"])
@@ -217,7 +218,10 @@ class TestCliExitCodes:
         ["barrier-check", "--model", "euclidean", "--r", "1e6"],
         ["barrier-check", "--model", "euclidean", "--r", "1e-6"],
         ["hfun", "--model", "gaussian", "--lambda", "0", "--samples", "64"],
-    ], ids=["barrier-r-1e6", "barrier-r-1e-6", "hfun-gaussian-lambda-0"])
+        ["harnack-check", "--which", "growth", "--resolution", "10"],
+        ["harnack-check", "--which", "growth", "--resolution", "16"],
+    ], ids=["barrier-r-1e6", "barrier-r-1e-6", "hfun-gaussian-lambda-0", "growth-resolution-10",
+            "growth-resolution-16"])
     def test_edge_input_runs(self, argv, capsys):
         assert main(argv) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -230,6 +234,16 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert f"radius {float(r):g} is too {end} for the float64 range" in captured.err
         assert captured.out == ""
+
+    def test_growth_grid_without_a_core_node_exits_two(self, tmp_path, capsys):
+        # at 8^2 the first ring, 0.0625, lies outside B_{r/18}: the check
+        # exited 1 there, reading an empty core as a failed bound
+        out = tmp_path / "out"
+        assert main(["harnack-check", "--which", "growth", "--resolution", "8",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "lies in B_{r/18}(x0), radius 0.0555556" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["contact", "--model", "hyperbolic", "--k", "1"],

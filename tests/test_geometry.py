@@ -387,8 +387,8 @@ class TestPolarGrid:
 
     @pytest.mark.parametrize("name", ["points", "weights", "rho", "theta"])
     def test_grid_arrays_are_read_only(self, model, name):
-        # what is kept with a grid (the transport verdict's source Gram) is
-        # derived from these arrays, so no caller may write into them
+        # every check built on the grid reads these arrays, so no caller may
+        # write into them
         g = build_polar_grid(model, model.origin(), 0.5, 16, 16)
         arr = getattr(g, name)
         before = arr.copy()

@@ -250,6 +250,16 @@ class TestGrowth:
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "Ric_{N,nu} >= -K g on B_r"
 
+    @pytest.mark.parametrize("R,n", [(1.0, 8), (2.0, 16)])
+    def test_grid_without_a_node_in_the_core_is_refused(self, R, n):
+        # the first ring sits at R/(2n) > r/18: B_{r/18} holds no node, and
+        # the empty {u <= M} cap B_{r/18} read as a failed growth bound
+        m = euclidean()
+        g = build_polar_grid(m, m.origin(), R, n, n)
+        with pytest.raises(ValueError, match=r"lies in B_\{r/18\}\(x0\), radius 0.0555556"):
+            growth_check(CurvatureParams(0.0, 2.0, 1.0), self._well(m, g, 1.0),
+                         constant_field(g, 0.0), m.origin(), 1.0)
+
     def test_operator_premise_screened_before_inf(self):
         # Delta u > 0 and inf_{B_{r/2}} u = 3 > 1: the screen names the operator
         m = euclidean()
