@@ -289,7 +289,8 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
 
     The 2x2 algebra runs on the Hessian rows (h11, h12, h22) of the jets,
     a I adding a (1, 0, 1).  Flat charts refine in chart coordinates: the
-    frame is the coordinate basis, the jet of rho_y^2/2 is (x - y, I) in
+    frame is the coordinate basis, built once per call and sliced to the
+    live points at each step, the jet of rho_y^2/2 is (x - y, I) in
     closed form, grad F's frame components are its coordinates, and the
     step (d1, d2), capped by sqrt(d1^2 + d2^2), adds to each coordinate.
     Curved charts take the jet of rho_y^2/2 from _radial_derivatives, project
@@ -310,9 +311,10 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
     cap = 0.5 * u.grid.radius
     degenerate = _DET_TOL * a * a
     a_eye = (a * _I_ROWS)[:, None]
+    basis = m.tangent_frame(X) if flat else None   # constant: built once, sliced per step
     for it in range(_NEWTON_ITERS):
         x = X[live]
-        e1, e2 = frame = m.tangent_frame(x)
+        e1, e2 = frame = (basis[0][:len(x)], basis[1][:len(x)]) if flat else m.tangent_frame(x)
         gu, hu = u.jet(x, frame)
         if it == 0 and np.array_equal(X, Y):
             g, h = gu, hu + a_eye

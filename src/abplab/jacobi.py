@@ -9,7 +9,13 @@ L = |v|, cs(t) = dpsi(L t) and sn(t) = psi(L t) / L (sn(t) = t when L = 0):
     J(t)  = diag(1, cs(t)) + diag(t, sn(t)) H0,
     J'(t) = diag(0, -kappa L^2 sn(t)) + diag(1, cs(t)) H0,
 
-filled at n_steps + 1 evenly spaced times on [0, 1].
+filled at n_steps + 1 evenly spaced times on [0, 1].  The same pair gives
+the geodesic and its velocity on the curved charts,
+
+    gamma(t) = cs(t) x + sn(t) v,     gamma'(t) = -kappa L^2 sn(t) x + cs(t) v,
+
+while the flat charts keep exp's own form x + t v and gamma' = v.  One
+verdict is thus a handful of whole-array writes.
 
 The per-time diagnostics feed the concavity comparisons: with
 
@@ -17,7 +23,10 @@ The per-time diagnostics feed the concavity comparisons: with
     D_inf(t) = log(weight_ratio(t) * det J(t)),
 
 centered second differences are tested against the curvature form along the
-geodesic, and against the radius-uniform bound 4 (K/N) r^2 D_N.
+geodesic, and against the radius-uniform bound 4 (K/N) r^2 D_N.  When every
+determinant is positive they read the slices D[2:], D[1:-1], D[:-2]; a
+determinant that reaches 0 ends the valid prefix, and the interior times of
+that prefix are gathered by mask.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ __all__ = [
 ]
 
 _FD_SLACK = 1e-5  # verify_comparison's tolerance, relative to the finite-difference scale
+_ROUND_TOL = 32.0 * np.finfo(float).eps  # integrate_jacobi's input tolerance; see its docstring
 
 
 @dataclass
@@ -64,38 +74,86 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     initial_hessian: 2x2 symmetric matrix, the components of Hess u at x in
     the frame e1 = v/|v|, e2 = e1 rotated by +90 degrees (any orthonormal
     frame when v = 0).
+
+    x, v and the Hessian must be finite.  On the curved charts, with |.| the
+    Euclidean norm of the ambient coordinates, x must lie on the model,
+    |<x, x> - 1/kappa| <= 32 eps |x|^2, and v must be tangent at x,
+    |<x, v>| <= 32 eps |x| (|x| + |v|) |x| sqrt|kappa|.  Coordinates within
+    8 ulps of |x| of a point on the model leave at most 2 sqrt(3) 8 eps |x|^2
+    of residual, and evaluating <x, x> and 1/kappa adds 2 eps |x|^2.  A
+    tangent formed from points (log, a projection) carries errors on the
+    scale |x| + |v|, not |v|; |x| sqrt|kappa|, 1 on the sphere and
+    cosh-like on the hyperboloid, is the condition number of projecting an
+    ambient vector onto the tangent plane, as tangent_frame does.
+
+    cs and sn are computed once; J and J' are written column by column from
+    them, and on the curved charts so is gamma.  One exp at t = 1 refuses a
+    hyperboloid radius past float64 by name before cs and sn overflow.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
     x = np.asarray(x, float)
     v = np.asarray(v, float)
     H0 = np.asarray(initial_hessian, float)
+    _require_finite("x", x)
+    _require_finite("v", v)
+    _require_finite("initial Hessian", H0)
     if np.max(np.abs(H0 - H0.T)) > 1e-12:
         raise ValueError("initial Hessian must be symmetric")
+    kappa = m.sectional()
+    flat = m.is_flat_chart
+    if not flat:   # "not <=" also refuses a residual that left float64
+        xn = math.sqrt(float(x @ x))
+        if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
+            raise ValueError(f"x is not a point of {_model_label(m)}")
+        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(kappa))
+        if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
+            raise ValueError("v is not tangent at x")
     L = float(m.tangent_norm(x, v))
     if L >= m.cut_radius:
         raise ValueError("initial speed exceeds the cut radius")
+    if not flat:
+        m.exp(x, v)   # refuses a hyperboloid radius past float64 before cs and sn overflow
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    # exp refuses a hyperboloid radius past float64 before cs and sn overflow
-    gamma = m.exp(x, times[:, None] * v[None, :])
     cs = m.dpsi(L * times)
     sn = m.psi(L * times) / L if L > 0.0 else times
-    J = np.stack([times[:, None] * H0[0], sn[:, None] * H0[1]], axis=1)
-    J[:, 0, 0] += 1.0
-    J[:, 1, 1] += cs
-    Jdot = np.stack([np.broadcast_to(H0[0], (len(times), 2)), cs[:, None] * H0[1]], axis=1)
-    Jdot[:, 1, 1] -= m.sectional() * L * L * sn
-    wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
+    (h00, h01), (h10, h11) = H0.tolist()
+    J = np.empty((len(times), 2, 2))
+    J[:, 0, 0] = times * h00 + 1.0
+    J[:, 0, 1] = times * h01
+    J[:, 1, 0] = sn * h10
+    J[:, 1, 1] = sn * h11 + cs
+    Jdot = np.empty_like(J)
+    Jdot[:, 0, 0] = h00
+    Jdot[:, 0, 1] = h01
+    Jdot[:, 1, 0] = cs * h10
+    Jdot[:, 1, 1] = cs * h11 - kappa * L * L * sn
+    if flat:
+        gamma = x + times[:, None] * v   # exp's flat form, bit for bit
+    else:
+        gamma = cs[:, None] * x + sn[:, None] * v
+    if m.is_weighted:
+        wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
+    else:
+        wr = np.ones(len(times))
     return JacobiState(m, x, v, times, J, Jdot, wr, gamma)
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def dn_functional(state: JacobiState, N) -> np.ndarray:
     """D_N(t) samples, NaN from the first nonpositive determinant on.
 
     Raises ValueError only when the determinant is nonpositive at t = 0; a
-    later crossing ends the valid prefix.
+    later crossing ends the valid prefix.  When every determinant is
+    positive, D_N is formed on the whole array with no mask.
     """
     det = state.det() * state.weight_ratio
+    if det.min() > 0.0:
+        return np.log(det) if math.isinf(N) else det ** (1.0 / N)
     bad = np.flatnonzero(det <= 0.0)
     if bad.size and bad[0] == 0:
         raise ValueError("determinant nonpositive at t = 0")
@@ -121,19 +179,36 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
 
     by centered second differences, and the radius-uniform form
     D_N'' <= 4 (K/N) r^2 D_N  with |gamma'| <= 2r; the stored lhs is the
-    larger of the two gaps.  m must be the state's own model.
+    larger of the two gaps.  m must be the state's own model; K must be
+    finite, r finite and positive, and N at least m.dim (inf allowed).
+
+    When every sample is valid the differences read the slices D[2:],
+    D[1:-1] and D[:-2]; otherwise the interior times of the valid prefix
+    are gathered by mask.  Both give the same values.
     """
     if m != state.model:
         raise ValueError(f"m is {_model_label(m)}, but the state is on "
                          f"{_model_label(state.model)}")
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, not {K:g}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, not {r:g}")
+    if not N >= m.dim:   # also refuses N = nan
+        raise ValueError(f"N must be at least the dimension {m.dim}, not {N:g}")
     D = dn_functional(state, N)
     h = state.times[1] - state.times[0]
     ok = np.isfinite(D)
-    interior = ok[:-2] & ok[1:-1] & ok[2:]
-    if interior.sum() < 8:
+    if ok.all():
+        n_interior = len(D) - 2
+        idx = slice(1, -1)
+        d2 = (D[2:] - 2.0 * D[1:-1] + D[:-2]) / (h * h)
+    else:
+        interior = ok[:-2] & ok[1:-1] & ok[2:]
+        n_interior = int(interior.sum())
+        idx = np.flatnonzero(interior) + 1
+        d2 = (D[idx + 1] - 2.0 * D[idx] + D[idx - 1]) / (h * h)
+    if n_interior < 8:
         raise ValueError("sampling too coarse: too few valid interior times")
-    idx = np.flatnonzero(interior) + 1
-    d2 = (D[idx + 1] - 2.0 * D[idx] + D[idx - 1]) / (h * h)
     ric = m.ricci_nu_quadratic(state.gamma[idx], _velocity(state, idx), N)
     if math.isinf(N):
         rhs = -ric
@@ -141,20 +216,25 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
     else:
         rhs = -(ric / N) * D[idx]
         rhs_uniform = 4.0 * (K / N) * r * r * D[idx]
-    scale = max(1.0, float(np.max(np.abs(d2))), float(np.max(np.abs(rhs))))
-    gap = float(np.max(d2 - rhs))
-    gap_u = float(np.max(d2 - rhs_uniform))
+    scale = max(1.0, float(np.abs(d2).max()), float(np.abs(rhs).max()))
+    gap = float((d2 - rhs).max())
+    gap_u = float((d2 - rhs_uniform).max())
     return check_le("jacobi-concavity", "determinant-comparison",
                     max(gap, gap_u), 0.0, abs_tol=_FD_SLACK * scale,
-                    n_interior=int(interior.sum()), fd_scale=scale,
+                    n_interior=n_interior, fd_scale=scale,
                     comparison_gap=gap, uniform_form_gap=gap_u)
 
 
 def _velocity(state: JacobiState, idx) -> np.ndarray:
-    """gamma'(t) = -kappa L psi(L t) x + dpsi(L t) v, L = |v|: exact on the models."""
+    """gamma'(t) at state.times[idx], exact on the models: v itself on the
+    flat charts, -kappa L psi(L t) x + dpsi(L t) v, L = |v|, on the curved
+    ones, with psi(L t) = L sn(t) and dpsi(L t) = cs(t) evaluated afresh."""
     m = state.model
     x, v = state.base, state.v
+    t = state.times[idx]
+    if m.is_flat_chart:
+        return np.broadcast_to(v, t.shape + v.shape)
     L = float(m.tangent_norm(x, v))
-    Lt = L * state.times[idx]
-    return ((-m.sectional() * L * m.psi(Lt))[:, None] * x[None, :]
-            + m.dpsi(Lt)[:, None] * v[None, :])
+    Lt = L * t
+    return ((-m.sectional() * L * m.psi(Lt))[:, None] * x
+            + m.dpsi(Lt)[:, None] * v)

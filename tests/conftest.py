@@ -1,6 +1,7 @@
 """Shared fixtures and helpers of the test suite, and the lab checks that only
 tests run: Vitali covers and tail-sum moment bracketing (measure), and the
-normalized Jacobi pair with its slope-matrix structure (jacobi)."""
+normalized Jacobi pair with its slope-matrix structure and the stacked
+construction of J and J' (jacobi)."""
 
 from __future__ import annotations
 
@@ -186,6 +187,24 @@ def solve_jacobi_pair(R, n_steps: int = 512):
     """The two normalized Jacobi matrices: J10 (J=I, J'=0) and J01 (J=0, J'=I)."""
     Z = _rk4_linear(R, np.eye(4), n_steps)
     return Z[:, :2, :2], Z[:, :2, 2:]
+
+
+def stacked_jacobi(m, x, H0, v, n_steps: int):
+    """J and J' of integrate_jacobi built by np.stack, an oracle for its
+    column writes: the rows t H0[0], sn H0[1] and H0[0], cs H0[1] stacked,
+    then diag(1, cs) and diag(0, -kappa L^2 sn) added in place, with
+    cs = dpsi(L t) and sn = psi(L t)/L (t when L = 0)."""
+    H0 = np.asarray(H0, float)
+    L = float(m.tangent_norm(x, v))
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    cs = m.dpsi(L * times)
+    sn = m.psi(L * times) / L if L > 0.0 else times
+    J = np.stack([times[:, None] * H0[0], sn[:, None] * H0[1]], axis=1)
+    J[:, 0, 0] += 1.0
+    J[:, 1, 1] += cs
+    Jdot = np.stack([np.broadcast_to(H0[0], (len(times), 2)), cs[:, None] * H0[1]], axis=1)
+    Jdot[:, 1, 1] -= m.sectional() * L * L * sn
+    return J, Jdot
 
 
 def verify_ode_structure(R, rng=None, n_random: int = 32) -> CheckReport:

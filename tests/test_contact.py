@@ -10,7 +10,8 @@ from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _pol
                             gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
                            hess_form, quadratic_field, random_bump_field, sum_fields)
-from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.geometry import (ModelSpace, build_polar_grid, euclidean, gaussian_plane,
+                             hyperbolic, sphere)
 from abplab.report import seeded_rng
 from conftest import ALL_MODELS, random_point
 
@@ -607,6 +608,34 @@ class TestNewtonFreeze:
             X = refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, X0)
             assert counts == [len(Y), len(Y) - half], m.kind
             assert np.max(np.abs(X - a * Y / (a + b))) < 1e-14, m.kind
+
+    @pytest.mark.parametrize("m", FLAT_MODELS, ids=[m.kind for m in FLAT_MODELS])
+    def test_flat_frame_is_built_once_and_sliced(self, m, monkeypatch):
+        # the setting above: the flat charts ask for one frame per call and
+        # hand u's jet the coordinate basis cut to the live points
+        g = _grid(m, n=32)
+        a, b = 1.0, 0.5
+        u = quadratic_field(g, np.zeros(2), b)
+        built, seen = [], []
+        frame_of = ModelSpace.tangent_frame
+        monkeypatch.setattr(ModelSpace, "tangent_frame",
+                            lambda self, p: built.append(np.shape(p)) or frame_of(self, p))
+
+        def deriv(p, frame):
+            if frame is not None:
+                seen.append((len(p), frame))
+            return u.deriv_fn(p, frame)
+
+        Y = g.flat_points()[_disc_indices(g, 0.4)]
+        X0 = Y.copy()
+        half = len(Y) // 2
+        X0[:half] = a * Y[:half] / (a + b)
+        refine_contact_points(m, ScalarField(g, u.values, u.value_fn, deriv), a, Y, X0)
+        assert built == [Y.shape]
+        assert [n for n, _ in seen] == [len(Y), len(Y) - half]
+        for n, (e1, e2) in seen:
+            np.testing.assert_array_equal(e1, np.broadcast_to([1.0, 0.0], (n, 2)))
+            np.testing.assert_array_equal(e2, np.broadcast_to([0.0, 1.0], (n, 2)))
 
     def test_matches_all_points_newton(self, model, rng):
         g = _grid(model, r=0.5, n=48)

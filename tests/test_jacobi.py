@@ -8,7 +8,7 @@ from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import JacobiState, _velocity, dn_functional, integrate_jacobi, verify_comparison
 from conftest import (ALL_MODELS, _rk4_linear, random_point, random_tangent, solve_jacobi_pair,
-                      verify_ode_structure)
+                      stacked_jacobi, verify_ode_structure)
 
 
 class TestIntegrateJacobi:
@@ -96,8 +96,96 @@ class TestIntegrateJacobi:
     def test_hyperboloid_radius_past_float64_refused_by_name(self):
         m = hyperbolic(1.0)
         o = m.origin()
-        with pytest.raises(ValueError, match="radius 800 is too large for the float64 range"):
-            integrate_jacobi(m, o, np.zeros((2, 2)), 800.0 * m.tangent_frame(o)[0])
+        v = 800.0 * m.tangent_frame(o)[0]
+        with pytest.raises(ValueError, match="radius 800 is too large for the float64 range") as e:
+            integrate_jacobi(m, o, np.zeros((2, 2)), v)
+        with pytest.raises(ValueError) as own:
+            m.exp(o, v)
+        assert str(e.value) == str(own.value)
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_columns_equal_the_stacked_oracle(self, m, rng):
+        for L in [0.0] + list(rng.uniform(0.05, 0.9 * min(m.cut_radius, 2.0), size=6)):
+            p = random_point(m, rng, 0.3)
+            v = random_tangent(m, p, L, rng)
+            H = rng.normal(size=(2, 2))
+            H = 0.5 * (H + H.T)
+            for n in (64, 256):
+                st = integrate_jacobi(m, p, H, v, n)
+                J, Jdot = stacked_jacobi(m, p, H, v, n)
+                assert np.array_equal(st.J, J), (L, n)
+                assert np.array_equal(st.Jdot, Jdot), (L, n)
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_gamma_is_exp_along_the_ray(self, m, rng):
+        # bit for bit on the flat charts (exp's own x + t v), and within 4 ulps
+        # of max |gamma| on the curved ones, where gamma = cs x + sn v
+        for L in [0.0] + list(rng.uniform(0.05, 0.9 * min(m.cut_radius, 2.0), size=12)):
+            p = random_point(m, rng, 0.3)
+            v = random_tangent(m, p, L, rng)
+            st = integrate_jacobi(m, p, np.zeros((2, 2)), v, 256)
+            ref = m.exp(p, st.times[:, None] * v)
+            if m.is_flat_chart:
+                assert st.gamma.tobytes() == ref.tobytes()
+            else:
+                scale = float(np.max(np.linalg.norm(ref, axis=1)))
+                err = float(np.max(np.abs(st.gamma - ref)))
+                assert err <= 4.0 * np.finfo(float).eps * scale, (L, err / scale)
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_unit_weight_ratio_off_the_gaussian_plane(self, m, rng):
+        p = random_point(m, rng, 0.3)
+        st = integrate_jacobi(m, p, np.zeros((2, 2)), random_tangent(m, p, 0.6, rng), 128)
+        expect = np.exp(-(m.weight_V(st.gamma) - m.weight_V(p)))
+        assert np.array_equal(st.weight_ratio, expect)
+        assert np.all(st.weight_ratio == 1.0) == (not m.is_weighted)
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("field,value,match", [
+        ("H", [[np.nan, 0.0], [0.0, 1.0]], "initial Hessian must be finite"),
+        ("H", [[0.0, np.inf], [np.inf, 0.0]], "initial Hessian must be finite"),
+        ("v", [np.inf, 0.0], "v must be finite"),
+        ("v", [0.1, np.nan], "v must be finite"),
+        ("x", [np.nan, 0.0], "x must be finite"),
+    ], ids=["H-nan", "H-inf", "v-inf", "v-nan", "x-nan"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_inputs_on_the_plane(self, field, value, match):
+        args = dict(x=np.zeros(2), H=np.zeros((2, 2)), v=np.array([0.3, 0.1]))
+        args[field] = np.array(value)
+        with pytest.raises(ValueError, match=match):
+            integrate_jacobi(euclidean(), args["x"], args["H"], args["v"])
+
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
+    def test_point_off_the_model(self, m):
+        o = m.origin()
+        v = 0.5 * m.tangent_frame(o)[0]
+        with pytest.raises(ValueError, match=r"x is not a point of the \w+ model"):
+            integrate_jacobi(m, 2.0 * o, np.zeros((2, 2)), v)
+        with pytest.raises(ValueError, match="x must be finite"):
+            integrate_jacobi(m, np.array([0.0, np.inf, 1.0]), np.zeros((2, 2)), v)
+
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
+    def test_velocity_with_a_normal_component(self, m, rng):
+        p = random_point(m, rng, 0.3)
+        v = random_tangent(m, p, 0.5, rng)
+        with pytest.raises(ValueError, match="v is not tangent at x"):
+            integrate_jacobi(m, p, np.zeros((2, 2)), v + 0.1 * p)
+        with pytest.raises(ValueError, match="v is not tangent at x"):
+            integrate_jacobi(m, p, np.zeros((2, 2)), v + 1e-12 * p)
+
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
+    def test_rounding_level_inputs_pass(self, m, rng):
+        # points and tangents a few ulps off the model, as exp, log and
+        # tangent_frame leave them, are not refused
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            p = random_point(m, rng, 0.9)
+            v = random_tangent(m, p, rng.uniform(0.0, 1.5), rng)
+            p2 = p * (1.0 + 4.0 * eps * rng.choice([-1.0, 1.0], size=3))
+            v2 = v + 4.0 * eps * np.linalg.norm(p) * rng.choice([-1.0, 1.0], size=3)
+            integrate_jacobi(m, p2, np.zeros((2, 2)), v2, 64)
+            integrate_jacobi(m, p, np.zeros((2, 2)), m.log(p, m.exp(p, v)), 64)
 
 
 class TestDnFunctional:
@@ -119,6 +207,15 @@ class TestDnFunctional:
         assert t0 == pytest.approx(0.5, abs=1e-2)
         D = dn_functional(st, 2.0)
         assert np.all(np.isnan(D[st.times >= 0.5 + 1e-2]))
+
+
+FIVE_CONFIGS = pytest.mark.parametrize("m,N,K", [
+    (euclidean(), 2.0, 0.0),
+    (sphere(1.0), 2.0, 0.0),
+    (hyperbolic(1.0), 2.0, 1.0),
+    (gaussian_plane(1.0), 4.0, 0.0),
+    (gaussian_plane(1.0), math.inf, 0.0),
+], ids=["euclidean", "sphere", "hyperbolic", "gaussian-N4", "gaussian-inf"])
 
 
 class TestComparison:
@@ -163,13 +260,7 @@ class TestComparison:
                                              r"state is on the sphere model \(k=1, lam=0\)"):
             verify_comparison(st, sphere(2.0), 2.0, 0.0, r=0.4)
 
-    @pytest.mark.parametrize("m,N,K", [
-        (euclidean(), 2.0, 0.0),
-        (sphere(1.0), 2.0, 0.0),
-        (hyperbolic(1.0), 2.0, 1.0),
-        (gaussian_plane(1.0), 4.0, 0.0),
-        (gaussian_plane(1.0), math.inf, 0.0),
-    ], ids=["euclidean", "sphere", "hyperbolic", "gaussian-N4", "gaussian-inf"])
+    @FIVE_CONFIGS
     def test_seeded_geodesics(self, m, N, K, rng):
         r = 0.4
         for _ in range(25):
@@ -180,6 +271,71 @@ class TestComparison:
             st = integrate_jacobi(m, p, H, v, 256)
             rep = verify_comparison(st, m, N, K, r=r)
             assert rep.passed, rep.diagnostics
+
+
+    @FIVE_CONFIGS
+    def test_slice_branch_equals_masked_branch(self, m, N, K, rng):
+        # one extra sample with J = 0 after t = 1 sends the same valid samples
+        # down the masked branch: its interior times are the slice branch's
+        for _ in range(10):
+            p = random_point(m, rng, 0.3)
+            v = random_tangent(m, p, rng.uniform(0.05, 0.8), rng)
+            H = 0.3 * rng.normal(size=(2, 2))
+            H = 0.5 * (H + H.T)
+            st = integrate_jacobi(m, p, H, v, 256)
+            assert np.all(np.isfinite(dn_functional(st, N)))
+            h = st.times[1] - st.times[0]
+            longer = JacobiState(m, p, v, np.append(st.times, 1.0 + h),
+                                 np.concatenate([st.J, np.zeros((1, 2, 2))]),
+                                 np.concatenate([st.Jdot, st.Jdot[-1:]]),
+                                 np.append(st.weight_ratio, 1.0),
+                                 np.concatenate([st.gamma, st.gamma[-1:]]))
+            assert np.isnan(dn_functional(longer, N)[-1])
+            a = verify_comparison(st, m, N, K, r=0.4)
+            b = verify_comparison(longer, m, N, K, r=0.4)
+            assert a.to_dict() == b.to_dict()
+            assert a.diagnostics["n_interior"] == 255
+
+    def test_prefix_valid_sphere_state_matches_direct_computation(self):
+        # det J = (1 - 2t)(cos(L t) - 2 sin(L t)/L) first reaches 0 where
+        # tan(L t) = L/2, t = 0.4756 for L = 0.8: the masked branch reads the
+        # interior times of the samples before it
+        m = sphere(1.0)
+        o = m.origin()
+        L, N, r = 0.8, 2.0, 0.4
+        st = integrate_jacobi(m, o, -2.0 * np.eye(2), L * m.tangent_frame(o)[0], 256)
+        t = st.times
+        det = (1.0 - 2.0 * t) * (np.cos(L * t) - 2.0 * np.sin(L * t) / L)
+        k = int(np.flatnonzero(det <= 0.0)[0])
+        assert t[k - 1] < math.atan(L / 2.0) / L < t[k]
+        D = np.sqrt(det[:k])
+        h = t[1] - t[0]
+        d2 = np.array([(D[i + 1] - 2.0 * D[i] + D[i - 1]) / (h * h) for i in range(1, k - 1)])
+        rhs = -(m.sectional() * L * L / N) * D[1:-1]   # Ric(gamma') = kappa L^2
+        rep = verify_comparison(st, m, N, 0.0, r=r)
+        assert rep.passed
+        assert rep.diagnostics["n_interior"] == k - 2
+        assert rep.diagnostics["comparison_gap"] == pytest.approx(float(np.max(d2 - rhs)), abs=1e-9)
+        assert rep.diagnostics["uniform_form_gap"] == pytest.approx(float(np.max(d2)), abs=1e-9)
+        assert rep.diagnostics["fd_scale"] == pytest.approx(
+            max(1.0, float(np.max(np.abs(d2))), float(np.max(np.abs(rhs)))), rel=1e-9)
+
+    @pytest.mark.parametrize("N,K,r,match", [
+        (2.0, math.nan, 0.4, "K must be finite, not nan"),
+        (2.0, math.inf, 0.4, "K must be finite, not inf"),
+        (2.0, 1.0, math.nan, "r must be finite and positive, not nan"),
+        (2.0, 1.0, math.inf, "r must be finite and positive, not inf"),
+        (2.0, 1.0, 0.0, "r must be finite and positive, not 0"),
+        (2.0, 1.0, -0.4, "r must be finite and positive, not -0.4"),
+        (1.0, 1.0, 0.4, "N must be at least the dimension 2, not 1"),
+        (math.nan, 1.0, 0.4, "N must be at least the dimension 2, not nan"),
+    ], ids=["K-nan", "K-inf", "r-nan", "r-inf", "r-zero", "r-negative", "N-1", "N-nan"])
+    def test_parameters_refused(self, N, K, r, match):
+        m = hyperbolic(1.0)
+        o = m.origin()
+        st = integrate_jacobi(m, o, np.zeros((2, 2)), 0.5 * m.tangent_frame(o)[0])
+        with pytest.raises(ValueError, match=match):
+            verify_comparison(st, m, N, K, r=r)
 
 
 FOUR_R = pytest.mark.parametrize(
