@@ -23,10 +23,9 @@ The per-time diagnostics feed the concavity comparisons: with
     D_inf(t) = log(weight_ratio(t) * det J(t)),
 
 centered second differences are tested against the curvature form along the
-geodesic, and against the radius-uniform bound 4 (K/N) r^2 D_N.  When every
-determinant is positive they read the slices D[2:], D[1:-1], D[:-2]; a
-determinant that reaches 0 ends the valid prefix, and the interior times of
-that prefix are gathered by mask.
+geodesic, and against the radius-uniform bound 4 (K/N) r^2 D_N.  The first
+determinant that is not positive ends the valid prefix D[:k], and the
+differences read the slices D[2:k], D[1:k-1], D[:k-2].
 """
 
 from __future__ import annotations
@@ -145,27 +144,25 @@ def _require_finite(name: str, a: np.ndarray) -> None:
 
 
 def dn_functional(state: JacobiState, N) -> np.ndarray:
-    """D_N(t) samples, NaN from the first nonpositive determinant on.
+    """D_N(t) samples on the valid prefix, NaN from the first sample whose
+    determinant is not positive on.
 
-    Raises ValueError only when the determinant is nonpositive at t = 0; a
-    later crossing ends the valid prefix.  When every determinant is
-    positive, D_N is formed on the whole array with no mask.
+    Raises ValueError only when the determinant is nonpositive at t = 0.
     """
     det = state.det() * state.weight_ratio
-    if det.min() > 0.0:
-        return np.log(det) if math.isinf(N) else det ** (1.0 / N)
-    bad = np.flatnonzero(det <= 0.0)
-    if bad.size and bad[0] == 0:
+    k = _prefix_len(det > 0.0)
+    if k == 0:
         raise ValueError("determinant nonpositive at t = 0")
-    ok = det > 0
-    if bad.size:
-        ok[bad[0]:] = False  # the first zero ends the valid sample window
-    out = np.full_like(det, np.nan)
-    if math.isinf(N):
-        out[ok] = np.log(det[ok])
-    else:
-        out[ok] = det[ok] ** (1.0 / N)
+    out = np.empty_like(det)
+    out[:k] = np.log(det[:k]) if math.isinf(N) else det[:k] ** (1.0 / N)
+    out[k:] = np.nan
     return out
+
+
+def _prefix_len(ok: np.ndarray) -> int:
+    """Length of the leading run of True in ok."""
+    k = int(ok.argmin())   # the first False, or 0 when there is none
+    return len(ok) if ok[k] else k
 
 
 def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
@@ -182,9 +179,8 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
     larger of the two gaps.  m must be the state's own model; K must be
     finite, r finite and positive, and N at least m.dim (inf allowed).
 
-    When every sample is valid the differences read the slices D[2:],
-    D[1:-1] and D[:-2]; otherwise the interior times of the valid prefix
-    are gathered by mask.  Both give the same values.
+    The differences read the interior times 1 .. k-2 of the finite prefix
+    D[:k] as the slices D[2:k], D[1:k-1] and D[:k-2].
     """
     if m != state.model:
         raise ValueError(f"m is {_model_label(m)}, but the state is on "
@@ -197,18 +193,12 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
         raise ValueError(f"N must be at least the dimension {m.dim}, not {N:g}")
     D = dn_functional(state, N)
     h = state.times[1] - state.times[0]
-    ok = np.isfinite(D)
-    if ok.all():
-        n_interior = len(D) - 2
-        idx = slice(1, -1)
-        d2 = (D[2:] - 2.0 * D[1:-1] + D[:-2]) / (h * h)
-    else:
-        interior = ok[:-2] & ok[1:-1] & ok[2:]
-        n_interior = int(interior.sum())
-        idx = np.flatnonzero(interior) + 1
-        d2 = (D[idx + 1] - 2.0 * D[idx] + D[idx - 1]) / (h * h)
+    k = _prefix_len(np.isfinite(D))
+    n_interior = k - 2
     if n_interior < 8:
         raise ValueError("sampling too coarse: too few valid interior times")
+    idx = slice(1, k - 1)
+    d2 = (D[2:k] - 2.0 * D[1:k - 1] + D[:k - 2]) / (h * h)
     ric = m.ricci_nu_quadratic(state.gamma[idx], _velocity(state, idx), N)
     if math.isinf(N):
         rhs = -ric

@@ -208,6 +208,16 @@ class TestDnFunctional:
         D = dn_functional(st, 2.0)
         assert np.all(np.isnan(D[st.times >= 0.5 + 1e-2]))
 
+    def test_nan_determinant_ends_the_prefix(self):
+        # a sample whose determinant is not a positive number ends the valid
+        # prefix, as a zero does: the finite samples after it are not read
+        m = euclidean()
+        st = integrate_jacobi(m, m.origin(), 0.5 * np.eye(2), np.array([0.3, 0.1]), 256)
+        st.weight_ratio[100] = np.nan
+        D = dn_functional(st, 2.0)
+        assert np.all(np.isfinite(D[:100])) and np.all(np.isnan(D[100:]))
+        assert verify_comparison(st, m, 2.0, 0.0, r=0.5).diagnostics["n_interior"] == 98
+
 
 FIVE_CONFIGS = pytest.mark.parametrize("m,N,K", [
     (euclidean(), 2.0, 0.0),
@@ -274,9 +284,9 @@ class TestComparison:
 
 
     @FIVE_CONFIGS
-    def test_slice_branch_equals_masked_branch(self, m, N, K, rng):
-        # one extra sample with J = 0 after t = 1 sends the same valid samples
-        # down the masked branch: its interior times are the slice branch's
+    def test_trailing_zero_determinant_leaves_report_unchanged(self, m, N, K, rng):
+        # one extra sample with J = 0 after t = 1 ends the valid prefix where
+        # the all-valid state ends: the interior times, and the report, agree
         for _ in range(10):
             p = random_point(m, rng, 0.3)
             v = random_tangent(m, p, rng.uniform(0.05, 0.8), rng)
@@ -298,7 +308,7 @@ class TestComparison:
 
     def test_prefix_valid_sphere_state_matches_direct_computation(self):
         # det J = (1 - 2t)(cos(L t) - 2 sin(L t)/L) first reaches 0 where
-        # tan(L t) = L/2, t = 0.4756 for L = 0.8: the masked branch reads the
+        # tan(L t) = L/2, t = 0.4756 for L = 0.8: the verdict reads the
         # interior times of the samples before it
         m = sphere(1.0)
         o = m.origin()
