@@ -12,7 +12,10 @@ gradient/Hessian identity relies on.
 
 The grid minimization is exact at node resolution: a table of distances per
 vertex ring and lower bounds over angular blocks of nodes skip only nodes
-that provably lie above the infimum plus the tie tolerance.  The upper bound
+that provably lie above the infimum plus the tie tolerance.  A table row
+rises with sin^2 of half the angle difference, so the bound of a pair of
+blocks is the one column of the row at the angle difference of least
+sin^2 between them, lowered by a relative 2^-40.  The upper bound
 they are compared with is F at real nodes, among them the 3x3 patch about
 the contact found for the same vertex angle on an earlier ring, and each
 chunk of vertices gathers its surviving nodes in one list.  The tables come
@@ -34,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .fields import _I_ROWS, ScalarField, _radial_derivatives
-from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
+from .geometry import (GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes,
+                       _scale)
 from .report import CheckReport, _premise_failure, check_le
 
 __all__ = [
@@ -64,8 +68,13 @@ class ContactSet:
 
     @property
     def node_indices(self) -> np.ndarray:
-        """Distinct contact-node indices (the set A as grid nodes)."""
-        return np.unique(np.concatenate([self.contact_of, self.ties[:, 1]]))
+        """Distinct contact-node indices (the set A as grid nodes), ascending:
+        the nodes a mask over them marks, which takes a fraction of the time
+        np.unique's hashing does."""
+        nodes = np.concatenate([self.contact_of, self.ties[:, 1]])
+        mark = np.zeros(int(nodes.max()) + 1, bool)
+        mark[nodes] = True
+        return np.flatnonzero(mark)
 
     def pairs(self):
         """Arrays (vertex, node, level) over every contact pair: the flat
@@ -92,14 +101,22 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     T_iv the distances from node (iv, 0): one table per vertex ring replaces
     every transcendental call of the scan.  The angles are split into blocks
     of _BLOCK nodes.  For each block of vertices on one ring, a node block
-    is bounded below by min u over it plus the least (a/2) T_iv over the
-    angle differences the two blocks can have.  The upper bound of a vertex
-    block is, at its worst vertex, the least F over the best-bounded node
-    block and over the 3x3 node patch (rings +-1, clipped; angles +-1,
-    wrapped) about a seed: the contact node last found for the vertex's
-    angle, at first its node on the innermost vertex ring.  Only node blocks
-    whose lower bound is at most this upper bound plus _TIE_TOL are
-    evaluated.  The upper bound is F at real nodes, computed as the scan
+    is bounded below by min u over it plus (a/2) T_iv at the angle
+    difference of least sin^2(dtheta/2) that the two blocks can have,
+    lowered by a relative 2^-40.  That lies below every (a/2) T_iv over
+    those differences: by the law of cosines of _polar_rho_sq each row of
+    T_iv rises with sin^2(dtheta/2), as the product with psi psi >= 0, the
+    sum, sqrt and the scalings are correctly rounded and so monotone, and
+    the 2^-40 covers the libm asn (np.arcsin, np.arcsinh), monotone only in
+    practice.  One per-grid index table gives that angle difference for
+    each offset of a node block from a vertex block (_nearest_differences),
+    so a ring's bounds read one table column per offset.  The upper bound
+    of a vertex block is, at its worst vertex, the least F over the
+    best-bounded node block and over the 3x3 node patch (rings +-1,
+    clipped; angles +-1, wrapped) about a seed: the contact node last found
+    for the vertex's angle, at first its node on the innermost vertex ring.
+    Only node blocks whose lower bound is at most this upper bound plus
+    _TIE_TOL are evaluated.  The upper bound is F at real nodes, computed as the scan
     computes it, and rounding is monotone, so every skipped node lies more
     than _TIE_TOL above the infimum: minimisers and ties (all nodes within
     _TIE_TOL of the infimum) are exactly those of a scan of all nodes with
@@ -159,15 +176,16 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     u_block = u_slot.reshape(n_r, n_b, B).min(axis=2)
     u_ring = u_block.min(axis=1)
     u_slot = u_slot.reshape(-1)
-    # the angle differences j - jv between a vertex block and the node block
-    # d blocks away, d = 1 - n_b .. n_b - 1
-    window = (np.arange(1 - n_b, n_b)[:, None] * B + np.arange(1 - B, B)[None, :]) % n_t
-    shift = np.arange(n_b)[None, :] - np.arange(n_b)[:, None] + n_b - 1   # [bv, b] -> d
+    sin2 = np.sin(0.5 * grid.theta) ** 2   # sin^2 of half each angle difference
+    # per offset d, the angle difference of least sin2 between a vertex block
+    # and the node block d blocks away: its table column, lowered, bounds the
+    # pair's entries; shift maps [bv, b] to d = b - bv + n_b - 1
+    nearest = _nearest_differences(sin2, n_b)
+    shift = np.arange(n_b)[None, :] - np.arange(n_b)[:, None] + n_b - 1
     # position of slot (i, j) in the doubled table at vertex angle 0; padding
     # reads a finite entry, so F is +inf there
     column = (np.arange(n_r)[:, None] * (2 * n_t) + np.arange(W)[None, :] % n_t + n_t).ravel()
     in_block = np.arange(B)
-    sin2 = np.sin(0.5 * grid.theta) ** 2   # sin^2 of half each angle difference
 
     order = np.lexsort((ang, ring))
     ring_starts = np.flatnonzero(np.diff(ring[order], prepend=-1))
@@ -198,20 +216,21 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
         lo, hi = max(int(band.min()), 0), min(int(band.max()) + 1, n_r)
         T = (0.5 * a) * _polar_rho_sq(m, grid.rho, iv, np.arange(lo, hi)[:, None], sin2)
         T_wrap = np.concatenate([T, T], axis=1).reshape(-1)
-        T_window = T[:, window].min(axis=2)
+        T_low = T[:, nearest] * (1.0 - 2.0 ** -40)
         for c in range(s, e, chunk):
             rows = order[c:min(c + chunk, e)]
             jv = ang[rows]   # ascending: E is ordered by ring, then angle
             # column[slot] - at is the slot's entry of T_wrap for vertex angle jv
             at = (jv + lo * 2 * n_t)[:, None]
-            first = np.flatnonzero(np.diff(jv // B, prepend=-1))
-            vb, count = jv[first] // B, np.diff(first, append=len(jv))
-            lower = (u_block[None, lo:hi, :] + T_window[:, shift[vb]].transpose(1, 0, 2)
+            jb = jv // B
+            first = np.flatnonzero(np.concatenate(([True], jb[1:] != jb[:-1])))
+            vb, count = jb[first], np.concatenate((first[1:], [len(jv)])) - first
+            lower = (u_block[None, lo:hi, :] + T_low[:, shift[vb]].transpose(1, 0, 2)
                      ).reshape(len(vb), -1)
             # upper bound per vertex block: each vertex's least F over its
             # best-bounded node block and the patch about its seed, at the
             # worst vertex of the block
-            top = np.repeat(np.argmin(lower, axis=1), count) + lo * n_b
+            top = np.repeat(lower.argmin(axis=1), count) + lo * n_b
             seed_ring, seed_ang = np.divmod(seed[jv], W)
             slots = np.concatenate([
                 top[:, None] * B + in_block,
@@ -219,25 +238,29 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
                 + (seed_ang[:, None] + _PATCH[1]) % n_t], axis=1)
             F = u_slot[slots] + T_wrap[column[slots] - at]
             ub = np.maximum.reduceat(F.min(axis=1), first) + _TIE_TOL
-            # one slot list for the chunk, vertex block after vertex block
-            group, kept = np.nonzero(lower <= ub[:, None])
+            # one slot list for the chunk, vertex block after vertex block (by
+            # flatnonzero: np.nonzero of a 2-D mask takes several times longer)
+            group, kept = np.divmod(np.flatnonzero(lower <= ub[:, None]), lower.shape[1])
             slots = ((kept + lo * n_b)[:, None] * B + in_block).ravel()
             slot_u, slot_col = u_slot[slots], column[slots]
-            edges = np.append(0, np.cumsum(np.bincount(group, minlength=len(vb)) * B))
-            for g in range(len(vb)):
-                x = slice(edges[g], edges[g + 1])
-                r = slice(first[g], first[g] + count[g])
-                F = slot_u[x][None, :] + T_wrap[slot_col[x][None, :] - at[r]]
-                amin = np.argmin(F, axis=1)
-                fmin = F[np.arange(len(F)), amin]
-                contact[rows[r]] = slots[x][amin]
-                minval[rows[r]] = fmin
+            edges = np.append(0, np.cumsum(np.bincount(group, minlength=len(vb)) * B)).tolist()
+            # each vertex's contact, as a place in slots, and its F; in_block[:n]
+            # numbers the n vertices of a block, as a block has at most B
+            best, fbest = np.empty(len(rows), np.int64), np.empty(len(rows))
+            for g, (j, n) in enumerate(zip(first.tolist(), count.tolist())):
+                x0, x1 = edges[g], edges[g + 1]
+                r = slice(j, j + n)
+                F = slot_u[None, x0:x1] + T_wrap[slot_col[None, x0:x1] - at[r]]
+                amin = F.argmin(axis=1)
+                fmin = fbest[r] = F[in_block[:n], amin]
+                best[r] = amin + x0
                 near = F <= (fmin + _TIE_TOL)[:, None]
-                if np.count_nonzero(near) > len(F):
-                    near[np.arange(len(F)), amin] = False
-                    v, k = np.nonzero(near)
+                if np.count_nonzero(near) > n:
+                    near[in_block[:n], amin] = False
+                    v, k = near.nonzero()
                     tie_rows.append(rows[r][v])
-                    tie_slots.append(slots[x][k])
+                    tie_slots.append(slots[x0:x1][k])
+            contact[rows], minval[rows] = slots[best], fbest
             seed[jv] = contact[rows]
     ties = np.empty((0, 2), dtype=np.int64)
     if tie_rows:
@@ -246,6 +269,15 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
         by_vertex = np.argsort(tie_rows, kind="stable")
         ties = np.stack([E[tie_rows[by_vertex]], tie_nodes[by_vertex]], axis=1)
     return ContactSet(E, _slot_node(contact, W, n_t), minval, ties)
+
+
+def _nearest_differences(sin2, n_b):
+    """Per block offset d = 1 - n_b .. n_b - 1, the angle difference of least
+    sin2 among those j - jv, mod n_theta, between a vertex and a node d
+    blocks of _BLOCK angles away: the first such, on ties."""
+    B = _BLOCK
+    window = (np.arange(1 - n_b, n_b)[:, None] * B + np.arange(1 - B, B)[None, :]) % len(sin2)
+    return window[np.arange(len(window)), np.argmin(sin2[window], axis=1)]
 
 
 def _polar_rho_sq(m: ModelSpace, rho, iv, i, sin2) -> np.ndarray:
@@ -340,10 +372,11 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
             X[live, 0] = x[:, 0] + d1
             X[live, 1] = x[:, 1] + d2
         else:
-            step = d1[:, None] * e1 + d2[:, None] * e2
+            step = _scale(d1, e1)
+            step += _scale(d2, e2)
             ln = m.tangent_norm(x, step)
             if np.any(ln > cap):
-                step *= (cap / np.maximum(ln, cap))[:, None]
+                _scale(cap / np.maximum(ln, cap), step, out=step)
             X[live] = m.exp(x, step)
         done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
         if done.any():

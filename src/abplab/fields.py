@@ -8,18 +8,21 @@ and one deriv_fn(p, frame) returning the gradient when frame is None, or
 embedding-space tangent vectors; h holds the Hessian components
 h_ab = Hess u(e_a, e_b) as three rows (h11, h12, h22), shape (3,) + batch,
 each row contiguous, so the 2x2 algebra of a caller reads whole rows and no
-evaluation builds a matrix but ScalarField.hess.
+evaluation builds a matrix but ScalarField.hess.  The radial jets scale the
+tangent toward the centre component by component (geometry._scale), a
+bump's f' and f'' share one exp(-beta rho^2), and sum_fields adds the parts
+of a jet in place, in their order; the Newton refinement and the transport
+evaluate these jets several times a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import GeodesicBallGrid, ModelSpace
+from .geometry import GeodesicBallGrid, ModelSpace, _scale
 
 __all__ = [
     "ScalarField",
@@ -141,7 +144,7 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     if near:   # psi = 0 only at the centre, where w = 0
         psi = np.where(psi > 0.0, psi, 1.0)
     d1 = df(rho)
-    grad = (-d1 / psi)[..., None] * w
+    grad = _scale(-d1 / psi, w)
     if d2f is None:
         return grad
     d2 = d2f(rho)
@@ -228,34 +231,59 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
 
 
 def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) -> ScalarField:
-    """u = amplitude * exp(-beta * rho^2): smooth, localized, sign-free Hessian."""
+    """u = amplitude * exp(-beta * rho^2): smooth, localized, sign-free Hessian.
+
+    A jet evaluates exp(-beta rho^2) once: _radial_derivatives calls df
+    before d2f on the same rho, so d2f reads the exponential df just took."""
+    m = grid.model
+    center = np.asarray(center, float)
 
     def f(r):
         return amplitude * np.exp(-beta * r * r)
 
-    def df(r):
-        return amplitude * (-2.0 * beta * r) * np.exp(-beta * r * r)
+    def deriv(p, frame):
+        g = None
 
-    def d2f(r):
-        return amplitude * (4.0 * beta * beta * r * r - 2.0 * beta) * np.exp(-beta * r * r)
+        def df(r):
+            nonlocal g
+            g = np.exp(-beta * r * r)
+            return amplitude * (-2.0 * beta * r) * g
 
-    return radial_field(grid, center, f, df, d2f)
+        def d2f(r):
+            return amplitude * (4.0 * beta * beta * r * r - 2.0 * beta) * g
+
+        return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
+
+    return ScalarField(grid, f(m.distance(center, grid.points)),
+                       lambda p: f(m.distance(center, p)), deriv)
+
+
+def _sum(parts):
+    """((p0 + p1) + p2) + ..., the later parts added in place into the
+    first sum, so no part is written to and no sum past the first is a
+    new array."""
+    if len(parts) == 1:
+        return parts[0]
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
+    return total
 
 
 def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     """The pointwise sum of fields on one grid, added part after part,
     ((f0 + f1) + f2) + ..., with no stacked copy of the parts."""
     grid = fields[0].grid
-    vals = reduce(np.add, [f.values for f in fields])
+    vals = _sum([f.values for f in fields])
     if all(f.has_derivatives for f in fields):
         def val(p):
-            return reduce(np.add, [f.value(p) for f in fields])
+            return _sum([f.value(p) for f in fields])
 
         def deriv(p, frame):
             parts = [f.deriv_fn(p, frame) for f in fields]
             if frame is None:
-                return reduce(np.add, parts)
-            return tuple(reduce(np.add, d) for d in zip(*parts))
+                return _sum(parts)
+            return tuple(_sum(d) for d in zip(*parts))
 
         return ScalarField(grid, vals, val, deriv)
     return ScalarField(grid, vals)

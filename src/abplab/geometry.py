@@ -23,9 +23,14 @@ distance all come from one inner product, the chord <q - p, q - p>, exactly
 the one order (t0 + t1) + t2, so distance can form chord^2 from the
 per-component differences q[..., i] - p[..., i], never building the batch of
 differences that log needs for its tangent, and still equal log's rho bit
-for bit.  Ball measures are floats in closed form, but for one radial
-Gauss-Legendre rule off the gaussian origin.  All operations are vectorized
-over leading axes and pure, so callers may evaluate them concurrently.
+for bit.  A batch of per-point scalars times a batch of vectors (the tangent
+of log, the two terms of exp, the frame's projection and normalisation) is
+formed component by component, as numpy broadcasts it over the trailing
+axis several times slower; each component takes the same operations as the
+stacked form, so the values are the same bit for bit.  Ball measures are
+floats in closed form, but for one radial Gauss-Legendre rule off the
+gaussian origin.  All operations are vectorized over leading axes and pure,
+so callers may evaluate them concurrently.
 """
 
 from __future__ import annotations
@@ -81,6 +86,32 @@ def _minkowski_sum(t):
 
 def _dot(a, b):
     return _euclidean_sum(_products(a, b))
+
+
+def _scale(s, v, out=None):
+    """The per-point scaling s[..., None] * v, formed component by component
+    (into out, which may be v itself): numpy broadcasts a batch of scalars
+    over a trailing axis of length 2 or 3 several times slower than it runs
+    the components one by one.  One scalar s broadcasts at no such cost, and
+    takes one product, as a single point's jet or step does."""
+    if np.ndim(s) == 0:
+        return np.multiply(s, v, out=out)
+    if out is None:
+        out = np.empty(np.broadcast(s[..., None], v).shape)
+    for i in range(v.shape[-1]):
+        np.multiply(s, v[..., i], out=out[..., i])
+    return out
+
+
+def _cross(a, b):
+    """The cross product of 3-vectors over the last axis, by the same
+    component products and differences as np.cross, without its copies."""
+    out = np.empty(np.broadcast(a, b).shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
 
 
 def _identity(t):
@@ -214,14 +245,23 @@ class ModelSpace:
         p toward q with |w| = psi; exactly (0, 0, 1, 0) at q == p.  Flat
         charts skip the kappa = 0 arithmetic: rho = psi = chord, psi' = 1
         and w = d + 0.0, which turns a -0.0 difference into the +0.0 that
-        d + 0 p gives, so the values match the curved form's bit for bit."""
-        d = np.asarray(q, float) - np.asarray(p, float)
+        d + 0 p gives, so the values match the curved form's bit for bit.
+        d = q - p and then w are formed in place, component by component, by
+        the same operations as the stacked forms."""
+        p = np.asarray(p, float)
+        q = np.asarray(q, float)
+        w = np.empty(np.broadcast(p, q).shape)
+        for i in range(w.shape[-1]):
+            np.subtract(q[..., i], p[..., i], out=w[..., i])
         if self.is_flat_chart:
-            rho = np.sqrt(np.maximum(self._inner(d, d), 0.0))
-            return rho, rho, np.ones_like(rho), d + 0.0
-        rho, chord = self._rho(self._inner(d, d))
+            rho = np.sqrt(np.maximum(self._inner(w, w), 0.0))
+            w += 0.0
+            return rho, rho, np.ones_like(rho), w
+        rho, chord = self._rho(self._inner(w, w))
         h = (0.25 * self._kappa) * chord * chord
-        return rho, chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
+        h2 = 2.0 * h
+        w += _scale(h2, p)
+        return rho, chord * np.sqrt(1.0 - h), 1.0 - h2, w
 
     def distance(self, p, q) -> np.ndarray:
         """rho of each pair, its chord^2 summed over the component differences
@@ -251,12 +291,14 @@ class ModelSpace:
         safe = np.where(small, 1.0, t)
         sn_over = np.where(small, 1.0 - math.copysign(1.0, self._kappa) * (t * t / 6.0),
                            self._sn(safe) / safe)
-        return self._cs(t)[..., None] * p + sn_over[..., None] * v
+        out = _scale(self._cs(t), p)
+        out += _scale(sn_over, v)
+        return out
 
     def log(self, p, q) -> np.ndarray:
         """Inverse of exp within the cut radius, exactly 0 at q == p."""
         rho, psi, _, w = self._polar(p, q)
-        return (rho / np.where(psi > 0.0, psi, 1.0))[..., None] * w
+        return _scale(rho / np.where(psi > 0.0, psi, 1.0), w, out=w)
 
     # -- frames --------------------------------------------------------------
 
@@ -275,13 +317,17 @@ class ModelSpace:
         if np.any(bad):
             e1 = np.where(bad[..., None], self._project_tangent(p, np.array([0.0, 1.0, 0.0])), e1)
             n1 = self.tangent_norm(p, e1)
-        e1 = e1 / n1[..., None]
+        for i in range(3):
+            e1[..., i] /= n1
         e2 = self.rotate90(p, e1)
         return e1, e2
 
     def _project_tangent(self, p, w):
         """Tangential part w - kappa <w, p> p of an ambient vector at p."""
-        return w - (self._kappa * self._inner(w, p))[..., None] * p
+        out = _scale(self._kappa * self._inner(w, p), p)
+        for i in range(3):
+            np.subtract(w[..., i], out[..., i], out=out[..., i])
+        return out
 
     def rotate90(self, p, v):
         """Unit-preserving rotation of a tangent vector by +90 degrees."""
@@ -291,8 +337,13 @@ class ModelSpace:
             out[..., 0] = -v[..., 1]
             out[..., 1] = v[..., 0]
             return out
-        # lowered, the cross product with the unit normal s p is tangent on both quadrics
-        return self.lower(np.cross(self._s * np.asarray(p, float), v))
+        # lowered, the cross product with the unit normal s p is tangent on
+        # both quadrics; lowering flips the sign of the third component, by
+        # the same product with -1 as lower()
+        out = _cross(self._s * np.asarray(p, float), v)
+        if self._kappa < 0:
+            out[..., 2] *= _MINK_DIAG[2]
+        return out
 
     # -- metric coefficient, weight ------------------------------------------
 
@@ -508,17 +559,28 @@ def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int
     v = rho[:, None, None] * dirs[None, :, :]
     # per-node weight = cell integral of psi * exp(-V) along the ray, radial
     # 2-point Gauss per cell (midpoint form psi(rho_i) e^{-V} drho dth + O(h^2),
-    # but the measure identity then holds to O(h^4))
+    # but the measure identity then holds to O(h^4)); exp(-V) is exactly 1
+    # off the gaussian plane, so only a weighted model places the Gauss points
     off = 0.5 * drho / math.sqrt(3.0)
     weights = np.zeros((n_r, n_theta))
     with np.errstate(all="ignore"):   # a radius outside float64 range is refused below
         points = model.exp(center, v)
         for s in (-off, off):
             rg = rho + s
-            pg = model.exp(center, rg[:, None, None] * dirs[None, :, :])
-            weights += 0.5 * model.psi(rg)[:, None] * np.exp(-model.weight_V(pg))
+            term = 0.5 * model.psi(rg)[:, None]
+            if model.is_weighted:
+                pg = model.exp(center, rg[:, None, None] * dirs[None, :, :])
+                term = term * np.exp(-model.weight_V(pg))
+            weights += term
         weights *= drho * dth
-    total = float(np.sum(weights))
+        if not model.is_weighted:
+            # exp(-V) = exp(-0 |p|^2) is 1 only while |p|^2 is finite; the
+            # outermost Gauss points are the first to square past float64
+            edge = model.exp(center, (rho[-1] + off) * dirs)
+            if not np.all(np.isfinite(_dot(edge, edge))):
+                raise _radius_range_error(f"grid points square past float64 on "
+                                          f"{_model_label(model)}", r)
+        total = float(np.sum(weights))
     if not 0.0 < total < math.inf:
         raise _radius_range_error(f"grid weights sum to {total:g} on {_model_label(model)}", r)
     return GeodesicBallGrid(model, center, float(r), n_r, n_theta, rho, theta, points, weights, (e1, e2))

@@ -36,15 +36,23 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     if gap > 1e-12:
         return _premise_failure("doubling-ratio", "Ric_{N,nu} >= -K g on the ball",
                                 "doubling-estimate", ricci_gap=gap)
-    D = math.exp(_log_doubling(K, N, R))
+    log_d = _log_doubling(K, N, R)
     # the iteration pairing: the exponent is log2 of the same doubling
     # constant that appears as the prefactor
-    eta = _log_doubling(K, N, R) / (N * math.log(2.0))
+    eta = log_d / (N * math.log(2.0))
+    try:
+        D = math.exp(log_d)
+        growth = (r1 / r2) ** (N * eta)
+    except OverflowError:
+        raise ValueError(f"the doubling bound D_(K,N,R) (r1/r2)^(N eta) leaves the float64 "
+                         f"range: log D = {log_d:g} and N eta log(r1/r2) = "
+                         f"{N * eta * math.log(r1 / r2):g} for K = {K:g}, N = {N:g}, "
+                         f"R = {R:g}") from None
     small = m.ball_measure(center, r2)
     if not small > 0:
         raise ValueError(f"nu[B_r2] underflows to 0 at r2 = {r2:g}")
     ratio = m.ball_measure(center, r1) / small
-    bound = D * (r1 / r2) ** (N * eta)
+    bound = D * growth
     lhs = ratio / bound
     diag = dict(r1=r1, r2=r2, doubling_constant=D, eta=eta, ratio=ratio, bound=bound)
     if two_ball:

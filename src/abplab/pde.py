@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import GeodesicBallGrid
+from .geometry import GeodesicBallGrid, _grid_label
 
 __all__ = ["DirichletProblem", "solve_poisson", "apply_weighted_laplacian",
            "node_laplacian_nu"]
@@ -119,8 +119,25 @@ def solve_poisson(prob: DirichletProblem):
     The last term is the backward-error floor: stencil rows next to the pole
     scale like 1/(psi(h/2) dtheta)^2, so evaluating the operator there incurs
     roundoff of that size and no smaller residual is certifiable.
-    Raises if _MAX_REFINE refinement steps do not reach it.
+    Raises RuntimeError if _MAX_REFINE refinement steps do not reach it, and
+    ValueError if the residual is not finite (NaN passes no comparison, so
+    the certificate reads `not residual <= tol`): the stencil or the data
+    then leave the float64 range, as on a grid of radius 1e150, whose
+    h^2 psi overflows.
     """
+    grid = prob.grid
+    with np.errstate(all="ignore"):   # a solve that leaves float64 is refused below
+        u, residual, tol = _solve(prob)
+    if not residual <= tol:
+        if not math.isfinite(residual):
+            raise ValueError(f"poisson solve on {_grid_label(grid)} leaves the float64 "
+                             f"range: residual {residual:g}")
+        raise RuntimeError(f"poisson solve did not reach tolerance: residual {residual:.3e}")
+    return ScalarField(grid, u), residual
+
+
+def _solve(prob: DirichletProblem):
+    """The direct solve and its refinement: (u, residual, tolerance)."""
     grid = prob.grid
     n_r, n_t = grid.shape
     lo, hi, ang = _stencil(grid)
@@ -154,11 +171,7 @@ def solve_poisson(prob: DirichletProblem):
         du = np.fft.irfft(_thomas_all_modes(lo, hi, diag, rh), n=n_t, axis=1)
         u = u + du
         res = prob.f - apply_weighted_laplacian(grid, u, prob.g)
-    residual = float(np.max(np.abs(res)))
-    tol = tol_now()
-    if residual > tol:
-        raise RuntimeError(f"poisson solve did not reach tolerance: residual {residual:.3e}")
-    return ScalarField(grid, u), residual
+    return u, float(np.max(np.abs(res))), tol_now()
 
 
 def _thomas_all_modes(lo, hi, diag, rhs):

@@ -133,6 +133,22 @@ class TestCliExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["harnack-check", "--R", "1e150", "--which", "sup"],
+         "poisson solve on 64x64 over radius 2e+150"),
+        (["doubling", "--N", "1100", "--samples", "1"], "doubling bound"),
+    ], ids=["poisson-R-1e150", "doubling-N-1100"])
+    def test_float64_range_refused_by_name(self, argv, message, capsys):
+        # a NaN Poisson residual and an OverflowError in the doubling bound
+        # ended in numpy's empty-reduction message and in a traceback
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "leaves the float64 range" in err
+
+    def test_doubling_at_N_1000_still_runs(self, capsys):
+        assert main(["doubling", "--N", "1000", "--samples", "1"]) == 0
+
     def test_gaussian_doubling_draws_inside_the_ricci_reach(self, capsys):
         # lam = 1, N = 4, K = 0: Ric_{N,nu} >= 0 holds out to rho = sqrt(2) only
         assert main(["doubling", "--model", "gaussian", "--N", "4", "--R", "0.9",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from abplab import contact
-from abplab.contact import (_DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL, _polar_rho_sq,
+from abplab.contact import (_BLOCK, _DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL,
+                            _nearest_differences, _polar_rho_sq,
                             check_contact_location, compute_contact_set,
                             gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
@@ -258,6 +259,13 @@ class TestPrunedScanMatchesBruteForce:
         g, u = self._setup(model, rng)
         _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.6 * g.radius)[::7])
 
+    @pytest.mark.parametrize("r", [5.0, 20.0])
+    def test_far_out_hyperboloid(self, r, rng):
+        m = hyperbolic(1.0)
+        g = build_polar_grid(m, m.origin(), r, 32, 36)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        _assert_matches_brute_force(m, u, 1.0 / r, _disc_indices(g, 0.6 * r)[::3])
+
     def test_ragged_last_block(self, model, rng):
         g, u = self._setup(model, rng, n_r=24, n_theta=50)
         _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.5 * g.radius))
@@ -393,6 +401,28 @@ class TestRingBand:
             T = _polar_rho_sq(m, g.rho, iv, rings[:, None], sin2)
             assert np.all(floor <= T.min(axis=1))
             assert np.all(floor >= (g.rho - g.rho[iv]) ** 2 * (1.0 - 1e-12))
+
+    # rings out to the sphere's working limit and far out on the hyperboloid
+    BOUND_CASES = CASES + [(sphere(k), 0.999 * 0.5 * math.pi / math.sqrt(k)) for k in (1.0, 25.0)]
+    BOUND_IDS = IDS + [f"sphere-limit-k{k:g}" for k in (1.0, 25.0)]
+
+    @pytest.mark.parametrize("n_theta", [48, 50, 13])
+    @pytest.mark.parametrize("m, r", BOUND_CASES, ids=BOUND_IDS)
+    def test_nearest_column_below_its_window(self, m, r, n_theta):
+        # the lowered table column of least sin^2 against every entry of the
+        # window of angle differences between two blocks of _BLOCK angles
+        # d blocks apart, on every vertex ring
+        g = build_polar_grid(m, m.origin(), r, 40, n_theta)
+        n_b = -(-n_theta // _BLOCK)
+        window = (np.arange(1 - n_b, n_b)[:, None] * _BLOCK
+                  + np.arange(1 - _BLOCK, _BLOCK)[None, :]) % n_theta
+        sin2 = np.sin(0.5 * g.theta) ** 2
+        nearest = _nearest_differences(sin2, n_b)
+        assert all(j in row for j, row in zip(nearest, window))
+        rings = np.arange(g.n_r)
+        for iv in rings:
+            T = _polar_rho_sq(m, g.rho, iv, rings[:, None], sin2)
+            assert np.all(T[:, nearest] * (1.0 - 2.0 ** -40) <= T[:, window].min(axis=2))
 
     @pytest.mark.parametrize("r", [10.0, 15.0])
     def test_table_exact_oracle_far_out(self, r):
@@ -674,6 +704,58 @@ def _newton_stacked(m, u, a, Y, X):
             if live.size == 0:
                 break
     return X
+
+
+def _newton_curved_stacked(m, u, a, Y, X):
+    """The curved-chart loop with the step scaled over the trailing axis:
+    d1[:, None] * e1 + d2[:, None] * e2, capped by step *= s[:, None]."""
+    X = X.copy()
+    live = slice(None)
+    cap = 0.5 * u.grid.radius
+    for it in range(_NEWTON_ITERS):
+        x = X[live]
+        e1, e2 = frame = m.tangent_frame(x)
+        gu, hu = u.jet(x, frame)
+        if it == 0 and np.array_equal(X, Y):
+            g, h = gu, hu + (a * np.array([1.0, 0.0, 1.0]))[:, None]
+        else:
+            g, h = _radial_derivatives(m, Y[live], x, lambda r: a * r,
+                                       lambda r: np.full_like(r, a), frame)
+            g += gu
+            h += hu
+        g1, g2 = (m.tangent_inner(x, g, e) for e in frame)
+        h11, h12, h22 = h
+        det = h11 * h22 - h12 * h12
+        inv = 1.0 / np.where(np.abs(det) > _DET_TOL * a * a, det, np.inf)
+        d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
+        step = d1[:, None] * e1 + d2[:, None] * e2
+        ln = m.tangent_norm(x, step)
+        if np.any(ln > cap):
+            step *= (cap / np.maximum(ln, cap))[:, None]
+        X[live] = m.exp(x, step)
+        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
+        if done.any():
+            live = np.arange(len(X))[live][~done]
+            if live.size == 0:
+                break
+    return X
+
+
+class TestNewtonCurvedStep:
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
+    def test_capped_steps_match_the_stacked_loop(self, m, rng):
+        # half the points start 0.4 from their vertices, where the first
+        # steps exceed the cap 0.15; the steps formed per component land bit
+        # for bit where the stacked loop does
+        g = _grid(m, r=0.3, n=32)
+        u = random_bump_field(g, rng, hess_bound=0.25)
+        Y = g.flat_points()[_disc_indices(g, 0.15)]
+        X0 = Y.copy()
+        X0[::2] = m.exp(Y[::2], 0.4 * m.tangent_frame(Y[::2])[0])
+        for start in (Y, X0):
+            X = refine_contact_points(m, u, 1.0, Y, start)
+            assert X.tobytes() == _newton_curved_stacked(m, u, 1.0, Y, start).tobytes()
+            assert np.max(gradient_contact_residual(u, 1.0, X, Y)) < 1e-12
 
 
 class TestNewtonFlatStep:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abplab.barrier import BarrierSpec, barrier_field
-from abplab.fields import (_laplacian_nu, _radial_derivatives, bump_field,
+from abplab.fields import (ScalarField, _laplacian_nu, _radial_derivatives, bump_field,
                            constant_field, hess_form, quadratic_field, radial_field,
                            random_bump_field, sum_fields)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
@@ -233,3 +233,94 @@ class TestFieldConsistency:
         disc = np.sqrt(np.maximum(tr * tr / 4 - det, 0.0))
         spec = np.maximum(np.abs(tr / 2 + disc), np.abs(tr / 2 - disc))
         assert float(np.max(spec)) <= 0.5 + 1e-9
+
+
+def _radial_stacked(m, center, p, df, d2f, frame):
+    """_radial_derivatives with the stacked expressions: q - p, the scalings
+    (2h)[..., None] * p and (-f'/psi)[..., None] * w over the point axis, and
+    f' and f'' each from its own call."""
+    d = np.asarray(center, float) - p
+    rho, chord = m._rho(m._inner(d, d))
+    if m.is_flat_chart:
+        psi, dpsi, w = rho, np.ones_like(rho), d + 0.0
+    else:
+        h = (0.25 * m.sectional()) * chord * chord
+        psi, dpsi, w = chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
+    small = rho < 1e-8
+    psi = np.where(psi > 0.0, psi, 1.0)
+    d1, d2 = df(rho), d2f(rho)
+    grad = (-d1 / psi)[..., None] * w
+    k = np.where(small, d2, d1 * dpsi / psi)
+    c1, c2 = (m.tangent_inner(p, w, e) / psi for e in frame)
+    c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.0, c2)
+    return grad, np.stack([d2 * c1 * c1 + k * c2 * c2, (d2 - k) * c1 * c2,
+                           d2 * c2 * c2 + k * c1 * c1])
+
+
+def _bits(a):
+    return np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+class TestComponentJets:
+    """The radial jets form their per-point scalings component by component
+    and a bump's f' and f'' share one exponential; every value is that of
+    the stacked expressions with separate f' and f''."""
+
+    @staticmethod
+    def _bump(amplitude, beta):
+        return (lambda r: amplitude * (-2.0 * beta * r) * np.exp(-beta * r * r),
+                lambda r: amplitude * (4.0 * beta * beta * r * r - 2.0 * beta)
+                * np.exp(-beta * r * r))
+
+    def test_radial_derivatives(self, model):
+        g = _grid(model, r=0.5, n=24)
+        gen = np.random.default_rng(3)
+        X = g.flat_points()[gen.choice(g.n_r * g.n_theta, 60, replace=False)]
+        Y = g.flat_points()[gen.choice(g.n_r * g.n_theta, 60, replace=False)]
+        df, d2f = self._bump(-0.7, 3.0)
+        for center, p in ((g.points[5, 7], X), (Y, X), (g.points[3, 2], g.points),
+                          (X, X), (X[0], X[0])):
+            frame = model.tangent_frame(p)
+            got = _radial_derivatives(model, center, p, df, d2f, frame)
+            want = _radial_stacked(model, center, p, df, d2f, frame)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+    def test_bump_field_jet(self, model):
+        g = _grid(model, r=0.5, n=24)
+        amplitude, beta, c = 0.6, 5.0, g.points[4, 9]
+        u = bump_field(g, c, amplitude, beta)
+        df, d2f = self._bump(amplitude, beta)
+        v = radial_field(g, c, lambda r: amplitude * np.exp(-beta * r * r), df, d2f)
+        for p in (g.points, g.flat_points()[::7], g.points[4, 9]):
+            frame = model.tangent_frame(p)
+            for got, want in zip(u.jet(p, frame), v.jet(p, frame)):
+                assert _bits(got) == _bits(want)
+            assert _bits(u.grad(p)) == _bits(v.grad(p))
+            assert _bits(u.value(p)) == _bits(v.value(p))
+        assert _bits(u.values) == _bits(v.values)
+
+    def test_sum_fields_adds_in_order(self, model):
+        g = _grid(model, r=0.5, n=24)
+        parts = [bump_field(g, g.points[i, 3 * i], 0.3 - 0.2 * i, 2.0 + i) for i in range(4)]
+        u = sum_fields(parts)
+        p = g.flat_points()[::5]
+        frame = model.tangent_frame(p)
+        jets = [f.jet(p, frame) for f in parts]
+        want = [((jets[0][k] + jets[1][k]) + jets[2][k]) + jets[3][k] for k in (0, 1)]
+        got = u.jet(p, frame)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        assert _bits(u.values) == _bits(((parts[0].values + parts[1].values)
+                                         + parts[2].values) + parts[3].values)
+
+    def test_sum_fields_writes_to_no_part(self):
+        # parts whose derivatives return arrays they keep
+        g = _grid(euclidean(), r=0.5, n=16)
+        p = g.flat_points()[:5]
+        kept = [(np.full((5, 2), float(i)), np.full((3, 5), 2.0 * i)) for i in range(4)]
+        parts = [ScalarField(g, np.full(g.shape, float(i)), lambda q, i=i: np.full(len(q), float(i)),
+                             lambda q, frame, i=i: kept[i] if frame is not None else kept[i][0])
+                 for i in range(4)]
+        grad, h = sum_fields(parts).jet(p)
+        assert np.array_equal(grad, np.full((5, 2), 6.0)) and np.array_equal(h, np.full((3, 5), 12.0))
+        assert all(np.array_equal(kept[i][0], np.full((5, 2), float(i))) for i in range(4))
+        assert all(np.array_equal(kept[i][1], np.full((3, 5), 2.0 * i)) for i in range(4))

@@ -410,11 +410,140 @@ class TestPolarGrid:
         g = build_polar_grid(euclidean(), c, 0.5, 16, 16)
         assert g.center is c and c.flags.writeable
 
-    @pytest.mark.parametrize("r,end", [(1e160, "large"), (1e-300, "small")])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r,end", [(1e160, "large"), (1e154, "large"), (1e-300, "small")])
     def test_radius_outside_float64_names_its_end(self, r, end):
-        # at 1e160 the euclidean weights turn NaN, at 1e-300 they underflow to 0
+        # at 1e160 the euclidean Gauss points square past float64, at 1e154
+        # the weights' sum overflows, at 1e-300 the weights underflow to 0
         with pytest.raises(ValueError, match=re.escape(f"radius {r:g} is too {end} for the float64")):
             build_polar_grid(euclidean(), np.zeros(2), r, 8, 8)
+
+
+def _stacked_weights(model, center, r, n_r, n_theta):
+    """The grid weights with exp(-V) taken at the Gauss points on every
+    model, as the weighted form computes them."""
+    drho, dth = r / n_r, 2.0 * math.pi / n_theta
+    rho = (np.arange(n_r) + 0.5) * drho
+    e1, e2 = model.tangent_frame(center)
+    theta = np.arange(n_theta) * dth
+    dirs = np.cos(theta)[:, None] * e1[None, :] + np.sin(theta)[:, None] * e2[None, :]
+    weights = np.zeros((n_r, n_theta))
+    for s in (-0.5 * drho / math.sqrt(3.0), 0.5 * drho / math.sqrt(3.0)):
+        pg = model.exp(center, (rho + s)[:, None, None] * dirs[None, :, :])
+        weights += 0.5 * model.psi(rho + s)[:, None] * np.exp(-model.weight_V(pg))
+    return weights * (drho * dth)
+
+
+class TestUnweightedGridWeights:
+    """Off the gaussian plane exp(-V) is exactly 1, and the grid adds psi
+    alone; the weights are those of the Gauss-point form, bit for bit."""
+
+    @pytest.mark.parametrize("n", [33, 64, 256])
+    def test_weights_equal_the_gauss_point_form(self, model, n):
+        r = min(1.0, 0.6 * model.domain_radius_limit)
+        for center in (model.origin(), random_point(model, seeded_rng(5, "grid-centre"), 0.3)):
+            g = build_polar_grid(model, center, r, n, n + 3)
+            assert g.weights.tobytes() == _stacked_weights(model, center, r, n, n + 3).tobytes()
+
+    def test_far_hyperboloid_weights(self):
+        m = hyperbolic(1.0)
+        g = build_polar_grid(m, m.origin(), 30.0, 64, 64)
+        assert g.weights.tobytes() == _stacked_weights(m, m.origin(), 30.0, 64, 64).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [360.0, 700.0])
+    def test_gauss_points_past_float64_refused(self, r):
+        # the Gauss-point form reads exp(-0 * inf) = NaN there
+        with pytest.raises(ValueError, match=f"radius {r:g} is too large for the float64 range"):
+            build_polar_grid(hyperbolic(1.0), hyperbolic(1.0).origin(), r, 16, 16)
+
+
+def _polar_stacked(m, p, q):
+    """_polar with the batch expressions q - p and (2h)[..., None] * p."""
+    d = np.asarray(q, float) - np.asarray(p, float)
+    if m.is_flat_chart:
+        rho = np.sqrt(np.maximum(m._inner(d, d), 0.0))
+        return rho, rho, np.ones_like(rho), d + 0.0
+    rho, chord = m._rho(m._inner(d, d))
+    h = (0.25 * m.sectional()) * chord * chord
+    return rho, chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
+
+
+def _exp_stacked(m, p, v):
+    if m.is_flat_chart:
+        return p + v
+    t = m._s * m.tangent_norm(p, v)
+    small = t < 1e-6
+    safe = np.where(small, 1.0, t)
+    sn_over = np.where(small, 1.0 - math.copysign(1.0, m.sectional()) * (t * t / 6.0),
+                       m._sn(safe) / safe)
+    return m._cs(t)[..., None] * p + sn_over[..., None] * v
+
+
+def _frame_stacked(m, p):
+    def project(w):
+        return w - (m.sectional() * m._inner(w, p))[..., None] * p
+    e1 = project(np.array([1.0, 0.0, 0.0]))
+    n1 = m.tangent_norm(p, e1)
+    bad = n1 < 1e-6
+    if np.any(bad):
+        e1 = np.where(bad[..., None], project(np.array([0.0, 1.0, 0.0])), e1)
+        n1 = m.tangent_norm(p, e1)
+    e1 = e1 / n1[..., None]
+    return e1, m.lower(np.cross(m._s * p, e1))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _batches(m, gen):
+    """(p, q) pairs: one centre against a batch and the batch against it,
+    per-row centres, and grid-shaped points against one centre."""
+    X = np.array([random_point(m, gen, 0.5) for _ in range(40)])
+    Y = np.array([random_point(m, gen, 0.5) for _ in range(40)])
+    c = random_point(m, gen, 0.3)
+    grid = build_polar_grid(m, c, 0.4, 8, 9).points
+    return [(c, X), (X, c), (X, Y), (grid, c), (c, grid), (X[0], X[0]), (X, X)]
+
+
+class TestComponentForms:
+    """_polar, log, exp and the tangent frame form their per-point scalings
+    component by component; every value is that of the stacked expressions."""
+
+    def test_polar_and_log(self, model):
+        gen = seeded_rng(7, "component-polar")
+        for p, q in _batches(model, gen):
+            got, want = model._polar(p, q), _polar_stacked(model, p, q)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+            rho, psi, _, w = want
+            log = (rho / np.where(psi > 0.0, psi, 1.0))[..., None] * w
+            assert _same_bits(model.log(p, q), log)
+
+    def test_exp(self, model):
+        gen = seeded_rng(7, "component-exp")
+        for p, q in _batches(model, gen):
+            v = model.log(p, q)
+            assert _same_bits(model.exp(p, v), _exp_stacked(model, p, v))
+        c = model.origin()
+        v = 0.3 * np.stack([model.tangent_frame(c)[0]] * 5)   # a batch of tangents at one point
+        assert _same_bits(model.exp(c, v), _exp_stacked(model, c, v))
+
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0), sphere(4.0)],
+                             ids=["sphere", "hyperbolic", "sphere-k4"])
+    def test_tangent_frame(self, m):
+        gen = seeded_rng(7, "component-frame")
+        X = np.array([random_point(m, gen, 0.5) for _ in range(40)])
+        batches = [X, X[3], X.reshape(8, 5, 3)]
+        if m.sectional() > 0:
+            # at the sphere's pole on the ambient x-axis the frame takes the y-axis
+            pole = m.exp(m.origin(), np.array([0.5 * math.pi / m._s, 0.0, 0.0]))
+            assert m.tangent_norm(pole, np.array([1.0, 0.0, 0.0]) - pole * m._s ** 2 * pole[0]) < 1e-6
+            batches.append(np.vstack([X, pole]))
+        for p in batches:
+            for got, want in zip(m.tangent_frame(p), _frame_stacked(m, p)):
+                assert _same_bits(got, want)
 
 
 class TestRicciLowerBound:

@@ -2,13 +2,14 @@
 module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
-the Jacobi integrator takes no Python-level loop per time step, every
-abplab name the benchmark binds, read from its sources, still exists, every
-top-level name and method of the package is reached from the CLI's main or
-from what the benchmark binds, no public function or dataclass takes a model
-beside a field or grid that carries it or a ledger beside the params it is
-built from, every flag a CLI subcommand declares is read by its run, and
-importing the CLI leaves numpy.polynomial unloaded."""
+the Jacobi integrator takes no Python-level loop per time step, the
+Newton refinement and its jets scale no batch over the trailing point axis,
+every abplab name the benchmark binds, read from its sources, still exists,
+every top-level name and method of the package is reached from the CLI's
+main or from what the benchmark binds, no public function or dataclass takes
+a model beside a field or grid that carries it or a ledger beside the params
+it is built from, every flag a CLI subcommand declares is read by its run,
+and importing the CLI leaves numpy.polynomial unloaded."""
 
 import ast
 import importlib
@@ -287,6 +288,65 @@ def test_einsum_detector_flags_and_accepts():
            "t = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]\n"
            "einsum_note = 'np.einsum'\n")
     assert einsum_calls(src) == [3, 4]
+
+
+# the functions of the Newton refinement and its jets, which form every
+# per-point scaling component by component
+COMPONENT_FORMED = {"_polar", "log", "exp", "tangent_frame", "_project_tangent",
+                    "_radial_derivatives", "refine_contact_points"}
+
+
+def _point_axis_subscript(node) -> bool:
+    """x[..., None] or x[:, None]: a batch of scalars turned to broadcast over
+    the trailing point axis."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    first, *_, last = node.slice.elts
+    leading = ((isinstance(first, ast.Constant) and first.value is Ellipsis)
+               or (isinstance(first, ast.Slice) and first.lower is first.upper is first.step is None))
+    return (len(node.slice.elts) == 2 and leading
+            and isinstance(last, ast.Constant) and last.value is None)
+
+
+def trailing_scale_broadcasts(source: str, functions=COMPONENT_FORMED) -> list:
+    """Lines, inside the named functions, that scale by a batch broadcast over
+    the trailing axis: x[..., None] * v, v / x[:, None], v *= x[:, None]."""
+    scale = (ast.Mult, ast.Div)
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, scale):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, scale):
+                operands = (node.value,)
+            else:
+                continue
+            if any(_point_axis_subscript(o) for o in operands):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", ["geometry.py", "fields.py", "contact.py"])
+def test_refinement_scales_points_per_component(module):
+    # numpy 2.4 broadcasts a batch of scalars over a trailing axis of length
+    # 2 or 3 several times slower than it runs the three components
+    assert trailing_scale_broadcasts((SRC / module).read_text()) == []
+
+
+def test_trailing_scale_detector_flags_and_accepts():
+    src = ("def exp(p, v, s, t):\n"
+           "    a = s[..., None] * p\n"
+           "    b = v / t[:, None]\n"
+           "    v *= s[:, None]\n"
+           "    c = np.where(s[..., None], p, v)\n"
+           "    d = s[:, None, None] * p\n"
+           "    e = p[..., 0] * s + v[:, 1]\n"
+           "    f = s[..., None] + p\n"
+           "def other(p, s):\n"
+           "    return s[..., None] * p\n")
+    assert trailing_scale_broadcasts(src) == [2, 3, 4]
 
 
 def _assigned(tree, name):

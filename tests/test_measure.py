@@ -74,6 +74,14 @@ class TestDoubling:
         assert not doubling_check(m, params, c, 0.65, 0.6).passed
         assert doubling_check(m, params, c, 0.65, 0.5).passed
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N, r2", [(1100.0, 0.5), (1000.0, 0.05)], ids=["D", "growth"])
+    def test_bound_past_float64_refused_by_name(self, N, r2):
+        # at N = 1100 the constant D = 2^N overflows, at N = 1000 the factor
+        # (r1/r2)^(N eta) does; math.exp and ** raised OverflowError there
+        with pytest.raises(ValueError, match=r"doubling bound .* leaves the float64 range"):
+            doubling_check(euclidean(), CurvatureParams(0.0, N, 1.0), np.zeros(2), 0.9, r2)
+
 
 class TestIntegralI:
     def _field(self, m, values_fn, r=1.0, n=48):

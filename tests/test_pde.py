@@ -89,6 +89,15 @@ class TestSolvePoisson:
         u, _ = solve_poisson(DirichletProblem(g, np.zeros(g.shape), np.ones(64)))
         assert np.max(np.abs(u.values - 1.0)) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    def test_solve_past_float64_refused_by_name(self):
+        # at radius 2e150 h^2 psi overflows, the stencil turns to 0 and the
+        # solve to NaN, whose residual passed the old `residual > tol`
+        g = build_polar_grid(euclidean(), np.zeros(2), 2e150, 64, 64)
+        with pytest.raises(ValueError, match="radius 2e[+]150 .* leaves the float64 range: "
+                                             "residual nan"):
+            solve_poisson(DirichletProblem(g, -np.ones(g.shape), np.ones(64)))
+
     def test_gaussian_off_center_rejected(self):
         m = gaussian_plane(1.0)
         g = build_polar_grid(m, np.array([0.3, 0.0]), 0.5, 64, 64)
