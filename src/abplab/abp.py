@@ -10,7 +10,8 @@ Two discretizations of the right-hand side are produced:
 * ``rhs_transport`` -- the same integral evaluated through the vertex
   parametrization y -> x(y) with Newton-refined contact locations and the
   exact area element 1/det J(1), J(1) the Jacobian of the contact map
-  x -> exp_x(grad u(x)/a), in closed form from u's jet at x.  It drives the
+  x -> exp_x(grad u(x)/a): jacobi's Jacobi field at t = 1, from u's jet at x
+  and the closed-form pair (cs, sn) that jacobi owns.  It drives the
   equality-case certification.  The quadrature is pointwise, so it streams
   over blocks of whole rings of about _BLOCK_POINTS points.  Its
   diagnostic min_pointwise_density, min over y of D(x(y))^N times the
@@ -36,6 +37,7 @@ from .constants import CurvatureParams, calH, calS
 from .contact import compute_contact_set, refine_contact_points
 from .fields import ScalarField, _laplacian_nu
 from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
+from .jacobi import _cs_sn
 from .pde import node_laplacian_nu
 from .report import CheckReport, _premise_failure, check_le
 
@@ -166,26 +168,22 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
 
 def _jacobian_det(m: ModelSpace, x, grad, h, a: float, frame):
     """det J(1) of the contact map x -> exp_x(grad u(x)/a) from u's jet (grad,
-    h) in the orthonormal frame at x.  The Jacobi field with J(0) = I and
-    J'(0) = Hess u/a along t -> exp_x(t grad u/a) is, in the frame (v, v-perp)
-    of v = grad u/|grad u|, J(1) = diag(1, cs) + diag(1, sn) Hess u/a, so
+    h) in the orthonormal frame at x: jacobi's J(t) = diag(1, cs) + diag(t,
+    sn) H at t = 1, H = Hess u/a in the frame of v = grad u/a and its
+    rotation, L = |v| and (cs, sn) = jacobi._cs_sn(m, L, 1), so
 
-        det J(1) = sn det(I + H/a) + (cs - sn)(1 + H_vv/a),
+        det J(1) = sn det(I + H) + (cs - sn)(1 + H_vv),
 
-    L = |grad u|/a, cs = psi'(L), sn = psi(L)/L, H_vv the Hessian on v.  cs =
-    sn = 1 on the flat charts and where grad u = 0, and the H_vv term drops."""
+    H_vv = H(v/L, v/L).  cs = sn = 1 on the flat charts and at grad u = 0."""
     h11, h12, h22 = h / a
     det = (1.0 + h11) * (1.0 + h22) - h12 * h12
     if m.is_flat_chart:
         return det
     g1, g2 = (m.tangent_inner(x, grad, e) for e in frame)
     q = g1 * g1 + g2 * g2
-    moving = q > 0.0
-    q = np.where(moving, q, 1.0)
-    L = np.sqrt(q) / a
-    cs = np.where(moving, m.dpsi(L), 1.0)
-    sn = np.where(moving, m.psi(L) / L, 1.0)
-    h_vv = (h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2) / q
+    cs, sn = _cs_sn(m, np.sqrt(q) / a, 1.0)
+    h_vv = h11 * g1 * g1 + 2.0 * h12 * g1 * g2 + h22 * g2 * g2
+    h_vv /= np.where(q > 0.0, q, 1.0)   # the numerator is 0 where q is
     return sn * det + (cs - sn) * (1.0 + h_vv)
 
 

@@ -296,14 +296,20 @@ _SUBCOMMANDS = {
     "pucci": (cmd_pucci, "samples theta"),
     "all": (cmd_all, "k K N R r resolution u a b alpha samples theta"),
 }
-# The subcommands whose mode flag picks what runs: that flag, and for each mode
-# the flags of the row that it reads and some other mode does not.  Every mode
-# reads the row's remaining flags; main refuses a listed flag the mode does not read.
+# The subcommands whose mode flags pick what runs: each flag, and for each of
+# its modes the flags of the row that it reads and some other mode does not.
+# Every mode reads the row's remaining flags; main refuses a listed flag the
+# mode does not read.  --k is read by the curved models, --lambda by gaussian.
+_MODEL = ("model", {"euclidean": "", "sphere": "k", "hyperbolic": "k", "gaussian": "lambda"})
 _MODES = {
-    "harnack-check": ("which", {"sup": "resolution N", "sub": "resolution p N",
-                                "full": "resolution N", "growth": "resolution r N",
-                                "pucci": "samples theta"}),
-    "hfun": ("fit", {False: "d", True: "dmax"}),
+    "contact": [_MODEL],
+    "abp-check": [_MODEL],
+    "barrier-check": [_MODEL],
+    "doubling": [_MODEL],
+    "harnack-check": [("which", {"sup": "resolution N", "sub": "resolution p N",
+                                 "full": "resolution N", "growth": "resolution r N",
+                                 "pucci": "samples theta"}), _MODEL],
+    "hfun": [("fit", {False: "d", True: "dmax"}), _MODEL],
 }
 
 
@@ -359,23 +365,21 @@ def _with_config(parser, argv):
 
 def _refuse_unread_by_mode(args, tokens):
     """Raise ValueError naming each flag of tokens, the command line with the
-    config spliced in, that the selected mode of the subcommand does not read."""
-    if args.experiment not in _MODES:
-        return
-    flag, reads = _MODES[args.experiment]
-    mode = vars(args)[flag]
+    config spliced in, that a selected mode of the subcommand does not read."""
     given = {t[2:].split("=")[0] for t in tokens if t.startswith("--")}
-    other = {f for r in reads.values() for f in r.split()} - set(reads[mode].split())
-    unread = sorted(given & other)
-    if not unread:
-        return
-    if isinstance(mode, bool):
-        label = f"--{flag}" if mode else f"without --{flag}"
-    else:
-        label = f"--{flag} {mode}"
-    verb = "is" if len(unread) == 1 else "are"
-    raise ValueError(f"{', '.join('--' + f for f in unread)} {verb} not read by "
-                     f"{args.experiment} {label}")
+    for flag, reads in _MODES.get(args.experiment, ()):
+        mode = vars(args)[flag]
+        other = {f for r in reads.values() for f in r.split()} - set(reads[mode].split())
+        unread = sorted(given & other)
+        if not unread:
+            continue
+        if isinstance(mode, bool):
+            label = f"--{flag}" if mode else f"without --{flag}"
+        else:
+            label = f"--{flag} {mode}"
+        verb = "is" if len(unread) == 1 else "are"
+        raise ValueError(f"{', '.join('--' + f for f in unread)} {verb} not read by "
+                         f"{args.experiment} {label}")
 
 
 def main(argv=None) -> int:

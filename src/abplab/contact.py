@@ -388,22 +388,19 @@ def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
 
 def check_contact_location(u: ScalarField, a: float,
                            x0, r: float, y0, l: float, t: float,
-                           cs: Optional[ContactSet] = None) -> CheckReport:
+                           cs: ContactSet) -> CheckReport:
     """Inclusion of the contact set in the inner ball and low sub-level set.
 
     With u(y0) = l somewhere in the half ball and u >= t on the 5r/6 shell,
     l < t forces A(a, B_{r/6}(y0)/B_r(x0), u) into B_{5r/6}(x0) intersected
     with {u <= l + a r^2/36}.  Premise violations are reported, not raised.
-    The contact set is read from cs when the caller has already scanned
-    _location_vertices(u.grid, y0, r) with opening a; otherwise the scan
-    runs here, after the premises pass.
+    cs is the caller's scan of _location_vertices(u.grid, y0, r) with
+    opening a; those vertices include y0's node, so the touching bound
+    below is exact.
     """
     pre = _location_premises(u, x0, r, y0, l, t)
     if pre is not None:
         return _premise_failure("contact-location", pre)
-    # vertices must include y0's node so the touching bound below is exact
-    if cs is None:
-        cs = compute_contact_set(u, a, _location_vertices(u.grid, y0, r))
     nodes = cs.node_indices
     pts = u.grid.flat_points()[nodes]
     d_x0 = u.grid.model.distance(np.asarray(x0, float), pts)

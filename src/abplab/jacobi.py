@@ -4,18 +4,20 @@ The matrix system J'' + R J = 0, J(0) = I, J'(0) = H0, is written in a
 parallel frame aligned with the initial velocity v.  On the constant-curvature
 models that frame makes R constant, diag(0, kappa |v|^2), so the system
 splits into two scalar equations that the models solve exactly.  With
-L = |v|, cs(t) = dpsi(L t) and sn(t) = psi(L t) / L (sn(t) = t when L = 0):
+L = |v|, cs(t) = dpsi(L t) and sn(t) = psi(L t) / L (sn(t) = t when L = 0),
+the pair _cs_sn forms and JacobiState keeps,
 
     J(t)  = diag(1, cs(t)) + diag(t, sn(t)) H0,
     J'(t) = diag(0, -kappa L^2 sn(t)) + diag(1, cs(t)) H0,
 
-filled at n_steps + 1 evenly spaced times on [0, 1].  The same pair gives
-the geodesic and its velocity on the curved charts,
+J is filled at n_steps + 1 evenly spaced times on [0, 1]; J' is not stored.
+On the curved charts the same pair gives the geodesic and its velocity,
 
     gamma(t) = cs(t) x + sn(t) v,     gamma'(t) = -kappa L^2 sn(t) x + cs(t) v,
 
 while the flat charts keep exp's own form x + t v and gamma' = v.  One
-verdict is thus a handful of whole-array writes.
+verdict is thus a handful of whole-array writes.  The measure estimate's
+transport reads the same pair at t = 1 for det J(1) of its contact map.
 
 The per-time diagnostics feed the concavity comparisons: with
 
@@ -56,7 +58,8 @@ class JacobiState:
     v: np.ndarray              # initial velocity (gamma'(0))
     times: np.ndarray          # (T,)
     J: np.ndarray              # (T, 2, 2)
-    Jdot: np.ndarray           # (T, 2, 2)
+    cs: np.ndarray             # dpsi(L t) per time, L = |v|
+    sn: np.ndarray             # psi(L t) / L per time (t when L = 0)
     weight_ratio: np.ndarray   # exp(-V(gamma)) / exp(-V(base)) per time
     gamma: np.ndarray          # geodesic samples (T, embedding_dim)
 
@@ -85,7 +88,7 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     cosh-like on the hyperboloid, is the condition number of projecting an
     ambient vector onto the tangent plane, as tangent_frame does.
 
-    cs and sn are computed once; J and J' are written column by column from
+    cs and sn are computed once and kept; J is written column by column from
     them, and on the curved charts so is gamma.  One exp at t = 1 refuses a
     hyperboloid radius past float64 by name before cs and sn overflow.
     """
@@ -99,13 +102,12 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     _require_finite("initial Hessian", H0)
     if np.max(np.abs(H0 - H0.T)) > 1e-12:
         raise ValueError("initial Hessian must be symmetric")
-    kappa = m.sectional()
     flat = m.is_flat_chart
     if not flat:   # "not <=" also refuses a residual that left float64
         xn = math.sqrt(float(x @ x))
         if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
             raise ValueError(f"x is not a point of {_model_label(m)}")
-        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(kappa))
+        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(m.sectional()))
         if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
             raise ValueError("v is not tangent at x")
     L = float(m.tangent_norm(x, v))
@@ -114,19 +116,13 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     if not flat:
         m.exp(x, v)   # refuses a hyperboloid radius past float64 before cs and sn overflow
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    cs = m.dpsi(L * times)
-    sn = m.psi(L * times) / L if L > 0.0 else times
+    cs, sn = _cs_sn(m, L, times)
     (h00, h01), (h10, h11) = H0.tolist()
     J = np.empty((len(times), 2, 2))
     J[:, 0, 0] = times * h00 + 1.0
     J[:, 0, 1] = times * h01
     J[:, 1, 0] = sn * h10
     J[:, 1, 1] = sn * h11 + cs
-    Jdot = np.empty_like(J)
-    Jdot[:, 0, 0] = h00
-    Jdot[:, 0, 1] = h01
-    Jdot[:, 1, 0] = cs * h10
-    Jdot[:, 1, 1] = cs * h11 - kappa * L * L * sn
     if flat:
         gamma = x + times[:, None] * v   # exp's flat form, bit for bit
     else:
@@ -135,7 +131,15 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
         wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
     else:
         wr = np.ones(len(times))
-    return JacobiState(m, x, v, times, J, Jdot, wr, gamma)
+    return JacobiState(m, x, v, times, J, cs, sn, wr, gamma)
+
+
+def _cs_sn(m: ModelSpace, L, t):
+    """(cs, sn) = (dpsi(L t), psi(L t) / L), with sn = t where L = 0, for an
+    array of speeds L or of times t."""
+    Lt = L * t
+    moving = L > 0.0
+    return m.dpsi(Lt), np.where(moving, m.psi(Lt) / np.where(moving, L, 1.0), t)
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -217,14 +221,11 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
 
 def _velocity(state: JacobiState, idx) -> np.ndarray:
     """gamma'(t) at state.times[idx], exact on the models: v itself on the
-    flat charts, -kappa L psi(L t) x + dpsi(L t) v, L = |v|, on the curved
-    ones, with psi(L t) = L sn(t) and dpsi(L t) = cs(t) evaluated afresh."""
+    flat charts, -kappa L^2 sn(t) x + cs(t) v, L = |v|, on the curved ones,
+    from the state's own pair."""
     m = state.model
     x, v = state.base, state.v
-    t = state.times[idx]
     if m.is_flat_chart:
-        return np.broadcast_to(v, t.shape + v.shape)
+        return np.broadcast_to(v, state.times[idx].shape + v.shape)
     L = float(m.tangent_norm(x, v))
-    Lt = L * t
-    return ((-m.sectional() * L * m.psi(Lt))[:, None] * x
-            + m.dpsi(Lt)[:, None] * v)
+    return (-m.sectional() * L * L * state.sn[idx])[:, None] * x + state.cs[idx][:, None] * v

@@ -190,10 +190,9 @@ def solve_jacobi_pair(R, n_steps: int = 512):
 
 
 def stacked_jacobi(m, x, H0, v, n_steps: int):
-    """J and J' of integrate_jacobi built by np.stack, an oracle for its
-    column writes: the rows t H0[0], sn H0[1] and H0[0], cs H0[1] stacked,
-    then diag(1, cs) and diag(0, -kappa L^2 sn) added in place, with
-    cs = dpsi(L t) and sn = psi(L t)/L (t when L = 0)."""
+    """J, cs and sn of integrate_jacobi, J built by np.stack, an oracle for its
+    column writes: the rows t H0[0] and sn H0[1] stacked, then diag(1, cs)
+    added in place, with cs = dpsi(L t) and sn = psi(L t)/L (t when L = 0)."""
     H0 = np.asarray(H0, float)
     L = float(m.tangent_norm(x, v))
     times = np.linspace(0.0, 1.0, n_steps + 1)
@@ -202,9 +201,7 @@ def stacked_jacobi(m, x, H0, v, n_steps: int):
     J = np.stack([times[:, None] * H0[0], sn[:, None] * H0[1]], axis=1)
     J[:, 0, 0] += 1.0
     J[:, 1, 1] += cs
-    Jdot = np.stack([np.broadcast_to(H0[0], (len(times), 2)), cs[:, None] * H0[1]], axis=1)
-    Jdot[:, 1, 1] -= m.sectional() * L * L * sn
-    return J, Jdot
+    return J, cs, sn
 
 
 def verify_ode_structure(R, rng=None, n_random: int = 32) -> CheckReport:

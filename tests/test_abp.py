@@ -9,6 +9,7 @@ from abplab.constants import CurvatureParams
 from abplab.fields import (ScalarField, bump_field, constant_field, quadratic_field,
                            random_bump_field)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.jacobi import integrate_jacobi
 from abplab.report import seeded_rng
 from conftest import ALL_MODELS, fd_gram
 
@@ -375,6 +376,29 @@ class TestJacobianDet:
                 # the curved terms carry weight: the flat form det(I + H/a) is off
                 flat = (1.0 + h[0] / a) * (1.0 + h[2] / a) - (h[1] / a) ** 2
                 assert np.max(np.abs(flat / want - 1.0)) > 0.05
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_equals_the_jacobi_field_at_time_one(self, m):
+        # on the transport's own contacts (abp-check --u random --seed 1 at
+        # 64^2, every seventh): the closed form is det J(1) of integrate_jacobi
+        # with J'(0) = Hess u/a in the frame (v, v-perp), v = grad u/a
+        a = 1.0
+        inst, nr = _instance(m, CurvatureParams(0.0, 2.0, 1.0), 1.0, 64,
+                             lambda g: random_bump_field(g, seeded_rng(1, "abp-cli"),
+                                                         hess_bound=0.5 * a), a)
+        X = transport_rhs(inst, nr)["contact_points"][::7]
+        frame = m.tangent_frame(X)
+        got = abp._jacobian_det(m, X, *inst.u.jet(X, frame), a, frame)
+        want = []
+        for x in X:
+            v = inst.u.grad(x) / a
+            L = float(m.tangent_norm(x, v))
+            e1 = v / L if L > 0.0 else m.tangent_frame(x)[0]
+            h11, h12, h22 = inst.u.jet(x, (e1, m.rotate90(x, e1)))[1] / a
+            H = np.array([[h11, h12], [h12, h22]])
+            want.append(integrate_jacobi(m, x, H, v, 64).det()[-1])
+        assert len(X) > 50
+        np.testing.assert_allclose(got, want, rtol=8.0 * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("m,params,r", [
         (euclidean(), CurvatureParams(0.0, 2.0, 1.0), 1.0),

@@ -119,6 +119,27 @@ MODE_REFUSALS = [
      "--p, --r, --resolution are not read by harnack-check --which pucci", "pucci-three"),
 ]
 
+# a model flag that the chosen model does not read: --k off the sphere and
+# the hyperboloid, --lambda off the gaussian plane (argv as flag-value pairs)
+MODEL_REFUSALS = [
+    (["doubling", "--model", "euclidean", "--k", "5"],
+     "--k is not read by doubling --model euclidean", "doubling-euclidean-k"),
+    (["doubling", "--model", "hyperbolic", "--lambda", "0.5"],
+     "--lambda is not read by doubling --model hyperbolic", "doubling-hyperbolic-lambda"),
+    (["abp-check", "--k", "2"], "--k is not read by abp-check --model euclidean",
+     "abp-default-model-k"),
+    (["contact", "--model", "gaussian", "--k", "2"],
+     "--k is not read by contact --model gaussian", "contact-gaussian-k"),
+    (["barrier-check", "--model", "sphere", "--lambda", "1"],
+     "--lambda is not read by barrier-check --model sphere", "barrier-sphere-lambda"),
+    (["harnack-check", "--which", "pucci", "--model", "euclidean", "--lambda", "2"],
+     "--lambda is not read by harnack-check --model euclidean", "harnack-euclidean-lambda"),
+    (["hfun", "--model", "sphere", "--lambda", "0"],
+     "--lambda is not read by hfun --model sphere", "hfun-sphere-lambda"),
+    (["doubling", "--model", "euclidean", "--k", "1", "--lambda", "1"],
+     "--k, --lambda are not read by doubling --model euclidean", "doubling-euclidean-both"),
+]
+
 
 class TestCliExitCodes:
     def test_pass_run_exits_zero(self, capsys):
@@ -225,10 +246,35 @@ class TestCliExitCodes:
     def test_mode_flags_are_declared_by_their_subcommand(self):
         # each mode's flags, and the flag that selects the mode, are in the
         # subcommand's row, and the table names every mode the flag can take
-        for sub, (flag, reads) in _MODES.items():
+        for sub, modes in _MODES.items():
             row = _SUBCOMMANDS[sub][1].split()
-            assert flag in row and {f for r in reads.values() for f in r.split()} <= set(row)
-            assert set(reads) == set(_FLAGS[flag].get("choices", (False, True)))
+            for flag, reads in modes:
+                assert flag in row and {f for r in reads.values() for f in r.split()} <= set(row)
+                assert set(reads) == set(_FLAGS[flag].get("choices", (False, True)))
+
+    def test_every_subcommand_with_a_model_refuses_its_unread_flags(self):
+        assert sorted(sub for sub, modes in _MODES.items() if any(f == "model" for f, _ in modes)) \
+            == sorted(sub for sub, (_, row) in _SUBCOMMANDS.items() if "model" in row.split())
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("argv,message", [r[:2] for r in MODEL_REFUSALS],
+                             ids=[r[2] for r in MODEL_REFUSALS])
+    def test_model_flag_the_model_does_not_read_is_named(self, argv, message, via, tmp_path,
+                                                         capsys):
+        # these ran with the flag ignored: doubling --model euclidean --k 5
+        # passed, and doubling --model hyperbolic --lambda 0.5 ran
+        out = tmp_path / "out"
+        if via == "config":
+            cfg = tmp_path / "run.json"
+            keys = dict(zip((f[2:] for f in argv[1::2]), argv[2::2]))
+            cfg.write_text(json.dumps({"experiment": argv[0], **keys, "out": str(out)}))
+            argv = ["--config", str(cfg)]
+        else:
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["barrier-check", "--model", "euclidean", "--r", "1e6"],

@@ -6,7 +6,7 @@ import pytest
 
 from abplab import contact
 from abplab.contact import (_BLOCK, _DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL,
-                            _nearest_differences, _polar_rho_sq,
+                            _location_vertices, _nearest_differences, _polar_rho_sq,
                             check_contact_location, compute_contact_set,
                             gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
@@ -533,7 +533,8 @@ class TestContactLocation:
         u = sum_fields([constant_field(g, 1.0), bump_field(g, y0, -1.0, 8.0)])
         l = float(u.value(y0))
         t = 1.0 - math.exp(-8.0 / 9.0)
-        rep = check_contact_location(u, 1.0, m.origin(), 1.0, y0, l, t - 1e-9)
+        cs = compute_contact_set(u, 1.0, _location_vertices(g, y0, 1.0))
+        rep = check_contact_location(u, 1.0, m.origin(), 1.0, y0, l, t - 1e-9, cs)
         assert rep.passed
         assert rep.diagnostics["max_distance"] <= 5.0 / 6.0
 
@@ -545,14 +546,17 @@ class TestContactLocation:
         l = float(u.value(y0))
         shell = ~g.mask_within(m.origin(), 5.0 * 0.35 / 6.0)
         t = float(np.min(u.values[shell]))
-        rep = check_contact_location(u, 1.0, m.origin(), 0.35, y0, l, t - 1e-9)
+        cs = compute_contact_set(u, 1.0, _location_vertices(g, y0, 0.35))
+        rep = check_contact_location(u, 1.0, m.origin(), 0.35, y0, l, t - 1e-9, cs)
         assert rep.passed
 
     def test_premise_violation_reported(self):
         m = euclidean()
         g = _grid(m, n=32)
         u = constant_field(g, 0.5)
-        rep = check_contact_location(u, 1.0, m.origin(), 1.0, g.points[3, 0], 0.9, 0.5)
+        y0 = g.points[3, 0]
+        cs = compute_contact_set(u, 1.0, _location_vertices(g, y0, 1.0))
+        rep = check_contact_location(u, 1.0, m.origin(), 1.0, y0, 0.9, 0.5, cs)
         assert not rep.passed
         assert rep.diagnostics["violated_premise"] == "l < t"
 

@@ -2,7 +2,8 @@
 module is used by it, every private top-level name is used somewhere in the
 package, only geometry decides the model kind and weight, only geometry
 turns an inner product into a distance and it sums them without einsum,
-the Jacobi integrator takes no Python-level loop per time step, the
+the Jacobi integrator takes no Python-level loop per time step, every
+dataclass field is read somewhere in the package or the benchmark, the
 Newton refinement and its jets scale no batch over the trailing point axis,
 every abplab name the benchmark binds, read from its sources, still exists,
 every top-level name and method of the package is reached from the CLI's
@@ -109,6 +110,60 @@ def test_dead_helper_detector_flags_and_accepts():
     }
     assert dead_helpers(sources) == ["a.py: _DEAD", "a.py: _Unused", "a.py: _orphan",
                                      "b.py: _local"]
+
+
+def _dataclass_fields(cls) -> list:
+    """The field names of a class decorated with dataclass, [] for another class."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return []
+    return [s.target.id for s in cls.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def dead_fields(sources: dict, readers) -> list:
+    """"module: Class.field" for each field of a dataclass of sources that no
+    text of readers reads by name, as x.field or getattr(x, "field"), unless
+    its class emits all its fields through dataclasses.fields, as
+    ConstantsLedger.to_dict does."""
+    read = set()
+    for n in (n for text in readers for n in ast.walk(ast.parse(text))):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr"
+              and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
+            read.add(n.args[1].value)
+    dead = []
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef) or any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "fields" for n in ast.walk(cls)):
+                continue
+            dead += [f"{module}: {cls.name}.{f}" for f in _dataclass_fields(cls) if f not in read]
+    return sorted(dead)
+
+
+def test_every_dataclass_field_is_read():
+    # a field that neither the package nor the benchmark reads is stored for
+    # nothing: it costs a write per state and a positional slot per caller
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = [*sources.values(), *(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))]
+    assert dead_fields(sources, readers) == []
+
+
+def test_dead_field_detector_flags_and_accepts():
+    sources = {
+        "a.py": ("from dataclasses import dataclass, fields\n"
+                 "@dataclass\nclass State:\n    J: int\n    Jdot: int\n    w: int = 0\n"
+                 "@dataclass(frozen=True)\nclass Ledger:\n    mu: int\n"
+                 "    def to_dict(self):\n        return {f.name: 1 for f in fields(self)}\n"
+                 "class Plain:\n    unread: int = 0\n"
+                 "def f(st):\n    st.w = 1\n    return st.J\n"),
+        "b.py": "@dataclass\nclass Report:\n    lhs: float\n    rhs: float\n    n: int\n",
+    }
+    readers = [*sources.values(), "def g(rep):\n    return rep.rhs, getattr(rep, 'lhs')\n"]
+    assert dead_fields(sources, readers) == ["a.py: State.Jdot", "a.py: State.w", "b.py: Report.n"]
 
 
 MODEL_KINDS = {"euclidean", "sphere", "hyperbolic", "gaussian_plane"}
@@ -540,11 +595,8 @@ def public_signatures(source: str) -> list:
         if isinstance(node, ast.FunctionDef):
             takes.append((node.name, _parameters(node)))
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            takes.append((node.name, {s.target.id for s in node.body
-                                      if isinstance(s, ast.AnnAssign)
-                                      and isinstance(s.target, ast.Name)}))
+        if _dataclass_fields(node):
+            takes.append((node.name, set(_dataclass_fields(node))))
         takes += [(f"{node.name}.{f.name}", _parameters(f)) for f in node.body
                   if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
     return takes
