@@ -41,6 +41,7 @@ _ALPHA_MAX = 200.0       # keeps alpha^3 18^(alpha + 2), the checks' largest fac
 _BARRIER_SAMPLES = 4000  # samples of inf h in verify_barrier; its other pieces take half
 _FAN_SAMPLES = 2000      # radii per ray of the Ricci comparison fan
 _FAN_DIRS = 16           # rays of that fan
+_TAIL_TOL = 4.5 * np.finfo(float).eps   # the tail identity's rounding; see verify_barrier
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,21 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams) -> list[CheckRepo
     calculus as the contact refinement.
 
     (a) inf h >= -alpha^2 18^alpha
-    (b) derivative bounds on both pieces
+    (b) derivative bounds on both pieces; on the tail, the identity
+        h'' - h'/t + a(a+2) t^-(a+2) = 0 with a = alpha, each residual
+        relative to its terms' sum S = |h''| + |h'/t| + a(a+2) t^-(a+2)
     (c) r^2 Delta_nu psi / N + H(w r) <= 972 alpha^3 18^alpha on B_{r/18}
     (d) r^2 Delta_nu psi / N + H(w r) <= 0 outside B_{r/18}
+
+    The identity's allowance is its rounding, with u = eps/2 and pow
+    within one ulp.  h'' and the third term share one pow(t, -(a+2)) and
+    carry 3u each besides; h'/t carries 2u besides its own pow(t, -(a+1)),
+    and the two sums add 2u S.  The pows' errors, with the rounding of the
+    exponents a+1 and a+2, are at most ((a+i) |ln t| + 2) u each, but they
+    enter only through a t^-(a+2) = |h'/t| = S / (2a + 4), as the exact
+    identity cancels the shared pow's coefficients down to a.  With
+    |ln t| <= ln 18 on the tail and a >= 2 the residual is at most
+    (5 + ln 18 + 1/2) u S < 9u S = 4.5 eps S.
     """
     a, N, r = spec.alpha, params.N, spec.r
     w = params.omega
@@ -175,12 +188,13 @@ def verify_barrier(spec: BarrierSpec, params: CurvatureParams) -> list[CheckRepo
         -float(np.min(ratio)),  # positivity of h'/t on the core
     )
     tt = np.linspace(_JUNCTION * (1.0 + 1e-9), 4.0, _BARRIER_SAMPLES // 2)
-    exact_tail = barrier_d2h(spec, tt) - barrier_dh(spec, tt) / tt \
-        + a * (a + 2.0) * tt ** (-(a + 2.0))
-    gap_tail = float(np.max(np.abs(exact_tail)))
+    d2, q, c = barrier_d2h(spec, tt), barrier_dh(spec, tt) / tt, a * (a + 2.0) * tt ** (-(a + 2.0))
+    residual = np.abs(d2 - q + c)
+    tail_ratio = float(np.max(residual / (np.abs(d2) + np.abs(q) + c)))
     reports.append(check_le("barrier-derivatives", "barrier-derivative-bounds",
-                            max(gap_core, gap_tail / (a * 18.0**a)), 1e-12,
-                            core_gap=gap_core, tail_identity_residual=gap_tail))
+                            max(gap_core, tail_ratio), _TAIL_TOL, core_gap=gap_core,
+                            tail_identity_residual=float(np.max(residual)),
+                            tail_identity_ratio=tail_ratio))
 
     rho_in = np.linspace(0.0, r / 18.0, _BARRIER_SAMPLES // 2)
     lhs_in = _lap_nu_psi_radial(spec, rho_in) / N + calH(w * r)

@@ -159,8 +159,8 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     if not a > 0:
         raise ValueError("opening a must be > 0")
     uf = u.values.reshape(-1)
-    if np.any(np.isnan(uf)):
-        raise ValueError("u has NaN values")
+    if not np.isfinite(uf).all():   # an infinite node would tie the +inf padding slots
+        raise ValueError("u has non-finite values (NaN or inf)")
     n_r, n_t = grid.n_r, grid.n_theta
     ring, ang = np.divmod(E, n_t)
     if m.sectional() > 0:

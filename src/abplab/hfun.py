@@ -125,7 +125,13 @@ def expansion_fit(d_samples, values, degree: int = 3):
     v = np.asarray(values, float)
     if len(d) < degree + 2:
         raise ValueError("need at least degree + 2 samples")
-    A = np.vander(d, degree + 1, increasing=True)
+    if not (np.isfinite(d).all() and np.isfinite(v).all()):
+        raise ValueError("the samples d and their values must be finite")
+    with np.errstate(over="ignore"):   # a power past float64 is refused below, by name
+        A = np.vander(d, degree + 1, increasing=True)
+    if not np.isfinite(A).all():
+        raise ValueError(f"the fit's powers d^k, k <= {degree}, leave float64 at "
+                         f"|d| up to {float(np.max(np.abs(d))):g}")
     coeffs, res, rank, sv = np.linalg.lstsq(A, v, rcond=None)
     if rank < degree + 1 or sv[-1] < 1e-13 * sv[0]:
         raise ValueError("sample layout too clustered for a stable fit")

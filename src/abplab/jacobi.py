@@ -10,14 +10,15 @@ the pair _cs_sn forms and JacobiState keeps,
     J(t)  = diag(1, cs(t)) + diag(t, sn(t)) H0,
     J'(t) = diag(0, -kappa L^2 sn(t)) + diag(1, cs(t)) H0,
 
-J is filled at n_steps + 1 evenly spaced times on [0, 1]; J' is not stored.
-On the curved charts the same pair gives the geodesic and its velocity,
+J is filled on one cached grid of n_steps + 1 evenly spaced times on
+[0, 1]; J' is not stored.  On the curved charts the same pair gives the
+geodesic and its velocity,
 
     gamma(t) = cs(t) x + sn(t) v,     gamma'(t) = -kappa L^2 sn(t) x + cs(t) v,
 
-while the flat charts keep exp's own form x + t v and gamma' = v.  One
-verdict is thus a handful of whole-array writes.  The measure estimate's
-transport reads the same pair at t = 1 for det J(1) of its contact map.
+while the flat charts keep exp's own form x + t v and gamma' = v.  Inputs
+are checked on Python floats, exp's refusals at t = 1 as conditions on L.
+The measure estimate's transport reads the pair at t = 1 for det J(1).
 
 The per-time diagnostics feed the concavity comparisons: with
 
@@ -34,18 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ModelSpace, _model_label
+from .geometry import _COSH_MAX, ModelSpace, _model_label, _radius_range_error
 from .report import CheckReport, check_le
 
-__all__ = [
-    "JacobiState",
-    "integrate_jacobi",
-    "dn_functional",
-    "verify_comparison",
-]
+__all__ = ["JacobiState", "integrate_jacobi", "dn_functional", "verify_comparison"]
 
 _FD_SLACK = 1e-5  # verify_comparison's tolerance, relative to the finite-difference scale
 _ROUND_TOL = 32.0 * np.finfo(float).eps  # integrate_jacobi's input tolerance; see its docstring
@@ -86,52 +83,66 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     tangent formed from points (log, a projection) carries errors on the
     scale |x| + |v|, not |v|; |x| sqrt|kappa|, 1 on the sphere and
     cosh-like on the hyperboloid, is the condition number of projecting an
-    ambient vector onto the tangent plane, as tangent_frame does.
-
-    cs and sn are computed once and kept; J is written column by column from
-    them, and on the curved charts so is gamma.  One exp at t = 1 refuses a
-    hyperboloid radius past float64 by name before cs and sn overflow.
+    ambient vector onto the tangent plane, as tangent_frame does.  The dots
+    scaling these tolerances are numpy's, which may fuse multiply-adds.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
-    H0 = np.asarray(initial_hessian, float)
-    _require_finite("x", x)
-    _require_finite("v", v)
-    _require_finite("initial Hessian", H0)
-    if np.max(np.abs(H0 - H0.T)) > 1e-12:
+    x, v, H0 = (np.asarray(a, float) for a in (x, v, initial_hessian))
+    xs, vs = x.tolist(), v.tolist()
+    named = {"x": xs, "v": vs, "initial Hessian": H0.ravel().tolist()}
+    bad = [name for name, a in named.items() if not all(map(math.isfinite, a))]
+    if bad:
+        raise ValueError(f"{bad[0]} must be finite")
+    (h00, h01), (h10, h11) = H0.tolist()
+    if abs(h01 - h10) > 1e-12:
         raise ValueError("initial Hessian must be symmetric")
-    flat = m.is_flat_chart
-    if not flat:   # "not <=" also refuses a residual that left float64
+    kappa = m.sectional()
+    if kappa != 0.0:   # "not <=" also refuses a residual that left float64
         xn = math.sqrt(float(x @ x))
-        if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
+        if not abs(m._isum([a * a for a in xs]) - 1.0 / kappa) <= _ROUND_TOL * xn * xn:
             raise ValueError(f"x is not a point of {_model_label(m)}")
-        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(m.sectional()))
+        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(kappa))
         if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
             raise ValueError("v is not tangent at x")
-    L = float(m.tangent_norm(x, v))
+    L = _speed(m, vs)
     if L >= m.cut_radius:
         raise ValueError("initial speed exceeds the cut radius")
-    if not flat:
-        m.exp(x, v)   # refuses a hyperboloid radius past float64 before cs and sn overflow
-    times = np.linspace(0.0, 1.0, n_steps + 1)
-    cs, sn = _cs_sn(m, L, times)
-    (h00, h01), (h10, h11) = H0.tolist()
-    J = np.empty((len(times), 2, 2))
-    J[:, 0, 0] = times * h00 + 1.0
-    J[:, 0, 1] = times * h01
+    if kappa < 0.0 and math.sqrt(-kappa) * L > _COSH_MAX:   # exp's refusals, in its order
+        big = float(np.max(np.abs(v)))   # |v| itself may overflow in L
+        raise _radius_range_error(f"exp on {_model_label(m)}",
+                                  big * float(m.tangent_norm(x, v / big)))
+    if L >= m.cut_radius - 1e-15:
+        raise ValueError("tangent norm exceeds the cut radius")
+    grid = _time_grid(n_steps)
+    cs, sn = _cs_sn(m, L, grid)
+    J = np.empty((len(grid), 2, 2))
+    J[:, 0, 0] = grid * h00 + 1.0
+    J[:, 0, 1] = grid * h01
     J[:, 1, 0] = sn * h10
     J[:, 1, 1] = sn * h11 + cs
-    if flat:
-        gamma = x + times[:, None] * v   # exp's flat form, bit for bit
-    else:
-        gamma = cs[:, None] * x + sn[:, None] * v
-    if m.is_weighted:
-        wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x)))
-    else:
-        wr = np.ones(len(times))
-    return JacobiState(m, x, v, times, J, cs, sn, wr, gamma)
+    gamma = _rows(1.0, xs, grid, vs) if kappa == 0.0 else _rows(cs, xs, sn, vs)
+    wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x))) if m.is_weighted else np.ones(len(grid))
+    return JacobiState(m, x, v, grid.copy(), J, cs, sn, wr, gamma)
+
+
+@lru_cache(maxsize=8)
+def _time_grid(n_steps: int) -> np.ndarray:
+    """The n_steps + 1 evenly spaced times on [0, 1], read-only."""
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    t.flags.writeable = False
+    return t
+
+
+def _speed(m: ModelSpace, vs) -> float:
+    """|v| from the components vs, in tangent_norm's order of operations."""
+    return math.sqrt(max(m._isum([a * a for a in vs]), 0.0))
+
+
+def _rows(c, xs, d, vs) -> np.ndarray:
+    """The rows c x + d v, d over the times, one component at a time (the
+    result is the transpose of the components' stack)."""
+    return np.array([c * a + d * b for a, b in zip(xs, vs)]).T
 
 
 def _cs_sn(m: ModelSpace, L, t):
@@ -142,17 +153,9 @@ def _cs_sn(m: ModelSpace, L, t):
     return m.dpsi(Lt), np.where(moving, m.psi(Lt) / np.where(moving, L, 1.0), t)
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
-
-
 def dn_functional(state: JacobiState, N) -> np.ndarray:
     """D_N(t) samples on the valid prefix, NaN from the first sample whose
-    determinant is not positive on.
-
-    Raises ValueError only when the determinant is nonpositive at t = 0.
-    """
+    determinant is not positive on; ValueError when that sample is t = 0."""
     det = state.det() * state.weight_ratio
     k = _prefix_len(det > 0.0)
     if k == 0:
@@ -182,9 +185,6 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
     D_N'' <= 4 (K/N) r^2 D_N  with |gamma'| <= 2r; the stored lhs is the
     larger of the two gaps.  m must be the state's own model; K must be
     finite, r finite and positive, and N at least m.dim (inf allowed).
-
-    The differences read the interior times 1 .. k-2 of the finite prefix
-    D[:k] as the slices D[2:k], D[1:k-1] and D[:k-2].
     """
     if m != state.model:
         raise ValueError(f"m is {_model_label(m)}, but the state is on "
@@ -205,11 +205,9 @@ def verify_comparison(state: JacobiState, m: ModelSpace, N, K: float,
     d2 = (D[2:k] - 2.0 * D[1:k - 1] + D[:k - 2]) / (h * h)
     ric = m.ricci_nu_quadratic(state.gamma[idx], _velocity(state, idx), N)
     if math.isinf(N):
-        rhs = -ric
-        rhs_uniform = 4.0 * K * r * r
+        rhs, rhs_uniform = -ric, 4.0 * K * r * r
     else:
-        rhs = -(ric / N) * D[idx]
-        rhs_uniform = 4.0 * (K / N) * r * r * D[idx]
+        rhs, rhs_uniform = -(ric / N) * D[idx], 4.0 * (K / N) * r * r * D[idx]
     scale = max(1.0, float(np.abs(d2).max()), float(np.abs(rhs).max()))
     gap = float((d2 - rhs).max())
     gap_u = float((d2 - rhs_uniform).max())
@@ -227,5 +225,5 @@ def _velocity(state: JacobiState, idx) -> np.ndarray:
     x, v = state.base, state.v
     if m.is_flat_chart:
         return np.broadcast_to(v, state.times[idx].shape + v.shape)
-    L = float(m.tangent_norm(x, v))
-    return (-m.sectional() * L * L * state.sn[idx])[:, None] * x + state.cs[idx][:, None] * v
+    L = _speed(m, v.tolist())
+    return _rows(-m.sectional() * L * L * state.sn[idx], x.tolist(), state.cs[idx], v.tolist())

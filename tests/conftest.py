@@ -1,7 +1,8 @@
 """Shared fixtures and helpers of the test suite, and the lab checks that only
 tests run: Vitali covers and tail-sum moment bracketing (measure), and the
-normalized Jacobi pair with its slope-matrix structure and the stacked
-construction of J and J' (jacobi)."""
+normalized Jacobi pair with its slope-matrix structure, the stacked
+construction of J and J', and integrate_jacobi with its inputs checked on
+arrays (jacobi)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from abplab.geometry import ModelSpace, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.geometry import ModelSpace, _model_label, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.jacobi import _ROUND_TOL, JacobiState, _cs_sn
 from abplab.report import CheckReport, check_le, seeded_rng
 
 ALL_MODELS = [euclidean(), sphere(1.0), hyperbolic(1.0), gaussian_plane(1.0)]
@@ -202,6 +204,45 @@ def stacked_jacobi(m, x, H0, v, n_steps: int):
     J[:, 0, 0] += 1.0
     J[:, 1, 1] += cs
     return J, cs, sn
+
+
+def array_checked_jacobi(m, x, initial_hessian, v, n_steps: int = 256) -> JacobiState:
+    """integrate_jacobi with its inputs checked on arrays, an oracle for the
+    checks on Python floats: each input's finiteness by np.isfinite, the
+    symmetry on H0 - H0.T, the model and tangency residuals by the model's
+    own array methods, and exp's refusals by calling exp(x, v) itself; J
+    and gamma are formed by broadcasting over a fresh np.linspace."""
+    if n_steps < 64:
+        raise ValueError("n_steps must be at least 64")
+    x = np.asarray(x, float)
+    v = np.asarray(v, float)
+    H0 = np.asarray(initial_hessian, float)
+    for name, a in (("x", x), ("v", v), ("initial Hessian", H0)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+    if np.max(np.abs(H0 - H0.T)) > 1e-12:
+        raise ValueError("initial Hessian must be symmetric")
+    flat = m.is_flat_chart
+    if not flat:
+        xn = math.sqrt(float(x @ x))
+        if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
+            raise ValueError(f"x is not a point of {_model_label(m)}")
+        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(m.sectional()))
+        if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
+            raise ValueError("v is not tangent at x")
+    L = float(m.tangent_norm(x, v))
+    if L >= m.cut_radius:
+        raise ValueError("initial speed exceeds the cut radius")
+    if not flat:
+        m.exp(x, v)
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    cs, sn = _cs_sn(m, L, times)
+    J = np.stack([times[:, None] * H0[0], sn[:, None] * H0[1]], axis=1)
+    J[:, 0, 0] += 1.0
+    J[:, 1, 1] += cs
+    gamma = x + times[:, None] * v if flat else cs[:, None] * x + sn[:, None] * v
+    wr = np.exp(-(m.weight_V(gamma) - m.weight_V(x))) if m.is_weighted else np.ones(len(times))
+    return JacobiState(m, x, v, times, J, cs, sn, wr, gamma)
 
 
 def verify_ode_structure(R, rng=None, n_random: int = 32) -> CheckReport:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abplab import barrier
 from abplab.barrier import (BarrierSpec, barrier_dh, barrier_d2h, barrier_field,
                             barrier_h, check_ricci_comparison, junction_residuals,
                             verify_barrier)
@@ -130,6 +131,27 @@ class TestVerifyBarrier:
         assert [r.name for r in reports] == ["barrier-inf", "barrier-derivatives",
                                              "barrier-inside", "barrier-outside"]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("N", [2.0, 60.0, 70.0, 100.0, 200.0])
+    def test_tail_identity_within_its_rounding(self, N):
+        # divided by a 18^a, the tail residual read 3.6e-12 > 1e-12 at N = 70
+        # and 3.6e-45 at N = 200; relative to the identity's own terms it is
+        # rounding at every N
+        m = euclidean()
+        rep = verify_barrier(BarrierSpec(N, m, m.origin(), 1.0), CurvatureParams(0.0, N, 1.0))[1]
+        assert rep.name == "barrier-derivatives" and rep.passed
+        assert rep.lhs <= 0.5 * np.finfo(float).eps and rep.rhs == 4.5 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("N", [2.0, 70.0, 100.0])
+    def test_perturbed_second_derivative_fails(self, N, monkeypatch):
+        # h'' off by a relative 1e-12 on the tail breaks the identity far
+        # beyond its rounding
+        (c0, t0), (c1, t1), (c2, t2) = barrier._PIECES
+        monkeypatch.setattr(barrier, "_PIECES",
+                            ((c0, t0), (c1, t1), (c2, lambda s, t: t2(s, t) * (1.0 + 1e-12))))
+        m = euclidean()
+        rep = verify_barrier(BarrierSpec(N, m, m.origin(), 1.0), CurvatureParams(0.0, N, 1.0))[1]
+        assert not rep.passed and rep.lhs > 1e-13
 
     def test_hyperbolic_with_ledger_alpha(self):
         m = hyperbolic(1.0)

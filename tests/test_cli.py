@@ -167,6 +167,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert message in err and "leaves the float64 range" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["contact", "--r", "1e150", "--b", "1e150", "--resolution", "17"], "u has non-finite values"),
+        (["contact", "--r", "1e150", "--b", "1e150", "--resolution", "64"], "u has non-finite values"),
+        (["abp-check", "--r", "1e150", "--b", "1e150"], "u has non-finite values"),
+        (["hfun", "--fit", "--dmax", "1e150"], "powers d^k, k <= 4, leave float64"),
+    ], ids=["contact-17", "contact-64", "abp-check", "hfun-fit"])
+    def test_overflowed_input_refused_by_name(self, argv, message, capsys):
+        # u overflowed to +inf let a padding slot win the scan (an IndexError
+        # at 17, garbage pairs at 64, a FAIL by accident), and the fit's
+        # overflowed powers ended in numpy's "SVD did not converge"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_doubling_at_N_1000_still_runs(self, capsys):
         assert main(["doubling", "--N", "1000", "--samples", "1"]) == 0
 

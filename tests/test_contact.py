@@ -73,6 +73,16 @@ class TestComputeContactSet:
         with pytest.raises(ValueError, match="NaN"):
             compute_contact_set(ScalarField(g, vals), 1.0, _disc_indices(g, 0.5))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_field_rejected(self, value):
+        # an infinite node ties the +inf padding slots, which could then win
+        # the argmin: an IndexError at 17^2, garbage pairs at 64^2
+        g = _grid(euclidean(), n=16)
+        vals = np.zeros(g.shape)
+        vals[3, 5] = value
+        with pytest.raises(ValueError, match=r"non-finite values \(NaN or inf\)"):
+            compute_contact_set(ScalarField(g, vals), 1.0, _disc_indices(g, 0.5))
+
     def test_sphere_domain_size_guard(self):
         m = sphere(1.0)
         g = build_polar_grid(m, m.origin(), 0.7, 32, 32)

@@ -195,6 +195,21 @@ class TestExpansionFit:
         with pytest.raises(ValueError, match="clustered|stable"):
             expansion_fit(ds, np.ones(8))
 
+    @pytest.mark.filterwarnings("error")
+    def test_powers_past_float64_refused_by_name(self):
+        # d^4 overflows from about 1e77 on; lstsq then failed with numpy's
+        # "SVD did not converge", after an overflow warning
+        ds = np.linspace(1e150 / 20.0, 1e150, 8)
+        with pytest.raises(ValueError, match=r"powers d\^k, k <= 4, leave float64 at \|d\| up to 1e\+150"):
+            expansion_fit(ds, np.full(8, 9.0), degree=4)
+
+    @pytest.mark.parametrize("where", ["d", "values"])
+    def test_non_finite_samples_refused(self, where):
+        ds, vals = np.linspace(0.01, 0.12, 8), np.full(8, 9.0)
+        (ds if where == "d" else vals)[3] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            expansion_fit(ds, vals)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="samples"):
             expansion_fit([0.1, 0.2], [9.0, 9.0], degree=3)

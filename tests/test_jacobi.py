@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import bump_field, quadratic_field, sum_fields
-from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
+from abplab.geometry import _COSH_MAX, build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import JacobiState, _velocity, dn_functional, integrate_jacobi, verify_comparison
-from conftest import (ALL_MODELS, _rk4_linear, random_point, random_tangent, solve_jacobi_pair,
-                      stacked_jacobi, verify_ode_structure)
+from conftest import (ALL_MODELS, _rk4_linear, array_checked_jacobi, random_point, random_tangent,
+                      solve_jacobi_pair, stacked_jacobi, verify_ode_structure)
 
 
 class TestIntegrateJacobi:
@@ -192,6 +193,126 @@ class TestInputRefusals:
             v2 = v + 4.0 * eps * np.linalg.norm(p) * rng.choice([-1.0, 1.0], size=3)
             integrate_jacobi(m, p2, np.zeros((2, 2)), v2, 64)
             integrate_jacobi(m, p, np.zeros((2, 2)), m.log(p, m.exp(p, v)), 64)
+
+
+EPS = np.finfo(float).eps
+EDGE_MODELS = [euclidean(), gaussian_plane(1.0), sphere(1.0), sphere(4.0), hyperbolic(1.0),
+               hyperbolic(0.25)]
+CURVED = [m for m in EDGE_MODELS if not m.is_flat_chart]
+SLOT_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def _ulps(value, k):
+    """value moved by k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+def _base_case(draw, models):
+    """A model, a point on it, a unit tangent there, and a symmetric H."""
+    m = draw(st.sampled_from(models))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_point(m, gen, 0.6)
+    e = random_tangent(m, p, 1.0, gen)
+    h = gen.normal(size=3)
+    return m, p, e, np.array([[h[0], h[1]], [h[1], h[2]]])
+
+
+@st.composite
+def edge_inputs(draw):
+    """(kind, m, x, H, v) at the edges of integrate_jacobi's input checks."""
+    kind = draw(st.sampled_from(["slot", "off-model", "tangency", "asymmetry", "cut band",
+                                 "cosh range"]))
+    m, x, e, H = _base_case(draw, CURVED if kind in ("off-model", "tangency") else EDGE_MODELS)
+    v = draw(st.floats(0.0, 1.5)) * e
+    k = draw(st.integers(-4, 4))
+    if kind == "slot":   # a special value in one slot of x, v or H
+        value = draw(st.sampled_from(SLOT_VALUES))
+        a = draw(st.sampled_from([x, v, H])).reshape(-1)
+        a[draw(st.integers(0, a.size - 1))] = value
+    elif kind == "off-model":   # |<x, x> - 1/kappa| near 32 eps |x|^2, either side
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        s = 1.0 / math.sqrt(1.0 - side * 32.0 * EPS * abs(m.sectional()) * float(x @ x))
+        x = x * _ulps(s, k)
+    elif kind == "tangency":   # |<x, v>| near 32 eps |x| (|x| + |v|) |x| sqrt|kappa|
+        xn = math.sqrt(float(x @ x))
+        bound = 32.0 * EPS * xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(m.sectional()))
+        # lower(x) @ x = 1/kappa, so v + c x moves <x, v> by c / kappa
+        c = bound * m.sectional() * draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.9, 1.1))
+        v = v + _ulps(c, k) * x
+    elif kind == "asymmetry":   # |H01 - H10| at 1e-12 and a few ulps either side
+        H[0, 1] *= draw(st.sampled_from([0.0, 1.0]))   # at 0 the difference is exact
+        H[1, 0] = H[0, 1] + _ulps(1e-12, k) * draw(st.sampled_from([-1.0, 1.0]))
+    elif kind == "cut band" and m.sectional() > 0:   # speeds in [pi - 1e-15, pi], a few ulps apart
+        v = _ulps(m.cut_radius, -draw(st.integers(0, 4))) * e
+    elif kind == "cosh range" and m.sectional() < 0:   # s L either side of acosh(max float)
+        v = _ulps(_COSH_MAX / math.sqrt(-m.sectional()), k) * m.tangent_frame(m.origin())[0]
+        x = m.origin()
+    return kind, m, x, H, v
+
+
+def _outcome(f, m, x, H, v):
+    """("refused", message) or ("state", the state), warnings silenced."""
+    with np.errstate(all="ignore"):
+        try:
+            return "state", f(m, x.copy(), H.copy(), v.copy(), 64)
+        except ValueError as e:
+            return "refused", str(e)
+
+
+class TestFloatChecks:
+    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @given(edge_inputs())
+    def test_decide_as_the_array_checks(self, case):
+        # each edge input is refused with the oracle's message, or gives
+        # its J, cs, sn, gamma and weight_ratio bit for bit
+        got, want = _outcome(integrate_jacobi, *case[1:]), _outcome(array_checked_jacobi, *case[1:])
+        assert got[0] == want[0], (got, want)
+        if got[0] == "refused":
+            assert got[1] == want[1]
+            return
+        for name in ("times", "J", "cs", "sn", "gamma", "weight_ratio"):
+            a, b = getattr(got[1], name), getattr(want[1], name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_edges_reach_both_outcomes(self):
+        # each kind of edge input reaches its check from both sides: a
+        # returned state and the check's refusal
+        seen = set()
+
+        @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+        @given(edge_inputs())
+        def collect(case):
+            outcome, out = _outcome(integrate_jacobi, *case[1:])
+            seen.add((case[0], out.split(" (")[0] if outcome == "refused" else outcome))
+
+        collect()
+        assert {("slot", "x must be finite"), ("slot", "v must be finite"),
+                ("slot", "initial Hessian must be finite"), ("slot", "state"),
+                ("off-model", "x is not a point of the sphere model"),
+                ("off-model", "x is not a point of the hyperbolic model"), ("off-model", "state"),
+                ("tangency", "v is not tangent at x"), ("tangency", "state"),
+                ("asymmetry", "initial Hessian must be symmetric"), ("asymmetry", "state"),
+                ("cut band", "initial speed exceeds the cut radius"),
+                ("cut band", "tangent norm exceeds the cut radius"), ("cut band", "state"),
+                ("cosh range", "exp on the hyperbolic model"), ("cosh range", "state")} <= seen, seen
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_states_share_no_array(self, m, rng):
+        # the time grid is cached; each state writes into its own arrays
+        # (base and v are the caller's own)
+        p = random_point(m, rng, 0.3)
+        v = random_tangent(m, p, 0.5, rng)
+        states = [integrate_jacobi(m, p, np.zeros((2, 2)), v, 64) for _ in range(2)]
+        arrays = [getattr(st_, f) for st_ in states
+                  for f in ("times", "J", "cs", "sn", "weight_ratio", "gamma")]
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        states[0].times[:] = -1.0
+        assert np.array_equal(integrate_jacobi(m, p, np.zeros((2, 2)), v, 64).times,
+                              np.linspace(0.0, 1.0, 65))
 
 
 class TestDnFunctional:
