@@ -93,9 +93,9 @@ def _S_H(t: float):
 
 
 def disc_vertex_indices(grid: GeodesicBallGrid, n_rings: int) -> np.ndarray:
-    """Vertex set = the first n_rings complete rings (a disc of nodes)."""
-    idx = np.arange(grid.n_r * grid.n_theta).reshape(grid.shape)
-    return idx[:n_rings].reshape(-1)
+    """Vertex set = the first n_rings complete rings (a disc of nodes), at
+    most all n_r: the flat indices of their nodes, in an array of their own."""
+    return np.arange(min(n_rings, grid.n_r) * grid.n_theta)
 
 
 def _integrand(K, N, r, a, lap, clamp_report=None):

@@ -58,6 +58,16 @@ def _scan_grid(m, r, resolution) -> geometry.GeodesicBallGrid:
     return grid
 
 
+def _pairs_csv(Y, X, level, residuals) -> str:
+    """The pairs table: per pair the vertex y and its contact node x as
+    ';'-joined coordinates, the minimum value and the gradient residual,
+    each float as its repr, from one format over the flat list of floats."""
+    coords = ";".join(["%r"] * Y.shape[-1])
+    row = f"{coords},{coords},%r,%r\n"
+    flat = np.concatenate([Y, X, level[:, None], residuals[:, None]], axis=1).ravel().tolist()
+    return "y_coords,x_coords,min_value,residual\n" + (row * len(level)) % tuple(flat)
+
+
 # -- subcommand handlers -----------------------------------------------------
 #
 # Each returns (reports, payload, files): payload adds keys to the JSON
@@ -78,14 +88,10 @@ def cmd_contact(args):
     vertex, node, level = cs.pairs()
     pts = grid.flat_points()
     residuals = gradient_contact_residual(u, args.a, pts[node], pts[vertex])
-    lines = ["y_coords,x_coords,min_value,residual"]
-    for y, x, c, res in zip(pts[vertex].tolist(), pts[node].tolist(), level.tolist(),
-                            residuals.tolist()):
-        lines.append(f"{';'.join(map(repr, y))},{';'.join(map(repr, x))},{c!r},{res!r}")
     rep = check_le("contact-vertex-coverage", "contact-set-construction",
                    float(len(E)), float(len(cs.contact_of)),
                    n_pairs=len(vertex), n_distinct_contact_nodes=int(len(cs.node_indices)))
-    return [rep], {}, {"pairs.csv": "\n".join(lines) + "\n"}
+    return [rep], {}, {"pairs.csv": _pairs_csv(pts[vertex], pts[node], level, residuals)}
 
 
 def cmd_abp(args):

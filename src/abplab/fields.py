@@ -1,7 +1,10 @@
 """Scalar fields on geodesic ball grids, with optional analytic derivatives.
 
-A :class:`ScalarField` always carries node samples on a grid.  Fields built
-from closed forms additionally expose evaluators at arbitrary points, which
+A :class:`ScalarField` is node values on a grid.  A sampled field (a Poisson
+solution, data) is given its array; a field built from a closed form is
+given value_fn instead and samples its nodes, value_fn(grid.points), the
+first time its values are read, since most verdicts read it only through
+its jets.  Closed-form fields expose evaluators at arbitrary points, which
 the contact-set and transport machinery use for sub-cell refinement: value_fn
 and one deriv_fn(p, frame) returning the gradient when frame is None, or
 (grad, h) for an orthonormal tangent frame (e1, e2) at p.  Gradients are
@@ -17,7 +20,6 @@ evaluate these jets several times a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,12 +46,25 @@ _CENTER_FRAC = 0.6
 _I_ROWS = np.array([1.0, 0.0, 1.0])
 
 
-@dataclass
 class ScalarField:
-    grid: GeodesicBallGrid
-    values: np.ndarray  # (n_r, n_theta)
-    value_fn: Optional[Callable] = None
-    deriv_fn: Optional[Callable] = None  # (p, frame) -> grad, or (grad, h) given a frame
+    def __init__(self, grid: GeodesicBallGrid, values: Optional[np.ndarray] = None,
+                 value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None):
+        """values, shape (n_r, n_theta), may be None only beside a value_fn,
+        which then samples the nodes on first read; deriv_fn(p, frame)
+        returns grad, or (grad, h) given a frame."""
+        if values is None and value_fn is None:
+            raise ValueError("a field needs node values or a value_fn to sample them from")
+        self.grid = grid
+        self._values = values
+        self.value_fn = value_fn
+        self.deriv_fn = deriv_fn
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (n_r, n_theta) node values, sampled and kept on first read."""
+        if self._values is None:
+            self._values = self.value_fn(self.grid.points)
+        return self._values
 
     @property
     def has_derivatives(self) -> bool:
@@ -172,8 +187,7 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
         grad = np.zeros(np.asarray(p).shape[:-1] + (d,))
         return grad if frame is None else (grad, np.zeros((3,) + grad.shape[:-1]))
 
-    vals = np.full(grid.shape, float(c))
-    return ScalarField(grid, vals, val, deriv)
+    return ScalarField(grid, None, val, deriv)
 
 
 def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
@@ -192,8 +206,7 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
     def deriv(p, frame):
         return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
 
-    vals = f(m.distance(center, grid.points))
-    return ScalarField(grid, vals, val, deriv)
+    return ScalarField(grid, None, val, deriv)
 
 
 def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
@@ -219,8 +232,7 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
             h[...] = (b * _I_ROWS).reshape((3,) + (1,) * (h.ndim - 1))
             return grad, h
 
-        vals = val(grid.points)
-        return ScalarField(grid, vals, val, deriv)
+        return ScalarField(grid, None, val, deriv)
     return radial_field(
         grid,
         center,
@@ -254,8 +266,7 @@ def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) ->
 
         return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
 
-    return ScalarField(grid, f(m.distance(center, grid.points)),
-                       lambda p: f(m.distance(center, p)), deriv)
+    return ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv)
 
 
 def _sum(parts):
@@ -272,21 +283,24 @@ def _sum(parts):
 
 def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     """The pointwise sum of fields on one grid, added part after part,
-    ((f0 + f1) + f2) + ..., with no stacked copy of the parts."""
+    ((f0 + f1) + f2) + ..., with no stacked copy of the parts.  A sum of
+    closed-form parts is closed-form, and samples its nodes on first read
+    like its parts; a sum with a part that lacks a value_fn or derivatives
+    is sampled, from the parts' values."""
     grid = fields[0].grid
-    vals = _sum([f.values for f in fields])
-    if all(f.has_derivatives for f in fields):
-        def val(p):
-            return _sum([f.value(p) for f in fields])
+    if not all(f.value_fn is not None and f.has_derivatives for f in fields):
+        return ScalarField(grid, _sum([f.values for f in fields]))
 
-        def deriv(p, frame):
-            parts = [f.deriv_fn(p, frame) for f in fields]
-            if frame is None:
-                return _sum(parts)
-            return tuple(_sum(d) for d in zip(*parts))
+    def val(p):
+        return _sum([f.value(p) for f in fields])
 
-        return ScalarField(grid, vals, val, deriv)
-    return ScalarField(grid, vals)
+    def deriv(p, frame):
+        parts = [f.deriv_fn(p, frame) for f in fields]
+        if frame is None:
+            return _sum(parts)
+        return tuple(_sum(d) for d in zip(*parts))
+
+    return ScalarField(grid, None, val, deriv)
 
 
 def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarField:

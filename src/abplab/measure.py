@@ -42,17 +42,18 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     eta = log_d / (N * math.log(2.0))
     try:
         D = math.exp(log_d)
-        growth = (r1 / r2) ** (N * eta)
+        bound = D * (r1 / r2) ** (N * eta)
     except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):   # also a product past float64, which raises nothing
         raise ValueError(f"the doubling bound D_(K,N,R) (r1/r2)^(N eta) leaves the float64 "
                          f"range: log D = {log_d:g} and N eta log(r1/r2) = "
                          f"{N * eta * math.log(r1 / r2):g} for K = {K:g}, N = {N:g}, "
-                         f"R = {R:g}") from None
+                         f"R = {R:g}")
     small = m.ball_measure(center, r2)
     if not small > 0:
         raise ValueError(f"nu[B_r2] underflows to 0 at r2 = {r2:g}")
     ratio = m.ball_measure(center, r1) / small
-    bound = D * growth
     lhs = ratio / bound
     diag = dict(r1=r1, r2=r2, doubling_constant=D, eta=eta, ratio=ratio, bound=bound)
     if two_ball:

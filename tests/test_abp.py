@@ -461,3 +461,15 @@ class TestFolds:
         assert d["least_jacobian_det"] == pytest.approx(-2.0 * (1.0 + 2.0 / a), rel=1e-14)
         assert d["numerical_failure"].startswith(f"{n} of {n} contact points are folds")
         assert "rhs_transport" not in d
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (33, 20), (64, 64)])
+def test_disc_vertex_indices_own_their_data(shape):
+    # the disc's indices are the first rings of the flat node order; a view
+    # into a full-grid arange kept every node's index alive
+    grid = build_polar_grid(euclidean(), np.zeros(2), 1.0, *shape)
+    for n_rings in (0, 1, 5, grid.n_r, grid.n_r + 3):
+        E = disc_vertex_indices(grid, n_rings)
+        want = np.arange(grid.n_r * grid.n_theta).reshape(grid.shape)[:n_rings].reshape(-1)
+        assert E.dtype == want.dtype and np.array_equal(E, want)
+        assert E.base is None and E.flags.owndata

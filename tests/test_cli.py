@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from abplab import cli
 from abplab.cli import _FLAGS, _MODES, _SUBCOMMANDS, main
 from abplab.pucci import pucci_contact_bound
 from abplab.report import CheckReport, check_eq, check_le, emit_csv, emit_json, emit_plotdata, seeded_rng
@@ -182,8 +183,15 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
-    def test_doubling_at_N_1000_still_runs(self, capsys):
-        assert main(["doubling", "--N", "1000", "--samples", "1"]) == 0
+    def test_doubling_runs_until_its_bound_leaves_float64(self, capsys):
+        # at N = 1000 the bound D (r1/r2)^(N eta) is inf, which passed through
+        # the two-ball term alone (lhs 3.7e-301); at N = 700 it is finite
+        assert main(["doubling", "--N", "700", "--samples", "1"]) == 0
+        capsys.readouterr()
+        assert main(["doubling", "--N", "1000", "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "doubling bound" in captured.err and "leaves the float64 range" in captured.err
+        assert captured.out == ""
 
     def test_gaussian_doubling_draws_inside_the_ricci_reach(self, capsys):
         # lam = 1, N = 4, K = 0: Ric_{N,nu} >= 0 holds out to rho = sqrt(2) only
@@ -549,6 +557,15 @@ def test_readme_example_runs(argv, tmp_path, monkeypatch):
     assert (tmp_path / "out" / f"{argv[0].replace('-', '_')}_report.json").exists()
 
 
+def _pairs_csv_per_row(Y, X, level, residuals):
+    """The pairs table as a per-row f-string formatter wrote it: the oracle
+    of cli._pairs_csv."""
+    lines = ["y_coords,x_coords,min_value,residual"]
+    for y, x, c, res in zip(Y.tolist(), X.tolist(), level.tolist(), residuals.tolist()):
+        lines.append(f"{';'.join(map(repr, y))},{';'.join(map(repr, x))},{c!r},{res!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestCliOutputs:
     def test_report_files_written(self, tmp_path):
         out = tmp_path / "results"
@@ -581,6 +598,34 @@ class TestCliOutputs:
         assert main(["contact", "--resolution", "32", "--out", str(out)]) == 0
         header = (out / "contact_pairs.csv").read_text().split("\n")[0]
         assert header == "y_coords,x_coords,min_value,residual"
+
+    @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
+    def test_contact_pairs_csv_matches_the_per_row_formatter(self, model, tmp_path, monkeypatch):
+        # the table written is the per-row formatter's text, byte for byte,
+        # on the arrays the command hands over, 2-D and 3-D points alike
+        seen, pairs_csv = [], cli._pairs_csv
+
+        def recorded(*arrays):
+            seen.append(arrays)
+            return pairs_csv(*arrays)
+
+        monkeypatch.setattr(cli, "_pairs_csv", recorded)
+        out = tmp_path / "c"
+        assert main(["contact", "--model", model, "--r", "0.5", "--resolution", "24",
+                     "--out", str(out)]) == 0
+        (arrays,) = seen
+        assert len(arrays[2]) > 0
+        assert (out / "contact_pairs.csv").read_text() == _pairs_csv_per_row(*arrays)
+
+    @pytest.mark.parametrize("d, n", [(2, 0), (2, 1), (3, 4)])
+    def test_pairs_csv_keeps_every_repr(self, d, n):
+        # signed zeros, subnormals, the float64 ends and non-finite values
+        specials = [0.0, -0.0, 5e-324, 1e-300, 1.7976931348623157e308, np.nan, np.inf,
+                    -np.inf, 0.1, 1.0 / 3.0]
+        flat = np.resize(np.array(specials), n * (2 * d + 2))
+        Y, X = flat[:n * d].reshape(n, d), flat[n * d:2 * n * d].reshape(n, d)
+        level, residuals = flat[2 * n * d:2 * n * d + n], flat[2 * n * d + n:]
+        assert cli._pairs_csv(Y, X, level, residuals) == _pairs_csv_per_row(Y, X, level, residuals)
 
     def test_abp_check_node_quadrature_at_192(self, tmp_path):
         # the verdict rests on the contact-node quadrature at every resolution

@@ -8,7 +8,13 @@ those modes read no value (the default) or one of the flag's choices; its
 float flags share at most two values of FLOATS, since an overflow often
 takes two large flags together (a radius and a coefficient).  The grid and
 the sample count are always drawn, and small, so each call stays cheap.
-Flags that a mode does not read are refused by test_cli's own tests.
+--N may also take 1000, 1050 or 1100, where the doubling constant 2^N and
+the bound D (r1/r2)^(N eta) leave float64.  Flags that a mode does not read
+are refused by test_cli's own tests.
+
+Every passing `doubling` report must have a finite bound: an inf bound
+makes ratio / bound read 0, and the check then passes on its two-ball term
+alone.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import linecache
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +37,7 @@ from abplab.cli import _FLAGS, _MODES, _SUBCOMMANDS, main
 # come first, since they get past the sign and finiteness checks
 FLOATS = ["1e150", "1e-300", "1e308", "0", "-0.0", "-1", "nan", "inf"]
 SIZES = {"resolution": [17, 33, 16, 8, 0], "samples": [8, 2, 1, 0]}
+LARGE_N = st.sampled_from(["1000", "1050", "1100"])
 EXAMPLES = 100   # calls per subcommand
 ABPLAB_DIR = Path(abplab.__file__).resolve().parent
 
@@ -50,7 +58,8 @@ def calls(draw, sub):
         if flag in SIZES:
             chosen[flag] = draw(st.sampled_from(SIZES[flag]))
         elif draw(st.booleans()):
-            chosen[flag] = draw(st.sampled_from(_FLAGS[flag].get("choices", pool)))
+            values = st.sampled_from(_FLAGS[flag].get("choices", pool))
+            chosen[flag] = draw(st.one_of(values, LARGE_N) if flag == "N" else values)
     argv = [sub]
     for flag, value in chosen.items():
         if value is not False:
@@ -69,18 +78,20 @@ def _raised_by_abplab(exc: BaseException) -> bool:
     return path.parent == ABPLAB_DIR and line.startswith("raise")
 
 
-def run(argv) -> tuple[int, BaseException | None]:
-    """main(argv)'s exit code, and the exception its handler raised if any;
-    an exception that escapes main propagates."""
-    raised = []
+def run(argv) -> tuple[int, BaseException | None, list]:
+    """main(argv)'s exit code, the exception its handler raised if any, and
+    the reports it returned; an exception that escapes main propagates."""
+    raised, reports = [], []
 
     def recorded(handler):
         def wrapper(args):
             try:
-                return handler(args)
+                out = handler(args)
             except BaseException as e:
                 raised.append(e)
                 raise
+            reports.extend(out[0])
+            return out
         return wrapper
 
     handlers = {name: (recorded(h), flags) for name, (h, flags) in _SUBCOMMANDS.items()}
@@ -88,7 +99,7 @@ def run(argv) -> tuple[int, BaseException | None]:
     with mock.patch.dict(cli._SUBCOMMANDS, handlers), \
             contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(argv)
-    return code, (raised[-1] if raised else None)
+    return code, (raised[-1] if raised else None), reports
 
 
 @pytest.fixture(autouse=True)
@@ -103,10 +114,12 @@ def test_every_call_ends_in_a_verdict_or_a_named_refusal(sub):
               suppress_health_check=[HealthCheck.too_slow])
     @given(calls(sub))
     def check(argv):
-        code, exc = run(argv)
+        code, exc, reports = run(argv)
         assert code in (0, 1, 2), argv
         if code == 2 and exc is not None:
             assert _raised_by_abplab(exc), (argv, repr(exc))
+        if sub == "doubling":
+            assert all(math.isfinite(r.diagnostics["bound"]) for r in reports if r.passed), argv
 
     check()
 

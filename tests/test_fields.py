@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from abplab import fields
 from abplab.barrier import BarrierSpec, barrier_field
 from abplab.fields import (ScalarField, _laplacian_nu, _radial_derivatives, bump_field,
                            constant_field, hess_form, quadratic_field, radial_field,
@@ -324,3 +326,91 @@ class TestComponentJets:
         assert np.array_equal(grad, np.full((5, 2), 6.0)) and np.array_equal(h, np.full((3, 5), 12.0))
         assert all(np.array_equal(kept[i][0], np.full((5, 2), float(i))) for i in range(4))
         assert all(np.array_equal(kept[i][1], np.full((3, 5), 2.0 * i)) for i in range(4))
+
+
+def _off_origin(m, t=0.2):
+    e1, e2 = m.tangent_frame(m.origin())
+    return m.exp(m.origin(), t * e1 - 0.5 * t * e2)
+
+
+class TestNodeSamples:
+    """A closed-form field samples its nodes, value_fn(grid.points), on the
+    first read of values and keeps them; a sampled field keeps the array it
+    was given.  The oracles are the constructors' eager expressions."""
+
+    def test_closed_form_values_are_the_eager_expressions(self, model):
+        m = model
+        g = _grid(m, r=0.6, n=20)
+        P = g.points
+        c = _off_origin(m)
+        r = m.distance(c, P)
+        f = lambda rho: np.cos(rho) * rho * rho
+        b, amp, beta = 0.7, -0.4, 5.0
+        if m.is_flat_chart:   # quadratic_field's flat branch
+            d = P - c
+            quad = 0.5 * b * np.einsum("...i,...i->...", d, d)
+        else:
+            quad = 0.5 * b * r * r
+        bump = amp * np.exp(-beta * r * r)
+        cases = [(constant_field(g, 1.25), np.full(g.shape, 1.25)),
+                 (radial_field(g, c, f, lambda rho: -2.0 * rho, lambda rho: 0.0 * rho), f(r)),
+                 (quadratic_field(g, c, b), quad),
+                 (bump_field(g, c, amp, beta), bump),
+                 (sum_fields([constant_field(g, 1.25), quadratic_field(g, c, b),
+                              bump_field(g, c, amp, beta)]),
+                  (np.full(g.shape, 1.25) + quad) + bump)]
+        for u, want in cases:
+            assert u.value_fn is not None
+            assert _bits(u.values) == _bits(want)
+
+    def test_random_bump_values_are_the_sum_of_its_bumps(self, model, rng, monkeypatch):
+        g = _grid(model, r=0.6, n=20)
+        seen = []
+
+        def recorded(parts):
+            seen.append(list(parts))
+            return sum_fields(parts)
+
+        monkeypatch.setattr(fields, "sum_fields", recorded)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        (parts,) = seen
+        want = parts[0].values + parts[1].values
+        for part in parts[2:]:
+            want = want + part.values
+        assert _bits(u.values) == _bits(want)
+
+    def test_nodes_sampled_on_first_read_and_kept(self, model, rng):
+        g = _grid(model, r=0.6, n=128)
+        nbytes = g.n_r * g.n_theta * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            u = random_bump_field(g, rng, hess_bound=0.5)
+            built = tracemalloc.get_traced_memory()[0]
+            vals = u.values
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # building keeps less than one grid array, the first read exactly one
+        # (beside bookkeeping of a few KB, not a second array)
+        assert built - start < nbytes
+        assert nbytes <= read - built < 2 * nbytes
+        assert u.values is vals and vals.shape == g.shape
+
+    def test_sampled_fields_keep_their_array(self):
+        g = _grid(euclidean(), n=16)
+        vals = np.arange(g.n_r * g.n_theta, dtype=float).reshape(g.shape)
+        assert ScalarField(g, vals).values is vals
+        # beside a value_fn the given samples stand: value_fn is not called
+        calls = []
+        u = ScalarField(g, vals, lambda p: calls.append(p))
+        assert u.values is vals and calls == []
+        s = sum_fields([ScalarField(g, vals), constant_field(g, 1.0)])
+        assert s.value_fn is None and _bits(s.values) == _bits(vals + np.full(g.shape, 1.0))
+
+    def test_no_values_and_no_value_fn_refused(self):
+        g = _grid(euclidean(), n=16)
+        with pytest.raises(ValueError, match="node values or a value_fn"):
+            ScalarField(g)
+        with pytest.raises(ValueError, match="node values or a value_fn"):
+            ScalarField(g, None, None, lambda p, frame: p)

@@ -82,6 +82,14 @@ class TestDoubling:
         with pytest.raises(ValueError, match=r"doubling bound .* leaves the float64 range"):
             doubling_check(euclidean(), CurvatureParams(0.0, N, 1.0), np.zeros(2), 0.9, r2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_bound_product_past_float64_refused_by_name(self):
+        # N = 1000: D = 2^1000 and 1.5^1000 are finite floats but their
+        # product is not, and a float product raises nothing; lhs then read
+        # two_ball_ratio / D alone
+        with pytest.raises(ValueError, match=r"doubling bound .* leaves the float64 range"):
+            doubling_check(euclidean(), CurvatureParams(0.0, 1000.0, 1.0), np.zeros(2), 0.9, 0.6)
+
 
 class TestIntegralI:
     def _field(self, m, values_fn, r=1.0, n=48):
