@@ -10,14 +10,13 @@ Two discretizations of the right-hand side are produced:
 * ``rhs_transport`` -- the same integral evaluated through the vertex
   parametrization y -> x(y) with Newton-refined contact locations and the
   exact area element 1/det J(1), J(1) the Jacobian of the contact map
-  x -> exp_x(grad u(x)/a): jacobi's Jacobi field at t = 1, from u's jet at x
-  and the closed-form pair (cs, sn) that jacobi owns.  It drives the
-  equality-case certification.  The quadrature is pointwise, so it streams
-  over blocks of whole rings of about _BLOCK_POINTS points.  Its
-  diagnostic min_pointwise_density, min over y of D(x(y))^N times the
-  nu-area element ratio, is at least 1 by the Jacobi comparison; no verdict
-  reads it.  A contact with det J(1) <= 0 is a fold of the contact map, a
-  saddle of F_y, and fails the verdict by name.
+  x -> exp_x(grad u(x)/a): jacobi's Jacobi field at t = 1, from the jet of
+  u that Newton took at the certified x and jacobi's pair (cs, sn).  It
+  drives the equality-case certification.  It streams over blocks of whole
+  rings of about _BLOCK_POINTS points.  Its diagnostic
+  min_pointwise_density, min over y of D(x(y))^N times the nu-area element
+  ratio, is at least 1 by the Jacobi comparison.  A contact with det J(1)
+  <= 0 is a fold of the contact map, a saddle of F_y, and fails by name.
 
 The integrand clamps D at zero for finite N: at genuine contact points the
 bound is nonnegative, so the clamp only suppresses grid-noise negatives; any
@@ -34,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import CurvatureParams, calH, calS
-from .contact import compute_contact_set, refine_contact_points
+from .contact import _newton, compute_contact_set
 from .fields import ScalarField, _laplacian_nu
 from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
 from .jacobi import _cs_sn
@@ -116,11 +115,11 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     at its contact x, refined by Newton from y, so the disc runs in blocks of
     whole rings, round(n / _BLOCK_POINTS) of them for n vertices, as even as
     the rings allow; no value depends on the blocks.  A block checks that its
-    points are finite, then takes one jet of u there for Delta_nu u and
-    det J(1) (_jacobian_det).  Returns the contact_points with rhs_transport
-    and min_pointwise_density, or with a numerical_failure that names the
-    non-finite points, or the folds (det J(1) <= 0: saddles of F_y) by their
-    count and least det.
+    points are finite, then reads Delta_nu u and det J(1) (_jacobian_det)
+    from the jet of u that Newton took where it certified x (or at its last
+    iterate).  Returns the contact_points with rhs_transport and
+    min_pointwise_density, or with a numerical_failure that names the
+    non-finite points, or the folds (det J(1) <= 0) by count and least det.
     """
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     disc = disc_vertex_indices(grid, n_rings)
@@ -136,13 +135,12 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     finite, folds, least_det, least_density = True, 0, math.inf, math.inf
     for lo in range(0, len(Y), step):
         y = Y[lo:lo + step]
-        x = X[lo:lo + step] = refine_contact_points(m, u, a, y, y)
+        x, grad, h = _newton(u, a, y, y)
+        X[lo:lo + step] = x
         finite = finite and bool(np.isfinite(x).all())
         if not finite:
             continue
-        frame = m.tangent_frame(x)
-        grad, h = u.jet(x, frame)
-        det = _jacobian_det(m, x, grad, h, a, frame)
+        det = _jacobian_det(m, x, grad, h, a, m.tangent_frame(x))
         folds += int(np.count_nonzero(~(det > 0.0)))
         least_det = float(np.minimum(least_det, np.min(det)))   # NaN stays NaN
         if folds:

@@ -68,8 +68,11 @@ class CurvatureParams:
 
     def ricci_gap(self, model, center, radius: float) -> float:
         """K_required - K on the origin ball of radius d(o, center) + radius,
-        which holds B_radius(center); positive means Ric_{N,nu} >= -K g fails there."""
-        reach = float(model.distance(model.origin(), center)) + radius
+        which holds B_radius(center); positive means Ric_{N,nu} >= -K g fails there.
+        Only a weighted model's bound reads that radius, so only it measures d."""
+        reach = radius
+        if model.is_weighted:
+            reach += float(model.distance(model.origin(), center))
         return max(0.0, -model.ricci_lower_bound(self.N, reach)) - self.K
 
     @property
@@ -123,12 +126,19 @@ def _log_doubling(K, N, r) -> float:
     return N * math.log(2.0) + 4.0 * r * math.sqrt(N * K)
 
 
+def _require_finite_multiple(R: float, c: int, reader: str):
+    """Refuse an R whose multiple c R, which reader reads, leaves float64."""
+    if not math.isfinite(c * R):
+        raise ValueError(f"{c}R leaves the float64 range for R = {R:g}: {reader} reads it")
+
+
 def build_ledger(params: CurvatureParams) -> ConstantsLedger:
     """Populate every constant for finite N; deterministic in (K, N, R)."""
     K, N, R = params.K, params.N, params.R
     if math.isinf(N):
         raise ValueError("the full ledger requires N < inf; the measure-estimate "
                          "bound handles N = inf without ledger constants")
+    _require_finite_multiple(R, 16, "D_(K,N,4R) = 2^N exp(16 R sqrt(N K))")
     omega = params.omega
     log_d = {r: _log_doubling(K, N, r) for r in (R, 2 * R, 4 * R)}
     eta = log_d[2 * R] / (N * math.log(2.0))

@@ -10,23 +10,14 @@ is covered by at least one contact node.  The a/2 normalization matches the
 paraboloid form -(a/2) rho^2 + c, which is the convention every downstream
 gradient/Hessian identity relies on.
 
-The grid minimization is exact at node resolution: a table of distances per
-vertex ring and lower bounds over angular blocks of nodes skip only nodes
-that provably lie above the infimum plus the tie tolerance.  A table row
-rises with sin^2 of half the angle difference, so the bound of a pair of
-blocks is the one column of the row at the angle difference of least
-sin^2 between them, lowered by a relative 2^-40.  The upper bound
-they are compared with is F at real nodes, among them the 3x3 patch about
-the contact found for the same vertex angle on an earlier ring, and each
-chunk of vertices gathers its surviving nodes in one list.  The tables come
-from the nodes' polar coordinates about the grid centre by the law of
-cosines, so they keep full precision at every radius, and the scan reads no
-stored point.  Each vertex ring tabulates only the band of node rings that a
-ring-level floor of F, min u plus the table's own entry at angle difference
-0 lowered by a relative 2^-40, cannot exclude.  A vectorized Riemannian
-Newton refinement upgrades contact locations to sub-cell accuracy whenever
-the field carries closed-form derivatives; on the flat charts it works in
-chart coordinates, where rho_y^2/2 = |x - y|^2/2 has its jet in closed form.
+The grid minimization is exact at node resolution: compute_contact_set's
+pruned scan skips only nodes that provably lie above the infimum plus the
+tie tolerance.  A vectorized Riemannian Newton refinement upgrades contact
+locations to sub-cell accuracy when the field has closed-form derivatives;
+a point leaves it at its certified iterate, the norm of grad F's frame
+components below _NEWTON_TOL a, and the transport reads u's jet there.  On
+the flat charts it works in chart coordinates, where rho_y^2/2 = |x - y|^2/2
+has its jet in closed form.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ _TIE_TOL = 1e-12      # minimizers within this of the infimum are all retained
 # (ring, angle) offsets of the 3x3 node patch about a vertex angle's seed
 _PATCH = np.array([np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)])
 _NEWTON_ITERS = 12    # most Newton steps of the refinement
-_NEWTON_TOL = 1e-12   # it stops once both frame components of grad F are below this
+_NEWTON_TOL = 1e-12   # a point stops once |grad F| is below this times a
 _DET_TOL = 1e-14      # a point whose |det Hess F| is at most this times a^2 keeps its iterate
 
 
@@ -134,12 +125,11 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     the table's expression at angle difference 0, lowered by a relative
     2^-40, and lies below every entry of its row: adding the non-negative
     angular term cannot lower a float, sqrt and the scalings are correctly
-    rounded, and the 2^-40 covers the libm asn (np.arcsin, np.arcsinh),
-    monotone only in practice.  Every node of a left-out ring then lies
-    more than _TIE_TOL above every vertex's infimum.  The band is the
-    contiguous span of the other rings and of the seeds' patches, so the
-    scan above runs on it unchanged, in the same ring-major order, and
-    returns what the full table would, bit for bit.
+    rounded, and the 2^-40 covers the libm asn.  Every node of a left-out
+    ring then lies more than _TIE_TOL above every vertex's infimum.  The
+    band is the contiguous span of the other rings and of the seeds'
+    patches, so the scan above runs on it unchanged, in the same ring-major
+    order, and returns what the full table would, bit for bit.
 
     Parameters
     ----------
@@ -309,81 +299,105 @@ def gradient_contact_residual(u: ScalarField, a: float, X, Y) -> np.ndarray:
 
 def refine_contact_points(m: ModelSpace, u: ScalarField, a: float,
                           Y: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """Riemannian Newton descent of F_y from X0, vectorized over vertices.
-
-    Requires closed-form derivatives of u, and m must be u's model (compared
-    by value; ValueError otherwise).  Steps are clamped to half the
-    grid radius; points whose Hessian degenerates, |det| at most _DET_TOL
-    a^2 (the scale of the distance term's own determinant), keep their last
-    iterate.  A point takes the step computed where both frame components
-    of its grad F are below _NEWTON_TOL and then leaves the live set; the
-    loop ends when the live set is empty or after _NEWTON_ITERS steps.
-
-    The 2x2 algebra runs on the Hessian rows (h11, h12, h22) of the jets,
-    a I adding a (1, 0, 1).  Flat charts refine in chart coordinates: the
-    frame is the coordinate basis, built once per call and sliced to the
-    live points at each step, the jet of rho_y^2/2 is (x - y, I) in
-    closed form, grad F's frame components are its coordinates, and the
-    step (d1, d2), capped by sqrt(d1^2 + d2^2), adds to each coordinate.
-    Curved charts take the jet of rho_y^2/2 from _radial_derivatives, project
-    onto the frame and step by exp along d1 e1 + d2 e2.  On every chart a
-    first step from the vertices (X0 = Y) evaluates u's jet alone, since at
-    x = y that of rho_y^2/2 is exactly (0, I): x - y is 0 on the flat charts,
-    and _radial_derivatives gives (0, I) at its centre.
-    """
-    if not u.has_derivatives:
-        raise ValueError("refinement needs closed-form derivatives")
+    """Riemannian Newton descent of F_y from X0: _newton's points.  m must
+    be u's model (compared by value; ValueError otherwise)."""
     if m != u.grid.model:
         raise ValueError(f"m is {_model_label(m)}, but u's grid is on "
                          f"{_model_label(u.grid.model)}")
+    return _newton(u, a, Y, X0)[0]
+
+
+def _newton(u: ScalarField, a: float, Y, X0):
+    """(X, grad, h): Newton's points from X0 and u's jet at each, h in
+    m.tangent_frame(X), m = u's model.
+
+    A point leaves at the iterate where g1^2 + g2^2 < (_NEWTON_TOL a)^2, (g1,
+    g2) the frame components of grad F, with u's jet taken there.  The others
+    _step, clamped to half the grid radius; a degenerate Hessian, |det| at
+    most _DET_TOL a^2, keeps its iterate (the distance term's scales: (c u,
+    c a) refines as (u, a)).  Points live after _NEWTON_ITERS steps keep
+    the last and take one jet there.
+
+    Flat charts work in chart coordinates: the frame is the coordinate
+    basis, built once and sliced to the live points, and the jet of
+    rho_y^2/2 is (x - y, I).  Curved charts take it from _radial_derivatives.
+    A first pass from the vertices (X0 = Y) reads u's jet alone: at x = y
+    that of rho_y^2/2 is exactly (0, I).
+    """
+    m = u.grid.model
     X = np.array(X0, float)
     Y = np.asarray(Y, float)
     flat = m.is_flat_chart
-    live = slice(None)   # every point, by view, until the first converges
+    live = slice(None)   # every point, by view, until the first leaves
+    G, H = np.empty(X.shape), np.empty((3, len(X)))   # u's jet at the points that left
     cap = 0.5 * u.grid.radius
-    degenerate = _DET_TOL * a * a
+    tol, degenerate = _NEWTON_TOL * a, _DET_TOL * a * a
     a_eye = (a * _I_ROWS)[:, None]
-    basis = m.tangent_frame(X) if flat else None   # constant: built once, sliced per step
-    for it in range(_NEWTON_ITERS):
+    basis = m.tangent_frame(X) if flat else None
+    for it in range(_NEWTON_ITERS + 1):   # the last pass only takes the jet
         x = X[live]
         e1, e2 = frame = (basis[0][:len(x)], basis[1][:len(x)]) if flat else m.tangent_frame(x)
         gu, hu = u.jet(x, frame)
-        if it == 0 and np.array_equal(X, Y):
-            g, h = gu, hu + a_eye
-        elif flat:
-            # the jet of a rho_y^2 / 2 = a |x - y|^2 / 2 is (a (x - y), a I)
-            g, h = gu + a * (x - Y[live]), hu + a_eye
+        if it == _NEWTON_ITERS:
+            done = np.ones(len(x), bool)
         else:
-            # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
-            g, h = _radial_derivatives(m, Y[live], x, lambda r: a * r,
-                                       lambda r: np.full_like(r, a), frame)
-            g += gu
-            h += hu
-        g1, g2 = (g[:, 0], g[:, 1]) if flat else (m.tangent_inner(x, g, e) for e in frame)
-        h11, h12, h22 = h
-        det = h11 * h22 - h12 * h12
-        inv = 1.0 / np.where(np.abs(det) > degenerate, det, np.inf)   # 0 where h degenerates
-        d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
-        if flat:
-            ln = np.sqrt(d1 * d1 + d2 * d2)
-            if np.any(ln > cap):
-                s = cap / np.maximum(ln, cap)
-                d1, d2 = d1 * s, d2 * s
-            X[live, 0] = x[:, 0] + d1
-            X[live, 1] = x[:, 1] + d2
-        else:
-            step = _scale(d1, e1)
-            step += _scale(d2, e2)
-            ln = m.tangent_norm(x, step)
-            if np.any(ln > cap):
-                _scale(cap / np.maximum(ln, cap), step, out=step)
-            X[live] = m.exp(x, step)
-        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
-        if done.any():
-            live = np.arange(len(X))[live][~done]
-            if live.size == 0:
+            hd = a_eye   # the rows of Hess(a rho_y^2 / 2) on the flat charts and at y
+            if it == 0 and np.array_equal(X, Y):
+                g = gu
+            elif flat:   # grad(a |x - y|^2 / 2) = a (x - y)
+                g = gu + a * (x - Y[live])
+            else:   # a rho_y^2 / 2 is the radial function with f' = a rho, f'' = a
+                g, hd = _radial_derivatives(m, Y[live], x, lambda r: a * r,
+                                            lambda r: np.full_like(r, a), frame)
+                g += gu
+            g1, g2 = (g[:, 0], g[:, 1]) if flat else (m.tangent_inner(x, g, e) for e in frame)
+            done = g1 * g1 + g2 * g2 < tol * tol
+        out = np.flatnonzero(done)
+        if len(out) == len(X):   # the whole batch leaves at once
+            return X, gu, hu
+        if len(out):   # they keep their jets, by 1-D scatters: row scatters run slower
+            live = np.arange(len(X))[live]
+            at = live[out]
+            for k in range(X.shape[1]):
+                G[at, k] = gu[out, k]
+            for k in range(3):
+                H[k, at] = hu[k, out]
+            keep = ~done
+            live = live[keep]
+            if not len(live):
                 break
-    return X
+            x, g1, g2, hu = x[keep], g1[keep], g2[keep], hu[:, keep]
+            if not flat:
+                e1, e2 = e1[keep], e2[keep]
+                if hd is not a_eye:
+                    hd = hd[:, keep]
+        _step(m, X, live, x, e1, e2, g1, g2, hu + hd, cap, degenerate)
+    return X, G, H
+
+
+def _step(m: ModelSpace, X, live, x, e1, e2, g1, g2, h, cap: float, degenerate: float):
+    """X[live] = x moved by the Newton step (d1, d2) from grad F's frame
+    components (g1, g2) and Hess F's rows h, capped at length cap: added to
+    the flat charts' coordinates, by exp along d1 e1 + d2 e2 elsewhere.  Its
+    temporaries die before _newton's next jet, its memory peak."""
+    h11, h12, h22 = h
+    det = h11 * h22 - h12 * h12
+    inv = 1.0 / np.where(np.abs(det) > degenerate, det, np.inf)   # 0 where h degenerates
+    d1, d2 = (h12 * g2 - h22 * g1) * inv, (h12 * g1 - h11 * g2) * inv
+    if m.is_flat_chart:
+        ln = np.sqrt(d1 * d1 + d2 * d2)
+        if np.any(ln > cap):
+            s = cap / np.maximum(ln, cap)
+            d1, d2 = d1 * s, d2 * s
+        X[live, 0] = x[:, 0] + d1
+        X[live, 1] = x[:, 1] + d2
+    else:
+        step = _scale(d1, e1)
+        step += _scale(d2, e2)
+        ln = m.tangent_norm(x, step)
+        if np.any(ln > cap):
+            _scale(cap / np.maximum(ln, cap), step, out=step)
+        X[live] = m.exp(x, step)
 
 
 def check_contact_location(u: ScalarField, a: float,

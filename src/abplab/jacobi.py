@@ -39,7 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _COSH_MAX, ModelSpace, _model_label, _radius_range_error
+from .geometry import (_COSH_MAX, ModelSpace, _euclidean_sum, _model_label,
+                       _radius_range_error)
 from .report import CheckReport, check_le
 
 __all__ = ["JacobiState", "integrate_jacobi", "dn_functional", "verify_comparison"]
@@ -83,8 +84,10 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     tangent formed from points (log, a projection) carries errors on the
     scale |x| + |v|, not |v|; |x| sqrt|kappa|, 1 on the sphere and
     cosh-like on the hyperboloid, is the condition number of projecting an
-    ambient vector onto the tangent plane, as tangent_frame does.  The dots
-    scaling these tolerances are numpy's, which may fuse multiply-adds.
+    ambient vector onto the tangent plane, as tangent_frame does.  Every dot
+    of these checks is the ordered float sum (a0 b0 + a1 b1) +- a2 b2, the
+    hyperboloid's sign on the last term, so no BLAS that fuses multiply-adds
+    moves an input across its bound.
     """
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
@@ -99,11 +102,12 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
         raise ValueError("initial Hessian must be symmetric")
     kappa = m.sectional()
     if kappa != 0.0:   # "not <=" also refuses a residual that left float64
-        xn = math.sqrt(float(x @ x))
+        xn = math.sqrt(_euclidean_sum([a * a for a in xs]))
         if not abs(m._isum([a * a for a in xs]) - 1.0 / kappa) <= _ROUND_TOL * xn * xn:
             raise ValueError(f"x is not a point of {_model_label(m)}")
-        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(kappa))
-        if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
+        vn = math.sqrt(_euclidean_sum([a * a for a in vs]))
+        scale = xn * (xn + vn) * xn * math.sqrt(abs(kappa))
+        if not abs(m._isum([a * b for a, b in zip(xs, vs)])) <= _ROUND_TOL * scale:
             raise ValueError("v is not tangent at x")
     L = _speed(m, vs)
     if L >= m.cut_radius:

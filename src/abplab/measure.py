@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .constants import CurvatureParams, _log_doubling
+from .constants import CurvatureParams, _log_doubling, _require_finite_multiple
 from .fields import ScalarField
 from .geometry import ModelSpace
 from .report import CheckReport, _premise_failure, check_le
@@ -36,6 +36,7 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
     if gap > 1e-12:
         return _premise_failure("doubling-ratio", "Ric_{N,nu} >= -K g on the ball",
                                 "doubling-estimate", ricci_gap=gap)
+    _require_finite_multiple(R, 4, "D_(K,N,R) = 2^N exp(4 R sqrt(N K))")
     log_d = _log_doubling(K, N, R)
     # the iteration pairing: the exponent is log2 of the same doubling
     # constant that appears as the prefactor
@@ -50,14 +51,19 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
                          f"range: log D = {log_d:g} and N eta log(r1/r2) = "
                          f"{N * eta * math.log(r1 / r2):g} for K = {K:g}, N = {N:g}, "
                          f"R = {R:g}")
-    small = m.ball_measure(center, r2)
-    if not small > 0:
+    radii = (r2, r1, 2 * r2) if two_ball else (r2, r1)
+    with np.errstate(over="ignore"):   # a measure past float64 is refused by name
+        nu = [m.ball_measure(center, r) for r in radii]
+    for r, measure in zip(radii, nu):
+        if not math.isfinite(measure):
+            raise ValueError(f"nu[B_r] leaves the float64 range at r = {r:g} for R = {R:g}")
+    if not nu[0] > 0:
         raise ValueError(f"nu[B_r2] underflows to 0 at r2 = {r2:g}")
-    ratio = m.ball_measure(center, r1) / small
+    ratio = nu[1] / nu[0]
     lhs = ratio / bound
     diag = dict(r1=r1, r2=r2, doubling_constant=D, eta=eta, ratio=ratio, bound=bound)
     if two_ball:
-        two = m.ball_measure(center, 2 * r2) / small
+        two = nu[2] / nu[0]
         diag["two_ball_ratio"] = two
         lhs = max(lhs, two / D)
     return check_le("doubling-ratio", "doubling-estimate", lhs, 1.0, rel_tol=1e-9, **diag)

@@ -206,12 +206,21 @@ def stacked_jacobi(m, x, H0, v, n_steps: int):
     return J, cs, sn
 
 
+def ordered_dot(a, b) -> float:
+    """(a0 b0 + a1 b1) + a2 b2 of two 3-vectors, in that order on Python
+    floats: numpy's dot may fuse multiply-adds, and the builtin sum
+    compensates from Python 3.12 on."""
+    (a0, a1, a2), (b0, b1, b2) = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
+    return (a0 * b0 + a1 * b1) + a2 * b2
+
+
 def array_checked_jacobi(m, x, initial_hessian, v, n_steps: int = 256) -> JacobiState:
     """integrate_jacobi with its inputs checked on arrays, an oracle for the
     checks on Python floats: each input's finiteness by np.isfinite, the
     symmetry on H0 - H0.T, the model and tangency residuals by the model's
-    own array methods, and exp's refusals by calling exp(x, v) itself; J
-    and gamma are formed by broadcasting over a fresh np.linspace."""
+    own array methods and the dots in them by ordered_dot, and exp's
+    refusals by calling exp(x, v) itself; J and gamma are formed by
+    broadcasting over a fresh np.linspace."""
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
     x = np.asarray(x, float)
@@ -224,11 +233,11 @@ def array_checked_jacobi(m, x, initial_hessian, v, n_steps: int = 256) -> Jacobi
         raise ValueError("initial Hessian must be symmetric")
     flat = m.is_flat_chart
     if not flat:
-        xn = math.sqrt(float(x @ x))
+        xn = math.sqrt(ordered_dot(x, x))
         if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
             raise ValueError(f"x is not a point of {_model_label(m)}")
-        scale = xn * (xn + math.sqrt(float(v @ v))) * xn * math.sqrt(abs(m.sectional()))
-        if not abs(float(m.lower(x) @ v)) <= _ROUND_TOL * scale:
+        scale = xn * (xn + math.sqrt(ordered_dot(v, v))) * xn * math.sqrt(abs(m.sectional()))
+        if not abs(ordered_dot(m.lower(x), v)) <= _ROUND_TOL * scale:
             raise ValueError("v is not tangent at x")
     L = float(m.tangent_norm(x, v))
     if L >= m.cut_radius:

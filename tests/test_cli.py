@@ -160,10 +160,19 @@ class TestCliExitCodes:
         (["harnack-check", "--R", "1e150", "--which", "sup"],
          "poisson solve on 64x64 over radius 2e+150"),
         (["doubling", "--N", "1100", "--samples", "1"], "doubling bound"),
-    ], ids=["poisson-R-1e150", "doubling-N-1100"])
+        (["doubling", "--R", "1e200", "--samples", "1"], "nu[B_r] leaves the float64 range at r = "
+         "2.30551e+199 for R = 1e+200"),
+        (["doubling", "--R", "1e308", "--samples", "1"],
+         "4R leaves the float64 range for R = 1e+308"),
+        (["constants", "--R", "1e308"], "16R leaves the float64 range for R = 1e+308"),
+    ], ids=["poisson-R-1e150", "doubling-N-1100", "doubling-R-1e200", "doubling-R-1e308",
+            "constants-R-1e308"])
     def test_float64_range_refused_by_name(self, argv, message, capsys):
         # a NaN Poisson residual and an OverflowError in the doubling bound
-        # ended in numpy's empty-reduction message and in a traceback
+        # ended in numpy's empty-reduction message and in a traceback; huge
+        # radii ended in FAILs at lhs = nan after numpy's overflow warnings
+        # (the squared distance of the drawn centre, the ball measure), or
+        # in a refusal that named log D = nan where 4R was inf
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err and "leaves the float64 range" in err

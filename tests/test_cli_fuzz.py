@@ -9,12 +9,15 @@ float flags share at most two values of FLOATS, since an overflow often
 takes two large flags together (a radius and a coefficient).  The grid and
 the sample count are always drawn, and small, so each call stays cheap.
 --N may also take 1000, 1050 or 1100, where the doubling constant 2^N and
-the bound D (r1/r2)^(N eta) leave float64.  Flags that a mode does not read
-are refused by test_cli's own tests.
+the bound D (r1/r2)^(N eta) leave float64, and for `doubling` and
+`constants` --R may also take 1e200, where squared lengths and ball
+measures leave it.  Flags that a mode does not read are refused by
+test_cli's own tests.
 
 Every passing `doubling` report must have a finite bound: an inf bound
 makes ratio / bound read 0, and the check then passes on its two-ball term
-alone.
+alone.  No `doubling` or `constants` report may have a NaN side: a value
+that left float64 is refused by name, not turned into a FAIL at NaN.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from abplab.cli import _FLAGS, _MODES, _SUBCOMMANDS, main
 FLOATS = ["1e150", "1e-300", "1e308", "0", "-0.0", "-1", "nan", "inf"]
 SIZES = {"resolution": [17, 33, 16, 8, 0], "samples": [8, 2, 1, 0]}
 LARGE_N = st.sampled_from(["1000", "1050", "1100"])
+HUGE_R = st.just("1e200")
+SIDES_CHECKED = ("doubling", "constants")   # no report of theirs has a NaN side
 EXAMPLES = 100   # calls per subcommand
 ABPLAB_DIR = Path(abplab.__file__).resolve().parent
 
@@ -59,7 +64,11 @@ def calls(draw, sub):
             chosen[flag] = draw(st.sampled_from(SIZES[flag]))
         elif draw(st.booleans()):
             values = st.sampled_from(_FLAGS[flag].get("choices", pool))
-            chosen[flag] = draw(st.one_of(values, LARGE_N) if flag == "N" else values)
+            if flag == "N":
+                values = st.one_of(values, LARGE_N)
+            elif flag == "R" and sub in SIDES_CHECKED:
+                values = st.one_of(values, HUGE_R)
+            chosen[flag] = draw(values)
     argv = [sub]
     for flag, value in chosen.items():
         if value is not False:
@@ -120,6 +129,8 @@ def test_every_call_ends_in_a_verdict_or_a_named_refusal(sub):
             assert _raised_by_abplab(exc), (argv, repr(exc))
         if sub == "doubling":
             assert all(math.isfinite(r.diagnostics["bound"]) for r in reports if r.passed), argv
+        if sub in SIDES_CHECKED:
+            assert not any(math.isnan(r.lhs) or math.isnan(r.rhs) for r in reports), argv
 
     check()
 

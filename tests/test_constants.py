@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestBuildLedger:
                         "p0", "p1", "log_c3", "log_c0", "log_c2"):
                 va, vb = getattr(a, key), getattr(b, key)
                 assert vb == pytest.approx(va, rel=1e-12), key
+
+    @pytest.mark.parametrize("R", [1e308, 2e307])
+    def test_radius_past_float64_refused_by_name(self, R):
+        # D_(K,N,4R) reads 16 R, inf here, and at K = 0 its log read
+        # inf * 0 = nan: five ledger checks FAILed at lhs = nan
+        message = f"16R leaves the float64 range for R = {R:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_ledger(CurvatureParams(0.0, 2.0, R))
+        assert math.isfinite(build_ledger(CurvatureParams(0.0, 2.0, 1e307)).doubling_4r)
 
     def test_infinite_n_rejected(self):
         with pytest.raises(ValueError, match="N < inf"):

@@ -6,7 +6,7 @@ import pytest
 
 from abplab import contact
 from abplab.contact import (_BLOCK, _DET_TOL, _NEWTON_ITERS, _NEWTON_TOL, _TIE_TOL,
-                            _location_vertices, _nearest_differences, _polar_rho_sq,
+                            _location_vertices, _nearest_differences, _newton, _polar_rho_sq,
                             check_contact_location, compute_contact_set,
                             gradient_contact_residual, refine_contact_points)
 from abplab.fields import (ScalarField, _radial_derivatives, bump_field, constant_field,
@@ -694,9 +694,10 @@ class TestNewtonFreeze:
 
 def _newton_stacked(m, u, a, Y, X):
     """The flat-chart loop on stacked operands: a (n, 2, 2) Hessian, and a
-    (n, 2) step capped through tangent_norm and taken through exp."""
+    (n, 2) step capped through tangent_norm and taken through exp by every
+    live point but those certified where they stand."""
     X = X.copy()
-    live = slice(None)
+    live = np.arange(len(X))
     cap = 0.5 * u.grid.radius
     for _ in range(_NEWTON_ITERS):
         x = X[live]
@@ -711,20 +712,20 @@ def _newton_stacked(m, u, a, Y, X):
         ln = m.tangent_norm(x, step)
         if np.any(ln > cap):
             step *= (cap / np.maximum(ln, cap))[:, None]
-        X[live] = m.exp(x, step)
-        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
-        if done.any():
-            live = np.arange(len(X))[live][~done]
-            if live.size == 0:
-                break
+        go = ~(g1 * g1 + g2 * g2 < (_NEWTON_TOL * a) ** 2)
+        X[live[go]] = m.exp(x, step)[go]
+        live = live[go]
+        if live.size == 0:
+            break
     return X
 
 
 def _newton_curved_stacked(m, u, a, Y, X):
     """The curved-chart loop with the step scaled over the trailing axis:
-    d1[:, None] * e1 + d2[:, None] * e2, capped by step *= s[:, None]."""
+    d1[:, None] * e1 + d2[:, None] * e2, capped by step *= s[:, None], and
+    taken by every live point but those certified where they stand."""
     X = X.copy()
-    live = slice(None)
+    live = np.arange(len(X))
     cap = 0.5 * u.grid.radius
     for it in range(_NEWTON_ITERS):
         x = X[live]
@@ -746,12 +747,11 @@ def _newton_curved_stacked(m, u, a, Y, X):
         ln = m.tangent_norm(x, step)
         if np.any(ln > cap):
             step *= (cap / np.maximum(ln, cap))[:, None]
-        X[live] = m.exp(x, step)
-        done = np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL
-        if done.any():
-            live = np.arange(len(X))[live][~done]
-            if live.size == 0:
-                break
+        go = ~(g1 * g1 + g2 * g2 < (_NEWTON_TOL * a) ** 2)
+        X[live[go]] = m.exp(x, step)[go]
+        live = live[go]
+        if live.size == 0:
+            break
     return X
 
 
@@ -847,7 +847,8 @@ class TestNewtonFirstStep:
 
 def _flat_newton_adding_the_distance_gradient(u, a, Y):
     """The flat-chart Newton loop of refine_contact_points with the jet
-    (a (x - y), a I) of a rho_y^2/2 added at every step, the first one too."""
+    (a (x - y), a I) of a rho_y^2/2 added at every step, the first one too;
+    a point certified where it stands takes no step."""
     X = Y.copy()
     live = np.arange(len(X))
     cap = 0.5 * u.grid.radius
@@ -863,12 +864,92 @@ def _flat_newton_adding_the_distance_gradient(u, a, Y):
         if np.any(ln > cap):
             s = cap / np.maximum(ln, cap)
             d1, d2 = d1 * s, d2 * s
-        X[live, 0] = x[:, 0] + d1
-        X[live, 1] = x[:, 1] + d2
-        live = live[~(np.maximum(np.abs(g1), np.abs(g2)) < _NEWTON_TOL)]
+        go = ~(g1 * g1 + g2 * g2 < (_NEWTON_TOL * a) ** 2)
+        live = live[go]
+        X[live, 0] = x[go, 0] + d1[go]
+        X[live, 1] = x[go, 1] + d2[go]
         if live.size == 0:
             break
     return X
+
+
+def _certificate(m, u, a, Y, X):
+    """g1^2 + g2^2 of grad F_y at X over m.tangent_frame(X), formed as the
+    refinement forms it away from the vertices."""
+    frame = m.tangent_frame(X)
+    gu = u.jet(X, frame)[0]
+    if m.is_flat_chart:
+        g = gu + a * (X - Y)
+        return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+    g = _radial_derivatives(m, Y, X, lambda r: a * r) + gu
+    g1, g2 = (m.tangent_inner(X, g, e) for e in frame)
+    return g1 * g1 + g2 * g2
+
+
+def _counting(u, counts, degenerate=None):
+    """u with the batch size of each jet recorded in counts; where
+    degenerate(p) holds, Hess u is -I, so that Hess F is singular at x = y."""
+    def deriv(p, frame):
+        if frame is None:
+            return u.deriv_fn(p, frame)
+        counts.append(len(p))
+        g, h = u.deriv_fn(p, frame)
+        if degenerate is not None:
+            h = np.where(degenerate(p), -np.array([1.0, 0.0, 1.0])[:, None], h)
+        return g, h
+    return ScalarField(u.grid, u.values, u.value_fn, deriv)
+
+
+class TestNewtonJet:
+    @pytest.mark.parametrize("iters", [_NEWTON_ITERS, 3])
+    def test_jets_are_those_of_the_returned_points(self, model, rng, monkeypatch, iters):
+        # a random bump field's points leave over two passes; with 3 steps
+        # most are still live at the end and take one last jet there
+        monkeypatch.setattr(contact, "_NEWTON_ITERS", iters)
+        g = _grid(model, r=0.5, n=48)
+        counts = []
+        u = _counting(random_bump_field(g, rng, hess_bound=0.5), counts)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        X, grad, h = _newton(u, 1.0, Y, Y)
+        assert counts[0] == len(Y) and len(set(counts)) > 1 and len(counts) <= iters + 1
+        assert iters == _NEWTON_ITERS or len(counts) == iters + 1   # a last pass for the live
+        want = u.jet(X, model.tangent_frame(X))
+        assert grad.tobytes() == want[0].tobytes() and h.tobytes() == want[1].tobytes()
+        assert X.tobytes() == refine_contact_points(model, u, 1.0, Y, Y).tobytes()
+        if iters == _NEWTON_ITERS:
+            assert np.all(_certificate(model, u, 1.0, Y, X) < _NEWTON_TOL * _NEWTON_TOL)
+
+    def test_degenerate_points_keep_their_vertex_and_its_jet(self, model, rng):
+        # where the first coordinate is positive, Hess F = Hess u + I is
+        # singular at x = y: those points never step and never certify, and
+        # take their jet at the end; the rest certify where they stop
+        g = _grid(model, r=0.5, n=48)
+        counts = []
+        u = _counting(random_bump_field(g, rng, hess_bound=0.5), counts,
+                      degenerate=lambda p: p[:, 0] > 0.0)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        stuck = Y[:, 0] > 0.0
+        X, grad, h = _newton(u, 1.0, Y, Y)
+        assert len(counts) == _NEWTON_ITERS + 1 and counts[-1] == np.count_nonzero(stuck)
+        assert X[stuck].tobytes() == Y[stuck].tobytes()
+        want = u.jet(X, model.tangent_frame(X))
+        assert grad.tobytes() == want[0].tobytes() and h.tobytes() == want[1].tobytes()
+        certified = _certificate(model, u, 1.0, Y, X) < _NEWTON_TOL * _NEWTON_TOL
+        assert np.array_equal(certified, ~stuck)
+
+    def test_a_batch_that_leaves_at_once_returns_its_own_jet(self, model, rng):
+        # started from its own certified points, a refinement certifies every
+        # point at the first pass and returns that pass's jet
+        g = _grid(model, r=0.5, n=32)
+        counts = []
+        u = _counting(random_bump_field(g, rng, hess_bound=0.5), counts)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        X0 = _newton(u, 1.0, Y, Y)[0]
+        counts.clear()
+        X, grad, h = _newton(u, 1.0, Y, X0)
+        assert counts == [len(Y)] and X.tobytes() == X0.tobytes()
+        want = u.jet(X, model.tangent_frame(X))
+        assert grad.tobytes() == want[0].tobytes() and h.tobytes() == want[1].tobytes()
 
 
 class TestNewtonScale:
@@ -886,3 +967,20 @@ class TestNewtonScale:
             assert np.max(gradient_contact_residual(u, c, X[c], Y)) < 1e-12 * c
         assert np.max(np.abs(X[1.0] - Y)) > 0.05
         assert np.max(np.abs(X[1e-8] - X[1.0])) < 1e-14
+
+    def test_scaled_bump_field_lands_where_the_unit_opening_does(self, model, rng):
+        # a bump field is not solved by one step: a certificate of |grad F|
+        # below 1e-12 read at c = 1e-8 stops 1e-4 short of the unit
+        # opening's points; below 1e-12 c, Newton stops where it does at c = 1
+        g = _grid(model, r=0.5, n=48)
+        Y = g.flat_points()[_disc_indices(g, 0.25)]
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        X1 = refine_contact_points(model, u, 1.0, Y, Y)
+        for c in (1e-4, 1e-8):
+            def deriv(p, frame, c=c):
+                d = u.deriv_fn(p, frame)
+                return c * d if frame is None else (c * d[0], c * d[1])
+            uc = ScalarField(g, None, lambda p, c=c: c * u.value_fn(p), deriv)
+            Xc = refine_contact_points(model, uc, c, Y, Y)
+            assert np.max(np.abs(Xc - X1)) < 1e-15
+            assert np.max(gradient_contact_residual(uc, c, Xc, Y)) < 1e-12 * c

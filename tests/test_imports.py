@@ -348,7 +348,7 @@ def test_einsum_detector_flags_and_accepts():
 # the functions of the Newton refinement and its jets, which form every
 # per-point scaling component by component
 COMPONENT_FORMED = {"_polar", "log", "exp", "tangent_frame", "_project_tangent",
-                    "_radial_derivatives", "refine_contact_points"}
+                    "_radial_derivatives", "refine_contact_points", "_newton", "_step"}
 
 
 def _point_axis_subscript(node) -> bool:

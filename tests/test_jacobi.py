@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from abplab.contact import compute_contact_set, refine_contact_points
 from abplab.fields import bump_field, quadratic_field, sum_fields
 from abplab.geometry import _COSH_MAX, build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.jacobi import JacobiState, _velocity, dn_functional, integrate_jacobi, verify_comparison
-from conftest import (ALL_MODELS, _rk4_linear, array_checked_jacobi, random_point, random_tangent,
-                      solve_jacobi_pair, stacked_jacobi, verify_ode_structure)
+from abplab.jacobi import (_ROUND_TOL, JacobiState, _velocity, dn_functional, integrate_jacobi,
+                           verify_comparison)
+from abplab.report import seeded_rng
+from conftest import (ALL_MODELS, _rk4_linear, array_checked_jacobi, ordered_dot, random_point,
+                      random_tangent, solve_jacobi_pair, stacked_jacobi, verify_ode_structure)
 
 
 class TestIntegrateJacobi:
@@ -297,6 +300,40 @@ class TestFloatChecks:
                 ("cut band", "initial speed exceeds the cut radius"),
                 ("cut band", "tangent norm exceeds the cut radius"), ("cut band", "state"),
                 ("cosh range", "exp on the hyperbolic model"), ("cosh range", "state")} <= seen, seen
+
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
+    def test_tangency_decided_by_the_ordered_sum(self, m):
+        # v = a tangent plus s x, with s drawn so that <x, v> lands within 0.5%
+        # of its bound 32 eps |x| (|x| + |v|) |x| sqrt|kappa|.  Each input is
+        # accepted exactly when the ordered sum (x0 v0 + x1 v1) +- x2 v2 is
+        # within the bound.  On some of them the exactly rounded dot, which
+        # a dot that fuses multiply-adds approaches, decides otherwise (and
+        # so does a @ b wherever the BLAS fuses them)
+        gen = seeded_rng(7, f"ordered-dot-{m.kind}")
+        kappa = m.sectional()
+        outcomes, other = set(), 0
+        for _ in range(400):
+            x = random_point(m, gen, 0.4)
+            vt = random_tangent(m, x, gen.uniform(0.1, 1.0), gen)
+            xn = math.sqrt(ordered_dot(x, x))
+            bound = _ROUND_TOL * (xn * (xn + math.sqrt(ordered_dot(vt, vt))) * xn)
+            v = vt + (kappa * bound * gen.uniform(0.995, 1.005)) * x
+            vn = math.sqrt(ordered_dot(v, v))
+            bound = _ROUND_TOL * (xn * (xn + vn) * xn * math.sqrt(abs(kappa)))
+            lx = m.lower(x)
+            within = abs(ordered_dot(lx, v)) <= bound
+            exact = float(sum(Fraction(a) * Fraction(b) for a, b in zip(lx.tolist(), v.tolist())))
+            other += (abs(exact) <= bound) != within
+            try:
+                integrate_jacobi(m, x, np.zeros((2, 2)), v, 64)
+                accepted = True
+            except ValueError as e:
+                assert str(e) == "v is not tangent at x"
+                accepted = False
+            assert accepted == within, (x.tolist(), v.tolist())
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+        assert other > 0
 
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
     def test_states_share_no_array(self, m, rng):

@@ -91,6 +91,21 @@ class TestDoubling:
             doubling_check(euclidean(), CurvatureParams(0.0, 1000.0, 1.0), np.zeros(2), 0.9, 0.6)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_ball_measure_past_float64_refused_by_name(self):
+        # nu[B_r2] = pi r2^2 is inf at r2 = 5e199, after numpy's overflow
+        # warning, and the ratio read inf / inf = nan
+        with pytest.raises(ValueError, match=r"nu\[B_r\] leaves the float64 range at "
+                                             r"r = 5e\+199 for R = 1e\+200"):
+            doubling_check(euclidean(), CurvatureParams(0.0, 2.0, 1e200), np.zeros(2), 1e200, 5e199)
+
+    @pytest.mark.filterwarnings("error")
+    def test_4R_past_float64_refused_by_name(self):
+        # 4R = inf, and at K = 0 log D = N log 2 + 4R sqrt(N K) read inf * 0 = nan
+        with pytest.raises(ValueError, match=r"4R leaves the float64 range for R = 1e\+308"):
+            doubling_check(euclidean(), CurvatureParams(0.0, 2.0, 1e308), np.zeros(2), 0.9, 0.6)
+
+
 class TestIntegralI:
     def _field(self, m, values_fn, r=1.0, n=48):
         g = build_polar_grid(m, m.origin(), r, n, n)
