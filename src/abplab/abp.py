@@ -117,9 +117,10 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     the rings allow; no value depends on the blocks.  A block checks that its
     points are finite, then reads Delta_nu u and det J(1) (_jacobian_det)
     from the jet of u that Newton took where it certified x (or at its last
-    iterate).  Returns the contact_points with rhs_transport and
-    min_pointwise_density, or with a numerical_failure that names the
-    non-finite points, or the folds (det J(1) <= 0) by count and least det.
+    iterate), Delta u as h11 + h22 of the rows det J(1) needs anyway.
+    Returns the contact_points with rhs_transport and min_pointwise_density,
+    or with a numerical_failure that names the non-finite points, or the
+    folds (det J(1) <= 0) by count and least det.
     """
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     disc = disc_vertex_indices(grid, n_rings)

@@ -42,6 +42,7 @@ _BARRIER_SAMPLES = 4000  # samples of inf h in verify_barrier; its other pieces 
 _FAN_SAMPLES = 2000      # radii per ray of the Ricci comparison fan
 _FAN_DIRS = 16           # rays of that fan
 _TAIL_TOL = 4.5 * np.finfo(float).eps   # the tail identity's rounding; see verify_barrier
+_FAN_TOL = 16.0 * np.finfo(float).eps   # the comparison's rounding; see check_ricci_comparison
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,15 @@ def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
     The left side depends on the direction where the weight is not radial
     about y, so the fan is sampled on every model; the curvature parameter K
     must bound the Bakry-Emery Ricci from below on the sampled region.
+
+    The allowance is the rounding, u = eps/2, of a sample's left side 1 + k - t,
+    k = rho psi'/psi, t = g(grad rho^2/2, grad V), and right side N calH(w rho):
+    32u S = 16 eps S, S the largest |1 + k| + |t| + |N H|.  The chord of p - y
+    carries 3u, rho, psi and psi' 5u each and k 2u more: 20u |k|, with
+    |k| <= |1 + k| + N H; t 6u |t|, N calH 5u, the sums 3u S: under 28u S.
+    exp moves k by dk/d(s rho) times a few u s|p|, but with K >= 0 on the
+    sphere and K >= k on the hyperboloid the sides meet only as rho -> 0,
+    where s|p| -> 1 and dk/d(s rho) -> 0, or on the flat charts, k = 1 exact.
     """
     y = np.asarray(y, float)
     N, w = params.N, params.omega
@@ -234,6 +244,7 @@ def check_ricci_comparison(m: ModelSpace, params: CurvatureParams, y,
     lhs = _finite_laplacian(lap_nu, "Delta_nu(rho_y^2/2)", sample_radius).max(axis=1)
     rhs = N * calH(w * rho)
     gap = float(np.max(lhs - rhs))
+    size = float(np.max(np.abs(lap) + np.abs(lap - lap_nu) + np.abs(rhs)[:, None]))
     return check_le("ricci-comparison", "distance-laplacian-comparison",
-                    gap, 0.0, abs_tol=1e-9,
+                    gap, 0.0, abs_tol=_FAN_TOL * size,
                     max_gap=gap, sample_radius=sample_radius)

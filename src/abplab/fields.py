@@ -4,18 +4,17 @@ A :class:`ScalarField` is node values on a grid.  A sampled field (a Poisson
 solution, data) is given its array; a field built from a closed form is
 given value_fn instead and samples its nodes, value_fn(grid.points), the
 first time its values are read, since most verdicts read it only through
-its jets.  Closed-form fields expose evaluators at arbitrary points, which
-the contact-set and transport machinery use for sub-cell refinement: value_fn
-and one deriv_fn(p, frame) returning the gradient when frame is None, or
-(grad, h) for an orthonormal tangent frame (e1, e2) at p.  Gradients are
-embedding-space tangent vectors; h holds the Hessian components
-h_ab = Hess u(e_a, e_b) as three rows (h11, h12, h22), shape (3,) + batch,
-each row contiguous, so the 2x2 algebra of a caller reads whole rows and no
-evaluation builds a matrix but ScalarField.hess.  The radial jets scale the
-tangent toward the centre component by component (geometry._scale), a
-bump's f' and f'' share one exp(-beta rho^2), and sum_fields adds the parts
-of a jet in place, in their order; the Newton refinement and the transport
-evaluate these jets several times a verdict.
+its jets.  Closed-form fields also give one deriv_fn(p, frame), at any
+points, which returns a pair: (grad, lap), lap the frame-free trace of the
+Hessian that grad, laplacian and laplacian_nu read, when frame is None, and
+else (grad, h) in the orthonormal tangent frame (e1, e2) at p, for the
+contact refinement and the transport.  Gradients are embedding-space
+tangent vectors; h holds h_ab = Hess u(e_a, e_b) as three contiguous rows
+(h11, h12, h22) of shape (3,) + batch, so no evaluation builds a matrix but
+ScalarField.hess.  The radial jets scale the tangent toward the centre
+component by component (geometry._scale), a bump's f' and f'' share one
+exp(-beta rho^2), and sum_fields adds the parts of a pair in place, in
+their order.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class ScalarField:
     def __init__(self, grid: GeodesicBallGrid, values: Optional[np.ndarray] = None,
                  value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None):
         """values, shape (n_r, n_theta), may be None only beside a value_fn,
-        which then samples the nodes on first read; deriv_fn(p, frame)
-        returns grad, or (grad, h) given a frame."""
+        which then samples the nodes on first read; deriv_fn(p, frame) of a
+        float array p returns (grad, lap), or (grad, h) given a frame."""
         if values is None and value_fn is None:
             raise ValueError("a field needs node values or a value_fn to sample them from")
         self.grid = grid
@@ -75,22 +74,17 @@ class ScalarField:
             raise ValueError("field has no closed-form evaluator")
         return self.value_fn(np.asarray(p, float))
 
-    def _derivatives(self, p, frame):
+    def grad(self, p):
+        return self.jet(p, None)[0]
+
+    def jet(self, p, frame):
+        """deriv_fn's pair from one evaluation: (grad, lap) when frame is None,
+        lap the trace of the Hessian, else (grad, h), h = (h11, h12, h22) of
+        shape (3,) + p.shape[:-1], h_ab = Hess u(e_a, e_b) in the orthonormal
+        frame (e1, e2) at p."""
         if self.deriv_fn is None:
             raise ValueError("field has no closed-form derivatives")
-        return self.deriv_fn(p, frame)
-
-    def grad(self, p):
-        return self._derivatives(np.asarray(p, float), None)
-
-    def jet(self, p, frame=None):
-        """(grad, h) from one derivative evaluation: h = (h11, h12, h22) has
-        shape (3,) + p.shape[:-1], h_ab = Hess u(e_a, e_b) in the orthonormal
-        frame (e1, e2) at p, by default m.tangent_frame(p)."""
-        p = np.asarray(p, float)
-        if frame is None:
-            frame = self.grid.model.tangent_frame(p)
-        return self._derivatives(p, frame)
+        return self.deriv_fn(np.asarray(p, float), frame)
 
     def hess(self, p):
         """The Hessian as an embedding matrix sum_ab h_ab e_a@e_b, the form
@@ -102,14 +96,12 @@ class ScalarField:
         return np.einsum("...ai,...ab,...bj->...ij", E, h, E)
 
     def laplacian(self, p):
-        """Metric Laplacian: the trace h11 + h22 of the frame components."""
-        h = self.jet(p)[1]
-        return h[0] + h[2]
+        """Metric Laplacian: the trace of the Hessian, with no frame."""
+        return self.jet(p, None)[1]
 
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
-        grad, h = self.jet(p)
-        return _laplacian_nu(self.grid.model, p, grad, h[0] + h[2])
+        return _laplacian_nu(self.grid.model, p, *self.jet(p, None))
 
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
@@ -122,28 +114,25 @@ def _laplacian_nu(m: ModelSpace, p, grad, lap):
 
 
 def hess_form(m: ModelSpace, H, X, Y):
-    """Evaluate the Hessian bilinear form on tangent vectors.
-
-    H is stored as the frame outer-product matrix sum h_ij e_i@e_j, so the
-    indices are lowered with the ambient metric before contracting.
-    """
+    """The Hessian form H(X, Y) of tangent vectors: H is the frame outer-product
+    matrix sum h_ij e_i@e_j (ScalarField.hess), its indices lowered to contract."""
     X = m.lower(np.asarray(X, float))
     Y = m.lower(np.asarray(Y, float))
     return np.einsum("...i,...ij,...j->...", X, H, Y)
 
 
-def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
-    """Gradient of f(rho), rho = rho(center, .), at the points p,
+def _radial_derivatives(m: ModelSpace, center, p, df, d2f, frame=None):
+    """The jet of f(rho), rho = rho(center, .), at the points p,
 
         grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
 
     e_r = -w/psi pointing away from the centre, so grad = (-f'/psi) w.  rho,
     psi, psi' and w, the tangent at p toward the centre, all come from the
-    one chord decomposition m._polar(p, center).  With d2f it also returns
-    the Hessian: its trace f'' + k, which needs no frame, when frame is None,
-    and else its components in the orthonormal frame (e1, e2) at p, the rows
-    h = (h11, h12, h22) of shape (3,) + batch; with the cosines
-    c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
+    one chord decomposition m._polar(p, center).  Returns (grad, f'' + k),
+    the trace of the Hessian, which needs no frame, when frame is None, and
+    else (grad, h), h the Hessian's components in the orthonormal frame
+    (e1, e2) at p, the rows (h11, h12, h22) of shape (3,) + batch; with the
+    cosines c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
 
         h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
 
@@ -152,7 +141,6 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     (0, f''(0) I), the rows (f''(0), 0, f''(0)).  df and d2f map rho to f'
     and f''; center broadcasts against p.
     """
-    p = np.asarray(p, float)
     rho, psi, dpsi, w = m._polar(p, center)
     small = rho < 1e-8
     near = small.any()   # np.where only then
@@ -160,8 +148,6 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
         psi = np.where(psi > 0.0, psi, 1.0)
     d1 = df(rho)
     grad = _scale(-d1 / psi, w)
-    if d2f is None:
-        return grad
     d2 = d2f(rho)
     k = np.where(small, d2, d1 * dpsi / psi) if near else d1 * dpsi / psi
     if frame is None:
@@ -176,16 +162,24 @@ def _radial_derivatives(m: ModelSpace, center, p, df, d2f=None, frame=None):
     return grad, h
 
 
+def _scalar_hessian(s: float, batch: tuple, frame):
+    """s I at a batch of points: its trace 2 s, or given a frame its rows."""
+    if frame is None:
+        return np.full(batch, 2.0 * s)
+    h = np.empty((3,) + batch)
+    h[...] = (s * _I_ROWS).reshape((3,) + (1,) * len(batch))
+    return h
+
+
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
-    m = grid.model
-    d = m.embedding_dim
+    d = grid.model.embedding_dim
 
     def val(p):
         return np.full(np.asarray(p).shape[:-1], float(c))
 
     def deriv(p, frame):
-        grad = np.zeros(np.asarray(p).shape[:-1] + (d,))
-        return grad if frame is None else (grad, np.zeros((3,) + grad.shape[:-1]))
+        batch = np.shape(p)[:-1]
+        return np.zeros(batch + (d,)), _scalar_hessian(0.0, batch, frame)
 
     return ScalarField(grid, None, val, deriv)
 
@@ -204,7 +198,7 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
         return f(m.distance(center, p))
 
     def deriv(p, frame):
-        return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
+        return _radial_derivatives(m, center, p, df, d2f, frame)
 
     return ScalarField(grid, None, val, deriv)
 
@@ -222,15 +216,10 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
         def deriv(p, frame):
             # b (p - c) by coordinate: a (2,) centre broadcast over the
             # points' last axis runs one inner loop per point
-            p = np.asarray(p, float)
             grad = np.empty(p.shape)
             for i in range(2):
                 grad[..., i] = b * (p[..., i] - c[i])
-            if frame is None:
-                return grad
-            h = np.empty((3,) + grad.shape[:-1])
-            h[...] = (b * _I_ROWS).reshape((3,) + (1,) * (h.ndim - 1))
-            return grad, h
+            return grad, _scalar_hessian(b, grad.shape[:-1], frame)
 
         return ScalarField(grid, None, val, deriv)
     return radial_field(
@@ -264,7 +253,7 @@ def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) ->
         def d2f(r):
             return amplitude * (4.0 * beta * beta * r * r - 2.0 * beta) * g
 
-        return _radial_derivatives(m, center, p, df, None if frame is None else d2f, frame)
+        return _radial_derivatives(m, center, p, df, d2f, frame)
 
     return ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv)
 
@@ -295,10 +284,7 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
         return _sum([f.value(p) for f in fields])
 
     def deriv(p, frame):
-        parts = [f.deriv_fn(p, frame) for f in fields]
-        if frame is None:
-            return _sum(parts)
-        return tuple(_sum(d) for d in zip(*parts))
+        return tuple(_sum(d) for d in zip(*(f.deriv_fn(p, frame) for f in fields)))
 
     return ScalarField(grid, None, val, deriv)
 

@@ -55,6 +55,7 @@ __all__ = [
 _MINK_DIAG = np.array([1.0, 1.0, -1.0])  # Minkowski signature (+,+,-)
 _I0_MAX = 700.0  # largest |lam| |c| r of an off-origin weighted ball; np.i0 overflows from 710
 _COSH_MAX = 710.4758600739439  # acosh of the largest float64: cosh and sinh overflow past it
+_ROUND_TOL = 32.0 * np.finfo(float).eps  # on-model and tangency rounding, per |x|^2; see on_model
 # the flat charts' tangent frame, the coordinate basis, which tangent_frame
 # broadcasts read-only over a batch
 _E1 = np.array([1.0, 0.0])
@@ -207,12 +208,16 @@ class ModelSpace:
 
     # -- embedding constraints --------------------------------------------
 
-    def embedding_residual(self, p) -> np.ndarray:
-        """|constraint violation| of a point: 0 for valid embedded points."""
-        p = np.asarray(p, float)
-        if self.is_flat_chart:
-            return np.zeros(p.shape[:-1])
-        return np.abs(self._inner(p, p) - 1.0 / self._kappa)
+    def on_model(self, xs) -> bool:
+        """True when the point of ambient coordinates xs (floats) is on the
+        model to rounding, |<x, x> - 1/kappa| <= 32 eps |x|^2 (Euclidean |.|):
+        8 ulps of |x| off the model leave 2 sqrt(3) 8 eps |x|^2, and forming
+        <x, x> and 1/kappa 2 eps |x|^2 more.  Every flat-chart point is."""
+        if self._kappa == 0.0:
+            return True
+        sq = [a * a for a in xs]
+        xn = math.sqrt(_euclidean_sum(sq))   # False below where either sum left float64
+        return abs(self._isum(sq) - 1.0 / self._kappa) <= _ROUND_TOL * xn * xn < math.inf
 
     def tangent_inner(self, p, v, w) -> np.ndarray:
         """Riemannian inner product of tangent vectors at p."""
@@ -279,13 +284,8 @@ class ModelSpace:
         if self.is_flat_chart:   # the cut radius is infinite
             return p + v
         L = self.tangent_norm(p, v)
+        self._refuse_reach(p, v, float(np.fmax.reduce(L, axis=None, initial=-math.inf)))
         t = self._s * L
-        if self._kappa < 0 and np.any(t > _COSH_MAX):
-            big = float(np.max(np.abs(v)))   # |v| itself may overflow in L
-            raise _radius_range_error(f"exp on {_model_label(self)}",
-                                      big * float(np.max(self.tangent_norm(p, v / big))))
-        if np.any(L >= self.cut_radius - 1e-15):
-            raise ValueError("tangent norm exceeds the cut radius")
         # sn(t)/t is smooth at 0; its series 1 - sgn(kappa) t^2/6 below 1e-6
         small = t < 1e-6
         safe = np.where(small, 1.0, t)
@@ -294,6 +294,16 @@ class ModelSpace:
         out = _scale(self._cs(t), p)
         out += _scale(sn_over, v)
         return out
+
+    def _refuse_reach(self, p, v, L: float):
+        """exp's refusals of the tangents v at p, L their largest norm (NaNs
+        left out): a hyperboloid radius past float64, then the cut radius."""
+        if self._kappa < 0 and self._s * L > _COSH_MAX:
+            big = float(np.max(np.abs(v)))   # |v| itself may overflow in L
+            raise _radius_range_error(f"exp on {_model_label(self)}",
+                                      big * float(np.max(self.tangent_norm(p, v / big))))
+        if L >= self.cut_radius - 1e-15:
+            raise ValueError("tangent norm exceeds the cut radius")
 
     def log(self, p, q) -> np.ndarray:
         """Inverse of exp within the cut radius, exactly 0 at q == p."""
@@ -548,7 +558,7 @@ def build_polar_grid(model: ModelSpace, center, r: float, n_r: int, n_theta: int
     if not r < model.domain_radius_limit:
         raise ValueError("grid radius must stay below the working-ball limit")
     center = np.asarray(center, float)
-    if model.embedding_residual(center) > 1e-9:
+    if not model.on_model(center.tolist()):
         raise ValueError("grid center is not a valid embedded point")
     drho = r / n_r
     dth = 2.0 * math.pi / n_theta

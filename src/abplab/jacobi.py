@@ -17,7 +17,7 @@ geodesic and its velocity,
     gamma(t) = cs(t) x + sn(t) v,     gamma'(t) = -kappa L^2 sn(t) x + cs(t) v,
 
 while the flat charts keep exp's own form x + t v and gamma' = v.  Inputs
-are checked on Python floats, exp's refusals at t = 1 as conditions on L.
+are checked on Python floats, and exp's own refusals at t = 1 read L.
 The measure estimate's transport reads the pair at t = 1 for det J(1).
 
 The per-time diagnostics feed the concavity comparisons: with
@@ -39,14 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (_COSH_MAX, ModelSpace, _euclidean_sum, _model_label,
-                       _radius_range_error)
+from .geometry import _ROUND_TOL, ModelSpace, _euclidean_sum, _model_label
 from .report import CheckReport, check_le
 
 __all__ = ["JacobiState", "integrate_jacobi", "dn_functional", "verify_comparison"]
 
 _FD_SLACK = 1e-5  # verify_comparison's tolerance, relative to the finite-difference scale
-_ROUND_TOL = 32.0 * np.finfo(float).eps  # integrate_jacobi's input tolerance; see its docstring
 
 
 @dataclass
@@ -76,11 +74,9 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     frame when v = 0).
 
     x, v and the Hessian must be finite.  On the curved charts, with |.| the
-    Euclidean norm of the ambient coordinates, x must lie on the model,
-    |<x, x> - 1/kappa| <= 32 eps |x|^2, and v must be tangent at x,
-    |<x, v>| <= 32 eps |x| (|x| + |v|) |x| sqrt|kappa|.  Coordinates within
-    8 ulps of |x| of a point on the model leave at most 2 sqrt(3) 8 eps |x|^2
-    of residual, and evaluating <x, x> and 1/kappa adds 2 eps |x|^2.  A
+    Euclidean norm of the ambient coordinates, x must lie on the model
+    (ModelSpace.on_model: |<x, x> - 1/kappa| <= 32 eps |x|^2), and v must be
+    tangent at x, |<x, v>| <= 32 eps |x| (|x| + |v|) |x| sqrt|kappa|.  A
     tangent formed from points (log, a projection) carries errors on the
     scale |x| + |v|, not |v|; |x| sqrt|kappa|, 1 on the sphere and
     cosh-like on the hyperboloid, is the condition number of projecting an
@@ -101,10 +97,10 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     if abs(h01 - h10) > 1e-12:
         raise ValueError("initial Hessian must be symmetric")
     kappa = m.sectional()
-    if kappa != 0.0:   # "not <=" also refuses a residual that left float64
-        xn = math.sqrt(_euclidean_sum([a * a for a in xs]))
-        if not abs(m._isum([a * a for a in xs]) - 1.0 / kappa) <= _ROUND_TOL * xn * xn:
+    if kappa != 0.0:
+        if not m.on_model(xs):
             raise ValueError(f"x is not a point of {_model_label(m)}")
+        xn = math.sqrt(_euclidean_sum([a * a for a in xs]))
         vn = math.sqrt(_euclidean_sum([a * a for a in vs]))
         scale = xn * (xn + vn) * xn * math.sqrt(abs(kappa))
         if not abs(m._isum([a * b for a, b in zip(xs, vs)])) <= _ROUND_TOL * scale:
@@ -112,12 +108,7 @@ def integrate_jacobi(m: ModelSpace, x, initial_hessian, v, n_steps: int = 256) -
     L = _speed(m, vs)
     if L >= m.cut_radius:
         raise ValueError("initial speed exceeds the cut radius")
-    if kappa < 0.0 and math.sqrt(-kappa) * L > _COSH_MAX:   # exp's refusals, in its order
-        big = float(np.max(np.abs(v)))   # |v| itself may overflow in L
-        raise _radius_range_error(f"exp on {_model_label(m)}",
-                                  big * float(m.tangent_norm(x, v / big)))
-    if L >= m.cut_radius - 1e-15:
-        raise ValueError("tangent norm exceeds the cut radius")
+    m._refuse_reach(x, v, L)
     grid = _time_grid(n_steps)
     cs, sn = _cs_sn(m, L, grid)
     J = np.empty((len(grid), 2, 2))

@@ -217,10 +217,9 @@ def ordered_dot(a, b) -> float:
 def array_checked_jacobi(m, x, initial_hessian, v, n_steps: int = 256) -> JacobiState:
     """integrate_jacobi with its inputs checked on arrays, an oracle for the
     checks on Python floats: each input's finiteness by np.isfinite, the
-    symmetry on H0 - H0.T, the model and tangency residuals by the model's
-    own array methods and the dots in them by ordered_dot, and exp's
-    refusals by calling exp(x, v) itself; J and gamma are formed by
-    broadcasting over a fresh np.linspace."""
+    symmetry on H0 - H0.T, the model and tangency residuals by ordered_dot
+    on the lowered x, and exp's refusals by calling exp(x, v) itself; J and
+    gamma are formed by broadcasting over a fresh np.linspace."""
     if n_steps < 64:
         raise ValueError("n_steps must be at least 64")
     x = np.asarray(x, float)
@@ -234,7 +233,7 @@ def array_checked_jacobi(m, x, initial_hessian, v, n_steps: int = 256) -> Jacobi
     flat = m.is_flat_chart
     if not flat:
         xn = math.sqrt(ordered_dot(x, x))
-        if not m.embedding_residual(x) <= _ROUND_TOL * xn * xn:
+        if not abs(ordered_dot(m.lower(x), x) - 1.0 / m.sectional()) <= _ROUND_TOL * xn * xn < math.inf:
             raise ValueError(f"x is not a point of {_model_label(m)}")
         scale = xn * (xn + math.sqrt(ordered_dot(v, v))) * xn * math.sqrt(abs(m.sectional()))
         if not abs(ordered_dot(m.lower(x), v)) <= _ROUND_TOL * scale:

@@ -6,8 +6,8 @@ import pytest
 from abplab import abp
 from abplab.abp import AbpInstance, abp_check, d_bound, disc_vertex_indices, transport_rhs
 from abplab.constants import CurvatureParams
-from abplab.fields import (ScalarField, bump_field, constant_field, quadratic_field,
-                           random_bump_field)
+from abplab.fields import (ScalarField, _laplacian_nu, bump_field, constant_field,
+                           quadratic_field, random_bump_field)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
 from abplab.jacobi import integrate_jacobi
 from abplab.report import seeded_rng
@@ -190,10 +190,10 @@ class TestHypothesisScreens:
         def val(p):
             return 3.0 * np.asarray(p, float)[..., 0]
 
-        def deriv(p, hessian):
+        def deriv(p, frame):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = 3.0
-            return (grad, np.zeros((3,) + grad.shape[:-1])) if hessian else grad
+            return grad, np.zeros(((3,) if frame is not None else ()) + grad.shape[:-1])
 
         u = ScalarField(grid, val(grid.points), val, deriv)
         E = disc_vertex_indices(grid, grid.radial_rings(0.3))
@@ -293,7 +293,8 @@ class TestTransportInternals:
 
     def test_weighted_transport_applies_the_weight_ratio(self):
         # V != 0 on the gaussian plane: each vertex's term must carry
-        # exp(-(V(x) - V(y))), in the order (D^N / det J(1)) * wr * weight
+        # exp(-(V(x) - V(y))), in the order (D^N / det J(1)) * wr * weight,
+        # Delta u read from the rows of the jet, h11 + h22
         m = gaussian_plane(1.0)
         K, N, a = 0.0, 4.0, 1.0
         inst, nr = _instance(m, CurvatureParams(K, N, 0.8), 0.8, 48,
@@ -307,7 +308,7 @@ class TestTransportInternals:
         grad, h = inst.u.jet(X, frame)
         det = abp._jacobian_det(m, X, grad, h, a, frame)
         wr = np.exp(-(m.weight_V(X) - m.weight_V(Y)))
-        Gv = abp._integrand(K, N, g.radius, a, inst.u.laplacian_nu(X))
+        Gv = abp._integrand(K, N, g.radius, a, _laplacian_nu(m, X, grad, h[0] + h[2]))
         W = g.weights[:nr].reshape(-1)
         assert np.max(np.abs(wr - 1.0)) > 1e-3
         assert tr["rhs_transport"] == float(np.sum(Gv / det * wr * W))
@@ -444,7 +445,7 @@ class TestFolds:
             p = np.asarray(p, float)
             grad = np.stack([-3.0 * a * p[..., 0], 2.0 * p[..., 1]], -1)
             if frame is None:
-                return grad
+                return grad, np.full(p.shape[:-1], 2.0 - 3.0 * a)
             h = np.empty((3,) + p.shape[:-1])
             h[0], h[1], h[2] = -3.0 * a, 0.0, 2.0
             return grad, h

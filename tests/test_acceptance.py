@@ -313,6 +313,9 @@ def test_criterion_10_determinism(tmp_path):
         ["pucci", "--samples", "100", "--seed", "11", "--format", "csv"],
         ["abp-check", "--model", "euclidean", "--u", "random", "--seed", "11",
          "--resolution", "48"],
+        # a curved random field: its node Laplacians are the frame-free trace
+        ["abp-check", "--model", "sphere", "--k", "1", "--r", "0.5", "--u", "random",
+         "--seed", "11"],
         ["hfun", "--model", "sphere", "--k", "1", "--fit", "--dmax", "0.12",
          "--samples", "12"],
     ]

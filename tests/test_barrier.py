@@ -181,6 +181,31 @@ class TestRicciComparison:
                                      np.zeros(2), 1.0)
         assert rep.diagnostics["max_gap"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1e-9, 1e-10, 1e-12])
+    def test_small_curvature_violation_fails(self, k):
+        # K = 0 understates the hyperboloid's Ricci -k: the gap k r^2/3 at
+        # r = 1 lies far below any fixed allowance of 1e-9 but above the
+        # sides' rounding, 16 eps of |Delta(rho^2/2)| + |N H| = 4
+        rep = check_ricci_comparison(hyperbolic(k), CurvatureParams(0.0, 2.0, 1.0),
+                                     hyperbolic(k).origin(), 1.0)
+        assert not rep.passed
+        assert rep.lhs == pytest.approx(k / 3.0, rel=1e-3, abs=0.0)
+        assert rep.abs_tol == pytest.approx(64.0 * np.finfo(float).eps, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("m,params,rad,size", [
+        (euclidean(), CurvatureParams(0.0, 2.0, 1.0), 1.0, 4.0),
+        (sphere(1.0), CurvatureParams(0.0, 2.0, 1.0), 1.5, 4.0),
+        (hyperbolic(1.0), CurvatureParams(1.0, 2.0, 1.0), 2.0,
+         1.0 + 2.0 / math.tanh(2.0) + 4.0 * math.sqrt(2.0) / math.tanh(2.0 * math.sqrt(2.0))),
+    ], ids=["euclidean", "sphere", "hyperbolic"])
+    def test_allowance_is_the_rounding_of_the_sides(self, m, params, rad, size):
+        # 16 eps of the largest |Delta(rho^2/2)| + |N H| of a sample: the
+        # flat 2 + 2, the sphere's near-centre 2 + 2 and the hyperboloid's
+        # outermost 1 + s r coth(s r) + 2 w r coth(w r), w = sqrt 2 at K = k
+        rep = check_ricci_comparison(m, params, m.origin(), rad)
+        assert rep.passed
+        assert rep.abs_tol == pytest.approx(16.0 * np.finfo(float).eps * size, rel=1e-12, abs=0.0)
+
     def test_sphere_cotangent_oracle(self):
         # calculus oracle: rho cot(rho) <= 1 makes 1 + rho cot(rho) <= 2
         rho = np.linspace(1e-6, math.pi / 2 - 1e-6, 5000)

@@ -314,11 +314,28 @@ class TestCliExitCodes:
         ["hfun", "--model", "gaussian", "--lambda", "0", "--samples", "64"],
         ["harnack-check", "--which", "growth", "--resolution", "10"],
         ["harnack-check", "--which", "growth", "--resolution", "16"],
+        # the model's own origin is on the model at every curvature
+        ["contact", "--model", "sphere", "--k", "1e-11"],
+        ["contact", "--model", "hyperbolic", "--k", "1e-13"],
+        ["abp-check", "--model", "sphere", "--k", "1e-10"],
+        # ricci-comparison's rounding allowance still passes the defaults
+        ["barrier-check", "--model", "euclidean"],
+        ["barrier-check", "--model", "sphere"],
+        ["barrier-check", "--model", "gaussian"],
     ], ids=["barrier-r-1e6", "barrier-r-1e-6", "hfun-gaussian-lambda-0", "growth-resolution-10",
-            "growth-resolution-16"])
+            "growth-resolution-16", "contact-sphere-k-1e-11", "contact-hyperbolic-k-1e-13",
+            "abp-sphere-k-1e-10", "barrier-euclidean", "barrier-sphere", "barrier-gaussian"])
     def test_edge_input_runs(self, argv, capsys):
         assert main(argv) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", ["1e-9", "1e-10", "1e-12"])
+    def test_small_curvature_ricci_violation_fails(self, k, capsys):
+        # the hyperboloid at the default K = 0: ricci-comparison fails, by
+        # its gap k r^2/3, and every other check passes
+        assert main(["barrier-check", "--model", "hyperbolic", "--k", k]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] ricci-comparison" in out and out.count("[FAIL]") == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r,end", [("1e300", "large"), ("1e-300", "small")])

@@ -512,7 +512,7 @@ class TestGradientResidual:
         def deriv(p, frame):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = slope
-            return grad if frame is None else (grad, np.zeros((3,) + grad.shape[:-1]))
+            return grad, np.zeros(((3,) if frame is not None else ()) + grad.shape[:-1])
 
         u = ScalarField(g, val(g.points), val, deriv)
         yi = int(np.argmin(np.abs(g.rho - 0.1))) * g.n_theta
@@ -854,7 +854,7 @@ def _flat_newton_adding_the_distance_gradient(u, a, Y):
     cap = 0.5 * u.grid.radius
     for _ in range(_NEWTON_ITERS):
         x = X[live]
-        gu, hu = u.jet(x)
+        gu, hu = u.jet(x, u.grid.model.tangent_frame(x))
         g1, g2 = (gu + a * (x - Y[live])).T
         h11, h12, h22 = hu + (a * np.array([1.0, 0.0, 1.0]))[:, None]
         det = h11 * h22 - h12 * h12
@@ -881,7 +881,7 @@ def _certificate(m, u, a, Y, X):
     if m.is_flat_chart:
         g = gu + a * (X - Y)
         return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
-    g = _radial_derivatives(m, Y, X, lambda r: a * r) + gu
+    g = _radial_derivatives(m, Y, X, lambda r: a * r, lambda r: np.full_like(r, a))[0] + gu
     g1, g2 = (m.tangent_inner(X, g, e) for e in frame)
     return g1 * g1 + g2 * g2
 
@@ -978,8 +978,8 @@ class TestNewtonScale:
         X1 = refine_contact_points(model, u, 1.0, Y, Y)
         for c in (1e-4, 1e-8):
             def deriv(p, frame, c=c):
-                d = u.deriv_fn(p, frame)
-                return c * d if frame is None else (c * d[0], c * d[1])
+                grad, h = u.deriv_fn(p, frame)
+                return c * grad, c * h
             uc = ScalarField(g, None, lambda p, c=c: c * u.value_fn(p), deriv)
             Xc = refine_contact_points(model, uc, c, Y, Y)
             assert np.max(np.abs(Xc - X1)) < 1e-15

@@ -9,8 +9,9 @@ from abplab.barrier import BarrierSpec, barrier_field
 from abplab.fields import (ScalarField, _laplacian_nu, _radial_derivatives, bump_field,
                            constant_field, hess_form, quadratic_field, radial_field,
                            random_bump_field, sum_fields)
-from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
-from abplab.pde import apply_weighted_laplacian
+from abplab.geometry import (ModelSpace, build_polar_grid, euclidean, gaussian_plane, hyperbolic,
+                             sphere)
+from abplab.pde import apply_weighted_laplacian, node_laplacian_nu
 from conftest import ALL_MODELS
 
 
@@ -92,17 +93,15 @@ class TestLaplacianNu:
         th = rng.uniform(0.0, 2.0 * np.pi, 40)
         t = np.concatenate([[0.0, 1e-12, 1e-10, 3e-9, 9.9e-9], rng.uniform(0.05, 0.6, 35)])
         p = m.exp(c, t[:, None] * (np.cos(th)[:, None] * f1 + np.sin(th)[:, None] * f2))
-        grad, h = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
-        want = radial_field(g, c, f, df, d2f).laplacian_nu(p)
-        np.testing.assert_array_equal(_laplacian_nu(m, p, grad, h[0] + h[2]),
-                                      want)
-        # the trace path: f'' + k with no frame, against h11 + h22 of the frame
-        # components, which carry a few ulps of <e_r, e_a> each
-        grad_t, lap = _radial_derivatives(m, c, p, df, d2f)
-        got = _laplacian_nu(m, p, grad_t, lap)
-        np.testing.assert_array_equal(grad_t, grad)
-        np.testing.assert_allclose(got, want, rtol=0.0,
-                                   atol=32 * np.finfo(float).eps * np.max(np.abs(want)))
+        grad, lap = _radial_derivatives(m, c, p, df, d2f)
+        got = _laplacian_nu(m, p, grad, lap)
+        np.testing.assert_array_equal(radial_field(g, c, f, df, d2f).laplacian_nu(p), got)
+        # the frame path: h11 + h22 of the frame components, which carry a
+        # few ulps of <e_r, e_a> each, against the trace f'' + k
+        grad_f, h = _radial_derivatives(m, c, p, df, d2f, m.tangent_frame(p))
+        np.testing.assert_array_equal(grad_f, grad)
+        np.testing.assert_allclose(_laplacian_nu(m, p, grad_f, h[0] + h[2]), got, rtol=0.0,
+                                   atol=32 * np.finfo(float).eps * np.max(np.abs(got)))
         # near the centre: the limit 2 f''(0); elsewhere f'' + f' psi'/psi - f' dV/drho
         assert np.allclose(got[:5], -8.0, rtol=0.0, atol=1e-6)
         rho = m.distance(c, p[5:])
@@ -119,21 +118,21 @@ def test_laplacian_nu_equals_the_subtracted_form(m, rng):
     g = _grid(m, r=0.6)
     u = random_bump_field(g, rng, hess_bound=1.0)
     p = g.points[::3, ::5]
-    grad, h = u.jet(p)
-    lap = h[0] + h[2]
+    grad, lap = u.deriv_fn(p, None)
     got = _laplacian_nu(m, p, grad, lap)
     np.testing.assert_array_equal(got, lap - m.tangent_inner(p, grad, m.grad_V(p)))
     assert np.array_equal(got, lap) != m.is_weighted
+    np.testing.assert_array_equal(u.laplacian_nu(p), got)
 
 
 class TestJet:
     @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
     def test_jet_is_grad_and_hess_bitwise(self, m, monkeypatch):
         # quadratic_field takes its flat-chart path on euclidean and gaussian.
-        # jet's gradient is grad's; its rows (h11, h12, h22) in the default
-        # frame are those in m.tangent_frame(p), and u.hess assembles them
-        # into a 2x2 matrix, h12 bitwise on both sides of the diagonal, whose
-        # embedding form hess_form reads back; the centre is sampled too
+        # jet's gradient is grad's; u.hess assembles its rows (h11, h12, h22)
+        # in m.tangent_frame(p) into a 2x2 matrix, h12 bitwise on both sides
+        # of the diagonal, whose embedding form hess_form reads back; the
+        # centre is sampled too
         g = _grid(m, n=24)
         parts = [constant_field(g, 1.5), quadratic_field(g, m.origin(), 0.7),
                  bump_field(g, g.points[7, 3], -0.4, 5.0),
@@ -141,9 +140,8 @@ class TestJet:
         pts = np.vstack([g.points[::3, ::3].reshape(-1, g.points.shape[-1]), m.origin()])
         e1, e2 = m.tangent_frame(pts)
         for u in parts + [sum_fields(parts)]:
-            grad, h = u.jet(pts)
-            for got, want in ((grad, u.grad(pts)), (h, u.jet(pts, (e1, e2))[1])):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            grad, h = u.jet(pts, (e1, e2))
+            assert _bits(grad) == _bits(u.grad(pts))
             assert h.shape == (3, len(pts))
             assembled = []   # the 2x2 matrix hess hands to einsum
 
@@ -318,14 +316,18 @@ class TestComponentJets:
         # parts whose derivatives return arrays they keep
         g = _grid(euclidean(), r=0.5, n=16)
         p = g.flat_points()[:5]
-        kept = [(np.full((5, 2), float(i)), np.full((3, 5), 2.0 * i)) for i in range(4)]
+        kept = [(np.full((5, 2), float(i)), np.full((3, 5), 2.0 * i), np.full(5, 4.0 * i))
+                for i in range(4)]
         parts = [ScalarField(g, np.full(g.shape, float(i)), lambda q, i=i: np.full(len(q), float(i)),
-                             lambda q, frame, i=i: kept[i] if frame is not None else kept[i][0])
+                             lambda q, frame, i=i: (kept[i][0], kept[i][2 if frame is None else 1]))
                  for i in range(4)]
-        grad, h = sum_fields(parts).jet(p)
+        u = sum_fields(parts)
+        grad, h = u.jet(p, g.model.tangent_frame(p))
         assert np.array_equal(grad, np.full((5, 2), 6.0)) and np.array_equal(h, np.full((3, 5), 12.0))
-        assert all(np.array_equal(kept[i][0], np.full((5, 2), float(i))) for i in range(4))
-        assert all(np.array_equal(kept[i][1], np.full((3, 5), 2.0 * i)) for i in range(4))
+        assert np.array_equal(u.laplacian(p), np.full(5, 24.0))
+        for i in range(4):
+            for got, want in zip(kept[i], (float(i), 2.0 * i, 4.0 * i)):
+                assert np.all(got == want)
 
 
 def _off_origin(m, t=0.2):
@@ -414,3 +416,66 @@ class TestNodeSamples:
             ScalarField(g)
         with pytest.raises(ValueError, match="node values or a value_fn"):
             ScalarField(g, None, None, lambda p, frame: p)
+
+
+def _every_constructor(g, rng):
+    """(name, field, parts): one field of each closed-form constructor on g,
+    centred off the model's origin, with itself as its one part; the sum of
+    those, and a sum of random bumps, with their parts."""
+    m = g.model
+    c = _off_origin(m)
+    single = {"constant": constant_field(g, 1.5),
+              "quadratic": quadratic_field(g, c, 0.7),
+              "radial": radial_field(g, c, lambda r: np.cos(r) * r * r,
+                                     lambda r: 2.0 * r * np.cos(r) - r * r * np.sin(r),
+                                     lambda r: (2.0 - r * r) * np.cos(r) - 4.0 * r * np.sin(r)),
+              "bump": bump_field(g, c, -0.4, 5.0),
+              "barrier": barrier_field(g, BarrierSpec(3.0, m, m.origin(), 1.0))}
+    bumps = [bump_field(g, g.flat_points()[i], rng.uniform(-1.0, 1.0), rng.uniform(2.0, 8.0))
+             for i in rng.choice(g.n_r * g.n_theta // 2, 4, replace=False)]
+    return ([(name, u, [u]) for name, u in single.items()]
+            + [("sum", sum_fields(list(single.values())), list(single.values())),
+               ("bumps", sum_fields(bumps), bumps)])
+
+
+class TestFrameFreeTrace:
+    """grad, laplacian and laplacian_nu read deriv_fn(p, None): the gradient
+    and the trace of the Hessian, formed with no tangent frame."""
+
+    def test_trace_is_the_frame_trace(self, model, rng):
+        # the trace against h11 + h22 of the rows in m.tangent_frame(p), at
+        # the nodes, the field's centre and the model's origin.  A radial
+        # part's rows sum to (f'' + k)(c1^2 + c2^2), whose cosines
+        # c_a = <e_r, e_a> carry a few ulps, so the two differ by a few eps
+        # of the parts' Hessians, max |h11| + 2|h12| + |h22| over the points
+        m = model
+        g = _grid(m, r=0.6, n=24)
+        pts = np.vstack([g.flat_points()[::5], _off_origin(m), m.origin()])
+        frame = m.tangent_frame(pts)
+        eps = np.finfo(float).eps
+        for name, u, parts in _every_constructor(g, rng):
+            grad, lap = u.deriv_fn(pts, None)
+            grad_f, h = u.jet(pts, frame)
+            assert _bits(grad) == _bits(grad_f) == _bits(u.grad(pts)), name
+            assert _bits(lap) == _bits(u.laplacian(pts)) and lap.shape == (len(pts),), name
+            scale = sum(np.max(np.abs(hp[0]) + 2.0 * np.abs(hp[1]) + np.abs(hp[2]))
+                        for hp in (v.jet(pts, frame)[1] for v in parts))
+            assert np.max(np.abs(lap - (h[0] + h[2]))) <= 8.0 * eps * scale, name
+
+    def test_no_laplacian_builds_a_frame(self, model, rng, monkeypatch):
+        # with tangent_frame refused, the Laplacians of every constructor
+        # still return, at points and at the grid's nodes
+        g = _grid(model, r=0.6, n=24)
+        fields_ = _every_constructor(g, rng)
+        nodes = np.arange(0, g.n_r * g.n_theta, 7)
+        want = [(u.laplacian_nu(g.points), u.laplacian(g.points)) for _, u, _ in fields_]
+
+        def refused(self, p):
+            raise AssertionError("a Laplacian built a tangent frame")
+
+        monkeypatch.setattr(ModelSpace, "tangent_frame", refused)
+        for (name, u, _), (lap_nu, lap) in zip(fields_, want):
+            assert _bits(u.laplacian_nu(g.points)) == _bits(lap_nu), name
+            assert _bits(u.laplacian(g.points)) == _bits(lap), name
+            assert _bits(node_laplacian_nu(u)) == _bits(lap_nu), name
+            assert _bits(node_laplacian_nu(u, nodes)) == _bits(lap_nu.reshape(-1)[nodes]), name

@@ -83,7 +83,7 @@ class TestExpLog:
             p = random_point(model, rng, 0.4)
             v = random_tangent(model, p, rng.uniform(0.0, 0.9) * cap, rng)
             q = model.exp(p, v)
-            assert model.embedding_residual(q) < 1e-12
+            assert model.on_model(q.tolist())
             worst = max(worst, float(np.max(np.abs(model.log(p, q) - v))))
         assert worst < 1e-9
 
@@ -384,6 +384,30 @@ class TestPolarGrid:
     def test_sphere_domain_limit(self):
         with pytest.raises(ValueError, match="working-ball"):
             build_polar_grid(sphere(1.0), sphere(1.0).origin(), 1.6, 64, 64)
+
+    @pytest.mark.parametrize("make", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+    @pytest.mark.parametrize("k", [1e-14, 1e-13, 1e-11, 1e-10, 1.0, 1e10])
+    def test_centre_on_model_relative_to_its_norm(self, make, k):
+        # the origin's <x, x> = 1/k carries an ulp of 1/k, above any fixed
+        # bound at small k; the on-model bound 32 eps |x|^2 admits it at
+        # every k, and refuses a centre 2e-12 |x|^2 off the model at every k
+        m = make(k)
+        o = m.origin()
+        r = 0.5 / math.sqrt(k)
+        assert build_polar_grid(m, o, r, 8, 8).center.tolist() == o.tolist()
+        with pytest.raises(ValueError, match="grid center is not a valid embedded point"):
+            build_polar_grid(m, o * (1.0 + 1e-12), r, 8, 8)
+
+    def test_on_model_within_a_few_ulps(self, model, rng):
+        # points 8 ulps of |x| off an exact point of the model are on it; a
+        # residual that left float64 is not
+        for _ in range(50):
+            p = random_point(model, rng, 0.8)
+            xn = float(np.linalg.norm(p))
+            assert model.on_model((p + 8.0 * np.finfo(float).eps * xn
+                                   * rng.choice([-1.0, 1.0], p.shape)).tolist())
+        big = np.full(model.embedding_dim, 1e200)
+        assert model.on_model(big.tolist()) == model.is_flat_chart
 
     @pytest.mark.parametrize("name", ["points", "weights", "rho", "theta"])
     def test_grid_arrays_are_read_only(self, model, name):

@@ -120,10 +120,10 @@ class TestFullCheck:
         def val(p):
             return 1.0 + np.asarray(p, float)[..., 0]
 
-        def deriv(p, hessian):
+        def deriv(p, frame):
             grad = np.zeros(np.asarray(p).shape)
             grad[..., 0] = 1.0
-            return (grad, np.zeros((3,) + grad.shape[:-1])) if hessian else grad
+            return grad, np.zeros(((3,) if frame is not None else ()) + grad.shape[:-1])
 
         u = ScalarField(g, val(g.points), val, deriv)
         rep = harnack_check_full(params, u, constant_field(g, 0.0))

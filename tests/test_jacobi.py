@@ -174,6 +174,9 @@ class TestInputRefusals:
             integrate_jacobi(m, 2.0 * o, np.zeros((2, 2)), v)
         with pytest.raises(ValueError, match="x must be finite"):
             integrate_jacobi(m, np.array([0.0, np.inf, 1.0]), np.zeros((2, 2)), v)
+        # finite coordinates whose squares leave float64 are on no model
+        with pytest.raises(ValueError, match=r"x is not a point of the \w+ model"):
+            integrate_jacobi(m, np.full(3, 1e200), np.zeros((2, 2)), np.zeros(3))
 
     @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0)], ids=["sphere", "hyperbolic"])
     def test_velocity_with_a_normal_component(self, m, rng):
