@@ -198,8 +198,8 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
         raise ValueError("set_stride must be 0 or 1")
     m, grid, u, a = inst.model, inst.grid, inst.u, inst.a
     K, N, r = inst.params.K, inst.params.N, grid.radius
-    gap = inst.params.ricci_gap(m, grid.center, r)
-    if gap > 1e-12:
+    gap = inst.params.ricci_violation(m, grid.center, r)
+    if gap:
         return _premise_failure("measure-estimate", "Ric_{N,nu} >= -K g on the ball",
                                 ricci_gap=gap)
     wf = grid.flat_weights()

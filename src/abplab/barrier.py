@@ -120,13 +120,15 @@ def barrier_field(grid: GeodesicBallGrid, spec: BarrierSpec) -> ScalarField:
     if spec.model != grid.model:
         raise ValueError(f"the barrier is on {_model_label(spec.model)}, but the grid is on "
                          f"{_model_label(grid.model)}")
+    return radial_field(grid, spec.center, *_profile(spec))
+
+
+def _profile(spec: BarrierSpec):
+    """psi = h(rho/r) and its first two derivatives, as maps of rho."""
     r = spec.r
-    return radial_field(
-        grid, spec.center,
-        lambda rho: barrier_h(spec, np.asarray(rho) / r),
-        lambda rho: barrier_dh(spec, np.asarray(rho) / r) / r,
-        lambda rho: barrier_d2h(spec, np.asarray(rho) / r) / (r * r),
-    )
+    return (lambda rho: barrier_h(spec, np.asarray(rho) / r),
+            lambda rho: barrier_dh(spec, np.asarray(rho) / r) / r,
+            lambda rho: barrier_d2h(spec, np.asarray(rho) / r) / (r * r))
 
 
 def _lap_nu_psi_radial(spec: BarrierSpec, rho):
@@ -136,8 +138,7 @@ def _lap_nu_psi_radial(spec: BarrierSpec, rho):
     x0 = np.asarray(spec.center, float)
     with np.errstate(all="ignore"):
         p = m.exp(x0, np.asarray(rho, float)[:, None] * m.tangent_frame(x0)[0])
-        grad, lap = _radial_derivatives(m, x0, p, lambda s: barrier_dh(spec, s / r) / r,
-                                        lambda s: barrier_d2h(spec, s / r) / (r * r))
+        grad, lap = _radial_derivatives(m, x0, p, *_profile(spec)[1:])
         out = r * r * _laplacian_nu(m, p, grad, lap)
     return _finite_laplacian(out, "r^2 Delta_nu psi", r)
 

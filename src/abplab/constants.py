@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .geometry import _one_at_zero
 from .report import CheckReport, check_eq, check_le
 
 __all__ = ["CurvatureParams", "ConstantsLedger", "calH", "calS",
@@ -25,28 +26,24 @@ __all__ = ["CurvatureParams", "ConstantsLedger", "calH", "calS",
 
 _E = math.e
 _LOG18 = math.log(18.0)
+_RICCI_TOL = 16.0 * np.finfo(float).eps   # the Ricci premise's rounding; see ricci_violation
 
 
 def calH(t):
-    """t * coth(t), extended by its limit 1 at t = 0 (series below 1e-4)."""
-    t = np.asarray(t, float)
-    if np.any(t < 0):
-        raise ValueError("calH requires t >= 0")
-    small = t < 1e-4
-    ts = np.where(small, 0.0, t)
-    out = np.where(small, 1.0 + t * t / 3.0 - t**4 / 45.0,
-                   np.where(ts > 0, ts / np.tanh(np.where(ts > 0, ts, 1.0)), 1.0))
-    return out if out.ndim else float(out)
+    """t * coth(t) = t / tanh(t), extended by its limit 1 at t = 0 alone."""
+    return _ratio_at(t, "calH", lambda s: s / np.tanh(s))
 
 
 def calS(t):
-    """sinh(t) / t, extended by its limit 1 at t = 0 (series below 1e-4)."""
-    t = np.asarray(t, float)
-    if np.any(t < 0):
-        raise ValueError("calS requires t >= 0")
-    small = t < 1e-4
-    ts = np.where(small, 1.0, t)
-    out = np.where(small, 1.0 + t * t / 6.0 + t**4 / 120.0, np.sinh(ts) / ts)
+    """sinh(t) / t, extended by its limit 1 at t = 0 alone."""
+    return _ratio_at(t, "calS", lambda s: np.sinh(s) / s)
+
+
+def _ratio_at(t, name: str, ratio):
+    """ratio(t) for t >= 0, 1 at t = 0 alone; a float for a scalar t."""
+    if np.any(np.asarray(t) < 0):
+        raise ValueError(f"{name} requires t >= 0")
+    out = _one_at_zero(np.asarray(t, float), ratio)
     return out if out.ndim else float(out)
 
 
@@ -66,14 +63,20 @@ class CurvatureParams:
         if not 0 < self.R < math.inf:
             raise ValueError("R must be finite and > 0")
 
-    def ricci_gap(self, model, center, radius: float) -> float:
-        """K_required - K on the origin ball of radius d(o, center) + radius,
-        which holds B_radius(center); positive means Ric_{N,nu} >= -K g fails there.
-        Only a weighted model's bound reads that radius, so only it measures d."""
+    def ricci_violation(self, model, center, radius: float) -> float:
+        """K_required - K on the origin ball of radius d(o, center) + radius
+        (only a weighted bound reads d), which holds B_radius(center), where it
+        exceeds its rounding 16 eps (K + |bound| + |bound at 0|), else 0.0: a
+        bound kappa is exact, lam - lam^2 reach^2/(N - 2) carries 18u (|lam| +
+        |bound|), u = eps/2 (reach 6u twice, five roundings, the difference),
+        and the gap u (K + |bound|).  Nonzero (NaN too) fails Ric_{N,nu} >= -K g."""
         reach = radius
         if model.is_weighted:
             reach += float(model.distance(model.origin(), center))
-        return max(0.0, -model.ricci_lower_bound(self.N, reach)) - self.K
+        bound = model.ricci_lower_bound(self.N, reach)
+        gap = max(0.0, -bound) - self.K
+        size = self.K + abs(bound) + abs(model.ricci_lower_bound(self.N, 0.0))
+        return gap if not gap <= _RICCI_TOL * size else 0.0
 
     @property
     def omega(self) -> float:

@@ -124,41 +124,38 @@ def hess_form(m: ModelSpace, H, X, Y):
 def _radial_derivatives(m: ModelSpace, center, p, df, d2f, frame=None):
     """The jet of f(rho), rho = rho(center, .), at the points p,
 
-        grad = f' e_r,   Hess = f'' e_r@e_r + k (I - e_r@e_r),   k = f' psi'/psi,
+        grad = f' e_r,   Hess = k I + (f'' - k) e_r@e_r,   k = f' psi'/psi,
 
-    e_r = -w/psi pointing away from the centre, so grad = (-f'/psi) w.  rho,
-    psi, psi' and w, the tangent at p toward the centre, all come from the
-    one chord decomposition m._polar(p, center).  Returns (grad, f'' + k),
-    the trace of the Hessian, which needs no frame, when frame is None, and
-    else (grad, h), h the Hessian's components in the orthonormal frame
-    (e1, e2) at p, the rows (h11, h12, h22) of shape (3,) + batch; with the
-    cosines c_a = <e_r, e_a> = -<w, e_a>/psi (h is even in c: the sign drops),
+    e_r = -w/psi pointing away from the centre, with rho, psi, psi' and w
+    (the tangent toward the centre) from the one chord m._polar(p, center).
+    Returns (grad, f'' + k), the frame-free trace, when frame is None, else
+    (grad, h), h the rows (h11, h12, h22), shape (3,) + batch, in the
+    orthonormal frame (e1, e2) at p; with c_a = <e_r, e_a> (h is even in c),
 
-        h11 = f'' c1^2 + k c2^2,   h12 = (f'' - k) c1 c2,   h22 = f'' c2^2 + k c1^2.
+        h11 = k + (f'' - k) c1^2,   h12 = (f'' - k) c1 c2,   h22 = k + (f'' - k) c2^2,
 
-    Within 1e-8 of the centre the Hessian is its limit f''(0) I, so f must
-    be even at 0 (f'(0) = 0); at the centre itself the jet is exactly
-    (0, f''(0) I), the rows (f''(0), 0, f''(0)).  df and d2f map rho to f'
+    so the cosines' rounding, about eps |p|/rho, enters only times f'' - k.
+    At the centre alone, psi = w = 0, k is its limit f''(0) (f must be even
+    at 0) and the jet is exactly (0, f''(0) I).  df and d2f map rho to f'
     and f''; center broadcasts against p.
     """
     rho, psi, dpsi, w = m._polar(p, center)
-    small = rho < 1e-8
-    near = small.any()   # np.where only then
-    if near:   # psi = 0 only at the centre, where w = 0
-        psi = np.where(psi > 0.0, psi, 1.0)
+    zero = psi == 0.0
+    at_centre = zero.any()   # np.where only then
+    if at_centre:
+        psi = np.where(zero, 1.0, psi)
     d1 = df(rho)
     grad = _scale(-d1 / psi, w)
     d2 = d2f(rho)
-    k = np.where(small, d2, d1 * dpsi / psi) if near else d1 * dpsi / psi
+    k = np.where(zero, d2, d1 * dpsi / psi) if at_centre else d1 * dpsi / psi
     if frame is None:
         return grad, d2 + k
     c1, c2 = (m.tangent_inner(p, w, e) / psi for e in frame)
-    if near:   # any unit e_r gives the limit; take c = (1, 0)
-        c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.0, c2)
+    dk = d2 - k
     h = np.empty((3,) + c1.shape)
-    h[0] = d2 * c1 * c1 + k * c2 * c2
-    h[1] = (d2 - k) * c1 * c2
-    h[2] = d2 * c2 * c2 + k * c1 * c1
+    h[0] = k + dk * c1 * c1
+    h[1] = dk * c1 * c2
+    h[2] = k + dk * c2 * c2
     return grad, h
 
 

@@ -119,6 +119,12 @@ def _identity(t):
     return t
 
 
+def _one_at_zero(x, ratio):
+    """ratio(x), a 0/0 of limit 1 at x = 0, read as 1 where x == 0 alone (NaN stays NaN)."""
+    zero = x == 0.0
+    return np.where(zero, 1.0, ratio(np.where(zero, 1.0, x)))
+
+
 # kind -> (sn, cs, asn, isum): the model functions, the inverse of sn (the
 # distance from the half chord) and the ambient inner product as a sum of
 # component products
@@ -277,7 +283,8 @@ class ModelSpace:
         return self._rho(self._isum([c * c for c in d]))[0]
 
     def exp(self, p, v) -> np.ndarray:
-        """Geodesic exponential; requires |v| < cut_radius, and on the hyperboloid
+        """Geodesic exponential cs(t) p + (sn(t)/t) v, t = s|v|, sn(t)/t read as 1
+        at t = 0 alone; requires |v| < cut_radius, and on the hyperboloid
         s|v| <= _COSH_MAX, past which the point leaves float64."""
         p = np.asarray(p, float)
         v = np.asarray(v, float)
@@ -286,13 +293,8 @@ class ModelSpace:
         L = self.tangent_norm(p, v)
         self._refuse_reach(p, v, float(np.fmax.reduce(L, axis=None, initial=-math.inf)))
         t = self._s * L
-        # sn(t)/t is smooth at 0; its series 1 - sgn(kappa) t^2/6 below 1e-6
-        small = t < 1e-6
-        safe = np.where(small, 1.0, t)
-        sn_over = np.where(small, 1.0 - math.copysign(1.0, self._kappa) * (t * t / 6.0),
-                           self._sn(safe) / safe)
         out = _scale(self._cs(t), p)
-        out += _scale(sn_over, v)
+        out += _scale(_one_at_zero(t, lambda x: self._sn(x) / x), v)
         return out
 
     def _refuse_reach(self, p, v, L: float):
@@ -365,12 +367,8 @@ class ModelSpace:
         return self._cs(self._s * np.asarray(rho, float))
 
     def dist_hessian_transverse(self, rho):
-        """Transverse eigenvalue of Hess(rho_y^2 / 2) at distance rho (radial one is 1)."""
-        rho = np.asarray(rho, float)
-        small = np.abs(rho) < 1e-8
-        safe = np.where(small, 1.0, rho)
-        out = safe * self.dpsi(safe) / self.psi(safe)
-        return np.where(small, 1.0, out)
+        """Transverse eigenvalue rho psi'/psi of Hess(rho_y^2 / 2) at distance rho (radial: 1)."""
+        return _one_at_zero(np.asarray(rho, float), lambda r: r * self.dpsi(r) / self.psi(r))
 
     def weight_V(self, p):
         """V(p) = lam |p|^2 / 2, identically zero when lam = 0."""

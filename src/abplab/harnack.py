@@ -85,7 +85,7 @@ def _screen(name: str, params: CurvatureParams, u: ScalarField, f: ScalarField,
     if not _same_nodes(g, gf):
         raise ValueError(f"f is not sampled on u's grid nodes: f's grid is {_grid_label(gf)},"
                          f" u's is {_grid_label(g)}")
-    if params.ricci_gap(g.model, g.center, g.radius) > 1e-12:
+    if params.ricci_violation(g.model, g.center, g.radius):
         which = f"Ric_{{N,nu}} >= -K g on {ball}"
     elif nonneg and np.min(u.values) < -1e-12:
         which = f"u >= 0 on {ball}"

@@ -32,8 +32,8 @@ def doubling_check(m: ModelSpace, params: CurvatureParams, center,
         raise ValueError("the doubling bound requires N < inf")
     two_ball = 2 * r2 < m.cut_radius
     outer = max(r1, 2 * r2) if two_ball else r1
-    gap = params.ricci_gap(m, center, outer)
-    if gap > 1e-12:
+    gap = params.ricci_violation(m, center, outer)
+    if gap:
         return _premise_failure("doubling-ratio", "Ric_{N,nu} >= -K g on the ball",
                                 "doubling-estimate", ricci_gap=gap)
     _require_finite_multiple(R, 4, "D_(K,N,R) = 2^N exp(4 R sqrt(N K))")

@@ -105,16 +105,12 @@ def e_theta(m: ModelSpace, r: float, theta: float) -> float:
     """sup over rho <= r of M^+[Hess(rho_y^2/2)] - tr[Hess(rho_y^2/2)].
 
     Eigenvalues of the distance Hessian are (1, transverse(rho)); the excess
-    is (theta-1) * (1 + transverse^+), and transverse is monotone in rho, so
-    the supremum sits at an end of [0, r].
+    is (theta-1) * (1 + transverse^+), and transverse is monotone in rho from
+    1 at rho = 0, so the supremum sits at an end of [0, r].
     """
     if not r < m.cut_radius:
         raise ValueError("radius must stay below the cut radius")
-    if m.sectional() < 0:
-        return (theta - 1.0) * (1.0 + calH(math.sqrt(-m.sectional()) * r))
-    # flat charts have transverse eigenvalue 1; the sphere's decreases from 1,
-    # so its supremum also sits at rho -> 0
-    return (theta - 1.0) * 2.0
+    return (theta - 1.0) * (1.0 + max(1.0, float(m.dist_hessian_transverse(r))))
 
 
 def e_theta_bounds(m: ModelSpace, r: float, theta: float, K: float, K_sec: float):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from abplab import abp
 from abplab.abp import AbpInstance, abp_check, d_bound, disc_vertex_indices, transport_rhs
+from abplab.cli import main
 from abplab.constants import CurvatureParams
 from abplab.fields import (ScalarField, _laplacian_nu, bump_field, constant_field,
                            quadratic_field, random_bump_field)
@@ -474,3 +476,41 @@ def test_disc_vertex_indices_own_their_data(shape):
         want = np.arange(grid.n_r * grid.n_theta).reshape(grid.shape)[:n_rings].reshape(-1)
         assert E.dtype == want.dtype and np.array_equal(E, want)
         assert E.base is None and E.flags.owndata
+
+
+# base flags of the covariance runs: the sphere and the hyperboloid at unit
+# curvature, the gaussian plane at N = inf, each ball well inside its model
+_COVARIANT_BASES = {"euclidean": dict(r=1.0), "sphere": dict(k=1.0, r=0.3),
+                    "hyperbolic": dict(k=1.0, K=1.0, r=0.5),
+                    "gaussian": dict(lam=1.0, N=math.inf, r=0.8)}
+
+
+def _scaled_abp_report(tmp_path, model, u, c):
+    """abp-check's report for g -> c^2 g: k, K, lam, a and b over c^2, r times c."""
+    flags = {"model": model, "u": u, "resolution": "48", "a": repr(1.0 / c**2),
+             "b": repr(1.0 / c**2)}
+    for key, v in _COVARIANT_BASES[model].items():
+        flags["lambda" if key == "lam" else key] = repr(v * c if key == "r" else
+                                                        v if key == "N" else v / c**2)
+    out = tmp_path / f"{model}-{u}-{c!r}"
+    main(["abp-check"] + [a for kv in flags.items() for a in (f"--{kv[0]}", kv[1])]
+         + ["--out", str(out)])
+    return json.loads((out / "abp_check_report.json").read_text())["reports"][0]
+
+
+@pytest.mark.parametrize("u", ["const", "quadratic"])
+@pytest.mark.parametrize("model", sorted(_COVARIANT_BASES))
+def test_scale_covariance(tmp_path, capsys, model, u):
+    # under g -> c^2 g the measures scale by c^2 and the verdict stays: lhs,
+    # rhs, rhs_transport and quad_tol over c^2 within 16 eps of c = 1's, for
+    # exact (powers of 2) and rounded (1e+-6) scalings
+    ref = _scaled_abp_report(tmp_path, model, u, 1.0)
+    keys = ("lhs", "rhs", "rhs_transport", "quad_tol")
+    want = [ref.get(k, ref["diagnostics"].get(k)) for k in keys]
+    for c in (2.0**10, 2.0**-10, 2.0**20, 2.0**-20, 1e6, 1e-6):
+        rep = _scaled_abp_report(tmp_path, model, u, c)
+        assert rep["pass"] == ref["pass"] and rep["pass"], c
+        got = [rep.get(k, rep["diagnostics"].get(k)) / c**2 for k in keys]
+        np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0,
+                                   err_msg=f"c = {c!r}")
+    capsys.readouterr()

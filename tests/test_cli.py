@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +338,21 @@ class TestCliExitCodes:
         assert main(["barrier-check", "--model", "hyperbolic", "--k", k]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] ricci-comparison" in out and out.count("[FAIL]") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["abp-check", "--resolution", "48"],
+        ["doubling", "--samples", "5"],
+        ["harnack-check", "--which", "sup", "--resolution", "64"],
+    ], ids=["abp-check", "doubling", "harnack-sup"])
+    @pytest.mark.parametrize("k", ["1e-12", "1e-14", "1e-16"])
+    def test_small_curvature_fails_the_ricci_premise(self, argv, k, capsys):
+        # Ric = -k g on the hyperboloid violates Ric >= -K g at the default
+        # K = 0 for every k > 0, however small
+        assert main(argv[:1] + ["--model", "hyperbolic", "--k", k] + argv[1:]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out and "[pass]" not in out
+        assert main(argv[:1] + ["--model", "hyperbolic", "--k", k, "--K", k] + argv[1:]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r,end", [("1e300", "large"), ("1e-300", "small")])
@@ -717,3 +734,38 @@ class TestDeterminism:
             main(["doubling", "--samples", "5", "--seed", seed, "--out", str(out)])
             outs.append((out / "doubling_report.json").read_bytes())
         assert outs[0] != outs[1]
+
+
+def _openblas_dynamic_arch() -> bool:
+    """True when numpy's BLAS is an OpenBLAS build that picks its kernel at
+    run time, so OPENBLAS_CORETYPE selects another kernel of the same build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+@pytest.mark.parametrize("argv", [
+    ["harnack-check", "--which", "pucci", "--samples", "1000"],
+    ["pucci", "--samples", "1000"],
+], ids=["harnack-pucci", "pucci"])
+def test_reports_do_not_depend_on_the_blas_kernel(tmp_path, argv):
+    # through BLAS the Gram product W W^T reads the battery's lhs
+    # 1.5632686902574016 under the Haswell kernel and ...018 under the others
+    code = "import sys; from abplab.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = {}
+    for kernel in ("", "Nehalem", "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        subprocess.run([sys.executable, "-c", code, *argv, "--format", "csv", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        reports[kernel] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert reports[""] and reports["Nehalem"] == reports[""] == reports["Sandybridge"]

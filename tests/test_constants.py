@@ -2,12 +2,14 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from abplab.constants import (CurvatureParams, build_ledger, calH, calS,
                               verify_ledger)
+from abplab.geometry import gaussian_plane, hyperbolic, sphere
 
 
 class TestSpecialFunctions:
@@ -47,6 +49,51 @@ class TestSpecialFunctions:
     @settings(max_examples=300, deadline=None)
     def test_cosh_identity_property(self, t):
         assert calS(t) * calH(t) == pytest.approx(math.cosh(t), rel=1e-12)
+
+    def test_exact_forms_match_mpmath_near_zero(self):
+        # t / tanh t and sinh t / t, read as 1 at t = 0 alone, hold to 2 eps
+        # from 1e-12 to 1e-2, with no switch of form about t = 1e-4
+        t = np.concatenate([np.logspace(-12, -2, 101), 1e-4 * (1.0 + np.array([-1e-12, 1e-12]))])
+        with mpmath.workdps(40):
+            H = [float(mpmath.mpf(x) / mpmath.tanh(x)) for x in t]
+            S = [float(mpmath.sinh(x) / mpmath.mpf(x)) for x in t]
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(calH(t), H, rtol=2 * eps, atol=0.0)
+        np.testing.assert_allclose(calS(t), S, rtol=2 * eps, atol=0.0)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(calH(math.nan)) and math.isnan(calS(math.nan))
+        assert np.isnan(calH(np.array([0.0, math.nan]))).tolist() == [False, True]
+
+
+class TestRicciViolation:
+    @pytest.mark.parametrize("k", [1e-16, 1e-14, 1e-12, 1.0, 1e12])
+    def test_the_hyperboloid_needs_its_curvature(self, k):
+        # Ric = -k g: K = 0 fails by k at every scale, K = k holds exactly
+        m = hyperbolic(k)
+        o = m.origin()
+        assert CurvatureParams(0.0, 2.0, 1.0).ricci_violation(m, o, 1.0) == k
+        assert CurvatureParams(k, 2.0, 1.0).ricci_violation(m, o, 1.0) == 0.0
+        assert CurvatureParams(k * (1.0 - 1e-12), 2.0, 1.0).ricci_violation(m, o, 1.0) > 0.0
+
+    def test_nonnegative_curvature_needs_no_k(self):
+        for m in (sphere(1e-16), sphere(1e12)):
+            assert CurvatureParams(0.0, 2.0, 1.0).ricci_violation(m, m.origin(), 1.0) == 0.0
+
+    @pytest.mark.parametrize("lam,N,radius", [(3.0, 5.0, 1.1), (0.7, 4.5, 3.3), (1.0, 2.5, 0.9),
+                                              (1e-8, 3.0, 2e4), (1e8, 3.0, 2e-4)])
+    def test_weighted_edge_holds_to_its_rounding(self, lam, N, radius):
+        # K at the exact requirement lam^2 reach^2/(N - 2) - lam, rounded
+        # once, passes from an off-origin centre; a K short of it by a
+        # relative 1e-12 fails
+        m = gaussian_plane(lam)
+        c = np.array([0.3, -0.2]) * radius
+        with mpmath.workdps(40):
+            reach = mpmath.mpf(radius) + mpmath.sqrt(mpmath.mpf(c[0]) ** 2 + mpmath.mpf(c[1]) ** 2)
+            K = float(lam * lam * reach ** 2 / (N - 2) - lam)
+        assert K > 0.0
+        assert CurvatureParams(K, N, 1.0).ricci_violation(m, c, radius) == 0.0
+        assert CurvatureParams(K * (1.0 - 1e-12), N, 1.0).ricci_violation(m, c, radius) > 0.0
 
 
 class TestBuildLedger:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,6 +109,35 @@ class TestLaplacianNu:
         dV = m.lam * np.einsum("...i,...i->...", p[5:], p[5:] - c) / rho if m.is_flat_chart else 0.0
         expect = d2f(rho) + df(rho) * (m.dpsi(rho) / m.psi(rho) - dV)
         np.testing.assert_allclose(got[5:], expect, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e6, 1e10])
+@pytest.mark.parametrize("curved", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+@pytest.mark.parametrize("off", [0.0, 0.7], ids=["origin", "off-origin"])
+def test_distance_laplacian_near_the_centre(curved, k, off):
+    # Delta(rho^2/2) = 1 + x cot x on the sphere and 1 + x coth x on the
+    # hyperboloid, x = sqrt(k) rho, to 4 eps on both paths, the trace and
+    # h11 + h22 of the frame rows, from the centre out to x = 0.7:
+    # the limit 2 is read at the centre alone, so no radius in length units
+    # (1e-8 here) separates two forms, and the value scales with the metric
+    m = curved(k)
+    s = math.sqrt(k)
+    c = m.exp(m.origin(), (off / s) * m.tangent_frame(m.origin())[0])
+    e1, e2 = m.tangent_frame(c)
+    th = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    rho = np.array([0.0, 3e-9, 0.99e-8, 1.01e-8] + [x / s for x in (1e-12, 1e-8, 1e-4, 1e-2, 0.7)])
+    p = m.exp(c, rho[:, None, None] * (np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2))
+    rho = m.distance(c, p)
+    cot = mpmath.cot if m.sectional() > 0 else mpmath.coth
+    with mpmath.workdps(40):
+        want = [[float(1 + x * cot(x)) if x else 2.0 for x in (mpmath.sqrt(k) * r for r in row)]
+                for row in rho.tolist()]
+    _, lap = _radial_derivatives(m, c, p, lambda r: r, np.ones_like)
+    _, h = _radial_derivatives(m, c, p, lambda r: r, np.ones_like, m.tangent_frame(p))
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(lap, want, rtol=4 * eps, atol=0.0)
+    np.testing.assert_allclose(h[0] + h[2], want, rtol=4 * eps, atol=0.0)
+    assert lap[0].tolist() == [2.0] * 8 and h[:, 0].tolist() == [[1.0] * 8, [0.0] * 8, [1.0] * 8]
 
 
 @pytest.mark.parametrize("m", ALL_MODELS + [gaussian_plane(0.0)],
@@ -246,15 +276,14 @@ def _radial_stacked(m, center, p, df, d2f, frame):
     else:
         h = (0.25 * m.sectional()) * chord * chord
         psi, dpsi, w = chord * np.sqrt(1.0 - h), 1.0 - 2.0 * h, d + (2.0 * h)[..., None] * p
-    small = rho < 1e-8
-    psi = np.where(psi > 0.0, psi, 1.0)
+    zero = psi == 0.0
+    psi = np.where(zero, 1.0, psi)
     d1, d2 = df(rho), d2f(rho)
     grad = (-d1 / psi)[..., None] * w
-    k = np.where(small, d2, d1 * dpsi / psi)
+    k = np.where(zero, d2, d1 * dpsi / psi)
     c1, c2 = (m.tangent_inner(p, w, e) / psi for e in frame)
-    c1, c2 = np.where(small, 1.0, c1), np.where(small, 0.0, c2)
-    return grad, np.stack([d2 * c1 * c1 + k * c2 * c2, (d2 - k) * c1 * c2,
-                           d2 * c2 * c2 + k * c1 * c1])
+    return grad, np.stack([k + (d2 - k) * c1 * c1, (d2 - k) * c1 * c2,
+                           k + (d2 - k) * c2 * c2])
 
 
 def _bits(a):

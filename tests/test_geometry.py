@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -53,6 +54,22 @@ class TestExpLog:
         o = model.origin()
         z = np.zeros(model.embedding_dim)
         assert np.allclose(model.exp(o, z), o, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1.0, 2.0**20, 2.0**-20])
+    @pytest.mark.parametrize("curved", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+    def test_sn_over_t_matches_mpmath_near_zero(self, curved, k):
+        # exp(o, v)[0] = (sn(t)/t) |v| along e_x at the origin, t = s|v|; with
+        # s and |v| powers of 2 it reads sn(t)/t unrounded, which holds to
+        # 2 eps from 1e-12 to 1e-2, with no switch of form about t = 1e-6
+        m = curved(k)
+        t = 2.0 ** np.arange(-40, -6)
+        v = np.zeros((len(t), 3))
+        v[:, 0] = t / math.sqrt(k)
+        got = m.exp(m.origin(), v)[:, 0] / v[:, 0]
+        sn = mpmath.sin if m.sectional() > 0 else mpmath.sinh
+        with mpmath.workdps(40):
+            want = [float(sn(x) / mpmath.mpf(x)) for x in t]
+        np.testing.assert_allclose(got, want, rtol=2 * np.finfo(float).eps, atol=0.0)
 
     def test_euclidean_translation(self):
         m = euclidean()
@@ -497,10 +514,8 @@ def _exp_stacked(m, p, v):
     if m.is_flat_chart:
         return p + v
     t = m._s * m.tangent_norm(p, v)
-    small = t < 1e-6
-    safe = np.where(small, 1.0, t)
-    sn_over = np.where(small, 1.0 - math.copysign(1.0, m.sectional()) * (t * t / 6.0),
-                       m._sn(safe) / safe)
+    safe = np.where(t == 0.0, 1.0, t)
+    sn_over = np.where(t == 0.0, 1.0, m._sn(safe) / safe)
     return m._cs(t)[..., None] * p + sn_over[..., None] * v
 
 
