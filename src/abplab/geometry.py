@@ -125,14 +125,13 @@ def _one_at_zero(x, ratio):
     return np.where(zero, 1.0, ratio(np.where(zero, 1.0, x)))
 
 
-# kind -> (sn, cs, asn, isum): the model functions, the inverse of sn (the
-# distance from the half chord) and the ambient inner product as a sum of
-# component products
+# kind -> (sn, cs, tn = sn/cs, asn = sn's inverse, the distance from the half
+# chord, isum = the ambient inner product as a sum of component products)
 _FAMILY = {
-    "sphere": (np.sin, np.cos, np.arcsin, _euclidean_sum),
-    "hyperbolic": (np.sinh, np.cosh, np.arcsinh, _minkowski_sum),
-    "euclidean": (_identity, np.ones_like, _identity, _euclidean_sum),
-    "gaussian_plane": (_identity, np.ones_like, _identity, _euclidean_sum),
+    "sphere": (np.sin, np.cos, np.tan, np.arcsin, _euclidean_sum),
+    "hyperbolic": (np.sinh, np.cosh, np.tanh, np.arcsinh, _minkowski_sum),
+    "euclidean": (_identity, np.ones_like, _identity, _identity, _euclidean_sum),
+    "gaussian_plane": (_identity, np.ones_like, _identity, _identity, _euclidean_sum),
 }
 
 
@@ -160,6 +159,7 @@ class ModelSpace:
     dim: int = field(default=2, init=False)
     _sn: Callable = field(init=False, repr=False, compare=False)
     _cs: Callable = field(init=False, repr=False, compare=False)
+    _tn: Callable = field(init=False, repr=False, compare=False)
     _asn: Callable = field(init=False, repr=False, compare=False)
     _isum: Callable = field(init=False, repr=False, compare=False)
     _kappa: float = field(init=False, repr=False, compare=False)
@@ -173,7 +173,7 @@ class ModelSpace:
         if self.lam != 0.0 and self.kind != "gaussian_plane":
             raise ValueError(f"{self.kind} carries no weight: lam must be 0")
         kappa = {"sphere": self.k, "hyperbolic": -self.k}.get(self.kind, 0.0)
-        derived = zip(("_sn", "_cs", "_asn", "_isum", "_kappa", "_s"),
+        derived = zip(("_sn", "_cs", "_tn", "_asn", "_isum", "_kappa", "_s"),
                       (*_FAMILY[self.kind], kappa, math.sqrt(abs(kappa)) or 1.0))
         for name, value in derived:
             object.__setattr__(self, name, value)
@@ -283,9 +283,8 @@ class ModelSpace:
         return self._rho(self._isum([c * c for c in d]))[0]
 
     def exp(self, p, v) -> np.ndarray:
-        """Geodesic exponential cs(t) p + (sn(t)/t) v, t = s|v|, sn(t)/t read as 1
-        at t = 0 alone; requires |v| < cut_radius, and on the hyperboloid
-        s|v| <= _COSH_MAX, past which the point leaves float64."""
+        """Geodesic exponential cs(t) p + (sn(t)/t) v, t = s|v|, sn(t)/t = 1 at t = 0
+        alone; requires |v| < cut_radius, and t <= _COSH_MAX (float64) on the hyperboloid."""
         p = np.asarray(p, float)
         v = np.asarray(v, float)
         if self.is_flat_chart:   # the cut radius is infinite
@@ -367,8 +366,9 @@ class ModelSpace:
         return self._cs(self._s * np.asarray(rho, float))
 
     def dist_hessian_transverse(self, rho):
-        """Transverse eigenvalue rho psi'/psi of Hess(rho_y^2 / 2) at distance rho (radial: 1)."""
-        return _one_at_zero(np.asarray(rho, float), lambda r: r * self.dpsi(r) / self.psi(r))
+        """Transverse eigenvalue rho psi'/psi = t/tn(t), t = s rho, of Hess(rho_y^2 / 2) at
+        distance rho (radial: 1); finite on the hyperboloid past _COSH_MAX, unlike psi'/psi."""
+        return _one_at_zero(self._s * np.asarray(rho, float), lambda t: t / self._tn(t))
 
     def weight_V(self, p):
         """V(p) = lam |p|^2 / 2, identically zero when lam = 0."""

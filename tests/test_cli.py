@@ -331,6 +331,17 @@ class TestCliExitCodes:
         assert main(argv) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_hyperboloid_curvature_error_term(self, capsys):
+        # s 2R = 2000 lies past the float64 range of cosh; the excess reads
+        # (theta - 1)(1 + 2000 coth 2000) = 2001, above the Ricci bound 2 at
+        # K = 0 and within the one at K = k
+        argv = ["harnack-check", "--which", "pucci", "--model", "hyperbolic", "--k", "1e6", "--R", "1"]
+        assert main(argv) == 1
+        assert "[FAIL] curvature-error-term: lhs=2001 rhs=2\n" in capsys.readouterr().out
+        assert main(argv + ["--K", "1e6"]) == 0
+        assert "[pass] curvature-error-term: lhs=2001 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("k", ["1e-9", "1e-10", "1e-12"])
     def test_small_curvature_ricci_violation_fails(self, k, capsys):
         # the hyperboloid at the default K = 0: ricci-comparison fails, by

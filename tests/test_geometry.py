@@ -351,6 +351,33 @@ class TestWeight:
         assert np.all(m.grad_V(p) == 0.0) and m.grad_V(p).shape == p.shape
 
 
+class TestDistHessianTransverse:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [sphere(1.0), hyperbolic(1.0), hyperbolic(1e6)],
+                             ids=["sphere", "hyperbolic", "hyperbolic-k1e6"])
+    def test_against_mpmath(self, m):
+        # oracle: t cot t on the sphere and t coth t on the hyperboloid,
+        # t = s rho in 50 digits, on the hyperboloid also far past s rho =
+        # 710, where sinh and cosh leave float64
+        s = math.sqrt(m.k)
+        ts = [1e-300, 1e-12, 1e-4, 0.5, 1.5, 3.0]
+        if m.kind == "hyperbolic":
+            ts += [710.0, 800.0, 1e4, 1e300]
+        rho = np.array(ts) / s
+        got = m.dist_hessian_transverse(rho)
+        with mpmath.workdps(50):
+            for r, g in zip(rho, got):
+                t = mpmath.mpf(s) * mpmath.mpf(float(r))
+                want = t * (mpmath.cot(t) if m.kind == "sphere" else mpmath.coth(t))
+                assert abs(g - want) <= 64 * np.finfo(float).eps * abs(want), (r, g, want)
+
+    @pytest.mark.parametrize("m", [euclidean(), gaussian_plane(1.0)], ids=["euclidean", "gaussian"])
+    def test_flat_charts_read_one(self, m):
+        rho = np.array([0.0, 1e-300, 1.0, 1e300])
+        assert np.all(m.dist_hessian_transverse(rho) == 1.0)
+        assert np.isnan(m.dist_hessian_transverse(np.nan))
+
+
 class TestPolarGrid:
     def test_weight_sum_matches_measure(self, model):
         g = build_polar_grid(model, model.origin(), 1.0, 256, 256)

@@ -221,6 +221,13 @@ class TestETheta:
         got = e_theta(hyperbolic(1.0), 1.0, 2.0)
         assert got == pytest.approx(1.0 + 1.0 / math.tanh(1.0), abs=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k,r,want", [(1.0, 800.0, 801.0), (1e6, 2.0, 2001.0)],
+                             ids=["k1-r800", "k1e6-r2"])
+    def test_hyperbolic_past_the_float64_range_of_cosh(self, k, r, want):
+        # s r > 710: sinh and cosh overflow there, s r coth(s r) = s r does not
+        assert e_theta(hyperbolic(k), r, 2.0) == want
+
     @pytest.mark.parametrize("m,K,Ks", [
         (euclidean(), 0.0, 0.0),
         (sphere(1.0), 0.0, 0.0),
