@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import CurvatureParams, calH, calS
-from .contact import _newton, compute_contact_set
+from .contact import _NEWTON_BLOCK, _newton, compute_contact_set
 from .fields import ScalarField, _laplacian_nu
 from .geometry import GeodesicBallGrid, ModelSpace, _grid_label, _model_label, _same_nodes
 from .jacobi import _cs_sn
@@ -43,9 +43,9 @@ from .report import CheckReport, _premise_failure, check_le
 __all__ = ["AbpInstance", "d_bound", "abp_check", "transport_rhs", "disc_vertex_indices"]
 
 _REL_TOL = 1e-6  # relative tolerance of the measure-estimate verdict
-# points of a transport block, which takes whole rings: the fastest of 2048-30000
-# at 256^2 on a 2 MB-L2 Xeon, where a block's Newton temporaries stay in cache
-_BLOCK_POINTS = 6144
+# points of a transport block, which takes whole rings: as many as a Newton
+# block of the contact set, whose temporaries it refines in cache
+_BLOCK_POINTS = _NEWTON_BLOCK
 
 
 @dataclass
@@ -108,16 +108,24 @@ def _integrand(K, N, r, a, lap, clamp_report=None):
 
 
 def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
+    """The transport side of inst over the disc of its first n_rings rings;
+    see _transport_rhs."""
+    return _transport_rhs(inst, n_rings, None)
+
+
+def _transport_rhs(inst: AbpInstance, n_rings: int, refined) -> dict:
     """Contact integral through the vertex parametrization (structured E only):
     E must be the disc of the first n_rings full rings, else ValueError.
 
     Each vertex y adds its weight times D(x)^N e^{-(V(x) - V(y))} / det J(1)
     at its contact x, refined by Newton from y, so the disc runs in blocks of
     whole rings, round(n / _BLOCK_POINTS) of them for n vertices, as even as
-    the rings allow; no value depends on the blocks.  A block checks that its
-    points are finite, then reads Delta_nu u and det J(1) (_jacobian_det)
-    from the jet of u that Newton took where it certified x (or at its last
-    iterate), Delta u as h11 + h22 of the rows det J(1) needs anyway.
+    the rings allow; no value depends on the blocks.  refined, the contact
+    set's Newton from the vertices of E (ContactSet.refined), stands in for
+    Newton's run here.  A block checks that its points are finite, then
+    reads Delta_nu u and det J(1) (_jacobian_det) from the jet of u that
+    Newton took where it certified x (or at its last iterate), in the frame
+    it took it in, Delta u as h11 + h22 of the rows det J(1) needs anyway.
     Returns the contact_points with rhs_transport and min_pointwise_density,
     or with a numerical_failure that names the non-finite points, or the
     folds (det J(1) <= 0) by count and least det.
@@ -136,12 +144,13 @@ def transport_rhs(inst: AbpInstance, n_rings: int) -> dict:
     finite, folds, least_det, least_density = True, 0, math.inf, math.inf
     for lo in range(0, len(Y), step):
         y = Y[lo:lo + step]
-        x, grad, h = _newton(u, a, y, y)
+        x, grad, h, frame = (_newton(u, a, y, y) if refined is None
+                             else refined.rows(slice(lo, lo + step)))[:4]
         X[lo:lo + step] = x
         finite = finite and bool(np.isfinite(x).all())
         if not finite:
             continue
-        det = _jacobian_det(m, x, grad, h, a, m.tangent_frame(x))
+        det = _jacobian_det(m, x, grad, h, a, frame)
         folds += int(np.count_nonzero(~(det > 0.0)))
         least_det = float(np.minimum(least_det, np.min(det)))   # NaN stays NaN
         if folds:
@@ -207,9 +216,12 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
     n_r, n_t = grid.shape
     diag: dict = {"set_stride": set_stride, "n_vertices": int(len(inst.E))}
 
-    rhs_nodes, quad_tol = None, 0.0
+    rhs_nodes, quad_tol, refined = None, 0.0, None
     if set_stride == 1:
-        nodes = compute_contact_set(u, a, inst.E).node_indices
+        cs = compute_contact_set(u, a, inst.E)
+        # the transport takes the contact set's Newton; no copy outlives the verdict
+        refined, cs.refined = cs.refined, None
+        nodes = cs.node_indices
         if np.any(nodes // n_t >= n_r - 1):
             return _premise_failure("measure-estimate", "contact set contained in the open ball")
         G_nodes = _integrand(K, N, r, a, node_laplacian_nu(u, nodes), diag)
@@ -219,7 +231,8 @@ def abp_check(inst: AbpInstance, set_stride: int = 1, n_rings: Optional[int] = N
 
     tr = None
     if n_rings is not None and u.has_derivatives:
-        tr = transport_rhs(inst, n_rings)
+        tr = (transport_rhs(inst, n_rings) if refined is None
+              else _transport_rhs(inst, n_rings, refined))
         X = tr.pop("contact_points")
         if "numerical_failure" in tr:
             return check_le("measure-estimate", "measure-estimate", 1.0, 0.0, **tr, **diag)

@@ -15,10 +15,22 @@ ScalarField.hess.  The radial jets scale the tangent toward the centre
 component by component (geometry._scale), a bump's f' and f'' share one
 exp(-beta rho^2), and sum_fields adds the parts of a pair in place, in
 their order.
+
+The closed-form builders also record hess_floor, a floor on the least
+eigenvalue of Hess u over the closed grid ball, each derived in its
+docstring; the contact scan certifies contacts with it (contact.py).  A
+field with no such floor (a sampled field, a radial_field, a user's jet)
+has None.  Every floor reads the transverse factor tau(rho) = rho psi'/psi
+of Hess(rho^2/2), whose eigenvalues are 1 (radial) and tau (transverse):
+tau(0) = 1 and tau is monotone in rho (1 on the flat charts, s rho cot(s rho)
+falling on the sphere, s rho coth(s rho) rising on the hyperboloid), so on
+[0, rho_max] its extremes are 1 and tau(rho_max).  A ball point lies within
+rho_max = rho(c, o) + r of a centre c, o and r the grid's centre and radius.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,16 +59,21 @@ _I_ROWS = np.array([1.0, 0.0, 1.0])
 
 class ScalarField:
     def __init__(self, grid: GeodesicBallGrid, values: Optional[np.ndarray] = None,
-                 value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None):
+                 value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None,
+                 hess_floor: Optional[float] = None):
         """values, shape (n_r, n_theta), may be None only beside a value_fn,
         which then samples the nodes on first read; deriv_fn(p, frame) of a
-        float array p returns (grad, lap), or (grad, h) given a frame."""
+        float array p returns (grad, lap), or (grad, h) given a frame.
+        hess_floor, beside a deriv_fn only, is a floor on the least
+        eigenvalue of Hess u over the closed grid ball; a non-finite one is
+        taken as none."""
         if values is None and value_fn is None:
             raise ValueError("a field needs node values or a value_fn to sample them from")
         self.grid = grid
         self._values = values
         self.value_fn = value_fn
         self.deriv_fn = deriv_fn
+        self.hess_floor = _finite(hess_floor) if deriv_fn is not None else None
 
     @property
     def values(self) -> np.ndarray:
@@ -102,6 +119,11 @@ class ScalarField:
     def laplacian_nu(self, p):
         """Weighted Laplacian: Delta u - g(grad u, grad V)."""
         return _laplacian_nu(self.grid.model, p, *self.jet(p, None))
+
+
+def _finite(x: Optional[float]) -> Optional[float]:
+    """x as a float where it is finite, else None: a floor that is none."""
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
@@ -169,6 +191,7 @@ def _scalar_hessian(s: float, batch: tuple, frame):
 
 
 def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
+    """u = c: Hess u = 0, so its floor is 0."""
     d = grid.model.embedding_dim
 
     def val(p):
@@ -178,7 +201,7 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
         batch = np.shape(p)[:-1]
         return np.zeros(batch + (d,)), _scalar_hessian(0.0, batch, frame)
 
-    return ScalarField(grid, None, val, deriv)
+    return ScalarField(grid, None, val, deriv, hess_floor=0.0)
 
 
 def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
@@ -200,9 +223,27 @@ def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
     return ScalarField(grid, None, val, deriv)
 
 
-def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
-    """u = (b/2) * rho(center, .)^2 -- the workhorse equality-case field."""
+def _tau_at_reach(grid: GeodesicBallGrid, center) -> float:
+    """tau(rho_max), rho_max = rho(center, o) + r the reach of the ball from
+    center; NaN (no floor) from the sphere's cut radius on, where rho^2/2
+    is not smooth, and for a centre antipodal to o, which distance refuses."""
     m = grid.model
+    try:
+        reach = float(m.distance(np.asarray(center, float), grid.center)) + grid.radius
+    except ValueError:
+        return math.nan
+    return float(m.dist_hessian_transverse(reach)) if reach < m.cut_radius else math.nan
+
+
+def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
+    """u = (b/2) * rho(center, .)^2 -- the workhorse equality-case field.
+
+    Hess u = b Hess(rho^2/2) has the eigenvalues b and b tau(rho); tau is
+    monotone from tau(0) = 1, so over the ball the least is the floor
+    min(b, b tau(rho_max))."""
+    m = grid.model
+    tau = _tau_at_reach(grid, center)
+    floor = min(b, b * tau) if math.isfinite(tau) else None
     if m.is_flat_chart:
         c = np.asarray(center, float)
 
@@ -218,21 +259,30 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
                 grad[..., i] = b * (p[..., i] - c[i])
             return grad, _scalar_hessian(b, grad.shape[:-1], frame)
 
-        return ScalarField(grid, None, val, deriv)
-    return radial_field(
+        return ScalarField(grid, None, val, deriv, hess_floor=floor)
+    u = radial_field(
         grid,
         center,
         lambda r: 0.5 * b * r * r,
         lambda r: b * r,
         lambda r: np.full_like(np.asarray(r, float), b),
     )
+    u.hess_floor = _finite(floor)
+    return u
 
 
 def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) -> ScalarField:
     """u = amplitude * exp(-beta * rho^2): smooth, localized, sign-free Hessian.
 
     A jet evaluates exp(-beta rho^2) once: _radial_derivatives calls df
-    before d2f on the same rho, so d2f reads the exponential df just took."""
+    before d2f on the same rho, so d2f reads the exponential df just took.
+
+    Floor: with A = amplitude and x = beta rho^2, the radial eigenvalue is
+    f'' = 2 beta A (2x - 1) e^{-x} and the transverse one (f'/rho) tau(rho)
+    = -2 beta A e^{-x} tau(rho).  |2x - 1| e^{-x} <= 1 and e^{-x} <= 1, and
+    |tau| <= max(1, |tau(rho_max)|) below the cut radius (tau falls through
+    0 on the sphere past s rho = pi/2), so both are at least
+    -2 beta |A| max(1, |tau(rho_max)|)."""
     m = grid.model
     center = np.asarray(center, float)
 
@@ -252,7 +302,9 @@ def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) ->
 
         return _radial_derivatives(m, center, p, df, d2f, frame)
 
-    return ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv)
+    tau = _tau_at_reach(grid, center)
+    floor = -2.0 * beta * abs(amplitude) * max(1.0, abs(tau)) if math.isfinite(tau) else None
+    return ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv, hess_floor=floor)
 
 
 def _sum(parts):
@@ -272,7 +324,9 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     ((f0 + f1) + f2) + ..., with no stacked copy of the parts.  A sum of
     closed-form parts is closed-form, and samples its nodes on first read
     like its parts; a sum with a part that lacks a value_fn or derivatives
-    is sampled, from the parts' values."""
+    is sampled, from the parts' values.  The least eigenvalue of a sum is at
+    least the sum of its parts' least eigenvalues, so a closed-form sum's
+    floor is the sum of its parts' floors, and none if a part has none."""
     grid = fields[0].grid
     if not all(f.value_fn is not None and f.has_derivatives for f in fields):
         return ScalarField(grid, _sum([f.values for f in fields]))
@@ -283,7 +337,9 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     def deriv(p, frame):
         return tuple(_sum(d) for d in zip(*(f.deriv_fn(p, frame) for f in fields)))
 
-    return ScalarField(grid, None, val, deriv)
+    floors = [f.hess_floor for f in fields]
+    return ScalarField(grid, None, val, deriv,
+                       hess_floor=None if None in floors else math.fsum(floors))
 
 
 def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarField:
@@ -291,11 +347,19 @@ def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarFiel
 
     Centers are drawn inside _CENTER_FRAC of the grid ball, so every distance
     function involved stays smooth on the working domain.
+
+    Floor: -|hess_bound|.  Each bump's eigenvalues lie within
+    2 beta |amp| max(1, tau) (see bump_field), and a ball point lies within
+    (1 + _CENTER_FRAC) r < 2r of every centre, so |tau| <= max(1, tau(2r))
+    wherever tau(2r) >= 0; the scaled bounds add up to |hess_bound|.  On
+    the sphere past s 2r = pi/2, where tau(2r) < 0, the field records no
+    floor.
     """
     m = grid.model
     e1, e2 = grid.frame
     parts = []
     bound = 0.0
+    tau = float(m.dist_hessian_transverse(2.0 * grid.radius))
     for _ in range(_N_BUMPS):
         beta = rng.uniform(*_BETA_RANGE)
         amp = rng.uniform(-1.0, 1.0)
@@ -304,8 +368,10 @@ def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarFiel
         c = m.exp(grid.center, r0 * (np.cos(th0) * e1 + np.sin(th0) * e2))
         parts.append((amp, beta, c))
         # |f''| <= 2 beta |amp| and transverse factor is bounded by the same scale
-        bound += 2.0 * beta * abs(amp) * max(1.0, float(m.dist_hessian_transverse(2.0 * grid.radius)))
+        bound += 2.0 * beta * abs(amp) * max(1.0, tau)
     scale = hess_bound / bound if bound > 0 else 1.0
     fields = [bump_field(grid, c, scale * amp, beta) for amp, beta, c in parts]
-    return sum_fields(fields)
+    u = sum_fields(fields)
+    u.hess_floor = _finite(-abs(hess_bound)) if tau >= 0.0 else None
+    return u
 

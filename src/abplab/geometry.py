@@ -385,9 +385,11 @@ class ModelSpace:
 
         Unweighted balls have the closed form 4 pi psi(r/2)^2, free of the
         cancellation in 2 pi/kappa (1 - dpsi(r)); weighted balls have one at
-        the origin.  Off it the angle integral is 2 pi exp(-lam (|c| - sgn(lam)
-        rho)^2/2 - x) I0(x), x = |lam| |c| rho (a bounded exponent); 64-node
-        Gauss-Legendre takes the radius.  x > 700 raises: np.i0 overflows from 710.
+        the origin, |c| = 0 exactly, so the measure scales with the metric
+        (lam/s^2, s c and s r give s^2 nu) at every s.  Off it the angle
+        integral is 2 pi exp(-lam (|c| - sgn(lam) rho)^2/2 - x) I0(x), x =
+        |lam| |c| rho (a bounded exponent); 64-node Gauss-Legendre takes the
+        radius.  x > 700 raises: np.i0 overflows from 710.
         """
         if not r < self.cut_radius:
             raise ValueError("ball radius exceeds the cut radius")
@@ -395,7 +397,7 @@ class ModelSpace:
         if lam == 0.0:
             return float(4.0 * math.pi * self.psi(0.5 * r) ** 2)
         c = math.hypot(*np.asarray(center, float))
-        if c < 1e-14:
+        if c == 0.0:
             return 2.0 * math.pi / lam * -math.expm1(-0.5 * lam * r * r)
         x_max = abs(lam) * c * r
         if x_max > _I0_MAX:
@@ -524,12 +526,27 @@ class GeodesicBallGrid:
         """Number of complete rings with rho_i <= r."""
         return int(np.sum(self.rho <= r))
 
+    def polar(self, p):
+        """(rho, theta) of the points p in the grid's polar coordinates:
+        rho from the centre, theta in (-pi, pi] the angle of log_center(p)
+        in the centre's frame, a node's (rho_i, theta_j) up to 2 pi."""
+        m, o = self.model, self.center
+        v = m.log(o, np.asarray(p, float))
+        e1, e2 = self.frame
+        return m.tangent_norm(o, v), np.arctan2(m.tangent_inner(o, v, e2), m.tangent_inner(o, v, e1))
+
 
 def _same_nodes(g: GeodesicBallGrid, h: GeodesicBallGrid) -> bool:
     """True when h samples g's nodes: the same grid, or one of equal shape,
     node coordinates and model, the model compared by value."""
     return h is g or (h.shape == g.shape and h.model == g.model
                       and np.array_equal(h.points, g.points))
+
+
+def _half_sin2_angle(sin2):
+    """2 asin(sqrt(sin2)), the angle in [0, pi] whose half has sin^2 = sin2 in
+    [0, 1]: the half-width of an angle window of the polar law of cosines."""
+    return 2.0 * np.arcsin(np.sqrt(sin2))
 
 
 def _model_label(m: ModelSpace) -> str:

@@ -1,13 +1,15 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from abplab import abp
+from abplab import abp, contact
 from abplab.abp import AbpInstance, abp_check, d_bound, disc_vertex_indices, transport_rhs
 from abplab.cli import main
 from abplab.constants import CurvatureParams
+from abplab.contact import compute_contact_set
 from abplab.fields import (ScalarField, _laplacian_nu, bump_field, constant_field,
                            quadratic_field, random_bump_field)
 from abplab.geometry import build_polar_grid, euclidean, gaussian_plane, hyperbolic, sphere
@@ -514,3 +516,60 @@ def test_scale_covariance(tmp_path, capsys, model, u):
         np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0,
                                    err_msg=f"c = {c!r}")
     capsys.readouterr()
+
+
+class TestBenchmarkHooks:
+    """What perfbench binds in the library: scan.py's _capture_scans rebinds
+    abp's compute_contact_set to keep each verdict's contact set, and
+    tracing.py's _count_scan binds its arguments by name.  A verdict that
+    bypassed the attribute would leave every `scan` check without a
+    contact set."""
+
+    @staticmethod
+    def _random_instance(m, floor=True):
+        r = 0.5
+        params = CurvatureParams(1.0 if m.sectional() < 0 else 0.0, 4.0, r)
+
+        def field(g):
+            u = random_bump_field(g, seeded_rng(3, f"hooks-{m.kind}"), hess_bound=0.5)
+            return u if floor else ScalarField(g, None, u.value_fn, u.deriv_fn)
+
+        return _instance(m, params, r, 40, field, 1.0)
+
+    def test_the_verdict_scans_once_through_the_module_attribute(self, monkeypatch):
+        inst, nr = self._random_instance(sphere(1.0))
+        calls = []
+        original = abp.compute_contact_set
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(abp, "compute_contact_set", recording)
+        abp_check(inst, set_stride=1, n_rings=nr)
+        assert len(calls) == 1
+        (u, a, E), kwargs = calls[0]
+        assert u is inst.u and a == inst.a and E is inst.E and kwargs == {}
+
+    def test_scan_parameter_names(self):
+        names = list(inspect.signature(compute_contact_set).parameters)
+        assert names == ["u", "a", "E", "Omega", "chunk"]
+
+    @pytest.mark.parametrize("floor", [True, False], ids=["certified", "scanned"])
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_newton_runs_once_per_verdict(self, m, floor, monkeypatch):
+        # with a floor the contact set refines the vertices and hands the
+        # points on; without one the transport refines them itself
+        inst, nr = self._random_instance(m, floor)
+        refined = []
+        original = contact._newton
+
+        def counting(u, a, Y, X0):
+            refined.append(len(Y))
+            return original(u, a, Y, X0)
+
+        monkeypatch.setattr(contact, "_newton", counting)
+        monkeypatch.setattr(abp, "_newton", counting)
+        rep = abp_check(inst, set_stride=1, n_rings=nr)
+        assert "rhs_transport" in rep.diagnostics
+        assert refined == [len(inst.E)]

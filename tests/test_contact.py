@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -476,6 +478,134 @@ class TestRingBand:
         assert np.array_equal(cs.min_values, best) and cs.ties.tolist() == ties
 
 
+def _record_scans(monkeypatch):
+    """Record the rows each pruned-scan call covers, and let it run."""
+    rows = []
+    scan = contact._pruned_scan
+
+    def recording(u, a, E, sub, *args):
+        rows.append(np.array(sub))
+        return scan(u, a, E, sub, *args)
+
+    monkeypatch.setattr(contact, "_pruned_scan", recording)
+    return rows
+
+
+def _assert_matches_both_oracles(m, u, a, E):
+    cs = _assert_matches_brute_force(m, u, a, E)
+    contact_, best, ties = _table_brute_force(u, a, E)
+    assert np.array_equal(cs.contact_of, contact_)
+    assert cs.min_values.tobytes() == best.tobytes() and cs.ties.tolist() == ties
+    return cs
+
+
+class TestCertifiedContacts:
+    """Vertices whose Newton point certifies take only the nodes within delta
+    of it, and give what a scan of every node gives, bit for bit; the rest
+    take the pruned scan."""
+
+    FIELDS = {
+        "bumps": lambda g, gen, a: random_bump_field(g, gen, hess_bound=0.5 * a),
+        "quadratic-0.4a": lambda g, gen, a: quadratic_field(g, g.model.origin(), -0.4 * a),
+        "quadratic-a": lambda g, gen, a: quadratic_field(g, g.model.origin(), a),
+        "const": lambda g, gen, a: constant_field(g, 0.7),
+    }
+
+    @staticmethod
+    def _vertex_sets(g):
+        y0 = g.points[g.n_r // 3, g.n_theta // 5]
+        return {"disc": _disc_indices(g, 0.45 * g.radius),
+                "off-centre": np.flatnonzero(g.mask_within(y0, g.radius / 6.0).ravel()),
+                "strided": _disc_indices(g, 0.6 * g.radius)[::7]}
+
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_matches_both_oracles(self, model, field, rng, monkeypatch):
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=48)
+        a = 1.0
+        u = self.FIELDS[field](g, rng, a)
+        assert u.hess_floor is not None and contact._convexity(u, a) > 0.0
+        scans = _record_scans(monkeypatch)
+        for name, E in self._vertex_sets(g).items():
+            cs = _assert_matches_both_oracles(model, u, a, E)
+            assert cs.refined is not None and len(cs.refined.points) == len(E)
+        assert scans == []   # every vertex certified
+
+    def test_newton_blocks_move_no_bit(self, model, rng, monkeypatch):
+        # the vertices refine in blocks of _NEWTON_BLOCK; per point, Newton
+        # is the same in any block, and so is the contact set
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=32)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        E = _disc_indices(g, 0.45 * g.radius)
+        runs = []
+        for block in (10**6, 97):
+            monkeypatch.setattr(contact, "_NEWTON_BLOCK", block)
+            cs = compute_contact_set(u, 1.0, E)
+            r = cs.refined
+            runs.append([cs.contact_of.tobytes(), cs.min_values.tobytes(), cs.ties.tobytes(),
+                         r.points.tobytes(), r.grad.tobytes(), r.hess.tobytes(),
+                         r.frame[0].tobytes(), r.frame[1].tobytes(), r.certified.tobytes(),
+                         r.residual.tobytes()])
+        assert len(E) > 3 * 97 and runs[1] == runs[0]
+
+    def test_floor_below_opening_falls_back(self, model, rng, monkeypatch):
+        # hess_bound 2a: lambda = a mu - 2a <= 0, so no Newton and one scan
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = random_bump_field(g, rng, hess_bound=2.0)
+        assert contact._convexity(u, 1.0) <= 0.0
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        assert cs.refined is None and len(scans) == 1 and len(scans[0]) == len(E)
+
+    def test_sampled_field_falls_back(self, model, rng, monkeypatch):
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = ScalarField(g, random_bump_field(g, rng, hess_bound=0.5).values)
+        assert u.hess_floor is None and contact._convexity(u, 1.0) == 0.0
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        assert cs.refined is None and len(scans) == 1 and len(scans[0]) == len(E)
+
+    def test_uncertified_newton_points_fall_back(self, model, rng, monkeypatch):
+        # two Newton steps certify 14 to 85 of the 720 points (one step
+        # certifies none): those vertices take the certified pass, the
+        # others the scan, and the two merge exactly
+        monkeypatch.setattr(contact, "_NEWTON_ITERS", 2)
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        uncertified = np.flatnonzero(~cs.refined.certified)
+        assert 0 < len(uncertified) < len(E)
+        assert len(scans) == 1 and np.array_equal(scans[0], uncertified)
+
+    def test_newton_point_outside_the_ball_falls_back(self, monkeypatch):
+        # u = |x - c|^2/2, c = (1.5, 0) outside the unit ball: F_y's minimiser
+        # (y + c)/2 leaves the ball for the vertices with |y + c| > 2
+        m = euclidean()
+        g = _grid(m, r=1.0, n=40)
+        u = quadratic_field(g, np.array([1.5, 0.0]), 1.0)
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.6)
+        cs = _assert_matches_both_oracles(m, u, 1.0, E)
+        assert cs.refined.certified.all()
+        outside = np.flatnonzero(np.hypot(*cs.refined.points.T) > g.radius)
+        assert 0 < len(outside) < len(E)
+        assert len(scans) == 1 and np.array_equal(scans[0], outside)
+
+    def test_scan_workload_never_reaches_the_pruned_scan(self, monkeypatch):
+        # the benchmark's `scan` verdicts, as perfbench/scan.py builds them
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        scan = importlib.import_module("scan")
+        scans = _record_scans(monkeypatch)
+        for case in scan.build(1, None).cases:
+            inst = case.inst
+            cs = compute_contact_set(inst.u, inst.a, inst.E)
+            assert cs.refined.certified.all()
+        assert scans == []
+
+
 class TestGradientResidual:
     def test_constant_pair_zero(self):
         m = euclidean()
@@ -910,7 +1040,7 @@ class TestNewtonJet:
         counts = []
         u = _counting(random_bump_field(g, rng, hess_bound=0.5), counts)
         Y = g.flat_points()[_disc_indices(g, 0.25)]
-        X, grad, h = _newton(u, 1.0, Y, Y)
+        X, grad, h = _newton(u, 1.0, Y, Y)[:3]
         assert counts[0] == len(Y) and len(set(counts)) > 1 and len(counts) <= iters + 1
         assert iters == _NEWTON_ITERS or len(counts) == iters + 1   # a last pass for the live
         want = u.jet(X, model.tangent_frame(X))
@@ -929,7 +1059,7 @@ class TestNewtonJet:
                       degenerate=lambda p: p[:, 0] > 0.0)
         Y = g.flat_points()[_disc_indices(g, 0.25)]
         stuck = Y[:, 0] > 0.0
-        X, grad, h = _newton(u, 1.0, Y, Y)
+        X, grad, h = _newton(u, 1.0, Y, Y)[:3]
         assert len(counts) == _NEWTON_ITERS + 1 and counts[-1] == np.count_nonzero(stuck)
         assert X[stuck].tobytes() == Y[stuck].tobytes()
         want = u.jet(X, model.tangent_frame(X))
@@ -946,7 +1076,7 @@ class TestNewtonJet:
         Y = g.flat_points()[_disc_indices(g, 0.25)]
         X0 = _newton(u, 1.0, Y, Y)[0]
         counts.clear()
-        X, grad, h = _newton(u, 1.0, Y, X0)
+        X, grad, h = _newton(u, 1.0, Y, X0)[:3]
         assert counts == [len(Y)] and X.tobytes() == X0.tobytes()
         want = u.jet(X, model.tangent_frame(X))
         assert grad.tobytes() == want[0].tobytes() and h.tobytes() == want[1].tobytes()

@@ -508,3 +508,61 @@ class TestFrameFreeTrace:
             assert _bits(u.laplacian(g.points)) == _bits(lap), name
             assert _bits(node_laplacian_nu(u)) == _bits(lap_nu), name
             assert _bits(node_laplacian_nu(u, nodes)) == _bits(lap_nu.reshape(-1)[nodes]), name
+
+
+def _least_eigenvalue(h):
+    """The least eigenvalue of the 2x2 symmetric rows (h11, h12, h22)."""
+    h11, h12, h22 = h
+    return 0.5 * (h11 + h22) - np.hypot(0.5 * (h11 - h22), h12)
+
+
+class TestHessFloor:
+    """Each closed-form builder's hess_floor lies below the least eigenvalue
+    of Hess u at every node and at the ball's edge; the rest record none."""
+
+    @staticmethod
+    def _ball_points(g):
+        # the nodes and a ring at the ball's edge, where the floors are reached
+        th = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        e1, e2 = g.frame
+        edge = g.model.exp(g.center, g.radius * (np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2))
+        return np.concatenate([g.flat_points(), edge])
+
+    CASES = {
+        "const": lambda g: constant_field(g, 2.0),
+        "quadratic": lambda g: quadratic_field(g, g.model.origin(), 1.0),
+        "quadratic-negative": lambda g: quadratic_field(g, g.model.origin(), -0.4),
+        "quadratic-off-centre": lambda g: quadratic_field(g, g.points[5, 3], 0.7),
+        "bump": lambda g: bump_field(g, g.points[9, 11], -0.8, 6.0),
+        "random": lambda g: random_bump_field(g, np.random.default_rng(4), hess_bound=0.5),
+        "sum": lambda g: sum_fields([quadratic_field(g, g.model.origin(), 0.6),
+                                     bump_field(g, g.points[4, 2], 0.3, 3.0)]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_floor_lies_below_the_hessian(self, m, case):
+        for r in (min(0.8, 0.2 * m.domain_radius_limit), min(1.5, 0.9 * m.domain_radius_limit)):
+            g = build_polar_grid(m, m.origin(), r, 24, 24)
+            u = self.CASES[case](g)
+            if case == "random" and m.dist_hessian_transverse(2 * r) < 0:
+                assert u.hess_floor is None
+                continue
+            p = self._ball_points(g)
+            least = float(np.min(_least_eigenvalue(u.jet(p, m.tangent_frame(p))[1])))
+            assert u.hess_floor <= least + 1e-12 * max(1.0, abs(least))
+            if case == "const" or (case == "quadratic" and m.is_flat_chart):
+                assert u.hess_floor == least
+
+    def test_fields_without_a_floor(self, rng):
+        m = sphere(1.0)
+        g = build_polar_grid(m, m.origin(), 0.5, 16, 16)
+        bumps = random_bump_field(g, rng, hess_bound=0.5)
+        radial = radial_field(g, m.origin(), lambda r: r**4, lambda r: 4 * r**3,
+                              lambda r: 12 * r**2)
+        assert ScalarField(g, bumps.values).hess_floor is None
+        assert ScalarField(g, None, bumps.value_fn, bumps.deriv_fn).hess_floor is None
+        assert radial.hess_floor is None
+        assert sum_fields([bumps, radial]).hess_floor is None
+        assert sum_fields([bumps, ScalarField(g, bumps.values)]).hess_floor is None
+        assert sum_fields([bumps, bumps]).hess_floor == 2 * bumps.hess_floor == -1.0

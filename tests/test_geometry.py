@@ -325,6 +325,20 @@ class TestBallMeasure:
         val, _ = quad(lambda s: 2 * math.pi * sn(s), 0.0, r, epsabs=0.0, epsrel=2e-14)
         assert m.ball_measure(m.origin(), r) == pytest.approx(val, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("s", [1e-10, 1e-14, 1e-16])
+    def test_off_origin_gaussian_ball_scales_with_the_metric(self, s):
+        # g -> s^2 g takes lam to lam/s^2 and (c, r) to (s c, s r), so nu/s^2
+        # is one number.  lam, |c| and r each carry one rounding of s, which
+        # moves the bounded exponents and the prefactor by a few eps, and the
+        # 64 positive terms of the radial sum cancel nothing: 16 eps.  A
+        # cut-off to the origin's closed form below an absolute |c| read
+        # 13% high here at s = 1e-14 and 1e-16.
+        def scaled(s):
+            return gaussian_plane(1.0 / s**2).ball_measure(np.array([0.5 * s, 0.0]), 0.3 * s) / s**2
+
+        ref = scaled(1.0)
+        assert abs(scaled(s) - ref) <= 16 * np.finfo(float).eps * ref
+
     def test_weight_free_gaussian_off_center_closed_form(self):
         got = gaussian_plane(0.0).ball_measure(np.array([0.4, 0.0]), 0.5)
         assert got == pytest.approx(math.pi * 0.25, rel=1e-15, abs=0.0)
