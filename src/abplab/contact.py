@@ -24,7 +24,7 @@ other vertex takes the pruned scan, which skips only nodes that provably
 lie above the infimum plus the tie tolerance.
 
 The certificate.  The ball of radius r about the grid centre o is convex
-(r < pi/(2 sqrt k) on the sphere).  Let eta be the field's hess_floor, a
+(r < pi/(2 sqrt k) on the sphere).  Let eta be the field's _hess_floor, a
 floor on the least eigenvalue of Hess u over it (fields.py derives one per
 closed-form builder), and mu the least eigenvalue of Hess(rho_y^2/2) over
 it for y in it.  That Hessian has the eigenvalues 1 (radial) and tau(rho_y)
@@ -47,10 +47,10 @@ With x* at polar coordinates (rho*, theta*), the nodes within delta of it
 lie on the rings with |rho_i - rho*| <= delta (the triangle inequality
 about o), and on ring i at the angles with sin^2((theta_j - theta*)/2) <=
 S_i = (psi(delta/2)^2 - psi((rho_i - rho*)/2)^2) / (psi(rho_i) psi(rho*))
-(the polar law of cosines, psi rising on [0, r] and d/2, delta/2 <= r,
-delta capped at 2r): the whole ring where S_i >= 1 or rho* = 0, none where
-S_i < 0, else the window |theta_j - theta*| <= 2 asin(sqrt S_i).  The
-candidates are those nodes.
+(the polar law of cosines, psi rising on [0, r] and d/2, delta/2 < r: a
+delta of 2r or more takes the pruned scan, below): the whole ring where
+S_i >= 1 or rho* = 0, none where S_i < 0, else the window |theta_j -
+theta*| <= 2 asin(sqrt S_i).  The candidates are those nodes.
 
 Rounding.  Each margin is counted in units of _ROUND = 2^-40 of a scale,
 some 2^12 eps, far above the few ulps it covers:
@@ -70,8 +70,7 @@ some 2^12 eps, far above the few ulps it covers:
     a log_x*(y);
   - (rho*, theta*), from m.log at o, place x* within 2^-40 kappa r, and
     forming delta rounds it by a few ulps, so the windows take the reach
-    delta' = delta (1 + 2^-40) + 2^-40 kappa r, capped at 2r, which every
-    pair of ball points is within;
+    delta' = delta (1 + 2^-40) + 2^-40 kappa r;
   - the ring window takes the floor and the ceiling of the ring positions
     rho/h - 1/2 of its ends, up to one ring more on each side than its
     rounding needs; psi(delta'/2)^2 is raised by 2^-40, more than the few
@@ -79,10 +78,27 @@ some 2^12 eps, far above the few ulps it covers:
     2^-40 of itself and by 2^-40 2 pi, more than the rounding of theta* -+
     alpha and of the division by the angle step.
 A vertex whose Newton point did not certify, is not finite or lies outside
-the closed ball takes the pruned scan, and so does one whose delta is not
+the closed ball takes the pruned scan, and so does one whose delta' is not
 finite (g^2 + 2 lambda D < 0, which the inequality excludes within these
-margins: a node's F is at least F(x*) - g^2/(2 lambda)) or whose least
-candidate F exceeds ub (the window would have missed ub's node).
+margins: a node's F is at least F(x*) - g^2/(2 lambda)), whose least
+candidate F exceeds ub (the window would have missed ub's node), whose
+delta' is 2r or more (every pair of ball points is within 2r, so the
+windows would prune nothing), or whose windows hold more than _WINDOW_MAX
+nodes, more than the pruned scan evaluates a vertex.  The last two bound
+the certified pass's work and memory where kappa is large: on a sphere of
+s r near 0 (max |p| = 1/s) and far out on the hyperboloid (max |p| ~
+cosh r), e reaches the scale of S and delta that of r.  There the whole
+pass can be moot: a computed ub and F(x*) differ by at least -g^2/(2
+lambda) - 2e, so g^2 + 2 lambda D >= 2 lambda (e + _TIE_TOL) and every
+delta' exceeds sqrt(2 e/lambda), which reaches 2r from e = 2 lambda r^2
+on.  And where ub >= F(x*), as for a near minimiser x*, D >= 3e and delta'
+exceeds sqrt(6 e/lambda).  The grid's n nodes are least dense at its rim,
+n/(2 pi r psi(r)) per unit area, where half of a window lies in the ball,
+so a window of that reach holds about 3 e n/(2 lambda r psi(r)) nodes or
+more, past _WINDOW_MAX from e = 2 lambda r psi(r) _WINDOW_MAX/(3n) on.
+From the lesser of the two e's on, compute_contact_set runs neither Newton
+nor the pass, and every vertex takes the pruned scan, as it would after
+them; which pass runs moves no answer.
 """
 
 from __future__ import annotations
@@ -115,6 +131,12 @@ _NEWTON_TOL = 1e-12   # a point stops once |grad F| is below this times a
 _DET_TOL = 1e-14      # a point whose |det Hess F| is at most this times a^2 keeps its iterate
 _ROUND = 2.0 ** -40   # the certified pass's rounding unit, relative to its scales
 _CANDIDATE_CHUNK = 1024   # vertices per chunk of the certified pass
+# most nodes a vertex's window may hold in the certified pass; a larger one
+# goes to the pruned scan, which evaluates 225-818 nodes a vertex on the
+# scan benchmark's 96^2 and 128^2 grids, where the windows hold about 2
+# (at most 96, seeds 1-3)
+_WINDOW_MAX = 128
+_CANDIDATE_SPAN = 2 ** 14   # about the most candidate nodes evaluated together
 # points per Newton block of the contact set: the fastest of 2048-30000 at
 # 256^2 on a 2 MB-L2 Xeon, where a block's Newton temporaries stay in cache
 _NEWTON_BLOCK = 6144
@@ -222,9 +244,14 @@ def compute_contact_set(u: ScalarField, a: float, E: np.ndarray,
     ties = ([], [])   # rows in E and nodes, pass by pass
     rest, refined = np.arange(n_y), None
     lam = _convexity(u, a)
-    if lam > 0.0:
+    kappa, e = _rounding(u, a)
+    # Newton runs below this e alone: from it on every vertex's windows
+    # reach 2r or, in practice, hold more than _WINDOW_MAX nodes (module
+    # docstring), so every vertex would take the pruned scan after it
+    R, n = grid.radius, grid.n_r * grid.n_theta
+    if lam > 0.0 and e < 2.0 * lam * min(R * R, R * float(m.psi(R)) * _WINDOW_MAX / (3.0 * n)):
         refined = _refine(u, a, grid.flat_points()[E])
-        done = _certified_pass(u, a, E, lam, refined, tab, contact, minval, ties)
+        done = _certified_pass(u, a, E, lam, kappa, e, refined, tab, contact, minval, ties)
         rest = np.flatnonzero(~done)
     if len(rest):
         _pruned_scan(u, a, E, rest, chunk, tab, contact, minval, ties)
@@ -241,11 +268,20 @@ def _convexity(u: ScalarField, a: float) -> float:
     least eigenvalue of Hess F_y over the ball for every vertex y in it
     (module docstring); 0.0 where u records no floor eta or no value_fn,
     which F(x*) reads."""
-    eta = u.hess_floor
+    eta = u._hess_floor
     if eta is None or u.value_fn is None:
         return 0.0
     mu = min(1.0, float(u.grid.model.dist_hessian_transverse(2.0 * u.grid.radius)))
     return a * mu + eta - _ROUND * (a * abs(mu) + abs(eta))
+
+
+def _rounding(u: ScalarField, a: float):
+    """(kappa, e) of the certified pass's rounding allowance (module
+    docstring): kappa = (1 + max |p|/r)^2 and e = 2^-40 kappa S."""
+    grid = u.grid
+    pts = grid.flat_points()
+    kappa = (1.0 + math.sqrt(float(np.max(_dot(pts, pts)))) / grid.radius) ** 2
+    return kappa, _ROUND * kappa * (float(np.max(np.abs(u.values))) + 2.0 * a * grid.radius ** 2)
 
 
 def _refine(u: ScalarField, a: float, Y) -> "_Refinement":
@@ -265,11 +301,12 @@ def _refine(u: ScalarField, a: float, Y) -> "_Refinement":
                        np.concatenate([p.residual for p in parts]))
 
 
-def _certified_pass(u: ScalarField, a: float, E, lam: float, refined, tab: _Polar,
-                    contact, minval, ties) -> np.ndarray:
+def _certified_pass(u: ScalarField, a: float, E, lam: float, kappa: float, e: float, refined,
+                    tab: _Polar, contact, minval, ties) -> np.ndarray:
     """Contacts, infima and ties of the vertices the certificate covers
     (module docstring), written into contact, minval and ties; returns the
-    mask of those vertices.  In chunks of _CANDIDATE_CHUNK vertices.  Each
+    mask of those vertices.  In chunks of _CANDIDATE_CHUNK vertices, whose
+    candidates it evaluates in spans of about _CANDIDATE_SPAN.  Each
     vertex's candidates come ring by ring, a wrapped angle window as two
     runs, so they are in ascending node order, as in a scan of all nodes,
     and F on them is formed as the pruned scan forms it."""
@@ -278,8 +315,6 @@ def _certified_pass(u: ScalarField, a: float, E, lam: float, refined, tab: _Pola
     n_r, n_t, R, h, dth = grid.n_r, grid.n_theta, grid.radius, grid.drho, grid.dtheta
     uf = u.values.reshape(-1)
     pts = grid.flat_points()
-    kappa = (1.0 + math.sqrt(float(np.max(_dot(pts, pts)))) / R) ** 2
-    e = _ROUND * kappa * (float(np.max(np.abs(uf))) + 2.0 * a * R * R)
     X = refined.points
     done = np.zeros(len(E), bool)
     todo = np.flatnonzero(refined.certified & np.isfinite(X).all(axis=1))
@@ -303,37 +338,61 @@ def _certified_pass(u: ScalarField, a: float, E, lam: float, refined, tab: _Pola
         D = ub - Fx + _TIE_TOL + 3.0 * e
         with np.errstate(invalid="ignore"):
             delta = (g + np.sqrt(g * g + 2.0 * lam * D)) / lam
-        reach = np.minimum(delta * (1.0 + _ROUND) + _ROUND * kappa * R, 2.0 * R)
-        ok = np.isfinite(reach)
+        reach = delta * (1.0 + _ROUND) + _ROUND * kappa * R
+        ok = reach < 2.0 * R   # every pair of ball points is within 2r; NaN fails too
         rows, rho_x, theta, reach, iv, jv, ub = (
             z[ok] for z in (rows, rho_x, theta, reach, iv, jv, ub))
         if not len(rows):
             continue
-        node, vid, counts = _candidates(m, grid, tab, rho_x, theta, reach)
-        F = _table_F(m, uf, tab, a, iv[vid], jv[vid], *np.divmod(node, n_t))
-        has = counts > 0
-        if not has.any():
+        pv, ring, start, count = _windows(m, grid, tab, rho_x, theta, reach)
+        counts = np.add.reduceat(count, np.flatnonzero(np.diff(pv, prepend=-1)))
+        small = counts <= _WINDOW_MAX
+        if not small.any():
             continue
-        starts = (np.cumsum(counts) - counts)[has]
-        fmin = np.minimum.reduceat(F, starts)
-        first = np.minimum.reduceat(np.where(F == np.repeat(fmin, counts[has]), np.arange(len(F)),
-                                             len(F)), starts)
-        good = fmin <= ub[has]   # the window holds the node ub came from
-        near = F <= np.repeat(np.where(good, fmin + _TIE_TOL, -np.inf), counts[has])
-        near[first] = False
-        at = rows[has][good]
-        contact[at], minval[at], done[at] = node[first[good]], fmin[good], True
-        tie = np.flatnonzero(near)
-        ties[0].append(rows[vid[tie]])
-        ties[1].append(node[tie])
+        if not small.all():
+            keep = small[pv]
+            pv = (np.cumsum(small) - 1)[pv[keep]]
+            ring, start, count = ring[keep], start[keep], count[keep]
+            rows, iv, jv, ub, counts = (z[small] for z in (rows, iv, jv, ub, counts))
+        # the candidates by spans of whole vertices, each of fewer than
+        # _CANDIDATE_SPAN + _WINDOW_MAX nodes, which bound the temporaries;
+        # no span is empty while _CANDIDATE_SPAN > _WINDOW_MAX, and an empty
+        # one is skipped (np.unique would drop it, but its imports alone
+        # raise the peak RSS by 1.5 MB)
+        ends = np.cumsum(counts)
+        cut = np.concatenate([
+            [0], np.searchsorted(ends, np.arange(_CANDIDATE_SPAN, ends[-1], _CANDIDATE_SPAN),
+                                 side="right"), [len(counts)]])
+        first_ring = np.append(np.flatnonzero(np.diff(pv, prepend=-1)), len(pv))
+        for v0, v1 in zip(cut[:-1], cut[1:]):
+            r = slice(first_ring[v0], first_ring[v1])
+            node, win = _window_nodes(n_t, ring[r], start[r], count[r])
+            vid = pv[r][win]
+            F = _table_F(m, uf, tab, a, iv[vid], jv[vid], *np.divmod(node, n_t))
+            n = counts[v0:v1]
+            has = n > 0
+            if not has.any():
+                continue
+            starts = (np.cumsum(n) - n)[has]
+            fmin = np.minimum.reduceat(F, starts)
+            first = np.minimum.reduceat(np.where(F == np.repeat(fmin, n[has]), np.arange(len(F)),
+                                                 len(F)), starts)
+            good = fmin <= ub[v0:v1][has]   # the window holds the node ub came from
+            near = F <= np.repeat(np.where(good, fmin + _TIE_TOL, -np.inf), n[has])
+            near[first] = False
+            at = rows[v0:v1][has][good]
+            contact[at], minval[at], done[at] = node[first[good]], fmin[good], True
+            tie = np.flatnonzero(near)
+            ties[0].append(rows[vid[tie]])
+            ties[1].append(node[tie])
     return done
 
 
-def _candidates(m: ModelSpace, grid: GeodesicBallGrid, tab: _Polar, rho_x, theta, reach):
-    """(node, vertex, counts): the nodes of the ring and angle windows about
-    the polar points (rho_x, theta) with reach delta' (module docstring),
-    point by point, each point's in ascending node order; vertex numbers
-    each node's point, counts the nodes per point."""
+def _windows(m: ModelSpace, grid: GeodesicBallGrid, tab: _Polar, rho_x, theta, reach):
+    """(point, ring, start, count) per window ring: the ring and angle
+    windows about the polar points (rho_x, theta) with reach delta' < 2r
+    (module docstring), point by point, each point's rings ascending; ring
+    ring of point point holds the count angles from start on, wrapping."""
     n_r, n_t, h, dth = grid.n_r, grid.n_theta, grid.drho, grid.dtheta
     lo = np.clip(np.floor((rho_x - reach) / h - 0.5).astype(np.int64), 0, n_r - 1)
     hi = np.clip(np.ceil((rho_x + reach) / h - 0.5).astype(np.int64), 0, n_r - 1)
@@ -352,14 +411,20 @@ def _candidates(m: ModelSpace, grid: GeodesicBallGrid, tab: _Polar, rho_x, theta
     whole = ((room >= 0.0) & ~(S < 1.0)) | (count >= n_t)
     count = np.where(whole, n_t, np.where(room >= 0.0, count, 0.0)).astype(np.int64)
     start = np.where(whole | (room < 0.0), 0.0, start).astype(np.int64) % n_t
-    # each window as two runs, the wrapped one (from angle 0) first
+    return pv, ring, start, count
+
+
+def _window_nodes(n_t: int, ring, start, count):
+    """(node, window): the flat nodes of the angle windows of _windows, each
+    window in ascending node order, as two runs, the wrapped one (from
+    angle 0) first; window numbers each node's window."""
     wrap = np.maximum(start + count - n_t, 0)
     base = ring * n_t
     run_start = np.stack([base, base + start], axis=1).ravel()
     run_len = np.stack([wrap, count - wrap], axis=1).ravel()
     run = np.repeat(np.arange(len(run_len)), run_len)
     node = run_start[run] + np.arange(len(run)) - (np.cumsum(run_len) - run_len)[run]
-    return node, pv[run >> 1], np.add.reduceat(count, np.cumsum(n_ring) - n_ring)
+    return node, run >> 1
 
 
 def _table_F(m: ModelSpace, uf, tab: _Polar, a: float, iv, jv, i, j):

@@ -16,16 +16,18 @@ component by component (geometry._scale), a bump's f' and f'' share one
 exp(-beta rho^2), and sum_fields adds the parts of a pair in place, in
 their order.
 
-The closed-form builders also record hess_floor, a floor on the least
+The closed-form builders also record _hess_floor, a floor on the least
 eigenvalue of Hess u over the closed grid ball, each derived in its
-docstring; the contact scan certifies contacts with it (contact.py).  A
-field with no such floor (a sampled field, a radial_field, a user's jet)
-has None.  Every floor reads the transverse factor tau(rho) = rho psi'/psi
-of Hess(rho^2/2), whose eigenvalues are 1 (radial) and tau (transverse):
-tau(0) = 1 and tau is monotone in rho (1 on the flat charts, s rho cot(s rho)
-falling on the sphere, s rho coth(s rho) rising on the hyperboloid), so on
-[0, rho_max] its extremes are 1 and tau(rho_max).  A ball point lies within
-rho_max = rho(c, o) + r of a centre c, o and r the grid's centre and radius.
+docstring; the contact scan certifies contacts with it (contact.py).  Only
+these builders set it: any other field (a sampled field, a radial_field, a
+ScalarField built from a user's jet) has None, as no check could hold a
+floor it is given to the field.  Every floor reads the transverse factor
+tau(rho) = rho psi'/psi of Hess(rho^2/2), whose eigenvalues are 1 (radial)
+and tau (transverse): tau(0) = 1 and tau is monotone in rho (1 on the flat
+charts, s rho cot(s rho) falling on the sphere, s rho coth(s rho) rising on
+the hyperboloid), so on [0, rho_max] its extremes are 1 and tau(rho_max).
+A ball point lies within rho_max = rho(c, o) + r of a centre c, o and r
+the grid's centre and radius.
 """
 
 from __future__ import annotations
@@ -59,21 +61,19 @@ _I_ROWS = np.array([1.0, 0.0, 1.0])
 
 class ScalarField:
     def __init__(self, grid: GeodesicBallGrid, values: Optional[np.ndarray] = None,
-                 value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None,
-                 hess_floor: Optional[float] = None):
+                 value_fn: Optional[Callable] = None, deriv_fn: Optional[Callable] = None):
         """values, shape (n_r, n_theta), may be None only beside a value_fn,
         which then samples the nodes on first read; deriv_fn(p, frame) of a
-        float array p returns (grad, lap), or (grad, h) given a frame.
-        hess_floor, beside a deriv_fn only, is a floor on the least
-        eigenvalue of Hess u over the closed grid ball; a non-finite one is
-        taken as none."""
+        float array p returns (grad, lap), or (grad, h) given a frame."""
         if values is None and value_fn is None:
             raise ValueError("a field needs node values or a value_fn to sample them from")
         self.grid = grid
         self._values = values
         self.value_fn = value_fn
         self.deriv_fn = deriv_fn
-        self.hess_floor = _finite(hess_floor) if deriv_fn is not None else None
+        # a floor on the least eigenvalue of Hess u over the closed grid
+        # ball, which only this module's closed-form builders set (_floored)
+        self._hess_floor: Optional[float] = None
 
     @property
     def values(self) -> np.ndarray:
@@ -121,9 +121,10 @@ class ScalarField:
         return _laplacian_nu(self.grid.model, p, *self.jet(p, None))
 
 
-def _finite(x: Optional[float]) -> Optional[float]:
-    """x as a float where it is finite, else None: a floor that is none."""
-    return float(x) if x is not None and math.isfinite(x) else None
+def _floored(u: ScalarField, floor: Optional[float]) -> ScalarField:
+    """u with the Hessian floor floor, where it is finite; else none."""
+    u._hess_floor = float(floor) if floor is not None and math.isfinite(floor) else None
+    return u
 
 
 def _laplacian_nu(m: ModelSpace, p, grad, lap):
@@ -201,7 +202,7 @@ def constant_field(grid: GeodesicBallGrid, c: float) -> ScalarField:
         batch = np.shape(p)[:-1]
         return np.zeros(batch + (d,)), _scalar_hessian(0.0, batch, frame)
 
-    return ScalarField(grid, None, val, deriv, hess_floor=0.0)
+    return _floored(ScalarField(grid, None, val, deriv), 0.0)
 
 
 def radial_field(grid: GeodesicBallGrid, center, f, df, d2f) -> ScalarField:
@@ -259,16 +260,14 @@ def quadratic_field(grid: GeodesicBallGrid, center, b: float) -> ScalarField:
                 grad[..., i] = b * (p[..., i] - c[i])
             return grad, _scalar_hessian(b, grad.shape[:-1], frame)
 
-        return ScalarField(grid, None, val, deriv, hess_floor=floor)
-    u = radial_field(
+        return _floored(ScalarField(grid, None, val, deriv), floor)
+    return _floored(radial_field(
         grid,
         center,
         lambda r: 0.5 * b * r * r,
         lambda r: b * r,
         lambda r: np.full_like(np.asarray(r, float), b),
-    )
-    u.hess_floor = _finite(floor)
-    return u
+    ), floor)
 
 
 def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) -> ScalarField:
@@ -304,7 +303,7 @@ def bump_field(grid: GeodesicBallGrid, center, amplitude: float, beta: float) ->
 
     tau = _tau_at_reach(grid, center)
     floor = -2.0 * beta * abs(amplitude) * max(1.0, abs(tau)) if math.isfinite(tau) else None
-    return ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv, hess_floor=floor)
+    return _floored(ScalarField(grid, None, lambda p: f(m.distance(center, p)), deriv), floor)
 
 
 def _sum(parts):
@@ -337,29 +336,23 @@ def sum_fields(fields: Sequence[ScalarField]) -> ScalarField:
     def deriv(p, frame):
         return tuple(_sum(d) for d in zip(*(f.deriv_fn(p, frame) for f in fields)))
 
-    floors = [f.hess_floor for f in fields]
-    return ScalarField(grid, None, val, deriv,
-                       hess_floor=None if None in floors else math.fsum(floors))
+    floors = [f._hess_floor for f in fields]
+    return _floored(ScalarField(grid, None, val, deriv),
+                    None if None in floors else math.fsum(floors))
 
 
 def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarField:
     """Seeded random sum of _N_BUMPS radial bumps with total Hessian norm <= hess_bound.
 
     Centers are drawn inside _CENTER_FRAC of the grid ball, so every distance
-    function involved stays smooth on the working domain.
-
-    Floor: -|hess_bound|.  Each bump's eigenvalues lie within
-    2 beta |amp| max(1, tau) (see bump_field), and a ball point lies within
-    (1 + _CENTER_FRAC) r < 2r of every centre, so |tau| <= max(1, tau(2r))
-    wherever tau(2r) >= 0; the scaled bounds add up to |hess_bound|.  On
-    the sphere past s 2r = pi/2, where tau(2r) < 0, the field records no
-    floor.
+    function involved stays smooth on the working domain.  Its floor is the
+    sum of its bumps' (sum_fields): -|hess_bound| up to rounding on the flat
+    charts and the sphere (tau(2r) >= -1), above it on the hyperboloid.
     """
     m = grid.model
     e1, e2 = grid.frame
     parts = []
     bound = 0.0
-    tau = float(m.dist_hessian_transverse(2.0 * grid.radius))
     for _ in range(_N_BUMPS):
         beta = rng.uniform(*_BETA_RANGE)
         amp = rng.uniform(-1.0, 1.0)
@@ -368,10 +361,8 @@ def random_bump_field(grid: GeodesicBallGrid, rng, hess_bound=1.0) -> ScalarFiel
         c = m.exp(grid.center, r0 * (np.cos(th0) * e1 + np.sin(th0) * e2))
         parts.append((amp, beta, c))
         # |f''| <= 2 beta |amp| and transverse factor is bounded by the same scale
-        bound += 2.0 * beta * abs(amp) * max(1.0, tau)
+        bound += 2.0 * beta * abs(amp) * max(1.0, float(m.dist_hessian_transverse(2.0 * grid.radius)))
     scale = hess_bound / bound if bound > 0 else 1.0
     fields = [bump_field(grid, c, scale * amp, beta) for amp, beta, c in parts]
-    u = sum_fields(fields)
-    u.hess_floor = _finite(-abs(hess_bound)) if tau >= 0.0 else None
-    return u
+    return sum_fields(fields)
 

@@ -248,41 +248,50 @@ def _assert_matches_brute_force(m, u, a, E, **kwargs):
 
 
 class TestPrunedScanMatchesBruteForce:
-    """The pruned scan against an exhaustive scan of every node."""
+    """The pruned scan against an exhaustive scan of every node.  The random
+    fields are sampled, so they record no Hessian floor and every vertex
+    takes the scan."""
 
     @staticmethod
-    def _setup(m, rng, n_r=48, n_theta=48):
-        r = min(0.8, 0.2 * m.domain_radius_limit)
+    def _setup(m, rng, n_r=48, n_theta=48, r=None):
+        r = min(0.8, 0.2 * m.domain_radius_limit) if r is None else r
         g = build_polar_grid(m, m.origin(), r, n_r, n_theta)
-        return g, random_bump_field(g, rng, hess_bound=0.5)
+        return g, ScalarField(g, random_bump_field(g, rng, hess_bound=0.5).values)
 
-    def test_disc_vertex_set(self, model, rng):
+    @staticmethod
+    def _scanned(monkeypatch, m, u, a, E, **kwargs):
+        """_assert_matches_brute_force, with every vertex in one pruned scan."""
+        scans = _record_scans(monkeypatch)
+        cs = _assert_matches_brute_force(m, u, a, E, **kwargs)
+        assert len(scans) == 1 and np.array_equal(scans[0], np.arange(len(E)))
+        return cs
+
+    def test_disc_vertex_set(self, model, rng, monkeypatch):
         g, u = self._setup(model, rng)
-        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.45 * g.radius))
+        self._scanned(monkeypatch, model, u, 1.0, _disc_indices(g, 0.45 * g.radius))
 
-    def test_off_centre_vertex_set(self, model, rng):
+    def test_off_centre_vertex_set(self, model, rng, monkeypatch):
         # the growth check's vertex set: B_{r/6}(y0) around an off-centre node
         g, u = self._setup(model, rng)
         y0 = g.points[g.n_r // 3, g.n_theta // 5]
         E = np.flatnonzero(g.mask_within(y0, g.radius / 6.0).ravel())
-        _assert_matches_brute_force(model, u, 1.0 / g.radius**2, E)
+        self._scanned(monkeypatch, model, u, 1.0 / g.radius**2, E)
 
-    def test_strided_vertex_set(self, model, rng):
+    def test_strided_vertex_set(self, model, rng, monkeypatch):
         g, u = self._setup(model, rng)
-        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.6 * g.radius)[::7])
+        self._scanned(monkeypatch, model, u, 1.0, _disc_indices(g, 0.6 * g.radius)[::7])
 
     @pytest.mark.parametrize("r", [5.0, 20.0])
-    def test_far_out_hyperboloid(self, r, rng):
+    def test_far_out_hyperboloid(self, r, rng, monkeypatch):
         m = hyperbolic(1.0)
-        g = build_polar_grid(m, m.origin(), r, 32, 36)
-        u = random_bump_field(g, rng, hess_bound=0.5)
-        _assert_matches_brute_force(m, u, 1.0 / r, _disc_indices(g, 0.6 * r)[::3])
+        g, u = self._setup(m, rng, 32, 36, r=r)
+        self._scanned(monkeypatch, m, u, 1.0 / r, _disc_indices(g, 0.6 * r)[::3])
 
-    def test_ragged_last_block(self, model, rng):
+    def test_ragged_last_block(self, model, rng, monkeypatch):
         g, u = self._setup(model, rng, n_r=24, n_theta=50)
-        _assert_matches_brute_force(model, u, 1.0, _disc_indices(g, 0.5 * g.radius))
+        self._scanned(monkeypatch, model, u, 1.0, _disc_indices(g, 0.5 * g.radius))
 
-    def test_small_chunks(self, model, rng):
+    def test_small_chunks(self, model, rng, monkeypatch):
         # the band of rings each vertex ring scans depends on the seeds of
         # its vertices; no chunking may change the contact set
         g, u = self._setup(model, rng, n_r=24, n_theta=40)
@@ -290,7 +299,7 @@ class TestPrunedScanMatchesBruteForce:
         for E in (_disc_indices(g, 0.4 * g.radius),
                   np.flatnonzero(g.mask_within(y0, g.radius / 6.0).ravel())):
             for chunk in (1, 3, 128):
-                _assert_matches_brute_force(model, u, 2.0, E, chunk=chunk)
+                self._scanned(monkeypatch, model, u, 2.0, E, chunk=chunk)
 
     def test_planted_exact_ties(self, model):
         # u = c - (a/2) rho^2(., y) on four nodes in different rings and
@@ -470,7 +479,7 @@ class TestRingBand:
     @pytest.mark.parametrize("r", [10.0, 15.0, 20.0, 50.0])
     def test_scan_matches_table_oracle_far_out(self, r, rng):
         g = _grid(hyperbolic(1.0), r=r, n=32)
-        u = random_bump_field(g, rng, hess_bound=0.5)
+        u = ScalarField(g, random_bump_field(g, rng, hess_bound=0.5).values)   # no floor: the scan
         E = np.flatnonzero(g.mask_within(g.center, 0.6 * r).ravel())[::5]
         cs = compute_contact_set(u, 1.0 / r, E)
         contact, best, ties = _table_brute_force(u, 1.0 / r, E)
@@ -478,14 +487,16 @@ class TestRingBand:
         assert np.array_equal(cs.min_values, best) and cs.ties.tolist() == ties
 
 
+_PRUNED_SCAN = contact._pruned_scan
+
+
 def _record_scans(monkeypatch):
     """Record the rows each pruned-scan call covers, and let it run."""
     rows = []
-    scan = contact._pruned_scan
 
     def recording(u, a, E, sub, *args):
         rows.append(np.array(sub))
-        return scan(u, a, E, sub, *args)
+        return _PRUNED_SCAN(u, a, E, sub, *args)
 
     monkeypatch.setattr(contact, "_pruned_scan", recording)
     return rows
@@ -523,7 +534,7 @@ class TestCertifiedContacts:
         g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=48)
         a = 1.0
         u = self.FIELDS[field](g, rng, a)
-        assert u.hess_floor is not None and contact._convexity(u, a) > 0.0
+        assert u._hess_floor is not None and contact._convexity(u, a) > 0.0
         scans = _record_scans(monkeypatch)
         for name, E in self._vertex_sets(g).items():
             cs = _assert_matches_both_oracles(model, u, a, E)
@@ -547,6 +558,20 @@ class TestCertifiedContacts:
                          r.residual.tobytes()])
         assert len(E) > 3 * 97 and runs[1] == runs[0]
 
+    def test_candidate_spans_move_no_bit(self, model, rng, monkeypatch):
+        # spans of about 7 candidates split every chunk many times, and
+        # give the contact set of one span per chunk
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        E = _disc_indices(g, 0.45 * g.radius)
+        scans = _record_scans(monkeypatch)
+        whole = compute_contact_set(u, 1.0, E)
+        monkeypatch.setattr(contact, "_CANDIDATE_SPAN", 7)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        assert scans == []
+        assert (cs.contact_of.tobytes(), cs.min_values.tobytes(), cs.ties.tobytes()) == (
+            whole.contact_of.tobytes(), whole.min_values.tobytes(), whole.ties.tobytes())
+
     def test_floor_below_opening_falls_back(self, model, rng, monkeypatch):
         # hess_bound 2a: lambda = a mu - 2a <= 0, so no Newton and one scan
         g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
@@ -560,7 +585,7 @@ class TestCertifiedContacts:
     def test_sampled_field_falls_back(self, model, rng, monkeypatch):
         g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
         u = ScalarField(g, random_bump_field(g, rng, hess_bound=0.5).values)
-        assert u.hess_floor is None and contact._convexity(u, 1.0) == 0.0
+        assert u._hess_floor is None and contact._convexity(u, 1.0) == 0.0
         scans = _record_scans(monkeypatch)
         E = _disc_indices(g, 0.45 * g.radius)
         cs = _assert_matches_both_oracles(model, u, 1.0, E)
@@ -579,6 +604,52 @@ class TestCertifiedContacts:
         uncertified = np.flatnonzero(~cs.refined.certified)
         assert 0 < len(uncertified) < len(E)
         assert len(scans) == 1 and np.array_equal(scans[0], uncertified)
+
+    @pytest.mark.parametrize("chunk", [1024, 1])
+    def test_large_windows_fall_back(self, chunk, model, rng, monkeypatch):
+        # with _WINDOW_MAX at 1, the vertices whose windows hold more than
+        # one node take the scan and the rest stay in the certified pass;
+        # in chunks of one vertex, some chunks keep no vertex at all
+        monkeypatch.setattr(contact, "_WINDOW_MAX", 1)
+        monkeypatch.setattr(contact, "_CANDIDATE_CHUNK", chunk)
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        assert cs.refined.certified.all()
+        assert len(scans) == 1 and 0 < len(scans[0]) < len(E)
+
+    def test_capped_reach_falls_back(self, model, rng, monkeypatch):
+        # lambda = 1e-9, a floor still, makes every delta' exceed 2r, the
+        # most any two ball points are apart: every vertex takes the scan.
+        # _WINDOW_MAX, out of the way, keeps Newton running
+        monkeypatch.setattr(contact, "_convexity", lambda u, a: 1e-9)
+        monkeypatch.setattr(contact, "_WINDOW_MAX", 10**9)
+        g = _grid(model, r=min(0.8, 0.2 * model.domain_radius_limit), n=40)
+        u = random_bump_field(g, rng, hess_bound=0.5)
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(model, u, 1.0, E)
+        assert cs.refined is not None
+        assert len(scans) == 1 and np.array_equal(scans[0], np.arange(len(E)))
+
+    @pytest.mark.parametrize("field", ["quadratic-a", "bumps"])
+    @pytest.mark.parametrize("k", [1e-13, 1e-11])
+    def test_nearly_flat_sphere_skips_newton(self, k, field, rng, monkeypatch):
+        # s r = 2.5e-7 and 2.5e-6: kappa = (1 + 1/(s r))^2 makes e reach
+        # 2 lambda r^2 at k = 1e-13, so no delta' can fall below 2r, and at
+        # 1e-11 makes every window hold more than _WINDOW_MAX nodes
+        m = sphere(k)
+        g = _grid(m, r=0.8, n=40)
+        u = self.FIELDS[field](g, rng, 1.0)
+        lam = contact._convexity(u, 1.0)
+        assert lam > 0.0 and (contact._rounding(u, 1.0)[1] >= 2.0 * lam * g.radius**2) == (k < 1e-12)
+        scans = _record_scans(monkeypatch)
+        E = _disc_indices(g, 0.45 * g.radius)
+        cs = _assert_matches_both_oracles(m, u, 1.0, E)
+        assert cs.refined is None
+        assert len(scans) == 1 and np.array_equal(scans[0], np.arange(len(E)))
 
     def test_newton_point_outside_the_ball_falls_back(self, monkeypatch):
         # u = |x - c|^2/2, c = (1.5, 0) outside the unit ball: F_y's minimiser

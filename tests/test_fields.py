@@ -517,7 +517,7 @@ def _least_eigenvalue(h):
 
 
 class TestHessFloor:
-    """Each closed-form builder's hess_floor lies below the least eigenvalue
+    """Each closed-form builder's _hess_floor lies below the least eigenvalue
     of Hess u at every node and at the ball's edge; the rest record none."""
 
     @staticmethod
@@ -545,14 +545,27 @@ class TestHessFloor:
         for r in (min(0.8, 0.2 * m.domain_radius_limit), min(1.5, 0.9 * m.domain_radius_limit)):
             g = build_polar_grid(m, m.origin(), r, 24, 24)
             u = self.CASES[case](g)
-            if case == "random" and m.dist_hessian_transverse(2 * r) < 0:
-                assert u.hess_floor is None
-                continue
             p = self._ball_points(g)
             least = float(np.min(_least_eigenvalue(u.jet(p, m.tangent_frame(p))[1])))
-            assert u.hess_floor <= least + 1e-12 * max(1.0, abs(least))
+            assert u._hess_floor <= least + 1e-12 * max(1.0, abs(least))
             if case == "const" or (case == "quadratic" and m.is_flat_chart):
-                assert u.hess_floor == least
+                assert u._hess_floor == least
+
+    @pytest.mark.parametrize("m", ALL_MODELS, ids=[m.kind for m in ALL_MODELS])
+    def test_random_floor_is_its_bumps_sum(self, m):
+        # each bump's floor is its share of -hess_bound where max(1, |tau|)
+        # at its reach is 1 (flat charts, sphere while tau(2r) >= -1), above
+        # it where tau rises past 1 before 2r (hyperboloid), and below it
+        # where tau falls past -1 (the sphere past s 2r = 0.9 pi)
+        for r in (min(0.8, 0.2 * m.domain_radius_limit), min(1.5, 0.9 * m.domain_radius_limit)):
+            g = build_polar_grid(m, m.origin(), r, 24, 24)
+            floor = random_bump_field(g, np.random.default_rng(4), hess_bound=0.5)._hess_floor
+            if m.kind == "hyperbolic":
+                assert -0.5 < floor < 0.0
+            elif m.dist_hessian_transverse(2.0 * r) >= -1.0:
+                assert floor == pytest.approx(-0.5, rel=4 * np.finfo(float).eps)
+            else:
+                assert floor < -0.5
 
     def test_fields_without_a_floor(self, rng):
         m = sphere(1.0)
@@ -560,9 +573,9 @@ class TestHessFloor:
         bumps = random_bump_field(g, rng, hess_bound=0.5)
         radial = radial_field(g, m.origin(), lambda r: r**4, lambda r: 4 * r**3,
                               lambda r: 12 * r**2)
-        assert ScalarField(g, bumps.values).hess_floor is None
-        assert ScalarField(g, None, bumps.value_fn, bumps.deriv_fn).hess_floor is None
-        assert radial.hess_floor is None
-        assert sum_fields([bumps, radial]).hess_floor is None
-        assert sum_fields([bumps, ScalarField(g, bumps.values)]).hess_floor is None
-        assert sum_fields([bumps, bumps]).hess_floor == 2 * bumps.hess_floor == -1.0
+        assert ScalarField(g, bumps.values)._hess_floor is None
+        assert ScalarField(g, None, bumps.value_fn, bumps.deriv_fn)._hess_floor is None
+        assert radial._hess_floor is None
+        assert sum_fields([bumps, radial])._hess_floor is None
+        assert sum_fields([bumps, ScalarField(g, bumps.values)])._hess_floor is None
+        assert sum_fields([bumps, bumps])._hess_floor == 2 * bumps._hess_floor
